@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -36,18 +36,20 @@ EXIT_USAGE = 2
 
 @dataclass
 class RunConfig:
+    """One run, with the CLI's defaults; ``points`` and ``tol`` left None take the command's."""
+
     command: str
     group: str = "su2"
     n: Optional[int] = None
     lmax: int = 50
-    points: int = 100
+    points: Optional[int] = None
     trials: int = 10
     realizations: int = 10000
     mc_samples: int = 100000
     bins: int = 60
     seed: int = 0
     stream: int = 0
-    tol: float = 1e-10
+    tol: Optional[float] = None
     margin: float = kernel_lab.DEFAULT_MARGIN
     jitter: float = field_sim.DEFAULT_JITTER
     threads: int = 1
@@ -55,6 +57,12 @@ class RunConfig:
     out: str = "-"
     no_meta: bool = False
     command_line: str = ""
+
+    def __post_init__(self):
+        if self.points is None:
+            self.points = {"densities": 100000, "simulate": 50, "haar": 10}.get(self.command, 100)
+        if self.tol is None:
+            self.tol = 1e-8 if self.command == "check" else 1e-10
 
 
 class UsageError(Exception):
@@ -100,98 +108,77 @@ def build_parser() -> argparse.ArgumentParser:
         description="Brownian kernels and character expansions on SU(2)/SO(n)",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", default="0",
-                        help="64-bit seed, or 'random' for one-off entropy (default 0)")
-    common.add_argument("--stream", type=int, default=0, help="stream id (default 0)")
-    common.add_argument("--format", choices=["csv", "json"], default="json")
-    common.add_argument("--out", default="-", help="output path, '-' for stdout")
+    # flags left out stay out of the namespace: RunConfig holds every default
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--seed", help="64-bit seed, or 'random' for one-off entropy "
+                        f"(default {RunConfig.seed})")
+    common.add_argument("--stream", type=int, help=f"stream id (default {RunConfig.stream})")
+    common.add_argument("--format", choices=["csv", "json"])
+    common.add_argument("--out", help="output path, '-' for stdout")
     common.add_argument("--no-meta", action="store_true",
                         help="omit the meta block (volatile fields) entirely")
-    common.add_argument("--threads", type=int, default=None,
+    common.add_argument("--threads", type=int,
                         help=f"stream-splitting width ({THREADS_ENV_VAR} as fallback)")
-    common.add_argument("--tol", type=float, default=None,
+    common.add_argument("--tol", type=float,
                         help="tolerance (quadrature for coeffs, relative eig for check)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("coeffs", parents=[common],
-                       help="expansion coefficients by closed form, quadrature, Monte Carlo")
-    p.add_argument("--group", choices=["su2", "so3"], required=True)
-    p.add_argument("--lmax", type=int, default=50)
-    p.add_argument("--mc-n", type=int, default=100000, dest="mc_samples",
-                   help="Monte Carlo pairs per coefficient; 0 disables (default 100000)")
+    def command(name, groups, summary, required=True):
+        p = sub.add_parser(name, parents=[common], help=summary,
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("--group", choices=groups, required=required)
+        return p
 
-    p = sub.add_parser("densities", parents=[common],
-                       help="angle/trace density curves with empirical histograms")
-    p.add_argument("--group", choices=["su2", "so3"], required=True)
-    p.add_argument("--points", type=int, default=100000, help="Haar samples")
-    p.add_argument("--bins", type=int, default=60)
+    p = command("coeffs", ["su2", "so3"],
+                "expansion coefficients by closed form, quadrature, Monte Carlo")
+    p.add_argument("--lmax", type=int)
+    p.add_argument("--mc-n", type=int, dest="mc_samples",
+                   help=f"Monte Carlo pairs per coefficient; 0 disables "
+                        f"(default {RunConfig.mc_samples})")
 
-    p = sub.add_parser("check", parents=[common],
-                       help="eigenvalue audit of the Brownian kernel on Haar points")
-    p.add_argument("--group", choices=["su2", "so3", "son"], required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--points", type=int, default=100)
+    p = command("densities", ["su2", "so3"],
+                "angle/trace density curves with empirical histograms")
+    p.add_argument("--points", type=int, help="Haar samples")
+    p.add_argument("--bins", type=int)
 
-    p = sub.add_parser("witness", parents=[common],
-                       help="search for a restricted-negative-definiteness counterexample")
-    p.add_argument("--group", choices=["su2", "so3", "son"], required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--points", type=int, default=100)
-    p.add_argument("--trials", type=int, default=10)
-    p.add_argument("--margin", type=float, default=kernel_lab.DEFAULT_MARGIN)
+    p = command("check", ["su2", "so3", "son"],
+                "eigenvalue audit of the Brownian kernel on Haar points")
+    p.add_argument("--n", type=int)
+    p.add_argument("--points", type=int)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="sample the pinned Gaussian field and emit its variogram")
-    p.add_argument("--group", choices=["su2", "so3"], default="su2",
-                   help="so3 runs the expected-to-fail diagnostic")
-    p.add_argument("--points", type=int, default=50)
-    p.add_argument("--realizations", type=int, default=10000)
-    p.add_argument("--jitter", type=float, default=field_sim.DEFAULT_JITTER)
+    p = command("witness", ["su2", "so3", "son"],
+                "search for a restricted-negative-definiteness counterexample")
+    p.add_argument("--n", type=int)
+    p.add_argument("--points", type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--margin", type=float)
 
-    p = sub.add_parser("haar", parents=[common], help="raw Haar samples")
-    p.add_argument("--group", choices=["su2", "so3", "son"], required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--points", type=int, default=10)
+    p = command("simulate", ["su2", "so3"],
+                "sample the pinned Gaussian field and emit its variogram; "
+                "--group so3 runs the expected-to-fail diagnostic", required=False)
+    p.add_argument("--points", type=int)
+    p.add_argument("--realizations", type=int)
+    p.add_argument("--jitter", type=float)
+
+    p = command("haar", ["su2", "so3", "son"], "raw Haar samples")
+    p.add_argument("--n", type=int)
+    p.add_argument("--points", type=int)
 
     return parser
 
 
 def config_from_args(ns: argparse.Namespace, argv: list[str]) -> RunConfig:
-    seed = _parse_seed(ns.seed)
-    threads = ns.threads
-    if threads is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise UsageError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}")
-        else:
-            threads = 1
-    cfg = RunConfig(
-        command=ns.command,
-        group=getattr(ns, "group", "su2"),
-        n=getattr(ns, "n", None),
-        lmax=getattr(ns, "lmax", 50),
-        points=getattr(ns, "points", 100),
-        trials=getattr(ns, "trials", 10),
-        realizations=getattr(ns, "realizations", 10000),
-        mc_samples=getattr(ns, "mc_samples", 100000),
-        bins=getattr(ns, "bins", 60),
-        seed=seed,
-        stream=ns.stream,
-        tol=ns.tol if ns.tol is not None else (1e-8 if ns.command == "check" else 1e-10),
-        margin=getattr(ns, "margin", kernel_lab.DEFAULT_MARGIN),
-        jitter=getattr(ns, "jitter", field_sim.DEFAULT_JITTER),
-        threads=threads,
-        format=ns.format,
-        out=ns.out,
-        no_meta=ns.no_meta,
-        command_line="levy-groups " + " ".join(argv),
-    )
-    return cfg
+    given = {f.name: getattr(ns, f.name) for f in fields(RunConfig) if hasattr(ns, f.name)}
+    if "seed" in given:
+        given["seed"] = _parse_seed(given["seed"])
+    env = os.environ.get(THREADS_ENV_VAR)
+    if "threads" not in given and env is not None:
+        try:
+            given["threads"] = int(env)
+        except ValueError:
+            raise UsageError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}")
+    return RunConfig(**given, command_line="levy-groups " + " ".join(argv))
 
 
 def _parse_seed(raw: str) -> int:
@@ -344,21 +331,14 @@ def _shares(total: int, k: int) -> list[int]:
 
 
 def _run_densities(cfg: RunConfig) -> int:
-    group = GroupTag(cfg.group)
-    rng = RngStream(cfg.seed, cfg.stream)
-    series = []
-    if group is GroupTag.SU2:
-        quats = group_core.haar_su2_batch(rng, cfg.points)
-        angles = np.arccos(np.clip(quats[:, 0], -1.0, 1.0))
-        series.append(("angle", angles, (0.0, math.pi),
-                       lambda t: harmonic.angle_density(GroupTag.SU2, t)))
-    else:
-        mats = group_core.haar_son_batch(3, cfg.points, rng)
-        traces = np.trace(mats, axis1=-2, axis2=-1)
-        angles = np.arccos(np.clip((traces - 1.0) / 2.0, -1.0, 1.0))
-        series.append(("angle", angles, (0.0, math.pi),
-                       lambda t: harmonic.angle_density(GroupTag.SO3, t)))
-        series.append(("trace", traces, (-1.0, 3.0), harmonic.trace_density_so3))
+    tag = GroupTag(cfg.group)
+    group = group_core.group_named(cfg.group)
+    x = group.sample(RngStream(cfg.seed, cfg.stream), cfg.points)
+    series = [("angle", group.distances(x, group.identity), (0.0, math.pi),
+               lambda t: harmonic.angle_density(tag, t))]
+    if tag is GroupTag.SO3:
+        series.append(("trace", np.trace(x, axis1=-2, axis2=-1), (-1.0, 3.0),
+                       harmonic.trace_density_so3))
     out_series = []
     for name, values, rng_bounds, density in series:
         hist, edges = np.histogram(values, bins=cfg.bins, range=rng_bounds, density=True)
@@ -386,18 +366,10 @@ def _run_densities(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _sample_points(cfg: RunConfig, rng: RngStream, count: int) -> list:
-    if cfg.group == "su2":
-        return [group_core.SU2Element.from_vector(q)
-                for q in group_core.haar_su2_batch(rng, count)]
-    n = 3 if cfg.group == "so3" else int(cfg.n)
-    return [group_core.SOnElement(m) for m in group_core.haar_son_batch(n, count, rng)]
-
-
 def _run_check(cfg: RunConfig) -> int:
-    rng = RngStream(cfg.seed, cfg.stream)
-    points = _sample_points(cfg, rng, cfg.points)
-    audit = kernel_lab.gram_audit(points)
+    group = group_core.group_named(cfg.group, cfg.n)
+    x = group.sample(RngStream(cfg.seed, cfg.stream), cfg.points)
+    audit = kernel_lab.gram_audit(list(map(group.element, x)))
     psd = audit.is_positive_semidefinite(cfg.tol)
     rnd = audit.is_restricted_negative(cfg.tol)
     equiv = psd == rnd
@@ -438,7 +410,8 @@ def _run_witness(cfg: RunConfig) -> int:
 
 def _run_simulate(cfg: RunConfig) -> int:
     rng = RngStream(cfg.seed, cfg.stream)
-    points = _sample_points(cfg, rng, cfg.points)
+    group = group_core.group_named(cfg.group)
+    points = list(map(group.element, group.sample(rng, cfg.points)))
     try:
         fs = field_sim.build_field(points, jitter=cfg.jitter)
     except field_sim.KernelNotPSDError as exc:
@@ -474,25 +447,17 @@ def _run_simulate(cfg: RunConfig) -> int:
 
 
 def _run_haar(cfg: RunConfig) -> int:
-    rng = RngStream(cfg.seed, cfg.stream)
-    if cfg.group == "su2":
-        samples = group_core.haar_su2_batch(rng, cfg.points)
-        header = ["a1", "a2", "b1", "b2"]
-        n = None
-    else:
-        n = 3 if cfg.group == "so3" else int(cfg.n)
-        mats = group_core.haar_son_batch(n, cfg.points, rng)
-        samples = mats.reshape(cfg.points, n * n)
-        header = [f"r{i}c{j}" for i in range(n) for j in range(n)]
+    group = group_core.group_named(cfg.group, cfg.n)
+    samples = group.sample(RngStream(cfg.seed, cfg.stream), cfg.points).reshape(cfg.points, -1)
     if cfg.format == "json":
         _emit_json(cfg, {
             "schema_version": "1", "kind": "haar", "group": cfg.group,
-            "n": n, "count": cfg.points,
+            "n": None if group is group_core.SU2 else group.n, "count": cfg.points,
             "seed": cfg.seed, "stream": cfg.stream,
             "samples": [[float(x) for x in row] for row in samples],
         })
     else:
-        _emit_csv(cfg, header, [[format_float(x) for x in row] for row in samples])
+        _emit_csv(cfg, list(group.columns), [[format_float(x) for x in row] for row in samples])
     return EXIT_OK
 
 

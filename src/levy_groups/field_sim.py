@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .canonical import format_float
-from .group_core import default_identity, default_metric, pairwise_distance_matrix
+from .group_core import distances_to, pairwise_distance_matrix
 from .rng import RngStream
 
 VALUES_MAGIC = b"LVYFLD01"
@@ -73,12 +73,9 @@ def build_field(
     pts = list(points)
     if not pts:
         raise ValueError("need at least one point")
-    met = metric if metric is not None else default_metric(pts)
-    if x0 is None:
-        x0 = default_identity(pts)
-    d_to_x0 = [met(p, x0) for p in pts]
-    hit = [i for i, dd in enumerate(d_to_x0) if dd <= _COINCIDENCE_TOL]
-    if hit:
+    d_to_x0, x0 = distances_to(pts, x0, metric)
+    hit = np.flatnonzero(d_to_x0 <= _COINCIDENCE_TOL)
+    if hit.size:
         pts.insert(0, pts.pop(hit[0]))
     else:
         pts.insert(0, x0)

@@ -10,8 +10,12 @@ sphere of R^4; the geodesic distance induced by the inner product
 
 SO(n) elements carry their n x n matrix.  The matching bi-invariant
 distance is sqrt(sum of squared principal rotation angles) of g h^T,
-extracted from the real Schur form; for n = 3 it is the rotation angle
-arccos((tr - 1)/2).
+taken from the arguments of its eigenvalues; for n = 3 it is the
+rotation angle arccos((tr - 1)/2).
+
+Batch work goes through one descriptor per group (``SU2``, ``SO3``,
+``group_named("son", n)``) acting on stacked (m, 4) quadruples or (m, n, n)
+rotations; ``group_of`` stacks a list of elements and finds its group.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import schur
 
 from .rng import RngStream
 
@@ -277,30 +280,15 @@ def rotation_angle_so3(g: SOnElement) -> float:
     return math.acos(max(-1.0, min(1.0, c)))
 
 
-def _principal_angles(r: np.ndarray, block_tol: float = 1e-12) -> np.ndarray:
-    """Rotation angles in (-pi, pi] of an orthogonal matrix with det = 1.
+def principal_angle_distances(r: np.ndarray) -> np.ndarray:
+    """sqrt(sum of squared principal angles) of each stacked rotation in r.
 
-    Real Schur form of a rotation is block-diagonal with 2x2 rotation
-    blocks and +-1 diagonal entries; each pair of -1 entries is a flat
-    rotation by pi.
+    Each rotation plane contributes the eigenvalue pair e^{+-i theta}, and
+    each pair of -1 eigenvalues a flat rotation by pi, so half the sum of
+    the squared eigenvalue arguments is the sum of squared angles.
     """
-    t, _ = schur(r, output="real")
-    n = r.shape[0]
-    angles = []
-    negatives = 0
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(t[i + 1, i]) > block_tol:
-            angles.append(math.atan2(t[i + 1, i], t[i, i]))
-            i += 2
-        else:
-            if t[i, i] < 0.0:
-                negatives += 1
-            i += 1
-    if negatives % 2:
-        raise ValueError("odd count of -1 eigenvalues; matrix is not a rotation")
-    angles.extend([math.pi] * (negatives // 2))
-    return np.asarray(angles)
+    lam = np.linalg.eigvals(r)
+    return np.sqrt(0.5 * np.sum(np.angle(lam) ** 2, axis=-1))
 
 
 def dist_son(g: SOnElement, h: SOnElement, scale: float = 1.0) -> float:
@@ -310,8 +298,7 @@ def dist_son(g: SOnElement, h: SOnElement, scale: float = 1.0) -> float:
         raise ValueError(f"size mismatch: {g.n} vs {h.n}")
     if scale <= 0.0:
         raise ValueError("scale must be positive")
-    theta = _principal_angles(g.entries @ h.entries.T)
-    return scale * math.sqrt(float(np.sum(theta ** 2)))
+    return scale * float(principal_angle_distances(g.entries @ h.entries.T))
 
 
 def embed_so3(g: SOnElement, n: int) -> SOnElement:
@@ -352,7 +339,7 @@ def su2_pairwise_distances(quaternions: np.ndarray) -> np.ndarray:
 def so3_pairwise_distances(matrices: np.ndarray) -> np.ndarray:
     """(m, m) rotation-angle distances from stacked (m, 3, 3) rotations.
 
-    Uses the trace identity; agrees with the Schur route of dist_son
+    Uses the trace identity; agrees with the eigenvalue route of dist_son
     (property-tested) and is O(m^2) without per-pair factorizations.
     """
     r = np.asarray(matrices, dtype=float)
@@ -362,6 +349,99 @@ def so3_pairwise_distances(matrices: np.ndarray) -> np.ndarray:
     return d
 
 
+# ---------------------------------------------------------------------------
+# Group descriptors: sampling and distances on stacked arrays
+# ---------------------------------------------------------------------------
+
+class SU2Group:
+    """SU(2) on (m, 4) arrays of unit quadruples."""
+
+    name = "su2"
+    n = 2
+    identity = np.array([1.0, 0.0, 0.0, 0.0])
+    columns = ("a1", "a2", "b1", "b2")
+
+    def sample(self, rng: RngStream, m: int) -> np.ndarray:
+        return haar_su2_batch(rng, m)
+
+    def pairwise(self, x: np.ndarray) -> np.ndarray:
+        return su2_pairwise_distances(x)
+
+    def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Distance from each row of x to the point y."""
+        return np.arccos(np.clip(x @ y, -1.0, 1.0))
+
+    def element(self, row: np.ndarray) -> SU2Element:
+        return SU2Element.from_vector(row)
+
+
+class SOnGroup:
+    """SO(n) on (m, n, n) arrays of rotations, principal-angle distances."""
+
+    name = "son"
+
+    def __init__(self, n: int):
+        self.n = n
+        self.identity = np.eye(n)
+        self.columns = tuple(f"r{i}c{j}" for i in range(n) for j in range(n))
+
+    def sample(self, rng: RngStream, m: int) -> np.ndarray:
+        return haar_son_batch(self.n, m, rng)
+
+    def pairwise(self, x: np.ndarray) -> np.ndarray:
+        # one row of pairs at a time: O(m n^2) scratch besides the result
+        m = len(x)
+        d = np.zeros((m, m))
+        for i in range(m - 1):
+            d[i, i + 1:] = d[i + 1:, i] = self.distances(x[i + 1:], x[i])
+        return d
+
+    def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Distance from each rotation in x to the rotation y."""
+        return principal_angle_distances(x @ y.T)
+
+    def element(self, row: np.ndarray) -> SOnElement:
+        return SOnElement(row)
+
+
+class SO3Group(SOnGroup):
+    """SO(3), where the rotation angle follows from the trace alone."""
+
+    name = "so3"
+
+    def pairwise(self, x: np.ndarray) -> np.ndarray:
+        return so3_pairwise_distances(x)
+
+    def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        tr = np.einsum("iab,ab->i", x, y)
+        return np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+
+
+SU2 = SU2Group()
+SO3 = SO3Group(3)
+
+
+def group_named(name: str, n: int | None = None):
+    """Descriptor of "su2", "so3" or "son" (SO(n), which needs ``n``)."""
+    if name == "su2":
+        return SU2
+    if name == "so3" or (name == "son" and n == 3):
+        return SO3
+    if name == "son":
+        return SOnGroup(n)
+    raise ValueError(f"unknown group {name!r}")
+
+
+def group_of(points: Sequence):
+    """(descriptor, stacked array) of a homogeneous list of elements."""
+    first = points[0]
+    if isinstance(first, SU2Element):
+        return SU2, np.stack([p.vector for p in points])
+    if isinstance(first, SOnElement):
+        return group_named("son", first.n), np.stack([p.entries for p in points])
+    raise TypeError(f"no group for {type(first).__name__}")
+
+
 def pairwise_distance_matrix(
     points: Sequence,
     metric: Callable | None = None,
@@ -369,25 +449,17 @@ def pairwise_distance_matrix(
 ) -> np.ndarray:
     """Symmetric zero-diagonal distance matrix for a point list.
 
-    With ``metric=None`` the group's own distance is used, vectorized for
-    SU(2) and SO(3); SO(n > 3) falls back to per-pair Schur extraction.
-    A custom metric callable forces the generic pairwise loop.
+    With ``metric=None`` the group's own distance is used, vectorized over
+    the stacked points, times ``scale``.  A custom metric callable forces
+    the generic pairwise loop (and ignores ``scale``).
     """
-    m = len(points)
     if metric is None:
-        first = points[0]
-        if isinstance(first, SU2Element):
-            d = su2_pairwise_distances(np.stack([p.vector for p in points]))
-            return scale * d if scale != 1.0 else d
-        if isinstance(first, SOnElement):
-            if any(p.n != first.n for p in points):
-                raise ValueError("mixed SO(n) sizes in point list")
-            if first.n == 3:
-                d = so3_pairwise_distances(np.stack([p.entries for p in points]))
-                return scale * d if scale != 1.0 else d
-            metric = lambda g, h: dist_son(g, h, scale=scale)
-        else:
-            raise TypeError(f"no default metric for {type(first).__name__}")
+        if scale <= 0.0:
+            raise ValueError("scale must be positive")
+        group, x = group_of(points)
+        d = group.pairwise(x)
+        return scale * d if scale != 1.0 else d
+    m = len(points)
     d = np.zeros((m, m))
     for i in range(m):
         for j in range(i + 1, m):
@@ -395,21 +467,11 @@ def pairwise_distance_matrix(
     return d
 
 
-def default_metric(points: Sequence) -> Callable:
-    """The group distance matching a homogeneous point list."""
-    first = points[0]
-    if isinstance(first, SU2Element):
-        return dist_su2
-    if isinstance(first, SOnElement):
-        return dist_son
-    raise TypeError(f"no default metric for {type(first).__name__}")
-
-
-def default_identity(points: Sequence):
-    """The group identity matching a homogeneous point list."""
-    first = points[0]
-    if isinstance(first, SU2Element):
-        return SU2Element.identity()
-    if isinstance(first, SOnElement):
-        return SOnElement.identity(first.n)
-    raise TypeError(f"no identity for {type(first).__name__}")
+def distances_to(points: Sequence, x0=None, metric: Callable | None = None):
+    """(d(p, x0) for each point, x0), with x0 the group identity by default."""
+    group, x = group_of(points)
+    if x0 is None:
+        x0 = group.element(group.identity)
+    if metric is not None:
+        return np.array([metric(p, x0) for p in points], dtype=float), x0
+    return group.distances(x, group_of([x0])[1][0]), x0

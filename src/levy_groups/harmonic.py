@@ -25,6 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .group_core import haar_su2_batch
 from .quadrature import simpson_adaptive
 from .rng import RngStream
 
@@ -211,8 +212,8 @@ def alpha_monte_carlo(
     done = 0
     while done < n_samples:
         m = min(chunk, n_samples - done)
-        u = _unit_rows(rng, m)
-        v = _unit_rows(rng, m)
+        u = haar_su2_batch(rng, m)
+        v = haar_su2_batch(rng, m)
         dot = np.einsum("ij,ij->i", u, v)
         if group is GroupTag.SU2:
             tg = np.arccos(np.clip(u[:, 0], -1.0, 1.0))
@@ -234,15 +235,6 @@ def alpha_monte_carlo(
     var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
     stderr = math.sqrt(var / n_samples)
     return d_l * mean, d_l * stderr
-
-
-def _unit_rows(rng: RngStream, m: int) -> np.ndarray:
-    v = rng.generator.standard_normal((m, 4))
-    norm = np.linalg.norm(v, axis=1)
-    while (bad := norm < 1e-150).any():
-        v[bad] = rng.generator.standard_normal((int(bad.sum()), 4))
-        norm = np.linalg.norm(v, axis=1)
-    return v / norm[:, None]
 
 
 def combine_mc_estimates(parts: list[tuple[float, float, int]]) -> tuple[float, float]:

@@ -23,16 +23,13 @@ import numpy as np
 
 from . import canonical
 from .group_core import (
+    SO3,
+    SU2,
     SOnElement,
-    SU2Element,
-    default_identity,
-    default_metric,
-    dist_son,
+    distances_to,
     embed_so3,
-    haar_son_batch,
-    haar_su2_batch,
+    group_of,
     pairwise_distance_matrix,
-    rotation_angle_so3,
 )
 from .harmonic import GroupTag, chi
 from .rng import RngStream
@@ -96,10 +93,7 @@ def gram_audit(points: Sequence, metric: Callable | None = None, x0=None) -> Gra
     if len(points) < 2:
         raise ValueError("need at least 2 points")
     d = pairwise_distance_matrix(points, metric)
-    met = metric if metric is not None else default_metric(points)
-    if x0 is None:
-        x0 = default_identity(points)
-    d0 = np.array([met(p, x0) for p in points], dtype=float)
+    d0, x0 = distances_to(points, x0, metric)
     if not (np.isfinite(d).all() and np.isfinite(d0).all()):
         raise ValueError("non-finite distance encountered")
     k = 0.5 * (d0[:, None] + d0[None, :] - d)
@@ -165,16 +159,14 @@ class WitnessCertificate:
         return abs(self.quadratic_form() - self.value) <= tol
 
     def to_json(self) -> str:
+        points = group_of(self.points)[1]
         doc = {
             "schema_version": CERTIFICATE_SCHEMA_VERSION,
             "kind": "witness",
             "group": self.group,
             "n": self.n,
             "m": len(self.points),
-            "points": [
-                list(map(float, p.entries.ravel() if isinstance(p, SOnElement) else p.vector))
-                for p in self.points
-            ],
+            "points": [list(map(float, row)) for row in points.reshape(len(points), -1)],
             "weights": [float(w) for w in self.weights],
             "value": float(self.value),
             "seed": {"seed": self.seed, "stream": self.stream},
@@ -239,49 +231,35 @@ def find_witness(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     group = group.lower()
-    if group == "so3":
-        n = 3
-    elif group == "son":
+    if group == "son":
         if n is None or n <= 3:
             raise ValueError("group 'son' requires n > 3")
-    elif group != "su2":
+    elif group not in ("su2", "so3"):
         raise ValueError(f"unknown group {group!r}")
+    sampled = SU2 if group == "su2" else SO3
 
     basis = sum_zero_basis(m)
     for trial in range(trials):
-        if group == "su2":
-            quats = haar_su2_batch(rng, m)
-            points = tuple(SU2Element.from_vector(q) for q in quats)
-            angles = np.arccos(np.clip(quats[:, 0], -1.0, 1.0))
-            tag = GroupTag.SU2
-        else:
-            mats = haar_son_batch(3, m, rng)
-            points = tuple(SOnElement(mat) for mat in mats)
-            angles = np.array([rotation_angle_so3(p) for p in points])
-            tag = GroupTag.SO3
-        d = pairwise_distance_matrix(points)
+        x = sampled.sample(rng, m)
+        d = sampled.pairwise(x)
         c = basis.T @ d @ basis
         eigvals, eigvecs = np.linalg.eigh(0.5 * (c + c.T))
         weights = _centered_unit(basis @ eigvecs[:, -1])
         value = float(weights @ d @ weights)
         method = "eigenvector"
         if not (eigvals[-1] > margin and value > margin):
-            weights = _centered_unit(chi(tag, 2, angles))
+            angles = sampled.distances(x, sampled.identity)
+            weights = _centered_unit(chi(GroupTag(sampled.name), 2, angles))
             value = float(weights @ d @ weights)
             method = "character"
             if not value > margin:
                 continue
-        if group == "son":
-            cert = WitnessCertificate(
-                group="so3", n=3, points=points, weights=weights, value=value,
-                seed=rng.seed, stream=rng.stream_id, method=method,
-            )
-            return transfer_witness(cert, n)
-        return WitnessCertificate(
-            group=group, n=3 if group == "so3" else 2, points=points,
+        cert = WitnessCertificate(
+            group=sampled.name, n=sampled.n, points=tuple(map(sampled.element, x)),
             weights=weights, value=value, seed=rng.seed, stream=rng.stream_id,
             method=method,
         )
+        return transfer_witness(cert, n) if group == "son" else cert
     raise WitnessNotFoundError(
         f"no witness in {trials} trial(s) with m={m}: the metric may be "
         "positive definite on this group, or m too small"
@@ -300,7 +278,7 @@ def transfer_witness(cert: WitnessCertificate, n: int, scale: float = 1.0) -> Wi
     if n <= 3:
         raise ValueError("target size must exceed 3")
     points = tuple(embed_so3(p, n) for p in cert.points)
-    d = pairwise_distance_matrix(points, metric=lambda g, h: dist_son(g, h, scale=scale))
+    d = pairwise_distance_matrix(points, scale=scale)
     value = float(cert.weights @ d @ cert.weights)
     return replace(cert, group="son", n=n, points=points, value=value,
                    method="transfer", scale=scale)

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
@@ -337,3 +340,28 @@ def test_run_config_direct_invocation(tmp_path):
     assert run(cfg) == EXIT_OK
     doc = validate("check", out.read_text())
     assert doc["points"] == 50
+
+
+def test_run_config_defaults_match_the_cli():
+    from levy_groups.cli import RunConfig, build_parser, config_from_args
+
+    for argv in (["check", "--group", "su2"], ["witness", "--group", "so3"],
+                 ["densities", "--group", "so3"], ["simulate"], ["haar", "--group", "su2"],
+                 ["coeffs", "--group", "su2"]):
+        cfg = config_from_args(build_parser().parse_args(argv), argv)
+        direct = RunConfig(command=argv[0], group=cfg.group)
+        assert (cfg.points, cfg.tol, cfg.seed, cfg.threads) == (
+            direct.points, direct.tol, direct.seed, direct.threads)
+    assert RunConfig(command="check").tol == 1e-8
+    assert RunConfig(command="coeffs").tol == 1e-10
+    assert RunConfig(command="densities").points == 100000
+
+
+def test_cli_import_does_not_load_scipy():
+    import levy_groups
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(levy_groups.__file__)))
+    code = "import sys, levy_groups.cli; assert 'scipy' not in sys.modules, 'scipy loaded'"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr

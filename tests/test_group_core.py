@@ -289,6 +289,25 @@ def test_dist_son_restriction_and_two_blocks():
         assert abs(dist_son(g, SOnElement.identity(5)) - oracle) < 1e-8
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_son_distances_match_logm_near_zero_and_pi(n):
+    # relative at small angles, where the logm oracle is itself off by
+    # about 5e-8 of a 1e-12 angle; never looser than the 1e-8 above
+    e = SOnElement.identity(n)
+    for t in [1e-12, 1e-9, 1e-6, 1e-4, math.pi - 1e-9, math.pi]:
+        block = delta_rotation(t)[:2, :2]
+        for planes in (1, 2):
+            m = np.eye(n)
+            for k in range(planes):
+                m[2 * k:2 * k + 2, 2 * k:2 * k + 2] = block
+            x = logm(m)
+            oracle = math.sqrt(max(0.0, -0.5 * np.trace(x @ x).real))
+            g = SOnElement(m)
+            d = pairwise_distance_matrix([e, g, e])
+            for got in (d[0, 1], d[1, 0], d[1, 2], d[2, 1], dist_son(g, e), dist_son(e, g)):
+                assert abs(got - oracle) <= min(1e-8, 1e-7 * oracle), (t, planes, got, oracle)
+
+
 def test_dist_son_errors_and_scale():
     g = SOnElement.identity(3)
     h = SOnElement.identity(4)
