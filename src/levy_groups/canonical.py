@@ -19,17 +19,23 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
-    """Canonical JSON: insertion-ordered keys, floats via format_float."""
+_INDENT = 2
+
+
+def dumps(obj: Any) -> str:
+    """Canonical JSON: insertion-ordered keys, floats via format_float.
+
+    Named tuples are written as objects keyed by their field names.
+    """
     pieces: list[str] = []
-    _emit(obj, pieces, indent, 0)
+    _emit(obj, pieces, 0)
     pieces.append("\n")
     return "".join(pieces)
 
 
-def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    end_pad = " " * (indent * level)
+def _emit(obj: Any, out: list[str], level: int) -> None:
+    pad = " " * (_INDENT * (level + 1))
+    end_pad = " " * (_INDENT * level)
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -40,7 +46,8 @@ def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
         out.append(format_float(obj))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
+    elif isinstance(obj, dict) or hasattr(obj, "_asdict"):
+        obj = obj if isinstance(obj, dict) else obj._asdict()
         if not obj:
             out.append("{}")
             return
@@ -49,7 +56,7 @@ def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
             if not isinstance(k, str):
                 raise TypeError(f"keys must be strings, got {type(k).__name__}")
             out.append(f"{pad}{json.dumps(k)}: ")
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(end_pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -59,12 +66,12 @@ def _emit(obj: Any, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, v in enumerate(obj):
             out.append(pad)
-            _emit(v, out, indent, level + 1)
+            _emit(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(end_pad + "]")
     else:
         # numpy scalars and similar
         if hasattr(obj, "item"):
-            _emit(obj.item(), out, indent, level)
+            _emit(obj.item(), out, level)
         else:
             raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -26,8 +26,6 @@ from . import __version__, canonical, field_sim, group_core, harmonic, kernel_la
 from .canonical import format_float
 from .harmonic import GroupTag
 from .rng import RngStream
-
-THREADS_ENV_VAR = "LEVY_GROUPS_THREADS"
 
 EXIT_OK = 0
 EXIT_NEGATIVE_FINDING = 1
@@ -52,7 +50,6 @@ class RunConfig:
     tol: Optional[float] = None
     margin: float = kernel_lab.DEFAULT_MARGIN
     jitter: float = field_sim.DEFAULT_JITTER
-    threads: int = 1
     format: str = "json"
     out: str = "-"
     no_meta: bool = False
@@ -117,8 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output path, '-' for stdout")
     common.add_argument("--no-meta", action="store_true",
                         help="omit the meta block (volatile fields) entirely")
-    common.add_argument("--threads", type=int,
-                        help=f"stream-splitting width ({THREADS_ENV_VAR} as fallback)")
     common.add_argument("--tol", type=float,
                         help="tolerance (quadrature for coeffs, relative eig for check)")
 
@@ -172,12 +167,6 @@ def config_from_args(ns: argparse.Namespace, argv: list[str]) -> RunConfig:
     given = {f.name: getattr(ns, f.name) for f in fields(RunConfig) if hasattr(ns, f.name)}
     if "seed" in given:
         given["seed"] = _parse_seed(given["seed"])
-    env = os.environ.get(THREADS_ENV_VAR)
-    if "threads" not in given and env is not None:
-        try:
-            given["threads"] = int(env)
-        except ValueError:
-            raise UsageError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}")
     return RunConfig(**given, command_line="levy-groups " + " ".join(argv))
 
 
@@ -205,19 +194,14 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("--format csv is not supported for witness (certificates are JSON)")
     if cfg.lmax < 0:
         raise UsageError("--lmax must be >= 0")
-    if cfg.threads < 1:
-        raise UsageError("--threads must be >= 1")
     if cfg.tol <= 0:
         raise UsageError("--tol must be positive")
     if cfg.jitter <= 0:
         raise UsageError("--jitter must be positive")
     if cfg.margin <= 0:
         raise UsageError("--margin must be positive")
-    if cfg.command == "coeffs":
-        if cfg.mc_samples != 0 and cfg.mc_samples < 1000:
-            raise UsageError("--mc-n must be 0 or >= 1000")
-        if cfg.mc_samples and cfg.mc_samples // cfg.threads < 1000:
-            raise UsageError("--mc-n per thread must stay >= 1000; lower --threads")
+    if cfg.command == "coeffs" and cfg.mc_samples != 0 and cfg.mc_samples < 1000:
+        raise UsageError("--mc-n must be 0 or >= 1000")
     if cfg.command == "densities" and cfg.points < 1:
         raise UsageError("--points must be >= 1")
     if cfg.command == "densities" and cfg.bins < 1:
@@ -235,48 +219,65 @@ def _validate(cfg: RunConfig) -> None:
             raise UsageError("--realizations must be >= 100")
     if cfg.command == "haar" and cfg.points < 1:
         raise UsageError("--points must be >= 1")
+    need = _peak_bytes(cfg)
+    have = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+            if hasattr(os, "sysconf") else math.inf)
+    if need > have:
+        raise UsageError(f"--points {cfg.points} needs about {need / 1e9:.3g} GB for "
+                         f"{cfg.command}, more than the {have / 1e9:.3g} GB of physical memory")
+
+
+def _peak_bytes(cfg: RunConfig) -> int:
+    """Estimated peak memory in bytes, from the arrays a command holds at once.
+
+    Measured above the interpreter (VmHWM, numpy 2.4, m = 800-2000): check
+    holds 5.2 float64 m x m matrices' worth (199 MB in all at m = 2000),
+    witness 8.6; simulate about 5 over its m + 1 points, three
+    (m, realizations) arrays while sampling and 1.3 kB per emitted
+    variogram row.  The counts below round these up.
+    """
+    m = cfg.points
+    if cfg.command == "check":
+        return 6 * 8 * m * m
+    if cfg.command == "witness":
+        return 10 * 8 * m * m
+    if cfg.command == "simulate":
+        return 6 * 8 * (m + 1) ** 2 + 3 * 8 * m * cfg.realizations + 2000 * m * (m + 1) // 2
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # Output plumbing
 # ---------------------------------------------------------------------------
 
-def _meta(cfg: RunConfig) -> Optional[dict]:
-    if cfg.no_meta:
-        return None
-    return {
+def _emit(cfg: RunConfig, doc: dict, header, rows) -> None:
+    """Write ``doc`` as canonical JSON, or ``header`` and ``rows`` as CSV.
+
+    The meta block goes inside the JSON document, or above the CSV header
+    as ``# key: value`` lines; ``--no-meta`` drops it.  ``rows`` is only
+    iterated for CSV, so it may be a generator.
+    """
+    meta = {} if cfg.no_meta else {
         "tool_version": __version__,
         "command": cfg.command_line or cfg.command,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-
-
-def _write_text(cfg: RunConfig, text: str) -> None:
+    if cfg.format == "json":
+        if meta:
+            doc["meta"] = meta
+        text = canonical.dumps(doc)
+    else:
+        buf = io.StringIO()
+        buf.writelines(f"# {k}: {v}\n" for k, v in meta.items())
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(map(_cell, row) for row in rows)
+        text = buf.getvalue()
     if cfg.out == "-":
         sys.stdout.write(text)
     else:
         with open(cfg.out, "w", newline="") as fh:
             fh.write(text)
-
-
-def _emit_json(cfg: RunConfig, doc: dict) -> None:
-    meta = _meta(cfg)
-    if meta is not None:
-        doc["meta"] = meta
-    _write_text(cfg, canonical.dumps(doc))
-
-
-def _emit_csv(cfg: RunConfig, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    meta = _meta(cfg)
-    if meta is not None:
-        for k, v in meta.items():
-            buf.write(f"# {k}: {v}\n")
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(row)
-    _write_text(cfg, buf.getvalue())
 
 
 def _cell(x) -> str:
@@ -296,38 +297,22 @@ def _cell(x) -> str:
 def _run_coeffs(cfg: RunConfig) -> int:
     group = GroupTag(cfg.group)
     rng = RngStream(cfg.seed, cfg.stream)
-    streams = rng.split(cfg.threads) if cfg.threads > 1 else [rng]
     rows = []
     for l in range(cfg.lmax + 1):
-        closed = harmonic.alpha_closed(group, l)
-        quad = harmonic.alpha_quadrature(group, l, tol=cfg.tol)
         mc = se = None
         if cfg.mc_samples:
-            shares = _shares(cfg.mc_samples, len(streams))
-            parts = [
-                harmonic.alpha_monte_carlo(group, l, n_i, s) + (n_i,)
-                for s, n_i in zip(streams, shares)
-            ]
-            mc, se = harmonic.combine_mc_estimates(parts)
+            mc, se = harmonic.alpha_monte_carlo(group, l, cfg.mc_samples, rng)
         rows.append({"l": l, "dim": harmonic.dim_irrep(group, l),
-                     "closed": closed, "quadrature": quad,
+                     "closed": harmonic.alpha_closed(group, l),
+                     "quadrature": harmonic.alpha_quadrature(group, l, tol=cfg.tol),
                      "monte_carlo": mc, "stderr": se})
-    if cfg.format == "json":
-        _emit_json(cfg, {
-            "schema_version": "1", "kind": "coeffs", "group": cfg.group,
-            "lmax": cfg.lmax, "mc_samples": cfg.mc_samples,
-            "seed": cfg.seed, "stream": cfg.stream, "rows": rows,
-        })
-    else:
-        _emit_csv(cfg, ["l", "dim", "closed", "quadrature", "monte_carlo", "stderr"],
-                  [[r["l"], r["dim"], _cell(r["closed"]), _cell(r["quadrature"]),
-                    _cell(r["monte_carlo"]), _cell(r["stderr"])] for r in rows])
+    _emit(cfg, {
+        "schema_version": "1", "kind": "coeffs", "group": cfg.group,
+        "lmax": cfg.lmax, "mc_samples": cfg.mc_samples,
+        "seed": cfg.seed, "stream": cfg.stream, "rows": rows,
+    }, ["l", "dim", "closed", "quadrature", "monte_carlo", "stderr"],
+        (r.values() for r in rows))
     return EXIT_OK
-
-
-def _shares(total: int, k: int) -> list[int]:
-    base, rem = divmod(total, k)
-    return [base + (1 if i < rem else 0) for i in range(k)]
 
 
 def _run_densities(cfg: RunConfig) -> int:
@@ -350,19 +335,12 @@ def _run_densities(cfg: RunConfig) -> int:
                       "empirical": float(e), "theoretical": float(density(c))}
                      for c, e in zip(centers, hist)],
         })
-    if cfg.format == "json":
-        _emit_json(cfg, {
-            "schema_version": "1", "kind": "densities", "group": cfg.group,
-            "samples": cfg.points, "bins": cfg.bins,
-            "seed": cfg.seed, "stream": cfg.stream, "series": out_series,
-        })
-    else:
-        rows = []
-        for s in out_series:
-            for r in s["rows"]:
-                rows.append([s["name"], _cell(r["center"]), _cell(r["width"]),
-                             _cell(r["empirical"]), _cell(r["theoretical"])])
-        _emit_csv(cfg, ["series", "center", "width", "empirical", "theoretical"], rows)
+    _emit(cfg, {
+        "schema_version": "1", "kind": "densities", "group": cfg.group,
+        "samples": cfg.points, "bins": cfg.bins,
+        "seed": cfg.seed, "stream": cfg.stream, "series": out_series,
+    }, ["series", "center", "width", "empirical", "theoretical"],
+        ((s["name"], *r.values()) for s in out_series for r in s["rows"]))
     return EXIT_OK
 
 
@@ -382,11 +360,8 @@ def _run_check(cfg: RunConfig) -> int:
         "kernel_psd": psd, "restricted_negative": rnd,
         "equivalence_ok": equiv, "tol_rel": cfg.tol,
     }
-    if cfg.format == "json":
-        _emit_json(cfg, doc)
-    else:
-        _emit_csv(cfg, ["key", "value"],
-                  [[k, _cell(v)] for k, v in doc.items() if k not in ("schema_version", "kind")])
+    _emit(cfg, doc, ["key", "value"],
+          (kv for kv in doc.items() if kv[0] not in ("schema_version", "kind")))
     if not (psd and equiv):
         print("check: kernel is not positive semidefinite on this configuration",
               file=sys.stderr)
@@ -403,8 +378,7 @@ def _run_witness(cfg: RunConfig) -> int:
     except kernel_lab.WitnessNotFoundError as exc:
         print(f"witness: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE_FINDING
-    doc = json.loads(cert.to_json())
-    _emit_json(cfg, doc)
+    _emit(cfg, json.loads(cert.to_json()), (), ())
     return EXIT_OK
 
 
@@ -417,47 +391,25 @@ def _run_simulate(cfg: RunConfig) -> int:
     except field_sim.KernelNotPSDError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE_FINDING
-    if cfg.threads > 1:
-        streams = rng.split(cfg.threads)
-        chunks = [field_sim.sample_field(fs, r_i, s).values
-                  for s, r_i in zip(streams, _shares(cfg.realizations, cfg.threads))]
-        fs = replace(fs, values=np.hstack(chunks))
-    else:
-        fs = field_sim.sample_field(fs, cfg.realizations, rng)
-    rows = field_sim.empirical_variogram(fs)
-    if cfg.format == "json":
-        _emit_json(cfg, {
-            "schema_version": "1", "kind": "simulate", "group": cfg.group,
-            "points": cfg.points, "realizations": cfg.realizations,
-            "jitter": cfg.jitter, "jitter_used": fs.jitter_used,
-            "seed": cfg.seed, "stream": cfg.stream,
-            "rows": [{"pair_i": r.pair_i, "pair_j": r.pair_j,
-                      "distance": r.distance, "estimate": r.estimate,
-                      "stderr": r.stderr} for r in rows],
-        })
-    else:
-        buf = io.StringIO()
-        meta = _meta(cfg)
-        if meta is not None:
-            for k, v in meta.items():
-                buf.write(f"# {k}: {v}\n")
-        field_sim.write_variogram_csv(rows, buf)
-        _write_text(cfg, buf.getvalue())
+    rows = field_sim.empirical_variogram(field_sim.sample_field(fs, cfg.realizations, rng))
+    _emit(cfg, {
+        "schema_version": "1", "kind": "simulate", "group": cfg.group,
+        "points": cfg.points, "realizations": cfg.realizations,
+        "jitter": cfg.jitter, "jitter_used": fs.jitter_used,
+        "seed": cfg.seed, "stream": cfg.stream,
+        "rows": rows,
+    }, field_sim.VariogramRow._fields, rows)
     return EXIT_OK
 
 
 def _run_haar(cfg: RunConfig) -> int:
     group = group_core.group_named(cfg.group, cfg.n)
     samples = group.sample(RngStream(cfg.seed, cfg.stream), cfg.points).reshape(cfg.points, -1)
-    if cfg.format == "json":
-        _emit_json(cfg, {
-            "schema_version": "1", "kind": "haar", "group": cfg.group,
-            "n": None if group is group_core.SU2 else group.n, "count": cfg.points,
-            "seed": cfg.seed, "stream": cfg.stream,
-            "samples": [[float(x) for x in row] for row in samples],
-        })
-    else:
-        _emit_csv(cfg, list(group.columns), [[format_float(x) for x in row] for row in samples])
+    _emit(cfg, {
+        "schema_version": "1", "kind": "haar", "group": cfg.group,
+        "n": None if group is group_core.SU2 else group.n, "count": cfg.points,
+        "seed": cfg.seed, "stream": cfg.stream, "samples": samples.tolist(),
+    }, group.columns, samples)
     return EXIT_OK
 
 

@@ -155,17 +155,6 @@ def empirical_variogram(
 # Emitters
 # ---------------------------------------------------------------------------
 
-def write_variogram_csv(rows: Sequence[VariogramRow], fh) -> None:
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(["pair_i", "pair_j", "distance", "estimate", "stderr"])
-    for row in rows:
-        w.writerow([
-            row.pair_i, row.pair_j,
-            format_float(row.distance), format_float(row.estimate),
-            format_float(row.stderr),
-        ])
-
-
 def write_values_csv(fs: FieldSample, fh, max_columns: int = 100) -> None:
     """Field values, one column per realization, capped at ``max_columns``."""
     if fs.values is None:

@@ -55,7 +55,7 @@ class SU2Element:
         object.__setattr__(self, "b1", float(self.b1))
         object.__setattr__(self, "b2", float(self.b2))
         n = self.a1 ** 2 + self.a2 ** 2 + self.b1 ** 2 + self.b2 ** 2
-        if abs(n - 1.0) > UNIT_NORM_TOL:
+        if not abs(n - 1.0) <= UNIT_NORM_TOL:  # also rejects nan and inf
             raise ValueError(f"not a unit quadruple: |a|^2+|b|^2 = {n!r}")
 
     @classmethod
@@ -109,6 +109,8 @@ class SOnElement:
         m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise ValueError(f"expected a square matrix with n >= 2, got shape {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has non-finite entries")
         resid = np.abs(m.T @ m - np.eye(m.shape[0])).max()
         if resid > ORTHOGONALITY_TOL:
             raise ValueError(f"matrix is not orthogonal: max |g^T g - I| = {resid:g}")
@@ -447,24 +449,24 @@ def pairwise_distance_matrix(
     metric: Callable | None = None,
     scale: float = 1.0,
 ) -> np.ndarray:
-    """Symmetric zero-diagonal distance matrix for a point list.
+    """Symmetric zero-diagonal distance matrix for a point list, times ``scale``.
 
     With ``metric=None`` the group's own distance is used, vectorized over
-    the stacked points, times ``scale``.  A custom metric callable forces
-    the generic pairwise loop (and ignores ``scale``).
+    the stacked points; a custom metric callable forces the generic
+    pairwise loop.
     """
+    if scale <= 0.0:
+        raise ValueError("scale must be positive")
     if metric is None:
-        if scale <= 0.0:
-            raise ValueError("scale must be positive")
         group, x = group_of(points)
         d = group.pairwise(x)
-        return scale * d if scale != 1.0 else d
-    m = len(points)
-    d = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            d[i, j] = d[j, i] = metric(points[i], points[j])
-    return d
+    else:
+        m = len(points)
+        d = np.zeros((m, m))
+        for i in range(m):
+            for j in range(i + 1, m):
+                d[i, j] = d[j, i] = metric(points[i], points[j])
+    return scale * d if scale != 1.0 else d
 
 
 def distances_to(points: Sequence, x0=None, metric: Callable | None = None):

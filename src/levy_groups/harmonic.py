@@ -31,6 +31,8 @@ from .rng import RngStream
 
 # below this, sin(t) is treated as singular and the character limit is used
 _SIN_TOL = 1e-8
+# Haar pairs drawn per batch in alpha_monte_carlo (bounds its scratch memory)
+_MC_CHUNK = 1 << 17
 
 
 class GroupTag(enum.Enum):
@@ -194,7 +196,6 @@ def alpha_monte_carlo(
     l: int,
     n_samples: int,
     rng: RngStream,
-    chunk: int = 1 << 17,
 ) -> tuple[float, float]:
     """Monte Carlo coefficient from the double Haar integral.
 
@@ -211,7 +212,7 @@ def alpha_monte_carlo(
     total_sq = 0.0
     done = 0
     while done < n_samples:
-        m = min(chunk, n_samples - done)
+        m = min(_MC_CHUNK, n_samples - done)
         u = haar_su2_batch(rng, m)
         v = haar_su2_batch(rng, m)
         dot = np.einsum("ij,ij->i", u, v)
@@ -235,14 +236,6 @@ def alpha_monte_carlo(
     var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
     stderr = math.sqrt(var / n_samples)
     return d_l * mean, d_l * stderr
-
-
-def combine_mc_estimates(parts: list[tuple[float, float, int]]) -> tuple[float, float]:
-    """Pool (estimate, stderr, n) triples from independent streams."""
-    n_total = sum(n for _, _, n in parts)
-    est = sum(e * n for e, _, n in parts) / n_total
-    var = sum((n / n_total) ** 2 * s ** 2 for _, s, n in parts)
-    return est, math.sqrt(var)
 
 
 def partial_sum(group: GroupTag, lmax: int, t):

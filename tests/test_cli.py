@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from levy_groups import WitnessCertificate
+from levy_groups import WitnessCertificate, __version__
 from levy_groups.cli import EXIT_NEGATIVE_FINDING, EXIT_OK, EXIT_USAGE, main
 
 
@@ -172,6 +172,9 @@ def test_simulate_su2_variogram_csv(tmp_path):
     lines = text.splitlines()
     assert lines[0] == "pair_i,pair_j,distance,estimate,stderr"
     assert len(lines) == 1 + 11 * 10 // 2
+    first = lines[1].split(",")
+    assert first[:2] == ["0", "1"]
+    assert all(math.isfinite(float(x)) for x in first[2:])
 
 
 def test_simulate_json_schema(tmp_path):
@@ -182,17 +185,6 @@ def test_simulate_json_schema(tmp_path):
     doc = validate("simulate", text)
     assert doc["realizations"] == 400
     assert doc["jitter_used"] > 0.0
-
-
-def test_simulate_threaded_sampling(tmp_path):
-    args = ["simulate", "--points", "6", "--realizations", "300", "--seed", "4",
-            "--threads", "3", "--no-meta"]
-    code, a = run_cli(args, tmp_path, "a.json")
-    assert code == EXIT_OK
-    doc = validate("simulate", a)
-    assert doc["realizations"] == 300
-    _, b = run_cli(args, tmp_path, "b.json")
-    assert a == b
 
 
 def test_simulate_so3_diagnostic_fails(tmp_path, capsys):
@@ -250,27 +242,24 @@ def test_meta_differs_only_in_generated_at(tmp_path):
     assert da["meta"]["command"].startswith("levy-groups haar")
 
 
-def test_threads_split_streams_deterministically(tmp_path):
-    args = ["coeffs", "--group", "su2", "--lmax", "1", "--mc-n", "4000",
-            "--seed", "2", "--threads", "2", "--no-meta"]
-    _, a = run_cli(args, tmp_path, "a.json")
-    _, b = run_cli(args, tmp_path, "b.json")
-    assert a == b
-    doc = validate("coeffs", a)
-    assert abs(doc["rows"][1]["monte_carlo"] - (-16.0 / (9.0 * math.pi))) < \
-        5.0 * doc["rows"][1]["stderr"]
-
-
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("LEVY_GROUPS_THREADS", "2")
-    args = ["coeffs", "--group", "su2", "--lmax", "0", "--mc-n", "4000",
-            "--seed", "2", "--no-meta"]
-    _, a = run_cli(args, tmp_path, "a.json")
-    monkeypatch.delenv("LEVY_GROUPS_THREADS")
-    _, b = run_cli(args + ["--threads", "2"], tmp_path, "b.json")
-    assert a == b
-    monkeypatch.setenv("LEVY_GROUPS_THREADS", "zebra")
-    assert main(args) == EXIT_USAGE
+@pytest.mark.parametrize("args", [
+    ["coeffs", "--group", "su2", "--lmax", "2", "--mc-n", "0"],
+    ["densities", "--group", "so3", "--points", "500", "--bins", "4"],
+    ["check", "--group", "su2", "--points", "10"],
+    ["simulate", "--points", "4", "--realizations", "100"],
+    ["haar", "--group", "so3", "--points", "2"],
+])
+def test_csv_meta_lines_precede_the_header(args, tmp_path):
+    _, text = run_cli(args + ["--format", "csv", "--seed", "3"], tmp_path, "meta.csv")
+    lines = text.splitlines()
+    assert lines[0] == f"# tool_version: {__version__}"
+    assert lines[1] == "# command: levy-groups " + " ".join(
+        args + ["--format", "csv", "--seed", "3", "--out", str(tmp_path / "meta.csv")])
+    assert lines[2].startswith("# generated_at: ")
+    _, bare = run_cli(args + ["--format", "csv", "--seed", "3", "--no-meta"], tmp_path,
+                      "bare.csv")
+    assert not bare.startswith("#")
+    assert bare.splitlines() == lines[3:]
 
 
 def test_seed_random_is_accepted(tmp_path):
@@ -307,7 +296,7 @@ def test_float_cells_have_17_significant_digits(tmp_path):
         (["coeffs", "--group", "so3", "--mc-n", "500"], "--mc-n"),
         (["coeffs", "--group", "so3", "--lmax", "-1"], "--lmax"),
         (["coeffs", "--group", "so3", "--seed", "pi"], "--seed"),
-        (["coeffs", "--group", "so3", "--threads", "0"], "--threads"),
+        (["coeffs", "--group", "so3", "--threads", "2"], "--threads"),  # no such flag
         (["coeffs", "--group", "so3", "--tol", "-1"], "--tol"),
         (["simulate", "--realizations", "50"], "--realizations"),
         (["simulate", "--jitter", "0"], "--jitter"),
@@ -321,6 +310,18 @@ def test_invalid_flag_combinations(args, needle, capsys):
     assert main(args) == EXIT_USAGE
     err = capsys.readouterr().err
     assert needle in err
+
+
+@pytest.mark.parametrize("args", [
+    ["check", "--group", "su2"],
+    ["witness", "--group", "so3"],
+    ["simulate"],
+])
+def test_points_beyond_physical_memory_are_usage_errors(args, capsys):
+    # returns from the size check, before anything is sampled or allocated
+    assert main(args + ["--points", "1000000"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--points 1000000" in err and "GB" in err
 
 
 def test_unknown_group_rejected_by_argparse(capsys):
@@ -350,8 +351,7 @@ def test_run_config_defaults_match_the_cli():
                  ["coeffs", "--group", "su2"]):
         cfg = config_from_args(build_parser().parse_args(argv), argv)
         direct = RunConfig(command=argv[0], group=cfg.group)
-        assert (cfg.points, cfg.tol, cfg.seed, cfg.threads) == (
-            direct.points, direct.tol, direct.seed, direct.threads)
+        assert (cfg.points, cfg.tol, cfg.seed) == (direct.points, direct.tol, direct.seed)
     assert RunConfig(command="check").tol == 1e-8
     assert RunConfig(command="coeffs").tol == 1e-10
     assert RunConfig(command="densities").points == 100000

@@ -20,7 +20,6 @@ from levy_groups.field_sim import (
     read_values_binary,
     write_values_binary,
     write_values_csv,
-    write_variogram_csv,
 )
 
 
@@ -178,18 +177,6 @@ def test_jitter_insensitivity():
 # ---------------------------------------------------------------------------
 # emitters
 # ---------------------------------------------------------------------------
-
-def test_variogram_csv_layout():
-    fs = sample_field(build_field(su2_points(73, 4)), 200, RngStream(73, 1))
-    buf = io.StringIO()
-    write_variogram_csv(empirical_variogram(fs), buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "pair_i,pair_j,distance,estimate,stderr"
-    assert len(lines) == 1 + 5 * 4 // 2
-    first = lines[1].split(",")
-    assert first[0] == "0" and first[1] == "1"
-    float(first[2]), float(first[3]), float(first[4])
-
 
 def test_values_csv_caps_columns():
     fs = sample_field(build_field(su2_points(74, 3)), 150, RngStream(74, 1))

@@ -53,6 +53,9 @@ def test_su2_rejects_non_unit_quadruple():
         SU2Element(1.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         SU2Element(1.0 + 1e-6, 0.0, 0.0, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SU2Element(1.0, bad, 0.0, 0.0)
 
 
 def test_su2_product_preserves_norm():
@@ -87,6 +90,11 @@ def test_son_rejects_bad_matrices():
         SOnElement(np.diag([1.0, 1.0, -1.0]))  # det = -1
     with pytest.raises(ValueError):
         SOnElement(np.eye(1))
+    for bad in (math.nan, math.inf):
+        m = np.eye(3)
+        m[0, 1] = bad
+        with pytest.raises(ValueError):
+            SOnElement(m)
 
 
 def test_son_entries_are_frozen():
@@ -440,6 +448,10 @@ def test_pairwise_fast_paths_agree_with_scalar_metrics():
     d_default = pairwise_distance_matrix(so5_pts)
     d_scaled = pairwise_distance_matrix(so5_pts, scale=3.0)
     assert np.abs(3.0 * d_default - d_scaled).max() < 1e-10
+    d_metric = pairwise_distance_matrix(so5_pts, metric=dist_son, scale=2.0)
+    assert np.abs(2.0 * d_default - d_metric).max() < 1e-10
+    with pytest.raises(ValueError):
+        pairwise_distance_matrix(so5_pts, metric=dist_son, scale=0.0)
 
 
 def test_pairwise_batch_helpers_match_definitions():

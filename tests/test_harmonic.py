@@ -15,7 +15,6 @@ from levy_groups.harmonic import (
     angle_density,
     angle_law,
     chi,
-    combine_mc_estimates,
     dim_irrep,
     partial_sum,
     trace_density_so3,
@@ -233,13 +232,6 @@ def test_characters_orthogonal_to_constants():
         est = d_l * x.mean()
         se = d_l * x.std(ddof=1) / math.sqrt(n)
         assert abs(est) < 3.0 * se
-
-
-def test_combine_mc_estimates_pools_means():
-    parts = [(1.0, 0.1, 1000), (2.0, 0.1, 3000)]
-    est, se = combine_mc_estimates(parts)
-    assert est == pytest.approx(1.75)
-    assert se == pytest.approx(math.sqrt(0.25 ** 2 * 0.01 + 0.75 ** 2 * 0.01))
 
 
 def test_dim_irrep():
