@@ -16,7 +16,9 @@ from levy_groups import (
     haar_su2,
     sample_field,
 )
+from levy_groups.cli import RunConfig, _emit
 from levy_groups.field_sim import (
+    VariogramRow,
     read_values_binary,
     write_values_binary,
     write_values_csv,
@@ -177,6 +179,21 @@ def test_jitter_insensitivity():
 # ---------------------------------------------------------------------------
 # emitters
 # ---------------------------------------------------------------------------
+
+def test_variogram_csv_layout(tmp_path):
+    # The variogram's CSV goes out through the CLI's one emitter.
+    fs = sample_field(build_field(su2_points(73, 4)), 200, RngStream(73, 1))
+    rows = empirical_variogram(fs)
+    out = tmp_path / "variogram.csv"
+    cfg = RunConfig("simulate", format="csv", out=str(out), no_meta=True)
+    _emit(cfg, {}, VariogramRow._fields, rows)
+    lines = out.read_text().splitlines()
+    assert lines[0] == "pair_i,pair_j,distance,estimate,stderr"
+    assert len(lines) == 1 + 5 * 4 // 2
+    first = lines[1].split(",")
+    assert first[0] == "0" and first[1] == "1"
+    float(first[2]), float(first[3]), float(first[4])
+
 
 def test_values_csv_caps_columns():
     fs = sample_field(build_field(su2_points(74, 3)), 150, RngStream(74, 1))
