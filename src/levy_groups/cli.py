@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import math
 import os
 import sys
@@ -114,8 +113,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output path, '-' for stdout")
     common.add_argument("--no-meta", action="store_true",
                         help="omit the meta block (volatile fields) entirely")
-    common.add_argument("--tol", type=float,
-                        help="tolerance (quadrature for coeffs, relative eig for check)")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -128,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("coeffs", ["su2", "so3"],
                 "expansion coefficients by closed form, quadrature, Monte Carlo")
     p.add_argument("--lmax", type=int)
+    p.add_argument("--tol", type=float, help="quadrature tolerance")
     p.add_argument("--mc-n", type=int, dest="mc_samples",
                    help=f"Monte Carlo pairs per coefficient; 0 disables "
                         f"(default {RunConfig.mc_samples})")
@@ -141,6 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "eigenvalue audit of the Brownian kernel on Haar points")
     p.add_argument("--n", type=int)
     p.add_argument("--points", type=int)
+    p.add_argument("--tol", type=float, help="relative eigenvalue tolerance")
 
     p = command("witness", ["su2", "so3", "son"],
                 "search for a restricted-negative-definiteness counterexample")
@@ -202,7 +201,7 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("--margin must be positive")
     if cfg.command == "coeffs" and cfg.mc_samples != 0 and cfg.mc_samples < 1000:
         raise UsageError("--mc-n must be 0 or >= 1000")
-    if cfg.command == "densities" and cfg.points < 1:
+    if cfg.command in ("densities", "simulate", "haar") and cfg.points < 1:
         raise UsageError("--points must be >= 1")
     if cfg.command == "densities" and cfg.bins < 1:
         raise UsageError("--bins must be >= 1")
@@ -212,38 +211,44 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("--points must be >= 4 for witness")
     if cfg.command == "witness" and cfg.trials < 1:
         raise UsageError("--trials must be >= 1")
-    if cfg.command == "simulate":
-        if cfg.points < 1:
-            raise UsageError("--points must be >= 1")
-        if cfg.realizations < 100:
-            raise UsageError("--realizations must be >= 100")
-    if cfg.command == "haar" and cfg.points < 1:
-        raise UsageError("--points must be >= 1")
+    if cfg.command == "simulate" and cfg.realizations < 100:
+        raise UsageError("--realizations must be >= 100")
     need = _peak_bytes(cfg)
     have = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
             if hasattr(os, "sysconf") else math.inf)
     if need > have:
-        raise UsageError(f"--points {cfg.points} needs about {need / 1e9:.3g} GB for "
-                         f"{cfg.command}, more than the {have / 1e9:.3g} GB of physical memory")
+        size_flags = {"coeffs": (), "densities": ("points", "bins"),
+                      "simulate": ("points", "realizations")}.get(cfg.command, ("points", "n"))
+        sizes = " ".join(f"--{k} {getattr(cfg, k)}" for k in size_flags
+                         if getattr(cfg, k) is not None)
+        raise UsageError(f"{sizes} needs about {need / 1e9:.3g} GB for {cfg.command}, "
+                         f"more than the {have / 1e9:.3g} GB of physical memory")
 
 
 def _peak_bytes(cfg: RunConfig) -> int:
     """Estimated peak memory in bytes, from the arrays a command holds at once.
 
-    Measured above the interpreter (VmHWM, numpy 2.4, m = 800-2000): check
-    holds 5.2 float64 m x m matrices' worth (199 MB in all at m = 2000),
-    witness 8.6; simulate about 5 over its m + 1 points, three
-    (m, realizations) arrays while sampling and 1.3 kB per emitted
-    variogram row.  The counts below round these up.
+    Measured above the interpreter (VmHWM, numpy 2.4): check holds 5.2 float64
+    m x m matrices' worth, witness 8.6; simulate about 5 over its m + 1 points,
+    three (m, realizations) arrays and 1.3 kB per variogram row.  Per entry of
+    the m sampled elements (4 on SU(2), n^2 on SO(n)): densities 20-34 B (sample,
+    QR copies, angles), check 44-55 B, witness on SO(n) 89 B (embedded points and
+    JSON), haar 187-245 B (JSON text); densities 1.23 kB per bin and series;
+    coeffs about 30 float64 arrays of one Monte Carlo chunk.  Rounded up below.
     """
     m = cfg.points
+    entries = m * (4 if cfg.group == "su2" else (cfg.n or 3) ** 2)
+    if cfg.command == "coeffs":
+        return 32 * 8 * harmonic._MC_CHUNK
+    if cfg.command == "densities":
+        return 40 * entries + 1300 * cfg.bins * (2 if cfg.group == "so3" else 1)
     if cfg.command == "check":
-        return 6 * 8 * m * m
+        return 6 * 8 * m * m + 64 * entries
     if cfg.command == "witness":
-        return 10 * 8 * m * m
+        return 10 * 8 * m * m + 128 * entries
     if cfg.command == "simulate":
         return 6 * 8 * (m + 1) ** 2 + 3 * 8 * m * cfg.realizations + 2000 * m * (m + 1) // 2
-    return 0
+    return 256 * entries  # haar
 
 
 # ---------------------------------------------------------------------------
@@ -295,23 +300,13 @@ def _cell(x) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_coeffs(cfg: RunConfig) -> int:
-    group = GroupTag(cfg.group)
-    rng = RngStream(cfg.seed, cfg.stream)
-    rows = []
-    for l in range(cfg.lmax + 1):
-        mc = se = None
-        if cfg.mc_samples:
-            mc, se = harmonic.alpha_monte_carlo(group, l, cfg.mc_samples, rng)
-        rows.append({"l": l, "dim": harmonic.dim_irrep(group, l),
-                     "closed": harmonic.alpha_closed(group, l),
-                     "quadrature": harmonic.alpha_quadrature(group, l, tol=cfg.tol),
-                     "monte_carlo": mc, "stderr": se})
+    table = harmonic.CoefficientTable.compute(
+        GroupTag(cfg.group), cfg.lmax, cfg.mc_samples, RngStream(cfg.seed, cfg.stream), cfg.tol)
     _emit(cfg, {
         "schema_version": "1", "kind": "coeffs", "group": cfg.group,
         "lmax": cfg.lmax, "mc_samples": cfg.mc_samples,
-        "seed": cfg.seed, "stream": cfg.stream, "rows": rows,
-    }, ["l", "dim", "closed", "quadrature", "monte_carlo", "stderr"],
-        (r.values() for r in rows))
+        "seed": cfg.seed, "stream": cfg.stream, "rows": table.rows,
+    }, harmonic.CoefficientRow._fields, table.rows)
     return EXIT_OK
 
 
@@ -378,7 +373,7 @@ def _run_witness(cfg: RunConfig) -> int:
     except kernel_lab.WitnessNotFoundError as exc:
         print(f"witness: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE_FINDING
-    _emit(cfg, json.loads(cert.to_json()), (), ())
+    _emit(cfg, cert.to_doc(), (), ())
     return EXIT_OK
 
 

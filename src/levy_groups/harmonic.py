@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -50,9 +50,9 @@ def dim_irrep(group: GroupTag, l: int) -> int:
 def chi(group: GroupTag, l: int, t):
     """Character of the l-th irreducible representation at angle t.
 
-    SO(3): evaluated as the cosine sum 1 + 2 sum_{m<=l} cos(mt), which has
-    no singularity.  SU(2): sin((l+1)t)/sin(t) with the limit branches
-    l+1 at t=0 and (-1)^l (l+1) at t=pi.
+    SU(2): sin((l+1)t)/sin(t) with the limit branches l+1 at t=0 and
+    (-1)^l (l+1) at t=pi.  SO(3) = SU(2)/{+-e}: its l-th character is the
+    SU(2) character of index 2l at half the angle, sin((2l+1)t/2)/sin(t/2).
 
     Accepts scalars or arrays; returns the same shape.
     """
@@ -60,23 +60,13 @@ def chi(group: GroupTag, l: int, t):
         raise ValueError("l must be >= 0")
     t_arr = np.asarray(t, dtype=float)
     if group is GroupTag.SO3:
-        out = np.ones_like(t_arr)
-        if l >= 1:
-            # cosine sum via the Chebyshev recurrence, no large temporaries
-            c1 = np.cos(t_arr)
-            prev = np.ones_like(t_arr)
-            cur = c1.copy()
-            out = out + 2.0 * cur
-            for _ in range(2, l + 1):
-                prev, cur = cur, 2.0 * c1 * cur - prev
-                out = out + 2.0 * cur
-    else:
-        s = np.sin(t_arr)
-        singular = np.abs(s) < _SIN_TOL
-        safe = np.where(singular, 1.0, s)
-        ratio = np.sin((l + 1) * t_arr) / safe
-        limit = np.where(np.cos(t_arr) > 0.0, float(l + 1), (-1.0) ** l * (l + 1))
-        out = np.where(singular, limit, ratio)
+        l, t_arr = 2 * l, 0.5 * t_arr
+    s = np.sin(t_arr)
+    singular = np.abs(s) < _SIN_TOL
+    safe = np.where(singular, 1.0, s)
+    ratio = np.sin((l + 1) * t_arr) / safe
+    limit = np.where(np.cos(t_arr) > 0.0, float(l + 1), (-1.0) ** l * (l + 1))
+    out = np.where(singular, limit, ratio)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
@@ -206,8 +196,7 @@ def alpha_monte_carlo(
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
-    if l < 0:
-        raise ValueError("l must be >= 0")
+    d_l = dim_irrep(group, l)  # rejects l < 0 before any sampling
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -231,7 +220,6 @@ def alpha_monte_carlo(
         total += float(x.sum())
         total_sq += float((x * x).sum())
         done += m
-    d_l = dim_irrep(group, l)
     mean = total / n_samples
     var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
     stderr = math.sqrt(var / n_samples)
@@ -255,20 +243,23 @@ def partial_sum(group: GroupTag, lmax: int, t):
 # Coefficient tables
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoefficientEntry:
+class CoefficientRow(NamedTuple):
+    """The coefficient of chi_l three ways; Monte Carlo cells are None when off."""
+
     l: int
-    alpha: float
-    method: str  # closed | quadrature | monte-carlo
-    stderr: Optional[float] = None
+    dim: int
+    closed: float
+    quadrature: float
+    monte_carlo: Optional[float]
+    stderr: Optional[float]
 
 
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Coefficients for one group, tagged by how each value was obtained."""
+    """Coefficients for one group, one row per l."""
 
     group: GroupTag
-    entries: tuple[CoefficientEntry, ...]
+    rows: tuple[CoefficientRow, ...]
 
     @classmethod
     def compute(
@@ -281,35 +272,20 @@ class CoefficientTable:
     ) -> "CoefficientTable":
         """Closed-form and quadrature columns for l <= lmax, plus Monte
         Carlo when ``mc_samples`` > 0 (an rng is then required)."""
-        entries: list[CoefficientEntry] = []
-        for l in range(lmax + 1):
-            entries.append(CoefficientEntry(l, alpha_closed(group, l), "closed"))
-            entries.append(CoefficientEntry(l, alpha_quadrature(group, l, tol=tol), "quadrature"))
-            if mc_samples > 0:
-                if rng is None:
-                    raise ValueError("Monte Carlo entries need an RngStream")
-                est, se = alpha_monte_carlo(group, l, mc_samples, rng)
-                entries.append(CoefficientEntry(l, est, "monte-carlo", stderr=se))
-        return cls(group, tuple(entries))
-
-    def by_method(self, l: int, method: str) -> CoefficientEntry:
-        for e in self.entries:
-            if e.l == l and e.method == method:
-                return e
-        raise KeyError(f"no entry for l={l}, method={method}")
+        if mc_samples > 0 and rng is None:
+            raise ValueError("Monte Carlo entries need an RngStream")
+        return cls(group, tuple(
+            CoefficientRow(l, dim_irrep(group, l), alpha_closed(group, l),
+                           alpha_quadrature(group, l, tol=tol),
+                           *(alpha_monte_carlo(group, l, mc_samples, rng) if mc_samples > 0
+                             else (None, None)))
+            for l in range(lmax + 1)))
 
     def consistent(self, tol: float = 1e-8, k_sigma: float = 3.0) -> bool:
         """Cross-method agreement: closed vs quadrature within ``tol``,
         Monte Carlo within ``k_sigma`` standard errors of closed."""
-        ls = sorted({e.l for e in self.entries})
-        for l in ls:
-            closed = self.by_method(l, "closed").alpha
-            if abs(closed - self.by_method(l, "quadrature").alpha) > tol:
-                return False
-            try:
-                mc = self.by_method(l, "monte-carlo")
-            except KeyError:
-                continue
-            if abs(mc.alpha - closed) > k_sigma * (mc.stderr or 0.0):
-                return False
-        return True
+        return all(
+            abs(r.closed - r.quadrature) <= tol
+            and (r.monte_carlo is None or abs(r.monte_carlo - r.closed) <= k_sigma * r.stderr)
+            for r in self.rows
+        )

@@ -158,9 +158,10 @@ class WitnessCertificate:
             return False
         return abs(self.quadratic_form() - self.value) <= tol
 
-    def to_json(self) -> str:
+    def to_doc(self) -> dict:
+        """The certificate as a canonical-JSON-ready document."""
         points = group_of(self.points)[1]
-        doc = {
+        return {
             "schema_version": CERTIFICATE_SCHEMA_VERSION,
             "kind": "witness",
             "group": self.group,
@@ -174,27 +175,54 @@ class WitnessCertificate:
             "scale": float(self.scale),
             "tool_version": self.tool_version,
         }
-        return canonical.dumps(doc)
+
+    def to_json(self) -> str:
+        return canonical.dumps(self.to_doc())
 
     @classmethod
     def from_json(cls, text: str) -> "WitnessCertificate":
+        """Parse a certificate; raises ValueError naming the first bad field."""
         doc = json.loads(text)
-        n = int(doc["n"])
-        points = tuple(
-            SOnElement(np.asarray(row, dtype=float).reshape(n, n)) for row in doc["points"]
-        )
-        return cls(
-            group=doc["group"],
-            n=n,
-            points=points,
-            weights=np.asarray(doc["weights"], dtype=float),
-            value=float(doc["value"]),
-            seed=int(doc["seed"]["seed"]),
-            stream=int(doc["seed"]["stream"]),
-            method=doc.get("method", "eigenvector"),
-            scale=float(doc.get("scale", 1.0)),
-            tool_version=doc.get("tool_version", "unknown"),
-        )
+        missing = [k for k in ("group", "n", "m", "points", "weights", "value", "seed",
+                               "method", "scale", "tool_version")
+                   if not isinstance(doc, dict) or k not in doc]
+        if missing:
+            raise ValueError(f"certificate is missing {', '.join(missing)}")
+        n, m, group, seed = doc["n"], doc["m"], doc["group"], doc["seed"]
+        if not (isinstance(n, int) and isinstance(m, int)):
+            raise ValueError("certificate n and m must be integers")
+        if not (group == "so3" and n == 3 or group == "son" and n > 3):
+            raise ValueError(f"certificate group {group!r} does not match n = {n} "
+                             "(so3 needs n = 3, son needs n > 3)")
+        if not (isinstance(seed, dict) and isinstance(seed.get("seed"), int)
+                and isinstance(seed.get("stream"), int)):
+            raise ValueError('certificate seed must be {"seed": integer, "stream": integer}')
+        points = _finite(doc, "points", (m, n * n), f"m = {m} rows of n^2 = {n * n} numbers")
+        weights = _finite(doc, "weights", (m,), f"m = {m} numbers")
+        value = float(_finite(doc, "value", (), "a number"))
+        scale = float(_finite(doc, "scale", (), "a number"))
+        if not scale > 0.0:
+            raise ValueError(f"certificate scale must be positive, got {scale!r}")
+        try:
+            elements = tuple(SOnElement(row.reshape(n, n)) for row in points)
+        except ValueError as exc:  # not orthogonal, or det -1
+            raise ValueError(f"certificate points: {exc}") from None
+        return cls(group=group, n=n, points=elements, weights=weights, value=value,
+                   seed=seed["seed"], stream=seed["stream"], method=doc["method"],
+                   scale=scale, tool_version=doc["tool_version"])
+
+
+def _finite(doc: dict, key: str, shape: tuple, kind: str) -> np.ndarray:
+    """doc[key] as a finite float array of ``shape``, else ValueError naming key."""
+    try:
+        a = np.asarray(doc[key], dtype=float)
+    except (TypeError, ValueError):  # non-numbers, or rows of unequal length
+        a = None
+    if a is None or a.shape != shape:
+        raise ValueError(f"certificate {key} must be {kind}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"certificate {key} has non-finite entries")
+    return a
 
 
 def _centered_unit(w: np.ndarray) -> np.ndarray:

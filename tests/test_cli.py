@@ -304,6 +304,11 @@ def test_float_cells_have_17_significant_digits(tmp_path):
         (["witness", "--group", "so3", "--margin", "0"], "--margin"),
         (["check", "--group", "su2", "--points", "1"], "--points"),
         (["densities", "--group", "su2", "--bins", "0"], "--bins"),
+        # --tol belongs to coeffs and check only
+        (["haar", "--group", "su2", "--tol", "5"], "--tol"),
+        (["simulate", "--tol", "7"], "--tol"),
+        (["witness", "--group", "so3", "--tol", "3"], "--tol"),
+        (["densities", "--group", "su2", "--tol", "-1"], "--tol"),
     ],
 )
 def test_invalid_flag_combinations(args, needle, capsys):
@@ -322,6 +327,25 @@ def test_points_beyond_physical_memory_are_usage_errors(args, capsys):
     assert main(args + ["--points", "1000000"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "--points 1000000" in err and "GB" in err
+
+
+@pytest.mark.parametrize("args,sizes", [
+    (["check", "--group", "son", "--n", "1000000", "--points", "100"],
+     "--points 100 --n 1000000"),
+    (["witness", "--group", "son", "--n", "1000000", "--points", "100"],
+     "--points 100 --n 1000000"),
+    (["haar", "--group", "son", "--n", "1000000", "--points", "1"], "--points 1 --n 1000000"),
+    (["haar", "--group", "su2", "--points", "10000000000000"], "--points 10000000000000"),
+    (["densities", "--group", "su2", "--points", "10000000000000"],
+     "--points 10000000000000 --bins 60"),
+    (["densities", "--group", "so3", "--points", "10", "--bins", "10000000000000"],
+     "--points 10 --bins 10000000000000"),
+])
+def test_sizes_beyond_physical_memory_name_their_flags(args, sizes, capsys):
+    # returns from the size check, before anything is sampled or allocated
+    assert main(args) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"error: {sizes} needs about " in err and "GB" in err
 
 
 def test_unknown_group_rejected_by_argparse(capsys):

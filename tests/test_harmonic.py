@@ -61,6 +61,15 @@ def test_chi_su2_limit_branch_is_continuous():
         )
 
 
+def test_chi_so3_matches_the_cosine_sum():
+    # SO(3) characters come through the double cover; compare with the
+    # defining sum 1 + 2 sum_{m<=l} cos(mt)
+    t = np.concatenate([np.linspace(0.0, math.pi, 2001), [1e-9, math.pi - 1e-9]])
+    for l in range(51):
+        direct = 1.0 + 2.0 * sum(np.cos(m * t) for m in range(1, l + 1))
+        np.testing.assert_allclose(chi(GroupTag.SO3, l, t), direct, rtol=0, atol=1e-10)
+
+
 def test_chi_vectorized_matches_scalar():
     t = np.linspace(0.0, math.pi, 7)
     for group in GroupTag:
@@ -279,10 +288,11 @@ def test_coefficient_table_compute_and_consistency():
     table = CoefficientTable.compute(
         GroupTag.SO3, lmax=4, mc_samples=50_000, rng=RngStream(34, 0)
     )
-    assert table.by_method(2, "closed").alpha == pytest.approx(ALPHA_SO3_2)
-    assert table.by_method(2, "quadrature").alpha == pytest.approx(ALPHA_SO3_2, abs=1e-9)
-    mc = table.by_method(2, "monte-carlo")
-    assert mc.stderr is not None and mc.stderr > 0
+    row = table.rows[2]
+    assert row.closed == pytest.approx(ALPHA_SO3_2)
+    assert row.quadrature == pytest.approx(ALPHA_SO3_2, abs=1e-9)
+    assert row.monte_carlo is not None
+    assert row.stderr is not None and row.stderr > 0
     assert table.consistent(tol=1e-8, k_sigma=4.0)
 
 

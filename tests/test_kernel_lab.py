@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -283,3 +284,51 @@ def test_tampered_certificate_fails_verification():
     doc = json.loads(cert.to_json())
     doc["weights"][0] += 0.25  # breaks the sum-zero constraint
     assert not WitnessCertificate.from_json(json.dumps(doc)).verify()
+
+
+def _set(key, value):
+    def mutate(doc):
+        doc[key] = value
+    return mutate
+
+
+def _set_in(key, index, value):
+    def mutate(doc):
+        doc[key][index] = value
+    return mutate
+
+
+# name -> (mutation of a valid certificate document, expected error text)
+MALFORMED = {
+    "missing-key": (lambda doc: doc.pop("n"), "missing n"),
+    "unknown-group": (_set("group", "u7"), "group 'u7' does not match n = 3"),
+    "son-with-n-3": (_set("group", "son"), "group 'son' does not match n = 3"),
+    "so3-with-n-4": (_set("n", 4), "group 'so3' does not match n = 4"),
+    "n-not-integer": (_set("n", "3"), "n and m must be integers"),
+    "wrong-m": (_set("m", 14), "points must be m = 14 rows"),
+    "weights-short": (lambda doc: doc["weights"].pop(), "weights must be m = 15 numbers"),
+    "point-row-short": (lambda doc: doc["points"][3].pop(),
+                        "points must be m = 15 rows of n^2 = 9"),
+    "all-rows-short": (lambda doc: [row.pop() for row in doc["points"]],
+                       "points must be m = 15 rows of n^2 = 9"),
+    "nan-point": (lambda doc: doc["points"][1].__setitem__(4, math.nan),
+                  "points has non-finite"),
+    "inf-weight": (_set_in("weights", 2, math.inf), "weights has non-finite"),
+    "nan-value": (_set("value", math.nan), "value has non-finite"),
+    "list-value": (_set("value", [1.0]), "value must be a number"),
+    "negative-scale": (_set("scale", -1.0), "scale must be positive"),
+    "zero-scale": (_set("scale", 0.0), "scale must be positive"),
+    "bad-seed": (_set("seed", 56), "seed must be"),
+    "not-orthogonal": (lambda doc: doc["points"][0].__setitem__(0, 2.0),
+                       "points: matrix is not orthogonal"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_certificate_is_rejected_naming_the_field(case):
+    mutate, needle = MALFORMED[case]
+    doc = json.loads(find_witness("so3", m=15, trials=10, rng=RngStream(58, 0)).to_json())
+    WitnessCertificate.from_json(json.dumps(doc))  # the unmutated document parses
+    mutate(doc)
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        WitnessCertificate.from_json(json.dumps(doc))
