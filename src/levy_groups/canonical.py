@@ -64,10 +64,14 @@ def _emit(obj: Any, out: list[str], level: int) -> None:
             out.append("[]")
             return
         out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad)
-            _emit(v, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
+        template = _rows_template(obj, level + 1)
+        if template is not None:
+            out.extend((",\n".join(template % row for row in obj), "\n"))
+        else:
+            for i, v in enumerate(obj):
+                out.append(pad)
+                _emit(v, out, level + 1)
+                out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(end_pad + "]")
     else:
         # numpy scalars and similar
@@ -75,3 +79,25 @@ def _emit(obj: Any, out: list[str], level: int) -> None:
             _emit(obj.item(), out, level)
         else:
             raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _rows_template(rows, level: int) -> str | None:
+    """The %-template of one row as the walk above writes it, built once for
+    all ``rows`` when they are named tuples of one type whose columns each
+    hold only ints or only finite floats; else None, and a non-finite float
+    raises in the walk."""
+    kind = type(rows[0])
+    if not getattr(kind, "_fields", None) or any(type(row) is not kind for row in rows):
+        return None
+    pad, end_pad = " " * (_INDENT * (level + 1)), " " * (_INDENT * level)
+    cells = []
+    for name, column in zip(kind._fields, zip(*rows)):
+        types = set(map(type, column))
+        if types == {int}:
+            fmt = "%d"  # the text of str()
+        elif types == {float} and all(map(math.isfinite, column)):
+            fmt = "%.17g"  # the text of format_float
+        else:
+            return None
+        cells.append(f"{pad}{json.dumps(name).replace('%', '%%')}: {fmt}")
+    return end_pad + "{\n" + ",\n".join(cells) + "\n" + end_pad + "}"

@@ -230,7 +230,8 @@ def _peak_bytes(cfg: RunConfig) -> int:
 
     Measured above the interpreter (VmHWM, numpy 2.4): check holds 5.2 float64
     m x m matrices' worth, witness 8.6; simulate about 5 over its m + 1 points,
-    three (m, realizations) arrays and 1.3 kB per variogram row.  Per entry of
+    two (m, realizations) arrays (the normals and the values they are drawn
+    into) and 0.8 kB per variogram row in JSON (0.4 kB in CSV).  Per entry of
     the m sampled elements (4 on SU(2), n^2 on SO(n)): densities 20-34 B (sample,
     QR copies, angles), check 44-55 B, witness on SO(n) 89 B (embedded points and
     JSON), haar 187-245 B (JSON text); densities 1.23 kB per bin and series;
@@ -247,7 +248,7 @@ def _peak_bytes(cfg: RunConfig) -> int:
     if cfg.command == "witness":
         return 10 * 8 * m * m + 128 * entries
     if cfg.command == "simulate":
-        return 6 * 8 * (m + 1) ** 2 + 3 * 8 * m * cfg.realizations + 2000 * m * (m + 1) // 2
+        return 6 * 8 * (m + 1) ** 2 + 2 * 8 * m * cfg.realizations + 1000 * m * (m + 1) // 2
     return 256 * entries  # haar
 
 

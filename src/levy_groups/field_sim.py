@@ -8,20 +8,18 @@ diagnostic and fails the Cholesky stage for most configurations.
 
 from __future__ import annotations
 
-import csv
-import struct
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .canonical import format_float
 from .group_core import distances_to, pairwise_distance_matrix
 from .rng import RngStream
 
-VALUES_MAGIC = b"LVYFLD01"
 DEFAULT_JITTER = 1e-10
 _JITTER_DECADES = 3  # escalate x10 this many times before failing
+_CANCELLATION_TOL = 1e-10  # largest variogram rounding bound accepted, relative to the value
+_GRAM_BLOCK = 1024  # realizations per block of the variogram's Gram products
 
 # points closer than this to x0 are treated as the base point itself
 _COINCIDENCE_TOL = 1e-12
@@ -49,10 +47,6 @@ class FieldSample:
     @property
     def m(self) -> int:
         return len(self.points)
-
-    def distance(self, i: int, j: int) -> float:
-        # d_ij = K_ii + K_jj - 2 K_ij, exact from the kernel definition
-        return float(self.K[i, i] + self.K[j, j] - 2.0 * self.K[i, j])
 
 
 def build_field(
@@ -110,11 +104,9 @@ def sample_field(fs: FieldSample, realizations: int, rng: RngStream) -> FieldSam
     ``values`` of shape (m, realizations), one column per realization."""
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
-    m = fs.m
-    vals = np.zeros((m, realizations))
-    if m > 1:
-        z = rng.generator.standard_normal((m - 1, realizations))
-        vals[1:, :] = fs.chol[1:, 1:] @ z
+    vals = np.zeros((fs.m, realizations))
+    z = rng.generator.standard_normal((fs.m - 1, realizations))
+    np.matmul(fs.chol[1:, 1:], z, out=vals[1:])
     return replace(fs, values=vals)
 
 
@@ -133,56 +125,42 @@ def empirical_variogram(
     """Per-pair estimates of E|X_i - X_j|^2 with standard errors.
 
     Defaults to all unordered pairs i < j.  Needs >= 100 realizations.
+    With S = V V^T, Q = V^2 (V^2)^T and T = V^3 V^T of the values V, the
+    sums of (V_i - V_j)^2 and of its square over the realizations are
+    S_ii + S_jj - 2 S_ij and Q_ii + Q_jj - 4 (T_ij + T_ji) + 6 Q_ij.  Both
+    cancel when V_i is close to V_j; eps times the sum of the absolute terms
+    bounds the rounding (Chan, Golub & LeVeque 1983), and a pair whose bound
+    exceeds ``_CANCELLATION_TOL`` of either value is recomputed directly.
     """
     if fs.values is None:
         raise ValueError("sample the field first")
-    r = fs.values.shape[1]
+    v = fs.values
+    r = v.shape[1]
     if r < 100:
         raise ValueError("need at least 100 realizations")
     if pairs is None:
-        m = fs.m
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    rows = []
-    for i, j in pairs:
-        sq = (fs.values[i] - fs.values[j]) ** 2
-        est = float(sq.mean())
-        se = float(sq.std(ddof=1) / np.sqrt(r))
-        rows.append(VariogramRow(i, j, fs.distance(i, j), est, se))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Emitters
-# ---------------------------------------------------------------------------
-
-def write_values_csv(fs: FieldSample, fh, max_columns: int = 100) -> None:
-    """Field values, one column per realization, capped at ``max_columns``."""
-    if fs.values is None:
-        raise ValueError("sample the field first")
-    r = min(fs.values.shape[1], max_columns)
-    w = csv.writer(fh, lineterminator="\n")
-    w.writerow(["point"] + [f"r{k}" for k in range(r)])
-    for i in range(fs.m):
-        w.writerow([i] + [format_float(v) for v in fs.values[i, :r]])
-
-
-def write_values_binary(fs: FieldSample, fh) -> None:
-    """Binary matrix: magic 'LVYFLD01', little-endian uint64 (m, R), then
-    m*R float64 in column-major (realization-major) order."""
-    if fs.values is None:
-        raise ValueError("sample the field first")
-    m, r = fs.values.shape
-    fh.write(VALUES_MAGIC)
-    fh.write(struct.pack("<QQ", m, r))
-    fh.write(fs.values.astype("<f8").tobytes(order="F"))
-
-
-def read_values_binary(fh) -> np.ndarray:
-    magic = fh.read(8)
-    if magic != VALUES_MAGIC:
-        raise ValueError(f"bad magic {magic!r}")
-    m, r = struct.unpack("<QQ", fh.read(16))
-    data = np.frombuffer(fh.read(8 * m * r), dtype="<f8")
-    if data.size != m * r:
-        raise ValueError("truncated value matrix")
-    return data.reshape((m, r), order="F").copy()
+        i, j = np.triu_indices(fs.m, 1)
+    else:
+        i, j = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+    s, q, t = np.zeros((3, fs.m, fs.m))
+    for c in range(0, r, _GRAM_BLOCK):  # scratch memory O(m * block)
+        b = v[:, c:c + _GRAM_BLOCK]
+        b2 = b * b
+        s += b @ b.T
+        q += b2 @ b2.T
+        t += (b2 * b) @ b.T
+    sq = s[i, i] + s[j, j] - 2.0 * s[i, j]
+    num = q[i, i] + q[j, j] - 4.0 * (t[i, j] + t[j, i]) + 6.0 * q[i, j] - sq * sq / r
+    eps = np.finfo(float).eps
+    sq_err = eps * (s[i, i] + s[j, j] + 2.0 * np.abs(s[i, j]))
+    num_err = eps * (q[i, i] + q[j, j] + 4.0 * (np.abs(t[i, j]) + np.abs(t[j, i]))
+                     + 6.0 * q[i, j] + (sq + 2.0 * sq_err) * sq / r)
+    unsafe = (sq_err > _CANCELLATION_TOL * sq) | (num_err > _CANCELLATION_TOL * num)
+    est, se = sq / r, np.sqrt(np.where(unsafe, 0.0, num) / (r - 1)) / np.sqrt(r)
+    for p in np.flatnonzero(unsafe):
+        d = (v[i[p]] - v[j[p]]) ** 2
+        est[p], se[p] = d.mean(), d.std(ddof=1) / np.sqrt(r)
+    k = fs.K  # d_ij = K_ii + K_jj - 2 K_ij, exact from the kernel definition
+    dist = k[i, i] + k[j, j] - 2.0 * k[i, j]
+    return list(map(VariogramRow, i.tolist(), j.tolist(), dist.tolist(),
+                    est.tolist(), se.tolist()))

@@ -31,7 +31,6 @@ from .group_core import (
     group_of,
     pairwise_distance_matrix,
 )
-from .harmonic import GroupTag, chi
 from .rng import RngStream
 
 RELATIVE_EIG_TOL = 1e-8
@@ -227,10 +226,7 @@ def _finite(doc: dict, key: str, shape: tuple, kind: str) -> np.ndarray:
 
 def _centered_unit(w: np.ndarray) -> np.ndarray:
     w = w - w.mean()
-    norm = np.linalg.norm(w)
-    if norm == 0.0:
-        return w
-    return w / norm
+    return w / np.linalg.norm(w)
 
 
 def find_witness(
@@ -245,10 +241,9 @@ def find_witness(
 
     Per trial: m Haar points, top eigenpair of the distance matrix on the
     sum-zero subspace; accepted when the eigenvalue clears ``margin``.
-    If the eigenvector route fails, weights built from the centered
-    second character are tried on the same points.  For SO(n), n > 3, the
-    points are Haar draws of the embedded SO(3) subgroup, which is where
-    the defect provably lives; the certificate is stated in SO(n).
+    For SO(n), n > 3, the points are Haar draws of the embedded SO(3)
+    subgroup, which is where the defect provably lives; the certificate
+    is stated in SO(n).
 
     First trial to succeed wins; raises WitnessNotFoundError otherwise.
     Passing "su2" runs the same search (and is expected to fail: the
@@ -274,18 +269,11 @@ def find_witness(
         eigvals, eigvecs = np.linalg.eigh(0.5 * (c + c.T))
         weights = _centered_unit(basis @ eigvecs[:, -1])
         value = float(weights @ d @ weights)
-        method = "eigenvector"
         if not (eigvals[-1] > margin and value > margin):
-            angles = sampled.distances(x, sampled.identity)
-            weights = _centered_unit(chi(GroupTag(sampled.name), 2, angles))
-            value = float(weights @ d @ weights)
-            method = "character"
-            if not value > margin:
-                continue
+            continue
         cert = WitnessCertificate(
             group=sampled.name, n=sampled.n, points=tuple(map(sampled.element, x)),
             weights=weights, value=value, seed=rng.seed, stream=rng.stream_id,
-            method=method,
         )
         return transfer_witness(cert, n) if group == "son" else cert
     raise WitnessNotFoundError(

@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -17,12 +16,7 @@ from levy_groups import (
     sample_field,
 )
 from levy_groups.cli import RunConfig, _emit
-from levy_groups.field_sim import (
-    VariogramRow,
-    read_values_binary,
-    write_values_binary,
-    write_values_csv,
-)
+from levy_groups.field_sim import VariogramRow
 
 
 def su2_points(seed, m, stream=0):
@@ -101,6 +95,13 @@ def test_sampling_is_reproducible():
     assert not np.array_equal(a, c)
 
 
+def test_values_are_the_cholesky_factor_times_the_normals():
+    fs = build_field(su2_points(76, 30))
+    vals = sample_field(fs, 400, RngStream(76, 1)).values
+    z = RngStream(76, 1).generator.standard_normal((30, 400))
+    assert np.array_equal(vals[1:], fs.chol[1:, 1:] @ z)
+
+
 def test_field_moments_match_kernel():
     pts = su2_points(67, 10)
     fs = build_field(pts)
@@ -125,6 +126,24 @@ def test_variogram_matches_distances():
         1 for row in rows if abs(row.estimate - row.distance) <= 3.0 * row.stderr
     )
     assert covered / len(rows) >= 0.95
+
+
+@pytest.mark.parametrize("m", [12, 200])
+def test_variogram_matches_the_direct_formula_on_every_pair(m):
+    # the Gram-product moments against the per-pair differences, with points
+    # planted 1e-3, 1e-6 and 1e-9 from others, where those moments cancel
+    pts = su2_points(77, m)
+    pts += [pts[k] * SU2Element(math.cos(h), math.sin(h), 0.0, 0.0)
+            for k, h in enumerate([1e-3, 1e-6, 1e-9])]
+    fs = sample_field(build_field(pts), 10_000, RngStream(77, 1))
+    rows = empirical_variogram(fs)
+    assert len(rows) == (m + 4) * (m + 3) // 2
+    r = fs.values.shape[1]
+    for row in rows:
+        sq = (fs.values[row.pair_i] - fs.values[row.pair_j]) ** 2
+        est, se = sq.mean(), sq.std(ddof=1) / np.sqrt(r)
+        assert abs(row.estimate - est) <= 1e-12 * est
+        assert abs(row.stderr - se) <= 1e-9 * se
 
 
 def test_variogram_degenerate_and_antipodal_pairs():
@@ -193,27 +212,3 @@ def test_variogram_csv_layout(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0" and first[1] == "1"
     float(first[2]), float(first[3]), float(first[4])
-
-
-def test_values_csv_caps_columns():
-    fs = sample_field(build_field(su2_points(74, 3)), 150, RngStream(74, 1))
-    buf = io.StringIO()
-    write_values_csv(fs, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0].split(",")[:2] == ["point", "r0"]
-    assert len(lines[0].split(",")) == 101  # point column + 100 realizations
-    assert len(lines) == 1 + 4
-    assert float(lines[1].split(",")[1]) == 0.0  # base point value
-
-
-def test_values_binary_round_trip():
-    fs = sample_field(build_field(su2_points(75, 6)), 120, RngStream(75, 1))
-    buf = io.BytesIO()
-    write_values_binary(fs, buf)
-    raw = buf.getvalue()
-    assert raw[:8] == b"LVYFLD01"
-    buf.seek(0)
-    back = read_values_binary(buf)
-    assert np.array_equal(back, fs.values)
-    with pytest.raises(ValueError):
-        read_values_binary(io.BytesIO(b"BADMAGIC" + raw[8:]))
