@@ -19,7 +19,8 @@ from .field_sim import (
     sample_field,
 )
 from .group_core import (
-    PolarCoords,
+    SO3,
+    SU2,
     SOnElement,
     SU2Element,
     ad_morphism,
@@ -27,25 +28,19 @@ from .group_core import (
     dist_su2,
     embed_so3,
     exp_so3,
-    from_polar,
-    haar_so3_via_ad,
+    group_named,
     haar_son,
     haar_su2,
     pairwise_distance_matrix,
-    phi,
-    phi_inverse,
-    polar,
     rotation_angle_so3,
 )
 from .harmonic import (
-    AngleLaw,
     CoefficientTable,
     GroupTag,
     alpha_closed,
     alpha_monte_carlo,
     alpha_quadrature,
     angle_density,
-    angle_law,
     chi,
     dim_irrep,
     partial_sum,
@@ -55,7 +50,6 @@ from .kernel_lab import (
     GramAudit,
     WitnessCertificate,
     WitnessNotFoundError,
-    brownian_kernel,
     find_witness,
     gram_audit,
     lemma_equivalence_check,
@@ -65,16 +59,16 @@ from .quadrature import QuadratureError, simpson_adaptive
 from .rng import RngStream
 
 __all__ = [
-    "AngleLaw",
     "CoefficientTable",
     "FieldSample",
     "GramAudit",
     "GroupTag",
     "KernelNotPSDError",
-    "PolarCoords",
     "QuadratureError",
     "RngStream",
+    "SO3",
     "SOnElement",
+    "SU2",
     "SU2Element",
     "WitnessCertificate",
     "WitnessNotFoundError",
@@ -83,8 +77,6 @@ __all__ = [
     "alpha_monte_carlo",
     "alpha_quadrature",
     "angle_density",
-    "angle_law",
-    "brownian_kernel",
     "build_field",
     "chi",
     "dim_irrep",
@@ -94,17 +86,13 @@ __all__ = [
     "empirical_variogram",
     "exp_so3",
     "find_witness",
-    "from_polar",
     "gram_audit",
-    "haar_so3_via_ad",
+    "group_named",
     "haar_son",
     "haar_su2",
     "lemma_equivalence_check",
     "pairwise_distance_matrix",
     "partial_sum",
-    "phi",
-    "phi_inverse",
-    "polar",
     "rotation_angle_so3",
     "sample_field",
     "simpson_adaptive",

@@ -228,14 +228,16 @@ def _validate(cfg: RunConfig) -> None:
 def _peak_bytes(cfg: RunConfig) -> int:
     """Estimated peak memory in bytes, from the arrays a command holds at once.
 
-    Measured above the interpreter (VmHWM, numpy 2.4): check holds 5.2 float64
-    m x m matrices' worth, witness 8.6; simulate about 5 over its m + 1 points,
+    Measured above the interpreter (VmHWM, numpy 2.4): check holds 4.5 float64
+    m x m matrices' worth, witness 8.5; simulate about 5 over its m + 1 points,
     two (m, realizations) arrays (the normals and the values they are drawn
     into) and 0.8 kB per variogram row in JSON (0.4 kB in CSV).  Per entry of
-    the m sampled elements (4 on SU(2), n^2 on SO(n)): densities 20-34 B (sample,
-    QR copies, angles), check 44-55 B, witness on SO(n) 89 B (embedded points and
-    JSON), haar 187-245 B (JSON text); densities 1.23 kB per bin and series;
-    coeffs about 30 float64 arrays of one Monte Carlo chunk.  Rounded up below.
+    the m sampled points (4 on SU(2), n^2 on SO(n)): densities 20-34 B (sample,
+    QR copies, angles), check 39-40 B (the sampler's QR copies and one row of
+    pairwise products), witness on SO(n) 90 B (embedded points and JSON), haar
+    187-245 B (JSON text); densities 1.23 kB per bin and series; coeffs about
+    30 float64 arrays of one Monte Carlo chunk.  Rounded up below; a fixed few
+    MB of BLAS and LAPACK scratch is left out.
     """
     m = cfg.points
     entries = m * (4 if cfg.group == "su2" else (cfg.n or 3) ** 2)
@@ -244,9 +246,9 @@ def _peak_bytes(cfg: RunConfig) -> int:
     if cfg.command == "densities":
         return 40 * entries + 1300 * cfg.bins * (2 if cfg.group == "so3" else 1)
     if cfg.command == "check":
-        return 6 * 8 * m * m + 64 * entries
+        return 5 * 8 * m * m + 48 * entries
     if cfg.command == "witness":
-        return 10 * 8 * m * m + 128 * entries
+        return 10 * 8 * m * m + 112 * entries
     if cfg.command == "simulate":
         return 6 * 8 * (m + 1) ** 2 + 2 * 8 * m * cfg.realizations + 1000 * m * (m + 1) // 2
     return 256 * entries  # haar
@@ -343,7 +345,7 @@ def _run_densities(cfg: RunConfig) -> int:
 def _run_check(cfg: RunConfig) -> int:
     group = group_core.group_named(cfg.group, cfg.n)
     x = group.sample(RngStream(cfg.seed, cfg.stream), cfg.points)
-    audit = kernel_lab.gram_audit(list(map(group.element, x)))
+    audit = kernel_lab.gram_audit(group, x)
     psd = audit.is_positive_semidefinite(cfg.tol)
     rnd = audit.is_restricted_negative(cfg.tol)
     equiv = psd == rnd
@@ -381,9 +383,8 @@ def _run_witness(cfg: RunConfig) -> int:
 def _run_simulate(cfg: RunConfig) -> int:
     rng = RngStream(cfg.seed, cfg.stream)
     group = group_core.group_named(cfg.group)
-    points = list(map(group.element, group.sample(rng, cfg.points)))
     try:
-        fs = field_sim.build_field(points, jitter=cfg.jitter)
+        fs = field_sim.build_field(group, group.sample(rng, cfg.points), jitter=cfg.jitter)
     except field_sim.KernelNotPSDError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE_FINDING

@@ -9,11 +9,11 @@ diagnostic and fails the Cholesky stage for most configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .group_core import distances_to, pairwise_distance_matrix
+from .group_core import pairwise_distance_matrix
 from .rng import RngStream
 
 DEFAULT_JITTER = 1e-10
@@ -33,12 +33,12 @@ class KernelNotPSDError(RuntimeError):
 class FieldSample:
     """Kernel matrix, factorization and (optionally) sampled values.
 
-    The base point is points[0]; its kernel row/column and every sampled
-    value there are exactly zero.  ``values`` holds one column per
-    realization.
+    ``points`` stacks the group's point rows, the base point first; its
+    kernel row/column and every sampled value there are exactly zero.
+    ``values`` holds one column per realization.
     """
 
-    points: tuple
+    points: np.ndarray
     K: np.ndarray
     chol: np.ndarray
     jitter_used: float
@@ -50,30 +50,29 @@ class FieldSample:
 
 
 def build_field(
-    points: Sequence,
+    group,
+    x: np.ndarray,
     x0=None,
     jitter: float = DEFAULT_JITTER,
-    metric: Callable | None = None,
 ) -> FieldSample:
-    """Assemble and factor the Brownian-kernel matrix of a point set.
+    """Assemble and factor the Brownian-kernel matrix of the rows of x.
 
-    x0 defaults to the group identity and is moved or prepended to the
-    front.  The x0 row/column is pinned to exactly zero and the trailing
+    x0 defaults to the group identity; the first row of x within
+    ``_COINCIDENCE_TOL`` of it is moved to the front, or else x0 is
+    prepended.  The x0 row/column is pinned to exactly zero and the trailing
     block Cholesky-factored with additive jitter escalating by decades;
     exhausting the ladder raises :class:`KernelNotPSDError`.
     """
     if jitter <= 0.0:
         raise ValueError("jitter must be positive")
-    pts = list(points)
-    if not pts:
+    if len(x) == 0:
         raise ValueError("need at least one point")
-    d_to_x0, x0 = distances_to(pts, x0, metric)
-    hit = np.flatnonzero(d_to_x0 <= _COINCIDENCE_TOL)
+    x0 = group.identity if x0 is None else np.asarray(x0, dtype=float)
+    hit = np.flatnonzero(group.distances(x, x0) <= _COINCIDENCE_TOL)
     if hit.size:
-        pts.insert(0, pts.pop(hit[0]))
-    else:
-        pts.insert(0, x0)
-    d = pairwise_distance_matrix(pts, metric)
+        x0, x = x[hit[0]], np.delete(x, hit[0], axis=0)
+    pts = np.concatenate((x0[None], x))
+    d = pairwise_distance_matrix(group, pts)
     m = len(pts)
     k = 0.5 * (d[0][:, None] + d[0][None, :] - d)
     k = 0.5 * (k + k.T)
@@ -96,7 +95,7 @@ def build_field(
             raise KernelNotPSDError(
                 f"kernel not PSD: Cholesky failed up to jitter {ladder[-1]:g}"
             )
-    return FieldSample(points=tuple(pts), K=k, chol=chol, jitter_used=jit)
+    return FieldSample(points=pts, K=k, chol=chol, jitter_used=jit)
 
 
 def sample_field(fs: FieldSample, realizations: int, rng: RngStream) -> FieldSample:

@@ -6,23 +6,23 @@ a = a1 + i*a2 and b = b1 + i*b2.  This identifies SU(2) with the unit
 sphere of R^4; the geodesic distance induced by the inner product
 <X, Y> = -tr(XY)/2 on the Lie algebra is the great-circle angle
 
-    dist_su2(g, h) = arccos(<phi(g), phi(h)>).
+    dist_su2(g, h) = arccos(<g, h>).
 
 SO(n) elements carry their n x n matrix.  The matching bi-invariant
 distance is sqrt(sum of squared principal rotation angles) of g h^T,
 taken from the arguments of its eigenvalues; for n = 3 it is the
 rotation angle arccos((tr - 1)/2).
 
-Batch work goes through one descriptor per group (``SU2``, ``SO3``,
-``group_named("son", n)``) acting on stacked (m, 4) quadruples or (m, n, n)
-rotations; ``group_of`` stacks a list of elements and finds its group.
+Points move as arrays: one descriptor per group (``SU2``, ``SO3``,
+``group_named("son", n)``) samples and measures stacked (m, 4) quadruples or
+(m, n, n) rotations.  ``SU2Element`` and ``SOnElement`` are validated views
+of a single point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,17 +106,9 @@ class SOnElement:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.entries, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
-            raise ValueError(f"expected a square matrix with n >= 2, got shape {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix has non-finite entries")
-        resid = np.abs(m.T @ m - np.eye(m.shape[0])).max()
-        if resid > ORTHOGONALITY_TOL:
-            raise ValueError(f"matrix is not orthogonal: max |g^T g - I| = {resid:g}")
-        det = np.linalg.det(m)
-        if abs(det - 1.0) > ORTHOGONALITY_TOL:
-            raise ValueError(f"det(g) = {det!r}, expected 1")
+        m = check_rotations(self.entries)
+        if m.ndim != 2:
+            raise ValueError(f"expected one matrix, got shape {m.shape}")
         m.flags.writeable = False
         object.__setattr__(self, "entries", m)
 
@@ -137,48 +129,25 @@ class SOnElement:
         return SOnElement(self.entries.T)
 
 
-class PolarCoords(NamedTuple):
-    """Polar coordinates of an SU(2) element: a1 = cos(theta),
-    a2 = sin(theta) cos(phi), b1 = sin(theta) sin(phi) cos(psi),
-    b2 = sin(theta) sin(phi) sin(psi)."""
+def check_rotations(x) -> np.ndarray:
+    """x as a new float array of (..., n, n) rotations, n >= 2.
 
-    theta: float  # in [0, pi]
-    phi: float    # in [0, pi]
-    psi: float    # in [0, 2*pi)
-
-
-def phi(g: SU2Element) -> np.ndarray:
-    """Coordinates of ``g`` as a point of the unit sphere of R^4."""
-    return g.vector
-
-
-def phi_inverse(v) -> SU2Element:
-    """Inverse of :func:`phi`; ``v`` must already have unit norm."""
-    return SU2Element.from_vector(v)
-
-
-def polar(g: SU2Element, singular_tol: float = 1e-15) -> PolarCoords:
-    """Polar coordinates of ``g``; phi and psi are 0 at singular angles."""
-    theta = math.acos(max(-1.0, min(1.0, g.a1)))
-    s_theta = math.sqrt(max(0.0, 1.0 - g.a1 * g.a1))
-    if s_theta <= singular_tol:
-        return PolarCoords(theta, 0.0, 0.0)
-    ph = math.acos(max(-1.0, min(1.0, g.a2 / s_theta)))
-    if math.sin(ph) * s_theta <= singular_tol:
-        return PolarCoords(theta, ph, 0.0)
-    psi = math.atan2(g.b2, g.b1) % (2.0 * math.pi)
-    return PolarCoords(theta, ph, psi)
-
-
-def from_polar(coords: PolarCoords) -> SU2Element:
-    theta, ph, psi = coords
-    st, sp = math.sin(theta), math.sin(ph)
-    return SU2Element(
-        math.cos(theta),
-        st * math.cos(ph),
-        st * sp * math.cos(psi),
-        st * sp * math.sin(psi),
-    )
+    Raises ValueError unless every matrix is finite, orthogonal and of
+    determinant 1, each within ``ORTHOGONALITY_TOL``.
+    """
+    x = np.array(x, dtype=float)
+    if x.ndim < 2 or x.shape[-1] != x.shape[-2] or x.shape[-1] < 2:
+        raise ValueError(f"expected square matrices with n >= 2, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("matrix has non-finite entries")
+    resid = np.abs(np.swapaxes(x, -1, -2) @ x - np.eye(x.shape[-1])).max(initial=0.0)
+    if resid > ORTHOGONALITY_TOL:
+        raise ValueError(f"matrix is not orthogonal: max |g^T g - I| = {resid:g}")
+    det = np.linalg.det(x).ravel()
+    off = np.abs(det - 1.0)
+    if off.max(initial=0.0) > ORTHOGONALITY_TOL:
+        raise ValueError(f"det(g) = {float(det[off.argmax()])!r}, expected 1")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +221,6 @@ def ad_morphism(g: SU2Element) -> SOnElement:
     return SOnElement(ad_matrix(g.vector))
 
 
-def haar_so3_via_ad(rng: RngStream) -> SOnElement:
-    """Haar rotation obtained by pushing a Haar SU(2) draw through Ad."""
-    return SOnElement(ad_matrix(haar_su2_batch(rng, 1)[0]))
-
-
-def haar_so3_via_ad_batch(rng: RngStream, size: int) -> np.ndarray:
-    return ad_matrix(haar_su2_batch(rng, size))
-
-
 # ---------------------------------------------------------------------------
 # Distances
 # ---------------------------------------------------------------------------
@@ -303,19 +263,21 @@ def dist_son(g: SOnElement, h: SOnElement, scale: float = 1.0) -> float:
     return scale * float(principal_angle_distances(g.entries @ h.entries.T))
 
 
-def embed_so3(g: SOnElement, n: int) -> SOnElement:
-    """Block-diagonal embedding of SO(3) into SO(n), n > 3.
+def embed_so3(x: np.ndarray, n: int) -> np.ndarray:
+    """Block-diagonal embedding of SO(3) into SO(n), n > 3, on (..., 3, 3) arrays.
 
     The embedding is distance-preserving for the principal-angle metric
     at every scale: the extra block contributes only zero angles.
     """
-    if g.n != 3:
-        raise ValueError("embed_so3 expects an SO(3) element")
+    x = np.asarray(x, dtype=float)
+    if x.shape[-2:] != (3, 3):
+        raise ValueError(f"embed_so3 expects SO(3) rotations, got shape {x.shape}")
     if n <= 3:
         raise ValueError("target size must exceed 3")
-    m = np.eye(n)
-    m[:3, :3] = g.entries
-    return SOnElement(m)
+    out = np.zeros(x.shape[:-2] + (n, n))
+    out[..., 3:, 3:] = np.eye(n - 3)
+    out[..., :3, :3] = x
+    return out
 
 
 def exp_so3(t: float, k: int = 1) -> SOnElement:
@@ -373,9 +335,6 @@ class SU2Group:
         """Distance from each row of x to the point y."""
         return np.arccos(np.clip(x @ y, -1.0, 1.0))
 
-    def element(self, row: np.ndarray) -> SU2Element:
-        return SU2Element.from_vector(row)
-
 
 class SOnGroup:
     """SO(n) on (m, n, n) arrays of rotations, principal-angle distances."""
@@ -401,9 +360,6 @@ class SOnGroup:
     def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Distance from each rotation in x to the rotation y."""
         return principal_angle_distances(x @ y.T)
-
-    def element(self, row: np.ndarray) -> SOnElement:
-        return SOnElement(row)
 
 
 class SO3Group(SOnGroup):
@@ -434,46 +390,9 @@ def group_named(name: str, n: int | None = None):
     raise ValueError(f"unknown group {name!r}")
 
 
-def group_of(points: Sequence):
-    """(descriptor, stacked array) of a homogeneous list of elements."""
-    first = points[0]
-    if isinstance(first, SU2Element):
-        return SU2, np.stack([p.vector for p in points])
-    if isinstance(first, SOnElement):
-        return group_named("son", first.n), np.stack([p.entries for p in points])
-    raise TypeError(f"no group for {type(first).__name__}")
-
-
-def pairwise_distance_matrix(
-    points: Sequence,
-    metric: Callable | None = None,
-    scale: float = 1.0,
-) -> np.ndarray:
-    """Symmetric zero-diagonal distance matrix for a point list, times ``scale``.
-
-    With ``metric=None`` the group's own distance is used, vectorized over
-    the stacked points; a custom metric callable forces the generic
-    pairwise loop.
-    """
+def pairwise_distance_matrix(group, x: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """Symmetric zero-diagonal distance matrix of the rows of x, times ``scale``."""
     if scale <= 0.0:
         raise ValueError("scale must be positive")
-    if metric is None:
-        group, x = group_of(points)
-        d = group.pairwise(x)
-    else:
-        m = len(points)
-        d = np.zeros((m, m))
-        for i in range(m):
-            for j in range(i + 1, m):
-                d[i, j] = d[j, i] = metric(points[i], points[j])
+    d = group.pairwise(x)
     return scale * d if scale != 1.0 else d
-
-
-def distances_to(points: Sequence, x0=None, metric: Callable | None = None):
-    """(d(p, x0) for each point, x0), with x0 the group identity by default."""
-    group, x = group_of(points)
-    if x0 is None:
-        x0 = group.element(group.identity)
-    if metric is not None:
-        return np.array([metric(p, x0) for p in points], dtype=float), x0
-    return group.distances(x, group_of([x0])[1][0]), x0

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -117,23 +117,6 @@ def trace_cdf_so3(y):
     w = np.arccos(np.clip((y_arr - 1.0) / 2.0, -1.0, 1.0))
     out = 1.0 - (w - np.sin(w)) / math.pi
     return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class AngleLaw:
-    """Angle density of a group together with its distribution function."""
-
-    group: GroupTag
-    density: Callable = field(repr=False)
-    cdf: Callable = field(repr=False)
-
-
-def angle_law(group: GroupTag) -> AngleLaw:
-    return AngleLaw(
-        group,
-        density=lambda t, g=group: angle_density(g, t),
-        cdf=lambda t, g=group: angle_cdf(g, t),
-    )
 
 
 # ---------------------------------------------------------------------------

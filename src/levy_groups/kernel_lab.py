@@ -17,20 +17,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
 
 import numpy as np
 
 from . import canonical
-from .group_core import (
-    SO3,
-    SU2,
-    SOnElement,
-    distances_to,
-    embed_so3,
-    group_of,
-    pairwise_distance_matrix,
-)
+from .group_core import SO3, SU2, check_rotations, embed_so3, group_named, pairwise_distance_matrix
 from .rng import RngStream
 
 RELATIVE_EIG_TOL = 1e-8
@@ -41,11 +32,6 @@ CERTIFICATE_SCHEMA_VERSION = "1"
 class WitnessNotFoundError(RuntimeError):
     """No positive quadratic form found; the metric may be positive
     definite on this group, or the point count too small."""
-
-
-def brownian_kernel(metric: Callable, x, y, x0) -> float:
-    """K(x, y) = (d(x,x0) + d(y,x0) - d(x,y)) / 2."""
-    return 0.5 * (metric(x, x0) + metric(y, x0) - metric(x, y))
 
 
 def sum_zero_basis(m: int) -> np.ndarray:
@@ -68,8 +54,6 @@ class GramAudit:
     eigenvalue of the Brownian-kernel matrix for base point x0.
     """
 
-    points: tuple
-    x0: object
     D: np.ndarray
     K: np.ndarray
     max_centered_eig: float
@@ -84,27 +68,29 @@ class GramAudit:
         return self.max_centered_eig <= tol_rel * max(self.centered_eig_scale, 1.0)
 
 
-def gram_audit(points: Sequence, metric: Callable | None = None, x0=None) -> GramAudit:
-    """Distance and kernel matrices with their decisive eigenvalues.
+def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
+    """Distance and kernel matrices of the rows of x with their decisive
+    eigenvalues.
 
     x0 defaults to the group identity.  Raises on non-finite distances.
     """
-    if len(points) < 2:
+    if len(x) < 2:
         raise ValueError("need at least 2 points")
-    d = pairwise_distance_matrix(points, metric)
-    d0, x0 = distances_to(points, x0, metric)
+    d = pairwise_distance_matrix(group, x)
+    d0 = group.distances(x, group.identity if x0 is None else x0)
     if not (np.isfinite(d).all() and np.isfinite(d0).all()):
         raise ValueError("non-finite distance encountered")
-    k = 0.5 * (d0[:, None] + d0[None, :] - d)
-    k = 0.5 * (k + k.T)
-    b = sum_zero_basis(len(points))
+    # compress D before K exists: at most four m x m matrices alive at once
+    b = sum_zero_basis(len(x))
     c = b.T @ d @ b
+    del b
     c = 0.5 * (c + c.T)
     c_eigs = np.linalg.eigvalsh(c)
+    del c
+    k = 0.5 * (d0[:, None] + d0[None, :] - d)
+    k = 0.5 * (k + k.T)
     k_eigs = np.linalg.eigvalsh(k)
     return GramAudit(
-        points=tuple(points),
-        x0=x0,
         D=d,
         K=k,
         max_centered_eig=float(c_eigs[-1]),
@@ -115,14 +101,14 @@ def gram_audit(points: Sequence, metric: Callable | None = None, x0=None) -> Gra
 
 
 def lemma_equivalence_check(
-    points: Sequence,
-    metric: Callable | None = None,
+    group,
+    x: np.ndarray,
     x0=None,
     tol_rel: float = RELATIVE_EIG_TOL,
 ) -> bool:
     """True when the kernel-PSD test and the restricted-negativity test
     agree on this configuration (they must, by the kernel identity)."""
-    audit = gram_audit(points, metric, x0)
+    audit = gram_audit(group, x, x0)
     return audit.is_positive_semidefinite(tol_rel) == audit.is_restricted_negative(tol_rel)
 
 
@@ -137,7 +123,7 @@ class WitnessCertificate:
 
     group: str  # "so3" or "son"
     n: int
-    points: tuple
+    points: np.ndarray  # (m, n, n)
     weights: np.ndarray
     value: float
     seed: int
@@ -149,7 +135,7 @@ class WitnessCertificate:
     def quadratic_form(self, scale: float | None = None) -> float:
         """Recompute sum_ij w_i w_j d(g_i, g_j) from the stored data."""
         s = self.scale if scale is None else scale
-        d = pairwise_distance_matrix(self.points, scale=s)
+        d = pairwise_distance_matrix(group_named(self.group, self.n), self.points, scale=s)
         return float(self.weights @ d @ self.weights)
 
     def verify(self, tol: float = 1e-10, weight_tol: float = 1e-12) -> bool:
@@ -159,14 +145,13 @@ class WitnessCertificate:
 
     def to_doc(self) -> dict:
         """The certificate as a canonical-JSON-ready document."""
-        points = group_of(self.points)[1]
         return {
             "schema_version": CERTIFICATE_SCHEMA_VERSION,
             "kind": "witness",
             "group": self.group,
             "n": self.n,
             "m": len(self.points),
-            "points": [list(map(float, row)) for row in points.reshape(len(points), -1)],
+            "points": self.points.reshape(len(self.points), -1).tolist(),
             "weights": [float(w) for w in self.weights],
             "value": float(self.value),
             "seed": {"seed": self.seed, "stream": self.stream},
@@ -182,19 +167,26 @@ class WitnessCertificate:
     def from_json(cls, text: str) -> "WitnessCertificate":
         """Parse a certificate; raises ValueError naming the first bad field."""
         doc = json.loads(text)
-        missing = [k for k in ("group", "n", "m", "points", "weights", "value", "seed",
-                               "method", "scale", "tool_version")
+        missing = [k for k in ("schema_version", "kind", "group", "n", "m", "points", "weights",
+                               "value", "seed", "method", "scale", "tool_version")
                    if not isinstance(doc, dict) or k not in doc]
         if missing:
             raise ValueError(f"certificate is missing {', '.join(missing)}")
+        for key, allowed in (("schema_version", (CERTIFICATE_SCHEMA_VERSION,)),
+                             ("kind", ("witness",)), ("method", ("eigenvector", "transfer"))):
+            if doc[key] not in allowed:
+                raise ValueError(f"certificate {key} must be {' or '.join(map(repr, allowed))}, "
+                                 f"got {doc[key]!r}")
+        if not isinstance(doc["tool_version"], str):
+            raise ValueError("certificate tool_version must be a string")
         n, m, group, seed = doc["n"], doc["m"], doc["group"], doc["seed"]
-        if not (isinstance(n, int) and isinstance(m, int)):
+        if not (_json_isinstance(n, int) and _json_isinstance(m, int)):
             raise ValueError("certificate n and m must be integers")
         if not (group == "so3" and n == 3 or group == "son" and n > 3):
             raise ValueError(f"certificate group {group!r} does not match n = {n} "
                              "(so3 needs n = 3, son needs n > 3)")
-        if not (isinstance(seed, dict) and isinstance(seed.get("seed"), int)
-                and isinstance(seed.get("stream"), int)):
+        if not (isinstance(seed, dict) and _json_isinstance(seed.get("seed"), int)
+                and _json_isinstance(seed.get("stream"), int)):
             raise ValueError('certificate seed must be {"seed": integer, "stream": integer}')
         points = _finite(doc, "points", (m, n * n), f"m = {m} rows of n^2 = {n * n} numbers")
         weights = _finite(doc, "weights", (m,), f"m = {m} numbers")
@@ -203,20 +195,34 @@ class WitnessCertificate:
         if not scale > 0.0:
             raise ValueError(f"certificate scale must be positive, got {scale!r}")
         try:
-            elements = tuple(SOnElement(row.reshape(n, n)) for row in points)
+            points = check_rotations(points.reshape(m, n, n))
         except ValueError as exc:  # not orthogonal, or det -1
             raise ValueError(f"certificate points: {exc}") from None
-        return cls(group=group, n=n, points=elements, weights=weights, value=value,
+        return cls(group=group, n=n, points=points, weights=weights, value=value,
                    seed=seed["seed"], stream=seed["stream"], method=doc["method"],
                    scale=scale, tool_version=doc["tool_version"])
 
 
+def _json_isinstance(x, types) -> bool:
+    """isinstance for parsed JSON, where true and false are not numbers."""
+    return isinstance(x, types) and not isinstance(x, bool)
+
+
+def _numbers(x, depth: int) -> bool:
+    """x is a JSON number, or a list nesting numbers ``depth`` deep."""
+    if depth == 0:
+        return _json_isinstance(x, (int, float))
+    return isinstance(x, list) and all(_numbers(v, depth - 1) for v in x)
+
+
 def _finite(doc: dict, key: str, shape: tuple, kind: str) -> np.ndarray:
     """doc[key] as a finite float array of ``shape``, else ValueError naming key."""
-    try:
-        a = np.asarray(doc[key], dtype=float)
-    except (TypeError, ValueError):  # non-numbers, or rows of unequal length
-        a = None
+    a = None
+    if _numbers(doc[key], len(shape)):  # strings and booleans are not numbers
+        try:
+            a = np.asarray(doc[key], dtype=float)
+        except (ValueError, OverflowError):  # rows of unequal length, or huge integers
+            pass
     if a is None or a.shape != shape:
         raise ValueError(f"certificate {key} must be {kind}")
     if not np.isfinite(a).all():
@@ -272,7 +278,7 @@ def find_witness(
         if not (eigvals[-1] > margin and value > margin):
             continue
         cert = WitnessCertificate(
-            group=sampled.name, n=sampled.n, points=tuple(map(sampled.element, x)),
+            group=sampled.name, n=sampled.n, points=x,
             weights=weights, value=value, seed=rng.seed, stream=rng.stream_id,
         )
         return transfer_witness(cert, n) if group == "son" else cert
@@ -293,8 +299,8 @@ def transfer_witness(cert: WitnessCertificate, n: int, scale: float = 1.0) -> Wi
         raise ValueError("transfer requires an SO(3) certificate")
     if n <= 3:
         raise ValueError("target size must exceed 3")
-    points = tuple(embed_so3(p, n) for p in cert.points)
-    d = pairwise_distance_matrix(points, scale=scale)
+    points = embed_so3(cert.points, n)
+    d = pairwise_distance_matrix(group_named("son", n), points, scale=scale)
     value = float(cert.weights @ d @ cert.weights)
     return replace(cert, group="son", n=n, points=points, value=value,
                    method="transfer", scale=scale)

@@ -1,4 +1,4 @@
-"""Reproducible, splittable random streams keyed by (seed, stream_id)."""
+"""Reproducible random streams keyed by (seed, stream_id)."""
 
 from __future__ import annotations
 
@@ -7,14 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-
-
-def _splitmix64(x: int) -> int:
-    """One mixing round of splitmix64 on a 64-bit word."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    z = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return z ^ (z >> 31)
 
 
 @dataclass
@@ -36,14 +28,3 @@ class RngStream:
         self.stream_id = int(self.stream_id) & _MASK64
         key = self.seed | (self.stream_id << 64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
-
-    def split(self, k: int) -> list["RngStream"]:
-        """Derive ``k`` child streams with distinct, reproducible stream ids."""
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        base = _splitmix64(self.stream_id ^ 0xA076_1D64_78BD_642F)
-        return [RngStream(self.seed, _splitmix64(base + i)) for i in range(k)]
-
-    def descriptor(self) -> dict:
-        """The (seed, stream) pair, e.g. for embedding in output documents."""
-        return {"seed": self.seed, "stream": self.stream_id}

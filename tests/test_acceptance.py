@@ -12,13 +12,12 @@ import numpy as np
 from scipy.stats import kstest
 
 from levy_groups import (
+    SU2,
     RngStream,
     build_field,
     empirical_variogram,
     find_witness,
     gram_audit,
-    haar_su2,
-    lemma_equivalence_check,
     sample_field,
     transfer_witness,
 )
@@ -158,8 +157,7 @@ def test_criterion_6_su2_positive_definiteness():
     equivalence = True
     for seed in range(100):
         rng = RngStream(seed, 6)
-        points = [haar_su2(rng) for _ in range(100)]
-        audit = gram_audit(points)
+        audit = gram_audit(SU2, SU2.sample(rng, 100))
         worst_k = min(worst_k, audit.min_K_eig)
         worst_c = max(worst_c, audit.max_centered_eig)
         equivalence = equivalence and (
@@ -176,8 +174,7 @@ def test_criterion_6_su2_positive_definiteness():
 def test_criterion_7_field_law():
     t0 = time.monotonic()
     rng = RngStream(7, 0)
-    points = [haar_su2(rng) for _ in range(50)]
-    fs = build_field(points)
+    fs = build_field(SU2, SU2.sample(rng, 50))
     fs = sample_field(fs, 10_000, RngStream(7, 1))
     pinned = float(np.abs(fs.values[0]).max()) == 0.0
     rows = empirical_variogram(fs)

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from levy_groups import (
+    SO3,
+    SU2,
     KernelNotPSDError,
     RngStream,
-    SOnElement,
     SU2Element,
     build_field,
     dist_su2,
     empirical_variogram,
-    haar_son,
-    haar_su2,
     sample_field,
 )
 from levy_groups.cli import RunConfig, _emit
@@ -20,8 +19,7 @@ from levy_groups.field_sim import VariogramRow
 
 
 def su2_points(seed, m, stream=0):
-    rng = RngStream(seed, stream)
-    return [haar_su2(rng) for _ in range(m)]
+    return SU2.sample(RngStream(seed, stream), m)
 
 
 # ---------------------------------------------------------------------------
@@ -29,7 +27,7 @@ def su2_points(seed, m, stream=0):
 # ---------------------------------------------------------------------------
 
 def test_single_point_field_is_trivial():
-    fs = build_field([SU2Element.identity()])
+    fs = build_field(SU2, SU2.identity[None])
     assert fs.m == 1
     assert fs.K.shape == (1, 1)
     assert fs.K[0, 0] == 0.0
@@ -38,41 +36,41 @@ def test_single_point_field_is_trivial():
 
 def test_build_field_prepends_base_point():
     pts = su2_points(60, 10)
-    fs = build_field(pts)
+    fs = build_field(SU2, pts)
     assert fs.m == 11
-    assert dist_su2(fs.points[0], SU2Element.identity()) == 0.0
+    assert np.array_equal(fs.points[0], SU2.identity)
+    assert np.array_equal(fs.points[1:], pts)
     assert np.abs(fs.K[0, :]).max() == 0.0
     assert np.abs(fs.K[:, 0]).max() == 0.0
 
 
 def test_build_field_moves_existing_base_point_to_front():
-    e = SU2Element.identity()
-    pts = su2_points(61, 5) + [e]
-    fs = build_field(pts, x0=e)
+    e = SU2.identity
+    pts = np.vstack([su2_points(61, 5), e])
+    fs = build_field(SU2, pts, x0=e)
     assert fs.m == 6
-    assert fs.points[0] is pts[-1]
+    assert np.array_equal(fs.points, pts[[5, 0, 1, 2, 3, 4]])
 
 
 def test_factorization_reproduces_kernel():
     pts = su2_points(62, 50)
-    fs = build_field(pts)
+    fs = build_field(SU2, pts)
     assert fs.jitter_used <= 1e-9
     resid = np.abs(fs.chol @ fs.chol.T - fs.K).max()
     assert resid < 1e-8
 
 
 def test_so3_diagnostic_mode_raises_kernel_not_psd():
-    rng = RngStream(63, 0)
-    pts = [haar_son(3, rng) for _ in range(30)]
+    pts = SO3.sample(RngStream(63, 0), 30)
     with pytest.raises(KernelNotPSDError):
-        build_field(pts)
+        build_field(SO3, pts)
 
 
 def test_build_field_validates_arguments():
     with pytest.raises(ValueError):
-        build_field([])
+        build_field(SU2, np.empty((0, 4)))
     with pytest.raises(ValueError):
-        build_field(su2_points(64, 3), jitter=0.0)
+        build_field(SU2, su2_points(64, 3), jitter=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +78,7 @@ def test_build_field_validates_arguments():
 # ---------------------------------------------------------------------------
 
 def test_values_vanish_at_base_point():
-    fs = build_field(su2_points(65, 20))
+    fs = build_field(SU2, su2_points(65, 20))
     fs = sample_field(fs, 500, RngStream(65, 1))
     assert fs.values.shape == (21, 500)
     assert np.abs(fs.values[0]).max() == 0.0
@@ -88,15 +86,15 @@ def test_values_vanish_at_base_point():
 
 def test_sampling_is_reproducible():
     pts = su2_points(66, 15)
-    a = sample_field(build_field(pts), 300, RngStream(66, 1)).values
-    b = sample_field(build_field(pts), 300, RngStream(66, 1)).values
+    a = sample_field(build_field(SU2, pts), 300, RngStream(66, 1)).values
+    b = sample_field(build_field(SU2, pts), 300, RngStream(66, 1)).values
     assert np.array_equal(a, b)
-    c = sample_field(build_field(pts), 300, RngStream(66, 2)).values
+    c = sample_field(build_field(SU2, pts), 300, RngStream(66, 2)).values
     assert not np.array_equal(a, c)
 
 
 def test_values_are_the_cholesky_factor_times_the_normals():
-    fs = build_field(su2_points(76, 30))
+    fs = build_field(SU2, su2_points(76, 30))
     vals = sample_field(fs, 400, RngStream(76, 1)).values
     z = RngStream(76, 1).generator.standard_normal((30, 400))
     assert np.array_equal(vals[1:], fs.chol[1:, 1:] @ z)
@@ -104,7 +102,7 @@ def test_values_are_the_cholesky_factor_times_the_normals():
 
 def test_field_moments_match_kernel():
     pts = su2_points(67, 10)
-    fs = build_field(pts)
+    fs = build_field(SU2, pts)
     r = 20_000
     fs = sample_field(fs, r, RngStream(67, 2))
     e = SU2Element.identity()
@@ -114,11 +112,11 @@ def test_field_moments_match_kernel():
         assert abs(mean) < 3.0 * math.sqrt(d_i / r)
         var = fs.values[i].var(ddof=1)
         assert abs(var - d_i) < 3.0 * d_i * math.sqrt(2.0 / r)
-        assert d_i == pytest.approx(dist_su2(fs.points[i], e), abs=1e-9)
+        assert d_i == pytest.approx(dist_su2(SU2Element.from_vector(fs.points[i]), e), abs=1e-9)
 
 
 def test_variogram_matches_distances():
-    fs = build_field(su2_points(68, 12))
+    fs = build_field(SU2, su2_points(68, 12))
     fs = sample_field(fs, 10_000, RngStream(68, 1))
     rows = empirical_variogram(fs)
     assert len(rows) == 13 * 12 // 2
@@ -133,9 +131,10 @@ def test_variogram_matches_the_direct_formula_on_every_pair(m):
     # the Gram-product moments against the per-pair differences, with points
     # planted 1e-3, 1e-6 and 1e-9 from others, where those moments cancel
     pts = su2_points(77, m)
-    pts += [pts[k] * SU2Element(math.cos(h), math.sin(h), 0.0, 0.0)
-            for k, h in enumerate([1e-3, 1e-6, 1e-9])]
-    fs = sample_field(build_field(pts), 10_000, RngStream(77, 1))
+    pts = np.vstack([pts] + [(SU2Element.from_vector(pts[k])
+                              * SU2Element(math.cos(h), math.sin(h), 0.0, 0.0)).vector
+                             for k, h in enumerate([1e-3, 1e-6, 1e-9])])
+    fs = sample_field(build_field(SU2, pts), 10_000, RngStream(77, 1))
     rows = empirical_variogram(fs)
     assert len(rows) == (m + 4) * (m + 3) // 2
     r = fs.values.shape[1]
@@ -147,9 +146,9 @@ def test_variogram_matches_the_direct_formula_on_every_pair(m):
 
 
 def test_variogram_degenerate_and_antipodal_pairs():
-    e = SU2Element.identity()
-    pts = [-e] + su2_points(69, 8)
-    fs = build_field(pts, x0=e)
+    e = SU2.identity
+    pts = np.vstack([-e, su2_points(69, 8)])
+    fs = build_field(SU2, pts, x0=e)
     fs = sample_field(fs, 10_000, RngStream(69, 1))
     rows = empirical_variogram(fs, pairs=[(0, 0), (0, 1)])
     assert rows[0].estimate == 0.0
@@ -161,7 +160,7 @@ def test_variogram_degenerate_and_antipodal_pairs():
 
 
 def test_variogram_needs_enough_realizations():
-    fs = build_field(su2_points(70, 5))
+    fs = build_field(SU2, su2_points(70, 5))
     with pytest.raises(ValueError):
         empirical_variogram(fs)
     fs = sample_field(fs, 99, RngStream(70, 1))
@@ -170,12 +169,11 @@ def test_variogram_needs_enough_realizations():
 
 
 def test_variogram_invariant_under_group_translation():
-    rng = RngStream(71, 0)
-    pts = [haar_su2(rng) for _ in range(10)]
-    h = haar_su2(rng)
-    moved = [h * p for p in pts]
-    fs_a = sample_field(build_field(pts, x0=SU2Element.identity()), 2000, RngStream(71, 1))
-    fs_b = sample_field(build_field(moved, x0=h), 2000, RngStream(71, 1))
+    pts = SU2.sample(RngStream(71, 0), 11)
+    pts, h = pts[:10], SU2Element.from_vector(pts[10])
+    moved = np.stack([(h * SU2Element.from_vector(p)).vector for p in pts])
+    fs_a = sample_field(build_field(SU2, pts, x0=SU2.identity), 2000, RngStream(71, 1))
+    fs_b = sample_field(build_field(SU2, moved, x0=h.vector), 2000, RngStream(71, 1))
     rows_a = empirical_variogram(fs_a)
     rows_b = empirical_variogram(fs_b)
     for ra, rb in zip(rows_a, rows_b):
@@ -186,10 +184,10 @@ def test_variogram_invariant_under_group_translation():
 def test_jitter_insensitivity():
     pts = su2_points(72, 25)
     rows_small = empirical_variogram(
-        sample_field(build_field(pts, jitter=1e-10), 2000, RngStream(72, 1))
+        sample_field(build_field(SU2, pts, jitter=1e-10), 2000, RngStream(72, 1))
     )
     rows_large = empirical_variogram(
-        sample_field(build_field(pts, jitter=1e-8), 2000, RngStream(72, 1))
+        sample_field(build_field(SU2, pts, jitter=1e-8), 2000, RngStream(72, 1))
     )
     for a, b in zip(rows_small, rows_large):
         assert abs(a.estimate - b.estimate) < 1e-3
@@ -201,7 +199,7 @@ def test_jitter_insensitivity():
 
 def test_variogram_csv_layout(tmp_path):
     # The variogram's CSV goes out through the CLI's one emitter.
-    fs = sample_field(build_field(su2_points(73, 4)), 200, RngStream(73, 1))
+    fs = sample_field(build_field(SU2, su2_points(73, 4)), 200, RngStream(73, 1))
     rows = empirical_variogram(fs)
     out = tmp_path / "variogram.csv"
     cfg = RunConfig("simulate", format="csv", out=str(out), no_meta=True)

@@ -6,6 +6,8 @@ from scipy.linalg import block_diag, logm
 from scipy.stats import kstest, ks_2samp
 
 from levy_groups import (
+    SO3,
+    SU2,
     RngStream,
     SOnElement,
     SU2Element,
@@ -14,19 +16,15 @@ from levy_groups import (
     dist_su2,
     embed_so3,
     exp_so3,
-    from_polar,
-    haar_so3_via_ad,
+    group_named,
     haar_son,
     haar_su2,
     pairwise_distance_matrix,
-    phi,
-    phi_inverse,
-    polar,
     rotation_angle_so3,
 )
 from levy_groups.group_core import (
     SO3_GENERATORS,
-    haar_so3_via_ad_batch,
+    ad_matrix,
     haar_son_batch,
     haar_su2_batch,
     so3_pairwise_distances,
@@ -153,17 +151,8 @@ def test_haar_son_left_invariance():
         assert abs(dist_son(h * g, h * k) - dist_son(g, k)) < 1e-9
 
 
-def test_haar_so3_via_ad_satisfies_invariants():
-    rng = RngStream(7, 0)
-    for _ in range(20):
-        g = haar_so3_via_ad(rng)
-        m = g.entries
-        assert np.abs(m.T @ m - np.eye(3)).max() < 1e-10
-        assert abs(np.linalg.det(m) - 1.0) < 1e-10
-
-
 def test_haar_so3_via_ad_matches_qr_sampler_in_law():
-    ad_mats = haar_so3_via_ad_batch(RngStream(8, 0), 100_000)
+    ad_mats = ad_matrix(haar_su2_batch(RngStream(8, 0), 100_000))
     qr_mats = haar_son_batch(3, 100_000, RngStream(8, 1))
     t1 = np.trace(ad_mats, axis1=-2, axis2=-1)
     t2 = np.trace(qr_mats, axis1=-2, axis2=-1)
@@ -211,41 +200,6 @@ def test_double_cover_angle_relation():
         t = dist_su2(g, SU2Element.identity())
         angle = rotation_angle_so3(ad_morphism(g))
         assert abs(angle - min(2 * t, 2 * math.pi - 2 * t)) < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# coordinates
-# ---------------------------------------------------------------------------
-
-def test_phi_round_trip():
-    rng = RngStream(11, 0)
-    for _ in range(20):
-        g = haar_su2(rng)
-        h = phi_inverse(phi(g))
-        assert np.abs(h.vector - g.vector).max() < 1e-12
-
-
-def test_polar_at_the_poles():
-    assert polar(SU2Element.identity()).theta == 0.0
-    assert polar(-SU2Element.identity()).theta == pytest.approx(math.pi)
-    # singular convention: phi and psi report 0
-    assert polar(SU2Element.identity()).phi == 0.0
-    assert polar(SU2Element.identity()).psi == 0.0
-
-
-def test_polar_round_trip_away_from_singularities():
-    rng = RngStream(12, 0)
-    checked = 0
-    while checked < 25:
-        g = haar_su2(rng)
-        c = polar(g)
-        if min(c.theta, math.pi - c.theta) < 1e-3 or min(c.phi, math.pi - c.phi) < 1e-3:
-            continue
-        assert np.abs(from_polar(c).vector - g.vector).max() < 1e-10
-        assert 0.0 <= c.theta <= math.pi
-        assert 0.0 <= c.phi <= math.pi
-        assert 0.0 <= c.psi < 2.0 * math.pi
-        checked += 1
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +265,8 @@ def test_son_distances_match_logm_near_zero_and_pi(n):
             x = logm(m)
             oracle = math.sqrt(max(0.0, -0.5 * np.trace(x @ x).real))
             g = SOnElement(m)
-            d = pairwise_distance_matrix([e, g, e])
+            x3 = np.stack([e.entries, m, e.entries])
+            d = pairwise_distance_matrix(group_named("son", n), x3)
             for got in (d[0, 1], d[1, 0], d[1, 2], d[2, 1], dist_son(g, e), dist_son(e, g)):
                 assert abs(got - oracle) <= min(1e-8, 1e-7 * oracle), (t, planes, got, oracle)
 
@@ -342,13 +297,21 @@ def test_dist_son_3_equals_rotation_angle():
 # ---------------------------------------------------------------------------
 
 def test_embed_so3_structure():
-    assert np.array_equal(embed_so3(SOnElement.identity(3), 6).entries, np.eye(6))
+    assert np.array_equal(embed_so3(np.eye(3), 6), np.eye(6))
     g = exp_so3(math.pi / 2, 1)
-    assert dist_son(embed_so3(g, 5), SOnElement.identity(5)) == pytest.approx(
+    assert dist_son(SOnElement(embed_so3(g.entries, 5)), SOnElement.identity(5)) == pytest.approx(
         math.pi / 2, abs=1e-12
     )
     with pytest.raises(ValueError):
-        embed_so3(g, 3)
+        embed_so3(g.entries, 3)
+    with pytest.raises(ValueError):
+        embed_so3(np.eye(4), 6)
+    # stacked rotations embed row by row
+    mats = haar_son_batch(3, 4, RngStream(17, 1))
+    stacked = embed_so3(mats, 5)
+    assert stacked.shape == (4, 5, 5)
+    for r, big in zip(mats, stacked):
+        assert np.array_equal(big, embed_so3(r, 5))
 
 
 def test_embed_so3_is_a_homomorphism_and_isometry():
@@ -356,12 +319,9 @@ def test_embed_so3_is_a_homomorphism_and_isometry():
     for n in [4, 7]:
         for _ in range(5):
             g, h = haar_son(3, rng), haar_son(3, rng)
-            lhs = embed_so3(g * h, n).entries
-            rhs = (embed_so3(g, n) * embed_so3(h, n)).entries
-            assert np.abs(lhs - rhs).max() < 1e-14
-            assert abs(
-                dist_son(embed_so3(g, n), embed_so3(h, n)) - dist_son(g, h)
-            ) < 1e-10
+            eg, eh = embed_so3(g.entries, n), embed_so3(h.entries, n)
+            assert np.abs(embed_so3((g * h).entries, n) - eg @ eh).max() < 1e-14
+            assert abs(dist_son(SOnElement(eg), SOnElement(eh)) - dist_son(g, h)) < 1e-10
 
 
 def test_exp_so3_matches_rotation_block():
@@ -434,24 +394,34 @@ def test_metric_axioms_on_random_triples():
 # pairwise helpers
 # ---------------------------------------------------------------------------
 
+def scalar_pairwise(dist, pts):
+    """Symmetric zero-diagonal matrix of dist over the pairs i < j."""
+    d = np.zeros((len(pts), len(pts)))
+    for i, j in zip(*np.triu_indices(len(pts), 1)):
+        d[i, j] = d[j, i] = dist(pts[i], pts[j])
+    return d
+
+
 def test_pairwise_fast_paths_agree_with_scalar_metrics():
     rng = RngStream(22, 0)
     su2_pts = [haar_su2(rng) for _ in range(8)]
-    d_fast = pairwise_distance_matrix(su2_pts)
-    d_loop = pairwise_distance_matrix(su2_pts, metric=dist_su2)
+    d_fast = pairwise_distance_matrix(SU2, np.stack([g.vector for g in su2_pts]))
+    d_loop = scalar_pairwise(dist_su2, su2_pts)
     assert np.abs(d_fast - d_loop).max() < 1e-12
     so3_pts = [haar_son(3, rng) for _ in range(8)]
-    d_fast = pairwise_distance_matrix(so3_pts)
-    d_loop = pairwise_distance_matrix(so3_pts, metric=dist_son)
+    d_fast = pairwise_distance_matrix(SO3, np.stack([g.entries for g in so3_pts]))
+    d_loop = scalar_pairwise(dist_son, so3_pts)
     assert np.abs(d_fast - d_loop).max() < 1e-10
+    so5 = group_named("son", 5)
     so5_pts = [haar_son(5, rng) for _ in range(5)]
-    d_default = pairwise_distance_matrix(so5_pts)
-    d_scaled = pairwise_distance_matrix(so5_pts, scale=3.0)
+    x = np.stack([g.entries for g in so5_pts])
+    d_default = pairwise_distance_matrix(so5, x)
+    d_scaled = pairwise_distance_matrix(so5, x, scale=3.0)
     assert np.abs(3.0 * d_default - d_scaled).max() < 1e-10
-    d_metric = pairwise_distance_matrix(so5_pts, metric=dist_son, scale=2.0)
-    assert np.abs(2.0 * d_default - d_metric).max() < 1e-10
+    d_loop = scalar_pairwise(lambda g, h: dist_son(g, h, scale=2.0), so5_pts)
+    assert np.abs(2.0 * d_default - d_loop).max() < 1e-10
     with pytest.raises(ValueError):
-        pairwise_distance_matrix(so5_pts, metric=dist_son, scale=0.0)
+        pairwise_distance_matrix(so5, x, scale=0.0)
 
 
 def test_pairwise_batch_helpers_match_definitions():

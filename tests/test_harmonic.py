@@ -13,7 +13,6 @@ from levy_groups.harmonic import (
     alpha_quadrature,
     angle_cdf,
     angle_density,
-    angle_law,
     chi,
     dim_irrep,
     partial_sum,
@@ -125,14 +124,6 @@ def test_angle_density_boundary_values():
 def test_angle_density_normalization(group):
     total = simpson_adaptive(lambda t: angle_density(group, t), 0.0, math.pi, tol=1e-12)
     assert abs(total - 1.0) < 1e-10
-
-
-def test_angle_law_bundles_density_and_cdf():
-    law = angle_law(GroupTag.SO3)
-    assert law.group is GroupTag.SO3
-    assert law.density(math.pi) == pytest.approx(2.0 / math.pi)
-    assert law.cdf(math.pi) == pytest.approx(1.0)
-    assert law.cdf(0.0) == 0.0
 
 
 def test_trace_density_values():

@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 
 from levy_groups import (
+    SO3,
+    SU2,
     RngStream,
-    SOnElement,
     SU2Element,
     WitnessNotFoundError,
-    brownian_kernel,
-    dist_son,
     dist_su2,
     find_witness,
     gram_audit,
-    haar_son,
-    haar_su2,
+    group_named,
     lemma_equivalence_check,
     transfer_witness,
 )
@@ -24,13 +22,16 @@ from levy_groups.kernel_lab import WitnessCertificate, sum_zero_basis
 
 
 def su2_points(seed, m, stream=0):
-    rng = RngStream(seed, stream)
-    return [haar_su2(rng) for _ in range(m)]
+    return SU2.sample(RngStream(seed, stream), m)
 
 
 def so3_points(seed, m, stream=0):
-    rng = RngStream(seed, stream)
-    return [haar_son(3, rng) for _ in range(m)]
+    return SO3.sample(RngStream(seed, stream), m)
+
+
+def su2_dist(x, y):
+    """dist_su2 of two quadruple rows."""
+    return dist_su2(SU2Element.from_vector(x), SU2Element.from_vector(y))
 
 
 # ---------------------------------------------------------------------------
@@ -38,41 +39,41 @@ def so3_points(seed, m, stream=0):
 # ---------------------------------------------------------------------------
 
 def test_kernel_vanishes_at_base_point():
-    rng = RngStream(40, 0)
-    e = SU2Element.identity()
-    for _ in range(5):
-        y = haar_su2(rng)
-        assert brownian_kernel(dist_su2, e, y, e) == pytest.approx(0.0, abs=1e-15)
+    e = SU2.identity
+    pts = np.vstack([e, SU2.sample(RngStream(40, 0), 5)])
+    k = gram_audit(SU2, pts, x0=e).K
+    assert np.abs(k[0]).max() == pytest.approx(0.0, abs=1e-15)
 
 
 def test_kernel_diagonal_is_distance_to_base():
     # 1e-7 band: arccos near a unit dot product resolves d(x,x) only to
     # about sqrt(machine eps)
     rng = RngStream(41, 0)
-    x0 = haar_su2(rng)
-    for _ in range(5):
-        x = haar_su2(rng)
-        assert brownian_kernel(dist_su2, x, x, x0) == pytest.approx(
-            dist_su2(x, x0), abs=1e-7
-        )
+    x0 = SU2.sample(rng, 1)[0]
+    x = SU2.sample(rng, 5)
+    k = gram_audit(SU2, x, x0=x0).K
+    for i in range(5):
+        assert k[i, i] == pytest.approx(su2_dist(x[i], x0), abs=1e-7)
 
 
 def test_kernel_antipodal_equatorial_configuration():
     # x = -e (antipodal), y on the equator: K = (pi + pi/2 - pi/2)/2
-    e = SU2Element.identity()
+    e = SU2.identity
     x = -e
-    y = SU2Element(0.0, 1.0, 0.0, 0.0)
-    assert dist_su2(y, e) == pytest.approx(math.pi / 2)
-    assert dist_su2(x, y) == pytest.approx(math.pi / 2)
-    assert brownian_kernel(dist_su2, x, y, e) == pytest.approx(math.pi / 2, abs=1e-12)
+    y = np.array([0.0, 1.0, 0.0, 0.0])
+    assert su2_dist(y, e) == pytest.approx(math.pi / 2)
+    assert su2_dist(x, y) == pytest.approx(math.pi / 2)
+    k = gram_audit(SU2, np.stack([x, y]), x0=e).K
+    assert k[0, 1] == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_kernel_symmetry():
     rng = RngStream(42, 0)
-    x, y, x0 = (haar_su2(rng) for _ in range(3))
-    assert brownian_kernel(dist_su2, x, y, x0) == pytest.approx(
-        brownian_kernel(dist_su2, y, x, x0), abs=1e-15
-    )
+    x, y, x0 = SU2.sample(rng, 3)
+    k = gram_audit(SU2, np.stack([x, y]), x0=x0).K
+    assert np.array_equal(k, k.T)
+    want = 0.5 * (su2_dist(x, x0) + su2_dist(y, x0) - su2_dist(x, y))
+    assert k[0, 1] == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -87,23 +88,22 @@ def test_sum_zero_basis_properties():
 
 def test_two_point_audit_has_negative_top_eigenvalue():
     pts = su2_points(43, 2)
-    audit = gram_audit(pts)
-    d = dist_su2(pts[0], pts[1])
+    audit = gram_audit(SU2, pts)
+    d = su2_dist(pts[0], pts[1])
     # the only sum-zero direction gives exactly -d
     assert audit.max_centered_eig == pytest.approx(-d, abs=1e-12)
     assert audit.max_centered_eig < 0.0
 
 
 def test_degenerate_audit_all_points_identical():
-    g = SU2Element.identity()
-    audit = gram_audit([g, g, g])
+    audit = gram_audit(SU2, np.tile(SU2.identity, (3, 1)))
     assert np.abs(audit.D).max() == 0.0
     assert audit.max_centered_eig == pytest.approx(0.0, abs=1e-15)
     assert audit.min_K_eig == pytest.approx(0.0, abs=1e-15)
 
 
 def test_su2_kernel_is_positive_definite_at_scale():
-    audit = gram_audit(su2_points(44, 200))
+    audit = gram_audit(SU2, su2_points(44, 200))
     assert audit.min_K_eig >= -1e-8
     assert audit.max_centered_eig <= 1e-8
     assert audit.is_positive_semidefinite()
@@ -111,24 +111,25 @@ def test_su2_kernel_is_positive_definite_at_scale():
 
 
 def test_audit_base_point_row_vanishes_when_x0_included():
-    e = SU2Element.identity()
-    pts = [e] + su2_points(45, 5)
-    audit = gram_audit(pts, x0=e)
+    e = SU2.identity
+    pts = np.vstack([e, su2_points(45, 5)])
+    audit = gram_audit(SU2, pts, x0=e)
     assert np.abs(audit.K[0, :]).max() < 1e-12
     assert np.abs(audit.K[:, 0]).max() < 1e-12
 
 
 def test_audit_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gram_audit(su2_points(46, 1))
-    bad_metric = lambda g, h: float("nan")
-    with pytest.raises(ValueError):
-        gram_audit(su2_points(46, 3), metric=bad_metric)
+    with pytest.raises(ValueError, match="at least 2 points"):
+        gram_audit(SU2, su2_points(46, 1))
+    pts = su2_points(46, 3)
+    pts[1] = math.nan
+    with pytest.raises(ValueError, match="non-finite distance"):
+        gram_audit(SU2, pts)
 
 
 def test_quadratic_form_bounded_by_top_eigenvalue():
     pts = so3_points(47, 30)
-    audit = gram_audit(pts)
+    audit = gram_audit(SO3, pts)
     gen = RngStream(47, 1).generator
     for _ in range(20):
         xi = gen.standard_normal(30)
@@ -139,16 +140,16 @@ def test_quadratic_form_bounded_by_top_eigenvalue():
 
 def test_lemma_equivalence_su2_and_so3():
     for seed in range(5):
-        assert lemma_equivalence_check(su2_points(seed, 40))
+        assert lemma_equivalence_check(SU2, su2_points(seed, 40))
     for seed in range(5):
-        assert lemma_equivalence_check(so3_points(seed, 30))
+        assert lemma_equivalence_check(SO3, so3_points(seed, 30))
 
 
 def test_lemma_equivalence_two_points_any_group():
-    assert lemma_equivalence_check(su2_points(48, 2))
-    assert lemma_equivalence_check(so3_points(48, 2))
-    rng = RngStream(48, 2)
-    assert lemma_equivalence_check([haar_son(5, rng), haar_son(5, rng)])
+    assert lemma_equivalence_check(SU2, su2_points(48, 2))
+    assert lemma_equivalence_check(SO3, so3_points(48, 2))
+    so5 = group_named("son", 5)
+    assert lemma_equivalence_check(so5, so5.sample(RngStream(48, 2), 2))
 
 
 def test_base_point_choice_is_immaterial_for_psd_on_su2():
@@ -156,7 +157,7 @@ def test_base_point_choice_is_immaterial_for_psd_on_su2():
     pts = su2_points(49, 50)
     rng = RngStream(49, 1)
     for _ in range(3):
-        audit = gram_audit(pts, x0=haar_su2(rng))
+        audit = gram_audit(SU2, pts, x0=SU2.sample(rng, 1)[0])
         assert audit.is_positive_semidefinite()
 
 
@@ -209,7 +210,7 @@ def test_transfer_preserves_value():
     for n in [4, 7]:
         moved = transfer_witness(cert, n)
         assert moved.n == n
-        assert moved.points[0].n == n
+        assert moved.points.shape == (80, n, n)
         assert abs(moved.value - cert.value) < 1e-10
         assert moved.verify(tol=1e-10)
 
@@ -262,8 +263,7 @@ def test_certificate_json_round_trip():
     assert back.verify(tol=1e-10)
     assert back.value == cert.value
     assert np.array_equal(back.weights, cert.weights)
-    for p, q in zip(back.points, cert.points):
-        assert np.array_equal(p.entries, q.entries)
+    assert np.array_equal(back.points, cert.points)
 
 
 def test_certificate_json_is_stable():
@@ -321,6 +321,20 @@ MALFORMED = {
     "bad-seed": (_set("seed", 56), "seed must be"),
     "not-orthogonal": (lambda doc: doc["points"][0].__setitem__(0, 2.0),
                        "points: matrix is not orthogonal"),
+    # negating the first row keeps the point orthogonal and makes det = -1
+    "reflection": (lambda doc: doc["points"][2].__setitem__(
+        slice(0, 3), [-v for v in doc["points"][2][:3]]), "points: det(g) = "),
+    "string-value": (_set("value", "0.5"), "value must be a number"),
+    "bool-value": (_set("value", True), "value must be a number"),
+    "string-scale": (_set("scale", "1"), "scale must be a number"),
+    "string-weight": (lambda doc: doc["weights"].__setitem__(0, str(doc["weights"][0])),
+                      "weights must be m = 15 numbers"),
+    "string-point": (lambda doc: doc["points"][0].__setitem__(0, str(doc["points"][0][0])),
+                     "points must be m = 15 rows of n^2 = 9"),
+    "bogus-method": (_set("method", "bogus"), "method must be 'eigenvector' or 'transfer'"),
+    "schema-version-9": (_set("schema_version", "9"), "schema_version must be '1'"),
+    "kind-coeffs": (_set("kind", "coeffs"), "kind must be 'witness'"),
+    "integer-tool-version": (_set("tool_version", 1), "tool_version must be a string"),
 }
 
 

@@ -18,35 +18,6 @@ def test_distinct_streams_differ():
     assert not np.array_equal(a, c)
 
 
-def test_split_is_reproducible_and_disjoint():
-    children = RngStream(3, 9).split(8)
-    ids = [c.stream_id for c in children]
-    assert len(set(ids)) == 8
-    assert 9 not in ids
-    again = RngStream(3, 9).split(8)
-    assert [c.stream_id for c in again] == ids
-    draws = [c.generator.standard_normal(16) for c in children]
-    for i in range(8):
-        for j in range(i + 1, 8):
-            assert not np.array_equal(draws[i], draws[j])
-
-
-def test_split_rejects_nonpositive():
-    import pytest
-
-    with pytest.raises(ValueError):
-        RngStream(0, 0).split(0)
-
-
-def test_descriptor_round_trip():
-    s = RngStream(42, 17)
-    d = s.descriptor()
-    t = RngStream(**{"seed": d["seed"], "stream_id": d["stream"]})
-    assert np.array_equal(
-        s.generator.standard_normal(10), t.generator.standard_normal(10)
-    )
-
-
 def test_negative_and_large_ids_wrap_to_64_bits():
     s = RngStream(-1, 1 << 70)
     assert 0 <= s.seed < 1 << 64
