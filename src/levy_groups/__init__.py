@@ -36,7 +36,6 @@ from .group_core import (
 )
 from .harmonic import (
     CoefficientTable,
-    GroupTag,
     alpha_closed,
     alpha_monte_carlo,
     alpha_quadrature,
@@ -62,7 +61,6 @@ __all__ = [
     "CoefficientTable",
     "FieldSample",
     "GramAudit",
-    "GroupTag",
     "KernelNotPSDError",
     "QuadratureError",
     "RngStream",

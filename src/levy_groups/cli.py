@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__, canonical, field_sim, group_core, harmonic, kernel_lab
 from .canonical import format_float
-from .harmonic import GroupTag
 from .rng import RngStream
 
 EXIT_OK = 0
@@ -81,8 +80,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def run(config: RunConfig) -> int:
-    """Execute a validated RunConfig; returns the process exit code."""
-    _validate(config)
+    """Execute a RunConfig; returns the process exit code."""
+    group = _validate(config)
     handler = {
         "coeffs": _run_coeffs,
         "densities": _run_densities,
@@ -91,7 +90,7 @@ def run(config: RunConfig) -> int:
         "simulate": _run_simulate,
         "haar": _run_haar,
     }[config.command]
-    return handler(config)
+    return handler(config, group)
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +177,8 @@ def _parse_seed(raw: str) -> int:
         raise UsageError(f"--seed must be an integer or 'random', got {raw!r}")
 
 
-def _validate(cfg: RunConfig) -> None:
+def _validate(cfg: RunConfig):
+    """Raise UsageError naming the first bad flag; else return the group descriptor."""
     if cfg.group == "son":
         if cfg.n is None:
             raise UsageError("--n is required with --group son")
@@ -193,12 +193,12 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("--format csv is not supported for witness (certificates are JSON)")
     if cfg.lmax < 0:
         raise UsageError("--lmax must be >= 0")
-    if cfg.tol <= 0:
-        raise UsageError("--tol must be positive")
-    if cfg.jitter <= 0:
-        raise UsageError("--jitter must be positive")
-    if cfg.margin <= 0:
-        raise UsageError("--margin must be positive")
+    for flag in ("tol", "jitter", "margin"):
+        if not 0.0 < getattr(cfg, flag) < math.inf:  # also rejects nan
+            raise UsageError(f"--{flag} must be a positive finite number")
+    if cfg.out != "-" and (os.path.isdir(cfg.out)
+                           or not os.path.isdir(os.path.dirname(cfg.out) or ".")):
+        raise UsageError(f"--out {cfg.out} is not a file path in an existing directory")
     if cfg.command == "coeffs" and cfg.mc_samples != 0 and cfg.mc_samples < 1000:
         raise UsageError("--mc-n must be 0 or >= 1000")
     if cfg.command in ("densities", "simulate", "haar") and cfg.points < 1:
@@ -213,7 +213,8 @@ def _validate(cfg: RunConfig) -> None:
         raise UsageError("--trials must be >= 1")
     if cfg.command == "simulate" and cfg.realizations < 100:
         raise UsageError("--realizations must be >= 100")
-    need = _peak_bytes(cfg)
+    group = group_core.group_named(cfg.group, cfg.n)
+    need = _peak_bytes(cfg, group)
     have = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
             if hasattr(os, "sysconf") else math.inf)
     if need > have:
@@ -223,9 +224,10 @@ def _validate(cfg: RunConfig) -> None:
                          if getattr(cfg, k) is not None)
         raise UsageError(f"{sizes} needs about {need / 1e9:.3g} GB for {cfg.command}, "
                          f"more than the {have / 1e9:.3g} GB of physical memory")
+    return group
 
 
-def _peak_bytes(cfg: RunConfig) -> int:
+def _peak_bytes(cfg: RunConfig, group) -> int:
     """Estimated peak memory in bytes, from the arrays a command holds at once.
 
     Measured above the interpreter (VmHWM, numpy 2.4): check holds 4.5 float64
@@ -240,11 +242,11 @@ def _peak_bytes(cfg: RunConfig) -> int:
     MB of BLAS and LAPACK scratch is left out.
     """
     m = cfg.points
-    entries = m * (4 if cfg.group == "su2" else (cfg.n or 3) ** 2)
+    entries = m * group.point_size
     if cfg.command == "coeffs":
         return 32 * 8 * harmonic._MC_CHUNK
     if cfg.command == "densities":
-        return 40 * entries + 1300 * cfg.bins * (2 if cfg.group == "so3" else 1)
+        return 40 * entries + 1300 * cfg.bins * (2 if group is group_core.SO3 else 1)
     if cfg.command == "check":
         return 5 * 8 * m * m + 48 * entries
     if cfg.command == "witness":
@@ -302,9 +304,9 @@ def _cell(x) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _run_coeffs(cfg: RunConfig) -> int:
+def _run_coeffs(cfg: RunConfig, group) -> int:
     table = harmonic.CoefficientTable.compute(
-        GroupTag(cfg.group), cfg.lmax, cfg.mc_samples, RngStream(cfg.seed, cfg.stream), cfg.tol)
+        group, cfg.lmax, cfg.mc_samples, RngStream(cfg.seed, cfg.stream), cfg.tol)
     _emit(cfg, {
         "schema_version": "1", "kind": "coeffs", "group": cfg.group,
         "lmax": cfg.lmax, "mc_samples": cfg.mc_samples,
@@ -313,13 +315,11 @@ def _run_coeffs(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_densities(cfg: RunConfig) -> int:
-    tag = GroupTag(cfg.group)
-    group = group_core.group_named(cfg.group)
+def _run_densities(cfg: RunConfig, group) -> int:
     x = group.sample(RngStream(cfg.seed, cfg.stream), cfg.points)
     series = [("angle", group.distances(x, group.identity), (0.0, math.pi),
-               lambda t: harmonic.angle_density(tag, t))]
-    if tag is GroupTag.SO3:
+               lambda t: harmonic.angle_density(group, t))]
+    if group is group_core.SO3:
         series.append(("trace", np.trace(x, axis1=-2, axis2=-1), (-1.0, 3.0),
                        harmonic.trace_density_so3))
     out_series = []
@@ -342,8 +342,7 @@ def _run_densities(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_check(cfg: RunConfig) -> int:
-    group = group_core.group_named(cfg.group, cfg.n)
+def _run_check(cfg: RunConfig, group) -> int:
     x = group.sample(RngStream(cfg.seed, cfg.stream), cfg.points)
     audit = kernel_lab.gram_audit(group, x)
     psd = audit.is_positive_semidefinite(cfg.tol)
@@ -367,12 +366,10 @@ def _run_check(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_witness(cfg: RunConfig) -> int:
+def _run_witness(cfg: RunConfig, group) -> int:
     rng = RngStream(cfg.seed, cfg.stream)
     try:
-        cert = kernel_lab.find_witness(
-            cfg.group, cfg.points, cfg.trials, rng, n=cfg.n, margin=cfg.margin
-        )
+        cert = kernel_lab.find_witness(group, cfg.points, cfg.trials, rng, margin=cfg.margin)
     except kernel_lab.WitnessNotFoundError as exc:
         print(f"witness: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE_FINDING
@@ -380,9 +377,8 @@ def _run_witness(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_simulate(cfg: RunConfig) -> int:
+def _run_simulate(cfg: RunConfig, group) -> int:
     rng = RngStream(cfg.seed, cfg.stream)
-    group = group_core.group_named(cfg.group)
     try:
         fs = field_sim.build_field(group, group.sample(rng, cfg.points), jitter=cfg.jitter)
     except field_sim.KernelNotPSDError as exc:
@@ -399,12 +395,11 @@ def _run_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _run_haar(cfg: RunConfig) -> int:
-    group = group_core.group_named(cfg.group, cfg.n)
+def _run_haar(cfg: RunConfig, group) -> int:
     samples = group.sample(RngStream(cfg.seed, cfg.stream), cfg.points).reshape(cfg.points, -1)
     _emit(cfg, {
         "schema_version": "1", "kind": "haar", "group": cfg.group,
-        "n": None if group is group_core.SU2 else group.n, "count": cfg.points,
+        "n": getattr(group, "n", None), "count": cfg.points,
         "seed": cfg.seed, "stream": cfg.stream, "samples": samples.tolist(),
     }, group.columns, samples)
     return EXIT_OK

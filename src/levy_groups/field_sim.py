@@ -9,7 +9,7 @@ diagnostic and fails the Cholesky stage for most configurations.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -117,13 +117,9 @@ class VariogramRow(NamedTuple):
     stderr: float
 
 
-def empirical_variogram(
-    fs: FieldSample,
-    pairs: Sequence[tuple[int, int]] | None = None,
-) -> list[VariogramRow]:
-    """Per-pair estimates of E|X_i - X_j|^2 with standard errors.
-
-    Defaults to all unordered pairs i < j.  Needs >= 100 realizations.
+def empirical_variogram(fs: FieldSample) -> list[VariogramRow]:
+    """Estimates of E|X_i - X_j|^2 with standard errors, one row per pair
+    i < j in row-major order.  Needs >= 100 realizations.
     With S = V V^T, Q = V^2 (V^2)^T and T = V^3 V^T of the values V, the
     sums of (V_i - V_j)^2 and of its square over the realizations are
     S_ii + S_jj - 2 S_ij and Q_ii + Q_jj - 4 (T_ij + T_ji) + 6 Q_ij.  Both
@@ -137,10 +133,7 @@ def empirical_variogram(
     r = v.shape[1]
     if r < 100:
         raise ValueError("need at least 100 realizations")
-    if pairs is None:
-        i, j = np.triu_indices(fs.m, 1)
-    else:
-        i, j = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+    i, j = np.triu_indices(fs.m, 1)
     s, q, t = np.zeros((3, fs.m, fs.m))
     for c in range(0, r, _GRAM_BLOCK):  # scratch memory O(m * block)
         b = v[:, c:c + _GRAM_BLOCK]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -289,31 +290,6 @@ def exp_so3(t: float, k: int = 1) -> SOnElement:
 
 
 # ---------------------------------------------------------------------------
-# Pairwise distance matrices
-# ---------------------------------------------------------------------------
-
-def su2_pairwise_distances(quaternions: np.ndarray) -> np.ndarray:
-    """(m, m) matrix of geodesic distances between unit quadruple rows."""
-    q = np.asarray(quaternions, dtype=float)
-    d = np.arccos(np.clip(q @ q.T, -1.0, 1.0))
-    np.fill_diagonal(d, 0.0)
-    return d
-
-
-def so3_pairwise_distances(matrices: np.ndarray) -> np.ndarray:
-    """(m, m) rotation-angle distances from stacked (m, 3, 3) rotations.
-
-    Uses the trace identity; agrees with the eigenvalue route of dist_son
-    (property-tested) and is O(m^2) without per-pair factorizations.
-    """
-    r = np.asarray(matrices, dtype=float)
-    tr = np.einsum("iab,jab->ij", r, r)
-    d = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
-    np.fill_diagonal(d, 0.0)
-    return d
-
-
-# ---------------------------------------------------------------------------
 # Group descriptors: sampling and distances on stacked arrays
 # ---------------------------------------------------------------------------
 
@@ -321,15 +297,21 @@ class SU2Group:
     """SU(2) on (m, 4) arrays of unit quadruples."""
 
     name = "su2"
-    n = 2
+    point_size = 4  # floats per point
     identity = np.array([1.0, 0.0, 0.0, 0.0])
     columns = ("a1", "a2", "b1", "b2")
+
+    def __repr__(self) -> str:
+        return "SU(2)"
 
     def sample(self, rng: RngStream, m: int) -> np.ndarray:
         return haar_su2_batch(rng, m)
 
     def pairwise(self, x: np.ndarray) -> np.ndarray:
-        return su2_pairwise_distances(x)
+        """(m, m) geodesic distances between the rows of x."""
+        d = np.arccos(np.clip(x @ x.T, -1.0, 1.0))
+        np.fill_diagonal(d, 0.0)
+        return d
 
     def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Distance from each row of x to the point y."""
@@ -343,8 +325,20 @@ class SOnGroup:
 
     def __init__(self, n: int):
         self.n = n
-        self.identity = np.eye(n)
-        self.columns = tuple(f"r{i}c{j}" for i in range(n) for j in range(n))
+        self.point_size = n * n
+
+    # built on first use, so a descriptor for a huge n costs nothing until
+    # a size check has passed
+    @cached_property
+    def identity(self) -> np.ndarray:
+        return np.eye(self.n)
+
+    @cached_property
+    def columns(self) -> tuple[str, ...]:
+        return tuple(f"r{i}c{j}" for i in range(self.n) for j in range(self.n))
+
+    def __repr__(self) -> str:
+        return f"SO({self.n})"
 
     def sample(self, rng: RngStream, m: int) -> np.ndarray:
         return haar_son_batch(self.n, m, rng)
@@ -368,7 +362,12 @@ class SO3Group(SOnGroup):
     name = "so3"
 
     def pairwise(self, x: np.ndarray) -> np.ndarray:
-        return so3_pairwise_distances(x)
+        """(m, m) rotation angles from the trace identity: agrees with the
+        eigenvalue route of dist_son, without per-pair factorizations."""
+        tr = np.einsum("iab,jab->ij", x, x)
+        d = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+        np.fill_diagonal(d, 0.0)
+        return d
 
     def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         tr = np.einsum("iab,ab->i", x, y)
@@ -380,12 +379,18 @@ SO3 = SO3Group(3)
 
 
 def group_named(name: str, n: int | None = None):
-    """Descriptor of "su2", "so3" or "son" (SO(n), which needs ``n``)."""
+    """Descriptor of "su2", "so3" or "son" (SO(n), which needs ``n`` >= 2).
+
+    The descriptor is the one group value the rest of the package takes;
+    names are read only at the edges (CLI flags, certificate JSON).
+    """
     if name == "su2":
         return SU2
     if name == "so3" or (name == "son" and n == 3):
         return SO3
     if name == "son":
+        if n is None or n < 2:
+            raise ValueError(f"group 'son' needs n >= 2, got {n!r}")
         return SOnGroup(n)
     raise ValueError(f"unknown group {name!r}")
 

@@ -1,6 +1,9 @@
 """Characters, Haar densities and the character-expansion coefficients of
 the distance-to-identity function on SU(2) and SO(3).
 
+Every function takes the group as its descriptor, ``SU2`` or ``SO3`` from
+``group_core``, and raises ValueError naming any other group.
+
 The distance to the identity is a class function, so it expands as
 d(., e) = sum_l alpha_l * chi_l.  The coefficients are computed three
 independent ways:
@@ -18,14 +21,13 @@ on SO(3) the even-l ones are strictly positive.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .group_core import haar_su2_batch
+from .group_core import SO3, SU2, haar_su2_batch
 from .quadrature import simpson_adaptive
 from .rng import RngStream
 
@@ -35,19 +37,23 @@ _SIN_TOL = 1e-8
 _MC_CHUNK = 1 << 17
 
 
-class GroupTag(enum.Enum):
-    SU2 = "su2"
-    SO3 = "so3"
+def _is_so3(group) -> bool:
+    """True for SO3, False for SU2; ValueError naming any other group."""
+    if group is SO3:
+        return True
+    if group is not SU2:
+        raise ValueError(f"no character formulas for {group!r}: only SU(2) and SO(3)")
+    return False
 
 
-def dim_irrep(group: GroupTag, l: int) -> int:
+def dim_irrep(group, l: int) -> int:
     """Dimension of the l-th irreducible representation."""
     if l < 0:
         raise ValueError("l must be >= 0")
-    return l + 1 if group is GroupTag.SU2 else 2 * l + 1
+    return 2 * l + 1 if _is_so3(group) else l + 1
 
 
-def chi(group: GroupTag, l: int, t):
+def chi(group, l: int, t):
     """Character of the l-th irreducible representation at angle t.
 
     SU(2): sin((l+1)t)/sin(t) with the limit branches l+1 at t=0 and
@@ -59,7 +65,7 @@ def chi(group: GroupTag, l: int, t):
     if l < 0:
         raise ValueError("l must be >= 0")
     t_arr = np.asarray(t, dtype=float)
-    if group is GroupTag.SO3:
+    if _is_so3(group):
         l, t_arr = 2 * l, 0.5 * t_arr
     s = np.sin(t_arr)
     singular = np.abs(s) < _SIN_TOL
@@ -70,14 +76,14 @@ def chi(group: GroupTag, l: int, t):
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
-def angle_density(group: GroupTag, t):
+def angle_density(group, t):
     """Haar density of the distance-to-identity angle on [0, pi].
 
     SO(3): (1 - cos t)/pi.  SU(2): (2/pi) sin^2(t).  Zero outside [0, pi].
     """
     t_arr = np.asarray(t, dtype=float)
     inside = (t_arr >= 0.0) & (t_arr <= math.pi)
-    if group is GroupTag.SO3:
+    if _is_so3(group):
         vals = (1.0 - np.cos(t_arr)) / math.pi
     else:
         vals = (2.0 / math.pi) * np.sin(t_arr) ** 2
@@ -101,10 +107,10 @@ def trace_density_so3(y):
     return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out
 
 
-def angle_cdf(group: GroupTag, t):
+def angle_cdf(group, t):
     """Distribution function of the angle law, for goodness-of-fit tests."""
     t_arr = np.clip(np.asarray(t, dtype=float), 0.0, math.pi)
-    if group is GroupTag.SO3:
+    if _is_so3(group):
         out = (t_arr - np.sin(t_arr)) / math.pi
     else:
         out = (t_arr - np.sin(t_arr) * np.cos(t_arr)) / math.pi
@@ -123,7 +129,7 @@ def trace_cdf_so3(y):
 # Expansion coefficients
 # ---------------------------------------------------------------------------
 
-def alpha_closed(group: GroupTag, l: int) -> float:
+def alpha_closed(group, l: int) -> float:
     """Closed-form expansion coefficient of d(., e) on chi_l.
 
     SO(3), l >= 1:
@@ -134,7 +140,7 @@ def alpha_closed(group: GroupTag, l: int) -> float:
     """
     if l < 0:
         raise ValueError("l must be >= 0")
-    if group is GroupTag.SO3:
+    if _is_so3(group):
         if l == 0:
             return math.pi / 2.0 + 2.0 / math.pi
         total = 1.0
@@ -150,7 +156,7 @@ def alpha_closed(group: GroupTag, l: int) -> float:
     return -8.0 / math.pi * (l + 1) / (l * l * (l + 2) ** 2)
 
 
-def alpha_quadrature(group: GroupTag, l: int, tol: float = 1e-10) -> float:
+def alpha_quadrature(group, l: int, tol: float = 1e-10) -> float:
     """Expansion coefficient by adaptive Simpson on
     int_0^pi t chi_l(t) (angle density)(t) dt."""
     if l < 0:
@@ -165,7 +171,7 @@ def alpha_quadrature(group: GroupTag, l: int, tol: float = 1e-10) -> float:
 
 
 def alpha_monte_carlo(
-    group: GroupTag,
+    group,
     l: int,
     n_samples: int,
     rng: RngStream,
@@ -179,7 +185,7 @@ def alpha_monte_carlo(
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
-    d_l = dim_irrep(group, l)  # rejects l < 0 before any sampling
+    d_l = dim_irrep(group, l)  # rejects l < 0 and other groups before any sampling
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -188,7 +194,7 @@ def alpha_monte_carlo(
         u = haar_su2_batch(rng, m)
         v = haar_su2_batch(rng, m)
         dot = np.einsum("ij,ij->i", u, v)
-        if group is GroupTag.SU2:
+        if group is SU2:
             tg = np.arccos(np.clip(u[:, 0], -1.0, 1.0))
             th = np.arccos(np.clip(v[:, 0], -1.0, 1.0))
             tgh = np.arccos(np.clip(dot, -1.0, 1.0))
@@ -209,7 +215,7 @@ def alpha_monte_carlo(
     return d_l * mean, d_l * stderr
 
 
-def partial_sum(group: GroupTag, lmax: int, t):
+def partial_sum(group, lmax: int, t):
     """Partial character expansion sum_{l<=lmax} alpha_l chi_l(t)."""
     if lmax < 0:
         raise ValueError("lmax must be >= 0")
@@ -241,13 +247,13 @@ class CoefficientRow(NamedTuple):
 class CoefficientTable:
     """Coefficients for one group, one row per l."""
 
-    group: GroupTag
+    group: object  # SU2 or SO3
     rows: tuple[CoefficientRow, ...]
 
     @classmethod
     def compute(
         cls,
-        group: GroupTag,
+        group,
         lmax: int,
         mc_samples: int = 0,
         rng: RngStream | None = None,

@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import canonical
-from .group_core import SO3, SU2, check_rotations, embed_so3, group_named, pairwise_distance_matrix
+from .group_core import (SO3, SU2, SOnGroup, check_rotations, embed_so3, group_named,
+                         pairwise_distance_matrix)
 from .rng import RngStream
 
 RELATIVE_EIG_TOL = 1e-8
@@ -121,8 +122,7 @@ class WitnessCertificate:
     """Self-verifying evidence that a distance is not restricted negative
     definite: sum-zero weights with a strictly positive quadratic form."""
 
-    group: str  # "so3" or "son"
-    n: int
+    group: SOnGroup  # SO3, or SO(n) with n > 3
     points: np.ndarray  # (m, n, n)
     weights: np.ndarray
     value: float
@@ -135,7 +135,7 @@ class WitnessCertificate:
     def quadratic_form(self, scale: float | None = None) -> float:
         """Recompute sum_ij w_i w_j d(g_i, g_j) from the stored data."""
         s = self.scale if scale is None else scale
-        d = pairwise_distance_matrix(group_named(self.group, self.n), self.points, scale=s)
+        d = pairwise_distance_matrix(self.group, self.points, scale=s)
         return float(self.weights @ d @ self.weights)
 
     def verify(self, tol: float = 1e-10, weight_tol: float = 1e-12) -> bool:
@@ -148,8 +148,8 @@ class WitnessCertificate:
         return {
             "schema_version": CERTIFICATE_SCHEMA_VERSION,
             "kind": "witness",
-            "group": self.group,
-            "n": self.n,
+            "group": self.group.name,
+            "n": getattr(self.group, "n", None),
             "m": len(self.points),
             "points": self.points.reshape(len(self.points), -1).tolist(),
             "weights": [float(w) for w in self.weights],
@@ -198,7 +198,7 @@ class WitnessCertificate:
             points = check_rotations(points.reshape(m, n, n))
         except ValueError as exc:  # not orthogonal, or det -1
             raise ValueError(f"certificate points: {exc}") from None
-        return cls(group=group, n=n, points=points, weights=weights, value=value,
+        return cls(group=group_named(group, n), points=points, weights=weights, value=value,
                    seed=seed["seed"], stream=seed["stream"], method=doc["method"],
                    scale=scale, tool_version=doc["tool_version"])
 
@@ -236,36 +236,32 @@ def _centered_unit(w: np.ndarray) -> np.ndarray:
 
 
 def find_witness(
-    group: str,
+    group,
     m: int,
     trials: int,
     rng: RngStream,
-    n: int | None = None,
     margin: float = DEFAULT_MARGIN,
 ) -> WitnessCertificate:
     """Randomized search for a positive quadratic form over sum-zero weights.
 
     Per trial: m Haar points, top eigenpair of the distance matrix on the
     sum-zero subspace; accepted when the eigenvalue clears ``margin``.
-    For SO(n), n > 3, the points are Haar draws of the embedded SO(3)
-    subgroup, which is where the defect provably lives; the certificate
-    is stated in SO(n).
+    ``group`` is the descriptor ``SO3``, ``group_named("son", n)`` with
+    n > 3, or ``SU2``.  For SO(n) the points are Haar draws of the embedded
+    SO(3) subgroup, which is where the defect provably lives; the
+    certificate is stated in SO(n).
 
     First trial to succeed wins; raises WitnessNotFoundError otherwise.
-    Passing "su2" runs the same search (and is expected to fail: the
-    SU(2) distance is restricted negative definite).
+    On SU2 the same search is expected to fail: the SU(2) distance is
+    restricted negative definite.
     """
     if m < 4:
         raise ValueError("m must be >= 4")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    group = group.lower()
-    if group == "son":
-        if n is None or n <= 3:
-            raise ValueError("group 'son' requires n > 3")
-    elif group not in ("su2", "so3"):
-        raise ValueError(f"unknown group {group!r}")
-    sampled = SU2 if group == "su2" else SO3
+    sampled = SU2 if group is SU2 else SO3
+    if group is not sampled and not (isinstance(group, SOnGroup) and group.n > 3):
+        raise ValueError(f"no witness search on {group!r}: use SU2, SO3 or SO(n) with n > 3")
 
     basis = sum_zero_basis(m)
     for trial in range(trials):
@@ -278,10 +274,10 @@ def find_witness(
         if not (eigvals[-1] > margin and value > margin):
             continue
         cert = WitnessCertificate(
-            group=sampled.name, n=sampled.n, points=x,
+            group=sampled, points=x,
             weights=weights, value=value, seed=rng.seed, stream=rng.stream_id,
         )
-        return transfer_witness(cert, n) if group == "son" else cert
+        return cert if group is sampled else transfer_witness(cert, group.n)
     raise WitnessNotFoundError(
         f"no witness in {trials} trial(s) with m={m}: the metric may be "
         "positive definite on this group, or m too small"
@@ -295,12 +291,13 @@ def transfer_witness(cert: WitnessCertificate, n: int, scale: float = 1.0) -> Wi
     form is recomputed with the SO(n) principal-angle metric (times
     ``scale``), which restricts exactly to the SO(3) distance.
     """
-    if cert.group != "so3" or cert.n != 3:
+    if cert.group is not SO3:
         raise ValueError("transfer requires an SO(3) certificate")
     if n <= 3:
         raise ValueError("target size must exceed 3")
+    group = SOnGroup(n)
     points = embed_so3(cert.points, n)
-    d = pairwise_distance_matrix(group_named("son", n), points, scale=scale)
+    d = pairwise_distance_matrix(group, points, scale=scale)
     value = float(cert.weights @ d @ cert.weights)
-    return replace(cert, group="son", n=n, points=points, value=value,
+    return replace(cert, group=group, points=points, value=value,
                    method="transfer", scale=scale)

@@ -12,6 +12,7 @@ import numpy as np
 from scipy.stats import kstest
 
 from levy_groups import (
+    SO3,
     SU2,
     RngStream,
     build_field,
@@ -24,7 +25,6 @@ from levy_groups import (
 from levy_groups.cli import EXIT_OK, main
 from levy_groups.group_core import haar_son_batch, haar_su2_batch
 from levy_groups.harmonic import (
-    GroupTag,
     alpha_closed,
     alpha_monte_carlo,
     alpha_quadrature,
@@ -43,9 +43,9 @@ def report(criterion: int, ok: bool, detail: str) -> None:
 
 def test_criterion_1_alpha2_so3_three_ways():
     t0 = time.monotonic()
-    closed = alpha_closed(GroupTag.SO3, 2)
-    quad = alpha_quadrature(GroupTag.SO3, 2, tol=1e-10)
-    mc, se = alpha_monte_carlo(GroupTag.SO3, 2, 1_000_000, RngStream(0, 2))
+    closed = alpha_closed(SO3, 2)
+    quad = alpha_quadrature(SO3, 2, tol=1e-10)
+    mc, se = alpha_monte_carlo(SO3, 2, 1_000_000, RngStream(0, 2))
     elapsed = time.monotonic() - t0
     ok = (
         abs(closed - ALPHA2_SO3) <= 1e-12
@@ -64,8 +64,8 @@ def test_criterion_2_so3_coefficient_signs():
     worst = 0.0
     signs_ok = True
     for l in range(1, 51):
-        closed = alpha_closed(GroupTag.SO3, l)
-        quad = alpha_quadrature(GroupTag.SO3, l, tol=1e-10)
+        closed = alpha_closed(SO3, l)
+        quad = alpha_quadrature(SO3, l, tol=1e-10)
         worst = max(worst, abs(closed - quad))
         if l % 2 == 0:
             signs_ok = signs_ok and closed > 0.0
@@ -80,15 +80,15 @@ def test_criterion_2_so3_coefficient_signs():
 
 
 def test_criterion_3_su2_coefficients():
-    alpha1 = alpha_quadrature(GroupTag.SU2, 1, tol=1e-10)
+    alpha1 = alpha_quadrature(SU2, 1, tol=1e-10)
     alpha1_ok = abs(alpha1 - (-16.0 / (9.0 * math.pi))) <= 1e-9
     even_worst = 0.0
     nonpositive = True
     for l in range(1, 51):
-        quad = alpha_quadrature(GroupTag.SU2, l, tol=1e-10)
+        quad = alpha_quadrature(SU2, l, tol=1e-10)
         if l % 2 == 0:
             even_worst = max(even_worst, abs(quad))
-        nonpositive = nonpositive and alpha_closed(GroupTag.SU2, l) <= 0.0
+        nonpositive = nonpositive and alpha_closed(SU2, l) <= 0.0
         nonpositive = nonpositive and quad <= 1e-9
     ok = alpha1_ok and even_worst <= 1e-9 and nonpositive
     report(
@@ -104,11 +104,11 @@ def test_criterion_4_density_laws_ks():
     mats = haar_son_batch(3, n, RngStream(10, 0))
     traces = np.trace(mats, axis1=-2, axis2=-1)
     angles = np.arccos(np.clip((traces - 1.0) / 2.0, -1.0, 1.0))
-    p_angle = kstest(angles, lambda t: angle_cdf(GroupTag.SO3, t)).pvalue
+    p_angle = kstest(angles, lambda t: angle_cdf(SO3, t)).pvalue
     p_trace = kstest(traces, trace_cdf_so3).pvalue
     quats = haar_su2_batch(RngStream(10, 1), n)
     theta = np.arccos(np.clip(quats[:, 0], -1.0, 1.0))
-    p_su2 = kstest(theta, lambda t: angle_cdf(GroupTag.SU2, t)).pvalue
+    p_su2 = kstest(theta, lambda t: angle_cdf(SU2, t)).pvalue
     elapsed = time.monotonic() - t0
     ok = min(p_angle, p_trace, p_su2) > 0.01 and elapsed < 60.0
     report(
@@ -193,7 +193,7 @@ def test_criterion_7_field_law():
 
 def test_criterion_8_double_integral_identity():
     worst_z = 0.0
-    for group in GroupTag:
+    for group in (SU2, SO3):
         for l in range(1, 9):
             est, se = alpha_monte_carlo(group, l, 1_000_000, RngStream(0, l))
             z = abs(est - alpha_closed(group, l)) / se

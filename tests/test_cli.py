@@ -309,12 +309,31 @@ def test_float_cells_have_17_significant_digits(tmp_path):
         (["simulate", "--tol", "7"], "--tol"),
         (["witness", "--group", "so3", "--tol", "3"], "--tol"),
         (["densities", "--group", "su2", "--tol", "-1"], "--tol"),
+        # non-finite values: nan <= 0 is False, so each needs its own test
+        (["coeffs", "--group", "so3", "--lmax", "2", "--mc-n", "0", "--tol", "nan"], "--tol"),
+        (["coeffs", "--group", "su2", "--tol", "inf"], "--tol"),
+        (["check", "--group", "su2", "--points", "10", "--tol", "nan"], "--tol"),
+        (["simulate", "--points", "5", "--realizations", "100", "--jitter", "nan"],
+         "--jitter"),
+        (["simulate", "--jitter", "inf"], "--jitter"),
+        (["witness", "--group", "so3", "--points", "10", "--margin", "nan"], "--margin"),
+        (["witness", "--group", "so3", "--margin", "inf"], "--margin"),
     ],
 )
 def test_invalid_flag_combinations(args, needle, capsys):
     assert main(args) == EXIT_USAGE
     err = capsys.readouterr().err
     assert needle in err
+
+
+def test_out_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    # returns before sampling: nothing is written, and no traceback
+    for path in (out, tmp_path):  # a directory is not a file to write either
+        code = main(["check", "--group", "su2", "--points", "10", "--out", str(path)])
+        assert code == EXIT_USAGE
+        assert "--out" in capsys.readouterr().err
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -150,11 +150,8 @@ def test_variogram_degenerate_and_antipodal_pairs():
     pts = np.vstack([-e, su2_points(69, 8)])
     fs = build_field(SU2, pts, x0=e)
     fs = sample_field(fs, 10_000, RngStream(69, 1))
-    rows = empirical_variogram(fs, pairs=[(0, 0), (0, 1)])
-    assert rows[0].estimate == 0.0
-    assert rows[0].stderr == 0.0
-    assert rows[0].distance == 0.0
-    antipodal = rows[1]
+    antipodal = empirical_variogram(fs)[0]  # the pair (0, 1): base point and -e
+    assert (antipodal.pair_i, antipodal.pair_j) == (0, 1)
     assert antipodal.distance == pytest.approx(math.pi)
     assert abs(antipodal.estimate - math.pi) <= 3.0 * antipodal.stderr
 

@@ -27,10 +27,8 @@ from levy_groups.group_core import (
     ad_matrix,
     haar_son_batch,
     haar_su2_batch,
-    so3_pairwise_distances,
-    su2_pairwise_distances,
 )
-from levy_groups.harmonic import GroupTag, angle_cdf, trace_cdf_so3
+from levy_groups.harmonic import angle_cdf, trace_cdf_so3
 
 
 def delta_rotation(t):
@@ -126,7 +124,7 @@ def test_haar_su2_first_coordinate_moments():
 def test_haar_su2_theta_density():
     q = haar_su2_batch(RngStream(3, 0), 100_000)
     theta = np.arccos(np.clip(q[:, 0], -1.0, 1.0))
-    assert kstest(theta, lambda t: angle_cdf(GroupTag.SU2, t)).pvalue > 0.01
+    assert kstest(theta, lambda t: angle_cdf(SU2, t)).pvalue > 0.01
 
 
 def test_haar_so3_trace_and_angle_densities():
@@ -134,7 +132,7 @@ def test_haar_so3_trace_and_angle_densities():
     traces = np.trace(mats, axis1=-2, axis2=-1)
     assert kstest(traces, trace_cdf_so3).pvalue > 0.01
     angles = np.arccos(np.clip((traces - 1.0) / 2.0, -1.0, 1.0))
-    assert kstest(angles, lambda t: angle_cdf(GroupTag.SO3, t)).pvalue > 0.01
+    assert kstest(angles, lambda t: angle_cdf(SO3, t)).pvalue > 0.01
 
 
 def test_haar_so2_angle_uniform():
@@ -158,7 +156,7 @@ def test_haar_so3_via_ad_matches_qr_sampler_in_law():
     t2 = np.trace(qr_mats, axis1=-2, axis2=-1)
     assert ks_2samp(t1, t2).pvalue > 0.01
     angles = np.arccos(np.clip((t1 - 1.0) / 2.0, -1.0, 1.0))
-    assert kstest(angles, lambda t: angle_cdf(GroupTag.SO3, t)).pvalue > 0.01
+    assert kstest(angles, lambda t: angle_cdf(SO3, t)).pvalue > 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +425,13 @@ def test_pairwise_fast_paths_agree_with_scalar_metrics():
 def test_pairwise_batch_helpers_match_definitions():
     rng = RngStream(23, 0)
     q = haar_su2_batch(rng, 6)
-    d = su2_pairwise_distances(q)
+    d = SU2.pairwise(q)
     assert d[2, 2] == 0.0
     assert d[0, 1] == pytest.approx(
         dist_su2(SU2Element.from_vector(q[0]), SU2Element.from_vector(q[1])), abs=1e-14
     )
     mats = haar_son_batch(3, 6, rng)
-    d = so3_pairwise_distances(mats)
+    d = SO3.pairwise(mats)
     assert d[1, 0] == pytest.approx(
         dist_son(SOnElement(mats[1]), SOnElement(mats[0])), abs=1e-10
     )

@@ -166,8 +166,8 @@ def test_base_point_choice_is_immaterial_for_psd_on_su2():
 # ---------------------------------------------------------------------------
 
 def test_find_witness_so3():
-    cert = find_witness("so3", m=100, trials=10, rng=RngStream(50, 0))
-    assert cert.group == "so3"
+    cert = find_witness(SO3, m=100, trials=10, rng=RngStream(50, 0))
+    assert cert.group is SO3
     assert cert.value > 1e-6
     assert abs(float(np.sum(cert.weights))) < 1e-12
     assert cert.verify(tol=1e-10)
@@ -176,47 +176,47 @@ def test_find_witness_so3():
 
 def test_find_witness_su2_fails():
     with pytest.raises(WitnessNotFoundError):
-        find_witness("su2", m=100, trials=10, rng=RngStream(51, 0))
+        find_witness(SU2, m=100, trials=10, rng=RngStream(51, 0))
 
 
 def test_find_witness_validates_arguments():
     rng = RngStream(0, 0)
     with pytest.raises(ValueError):
-        find_witness("so3", m=3, trials=1, rng=rng)
+        find_witness(SO3, m=3, trials=1, rng=rng)
     with pytest.raises(ValueError):
-        find_witness("so3", m=10, trials=0, rng=rng)
+        find_witness(SO3, m=10, trials=0, rng=rng)
     with pytest.raises(ValueError):
-        find_witness("son", m=10, trials=1, rng=rng)  # missing n
+        group_named("son")  # missing n
     with pytest.raises(ValueError):
-        find_witness("son", m=10, trials=1, rng=rng, n=3)
+        find_witness(group_named("son", 2), m=10, trials=1, rng=rng)  # no SO(3) inside
     with pytest.raises(ValueError):
-        find_witness("u2", m=10, trials=1, rng=rng)
+        group_named("u2")
 
 
 def test_find_witness_son_transfers_from_so3():
-    cert5 = find_witness("son", m=60, trials=10, rng=RngStream(52, 0), n=5)
-    assert cert5.group == "son"
-    assert cert5.n == 5
+    cert5 = find_witness(group_named("son", 5), m=60, trials=10, rng=RngStream(52, 0))
+    assert cert5.group.name == "son"
+    assert cert5.group.n == 5
     assert cert5.method == "transfer"
     assert cert5.value > 1e-6
     assert cert5.verify(tol=1e-10)
     # same seed on SO(3) alone gives the same quadratic-form value
-    cert3 = find_witness("so3", m=60, trials=10, rng=RngStream(52, 0))
+    cert3 = find_witness(SO3, m=60, trials=10, rng=RngStream(52, 0))
     assert abs(cert5.value - cert3.value) < 1e-10
 
 
 def test_transfer_preserves_value():
-    cert = find_witness("so3", m=80, trials=10, rng=RngStream(53, 0))
+    cert = find_witness(SO3, m=80, trials=10, rng=RngStream(53, 0))
     for n in [4, 7]:
         moved = transfer_witness(cert, n)
-        assert moved.n == n
+        assert moved.group.n == n
         assert moved.points.shape == (80, n, n)
         assert abs(moved.value - cert.value) < 1e-10
         assert moved.verify(tol=1e-10)
 
 
 def test_transfer_scales_bilinearly():
-    cert = find_witness("so3", m=40, trials=10, rng=RngStream(54, 0))
+    cert = find_witness(SO3, m=40, trials=10, rng=RngStream(54, 0))
     scaled = transfer_witness(cert, 4, scale=2.5)
     assert scaled.value == pytest.approx(2.5 * cert.value, rel=1e-12)
     # and rescaling an unscaled transfer reproduces it
@@ -225,7 +225,7 @@ def test_transfer_scales_bilinearly():
 
 
 def test_transfer_rejects_bad_targets():
-    cert = find_witness("so3", m=20, trials=10, rng=RngStream(55, 0))
+    cert = find_witness(SO3, m=20, trials=10, rng=RngStream(55, 0))
     with pytest.raises(ValueError):
         transfer_witness(cert, 3)
     moved = transfer_witness(cert, 4)
@@ -238,7 +238,7 @@ def test_witness_success_rate_one_trial():
     found = 0
     for seed in range(20):
         try:
-            find_witness("so3", m=100, trials=1, rng=RngStream(seed, 3))
+            find_witness(SO3, m=100, trials=1, rng=RngStream(seed, 3))
             found += 1
         except WitnessNotFoundError:
             pass
@@ -250,7 +250,7 @@ def test_witness_success_rate_one_trial():
 # ---------------------------------------------------------------------------
 
 def test_certificate_json_round_trip():
-    cert = find_witness("so3", m=20, trials=10, rng=RngStream(56, 0))
+    cert = find_witness(SO3, m=20, trials=10, rng=RngStream(56, 0))
     text = cert.to_json()
     doc = json.loads(text)
     assert doc["kind"] == "witness"
@@ -267,7 +267,7 @@ def test_certificate_json_round_trip():
 
 
 def test_certificate_json_is_stable():
-    cert = find_witness("so3", m=30, trials=10, rng=RngStream(57, 0))
+    cert = find_witness(SO3, m=30, trials=10, rng=RngStream(57, 0))
     assert cert.to_json() == cert.to_json()
     keys = list(json.loads(cert.to_json()).keys())
     assert keys == [
@@ -277,7 +277,7 @@ def test_certificate_json_is_stable():
 
 
 def test_tampered_certificate_fails_verification():
-    cert = find_witness("so3", m=15, trials=10, rng=RngStream(58, 0))
+    cert = find_witness(SO3, m=15, trials=10, rng=RngStream(58, 0))
     doc = json.loads(cert.to_json())
     doc["value"] = doc["value"] + 0.5
     assert not WitnessCertificate.from_json(json.dumps(doc)).verify()
@@ -341,7 +341,7 @@ MALFORMED = {
 @pytest.mark.parametrize("case", list(MALFORMED))
 def test_malformed_certificate_is_rejected_naming_the_field(case):
     mutate, needle = MALFORMED[case]
-    doc = json.loads(find_witness("so3", m=15, trials=10, rng=RngStream(58, 0)).to_json())
+    doc = json.loads(find_witness(SO3, m=15, trials=10, rng=RngStream(58, 0)).to_json())
     WitnessCertificate.from_json(json.dumps(doc))  # the unmutated document parses
     mutate(doc)
     with pytest.raises(ValueError, match=re.escape(needle)):
