@@ -261,6 +261,10 @@ def dist_son(g: SOnElement, h: SOnElement, scale: float = 1.0) -> float:
         raise ValueError(f"size mismatch: {g.n} vs {h.n}")
     if scale <= 0.0:
         raise ValueError("scale must be positive")
+    if np.array_equal(g.entries, h.entries):
+        # eigvals of the exactly symmetric g g^T can carry a rounding-level
+        # imaginary part, which would read as an angle of about 1e-16
+        return 0.0
     return scale * float(principal_angle_distances(g.entries @ h.entries.T))
 
 

@@ -10,7 +10,10 @@ independent ways:
 
 * ``alpha_closed``      -- closed forms obtained by integrating the
                            character against the angle density,
-* ``alpha_quadrature``  -- adaptive Simpson on the same integral,
+* ``alpha_quadrature``  -- adaptive Simpson on the same integral in its
+                           Weyl-reduced form (2/pi) t sin(k s) sin(s), where
+                           the density has cancelled the character's
+                           denominator,
 * ``alpha_monte_carlo`` -- the double Haar integral
                            d_l * E[ d(gh^{-1}, e) chi_l(g) chi_l(h) ].
 
@@ -158,12 +161,22 @@ def alpha_closed(group, l: int) -> float:
 
 def alpha_quadrature(group, l: int, tol: float = 1e-10) -> float:
     """Expansion coefficient by adaptive Simpson on
-    int_0^pi t chi_l(t) (angle density)(t) dt."""
+    int_0^pi t chi_l(t) (angle density)(t) dt.
+
+    By the Weyl integration formula the density cancels the character's
+    denominator, so the integrand is evaluated as the reduced product
+    (2/pi) t sin(k s) sin(s): SU(2) k = l+1, s = t; SO(3) k = 2l+1,
+    s = t/2.  It has no 0/0 point, and plain ``math`` evaluates it on the
+    scalar t the rule passes.
+    """
     if l < 0:
         raise ValueError("l must be >= 0")
+    k, half = (2 * l + 1, 0.5) if _is_so3(group) else (l + 1, 1.0)
+    sin, c = math.sin, 2.0 / math.pi
 
     def integrand(t: float) -> float:
-        return t * chi(group, l, t) * angle_density(group, t)
+        s = half * t
+        return c * t * sin(k * s) * sin(s)
 
     # panel width under a character half-period, so the oscillation
     # cannot alias with the bisection grid

@@ -282,6 +282,15 @@ def test_dist_son_errors_and_scale():
     assert dist_son(a, a) == 0.0
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_dist_son_is_exactly_zero_on_equal_elements(n):
+    # about 2% of Haar draws give g g^T eigenvalues with a 1e-16 imaginary part
+    for g in haar_son_batch(n, 500, RngStream(17, n)):
+        a, b = SOnElement(g), SOnElement(g.copy())
+        assert dist_son(a, a) == 0.0
+        assert dist_son(a, b) == 0.0
+
+
 def test_dist_son_3_equals_rotation_angle():
     rng = RngStream(16, 0)
     for _ in range(25):
