@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__, canonical, field_sim, group_core, harmonic, kernel_lab
 from .canonical import format_float
+from .quadrature import QuadratureError
 from .rng import RngStream
 
 EXIT_OK = 0
@@ -152,7 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "--group so3 runs the expected-to-fail diagnostic", required=False)
     p.add_argument("--points", type=int)
     p.add_argument("--realizations", type=int)
-    p.add_argument("--jitter", type=float)
+    p.add_argument("--jitter", type=float,
+                   help="first Cholesky jitter, as a fraction below 1 of K's largest "
+                        f"diagonal entry (default {RunConfig.jitter:g})")
 
     p = command("haar", ["su2", "so3", "son"], "raw Haar samples")
     p.add_argument("--n", type=int)
@@ -196,9 +199,11 @@ def _validate(cfg: RunConfig):
     for flag in ("tol", "jitter", "margin"):
         if not 0.0 < getattr(cfg, flag) < math.inf:  # also rejects nan
             raise UsageError(f"--{flag} must be a positive finite number")
-    if cfg.out != "-" and (os.path.isdir(cfg.out)
+    if cfg.jitter >= 1.0:
+        raise UsageError("--jitter must be below 1: it is a fraction of K's largest diagonal entry")
+    if cfg.out != "-" and (not cfg.out or os.path.isdir(cfg.out)
                            or not os.path.isdir(os.path.dirname(cfg.out) or ".")):
-        raise UsageError(f"--out {cfg.out} is not a file path in an existing directory")
+        raise UsageError(f"--out {cfg.out!r} is not a file path in an existing directory")
     if cfg.command == "coeffs" and cfg.mc_samples != 0 and cfg.mc_samples < 1000:
         raise UsageError("--mc-n must be 0 or >= 1000")
     if cfg.command in ("densities", "simulate", "haar") and cfg.points < 1:
@@ -230,16 +235,18 @@ def _validate(cfg: RunConfig):
 def _peak_bytes(cfg: RunConfig, group) -> int:
     """Estimated peak memory in bytes, from the arrays a command holds at once.
 
-    Measured above the interpreter (VmHWM, numpy 2.4): check holds 4.5 float64
-    m x m matrices' worth, witness 8.5; simulate about 5 over its m + 1 points,
-    two (m, realizations) arrays (the normals and the values they are drawn
-    into) and 0.8 kB per variogram row in JSON (0.4 kB in CSV).  Per entry of
-    the m sampled points (4 on SU(2), n^2 on SO(n)): densities 20-34 B (sample,
-    QR copies, angles), check 39-40 B (the sampler's QR copies and one row of
-    pairwise products), witness on SO(n) 90 B (embedded points and JSON), haar
-    187-245 B (JSON text); densities 1.23 kB per bin and series; coeffs about
-    30 float64 arrays of one Monte Carlo chunk.  Rounded up below; a fixed few
-    MB of BLAS and LAPACK scratch is left out.
+    Measured above the interpreter (VmHWM, numpy 2.4): check holds 5.0 float64
+    m x m matrices' worth at m = 1,000 and 4.3 at 2,000; witness 8.4 and 7.4
+    over several trials, each trial's eigh holding about six; simulate about 5
+    over its m + 1 points, two (m, realizations) arrays (the normals and the
+    values they are drawn into) and 0.8 kB per variogram row in JSON (0.4 kB
+    in CSV).  Per entry of the m sampled points (4 on SU(2), n^2 on SO(n)):
+    densities 20-34 B (sample, QR copies, angles), check 39-40 B (the
+    sampler's QR copies and one row of pairwise products), witness on SO(n)
+    90 B (embedded points and JSON), haar 187-245 B (JSON text); densities
+    1.23 kB per bin and series; coeffs about 30 float64 arrays of one Monte
+    Carlo chunk.  Rounded up below; a fixed few MB of BLAS and LAPACK scratch
+    is left out.
     """
     m = cfg.points
     entries = m * group.point_size
@@ -250,7 +257,7 @@ def _peak_bytes(cfg: RunConfig, group) -> int:
     if cfg.command == "check":
         return 5 * 8 * m * m + 48 * entries
     if cfg.command == "witness":
-        return 10 * 8 * m * m + 112 * entries
+        return 9 * 8 * m * m + 112 * entries
     if cfg.command == "simulate":
         return 6 * 8 * (m + 1) ** 2 + 2 * 8 * m * cfg.realizations + 1000 * m * (m + 1) // 2
     return 256 * entries  # haar
@@ -305,8 +312,11 @@ def _cell(x) -> str:
 # ---------------------------------------------------------------------------
 
 def _run_coeffs(cfg: RunConfig, group) -> int:
-    table = harmonic.CoefficientTable.compute(
-        group, cfg.lmax, cfg.mc_samples, RngStream(cfg.seed, cfg.stream), cfg.tol)
+    try:
+        table = harmonic.CoefficientTable.compute(
+            group, cfg.lmax, cfg.mc_samples, RngStream(cfg.seed, cfg.stream), cfg.tol)
+    except QuadratureError as exc:
+        raise UsageError(f"--tol {cfg.tol:g} is below what the quadrature reaches: {exc}")
     _emit(cfg, {
         "schema_version": "1", "kind": "coeffs", "group": cfg.group,
         "lmax": cfg.lmax, "mc_samples": cfg.mc_samples,

@@ -75,7 +75,6 @@ def build_field(
     d = pairwise_distance_matrix(group, pts)
     m = len(pts)
     k = 0.5 * (d[0][:, None] + d[0][None, :] - d)
-    k = 0.5 * (k + k.T)
     k[0, :] = 0.0
     k[:, 0] = 0.0
 

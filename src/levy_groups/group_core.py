@@ -64,10 +64,8 @@ class SU2Element:
         return cls(1.0, 0.0, 0.0, 0.0)
 
     @classmethod
-    def from_vector(cls, v, normalize: bool = False) -> "SU2Element":
+    def from_vector(cls, v) -> "SU2Element":
         v = np.asarray(v, dtype=float).reshape(4)
-        if normalize:
-            v = v / np.linalg.norm(v)
         return cls(v[0], v[1], v[2], v[3])
 
     @property

@@ -45,6 +45,14 @@ def sum_zero_basis(m: int) -> np.ndarray:
     return b
 
 
+def _centered(d: np.ndarray) -> np.ndarray:
+    """J D J - (s/m) 1 1^T for J = I - 1 1^T/m and s = 1 + m max|d| > ||D||_2: its
+    lowest eigenvalue is -s, on the constants; the rest are D's on sum-zero weights."""
+    m, r = len(d), d.mean(axis=0)
+    s = 1.0 + m * float(np.abs(d).max())
+    return d - np.add.outer(r, r) + (r.mean() - s / m)
+
+
 @dataclass(frozen=True)
 class GramAudit:
     """Eigenvalue evidence for one point configuration.
@@ -81,15 +89,9 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
     d0 = group.distances(x, group.identity if x0 is None else x0)
     if not (np.isfinite(d).all() and np.isfinite(d0).all()):
         raise ValueError("non-finite distance encountered")
-    # compress D before K exists: at most four m x m matrices alive at once
-    b = sum_zero_basis(len(x))
-    c = b.T @ d @ b
-    del b
-    c = 0.5 * (c + c.T)
-    c_eigs = np.linalg.eigvalsh(c)
-    del c
+    # the sum-zero spectrum before K exists: at most three m x m matrices alive at once
+    c_eigs = np.linalg.eigvalsh(_centered(d))[1:]
     k = 0.5 * (d0[:, None] + d0[None, :] - d)
-    k = 0.5 * (k + k.T)
     k_eigs = np.linalg.eigvalsh(k)
     return GramAudit(
         D=d,
@@ -263,13 +265,11 @@ def find_witness(
     if group is not sampled and not (isinstance(group, SOnGroup) and group.n > 3):
         raise ValueError(f"no witness search on {group!r}: use SU2, SO3 or SO(n) with n > 3")
 
-    basis = sum_zero_basis(m)
     for trial in range(trials):
         x = sampled.sample(rng, m)
         d = sampled.pairwise(x)
-        c = basis.T @ d @ basis
-        eigvals, eigvecs = np.linalg.eigh(0.5 * (c + c.T))
-        weights = _centered_unit(basis @ eigvecs[:, -1])
+        eigvals, eigvecs = np.linalg.eigh(_centered(d))
+        weights = _centered_unit(eigvecs[:, -1])
         value = float(weights @ d @ weights)
         if not (eigvals[-1] > margin and value > margin):
             continue

@@ -12,7 +12,7 @@ class QuadratureError(RuntimeError):
     """Raised when the adaptive rule cannot reach the requested tolerance."""
 
 
-def _simpson(f, a, fa, b, fb, c, fc):
+def _simpson(a, fa, b, fb, c, fc):
     return (b - a) / 6.0 * (fa + 4.0 * fc + fb)
 
 
@@ -21,8 +21,8 @@ def _adaptive(f, a, fa, b, fb, c, fc, whole, tol, depth):
     right_mid = 0.5 * (c + b)
     f_lm = f(left_mid)
     f_rm = f(right_mid)
-    left = _simpson(f, a, fa, c, fc, left_mid, f_lm)
-    right = _simpson(f, c, fc, b, fb, right_mid, f_rm)
+    left = _simpson(a, fa, c, fc, left_mid, f_lm)
+    right = _simpson(c, fc, b, fb, right_mid, f_rm)
     err = left + right - whole
     if abs(err) <= 15.0 * tol:
         return left + right + err / 15.0
@@ -71,6 +71,6 @@ def simpson_adaptive(
         flo, fhi = f(lo), f(hi)
         c = 0.5 * (lo + hi)
         fc = f(c)
-        whole = _simpson(f, lo, flo, hi, fhi, c, fc)
+        whole = _simpson(lo, flo, hi, fhi, c, fc)
         total += _adaptive(f, lo, flo, hi, fhi, c, fc, whole, tol / panels, 0)
     return total

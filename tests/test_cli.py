@@ -318,6 +318,12 @@ def test_float_cells_have_17_significant_digits(tmp_path):
         (["simulate", "--jitter", "inf"], "--jitter"),
         (["witness", "--group", "so3", "--points", "10", "--margin", "nan"], "--margin"),
         (["witness", "--group", "so3", "--margin", "inf"], "--margin"),
+        # a tolerance the adaptive rule cannot reach within its depth cap
+        (["coeffs", "--group", "su2", "--lmax", "2", "--mc-n", "0", "--tol", "1e-300"], "--tol"),
+        # jitter is a fraction of K's largest diagonal entry; 1e200 overflows the variogram
+        (["simulate", "--points", "3", "--realizations", "100", "--jitter", "1e200"],
+         "--jitter"),
+        (["haar", "--group", "su2", "--out", ""], "--out"),
     ],
 )
 def test_invalid_flag_combinations(args, needle, capsys):

@@ -18,7 +18,7 @@ from levy_groups import (
     lemma_equivalence_check,
     transfer_witness,
 )
-from levy_groups.kernel_lab import WitnessCertificate, sum_zero_basis
+from levy_groups.kernel_lab import WitnessCertificate, _centered, sum_zero_basis
 
 
 def su2_points(seed, m, stream=0):
@@ -84,6 +84,31 @@ def test_sum_zero_basis_properties():
     b = sum_zero_basis(7)
     assert np.abs(b.T @ b - np.eye(6)).max() < 1e-14
     assert np.abs(b.sum(axis=0)).max() < 1e-14
+
+
+GROUPS = pytest.mark.parametrize("group", [SU2, SO3, group_named("son", 5)],
+                                 ids=["su2", "so3", "so5"])
+
+
+@GROUPS
+@pytest.mark.parametrize("m", [2, 3, 7, 300])
+def test_pairwise_is_symmetric_bit_for_bit(group, m):
+    # gram_audit and build_field build K from D without symmetrizing it
+    d = group.pairwise(group.sample(RngStream(44, 0), m))
+    assert np.array_equal(d, d.T)
+
+
+@GROUPS
+@pytest.mark.parametrize("m", [2, 3, 50, 200, "identical"])
+def test_centered_spectrum_is_the_helmert_compression(group, m):
+    x = (np.stack([group.identity] * 4) if m == "identical"
+         else group.sample(RngStream(45, 0), m))
+    d = group.pairwise(x)
+    b = sum_zero_basis(len(d))
+    want = np.linalg.eigvalsh(b.T @ d @ b)
+    got = np.linalg.eigvalsh(_centered(d))
+    assert np.abs(got[1:] - want).max() <= 1e-12 * max(1.0, np.linalg.norm(d, 2))
+    assert got[0] < got[1]  # the constants' eigenvalue lies below the sum-zero spectrum
 
 
 def test_two_point_audit_has_negative_top_eigenvalue():
