@@ -236,28 +236,28 @@ def _peak_bytes(cfg: RunConfig, group) -> int:
     """Estimated peak memory in bytes, from the arrays a command holds at once.
 
     Measured above the interpreter (VmHWM, numpy 2.4): check holds 5.0 float64
-    m x m matrices' worth at m = 1,000 and 4.3 at 2,000; witness 8.4 and 7.4
-    over several trials, each trial's eigh holding about six; simulate about 5
-    over its m + 1 points, two (m, realizations) arrays (the normals and the
+    m x m matrices' worth at m = 1,000 and 4.3 at 2,000; witness 7.3 and 6.4,
+    one trial or several, its eigh holding about six; simulate about 5 over
+    its m + 1 points, two (m, realizations) arrays (the normals and the
     values they are drawn into) and 0.8 kB per variogram row in JSON (0.4 kB
     in CSV).  Per entry of the m sampled points (4 on SU(2), n^2 on SO(n)):
     densities 20-34 B (sample, QR copies, angles), check 39-40 B (the
     sampler's QR copies and one row of pairwise products), witness on SO(n)
     90 B (embedded points and JSON), haar 187-245 B (JSON text); densities
-    1.23 kB per bin and series; coeffs about 30 float64 arrays of one Monte
-    Carlo chunk.  Rounded up below; a fixed few MB of BLAS and LAPACK scratch
-    is left out.
+    1.23 kB per bin and series; coeffs 24.3 float64 arrays of one Monte Carlo
+    chunk (--mc-n 1,000,000 at lmax 50).  Rounded up below; a fixed few MB
+    of BLAS and LAPACK scratch is left out.
     """
     m = cfg.points
     entries = m * group.point_size
     if cfg.command == "coeffs":
-        return 32 * 8 * harmonic._MC_CHUNK
+        return 25 * 8 * harmonic._MC_CHUNK
     if cfg.command == "densities":
         return 40 * entries + 1300 * cfg.bins * (2 if group is group_core.SO3 else 1)
     if cfg.command == "check":
         return 5 * 8 * m * m + 48 * entries
     if cfg.command == "witness":
-        return 9 * 8 * m * m + 112 * entries
+        return 8 * 8 * m * m + 112 * entries
     if cfg.command == "simulate":
         return 6 * 8 * (m + 1) ** 2 + 2 * 8 * m * cfg.realizations + 1000 * m * (m + 1) // 2
     return 256 * entries  # haar

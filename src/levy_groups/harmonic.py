@@ -15,7 +15,11 @@ independent ways:
                            the density has cancelled the character's
                            denominator,
 * ``alpha_monte_carlo`` -- the double Haar integral
-                           d_l * E[ d(gh^{-1}, e) chi_l(g) chi_l(h) ].
+                           d_l * E[ d(gh^{-1}, e) chi_l(g) chi_l(h) ];
+                           a table draws its Haar pairs once for all
+                           rows and takes every chi_l from the cosine of
+                           each angle by the recurrence
+                           chi_{l+1} = 2 cos(t) chi_l - chi_{l-1}.
 
 The sign of the nontrivial coefficients decides whether the Brownian
 kernel built from d is positive definite: on SU(2) all of them are <= 0,
@@ -36,7 +40,10 @@ from .rng import RngStream
 
 # below this, sin(t) is treated as singular and the character limit is used
 _SIN_TOL = 1e-8
-# Haar pairs drawn per batch in alpha_monte_carlo (bounds its scratch memory)
+# chi reflects t to pi - t within this distance of pi, where sin((l+1)t)/sin(t)
+# cancels; reflecting all of (pi/2, pi] costs up to 1e-14 mid-range instead
+_REFLECT = 0.1
+# Haar pairs drawn per batch in _monte_carlo_rows (bounds its scratch memory)
 _MC_CHUNK = 1 << 17
 
 
@@ -60,8 +67,10 @@ def chi(group, l: int, t):
     """Character of the l-th irreducible representation at angle t.
 
     SU(2): sin((l+1)t)/sin(t) with the limit branches l+1 at t=0 and
-    (-1)^l (l+1) at t=pi.  SO(3) = SU(2)/{+-e}: its l-th character is the
-    SU(2) character of index 2l at half the angle, sin((2l+1)t/2)/sin(t/2).
+    (-1)^l (l+1) at t=pi; within 0.1 of pi it is evaluated as
+    (-1)^l chi_l(pi - t), where the ratio does not cancel.
+    SO(3) = SU(2)/{+-e}: its l-th character is the SU(2) character of
+    index 2l at half the angle, sin((2l+1)t/2)/sin(t/2).
 
     Accepts scalars or arrays; returns the same shape.
     """
@@ -70,12 +79,16 @@ def chi(group, l: int, t):
     t_arr = np.asarray(t, dtype=float)
     if _is_so3(group):
         l, t_arr = 2 * l, 0.5 * t_arr
-    s = np.sin(t_arr)
+    # near pi the rounding of (l+1)t is amplified by 1/sin(t); there
+    # chi_l(t) = (-1)^l chi_l(pi - t) is evaluated at the small angle
+    near_pi = np.abs(math.pi - t_arr) < _REFLECT
+    a = np.where(near_pi, math.pi - t_arr, t_arr)
+    s = np.sin(a)
     singular = np.abs(s) < _SIN_TOL
     safe = np.where(singular, 1.0, s)
-    ratio = np.sin((l + 1) * t_arr) / safe
-    limit = np.where(np.cos(t_arr) > 0.0, float(l + 1), (-1.0) ** l * (l + 1))
-    out = np.where(singular, limit, ratio)
+    ratio = np.sin((l + 1) * a) / safe
+    limit = np.where(np.cos(a) > 0.0, float(l + 1), (-1.0) ** l * (l + 1))
+    out = np.where(singular, limit, ratio) * np.where(near_pi, (-1.0) ** l, 1.0)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
@@ -183,6 +196,87 @@ def alpha_quadrature(group, l: int, tol: float = 1e-10) -> float:
     return simpson_adaptive(integrand, 0.0, math.pi, tol=tol, panels=l + 3)
 
 
+def _characters(group, c, lmax: int):
+    """Yield chi_0, ..., chi_lmax at the elements whose rotation angle has
+    cosine ``c`` (an array), by the recurrence
+    chi_{l+1} = 2c chi_l - chi_{l-1} from chi_0 = 1.
+
+    The same recurrence serves both groups; only the start differs:
+    chi_{-1} = 0 on SU(2) (the Chebyshev U_l in cos t) and -1 on SO(3),
+    where chi_l = 1 + 2 sum_{m<=l} cos(mt).  A yielded array is overwritten
+    two steps later: only the current and the previous character, and one
+    scratch array, are held.
+    """
+    two_c = 2.0 * np.asarray(c, dtype=float)
+    del c  # may be a view that would keep the caller's whole draw alive
+    prev = np.full_like(two_c, -1.0 if _is_so3(group) else 0.0)
+    cur = np.ones_like(two_c)
+    scratch = np.empty_like(two_c)
+    for _ in range(lmax):
+        yield cur
+        np.multiply(two_c, cur, out=scratch)
+        scratch -= prev
+        prev, cur, scratch = cur, scratch, prev
+    yield cur
+
+
+def _monte_carlo_rows(
+    group,
+    lmax: int,
+    n_samples: int,
+    rng: RngStream,
+) -> tuple[list[float], list[float]]:
+    """Monte Carlo coefficients of chi_0, ..., chi_lmax from one shared draw.
+
+    Each chunk of Haar pairs (g, h) is drawn once and serves every l: the
+    mean of d(gh^{-1}, e) chi_l(g) chi_l(h) times d_l estimates alpha_l,
+    with the characters streamed by ``_characters``.  Per-l sums and sums
+    of squares accumulate chunk by chunk; no (lmax+1) x chunk table is
+    built.  Returns (estimates, standard errors of the scaled means), one
+    entry per l.  Requires n_samples >= 1000.
+    """
+    if n_samples < 1000:
+        raise ValueError("n_samples must be >= 1000")
+    dim_irrep(group, lmax)  # rejects lmax < 0 and other groups before any sampling
+    so3 = group is SO3
+    total = [0.0] * (lmax + 1)
+    total_sq = [0.0] * (lmax + 1)
+    done = 0
+    while done < n_samples:
+        m = min(_MC_CHUNK, n_samples - done)
+        u = haar_su2_batch(rng, m)
+        v = haar_su2_batch(rng, m)
+        # cosines of the angles of g, h and gh^{-1}: the quaternion's real
+        # part on SU(2); on SO(3), through the covering map, the rotation
+        # angle of Ad(q) has cosine 2 q_1^2 - 1
+        cos_g, cos_h = u[:, 0], v[:, 0]
+        cos_gh = np.einsum("ij,ij->i", u, v)
+        if so3:
+            cos_g, cos_h, cos_gh = (2.0 * c * c - 1.0 for c in (cos_g, cos_h, cos_gh))
+        tgh = np.arccos(np.clip(cos_gh, -1.0, 1.0))
+        chars = zip(_characters(group, cos_g, lmax), _characters(group, cos_h, lmax))
+        del u, v, cos_g, cos_h, cos_gh
+        x = np.empty_like(tgh)
+        for l, (chi_g, chi_h) in enumerate(chars):
+            np.multiply(tgh, chi_g, out=x)
+            x *= chi_h
+            total[l] += float(x.sum())
+            x *= x
+            total_sq[l] += float(x.sum())
+        # zip leaves the second generator unfinished: release its arrays
+        # before the next chunk draws
+        del chars, tgh, x
+        done += m
+    estimates, stderrs = [], []
+    for l in range(lmax + 1):
+        d_l = dim_irrep(group, l)
+        mean = total[l] / n_samples
+        var = max(0.0, (total_sq[l] - n_samples * mean * mean) / (n_samples - 1))
+        estimates.append(d_l * mean)
+        stderrs.append(d_l * math.sqrt(var / n_samples))
+    return estimates, stderrs
+
+
 def alpha_monte_carlo(
     group,
     l: int,
@@ -194,38 +288,11 @@ def alpha_monte_carlo(
     Draws pairs (g, h) from Haar measure and averages
     d(gh^{-1}, e) chi_l(g) chi_l(h); the mean times d_l estimates the
     coefficient.  Returns (estimate, standard error of the scaled mean).
-    Requires n_samples >= 1000.
+    Requires n_samples >= 1000.  Row l of ``_monte_carlo_rows`` at
+    lmax = l, so it consumes the stream exactly as a table row would alone.
     """
-    if n_samples < 1000:
-        raise ValueError("n_samples must be >= 1000")
-    d_l = dim_irrep(group, l)  # rejects l < 0 and other groups before any sampling
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        u = haar_su2_batch(rng, m)
-        v = haar_su2_batch(rng, m)
-        dot = np.einsum("ij,ij->i", u, v)
-        if group is SU2:
-            tg = np.arccos(np.clip(u[:, 0], -1.0, 1.0))
-            th = np.arccos(np.clip(v[:, 0], -1.0, 1.0))
-            tgh = np.arccos(np.clip(dot, -1.0, 1.0))
-        else:
-            # rotations sampled through the covering map: the rotation
-            # angle of Ad(q) is arccos(2 q_1^2 - 1), and of Ad(u)Ad(v)^T
-            # is arccos(2 <u,v>^2 - 1)
-            tg = np.arccos(np.clip(2.0 * u[:, 0] ** 2 - 1.0, -1.0, 1.0))
-            th = np.arccos(np.clip(2.0 * v[:, 0] ** 2 - 1.0, -1.0, 1.0))
-            tgh = np.arccos(np.clip(2.0 * dot ** 2 - 1.0, -1.0, 1.0))
-        x = tgh * chi(group, l, tg) * chi(group, l, th)
-        total += float(x.sum())
-        total_sq += float((x * x).sum())
-        done += m
-    mean = total / n_samples
-    var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
-    stderr = math.sqrt(var / n_samples)
-    return d_l * mean, d_l * stderr
+    estimates, stderrs = _monte_carlo_rows(group, l, n_samples, rng)
+    return estimates[l], stderrs[l]
 
 
 def partial_sum(group, lmax: int, t):
@@ -273,15 +340,16 @@ class CoefficientTable:
         tol: float = 1e-10,
     ) -> "CoefficientTable":
         """Closed-form and quadrature columns for l <= lmax, plus Monte
-        Carlo when ``mc_samples`` > 0 (an rng is then required)."""
+        Carlo when ``mc_samples`` > 0 (an rng is then required), every row
+        from the same Haar draw."""
         if mc_samples > 0 and rng is None:
             raise ValueError("Monte Carlo entries need an RngStream")
+        off = [None] * (lmax + 1)
+        mc = _monte_carlo_rows(group, lmax, mc_samples, rng) if mc_samples > 0 else (off, off)
         return cls(group, tuple(
             CoefficientRow(l, dim_irrep(group, l), alpha_closed(group, l),
-                           alpha_quadrature(group, l, tol=tol),
-                           *(alpha_monte_carlo(group, l, mc_samples, rng) if mc_samples > 0
-                             else (None, None)))
-            for l in range(lmax + 1)))
+                           alpha_quadrature(group, l, tol=tol), estimate, stderr)
+            for l, estimate, stderr in zip(range(lmax + 1), *mc)))
 
     def consistent(self, tol: float = 1e-8, k_sigma: float = 3.0) -> bool:
         """Cross-method agreement: closed vs quadrature within ``tol``,

@@ -270,8 +270,12 @@ def find_witness(
         d = sampled.pairwise(x)
         eigvals, eigvecs = np.linalg.eigh(_centered(d))
         weights = _centered_unit(eigvecs[:, -1])
+        del eigvecs
         value = float(weights @ d @ weights)
         if not (eigvals[-1] > margin and value > margin):
+            # drop the failed trial's arrays before the next one samples, so
+            # a search of many trials peaks no higher than a search of one
+            del x, d, eigvals, weights
             continue
         cert = WitnessCertificate(
             group=sampled, points=x,

@@ -7,6 +7,8 @@ from levy_groups import SO3, SU2, RngStream, group_named
 from levy_groups.group_core import haar_son_batch, haar_su2_batch
 from levy_groups.harmonic import (
     CoefficientTable,
+    _characters,
+    _monte_carlo_rows,
     alpha_closed,
     alpha_monte_carlo,
     alpha_quadrature,
@@ -51,12 +53,24 @@ def test_chi_su2_value_at_right_angle():
     assert chi(SU2, 1, math.pi / 2) == pytest.approx(0.0, abs=1e-14)
 
 
+def _chi_su2_mp(l, t):
+    """sin((l+1)t)/sin(t) at the float t, to 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        return float(mpmath.sin((l + 1) * t) / mpmath.sin(t))
+
+
 def test_chi_su2_limit_branch_is_continuous():
+    # near pi, sin((l+1)t)/sin(t) cancels (off by up to 1.3e-6 before the
+    # reflection to pi - t); both ends against a 40-digit reference
     for l in [1, 4, 9]:
-        assert chi(SU2, l, 1e-9) == pytest.approx(l + 1, rel=1e-6)
-        assert chi(SU2, l, math.pi - 1e-9) == pytest.approx(
-            (-1) ** l * (l + 1), rel=1e-6
-        )
+        for t in (1e-9, math.pi - 1e-9):
+            assert abs(chi(SU2, l, t) - _chi_su2_mp(l, t)) <= 1e-11
+    for l in range(51):
+        for gap in np.geomspace(3e-9, 0.2, 25):
+            t = math.pi - gap
+            assert abs(chi(SU2, l, t) - _chi_su2_mp(l, t)) <= 1e-11, (l, gap)
 
 
 def test_chi_so3_matches_the_cosine_sum():
@@ -66,6 +80,17 @@ def test_chi_so3_matches_the_cosine_sum():
     for l in range(51):
         direct = 1.0 + 2.0 * sum(np.cos(m * t) for m in range(1, l + 1))
         np.testing.assert_allclose(chi(SO3, l, t), direct, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("group", [SU2, SO3], ids=["SU2", "SO3"])
+def test_character_recurrence_matches_chi(group):
+    # chi_{l+1} = 2 cos(t) chi_l - chi_{l-1}, as the Monte Carlo rows use it;
+    # largest gap 5.6e-12 on SO(3), 3.1e-12 on SU(2)
+    near = np.array([1e-12, 5e-13, 1e-13, 0.0])
+    t = np.concatenate([np.linspace(0.0, math.pi, 200_001), near, math.pi - near])
+    for l, values in enumerate(_characters(group, np.cos(t), 50)):
+        np.testing.assert_allclose(values, chi(group, l, t), rtol=0, atol=1e-11)
+    assert l == 50
 
 
 def test_chi_vectorized_matches_scalar():
@@ -226,6 +251,47 @@ def test_alpha_monte_carlo_smoke():
     assert abs(est - ALPHA_SU2_1) < 4.0 * se
 
 
+def _monte_carlo_per_l(group, l, n, rng):
+    """The one-l estimator as a direct formula: fresh pairs, angles by
+    arccos, characters by ``chi``."""
+    u = haar_su2_batch(rng, n)
+    v = haar_su2_batch(rng, n)
+    dot = np.einsum("ij,ij->i", u, v)
+    if group is SO3:
+        u0, v0, dot = (2.0 * c * c - 1.0 for c in (u[:, 0], v[:, 0], dot))
+    else:
+        u0, v0 = u[:, 0], v[:, 0]
+    tg, th, tgh = (np.arccos(np.clip(c, -1.0, 1.0)) for c in (u0, v0, dot))
+    x = tgh * chi(group, l, tg) * chi(group, l, th)
+    d_l = dim_irrep(group, l)
+    return d_l * x.mean(), d_l * x.std(ddof=1) / math.sqrt(n)
+
+
+@pytest.mark.parametrize("group", [SU2, SO3], ids=["SU2", "SO3"])
+def test_monte_carlo_rows_share_the_draw_of_one_l(group):
+    # at lmax = l the rows consume the stream as one coefficient does, and
+    # row l is the direct one-l estimator up to rounding.  The scale is
+    # max(|value|, 1): on SU(2) the even-l estimates are noise around 0
+    # (2e-16 apart in absolute terms, up to 5e-13 relative)
+    for l in range(9):
+        estimates, stderrs = _monte_carlo_rows(group, l, 4000, RngStream(3, l))
+        assert (estimates[l], stderrs[l]) == alpha_monte_carlo(group, l, 4000, RngStream(3, l))
+        est, se = _monte_carlo_per_l(group, l, 4000, RngStream(3, l))
+        assert abs(estimates[l] - est) <= 1e-14 * max(abs(est), 1.0)
+        assert stderrs[l] == pytest.approx(se, rel=1e-12)
+
+
+@pytest.mark.parametrize("group", [SU2, SO3], ids=["SU2", "SO3"])
+def test_monte_carlo_table_within_five_sigma(group):
+    # every row of one shared draw; largest |z| over seeds 1-20 was 3.17
+    for seed in range(1, 6):
+        estimates, stderrs = _monte_carlo_rows(group, 50, 100_000, RngStream(seed, 0))
+        assert len(estimates) == len(stderrs) == 51
+        for l, (est, se) in enumerate(zip(estimates, stderrs)):
+            assert se > 0.0
+            assert abs(est - alpha_closed(group, l)) <= 5.0 * se, (seed, l)
+
+
 def test_alpha_monte_carlo_validates_input():
     with pytest.raises(ValueError):
         alpha_monte_carlo(SO3, 2, 999, RngStream(0, 0))
@@ -260,7 +326,8 @@ def test_dim_irrep():
 def test_formulas_reject_groups_without_them():
     so5 = group_named("son", 5)
     for call in (lambda g: chi(g, 1, 0.5), lambda g: dim_irrep(g, 1),
-                 lambda g: alpha_closed(g, 1)):
+                 lambda g: alpha_closed(g, 1),
+                 lambda g: alpha_monte_carlo(g, 1, 1000, RngStream(0, 0))):
         with pytest.raises(ValueError, match=r"SO\(5\)"):
             call(so5)
         with pytest.raises(ValueError, match="'su2'"):  # a name is not a group
@@ -311,6 +378,10 @@ def test_coefficient_table_compute_and_consistency():
     assert row.monte_carlo is not None
     assert row.stderr is not None and row.stderr > 0
     assert table.consistent(tol=1e-8, k_sigma=4.0)
+    # the Monte Carlo column is one shared draw for every row
+    estimates, stderrs = _monte_carlo_rows(SO3, 4, 50_000, RngStream(34, 0))
+    assert [r.monte_carlo for r in table.rows] == estimates
+    assert [r.stderr for r in table.rows] == stderrs
 
 
 def test_coefficient_table_requires_rng_for_mc():
