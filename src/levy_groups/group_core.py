@@ -31,6 +31,7 @@ from .rng import RngStream
 
 UNIT_NORM_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-10
+_QR_BLOCK_FLOATS = 1 << 19  # 4 MiB of float64 per block of haar_son_batch
 
 # Rotation generators, orthonormal for <X,Y> = -tr(XY)/2.  Index 1 generates
 # the rotation block [[cos t, sin t, 0], [-sin t, cos t, 0], [0, 0, 1]].
@@ -181,13 +182,18 @@ def haar_son_batch(n: int, size: int, rng: RngStream) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    z = rng.generator.standard_normal((size, n, n))
-    q, r = np.linalg.qr(z)
-    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1)).copy()
-    d[d == 0] = 1.0
-    q = q * d[:, None, :]
-    q[np.linalg.det(q) < 0, :, -1] *= -1.0
-    return q
+    # QR holds about four copies of its input, so it runs on blocks of the
+    # output; the generator fills them with the same normals as one draw
+    out = np.empty((size, n, n))
+    step = max(1, _QR_BLOCK_FLOATS // (n * n))
+    for i in range(0, size, step):
+        q, r = np.linalg.qr(rng.generator.standard_normal((min(step, size - i), n, n)))
+        d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+        d[d == 0] = 1.0
+        q *= d[:, None, :]
+        q[np.linalg.det(q) < 0, :, -1] *= -1.0
+        out[i:i + step] = q
+    return out
 
 
 def haar_son(n: int, rng: RngStream) -> SOnElement:
@@ -311,7 +317,8 @@ class SU2Group:
 
     def pairwise(self, x: np.ndarray) -> np.ndarray:
         """(m, m) geodesic distances between the rows of x."""
-        d = np.arccos(np.clip(x @ x.T, -1.0, 1.0))
+        d = x @ x.T  # one m x m buffer throughout
+        np.arccos(np.clip(d, -1.0, 1.0, out=d), out=d)
         np.fill_diagonal(d, 0.0)
         return d
 
@@ -354,8 +361,11 @@ class SOnGroup:
         return d
 
     def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Distance from each rotation in x to the rotation y."""
-        return principal_angle_distances(x @ y.T)
+        """Distance from each rotation in x to the rotation y; exactly 0.0 for
+        a rotation bitwise equal to y, as in dist_son."""
+        d = principal_angle_distances(x @ y.T)
+        d[(x == y).all(axis=(-2, -1))] = 0.0
+        return d
 
 
 class SO3Group(SOnGroup):
@@ -366,8 +376,10 @@ class SO3Group(SOnGroup):
     def pairwise(self, x: np.ndarray) -> np.ndarray:
         """(m, m) rotation angles from the trace identity: agrees with the
         eigenvalue route of dist_son, without per-pair factorizations."""
-        tr = np.einsum("iab,jab->ij", x, x)
-        d = np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+        d = np.einsum("iab,jab->ij", x, x)  # the traces, then the angles in place
+        d -= 1.0
+        d /= 2.0
+        np.arccos(np.clip(d, -1.0, 1.0, out=d), out=d)
         np.fill_diagonal(d, 0.0)
         return d
 

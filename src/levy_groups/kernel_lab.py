@@ -16,6 +16,8 @@ the distance is not restricted negative definite.
 from __future__ import annotations
 
 import json
+import os
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +30,7 @@ from .rng import RngStream
 RELATIVE_EIG_TOL = 1e-8
 DEFAULT_MARGIN = 1e-6
 CERTIFICATE_SCHEMA_VERSION = "1"
+_CENTER_ROWS = 128  # rows per block of _centered's in-place update
 
 
 class WitnessNotFoundError(RuntimeError):
@@ -46,11 +49,62 @@ def sum_zero_basis(m: int) -> np.ndarray:
 
 
 def _centered(d: np.ndarray) -> np.ndarray:
-    """J D J - (s/m) 1 1^T for J = I - 1 1^T/m and s = 1 + m max|d| > ||D||_2: its
-    lowest eigenvalue is -s, on the constants; the rest are D's on sum-zero weights."""
+    """Overwrite d with J D J - (s/m) 1 1^T, for J = I - 1 1^T/m and
+    s = 1 + m max|d| > ||D||_2, and return it: its lowest eigenvalue is -s, on
+    the constants; the rest are D's on sum-zero weights.
+
+    Works in blocks of rows, each entry rounding as d - (r_i + r_j) + shift."""
     m, r = len(d), d.mean(axis=0)
-    s = 1.0 + m * float(np.abs(d).max())
-    return d - np.add.outer(r, r) + (r.mean() - s / m)
+    s = 1.0 + m * max(float(d.max()), -float(d.min()))
+    shift = r.mean() - s / m
+    for i in range(0, m, _CENTER_ROWS):
+        rows = d[i:i + _CENTER_ROWS]
+        rows -= np.add.outer(r[i:i + _CENTER_ROWS], r)
+        rows += shift
+    return d
+
+
+def _solve_workers() -> int:
+    """2 when gram_audit may solve its two spectra at once, else 1.
+
+    Two concurrent solves pay only when each keeps one core to itself: the
+    process may run on at least two CPUs, and the environment pins BLAS to
+    one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, or
+    MKL_NUM_THREADS is 1).  With BLAS threads free, the solves already
+    share the cores, and running two at once was slower than in turn.
+    """
+    env = os.environ
+    openblas = env.get("OPENBLAS_NUM_THREADS") or env.get("OMP_NUM_THREADS")
+    pinned = "1" in (openblas, env.get("MKL_NUM_THREADS"))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return 2 if pinned and cpus >= 2 else 1
+
+
+def _eigvalsh_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigvalsh of a and of b: a on a worker thread while this thread solves b
+    when _solve_workers() allows two (LAPACK runs without the GIL), else in turn.
+
+    An exception from the worker is raised here, after the worker has ended."""
+    if _solve_workers() < 2:
+        return np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
+    out = []
+
+    def solve_a():
+        try:
+            out.append(np.linalg.eigvalsh(a))
+        except BaseException as exc:  # handed to the calling thread
+            out.append(exc)
+
+    worker = threading.Thread(target=solve_a, name="gram_audit-eigvalsh")
+    worker.start()
+    try:
+        b_eigs = np.linalg.eigvalsh(b)
+    finally:
+        worker.join()
+    if isinstance(out[0], BaseException):
+        raise out[0]
+    return out[0], b_eigs
 
 
 @dataclass(frozen=True)
@@ -60,10 +114,9 @@ class GramAudit:
     ``max_centered_eig`` is the largest eigenvalue of the distance matrix
     restricted to the sum-zero subspace; positive means the distance is
     not restricted negative definite there.  ``min_K_eig`` is the smallest
-    eigenvalue of the Brownian-kernel matrix for base point x0.
+    eigenvalue of the Brownian-kernel matrix ``K`` for base point x0.
     """
 
-    D: np.ndarray
     K: np.ndarray
     max_centered_eig: float
     min_K_eig: float
@@ -78,8 +131,8 @@ class GramAudit:
 
 
 def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
-    """Distance and kernel matrices of the rows of x with their decisive
-    eigenvalues.
+    """Kernel matrix of the rows of x with the decisive eigenvalues of it and
+    of the distance matrix on sum-zero weights.
 
     x0 defaults to the group identity.  Raises on non-finite distances.
     """
@@ -89,12 +142,12 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
     d0 = group.distances(x, group.identity if x0 is None else x0)
     if not (np.isfinite(d).all() and np.isfinite(d0).all()):
         raise ValueError("non-finite distance encountered")
-    # the sum-zero spectrum before K exists: at most three m x m matrices alive at once
-    c_eigs = np.linalg.eigvalsh(_centered(d))[1:]
     k = 0.5 * (d0[:, None] + d0[None, :] - d)
-    k_eigs = np.linalg.eigvalsh(k)
+    # D's storage becomes the centered matrix: K, it and the solvers' two
+    # copies are the m x m matrices alive at once
+    k_eigs, c_eigs = _eigvalsh_pair(k, _centered(d))
+    c_eigs = c_eigs[1:]
     return GramAudit(
-        D=d,
         K=k,
         max_centered_eig=float(c_eigs[-1]),
         min_K_eig=float(k_eigs[0]),
@@ -268,7 +321,7 @@ def find_witness(
     for trial in range(trials):
         x = sampled.sample(rng, m)
         d = sampled.pairwise(x)
-        eigvals, eigvecs = np.linalg.eigh(_centered(d))
+        eigvals, eigvecs = np.linalg.eigh(_centered(d.copy()))
         weights = _centered_unit(eigvecs[:, -1])
         del eigvecs
         value = float(weights @ d @ weights)

@@ -22,6 +22,7 @@ from levy_groups import (
     pairwise_distance_matrix,
     rotation_angle_so3,
 )
+from levy_groups import group_core
 from levy_groups.group_core import (
     SO3_GENERATORS,
     ad_matrix,
@@ -289,6 +290,33 @@ def test_dist_son_is_exactly_zero_on_equal_elements(n):
         a, b = SOnElement(g), SOnElement(g.copy())
         assert dist_son(a, a) == 0.0
         assert dist_son(a, b) == 0.0
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_son_pairwise_is_exactly_zero_on_repeated_rows(n):
+    group = group_named("son", n)
+    x = haar_son_batch(n, 200, RngStream(18, n))
+    d = group.pairwise(np.concatenate([x, x]))
+    assert (np.diagonal(d, 200) == 0.0).all() and (np.diagonal(d, -200) == 0.0).all()
+    assert (d[:200, :200] > 0.0)[~np.eye(200, dtype=bool)].all()
+    assert (group.distances(x, x[7].copy()) == 0.0).nonzero()[0].tolist() == [7]
+
+
+@pytest.mark.parametrize("block", [1 << 19, 100])
+def test_haar_son_batch_blocks_give_the_one_draw_recipe(block, monkeypatch):
+    """QR by blocks of the output, bit for bit the draws of one QR of one
+    Gaussian batch, and the stream left where that recipe leaves it."""
+    monkeypatch.setattr(group_core, "_QR_BLOCK_FLOATS", block)
+    for n, size in ((2, 7), (5, 40), (9, 3), (11, 1)):
+        gen = RngStream(19, n).generator
+        q, r = np.linalg.qr(gen.standard_normal((size, n, n)))
+        d = np.sign(np.diagonal(r, axis1=-2, axis2=-1)).copy()
+        d[d == 0] = 1.0
+        q = q * d[:, None, :]
+        q[np.linalg.det(q) < 0, :, -1] *= -1.0
+        rng = RngStream(19, n)
+        assert np.array_equal(haar_son_batch(n, size, rng), q)
+        assert rng.generator.random() == gen.random()
 
 
 def test_dist_son_3_equals_rotation_angle():

@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,8 +19,10 @@ from levy_groups import (
     gram_audit,
     group_named,
     lemma_equivalence_check,
+    pairwise_distance_matrix,
     transfer_witness,
 )
+from levy_groups import kernel_lab
 from levy_groups.kernel_lab import WitnessCertificate, _centered, sum_zero_basis
 
 
@@ -111,6 +116,70 @@ def test_centered_spectrum_is_the_helmert_compression(group, m):
     assert got[0] < got[1]  # the constants' eigenvalue lies below the sum-zero spectrum
 
 
+def serial_audit(group, x):
+    """gram_audit's four floats by its formulas, on fresh arrays, one solve
+    after the other."""
+    if group is SU2:
+        d = np.arccos(np.clip(x @ x.T, -1.0, 1.0))
+    elif group is SO3:
+        d = np.arccos(np.clip((np.einsum("iab,jab->ij", x, x) - 1.0) / 2.0, -1.0, 1.0))
+    else:
+        d = group.pairwise(x)
+    np.fill_diagonal(d, 0.0)
+    d0 = group.distances(x, group.identity)
+    k_eigs = np.linalg.eigvalsh(0.5 * (d0[:, None] + d0[None, :] - d))
+    m, r = len(d), d.mean(axis=0)
+    s = 1.0 + m * float(np.abs(d).max())
+    c_eigs = np.linalg.eigvalsh(d - np.add.outer(r, r) + (r.mean() - s / m))[1:]
+    return c_eigs[-1], k_eigs[0], np.abs(c_eigs).max(), np.abs(k_eigs).max()
+
+
+@GROUPS
+@pytest.mark.parametrize("m", [2, 3, 50, 400])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_audit_matches_serial_reference_bit_for_bit(group, m, workers, monkeypatch):
+    monkeypatch.setattr(kernel_lab, "_solve_workers", lambda: workers)
+    x = group.sample(RngStream(50, m), m)
+    audit = gram_audit(group, x)
+    got = (audit.max_centered_eig, audit.min_K_eig, audit.centered_eig_scale, audit.K_eig_scale)
+    assert got == serial_audit(group, x)
+
+
+def test_worker_error_reaches_the_caller_and_the_worker_ends(monkeypatch):
+    monkeypatch.setattr(kernel_lab, "_solve_workers", lambda: 2)
+    caller = threading.get_ident()
+    eigvalsh = np.linalg.eigvalsh
+
+    def failing_off_the_caller(a):
+        if threading.get_ident() != caller:
+            time.sleep(0.2)  # outlast the caller's solve, so only a join sees the error
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_off_the_caller)
+    before = set(threading.enumerate())
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        gram_audit(SU2, su2_points(51, 20))
+    assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("env, cpus, want", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, {0, 1}, 2),
+    ({"OMP_NUM_THREADS": "1"}, {0, 1}, 2),
+    ({"MKL_NUM_THREADS": "1"}, {0, 1}, 2),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, {0, 1}, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, {0}, 1),
+    ({}, {0, 1, 2, 3}, 1),
+])
+def test_solve_workers_rule(env, cpus, want, monkeypatch):
+    for key in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(key, raising=False)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    assert kernel_lab._solve_workers() == want
+
+
 def test_two_point_audit_has_negative_top_eigenvalue():
     pts = su2_points(43, 2)
     audit = gram_audit(SU2, pts)
@@ -121,8 +190,9 @@ def test_two_point_audit_has_negative_top_eigenvalue():
 
 
 def test_degenerate_audit_all_points_identical():
-    audit = gram_audit(SU2, np.tile(SU2.identity, (3, 1)))
-    assert np.abs(audit.D).max() == 0.0
+    x = np.tile(SU2.identity, (3, 1))
+    audit = gram_audit(SU2, x)
+    assert np.abs(pairwise_distance_matrix(SU2, x)).max() == 0.0
     assert audit.max_centered_eig == pytest.approx(0.0, abs=1e-15)
     assert audit.min_K_eig == pytest.approx(0.0, abs=1e-15)
 
@@ -155,12 +225,13 @@ def test_audit_rejects_bad_input():
 def test_quadratic_form_bounded_by_top_eigenvalue():
     pts = so3_points(47, 30)
     audit = gram_audit(SO3, pts)
+    d = pairwise_distance_matrix(SO3, pts)
     gen = RngStream(47, 1).generator
     for _ in range(20):
         xi = gen.standard_normal(30)
         xi -= xi.mean()
         xi /= np.linalg.norm(xi)
-        assert xi @ audit.D @ xi <= audit.max_centered_eig + 1e-9
+        assert xi @ d @ xi <= audit.max_centered_eig + 1e-9
 
 
 def test_lemma_equivalence_su2_and_so3():
