@@ -237,8 +237,8 @@ def _peak_bytes(cfg: RunConfig, group) -> int:
 
     Measured above the interpreter (VmHWM, numpy 2.4): check holds 5.3 float64
     m x m matrices' worth at m = 1,000 and 4.4 at 2,000 with its two eigenvalue
-    solves running at once (K, the centered D and a solver copy of each; 4.2
-    and 3.3 with the solves in turn); witness 7.3 and 6.4,
+    solves running at once (K, the centered D and a solver copy of each), and
+    4.2 and 3.3 with the solves in turn, so it is charged 6 or 5; witness 7.3 and 6.4,
     one trial or several, its eigh holding about six; simulate about 5 over
     its m + 1 points, two (m, realizations) arrays (the normals and the
     values they are drawn into) and 0.8 kB per variogram row in JSON (0.4 kB
@@ -257,7 +257,8 @@ def _peak_bytes(cfg: RunConfig, group) -> int:
     if cfg.command == "densities":
         return 40 * entries + 1300 * cfg.bins * (2 if group is group_core.SO3 else 1)
     if cfg.command == "check":
-        return 6 * 8 * m * m + 48 * entries
+        matrices = 6 if kernel_lab._solve_workers() == 2 else 5
+        return matrices * 8 * m * m + 48 * entries
     if cfg.command == "witness":
         return 8 * 8 * m * m + 112 * entries
     if cfg.command == "simulate":

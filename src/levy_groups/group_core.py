@@ -32,6 +32,7 @@ from .rng import RngStream
 UNIT_NORM_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-10
 _QR_BLOCK_FLOATS = 1 << 19  # 4 MiB of float64 per block of haar_son_batch
+_NEAR_ZERO_ANGLE = 1e-8  # SOnGroup.distances compares entries below this
 
 # Rotation generators, orthonormal for <X,Y> = -tr(XY)/2.  Index 1 generates
 # the rotation block [[cos t, sin t, 0], [-sin t, cos t, 0], [0, 0, 1]].
@@ -364,7 +365,11 @@ class SOnGroup:
         """Distance from each rotation in x to the rotation y; exactly 0.0 for
         a rotation bitwise equal to y, as in dist_son."""
         d = principal_angle_distances(x @ y.T)
-        d[(x == y).all(axis=(-2, -1))] = 0.0
+        # an equal rotation reads about 1e-16, so only near-zero distances
+        # need the entrywise comparison
+        near = (d < _NEAR_ZERO_ANGLE).nonzero()[0]
+        if near.size:
+            d[near[(x[near] == y).all(axis=(-2, -1))]] = 0.0
         return d
 
 

@@ -68,14 +68,13 @@ def _solve_workers() -> int:
     """2 when gram_audit may solve its two spectra at once, else 1.
 
     Two concurrent solves pay only when each keeps one core to itself: the
-    process may run on at least two CPUs, and the environment pins BLAS to
-    one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, or
-    MKL_NUM_THREADS is 1).  With BLAS threads free, the solves already
-    share the cores, and running two at once was slower than in turn.
+    process may run on at least two CPUs, and the environment pins numpy's
+    OpenBLAS to one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is
+    1).  With BLAS threads free, the solves already share the cores, and
+    running two at once was slower than in turn.
     """
     env = os.environ
-    openblas = env.get("OPENBLAS_NUM_THREADS") or env.get("OMP_NUM_THREADS")
-    pinned = "1" in (openblas, env.get("MKL_NUM_THREADS"))
+    pinned = (env.get("OPENBLAS_NUM_THREADS") or env.get("OMP_NUM_THREADS")) == "1"
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     return 2 if pinned and cpus >= 2 else 1

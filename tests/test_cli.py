@@ -9,8 +9,9 @@ import jsonschema
 import numpy as np
 import pytest
 
-from levy_groups import WitnessCertificate, __version__
-from levy_groups.cli import EXIT_NEGATIVE_FINDING, EXIT_OK, EXIT_USAGE, main
+from levy_groups import SU2, WitnessCertificate, __version__, kernel_lab
+from levy_groups.cli import (EXIT_NEGATIVE_FINDING, EXIT_OK, EXIT_USAGE, RunConfig,
+                             _peak_bytes, main)
 
 
 def load_schema(kind: str) -> dict:
@@ -371,6 +372,14 @@ def test_sizes_beyond_physical_memory_name_their_flags(args, sizes, capsys):
     assert main(args) == EXIT_USAGE
     err = capsys.readouterr().err
     assert f"error: {sizes} needs about " in err and "GB" in err
+
+
+@pytest.mark.parametrize("workers, matrices", [(1, 5), (2, 6)])
+def test_check_is_charged_the_matrices_of_its_solve_path(workers, matrices, monkeypatch):
+    # the concurrent solves hold one solver copy more than solves in turn
+    monkeypatch.setattr(kernel_lab, "_solve_workers", lambda: workers)
+    cfg = RunConfig(command="check", points=1000)
+    assert _peak_bytes(cfg, SU2) == matrices * 8 * 1000 ** 2 + 48 * 4 * 1000
 
 
 def test_unknown_group_rejected_by_argparse(capsys):
