@@ -21,18 +21,10 @@ from .field_sim import (
 from .group_core import (
     SO3,
     SU2,
-    SOnElement,
-    SU2Element,
-    ad_morphism,
     dist_son,
-    dist_su2,
     embed_so3,
-    exp_so3,
     group_named,
-    haar_son,
-    haar_su2,
     pairwise_distance_matrix,
-    rotation_angle_so3,
 )
 from .harmonic import (
     CoefficientTable,
@@ -42,7 +34,6 @@ from .harmonic import (
     angle_density,
     chi,
     dim_irrep,
-    partial_sum,
     trace_density_so3,
 )
 from .kernel_lab import (
@@ -51,7 +42,6 @@ from .kernel_lab import (
     WitnessNotFoundError,
     find_witness,
     gram_audit,
-    lemma_equivalence_check,
     transfer_witness,
 )
 from .quadrature import QuadratureError, simpson_adaptive
@@ -65,12 +55,9 @@ __all__ = [
     "QuadratureError",
     "RngStream",
     "SO3",
-    "SOnElement",
     "SU2",
-    "SU2Element",
     "WitnessCertificate",
     "WitnessNotFoundError",
-    "ad_morphism",
     "alpha_closed",
     "alpha_monte_carlo",
     "alpha_quadrature",
@@ -79,19 +66,12 @@ __all__ = [
     "chi",
     "dim_irrep",
     "dist_son",
-    "dist_su2",
     "embed_so3",
     "empirical_variogram",
-    "exp_so3",
     "find_witness",
     "gram_audit",
     "group_named",
-    "haar_son",
-    "haar_su2",
-    "lemma_equivalence_check",
     "pairwise_distance_matrix",
-    "partial_sum",
-    "rotation_angle_so3",
     "sample_field",
     "simpson_adaptive",
     "trace_density_so3",

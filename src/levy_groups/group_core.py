@@ -1,133 +1,35 @@
-"""Group elements, Haar sampling and bi-invariant geodesic distances.
+"""Haar sampling and bi-invariant geodesic distances on stacked point arrays.
 
-SU(2) elements are stored as unit 4-vectors (a1, a2, b1, b2), i.e. the
-coordinates of the 2x2 matrix [[a, b], [-conj(b), conj(a)]] with
-a = a1 + i*a2 and b = b1 + i*b2.  This identifies SU(2) with the unit
-sphere of R^4; the geodesic distance induced by the inner product
-<X, Y> = -tr(XY)/2 on the Lie algebra is the great-circle angle
+SU(2) points are unit 4-vectors (a1, a2, b1, b2), i.e. the coordinates of
+the 2x2 matrix [[a, b], [-conj(b), conj(a)]] with a = a1 + i*a2 and
+b = b1 + i*b2.  This identifies SU(2) with the unit sphere of R^4; the
+geodesic distance induced by the inner product <X, Y> = -tr(XY)/2 on the
+Lie algebra is the great-circle angle arccos(<g, h>).
 
-    dist_su2(g, h) = arccos(<g, h>).
-
-SO(n) elements carry their n x n matrix.  The matching bi-invariant
+SO(n) points are n x n rotation matrices.  The matching bi-invariant
 distance is sqrt(sum of squared principal rotation angles) of g h^T,
 taken from the arguments of its eigenvalues; for n = 3 it is the
 rotation angle arccos((tr - 1)/2).
 
 Points move as arrays: one descriptor per group (``SU2``, ``SO3``,
 ``group_named("son", n)``) samples and measures stacked (m, 4) quadruples or
-(m, n, n) rotations.  ``SU2Element`` and ``SOnElement`` are validated views
-of a single point.
+(m, n, n) rotations, and is the one place that group's distance is written.
+Every descriptor reads exactly 0.0 between bitwise-equal points.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .rng import RngStream
 
-UNIT_NORM_TOL = 1e-12
 ORTHOGONALITY_TOL = 1e-10
 _QR_BLOCK_FLOATS = 1 << 19  # 4 MiB of float64 per block of haar_son_batch
-_NEAR_ZERO_ANGLE = 1e-8  # SOnGroup.distances compares entries below this
-
-# Rotation generators, orthonormal for <X,Y> = -tr(XY)/2.  Index 1 generates
-# the rotation block [[cos t, sin t, 0], [-sin t, cos t, 0], [0, 0, 1]].
-SO3_GENERATORS = {
-    1: np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
-    2: np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
-    3: np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]),
-}
-
-
-@dataclass(frozen=True)
-class SU2Element:
-    """Point of SU(2) as the unit quadruple (a1, a2, b1, b2)."""
-
-    a1: float
-    a2: float
-    b1: float
-    b2: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "a1", float(self.a1))
-        object.__setattr__(self, "a2", float(self.a2))
-        object.__setattr__(self, "b1", float(self.b1))
-        object.__setattr__(self, "b2", float(self.b2))
-        n = self.a1 ** 2 + self.a2 ** 2 + self.b1 ** 2 + self.b2 ** 2
-        if not abs(n - 1.0) <= UNIT_NORM_TOL:  # also rejects nan and inf
-            raise ValueError(f"not a unit quadruple: |a|^2+|b|^2 = {n!r}")
-
-    @classmethod
-    def identity(cls) -> "SU2Element":
-        return cls(1.0, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def from_vector(cls, v) -> "SU2Element":
-        v = np.asarray(v, dtype=float).reshape(4)
-        return cls(v[0], v[1], v[2], v[3])
-
-    @property
-    def a(self) -> complex:
-        return complex(self.a1, self.a2)
-
-    @property
-    def b(self) -> complex:
-        return complex(self.b1, self.b2)
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([self.a1, self.a2, self.b1, self.b2])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The 2x2 complex unitary [[a, b], [-conj(b), conj(a)]]."""
-        a, b = self.a, self.b
-        return np.array([[a, b], [-b.conjugate(), a.conjugate()]])
-
-    def __mul__(self, other: "SU2Element") -> "SU2Element":
-        a = self.a * other.a - self.b * other.b.conjugate()
-        b = self.a * other.b + self.b * other.a.conjugate()
-        return SU2Element(a.real, a.imag, b.real, b.imag)
-
-    def inverse(self) -> "SU2Element":
-        return SU2Element(self.a1, -self.a2, -self.b1, -self.b2)
-
-    def __neg__(self) -> "SU2Element":
-        return SU2Element(-self.a1, -self.a2, -self.b1, -self.b2)
-
-
-@dataclass(frozen=True, eq=False)
-class SOnElement:
-    """Rotation in SO(n): an n x n real orthogonal matrix with det = 1."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = check_rotations(self.entries)
-        if m.ndim != 2:
-            raise ValueError(f"expected one matrix, got shape {m.shape}")
-        m.flags.writeable = False
-        object.__setattr__(self, "entries", m)
-
-    @classmethod
-    def identity(cls, n: int) -> "SOnElement":
-        return cls(np.eye(n))
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def __mul__(self, other: "SOnElement") -> "SOnElement":
-        if self.n != other.n:
-            raise ValueError(f"size mismatch: {self.n} vs {other.n}")
-        return SOnElement(self.entries @ other.entries)
-
-    def inverse(self) -> "SOnElement":
-        return SOnElement(self.entries.T)
+# distances below this are checked for bitwise-equal points; arccos of a dot
+# product or trace a few ulps below 1 reads up to about 5e-8 for equal points
+_NEAR_ZERO_ANGLE = 1e-6
 
 
 def check_rotations(x) -> np.ndarray:
@@ -169,11 +71,6 @@ def haar_su2_batch(rng: RngStream, size: int) -> np.ndarray:
     return v / norm[:, None]
 
 
-def haar_su2(rng: RngStream) -> SU2Element:
-    """One Haar-distributed element of SU(2)."""
-    return SU2Element.from_vector(haar_su2_batch(rng, 1)[0])
-
-
 def haar_son_batch(n: int, size: int, rng: RngStream) -> np.ndarray:
     """(size, n, n) array of Haar draws on SO(n).
 
@@ -197,11 +94,6 @@ def haar_son_batch(n: int, size: int, rng: RngStream) -> np.ndarray:
     return out
 
 
-def haar_son(n: int, rng: RngStream) -> SOnElement:
-    """One Haar-distributed rotation in SO(n)."""
-    return SOnElement(haar_son_batch(n, 1, rng)[0])
-
-
 def ad_matrix(quaternions: np.ndarray) -> np.ndarray:
     """Covering map SU(2) -> SO(3) on (..., 4) arrays of unit quadruples."""
     q = np.asarray(quaternions, dtype=float)
@@ -219,34 +111,9 @@ def ad_matrix(quaternions: np.ndarray) -> np.ndarray:
     return out
 
 
-def ad_morphism(g: SU2Element) -> SOnElement:
-    """Image of ``g`` under the 2-to-1 morphism SU(2) -> SO(3).
-
-    Kernel {+e, -e}: g and -g map to the same rotation.
-    """
-    return SOnElement(ad_matrix(g.vector))
-
-
 # ---------------------------------------------------------------------------
 # Distances
 # ---------------------------------------------------------------------------
-
-def dist_su2(g: SU2Element, h: SU2Element) -> float:
-    """Geodesic distance on SU(2), in [0, pi]."""
-    dot = g.a1 * h.a1 + g.a2 * h.a2 + g.b1 * h.b1 + g.b2 * h.b2
-    return math.acos(max(-1.0, min(1.0, dot)))
-
-
-def rotation_angle_so3(g: SOnElement) -> float:
-    """Rotation angle t in [0, pi] of g, from tr(g) = 2 cos(t) + 1.
-
-    Equals the bi-invariant geodesic distance from g to the identity.
-    """
-    if g.n != 3:
-        raise ValueError("rotation_angle_so3 requires n = 3")
-    c = (np.trace(g.entries) - 1.0) / 2.0
-    return math.acos(max(-1.0, min(1.0, c)))
-
 
 def principal_angle_distances(r: np.ndarray) -> np.ndarray:
     """sqrt(sum of squared principal angles) of each stacked rotation in r.
@@ -259,18 +126,33 @@ def principal_angle_distances(r: np.ndarray) -> np.ndarray:
     return np.sqrt(0.5 * np.sum(np.angle(lam) ** 2, axis=-1))
 
 
-def dist_son(g: SOnElement, h: SOnElement, scale: float = 1.0) -> float:
-    """Bi-invariant distance on SO(n): sqrt(sum of squared principal
-    angles of g h^T), times an optional positive metric scale."""
-    if g.n != h.n:
-        raise ValueError(f"size mismatch: {g.n} vs {h.n}")
+def _zero_equal_points(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Set to exactly 0.0 each entry of d that pairs bitwise-equal points, in
+    place, and return d.
+
+    d holds the distances from the points of x either to the one point y,
+    shape (m,), or to each point of y, shape (m, k).  Equal points read a
+    rounding-level distance, so only entries below ``_NEAR_ZERO_ANGLE`` are
+    compared.
+    """
+    near = np.flatnonzero(d < _NEAR_ZERO_ANGLE)  # a quarter the time of 2-d nonzero
+    if near.size:
+        at = np.unravel_index(near, d.shape)
+        other = y[at[1]] if d.ndim == 2 else y
+        same = (x[at[0]] == other).reshape(near.size, -1).all(axis=1)
+        d.flat[near[same]] = 0.0
+    return d
+
+
+def dist_son(g: np.ndarray, h: np.ndarray, scale: float = 1.0) -> float:
+    """Bi-invariant distance between the (n, n) rotations g and h on SO(n),
+    as ``SOnGroup(n).distances`` measures it, times an optional positive
+    metric scale."""
+    if g.shape != h.shape:
+        raise ValueError(f"size mismatch: {g.shape} vs {h.shape}")
     if scale <= 0.0:
         raise ValueError("scale must be positive")
-    if np.array_equal(g.entries, h.entries):
-        # eigvals of the exactly symmetric g g^T can carry a rounding-level
-        # imaginary part, which would read as an angle of about 1e-16
-        return 0.0
-    return scale * float(principal_angle_distances(g.entries @ h.entries.T))
+    return scale * float(SOnGroup(len(g)).distances(g[None], h)[0])
 
 
 def embed_so3(x: np.ndarray, n: int) -> np.ndarray:
@@ -288,14 +170,6 @@ def embed_so3(x: np.ndarray, n: int) -> np.ndarray:
     out[..., 3:, 3:] = np.eye(n - 3)
     out[..., :3, :3] = x
     return out
-
-
-def exp_so3(t: float, k: int = 1) -> SOnElement:
-    """Rodrigues closed form of exp(t * A_k) for the generator basis."""
-    if k not in SO3_GENERATORS:
-        raise ValueError("generator index must be 1, 2 or 3")
-    a = SO3_GENERATORS[k]
-    return SOnElement(np.eye(3) + math.sin(t) * a + (1.0 - math.cos(t)) * (a @ a))
 
 
 # ---------------------------------------------------------------------------
@@ -321,11 +195,11 @@ class SU2Group:
         d = x @ x.T  # one m x m buffer throughout
         np.arccos(np.clip(d, -1.0, 1.0, out=d), out=d)
         np.fill_diagonal(d, 0.0)
-        return d
+        return _zero_equal_points(d, x, x)
 
     def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Distance from each row of x to the point y."""
-        return np.arccos(np.clip(x @ y, -1.0, 1.0))
+        return _zero_equal_points(np.arccos(np.clip(x @ y, -1.0, 1.0)), x, y)
 
 
 class SOnGroup:
@@ -362,15 +236,8 @@ class SOnGroup:
         return d
 
     def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Distance from each rotation in x to the rotation y; exactly 0.0 for
-        a rotation bitwise equal to y, as in dist_son."""
-        d = principal_angle_distances(x @ y.T)
-        # an equal rotation reads about 1e-16, so only near-zero distances
-        # need the entrywise comparison
-        near = (d < _NEAR_ZERO_ANGLE).nonzero()[0]
-        if near.size:
-            d[near[(x[near] == y).all(axis=(-2, -1))]] = 0.0
-        return d
+        """Distance from each rotation in x to the rotation y."""
+        return _zero_equal_points(principal_angle_distances(x @ y.T), x, y)
 
 
 class SO3Group(SOnGroup):
@@ -380,17 +247,17 @@ class SO3Group(SOnGroup):
 
     def pairwise(self, x: np.ndarray) -> np.ndarray:
         """(m, m) rotation angles from the trace identity: agrees with the
-        eigenvalue route of dist_son, without per-pair factorizations."""
+        eigenvalue route of SOnGroup, without per-pair factorizations."""
         d = np.einsum("iab,jab->ij", x, x)  # the traces, then the angles in place
         d -= 1.0
         d /= 2.0
         np.arccos(np.clip(d, -1.0, 1.0, out=d), out=d)
         np.fill_diagonal(d, 0.0)
-        return d
+        return _zero_equal_points(d, x, x)
 
     def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         tr = np.einsum("iab,ab->i", x, y)
-        return np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0))
+        return _zero_equal_points(np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0)), x, y)
 
 
 SU2 = SU2Group()

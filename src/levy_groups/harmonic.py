@@ -15,11 +15,13 @@ independent ways:
                            the density has cancelled the character's
                            denominator,
 * ``alpha_monte_carlo`` -- the double Haar integral
-                           d_l * E[ d(gh^{-1}, e) chi_l(g) chi_l(h) ];
-                           a table draws its Haar pairs once for all
-                           rows and takes every chi_l from the cosine of
-                           each angle by the recurrence
-                           chi_{l+1} = 2 cos(t) chi_l - chi_{l-1}.
+                           d_l * E[ d(gh^{-1}, e) chi_l(g) chi_l(h) ]
+                           for every l <= lmax at once: its Haar pairs
+                           are drawn once for all rows, and every chi_l
+                           comes from the cosine of each angle by the
+                           recurrence chi_{l+1} = 2 cos(t) chi_l - chi_{l-1}.
+
+``CoefficientTable`` holds the three columns, one row per l.
 
 The sign of the nontrivial coefficients decides whether the Brownian
 kernel built from d is positive definite: on SU(2) all of them are <= 0,
@@ -43,7 +45,7 @@ _SIN_TOL = 1e-8
 # chi reflects t to pi - t within this distance of pi, where sin((l+1)t)/sin(t)
 # cancels; reflecting all of (pi/2, pi] costs up to 1e-14 mid-range instead
 _REFLECT = 0.1
-# Haar pairs drawn per batch in _monte_carlo_rows (bounds its scratch memory)
+# Haar pairs drawn per batch in alpha_monte_carlo (bounds its scratch memory)
 _MC_CHUNK = 1 << 17
 
 
@@ -220,13 +222,14 @@ def _characters(group, c, lmax: int):
     yield cur
 
 
-def _monte_carlo_rows(
+def alpha_monte_carlo(
     group,
     lmax: int,
     n_samples: int,
     rng: RngStream,
 ) -> tuple[list[float], list[float]]:
-    """Monte Carlo coefficients of chi_0, ..., chi_lmax from one shared draw.
+    """Monte Carlo coefficients of chi_0, ..., chi_lmax from the double Haar
+    integral, every l from one shared draw.
 
     Each chunk of Haar pairs (g, h) is drawn once and serves every l: the
     mean of d(gh^{-1}, e) chi_l(g) chi_l(h) times d_l estimates alpha_l,
@@ -277,37 +280,6 @@ def _monte_carlo_rows(
     return estimates, stderrs
 
 
-def alpha_monte_carlo(
-    group,
-    l: int,
-    n_samples: int,
-    rng: RngStream,
-) -> tuple[float, float]:
-    """Monte Carlo coefficient from the double Haar integral.
-
-    Draws pairs (g, h) from Haar measure and averages
-    d(gh^{-1}, e) chi_l(g) chi_l(h); the mean times d_l estimates the
-    coefficient.  Returns (estimate, standard error of the scaled mean).
-    Requires n_samples >= 1000.  Row l of ``_monte_carlo_rows`` at
-    lmax = l, so it consumes the stream exactly as a table row would alone.
-    """
-    estimates, stderrs = _monte_carlo_rows(group, l, n_samples, rng)
-    return estimates[l], stderrs[l]
-
-
-def partial_sum(group, lmax: int, t):
-    """Partial character expansion sum_{l<=lmax} alpha_l chi_l(t)."""
-    if lmax < 0:
-        raise ValueError("lmax must be >= 0")
-    t_arr = np.asarray(t, dtype=float)
-    out = np.zeros_like(t_arr)
-    for l in range(lmax + 1):
-        a = alpha_closed(group, l)
-        if a != 0.0:
-            out = out + a * chi(group, l, t_arr)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # Coefficient tables
 # ---------------------------------------------------------------------------
@@ -345,17 +317,8 @@ class CoefficientTable:
         if mc_samples > 0 and rng is None:
             raise ValueError("Monte Carlo entries need an RngStream")
         off = [None] * (lmax + 1)
-        mc = _monte_carlo_rows(group, lmax, mc_samples, rng) if mc_samples > 0 else (off, off)
+        mc = alpha_monte_carlo(group, lmax, mc_samples, rng) if mc_samples > 0 else (off, off)
         return cls(group, tuple(
             CoefficientRow(l, dim_irrep(group, l), alpha_closed(group, l),
                            alpha_quadrature(group, l, tol=tol), estimate, stderr)
             for l, estimate, stderr in zip(range(lmax + 1), *mc)))
-
-    def consistent(self, tol: float = 1e-8, k_sigma: float = 3.0) -> bool:
-        """Cross-method agreement: closed vs quadrature within ``tol``,
-        Monte Carlo within ``k_sigma`` standard errors of closed."""
-        return all(
-            abs(r.closed - r.quadrature) <= tol
-            and (r.monte_carlo is None or abs(r.monte_carlo - r.closed) <= k_sigma * r.stderr)
-            for r in self.rows
-        )

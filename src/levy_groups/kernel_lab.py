@@ -155,18 +155,6 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
     )
 
 
-def lemma_equivalence_check(
-    group,
-    x: np.ndarray,
-    x0=None,
-    tol_rel: float = RELATIVE_EIG_TOL,
-) -> bool:
-    """True when the kernel-PSD test and the restricted-negativity test
-    agree on this configuration (they must, by the kernel identity)."""
-    audit = gram_audit(group, x, x0)
-    return audit.is_positive_semidefinite(tol_rel) == audit.is_restricted_negative(tol_rel)
-
-
 # ---------------------------------------------------------------------------
 # Witness certificates
 # ---------------------------------------------------------------------------

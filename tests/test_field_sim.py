@@ -8,9 +8,7 @@ from levy_groups import (
     SU2,
     KernelNotPSDError,
     RngStream,
-    SU2Element,
     build_field,
-    dist_su2,
     empirical_variogram,
     sample_field,
 )
@@ -20,6 +18,15 @@ from levy_groups.field_sim import VariogramRow
 
 def su2_points(seed, m, stream=0):
     return SU2.sample(RngStream(seed, stream), m)
+
+
+def qmul(p, q):
+    """SU(2) product of unit quadruples (a1, a2, b1, b2), on (..., 4) arrays:
+    the matrix product of [[a, b], [-conj(b), conj(a)]]."""
+    pa, pb = p[..., 0] + 1j * p[..., 1], p[..., 2] + 1j * p[..., 3]
+    qa, qb = q[..., 0] + 1j * q[..., 1], q[..., 2] + 1j * q[..., 3]
+    a, b = pa * qa - pb * np.conj(qb), pa * qb + pb * np.conj(qa)
+    return np.stack([a.real, a.imag, b.real, b.imag], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +57,16 @@ def test_build_field_moves_existing_base_point_to_front():
     fs = build_field(SU2, pts, x0=e)
     assert fs.m == 6
     assert np.array_equal(fs.points, pts[[5, 0, 1, 2, 3, 4]])
+
+
+def test_build_field_finds_a_sampled_base_point():
+    # a Haar point as x0 is 0.0 from itself, not the 2e-8 of arccos of a dot
+    # product just below 1, so it is moved to the front, not prepended again
+    for seed in range(20):
+        x = su2_points(seed, 50, stream=78)
+        fs = build_field(SU2, x, x0=x[seed])
+        assert fs.m == len(x), seed
+        assert np.array_equal(fs.points[0], x[seed])
 
 
 def test_factorization_reproduces_kernel():
@@ -105,14 +122,14 @@ def test_field_moments_match_kernel():
     fs = build_field(SU2, pts)
     r = 20_000
     fs = sample_field(fs, r, RngStream(67, 2))
-    e = SU2Element.identity()
+    d0 = SU2.distances(fs.points, SU2.identity)
     for i in [1, 4, 9]:
         d_i = fs.K[i, i]
         mean = fs.values[i].mean()
         assert abs(mean) < 3.0 * math.sqrt(d_i / r)
         var = fs.values[i].var(ddof=1)
         assert abs(var - d_i) < 3.0 * d_i * math.sqrt(2.0 / r)
-        assert d_i == pytest.approx(dist_su2(SU2Element.from_vector(fs.points[i]), e), abs=1e-9)
+        assert d_i == pytest.approx(d0[i], abs=1e-9)
 
 
 def test_variogram_matches_distances():
@@ -131,9 +148,8 @@ def test_variogram_matches_the_direct_formula_on_every_pair(m):
     # the Gram-product moments against the per-pair differences, with points
     # planted 1e-3, 1e-6 and 1e-9 from others, where those moments cancel
     pts = su2_points(77, m)
-    pts = np.vstack([pts] + [(SU2Element.from_vector(pts[k])
-                              * SU2Element(math.cos(h), math.sin(h), 0.0, 0.0)).vector
-                             for k, h in enumerate([1e-3, 1e-6, 1e-9])])
+    h = np.array([1e-3, 1e-6, 1e-9])
+    pts = np.vstack([pts, qmul(pts[:3], np.stack([np.cos(h), np.sin(h), 0 * h, 0 * h], axis=-1))])
     fs = sample_field(build_field(SU2, pts), 10_000, RngStream(77, 1))
     rows = empirical_variogram(fs)
     assert len(rows) == (m + 4) * (m + 3) // 2
@@ -167,10 +183,10 @@ def test_variogram_needs_enough_realizations():
 
 def test_variogram_invariant_under_group_translation():
     pts = SU2.sample(RngStream(71, 0), 11)
-    pts, h = pts[:10], SU2Element.from_vector(pts[10])
-    moved = np.stack([(h * SU2Element.from_vector(p)).vector for p in pts])
+    pts, h = pts[:10], pts[10]
+    moved = qmul(h, pts)
     fs_a = sample_field(build_field(SU2, pts, x0=SU2.identity), 2000, RngStream(71, 1))
-    fs_b = sample_field(build_field(SU2, moved, x0=h.vector), 2000, RngStream(71, 1))
+    fs_b = sample_field(build_field(SU2, moved, x0=h), 2000, RngStream(71, 1))
     rows_a = empirical_variogram(fs_a)
     rows_b = empirical_variogram(fs_b)
     for ra, rb in zip(rows_a, rows_b):

@@ -8,7 +8,6 @@ from levy_groups.group_core import haar_son_batch, haar_su2_batch
 from levy_groups.harmonic import (
     CoefficientTable,
     _characters,
-    _monte_carlo_rows,
     alpha_closed,
     alpha_monte_carlo,
     alpha_quadrature,
@@ -16,7 +15,6 @@ from levy_groups.harmonic import (
     angle_density,
     chi,
     dim_irrep,
-    partial_sum,
     trace_density_so3,
 )
 from levy_groups.quadrature import simpson_adaptive
@@ -244,11 +242,12 @@ def test_alpha_sign_patterns():
 
 
 def test_alpha_monte_carlo_smoke():
-    est, se = alpha_monte_carlo(SO3, 2, 200_000, RngStream(32, 0))
+    estimates, stderrs = alpha_monte_carlo(SO3, 2, 200_000, RngStream(32, 0))
+    est, se = estimates[2], stderrs[2]
     assert se > 0.0
     assert abs(est - ALPHA_SO3_2) < 4.0 * se
-    est, se = alpha_monte_carlo(SU2, 1, 200_000, RngStream(32, 1))
-    assert abs(est - ALPHA_SU2_1) < 4.0 * se
+    estimates, stderrs = alpha_monte_carlo(SU2, 1, 200_000, RngStream(32, 1))
+    assert abs(estimates[1] - ALPHA_SU2_1) < 4.0 * stderrs[1]
 
 
 def _monte_carlo_per_l(group, l, n, rng):
@@ -269,13 +268,12 @@ def _monte_carlo_per_l(group, l, n, rng):
 
 @pytest.mark.parametrize("group", [SU2, SO3], ids=["SU2", "SO3"])
 def test_monte_carlo_rows_share_the_draw_of_one_l(group):
-    # at lmax = l the rows consume the stream as one coefficient does, and
-    # row l is the direct one-l estimator up to rounding.  The scale is
-    # max(|value|, 1): on SU(2) the even-l estimates are noise around 0
-    # (2e-16 apart in absolute terms, up to 5e-13 relative)
+    # at lmax = l, row l is the direct one-l estimator on the same stream up
+    # to rounding.  The scale is max(|value|, 1): on SU(2) the even-l
+    # estimates are noise around 0 (2e-16 apart in absolute terms, up to
+    # 5e-13 relative)
     for l in range(9):
-        estimates, stderrs = _monte_carlo_rows(group, l, 4000, RngStream(3, l))
-        assert (estimates[l], stderrs[l]) == alpha_monte_carlo(group, l, 4000, RngStream(3, l))
+        estimates, stderrs = alpha_monte_carlo(group, l, 4000, RngStream(3, l))
         est, se = _monte_carlo_per_l(group, l, 4000, RngStream(3, l))
         assert abs(estimates[l] - est) <= 1e-14 * max(abs(est), 1.0)
         assert stderrs[l] == pytest.approx(se, rel=1e-12)
@@ -285,7 +283,7 @@ def test_monte_carlo_rows_share_the_draw_of_one_l(group):
 def test_monte_carlo_table_within_five_sigma(group):
     # every row of one shared draw; largest |z| over seeds 1-20 was 3.17
     for seed in range(1, 6):
-        estimates, stderrs = _monte_carlo_rows(group, 50, 100_000, RngStream(seed, 0))
+        estimates, stderrs = alpha_monte_carlo(group, 50, 100_000, RngStream(seed, 0))
         assert len(estimates) == len(stderrs) == 51
         for l, (est, se) in enumerate(zip(estimates, stderrs)):
             assert se > 0.0
@@ -335,36 +333,6 @@ def test_formulas_reject_groups_without_them():
 
 
 # ---------------------------------------------------------------------------
-# partial sums
-# ---------------------------------------------------------------------------
-
-def test_partial_sum_lowest_order_su2():
-    for t in [0.0, 0.7, 2.0, math.pi]:
-        assert partial_sum(SU2, 0, t) == pytest.approx(math.pi / 2.0)
-
-
-def test_partial_sum_l2_error_decreases():
-    for group in (SU2, SO3):
-        errors = []
-        for lmax in [0, 1, 3, 7, 15]:
-            err = simpson_adaptive(
-                lambda t: (partial_sum(group, lmax, t) - t) ** 2 * angle_density(group, t),
-                0.0,
-                math.pi,
-                tol=1e-10,
-                panels=2 * lmax + 3,
-            )
-            errors.append(err)
-        assert all(a > b for a, b in zip(errors, errors[1:])), errors
-
-
-def test_partial_sum_converges_at_midpoint():
-    assert partial_sum(SO3, 50, math.pi / 2) == pytest.approx(
-        math.pi / 2, abs=0.05
-    )
-
-
-# ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
 
@@ -377,9 +345,11 @@ def test_coefficient_table_compute_and_consistency():
     assert row.quadrature == pytest.approx(ALPHA_SO3_2, abs=1e-9)
     assert row.monte_carlo is not None
     assert row.stderr is not None and row.stderr > 0
-    assert table.consistent(tol=1e-8, k_sigma=4.0)
+    for r in table.rows:  # closed vs quadrature, and Monte Carlo within 4 sigma
+        assert abs(r.closed - r.quadrature) <= 1e-8
+        assert abs(r.monte_carlo - r.closed) <= 4.0 * r.stderr
     # the Monte Carlo column is one shared draw for every row
-    estimates, stderrs = _monte_carlo_rows(SO3, 4, 50_000, RngStream(34, 0))
+    estimates, stderrs = alpha_monte_carlo(SO3, 4, 50_000, RngStream(34, 0))
     assert [r.monte_carlo for r in table.rows] == estimates
     assert [r.stderr for r in table.rows] == stderrs
 

@@ -12,13 +12,10 @@ from levy_groups import (
     SO3,
     SU2,
     RngStream,
-    SU2Element,
     WitnessNotFoundError,
-    dist_su2,
     find_witness,
     gram_audit,
     group_named,
-    lemma_equivalence_check,
     pairwise_distance_matrix,
     transfer_witness,
 )
@@ -35,8 +32,15 @@ def so3_points(seed, m, stream=0):
 
 
 def su2_dist(x, y):
-    """dist_su2 of two quadruple rows."""
-    return dist_su2(SU2Element.from_vector(x), SU2Element.from_vector(y))
+    """SU2.distances between two quadruple rows."""
+    return float(SU2.distances(x[None], y)[0])
+
+
+def lemma_equivalence(group, x):
+    """The kernel-PSD test and the restricted-negativity test agree (they
+    must, by the kernel identity)."""
+    audit = gram_audit(group, x)
+    return audit.is_positive_semidefinite() == audit.is_restricted_negative()
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +240,16 @@ def test_quadratic_form_bounded_by_top_eigenvalue():
 
 def test_lemma_equivalence_su2_and_so3():
     for seed in range(5):
-        assert lemma_equivalence_check(SU2, su2_points(seed, 40))
+        assert lemma_equivalence(SU2, su2_points(seed, 40))
     for seed in range(5):
-        assert lemma_equivalence_check(SO3, so3_points(seed, 30))
+        assert lemma_equivalence(SO3, so3_points(seed, 30))
 
 
 def test_lemma_equivalence_two_points_any_group():
-    assert lemma_equivalence_check(SU2, su2_points(48, 2))
-    assert lemma_equivalence_check(SO3, so3_points(48, 2))
+    assert lemma_equivalence(SU2, su2_points(48, 2))
+    assert lemma_equivalence(SO3, so3_points(48, 2))
     so5 = group_named("son", 5)
-    assert lemma_equivalence_check(so5, so5.sample(RngStream(48, 2), 2))
+    assert lemma_equivalence(so5, so5.sample(RngStream(48, 2), 2))
 
 
 def test_base_point_choice_is_immaterial_for_psd_on_su2():
