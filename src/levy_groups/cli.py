@@ -235,15 +235,16 @@ def _validate(cfg: RunConfig):
 def _peak_bytes(cfg: RunConfig, group) -> int:
     """Estimated peak memory in bytes, from the arrays a command holds at once.
 
-    Measured above the interpreter (VmHWM, numpy 2.4): check holds 5.3 float64
-    m x m matrices' worth at m = 1,000 and 4.4 at 2,000 with its two eigenvalue
-    solves running at once (K, the centered D and a solver copy of each), and
-    4.2 and 3.3 with the solves in turn, so it is charged 6 or 5; witness 7.3 and 6.4,
-    one trial or several, its eigh holding about six; simulate about 5 over
-    its m + 1 points, two (m, realizations) arrays (the normals and the
-    values they are drawn into) and 0.8 kB per variogram row in JSON (0.4 kB
-    in CSV).  Per entry of the m sampled points (4 on SU(2), n^2 on SO(n)):
-    densities 12-22 B (sample, the QR copies of one sampler block, angles),
+    Measured above the interpreter (VmHWM, numpy 2.4): check grows by 3.2 float64
+    m x m matrices' worth per m^2 from m = 1,000 to 3,000 with its two eigenvalue
+    solves running at once (one buffer holding K and the centered D, and a solver
+    copy of each), and by 2.2 with the solves in turn, over about 7 MiB of BLAS and
+    LAPACK scratch (4.1 and 3.2 matrices in all at m = 1,000), so it is charged
+    4 or 3; witness 7.3 and 6.4, one trial or several, its eigh holding about
+    six; simulate about 5 over its m + 1 points, two (m, realizations) arrays
+    (the normals and the values they are drawn into) and 0.8 kB per variogram
+    row in JSON (0.4 kB in CSV).  Per entry of the m sampled points (4 on
+    SU(2), n^2 on SO(n)): densities 12-22 B (sample, the QR copies of one sampler block, angles),
     check 22-30 B on SO(n) (sample, one row of pairwise products), witness on SO(n)
     90 B (embedded points and JSON), haar 187-245 B (JSON text); densities
     1.23 kB per bin and series; coeffs 24.3 float64 arrays of one Monte Carlo
@@ -257,7 +258,7 @@ def _peak_bytes(cfg: RunConfig, group) -> int:
     if cfg.command == "densities":
         return 40 * entries + 1300 * cfg.bins * (2 if group is group_core.SO3 else 1)
     if cfg.command == "check":
-        matrices = 6 if kernel_lab._solve_workers() == 2 else 5
+        matrices = 4 if kernel_lab._solve_workers() == 2 else 3
         return matrices * 8 * m * m + 48 * entries
     if cfg.command == "witness":
         return 8 * 8 * m * m + 112 * entries

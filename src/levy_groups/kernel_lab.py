@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .rng import RngStream
 RELATIVE_EIG_TOL = 1e-8
 DEFAULT_MARGIN = 1e-6
 CERTIFICATE_SCHEMA_VERSION = "1"
-_CENTER_ROWS = 128  # rows per block of _centered's in-place update
+_CENTER_ROWS = 128  # rows per block of _centered and _pack_kernel_and_centered
 
 
 class WitnessNotFoundError(RuntimeError):
@@ -48,20 +48,48 @@ def sum_zero_basis(m: int) -> np.ndarray:
     return b
 
 
+def _centering(d: np.ndarray) -> tuple[np.ndarray, float]:
+    """The column means r of d and the shift r.mean() - s/m, for
+    s = 1 + m max|d| > ||D||_2, that _center_rows adds to every entry."""
+    m, r = len(d), d.mean(axis=0)
+    s = 1.0 + m * max(float(d.max()), -float(d.min()))
+    return r, r.mean() - s / m
+
+
+def _center_rows(rows: np.ndarray, i: int, r: np.ndarray, shift: float) -> np.ndarray:
+    """Overwrite rows i, i+1, ... of d with d - (r_i + r_j) + shift; return them."""
+    rows -= np.add.outer(r[i:i + len(rows)], r)
+    rows += shift
+    return rows
+
+
 def _centered(d: np.ndarray) -> np.ndarray:
     """Overwrite d with J D J - (s/m) 1 1^T, for J = I - 1 1^T/m and
     s = 1 + m max|d| > ||D||_2, and return it: its lowest eigenvalue is -s, on
     the constants; the rest are D's on sum-zero weights.
 
     Works in blocks of rows, each entry rounding as d - (r_i + r_j) + shift."""
-    m, r = len(d), d.mean(axis=0)
-    s = 1.0 + m * max(float(d.max()), -float(d.min()))
-    shift = r.mean() - s / m
-    for i in range(0, m, _CENTER_ROWS):
-        rows = d[i:i + _CENTER_ROWS]
-        rows -= np.add.outer(r[i:i + _CENTER_ROWS], r)
-        rows += shift
+    r, shift = _centering(d)
+    for i in range(0, len(d), _CENTER_ROWS):
+        _center_rows(d[i:i + _CENTER_ROWS], i, r, shift)
     return d
+
+
+def _pack_kernel_and_centered(buf: np.ndarray, d: np.ndarray, d0: np.ndarray) -> None:
+    """Fill the (m, m + 1) buf with K's lower triangle in buf[:, :m] and the
+    centered D's upper triangle in buf[:, 1:], diagonals included.
+
+    The two triangles do not overlap, and eigvalsh(buf[:, :m]) and
+    eigvalsh(buf[:, 1:].T) read only lower triangles, so each solve sees the
+    numbers it would read from K and from _centered(d).  d is overwritten."""
+    m = len(d)
+    r, shift = _centering(d)
+    for i in range(0, m, _CENTER_ROWS):
+        block = slice(i, i + _CENTER_ROWS)
+        rows = d[block]
+        above = np.arange(m) - np.arange(m)[block, None]  # j - i of each entry
+        np.copyto(buf[block, :m], 0.5 * (d0[block, None] + d0 - rows), where=above <= 0)
+        np.copyto(buf[block, 1:], _center_rows(rows, i, r, shift), where=above >= 0)
 
 
 def _solve_workers() -> int:
@@ -116,11 +144,17 @@ class GramAudit:
     eigenvalue of the Brownian-kernel matrix ``K`` for base point x0.
     """
 
-    K: np.ndarray
+    packed: np.ndarray = field(repr=False)  # see _pack_kernel_and_centered
     max_centered_eig: float
     min_K_eig: float
     centered_eig_scale: float
     K_eig_scale: float
+
+    @property
+    def K(self) -> np.ndarray:
+        """The kernel matrix, rebuilt symmetric from ``packed`` on each read."""
+        k = self.packed[:, :-1]
+        return np.where(np.tri(len(k), dtype=bool), k, k.T)
 
     def is_positive_semidefinite(self, tol_rel: float = RELATIVE_EIG_TOL) -> bool:
         return self.min_K_eig >= -tol_rel * max(self.K_eig_scale, 1.0)
@@ -137,17 +171,20 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
     """
     if len(x) < 2:
         raise ValueError("need at least 2 points")
+    m = len(x)
+    # allocated before D: allocated after it, a second m = 2,000 call in one
+    # process peaked about 25 MB higher, placed among the holes D's temporaries left
+    buf = np.empty((m, m + 1))
     d = pairwise_distance_matrix(group, x)
     d0 = group.distances(x, group.identity if x0 is None else x0)
     if not (np.isfinite(d).all() and np.isfinite(d0).all()):
         raise ValueError("non-finite distance encountered")
-    k = 0.5 * (d0[:, None] + d0[None, :] - d)
-    # D's storage becomes the centered matrix: K, it and the solvers' two
-    # copies are the m x m matrices alive at once
-    k_eigs, c_eigs = _eigvalsh_pair(k, _centered(d))
+    _pack_kernel_and_centered(buf, d, d0)
+    del d  # at the solves: buf and the solvers' copies of K and the centered D
+    k_eigs, c_eigs = _eigvalsh_pair(buf[:, :m], buf[:, 1:].T)
     c_eigs = c_eigs[1:]
     return GramAudit(
-        K=k,
+        packed=buf,
         max_centered_eig=float(c_eigs[-1]),
         min_K_eig=float(k_eigs[0]),
         centered_eig_scale=float(np.abs(c_eigs).max()),

@@ -374,7 +374,7 @@ def test_sizes_beyond_physical_memory_name_their_flags(args, sizes, capsys):
     assert f"error: {sizes} needs about " in err and "GB" in err
 
 
-@pytest.mark.parametrize("workers, matrices", [(1, 5), (2, 6)])
+@pytest.mark.parametrize("workers, matrices", [(1, 3), (2, 4)])
 def test_check_is_charged_the_matrices_of_its_solve_path(workers, matrices, monkeypatch):
     # the concurrent solves hold one solver copy more than solves in turn
     monkeypatch.setattr(kernel_lab, "_solve_workers", lambda: workers)

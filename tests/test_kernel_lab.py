@@ -4,6 +4,7 @@ import os
 import re
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ def serial_audit(group, x):
 
 
 @GROUPS
-@pytest.mark.parametrize("m", [2, 3, 50, 400])
+@pytest.mark.parametrize("m", [2, 3, 50, 128, 129, 257, 400])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_audit_matches_serial_reference_bit_for_bit(group, m, workers, monkeypatch):
     monkeypatch.setattr(kernel_lab, "_solve_workers", lambda: workers)
@@ -147,6 +148,38 @@ def test_audit_matches_serial_reference_bit_for_bit(group, m, workers, monkeypat
     audit = gram_audit(group, x)
     got = (audit.max_centered_eig, audit.min_K_eig, audit.centered_eig_scale, audit.K_eig_scale)
     assert got == serial_audit(group, x)
+
+
+@GROUPS
+@pytest.mark.parametrize("m", [129, 300])
+def test_audit_kernel_is_the_formula_and_bitwise_symmetric(group, m):
+    # 129 and 300 end in a partial block of _CENTER_ROWS rows
+    x = group.sample(RngStream(52, m), m)
+    k = gram_audit(group, x).K
+    d0 = group.distances(x, group.identity)
+    want = 0.5 * (d0[:, None] + d0[None, :] - pairwise_distance_matrix(group, x))
+    assert np.array_equal(k, k.T)
+    assert np.array_equal(k, want)
+
+
+@GROUPS
+def test_audit_holds_one_packed_matrix_at_its_solves(group, monkeypatch):
+    m = 300
+    x = group.sample(RngStream(53, 0), m)
+    held = []
+    solve = kernel_lab._eigvalsh_pair
+
+    def spy(a, b):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return solve(a, b)
+
+    monkeypatch.setattr(kernel_lab, "_eigvalsh_pair", spy)
+    tracemalloc.start()
+    try:
+        gram_audit(group, x)
+    finally:
+        tracemalloc.stop()
+    assert held[0] <= 1.1 * 8 * m * (m + 1)  # K and the centered D share one buffer
 
 
 def test_worker_error_reaches_the_caller_and_the_worker_ends(monkeypatch):
