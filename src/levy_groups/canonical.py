@@ -83,10 +83,14 @@ def _emit(obj: Any, out: list[str], level: int) -> None:
 
 def _rows_template(rows, level: int) -> str | None:
     """The %-template of one row as the walk above writes it, built once for
-    all ``rows`` when they are named tuples of one type whose columns each
-    hold only ints or only finite floats; else None, and a non-finite float
-    raises in the walk."""
+    all ``rows`` when they are finite floats, or named tuples of one type whose
+    columns each hold only ints or only finite floats; else None, and a
+    non-finite float raises in the walk."""
     kind = type(rows[0])
+    if kind is float:
+        if all(type(v) is float for v in rows) and all(map(math.isfinite, rows)):
+            return " " * (_INDENT * level) + "%.17g"  # the text of format_float
+        return None
     if not getattr(kind, "_fields", None) or any(type(row) is not kind for row in rows):
         return None
     pad, end_pad = " " * (_INDENT * (level + 1)), " " * (_INDENT * level)

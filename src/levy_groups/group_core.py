@@ -9,7 +9,8 @@ Lie algebra is the great-circle angle arccos(<g, h>).
 SO(n) points are n x n rotation matrices.  The matching bi-invariant
 distance is sqrt(sum of squared principal rotation angles) of g h^T,
 taken from the arguments of its eigenvalues; for n = 3 it is the
-rotation angle arccos((tr - 1)/2).
+rotation angle atan2(|vee(P - P^T)|, tr P - 1) of P = g h^T, which unlike
+arccos((tr - 1)/2) stays accurate near 0 and pi.
 
 Points move as arrays: one descriptor per group (``SU2``, ``SO3``,
 ``group_named("son", n)``) samples and measures stacked (m, 4) quadruples or
@@ -27,9 +28,10 @@ from .rng import RngStream
 
 ORTHOGONALITY_TOL = 1e-10
 _QR_BLOCK_FLOATS = 1 << 19  # 4 MiB of float64 per block of haar_son_batch
-# distances below this are checked for bitwise-equal points; arccos of a dot
-# product or trace a few ulps below 1 reads up to about 5e-8 for equal points
+# distances below this are checked for bitwise-equal points; arccos of an SU(2)
+# dot product a few ulps below 1 reads up to about 5e-8 for equal points
 _NEAR_ZERO_ANGLE = 1e-6
+_SO3_BLOCK_FLOATS = 1 << 17  # entries per block of SO(3) angles: 1 MiB of float64
 
 
 def check_rotations(x) -> np.ndarray:
@@ -124,6 +126,26 @@ def principal_angle_distances(r: np.ndarray) -> np.ndarray:
     """
     lam = np.linalg.eigvals(r)
     return np.sqrt(0.5 * np.sum(np.angle(lam) ** 2, axis=-1))
+
+
+def _so3_angles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(len(x), len(y)) rotation angles of P = x_i y_j^T.
+
+    The angle is atan2(|vee(P - P^T)|, tr P - 1) (Kahan, "How Futile are
+    Mindless Assessments of Roundoff", 2006): both arguments are twice the
+    sine and cosine, so it is accurate at every angle, where arccos((tr - 1)/2)
+    loses half the digits near 0 and pi.  tr P and each axial component
+    P[a, b] - P[b, a] = [x_a, -x_b] . [y_b, y_a] (rows a and b) is one GEMM.
+    """
+    c = x.reshape(len(x), 9) @ y.reshape(len(y), 9).T
+    c -= 1.0
+    s = np.zeros_like(c)
+    for a, b in ((2, 1), (0, 2), (1, 0)):
+        axial = np.hstack((x[:, a], -x[:, b])) @ np.hstack((y[:, b], y[:, a])).T
+        axial *= axial
+        s += axial
+    np.sqrt(s, out=s)
+    return np.arctan2(s, c, out=c)
 
 
 def _zero_equal_points(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -241,23 +263,32 @@ class SOnGroup:
 
 
 class SO3Group(SOnGroup):
-    """SO(3), where the rotation angle follows from the trace alone."""
+    """SO(3), where the rotation angle follows from a few inner products of rows."""
 
     name = "so3"
 
     def pairwise(self, x: np.ndarray) -> np.ndarray:
-        """(m, m) rotation angles from the trace identity: agrees with the
-        eigenvalue route of SOnGroup, without per-pair factorizations."""
-        d = np.einsum("iab,jab->ij", x, x)  # the traces, then the angles in place
-        d -= 1.0
-        d /= 2.0
-        np.arccos(np.clip(d, -1.0, 1.0, out=d), out=d)
+        """(m, m) rotation angles, without per-pair factorizations: blocks of
+        rows against the columns from their first row on, each mirrored into
+        the lower triangle, so d is bitwise symmetric."""
+        m = len(x)
+        d = np.empty((m, m))
+        step = max(1, _SO3_BLOCK_FLOATS // max(m, 1))
+        for i in range(0, m, step):
+            j = i + step
+            d[i:j, i:] = _so3_angles(x[i:j], x[i:])
+            d[j:, i:j] = d[i:j, j:].T
+            top = d[i:j, i:j]  # square; its lower triangle comes from its upper
+            low = np.tril_indices(len(top), -1)
+            top[low] = top.T[low]
         np.fill_diagonal(d, 0.0)
         return _zero_equal_points(d, x, x)
 
     def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        tr = np.einsum("iab,ab->i", x, y)
-        return _zero_equal_points(np.arccos(np.clip((tr - 1.0) / 2.0, -1.0, 1.0)), x, y)
+        d = np.empty(len(x))
+        for i in range(0, len(x), _SO3_BLOCK_FLOATS):
+            d[i:i + _SO3_BLOCK_FLOATS] = _so3_angles(x[i:i + _SO3_BLOCK_FLOATS], y[None])[:, 0]
+        return _zero_equal_points(d, x, y)
 
 
 SU2 = SU2Group()

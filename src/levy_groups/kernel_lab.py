@@ -134,7 +134,7 @@ def _eigvalsh_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return out[0], b_eigs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
 class GramAudit:
     """Eigenvalue evidence for one point configuration.
 
@@ -196,7 +196,7 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
 # Witness certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
 class WitnessCertificate:
     """Self-verifying evidence that a distance is not restricted negative
     definite: sum-zero weights with a strictly positive quadratic form."""
@@ -368,17 +368,17 @@ def find_witness(
 def transfer_witness(cert: WitnessCertificate, n: int, scale: float = 1.0) -> WitnessCertificate:
     """Carry an SO(3) certificate into SO(n), n > 3.
 
-    Points are embedded block-diagonally, weights kept; the quadratic
-    form is recomputed with the SO(n) principal-angle metric (times
-    ``scale``), which restricts exactly to the SO(3) distance.
+    Points are embedded block-diagonally, weights kept.  The embedding is an
+    isometry (``embed_so3``), so the quadratic form is stated from the SO(3)
+    distances (times ``scale``), without factorizing a single SO(n) pair; at
+    scale 1 it is the certificate's value bit for bit.  ``verify`` on the
+    result recomputes it in SO(n), from the principal angles.
     """
     if cert.group is not SO3:
         raise ValueError("transfer requires an SO(3) certificate")
     if n <= 3:
         raise ValueError("target size must exceed 3")
-    group = SOnGroup(n)
-    points = embed_so3(cert.points, n)
-    d = pairwise_distance_matrix(group, points, scale=scale)
+    d = pairwise_distance_matrix(SO3, cert.points, scale=scale)
     value = float(cert.weights @ d @ cert.weights)
-    return replace(cert, group=group, points=points, value=value,
+    return replace(cert, group=SOnGroup(n), points=embed_so3(cert.points, n), value=value,
                    method="transfer", scale=scale)

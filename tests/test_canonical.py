@@ -61,3 +61,24 @@ def test_non_finite_cell_in_a_row_raises(bad):
     rows = [VariogramRow(0, 1, 0.5, 0.5, 0.01), VariogramRow(0, 2, 0.5, bad, 0.01)]
     with pytest.raises(ValueError, match="non-finite"):
         canonical.dumps({"rows": rows})
+    with pytest.raises(ValueError, match="non-finite"):
+        canonical.dumps({"weights": [0.5, bad, 0.25]})
+
+
+def walked(obj, monkeypatch):
+    """dumps with every list written item by item."""
+    with monkeypatch.context() as m:
+        m.setattr(canonical, "_rows_template", lambda rows, level: None)
+        return canonical.dumps(obj)
+
+
+def test_float_lists_are_the_walks_bytes(monkeypatch):
+    rows = [[0.1, -0.0, 5e-324, 1.0 / 3.0, -1e300], [math.pi], [2.0 ** 0.5, 1e-17]]
+    doc = {"points": rows, "weights": rows[0], "deep": [[rows]], "one": [0.5]}
+    assert canonical.dumps(doc) == walked(doc, monkeypatch)
+    assert canonical.dumps([1.5, 2.25]) == "[\n  1.5,\n  2.25\n]\n"
+
+
+@pytest.mark.parametrize("mixed", [[1.5, 2], [1.5, True], [1.5, None], [2, 1.5], [1.5, "x"]])
+def test_mixed_lists_are_walked(mixed, monkeypatch):
+    assert canonical.dumps({"v": [mixed]}) == walked({"v": [mixed]}, monkeypatch)

@@ -220,7 +220,7 @@ def test_rotation_angle_so3_values():
     assert SO3.distances(e[None], e)[0] == 0.0
     assert SO3.distances(np.diag([1.0, -1.0, -1.0])[None], e)[0] == pytest.approx(math.pi)
     t = [0.0, 0.2, 1.3, 2.9, math.pi]
-    assert SO3.distances(np.stack([delta_rotation(s) for s in t]), e) == pytest.approx(t, abs=1e-12)
+    assert SO3.distances(np.stack([delta_rotation(s) for s in t]), e) == pytest.approx(t, abs=1e-14)
 
 
 def test_dist_son_restriction_and_two_blocks():
@@ -238,14 +238,14 @@ def test_dist_son_restriction_and_two_blocks():
         assert abs(dist_son(g, np.eye(5)) - oracle) < 1e-8
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_son_distances_match_logm_near_zero_and_pi(n):
     # relative at small angles, where the logm oracle is itself off by
     # about 5e-8 of a 1e-12 angle; never looser than the 1e-8 above
     e = np.eye(n)
     for t in [1e-12, 1e-9, 1e-6, 1e-4, math.pi - 1e-9, math.pi]:
         block = delta_rotation(t)[:2, :2]
-        for planes in (1, 2):
+        for planes in (1, 2)[:n // 2]:
             m = np.eye(n)
             for k in range(planes):
                 m[2 * k:2 * k + 2, 2 * k:2 * k + 2] = block
@@ -278,8 +278,8 @@ def test_dist_son_is_exactly_zero_on_equal_elements(n):
 @pytest.mark.parametrize("group", [SU2, SO3, group_named("son", 4), group_named("son", 6)],
                          ids=["su2", "so3", "4", "6"])
 def test_son_pairwise_is_exactly_zero_on_repeated_rows(group):
-    # on SU(2) and SO(3), arccos of a dot product or trace a few ulps below 1
-    # gives up to 4e-8 for a third of the repeated pairs unless they are caught
+    # on SU(2), arccos of a dot product a few ulps below 1 gives up to 4e-8 for
+    # a third of the repeated pairs unless they are caught
     x = group.sample(RngStream(18, getattr(group, "n", 2)), 200)
     d = group.pairwise(np.concatenate([x, x]))
     assert (np.diagonal(d, 200) == 0.0).all() and (np.diagonal(d, -200) == 0.0).all()
@@ -304,12 +304,32 @@ def test_haar_son_batch_blocks_give_the_one_draw_recipe(block, monkeypatch):
         assert rng.generator.random() == gen.random()
 
 
+def axis_rotation(u, t):
+    """Rotation by t about the unit axis u (Rodrigues' formula)."""
+    k = np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
+    return np.eye(3) + math.sin(t) * k + (1.0 - math.cos(t)) * (k @ k)
+
+
+@pytest.mark.parametrize("t", [1e-12, 1e-9, 1e-6, 1e-4, 0.3, 2.0, math.pi - 1e-4,
+                               math.pi - 1e-6, math.pi - 1e-9, math.pi])
+def test_so3_distances_are_accurate_near_zero_and_pi(t):
+    rng = RngStream(24, 0)
+    axes = rng.generator.standard_normal((8, 3))
+    for u, g in zip(axes / np.linalg.norm(axes, axis=1)[:, None], SO3.sample(rng, 8)):
+        r = axis_rotation(u, t)
+        x = np.stack([g, r @ g])
+        d = SO3.pairwise(x)
+        assert abs(d[0, 1] - t) <= 1e-14 and d[1, 0] == d[0, 1], (t, d[0, 1])
+        assert abs(SO3.distances(x[1:], g)[0] - t) <= 1e-14
+        assert abs(SO3.distances(r[None], SO3.identity)[0] - t) <= 1e-14
+
+
 def test_dist_son_3_equals_rotation_angle():
     rng = RngStream(16, 0)
     for _ in range(25):
         g, h = haar_son_batch(3, 2, rng)
-        angle = SO3.distances(g[None], h)[0]  # from tr(g h^T)
-        assert abs(dist_son(g, h) - angle) < 1e-10
+        angle = SO3.distances(g[None], h)[0]  # from the trace and axial vector of g h^T
+        assert abs(dist_son(g, h) - angle) < 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +428,7 @@ def test_pairwise_fast_paths_agree_with_scalar_metrics():
     so3_pts = haar_son_batch(3, 8, rng)
     d_fast = pairwise_distance_matrix(SO3, so3_pts)
     d_loop = scalar_pairwise(dist_son, so3_pts)
-    assert np.abs(d_fast - d_loop).max() < 1e-10
+    assert np.abs(d_fast - d_loop).max() < 1e-14
     so5 = group_named("son", 5)
     so5_pts = x = haar_son_batch(5, 5, rng)
     d_default = pairwise_distance_matrix(so5, x)
@@ -428,4 +448,4 @@ def test_pairwise_batch_helpers_match_definitions():
     assert d[0, 1] == pytest.approx(su2_dist(q[0], q[1]), abs=1e-14)
     mats = haar_son_batch(3, 6, rng)
     d = SO3.pairwise(mats)
-    assert d[1, 0] == pytest.approx(dist_son(mats[1], mats[0]), abs=1e-10)
+    assert d[1, 0] == pytest.approx(dist_son(mats[1], mats[0]), abs=1e-14)

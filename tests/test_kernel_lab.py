@@ -126,9 +126,7 @@ def serial_audit(group, x):
     after the other."""
     if group is SU2:
         d = np.arccos(np.clip(x @ x.T, -1.0, 1.0))
-    elif group is SO3:
-        d = np.arccos(np.clip((np.einsum("iab,jab->ij", x, x) - 1.0) / 2.0, -1.0, 1.0))
-    else:
+    else:  # the SO(3) and SO(n) formulas work in blocks; their D is taken as given
         d = group.pairwise(x)
     np.fill_diagonal(d, 0.0)
     d0 = group.distances(x, group.identity)
@@ -332,10 +330,11 @@ def test_find_witness_son_transfers_from_so3():
     assert cert5.group.n == 5
     assert cert5.method == "transfer"
     assert cert5.value > 1e-6
-    assert cert5.verify(tol=1e-10)
-    # same seed on SO(3) alone gives the same quadratic-form value
+    assert cert5.verify(tol=1e-12)  # recomputed in SO(5), from the principal angles
+    # same seed on SO(3) alone gives the same points and quadratic-form value
     cert3 = find_witness(SO3, m=60, trials=10, rng=RngStream(52, 0))
-    assert abs(cert5.value - cert3.value) < 1e-10
+    assert cert5.value == cert3.value
+    assert np.array_equal(cert5.points[:, :3, :3], cert3.points)
 
 
 def test_transfer_preserves_value():
@@ -344,8 +343,8 @@ def test_transfer_preserves_value():
         moved = transfer_witness(cert, n)
         assert moved.group.n == n
         assert moved.points.shape == (80, n, n)
-        assert abs(moved.value - cert.value) < 1e-10
-        assert moved.verify(tol=1e-10)
+        assert moved.value == cert.value  # stated from the SO(3) distances
+        assert moved.verify(tol=1e-12)
 
 
 def test_transfer_scales_bilinearly():
@@ -364,6 +363,26 @@ def test_transfer_rejects_bad_targets():
     moved = transfer_witness(cert, 4)
     with pytest.raises(ValueError):
         transfer_witness(moved, 5)
+
+
+def test_transfer_factorizes_no_son_pair(monkeypatch):
+    cert = find_witness(SO3, m=30, trials=10, rng=RngStream(56, 0))
+
+    def refuse(self, x):
+        raise AssertionError("SOnGroup.pairwise called")
+
+    monkeypatch.setattr(kernel_lab.SOnGroup, "pairwise", refuse)
+    assert transfer_witness(cert, 6).value == cert.value
+
+
+def test_audit_and_certificate_compare_and_hash_by_identity():
+    x = su2_points(57, 10)
+    audit = gram_audit(SU2, x)
+    assert audit != gram_audit(SU2, x)  # a field-wise __eq__ raises on the arrays
+    assert audit == audit
+    cert = find_witness(SO3, m=20, trials=10, rng=RngStream(58, 0))
+    assert cert != WitnessCertificate.from_json(cert.to_json())
+    assert len({audit, cert, cert}) == 2
 
 
 def test_witness_success_rate_one_trial():
