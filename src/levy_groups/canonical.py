@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Any
 
 
@@ -65,8 +66,9 @@ def _emit(obj: Any, out: list[str], level: int) -> None:
             return
         out.append("[\n")
         template = _rows_template(obj, level + 1)
-        if template is not None:
-            out.extend((",\n".join(template % row for row in obj), "\n"))
+        if template is not None:  # one % for the whole list, no string per row
+            cells = obj if type(obj[0]) is float else chain.from_iterable(obj)
+            out.extend((",\n".join([template] * len(obj)) % tuple(cells), "\n"))
         else:
             for i, v in enumerate(obj):
                 out.append(pad)

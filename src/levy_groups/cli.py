@@ -241,15 +241,23 @@ def _peak_bytes(cfg: RunConfig, group) -> int:
     copy of each), and by 2.2 with the solves in turn, over about 7 MiB of BLAS and
     LAPACK scratch (4.1 and 3.2 matrices in all at m = 1,000), so it is charged
     4 or 3; witness 7.3 and 6.4, one trial or several, its eigh holding about
-    six; simulate about 5 over its m + 1 points, two (m, realizations) arrays
-    (the normals and the values they are drawn into) and 0.8 kB per variogram
-    row in JSON (0.4 kB in CSV).  Per entry of the m sampled points (4 on
+    six.  Per entry of the m sampled points (4 on
     SU(2), n^2 on SO(n)): densities 12-22 B (sample, the QR copies of one sampler block, angles),
     check 22-30 B on SO(n) (sample, one row of pairwise products), witness on SO(n)
     90 B (embedded points and JSON), haar 187-245 B (JSON text); densities
     1.23 kB per bin and series; coeffs 24.3 float64 arrays of one Monte Carlo
     chunk (--mc-n 1,000,000 at lmax 50).  Rounded up below; a fixed few MB
     of BLAS and LAPACK scratch is left out.
+
+    simulate holds, over its m + 1 points, about 5 m x m matrices, one
+    (m + 1, realizations) value matrix that the normals are coloured in, its
+    widest colouring block (two blocks of columns, wider below 32 points), the
+    two column blocks of the variogram's Gram products, and 0.66 kB per
+    variogram row in JSON (0.40 kB in CSV); its first factorization adds about
+    7 MiB of BLAS scratch, which it is charged.  Measured growth in JSON at (points,
+    realizations) (100, 50,000) 48.3 MiB, (200, 10,000) 32.4, (400, 2,000)
+    57.7, (800, 100) 232.0 and (1,500, 100) 805.2; in CSV (50, 10,000) 11.4
+    and (800, 100) 150.7.
     """
     m = cfg.points
     entries = m * group.point_size
@@ -263,7 +271,9 @@ def _peak_bytes(cfg: RunConfig, group) -> int:
     if cfg.command == "witness":
         return 8 * 8 * m * m + 112 * entries
     if cfg.command == "simulate":
-        return 6 * 8 * (m + 1) ** 2 + 2 * 8 * m * cfg.realizations + 1000 * m * (m + 1) // 2
+        colour = min(cfg.realizations, 2 * field_sim._colour_width(m))  # its widest block
+        return (6 * 8 * (m + 1) ** 2 + 8 * (m + 1) * (cfg.realizations + colour + 2 * field_sim._BLOCK)
+                + 700 * m * (m + 1) // 2 + 8 * 2 ** 20)
     return 256 * entries  # haar
 
 

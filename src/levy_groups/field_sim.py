@@ -19,7 +19,7 @@ from .rng import RngStream
 DEFAULT_JITTER = 1e-10
 _JITTER_DECADES = 3  # escalate x10 this many times before failing
 _CANCELLATION_TOL = 1e-10  # largest variogram rounding bound accepted, relative to the value
-_GRAM_BLOCK = 1024  # realizations per block of the variogram's Gram products
+_BLOCK = 1024  # realizations per column block of the colouring and of the Gram products
 
 # points closer than this to x0 are treated as the base point itself
 _COINCIDENCE_TOL = 1e-12
@@ -29,7 +29,7 @@ class KernelNotPSDError(RuntimeError):
     """Cholesky failed after jitter escalation: kernel not PSD."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
 class FieldSample:
     """Kernel matrix, factorization and (optionally) sampled values.
 
@@ -97,14 +97,37 @@ def build_field(
     return FieldSample(points=pts, K=k, chol=chol, jitter_used=jit)
 
 
+def _colour_width(n: int) -> int:
+    """Columns per block when an n x n factor colours the normals.
+
+    Each block takes the full product's BLAS kernel, so the values equal one
+    full L @ Z bit for bit: a multiple of _BLOCK keeps it on the kernel's tile
+    grid, and _BLOCK**2 multiply-adds or more keep it above OpenBLAS's
+    small-matrix kernels (10**6).  Narrower blocks, and a narrow last block,
+    take other kernels (a one-column one gemv) whose sums differ.
+    """
+    return _BLOCK * -(-_BLOCK // max(n, 1) ** 2)
+
+
 def sample_field(fs: FieldSample, realizations: int, rng: RngStream) -> FieldSample:
     """Draw independent realizations; returns a new FieldSample with
-    ``values`` of shape (m, realizations), one column per realization."""
+    ``values`` of shape (m, realizations), one column per realization.
+
+    The normals Z are drawn straight into the value matrix and coloured there
+    to L Z one column block at a time, so one (m, realizations) array and one
+    block are held.  The values equal one full L @ Z bit for bit (see
+    :func:`_colour_width`).
+    """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
     vals = np.zeros((fs.m, realizations))
-    z = rng.generator.standard_normal((fs.m - 1, realizations))
-    np.matmul(fs.chol[1:, 1:], z, out=vals[1:])
+    z = vals[1:]
+    rng.generator.standard_normal(out=z)
+    chol = fs.chol[1:, 1:]
+    width = _colour_width(len(chol))  # the last block is up to twice as wide
+    cuts = [*range(0, max(realizations // width, 1) * width, width), realizations]
+    for a, b in zip(cuts, cuts[1:]):
+        z[:, a:b] = chol @ z[:, a:b]
     return replace(fs, values=vals)
 
 
@@ -134,8 +157,8 @@ def empirical_variogram(fs: FieldSample) -> list[VariogramRow]:
         raise ValueError("need at least 100 realizations")
     i, j = np.triu_indices(fs.m, 1)
     s, q, t = np.zeros((3, fs.m, fs.m))
-    for c in range(0, r, _GRAM_BLOCK):  # scratch memory O(m * block)
-        b = v[:, c:c + _GRAM_BLOCK]
+    for c in range(0, r, _BLOCK):  # scratch memory O(m * block)
+        b = v[:, c:c + _BLOCK]
         b2 = b * b
         s += b @ b.T
         q += b2 @ b2.T

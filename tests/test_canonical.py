@@ -82,3 +82,17 @@ def test_float_lists_are_the_walks_bytes(monkeypatch):
 @pytest.mark.parametrize("mixed", [[1.5, 2], [1.5, True], [1.5, None], [2, 1.5], [1.5, "x"]])
 def test_mixed_lists_are_walked(mixed, monkeypatch):
     assert canonical.dumps({"v": [mixed]}) == walked({"v": [mixed]}, monkeypatch)
+
+
+def test_variogram_row_lists_are_the_walks_bytes(monkeypatch):
+    # pair indices past 256, a negative zero and a subnormal, in one % pass
+    rows = [VariogramRow(i, 300 + 7 * i, i / 7.0, -0.0 if i % 5 else 1e300, 5e-324 * (i + 1))
+            for i in range(1500)]
+    doc = {"rows": rows, "one": rows[:1]}
+    assert canonical.dumps(doc) == walked(doc, monkeypatch)
+
+
+def test_coefficient_rows_with_monte_carlo_are_the_walks_bytes(monkeypatch):
+    rows = [CoefficientRow(l, 2 * l + 1, 1.0 / (l + 1), -0.0, math.pi * l, 2.5e-310)
+            for l in range(60)]
+    assert canonical.dumps([rows]) == walked([rows], monkeypatch)

@@ -382,6 +382,16 @@ def test_check_is_charged_the_matrices_of_its_solve_path(workers, matrices, monk
     assert _peak_bytes(cfg, SU2) == matrices * 8 * 1000 ** 2 + 48 * 4 * 1000
 
 
+@pytest.mark.parametrize("points, realizations, colour", [(200, 10_000, 2048), (10, 200_000, 22_528),
+                                                           (1, 5_000, 5_000)])
+def test_simulate_is_charged_one_value_matrix_and_its_widest_blocks(points, realizations, colour):
+    # the normals are coloured in the value matrix, a block of columns at a time
+    cfg = RunConfig(command="simulate", points=points, realizations=realizations)
+    assert _peak_bytes(cfg, SU2) == (6 * 8 * (points + 1) ** 2
+                                     + 8 * (points + 1) * (realizations + colour + 2048)
+                                     + 700 * points * (points + 1) // 2 + 8 * 2 ** 20)
+
+
 def test_unknown_group_rejected_by_argparse(capsys):
     assert main(["coeffs", "--group", "son"]) == EXIT_USAGE
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from levy_groups import (
     RngStream,
     build_field,
     empirical_variogram,
+    field_sim,
     sample_field,
 )
 from levy_groups.cli import RunConfig, _emit
@@ -110,11 +112,38 @@ def test_sampling_is_reproducible():
     assert not np.array_equal(a, c)
 
 
-def test_values_are_the_cholesky_factor_times_the_normals():
-    fs = build_field(SU2, su2_points(76, 30))
-    vals = sample_field(fs, 400, RngStream(76, 1)).values
-    z = RngStream(76, 1).generator.standard_normal((30, 400))
+# Narrow last column blocks take other BLAS kernels than the full product: a
+# one-column one (5, 1025) gemv, (200, 1026) and (31, 2050) OpenBLAS's
+# small-matrix kernels, (100, 1100) its kernels for a short block; (20, 5003)
+# needs blocks wider than 1024 to stay off the small-matrix kernels.
+@pytest.mark.parametrize("m, r", [(30, 400), (5, 1025), (300, 2500), (200, 1026),
+                                  (31, 2050), (100, 1100), (20, 5003)])
+def test_values_are_the_cholesky_factor_times_the_normals(m, r):
+    fs = build_field(SU2, su2_points(76, m))
+    vals = sample_field(fs, r, RngStream(76, 1)).values
+    z = RngStream(76, 1).generator.standard_normal((m, r))
     assert np.array_equal(vals[1:], fs.chol[1:, 1:] @ z)
+
+
+def test_sampling_holds_one_value_matrix_and_one_block():
+    fs = build_field(SU2, su2_points(79, 200))
+    r = 10_000
+    tracemalloc.start()
+    try:
+        sample_field(fs, r, RngStream(79, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the normals are coloured in place; the last block is up to two wide
+    assert peak <= 1.1 * 8 * fs.m * r + 8 * fs.m * 2 * field_sim._BLOCK
+
+
+def test_field_sample_compares_and_hashes_by_identity():
+    pts = su2_points(80, 5)
+    fs, twin = build_field(SU2, pts), build_field(SU2, pts)
+    assert fs != twin  # a field-wise __eq__ raises on the arrays
+    assert fs == fs
+    assert len({fs, fs, twin}) == 2
 
 
 def test_field_moments_match_kernel():
