@@ -32,7 +32,6 @@ from .harmonic import (
     alpha_monte_carlo,
     alpha_quadrature,
     angle_density,
-    chi,
     dim_irrep,
     trace_density_so3,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "alpha_quadrature",
     "angle_density",
     "build_field",
-    "chi",
     "dim_irrep",
     "dist_son",
     "embed_so3",

@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, canonical, field_sim, group_core, harmonic, kernel_lab
 from .canonical import format_float
 from .quadrature import QuadratureError
-from .rng import RngStream
+from .rng import KEY_LIMIT, RngStream
 
 EXIT_OK = 0
 EXIT_NEGATIVE_FINDING = 1
@@ -194,6 +194,9 @@ def _validate(cfg: RunConfig):
         raise UsageError("--n is only valid with --group son")
     if cfg.command == "witness" and cfg.format == "csv":
         raise UsageError("--format csv is not supported for witness (certificates are JSON)")
+    for flag in ("seed", "stream"):  # RngStream would fold others onto [0, 2^64)
+        if not 0 <= getattr(cfg, flag) < KEY_LIMIT:
+            raise UsageError(f"--{flag} must be in [0, 2^64), got {getattr(cfg, flag)}")
     if cfg.lmax < 0:
         raise UsageError("--lmax must be >= 0")
     for flag in ("tol", "jitter", "margin"):
@@ -241,13 +244,14 @@ def _peak_bytes(cfg: RunConfig, group) -> int:
     copy of each), and by 2.2 with the solves in turn, over about 7 MiB of BLAS and
     LAPACK scratch (4.1 and 3.2 matrices in all at m = 1,000), so it is charged
     4 or 3; witness 7.3 and 6.4, one trial or several, its eigh holding about
-    six.  Per entry of the m sampled points (4 on
-    SU(2), n^2 on SO(n)): densities 12-22 B (sample, the QR copies of one sampler block, angles),
-    check 22-30 B on SO(n) (sample, one row of pairwise products), witness on SO(n)
-    90 B (embedded points and JSON), haar 187-245 B (JSON text); densities
-    1.23 kB per bin and series; coeffs 24.3 float64 arrays of one Monte Carlo
-    chunk (--mc-n 1,000,000 at lmax 50).  Rounded up below; a fixed few MB
-    of BLAS and LAPACK scratch is left out.
+    six.  Per entry of the m sampled points (4 on SU(2), n^2 on SO(n)):
+    densities 12-22 B (sample, the QR copies of one sampler block, angles),
+    check 22-24 B on SO(n) (sample, and one block of pairwise products, or one
+    row where a row is larger; at (n, m) = (300, 20), (200, 40), (150, 60) and
+    (500, 8)), witness on SO(n) 90 B (embedded points and JSON), haar 187-245 B
+    (JSON text); densities 1.23 kB per bin and series; coeffs 24.3 float64
+    arrays of one Monte Carlo chunk (--mc-n 1,000,000 at lmax 50).  Rounded up
+    below; a fixed few MB of BLAS and LAPACK scratch is left out.
 
     simulate holds, over its m + 1 points, about 5 m x m matrices, one
     (m + 1, realizations) value matrix that the normals are coloured in, its

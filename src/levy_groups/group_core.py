@@ -13,9 +13,10 @@ rotation angle atan2(|vee(P - P^T)|, tr P - 1) of P = g h^T, which unlike
 arccos((tr - 1)/2) stays accurate near 0 and pi.
 
 Points move as arrays: one descriptor per group (``SU2``, ``SO3``,
-``group_named("son", n)``) samples and measures stacked (m, 4) quadruples or
-(m, n, n) rotations, and is the one place that group's distance is written.
-Every descriptor reads exactly 0.0 between bitwise-equal points.
+``group_named("son", n)``) samples stacked (m, 4) quadruples or (m, n, n)
+rotations and writes its distance once, as the kernel ``_angles``.  The
+``pairwise`` and ``distances`` they share run every kernel on blocks and read
+exactly 0.0 between bitwise-equal points.
 """
 
 from __future__ import annotations
@@ -27,11 +28,11 @@ import numpy as np
 from .rng import RngStream
 
 ORTHOGONALITY_TOL = 1e-10
-_QR_BLOCK_FLOATS = 1 << 19  # 4 MiB of float64 per block of haar_son_batch
+# float64 per block of haar_son_batch's draws and of the distance kernels' scratch: 1 MiB
+_BLOCK_FLOATS = 1 << 17
 # distances below this are checked for bitwise-equal points; arccos of an SU(2)
 # dot product a few ulps below 1 reads up to about 5e-8 for equal points
 _NEAR_ZERO_ANGLE = 1e-6
-_SO3_BLOCK_FLOATS = 1 << 17  # entries per block of SO(3) angles: 1 MiB of float64
 
 
 def check_rotations(x) -> np.ndarray:
@@ -85,7 +86,7 @@ def haar_son_batch(n: int, size: int, rng: RngStream) -> np.ndarray:
     # QR holds about four copies of its input, so it runs on blocks of the
     # output; the generator fills them with the same normals as one draw
     out = np.empty((size, n, n))
-    step = max(1, _QR_BLOCK_FLOATS // (n * n))
+    step = max(1, _BLOCK_FLOATS // (n * n))
     for i in range(0, size, step):
         q, r = np.linalg.qr(rng.generator.standard_normal((min(step, size - i), n, n)))
         d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
@@ -117,53 +118,14 @@ def ad_matrix(quaternions: np.ndarray) -> np.ndarray:
 # Distances
 # ---------------------------------------------------------------------------
 
-def principal_angle_distances(r: np.ndarray) -> np.ndarray:
-    """sqrt(sum of squared principal angles) of each stacked rotation in r.
-
-    Each rotation plane contributes the eigenvalue pair e^{+-i theta}, and
-    each pair of -1 eigenvalues a flat rotation by pi, so half the sum of
-    the squared eigenvalue arguments is the sum of squared angles.
-    """
-    lam = np.linalg.eigvals(r)
-    return np.sqrt(0.5 * np.sum(np.angle(lam) ** 2, axis=-1))
-
-
-def _so3_angles(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(len(x), len(y)) rotation angles of P = x_i y_j^T.
-
-    The angle is atan2(|vee(P - P^T)|, tr P - 1) (Kahan, "How Futile are
-    Mindless Assessments of Roundoff", 2006): both arguments are twice the
-    sine and cosine, so it is accurate at every angle, where arccos((tr - 1)/2)
-    loses half the digits near 0 and pi.  tr P and each axial component
-    P[a, b] - P[b, a] = [x_a, -x_b] . [y_b, y_a] (rows a and b) is one GEMM.
-    """
-    c = x.reshape(len(x), 9) @ y.reshape(len(y), 9).T
-    c -= 1.0
-    s = np.zeros_like(c)
-    for a, b in ((2, 1), (0, 2), (1, 0)):
-        axial = np.hstack((x[:, a], -x[:, b])) @ np.hstack((y[:, b], y[:, a])).T
-        axial *= axial
-        s += axial
-    np.sqrt(s, out=s)
-    return np.arctan2(s, c, out=c)
-
-
-def _zero_equal_points(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Set to exactly 0.0 each entry of d that pairs bitwise-equal points, in
-    place, and return d.
-
-    d holds the distances from the points of x either to the one point y,
-    shape (m,), or to each point of y, shape (m, k).  Equal points read a
-    rounding-level distance, so only entries below ``_NEAR_ZERO_ANGLE`` are
-    compared.
-    """
+def _zero_equal_points(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
+    """Set to 0.0 each entry of the (len(x), len(y)) distances d that pairs
+    bitwise-equal points; only entries below ``_NEAR_ZERO_ANGLE`` can."""
     near = np.flatnonzero(d < _NEAR_ZERO_ANGLE)  # a quarter the time of 2-d nonzero
     if near.size:
         at = np.unravel_index(near, d.shape)
-        other = y[at[1]] if d.ndim == 2 else y
-        same = (x[at[0]] == other).reshape(near.size, -1).all(axis=1)
+        same = (x[at[0]] == y[at[1]]).reshape(near.size, -1).all(axis=1)
         d.flat[near[same]] = 0.0
-    return d
 
 
 def dist_son(g: np.ndarray, h: np.ndarray, scale: float = 1.0) -> float:
@@ -198,7 +160,45 @@ def embed_so3(x: np.ndarray, n: int) -> np.ndarray:
 # Group descriptors: sampling and distances on stacked arrays
 # ---------------------------------------------------------------------------
 
-class SU2Group:
+class _Group:
+    """The blocked distance loops every descriptor shares.  A descriptor supplies
+    ``_angles(x, y, out)``, writing the (len(x), len(y)) distances between
+    the points of x and of y into out, and ``_pair_floats``, that kernel's
+    float64 scratch per pair; blocks hold ``_BLOCK_FLOATS`` of it, or one row.
+    """
+
+    _pair_floats = 1
+
+    def pairwise(self, x: np.ndarray) -> np.ndarray:
+        """(m, m) distances between the points of x: blocks of rows against
+        the columns from their first row on, each mirrored into the lower
+        triangle, so d is bitwise symmetric, with a zero diagonal."""
+        m = len(x)
+        d = np.empty((m, m))
+        step = max(1, _BLOCK_FLOATS // max(m * self._pair_floats, 1))
+        for i in range(0, m, step):
+            j = i + step
+            block = d[i:j, i:]
+            self._angles(x[i:j], x[i:], block)
+            _zero_equal_points(block, x[i:j], x[i:])
+            d[j:, i:j] = d[i:j, j:].T
+            top = d[i:j, i:j]  # square; its lower triangle comes from its upper
+            np.copyto(top, top.T, where=np.tri(len(top), k=-1, dtype=bool))
+        np.fill_diagonal(d, 0.0)
+        return d
+
+    def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Distance from each point of x to the point y."""
+        d = np.empty(len(x))
+        step = max(1, _BLOCK_FLOATS // self._pair_floats)
+        for i in range(0, len(x), step):
+            block = d[i:i + step, None]
+            self._angles(x[i:i + step], y[None], block)
+            _zero_equal_points(block, x[i:i + step], y[None])
+        return d
+
+
+class SU2Group(_Group):
     """SU(2) on (m, 4) arrays of unit quadruples."""
 
     name = "su2"
@@ -212,19 +212,13 @@ class SU2Group:
     def sample(self, rng: RngStream, m: int) -> np.ndarray:
         return haar_su2_batch(rng, m)
 
-    def pairwise(self, x: np.ndarray) -> np.ndarray:
-        """(m, m) geodesic distances between the rows of x."""
-        d = x @ x.T  # one m x m buffer throughout
-        np.arccos(np.clip(d, -1.0, 1.0, out=d), out=d)
-        np.fill_diagonal(d, 0.0)
-        return _zero_equal_points(d, x, x)
-
-    def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Distance from each row of x to the point y."""
-        return _zero_equal_points(np.arccos(np.clip(x @ y, -1.0, 1.0)), x, y)
+    def _angles(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+        """Great-circle angles arccos(<x_i, y_j>), one GEMM."""
+        np.matmul(x, y.T, out=out)
+        np.arccos(np.clip(out, -1.0, 1.0, out=out), out=out)
 
 
-class SOnGroup:
+class SOnGroup(_Group):
     """SO(n) on (m, n, n) arrays of rotations, principal-angle distances."""
 
     name = "son"
@@ -243,52 +237,53 @@ class SOnGroup:
     def columns(self) -> tuple[str, ...]:
         return tuple(f"r{i}c{j}" for i in range(self.n) for j in range(self.n))
 
+    _pair_floats = property(lambda self: self.point_size)  # one product x_i y_j^T per pair
+
     def __repr__(self) -> str:
         return f"SO({self.n})"
 
     def sample(self, rng: RngStream, m: int) -> np.ndarray:
         return haar_son_batch(self.n, m, rng)
 
-    def pairwise(self, x: np.ndarray) -> np.ndarray:
-        # one row of pairs at a time: O(m n^2) scratch besides the result
-        m = len(x)
-        d = np.zeros((m, m))
-        for i in range(m - 1):
-            d[i, i + 1:] = d[i + 1:, i] = self.distances(x[i + 1:], x[i])
-        return d
+    def _angles(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+        """sqrt(sum of squared principal angles) of each P = x_i y_j^T.
 
-    def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Distance from each rotation in x to the rotation y."""
-        return _zero_equal_points(principal_angle_distances(x @ y.T), x, y)
+        Each rotation plane contributes the eigenvalue pair e^{+-i theta}, and
+        each pair of -1 eigenvalues a flat rotation by pi, so half the sum of
+        the squared eigenvalue arguments is the sum of squared angles.
+        """
+        a = np.angle(np.linalg.eigvals(x[:, None] @ np.swapaxes(y, -1, -2)[None]))
+        a *= a
+        np.sum(a, axis=-1, out=out)
+        out *= 0.5
+        np.sqrt(out, out=out)
 
 
 class SO3Group(SOnGroup):
     """SO(3), where the rotation angle follows from a few inner products of rows."""
 
     name = "so3"
+    _pair_floats = 1
 
-    def pairwise(self, x: np.ndarray) -> np.ndarray:
-        """(m, m) rotation angles, without per-pair factorizations: blocks of
-        rows against the columns from their first row on, each mirrored into
-        the lower triangle, so d is bitwise symmetric."""
-        m = len(x)
-        d = np.empty((m, m))
-        step = max(1, _SO3_BLOCK_FLOATS // max(m, 1))
-        for i in range(0, m, step):
-            j = i + step
-            d[i:j, i:] = _so3_angles(x[i:j], x[i:])
-            d[j:, i:j] = d[i:j, j:].T
-            top = d[i:j, i:j]  # square; its lower triangle comes from its upper
-            low = np.tril_indices(len(top), -1)
-            top[low] = top.T[low]
-        np.fill_diagonal(d, 0.0)
-        return _zero_equal_points(d, x, x)
+    def _angles(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+        """Rotation angles of P = x_i y_j^T, without per-pair factorizations.
 
-    def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        d = np.empty(len(x))
-        for i in range(0, len(x), _SO3_BLOCK_FLOATS):
-            d[i:i + _SO3_BLOCK_FLOATS] = _so3_angles(x[i:i + _SO3_BLOCK_FLOATS], y[None])[:, 0]
-        return _zero_equal_points(d, x, y)
+        The angle is atan2(|vee(P - P^T)|, tr P - 1) (Kahan, "How Futile are
+        Mindless Assessments of Roundoff", 2006): both arguments are twice the
+        sine and cosine, so it is accurate at every angle, where
+        arccos((tr - 1)/2) loses half the digits near 0 and pi.  tr P and each
+        axial component P[a, b] - P[b, a] = [x_a, -x_b] . [y_b, y_a] (rows a
+        and b) is one GEMM.
+        """
+        c = np.matmul(x.reshape(len(x), 9), y.reshape(len(y), 9).T, out=out)
+        c -= 1.0
+        s, axial = np.zeros_like(c), np.empty_like(c)
+        for a, b in ((2, 1), (0, 2), (1, 0)):
+            np.matmul(np.hstack((x[:, a], -x[:, b])), np.hstack((y[:, b], y[:, a])).T, out=axial)
+            axial *= axial
+            s += axial
+        np.sqrt(s, out=s)
+        np.arctan2(s, c, out=c)
 
 
 SU2 = SU2Group()

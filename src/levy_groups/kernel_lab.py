@@ -25,7 +25,7 @@ import numpy as np
 from . import canonical
 from .group_core import (SO3, SU2, SOnGroup, check_rotations, embed_so3, group_named,
                          pairwise_distance_matrix)
-from .rng import RngStream
+from .rng import KEY_LIMIT, RngStream
 
 RELATIVE_EIG_TOL = 1e-8
 DEFAULT_MARGIN = 1e-6
@@ -264,9 +264,11 @@ class WitnessCertificate:
         if not (group == "so3" and n == 3 or group == "son" and n > 3):
             raise ValueError(f"certificate group {group!r} does not match n = {n} "
                              "(so3 needs n = 3, son needs n > 3)")
-        if not (isinstance(seed, dict) and _json_isinstance(seed.get("seed"), int)
-                and _json_isinstance(seed.get("stream"), int)):
-            raise ValueError('certificate seed must be {"seed": integer, "stream": integer}')
+        if not (isinstance(seed, dict) and all(
+                _json_isinstance(seed.get(k), int) and 0 <= seed[k] < KEY_LIMIT
+                for k in ("seed", "stream"))):
+            raise ValueError('certificate seed must be {"seed": integer, "stream": integer}, '
+                             'each in [0, 2^64)')
         points = _finite(doc, "points", (m, n * n), f"m = {m} rows of n^2 = {n * n} numbers")
         weights = _finite(doc, "weights", (m,), f"m = {m} numbers")
         value = float(_finite(doc, "value", (), "a number"))

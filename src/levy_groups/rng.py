@@ -6,7 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+KEY_LIMIT = 1 << 64  # keys are read mod KEY_LIMIT; the CLI and certificates take [0, KEY_LIMIT)
+_MASK64 = KEY_LIMIT - 1
 
 
 @dataclass

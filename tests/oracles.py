@@ -1,0 +1,63 @@
+"""Closed-form characters and distribution functions of SU(2) and SO(3),
+which the tests use as oracles for ``levy_groups.harmonic`` and the Haar
+samplers.  Each takes the descriptor ``SU2`` or ``SO3``, as ``harmonic`` does.
+"""
+
+import math
+
+import numpy as np
+
+from levy_groups.harmonic import _is_so3
+
+# below this, sin(t) is treated as singular and the character limit is used
+_SIN_TOL = 1e-8
+# chi reflects t to pi - t within this distance of pi, where sin((l+1)t)/sin(t)
+# cancels; reflecting all of (pi/2, pi] costs up to 1e-14 mid-range instead
+_REFLECT = 0.1
+
+
+def chi(group, l: int, t):
+    """Character of the l-th irreducible representation at angle t.
+
+    SU(2): sin((l+1)t)/sin(t) with the limit branches l+1 at t=0 and
+    (-1)^l (l+1) at t=pi; within 0.1 of pi it is evaluated as
+    (-1)^l chi_l(pi - t), where the ratio does not cancel.
+    SO(3) = SU(2)/{+-e}: its l-th character is the SU(2) character of
+    index 2l at half the angle, sin((2l+1)t/2)/sin(t/2).
+
+    Accepts scalars or arrays; returns the same shape.
+    """
+    if l < 0:
+        raise ValueError("l must be >= 0")
+    t_arr = np.asarray(t, dtype=float)
+    if _is_so3(group):
+        l, t_arr = 2 * l, 0.5 * t_arr
+    # near pi the rounding of (l+1)t is amplified by 1/sin(t); there
+    # chi_l(t) = (-1)^l chi_l(pi - t) is evaluated at the small angle
+    near_pi = np.abs(math.pi - t_arr) < _REFLECT
+    a = np.where(near_pi, math.pi - t_arr, t_arr)
+    s = np.sin(a)
+    singular = np.abs(s) < _SIN_TOL
+    safe = np.where(singular, 1.0, s)
+    ratio = np.sin((l + 1) * a) / safe
+    limit = np.where(np.cos(a) > 0.0, float(l + 1), (-1.0) ** l * (l + 1))
+    out = np.where(singular, limit, ratio) * np.where(near_pi, (-1.0) ** l, 1.0)
+    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+
+def angle_cdf(group, t):
+    """Distribution function of the angle law, for goodness-of-fit tests."""
+    t_arr = np.clip(np.asarray(t, dtype=float), 0.0, math.pi)
+    if _is_so3(group):
+        out = (t_arr - np.sin(t_arr)) / math.pi
+    else:
+        out = (t_arr - np.sin(t_arr) * np.cos(t_arr)) / math.pi
+    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+
+def trace_cdf_so3(y):
+    """Distribution function of the SO(3) trace law on [-1, 3]."""
+    y_arr = np.clip(np.asarray(y, dtype=float), -1.0, 3.0)
+    w = np.arccos(np.clip((y_arr - 1.0) / 2.0, -1.0, 1.0))
+    out = 1.0 - (w - np.sin(w)) / math.pi
+    return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out

@@ -28,10 +28,9 @@ from levy_groups.harmonic import (
     alpha_closed,
     alpha_monte_carlo,
     alpha_quadrature,
-    angle_cdf,
-    trace_cdf_so3,
 )
 from levy_groups.kernel_lab import WitnessCertificate
+from oracles import angle_cdf, trace_cdf_so3
 
 ALPHA2_SO3 = 2.0 / (9.0 * math.pi)
 

@@ -271,6 +271,18 @@ def test_seed_random_is_accepted(tmp_path):
     validate("haar", text)
 
 
+def test_seeds_and_streams_span_64_bits(tmp_path):
+    top = (1 << 64) - 1
+    code, text = run_cli(["haar", "--group", "su2", "--points", "2", "--seed", str(top),
+                          "--stream", "0", "--no-meta"], tmp_path)
+    assert code == EXIT_OK
+    doc = validate("haar", text)
+    assert doc["seed"] == top
+    for key, bad in (("seed", -5), ("stream", 1 << 64)):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**doc, key: bad}, load_schema("haar"))
+
+
 def test_float_cells_have_17_significant_digits(tmp_path):
     _, text = run_cli(
         ["coeffs", "--group", "so3", "--lmax", "0", "--mc-n", "0", "--format", "csv",
@@ -325,6 +337,11 @@ def test_float_cells_have_17_significant_digits(tmp_path):
         (["simulate", "--points", "3", "--realizations", "100", "--jitter", "1e200"],
          "--jitter"),
         (["haar", "--group", "su2", "--out", ""], "--out"),
+        # RngStream keeps 64 bits: -5 and 2^64 - 5 would draw the same stream
+        (["haar", "--group", "su2", "--seed", "-5"], "--seed"),
+        (["check", "--group", "so3", "--seed", str(1 << 64)], "--seed"),
+        (["witness", "--group", "so3", "--stream", "-1"], "--stream"),
+        (["coeffs", "--group", "su2", "--stream", str(1 << 64)], "--stream"),
     ],
 )
 def test_invalid_flag_combinations(args, needle, capsys):

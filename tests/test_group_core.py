@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from levy_groups.group_core import (
     haar_son_batch,
     haar_su2_batch,
 )
-from levy_groups.harmonic import angle_cdf, trace_cdf_so3
+from oracles import angle_cdf, trace_cdf_so3
 
 E = SU2.identity
 
@@ -291,7 +292,7 @@ def test_son_pairwise_is_exactly_zero_on_repeated_rows(group):
 def test_haar_son_batch_blocks_give_the_one_draw_recipe(block, monkeypatch):
     """QR by blocks of the output, bit for bit the draws of one QR of one
     Gaussian batch, and the stream left where that recipe leaves it."""
-    monkeypatch.setattr(group_core, "_QR_BLOCK_FLOATS", block)
+    monkeypatch.setattr(group_core, "_BLOCK_FLOATS", block)
     for n, size in ((2, 7), (5, 40), (9, 3), (11, 1)):
         gen = RngStream(19, n).generator
         q, r = np.linalg.qr(gen.standard_normal((size, n, n)))
@@ -449,3 +450,93 @@ def test_pairwise_batch_helpers_match_definitions():
     mats = haar_son_batch(3, 6, rng)
     d = SO3.pairwise(mats)
     assert d[1, 0] == pytest.approx(dist_son(mats[1], mats[0]), abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# blocked distances
+# ---------------------------------------------------------------------------
+
+def pair_distance(group, g, h):
+    """One pair's distance by its descriptor's formula, exactly 0 between equal points."""
+    if np.array_equal(g, h):
+        return 0.0
+    if group is SU2:
+        return math.acos(max(-1.0, min(1.0, float(g @ h))))
+    if group is SO3:  # tr P - 1 and the axial vector of P = g h^T, as dot products of rows
+        axial = [float(np.concatenate((g[a], -g[b])) @ np.concatenate((h[b], h[a])))
+                 for a, b in ((2, 1), (0, 2), (1, 0))]
+        return math.atan2(math.sqrt(sum(v * v for v in axial)), float(g.ravel() @ h.ravel()) - 1.0)
+    return math.sqrt(0.5 * float(np.sum(np.angle(np.linalg.eigvals(g @ h.T)) ** 2)))
+
+
+# m ends in a partial block of rows on every group; on SO(40) one row of 82
+# products is over the block budget, so every block is one row
+BLOCKED = pytest.mark.parametrize(
+    "group,m", [(SU2, 400), (SO3, 400), (group_named("son", 4), 300), (group_named("son", 40), 82)],
+    ids=["su2", "so3", "so4", "so40"])
+
+
+REPEATS = (0, 3, 7, 50)  # rows copied to the end of the points
+
+
+@BLOCKED
+def test_pairwise_is_symmetric_and_matches_each_pair(group, m):
+    x = group.sample(RngStream(25, m), m - len(REPEATS))
+    x = np.concatenate([x, x[list(REPEATS)]])
+    d = group.pairwise(x)
+    assert np.array_equal(d, d.T)
+    # the diagonal and the repeated pairs read exactly 0, every other pair more
+    zero = {(i, m - len(REPEATS) + k) for k, i in enumerate(REPEATS)}
+    zero |= {(j, i) for i, j in zero} | {(i, i) for i in range(m)}
+    assert set(zip(*np.nonzero(d == 0.0))) == zero
+    rng = np.random.default_rng(26)
+    pairs = rng.integers(0, m, (1500, 2))
+    got = d[pairs[:, 0], pairs[:, 1]]
+    ref = np.array([pair_distance(group, x[i], x[j]) if i < j else pair_distance(group, x[j], x[i])
+                    for i, j in pairs])
+    assert (np.abs(got - ref) <= 4 * np.spacing(ref)).all()
+
+
+@pytest.mark.parametrize("group,m", [(SO3, 400), (group_named("son", 4), 300)],
+                         ids=["so3", "so4"])
+def test_distances_match_each_pair(group, m):
+    x = group.sample(RngStream(27, m), m)
+    d = group.distances(x, x[5].copy())
+    ref = np.array([pair_distance(group, g, x[5]) for g in x])
+    assert (np.abs(d - ref) <= 4 * np.spacing(ref)).all()
+    assert np.flatnonzero(d == 0.0).tolist() == [5]
+
+
+def test_su2_distances_over_two_blocks_are_the_one_product_formula():
+    # the reference is the one matrix-vector product: pair by pair, dot
+    # products round differently, which arccos magnifies by 1/sin(t) at small t
+    m = (1 << 17) + 3  # one block of rows and three more
+    x = SU2.sample(RngStream(27, m), m)
+    d = SU2.distances(x, x[5].copy())
+    ref = np.arccos(np.clip(x @ x[5], -1.0, 1.0))
+    ref[5] = 0.0
+    assert (np.abs(d - ref) <= 4 * np.spacing(ref)).all()
+    assert np.flatnonzero(d == 0.0).tolist() == [5]
+
+
+@pytest.mark.parametrize(
+    "group,m", [(SU2, 3000), (SO3, 2000), (group_named("son", 4), 300),
+                (group_named("son", 20), 100)], ids=["su2", "so3", "so4", "so20"])
+def test_pairwise_scratch_is_a_few_blocks(group, m):
+    # the equal-point test runs block by block: an m x m boolean mask would
+    # be 9 MB, over eight blocks, at m = 3,000
+    x = group.sample(RngStream(28, m), m)
+    block = 8 * max(group_core._BLOCK_FLOATS, m * group._pair_floats)  # at least one row
+    tracemalloc.start()
+    try:
+        group.pairwise(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * m * m + 3 * block
+
+
+def test_descriptors_write_only_their_kernel():
+    for cls in (group_core.SU2Group, group_core.SOnGroup, group_core.SO3Group):
+        assert "_angles" in vars(cls)
+        assert not {"pairwise", "distances"} & set(vars(cls)), cls

