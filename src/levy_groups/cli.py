@@ -238,20 +238,25 @@ def _validate(cfg: RunConfig):
 def _peak_bytes(cfg: RunConfig, group) -> int:
     """Estimated peak memory in bytes, from the arrays a command holds at once.
 
-    Measured above the interpreter (VmHWM, numpy 2.4): check grows by 3.2 float64
-    m x m matrices' worth per m^2 from m = 1,000 to 3,000 with its two eigenvalue
-    solves running at once (one buffer holding K and the centered D, and a solver
-    copy of each), and by 2.2 with the solves in turn, over about 7 MiB of BLAS and
-    LAPACK scratch (4.1 and 3.2 matrices in all at m = 1,000), so it is charged
-    4 or 3; witness 7.3 and 6.4, one trial or several, its eigh holding about
-    six.  Per entry of the m sampled points (4 on SU(2), n^2 on SO(n)):
-    densities 12-22 B (sample, the QR copies of one sampler block, angles),
-    check 22-24 B on SO(n) (sample, and one block of pairwise products, or one
-    row where a row is larger; at (n, m) = (300, 20), (200, 40), (150, 60) and
-    (500, 8)), witness on SO(n) 90 B (embedded points and JSON), haar 187-245 B
-    (JSON text); densities 1.23 kB per bin and series; coeffs 24.3 float64
-    arrays of one Monte Carlo chunk (--mc-n 1,000,000 at lmax 50).  Rounded up
-    below; a fixed few MB of BLAS and LAPACK scratch is left out.
+    check holds one (m, m + 1) float64 buffer: the distances are written into
+    it, K and the centered D packed in it a block of rows at a time, and both
+    spectra solved in place; where numpy bundles no LAPACKE, each solve copies
+    its matrix (two copies at once when the solves run concurrently).  Measured
+    above the interpreter (VmHWM, numpy 2.4, SU(2)) at m = 1,000, 2,000 and
+    3,000: 16.2, 40.2 and 79.3 MiB with the solves at once, 15.8, 39.5 and 78.1
+    in turn; with the copies 31.3, 101.0 and 216.4 at once, 23.1, 69.7 and 146.6
+    in turn.  Above the buffer and copies that is about 7.6 MiB of BLAS and
+    LAPACK scratch and up to 1 kB per point of solver workspace, both charged.
+    witness grows by 7.3 and 6.4 m x m matrices, one trial or several, its eigh
+    holding about six.  Per entry of the m sampled points (4 on SU(2), n^2 on
+    SO(n)): densities 12-22 B (sample, the QR copies of one sampler block,
+    angles), check 22-24 B on SO(n) (sample, and one block of pairwise
+    products, or one row where a row is larger; at (n, m) = (300, 20), (200,
+    40), (150, 60) and (500, 8)), witness on SO(n) 90 B (embedded points and
+    JSON), haar 187-245 B (JSON text); densities 1.23 kB per bin and series;
+    coeffs 24.3 float64 arrays of one Monte Carlo chunk (--mc-n 1,000,000 at
+    lmax 50).  Rounded up below; except for check and simulate, a fixed few MB
+    of BLAS and LAPACK scratch is left out.
 
     simulate holds, over its m + 1 points, about 5 m x m matrices, one
     (m + 1, realizations) value matrix that the normals are coloured in, its
@@ -270,8 +275,9 @@ def _peak_bytes(cfg: RunConfig, group) -> int:
     if cfg.command == "densities":
         return 40 * entries + 1300 * cfg.bins * (2 if group is group_core.SO3 else 1)
     if cfg.command == "check":
-        matrices = 4 if kernel_lab._solve_workers() == 2 else 3
-        return matrices * 8 * m * m + 48 * entries
+        copies = 0 if kernel_lab._lapacke_dsyevd() else kernel_lab._solve_workers()
+        return (8 * m * (m + 1) + copies * 8 * m * m + 16 * max(group_core._BLOCK_FLOATS, m)
+                + 1024 * m + 48 * entries + 8 * 2 ** 20)
     if cfg.command == "witness":
         return 8 * 8 * m * m + 112 * entries
     if cfg.command == "simulate":

@@ -169,12 +169,13 @@ class _Group:
 
     _pair_floats = 1
 
-    def pairwise(self, x: np.ndarray) -> np.ndarray:
+    def pairwise(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """(m, m) distances between the points of x: blocks of rows against
         the columns from their first row on, each mirrored into the lower
-        triangle, so d is bitwise symmetric, with a zero diagonal."""
+        triangle, so d is bitwise symmetric, with a zero diagonal.  They are
+        written into ``out``, an (m, m) array or view, when given."""
         m = len(x)
-        d = np.empty((m, m))
+        d = np.empty((m, m)) if out is None else out
         step = max(1, _BLOCK_FLOATS // max(m * self._pair_floats, 1))
         for i in range(0, m, step):
             j = i + step
@@ -307,9 +308,13 @@ def group_named(name: str, n: int | None = None):
     raise ValueError(f"unknown group {name!r}")
 
 
-def pairwise_distance_matrix(group, x: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """Symmetric zero-diagonal distance matrix of the rows of x, times ``scale``."""
+def pairwise_distance_matrix(group, x: np.ndarray, scale: float = 1.0,
+                             out: np.ndarray | None = None) -> np.ndarray:
+    """Symmetric zero-diagonal distance matrix of the rows of x, times ``scale``,
+    written into ``out`` when given (see ``pairwise``)."""
     if scale <= 0.0:
         raise ValueError("scale must be positive")
-    d = group.pairwise(x)
-    return scale * d if scale != 1.0 else d
+    d = group.pairwise(x, out)
+    if scale != 1.0:
+        d *= scale
+    return d

@@ -15,6 +15,9 @@ the distance is not restricted negative definite.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
 import json
 import os
 import threading
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import canonical
+from . import canonical, group_core
 from .group_core import (SO3, SU2, SOnGroup, check_rotations, embed_so3, group_named,
                          pairwise_distance_matrix)
 from .rng import KEY_LIMIT, RngStream
@@ -30,7 +33,6 @@ from .rng import KEY_LIMIT, RngStream
 RELATIVE_EIG_TOL = 1e-8
 DEFAULT_MARGIN = 1e-6
 CERTIFICATE_SCHEMA_VERSION = "1"
-_CENTER_ROWS = 128  # rows per block of _centered and _pack_kernel_and_centered
 
 
 class WitnessNotFoundError(RuntimeError):
@@ -50,17 +52,24 @@ def sum_zero_basis(m: int) -> np.ndarray:
 
 def _centering(d: np.ndarray) -> tuple[np.ndarray, float]:
     """The column means r of d and the shift r.mean() - s/m, for
-    s = 1 + m max|d| > ||D||_2, that _center_rows adds to every entry."""
+    s = 1 + m max|d| > ||D||_2, that _center adds to every entry.
+
+    The shift is finite exactly when d is: s is inf or nan otherwise."""
     m, r = len(d), d.mean(axis=0)
     s = 1.0 + m * max(float(d.max()), -float(d.min()))
     return r, r.mean() - s / m
 
 
-def _center_rows(rows: np.ndarray, i: int, r: np.ndarray, shift: float) -> np.ndarray:
-    """Overwrite rows i, i+1, ... of d with d - (r_i + r_j) + shift; return them."""
-    rows -= np.add.outer(r[i:i + len(rows)], r)
-    rows += shift
-    return rows
+def _center(block: np.ndarray, ri: np.ndarray, rj: np.ndarray, shift: float) -> np.ndarray:
+    """Overwrite the block of d at rows i and columns j with d - (r_i + r_j) + shift."""
+    block -= np.add.outer(ri, rj)
+    block += shift
+    return block
+
+
+def _block_rows(m: int) -> int:
+    """Rows per block of the centering: about group_core._BLOCK_FLOATS floats, or one row."""
+    return max(1, group_core._BLOCK_FLOATS // m)
 
 
 def _centered(d: np.ndarray) -> np.ndarray:
@@ -70,26 +79,38 @@ def _centered(d: np.ndarray) -> np.ndarray:
 
     Works in blocks of rows, each entry rounding as d - (r_i + r_j) + shift."""
     r, shift = _centering(d)
-    for i in range(0, len(d), _CENTER_ROWS):
-        _center_rows(d[i:i + _CENTER_ROWS], i, r, shift)
+    step = _block_rows(len(d))
+    for i in range(0, len(d), step):
+        _center(d[i:i + step], r[i:i + step], r, shift)
     return d
 
 
-def _pack_kernel_and_centered(buf: np.ndarray, d: np.ndarray, d0: np.ndarray) -> None:
-    """Fill the (m, m + 1) buf with K's lower triangle in buf[:, :m] and the
-    centered D's upper triangle in buf[:, 1:], diagonals included.
+def _pack_kernel_and_centered(buf: np.ndarray, d0: np.ndarray) -> None:
+    """Overwrite the (m, m + 1) buf, whose buf[:, 1:] holds D, with K's lower
+    triangle in buf[:, :m] and the centered D's upper triangle in buf[:, 1:],
+    diagonals included; raise ValueError if D or d0 is not finite.
 
-    The two triangles do not overlap, and eigvalsh(buf[:, :m]) and
-    eigvalsh(buf[:, 1:].T) read only lower triangles, so each solve sees the
-    numbers it would read from K and from _centered(d).  d is overwritten."""
-    m = len(d)
+    Blocks of rows run from the last to the first.  K left of a block's
+    diagonal square is read from D's upper triangle in the rows above, which
+    no block has overwritten yet (D is bitwise symmetric); K on the square is
+    formed before the block's D is centered where it lies.  Each entry rounds
+    as 0.5 * (d0_i + d0_j - d_ij) and as _centered's."""
+    m = len(buf)
+    d = buf[:, 1:]
     r, shift = _centering(d)
-    for i in range(0, m, _CENTER_ROWS):
-        block = slice(i, i + _CENTER_ROWS)
-        rows = d[block]
-        above = np.arange(m) - np.arange(m)[block, None]  # j - i of each entry
-        np.copyto(buf[block, :m], 0.5 * (d0[block, None] + d0 - rows), where=above <= 0)
-        np.copyto(buf[block, 1:], _center_rows(rows, i, r, shift), where=above >= 0)
+    if not (np.isfinite(shift) and np.isfinite(d0).all()):
+        raise ValueError("non-finite distance encountered")
+    step = _block_rows(m)
+    for i in reversed(range(0, m, step)):
+        j = min(i + step, m)
+        k = np.add.outer(d0[i:j], d0[:i], out=buf[i:j, :i])
+        k -= d[:i, i:j].T
+        k *= 0.5
+        k = np.add.outer(d0[i:j], d0[i:j])
+        k -= d[i:j, i:j]
+        k *= 0.5
+        _center(d[i:j, i:], r[i:j], r[i:], shift)
+        np.copyto(buf[i:j, i:j], k, where=np.tri(j - i, dtype=bool))
 
 
 def _solve_workers() -> int:
@@ -108,30 +129,74 @@ def _solve_workers() -> int:
     return 2 if pinned and cpus >= 2 else 1
 
 
-def _eigvalsh_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigvalsh of a and of b: a on a worker thread while this thread solves b
-    when _solve_workers() allows two (LAPACK runs without the GIL), else in turn.
+@functools.cache
+def _lapacke_dsyevd():
+    """LAPACKE_dsyevd of the OpenBLAS bundled with numpy (64-bit integers), or
+    None where numpy ships no such library."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            dsyevd = ctypes.CDLL(path).scipy_LAPACKE_dsyevd64_
+        except (OSError, AttributeError):
+            continue
+        dsyevd.restype = ctypes.c_int64
+        dsyevd.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
+                           ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+        return dsyevd
+    return None
+
+
+def _packed_eigvalsh(buf: np.ndarray, part: str) -> np.ndarray:
+    """Ascending eigenvalues of K (part "K") or of the centered D ("centered D")
+    from their triangles in the packed, C-contiguous (m, m + 1) buf (see
+    _pack_kernel_and_centered).
+
+    LAPACK's dsyevd reads buf column-major with leading dimension m + 1: K is
+    the upper triangle of the matrix at buf[0, 0], the centered D the lower
+    one of the matrix at buf[0, 1].  It overwrites that triangle and nothing
+    else, so the two solves may run at once.  Without LAPACKE, eigvalsh reads
+    the same numbers, in the same order, from copies."""
+    m, kernel = len(buf), part == "K"
+    if buf.dtype != np.float64 or buf.shape != (m, m + 1) or not buf.flags.c_contiguous:
+        raise ValueError(f"need a C-contiguous float64 (m, m + 1) buffer, got {buf.dtype} "
+                         f"{buf.shape}")
+    dsyevd = _lapacke_dsyevd()
+    if dsyevd is None:
+        return (np.linalg.eigvalsh(buf[:, :m].T, UPLO="U") if kernel
+                else np.linalg.eigvalsh(buf[:, 1:].T))
+    eigs = np.empty(m)  # held until LAPACK has written it
+    info = dsyevd(102, b"N", b"U" if kernel else b"L", m,  # 102: column-major
+                  buf.ctypes.data + (0 if kernel else buf.itemsize), m + 1, eigs.ctypes.data)
+    if info:
+        raise np.linalg.LinAlgError(f"eigenvalue solve of {part} failed: LAPACKE dsyevd info {info}")
+    return eigs
+
+
+def _solve_pair(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spectra of K and of the centered D in buf, each solved in place:
+    K on a worker thread while this thread solves the centered D when
+    _solve_workers() allows two (LAPACK runs without the GIL), else in turn.
 
     An exception from the worker is raised here, after the worker has ended."""
     if _solve_workers() < 2:
-        return np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)
+        return _packed_eigvalsh(buf, "K"), _packed_eigvalsh(buf, "centered D")
     out = []
 
-    def solve_a():
+    def solve_kernel():
         try:
-            out.append(np.linalg.eigvalsh(a))
+            out.append(_packed_eigvalsh(buf, "K"))
         except BaseException as exc:  # handed to the calling thread
             out.append(exc)
 
-    worker = threading.Thread(target=solve_a, name="gram_audit-eigvalsh")
+    worker = threading.Thread(target=solve_kernel, name="gram_audit-eigvalsh")
     worker.start()
     try:
-        b_eigs = np.linalg.eigvalsh(b)
+        c_eigs = _packed_eigvalsh(buf, "centered D")
     finally:
         worker.join()
     if isinstance(out[0], BaseException):
         raise out[0]
-    return out[0], b_eigs
+    return out[0], c_eigs
 
 
 @dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
@@ -141,10 +206,13 @@ class GramAudit:
     ``max_centered_eig`` is the largest eigenvalue of the distance matrix
     restricted to the sum-zero subspace; positive means the distance is
     not restricted negative definite there.  ``min_K_eig`` is the smallest
-    eigenvalue of the Brownian-kernel matrix ``K`` for base point x0.
+    eigenvalue of the Brownian-kernel matrix ``K`` of the points for base
+    point x0.
     """
 
-    packed: np.ndarray = field(repr=False)  # see _pack_kernel_and_centered
+    group: object
+    points: np.ndarray = field(repr=False)
+    x0: np.ndarray = field(repr=False)
     max_centered_eig: float
     min_K_eig: float
     centered_eig_scale: float
@@ -152,9 +220,9 @@ class GramAudit:
 
     @property
     def K(self) -> np.ndarray:
-        """The kernel matrix, rebuilt symmetric from ``packed`` on each read."""
-        k = self.packed[:, :-1]
-        return np.where(np.tri(len(k), dtype=bool), k, k.T)
+        """The kernel matrix 0.5 (d0_i + d0_j - d_ij), recomputed from the points on each read."""
+        d0 = self.group.distances(self.points, self.x0)
+        return 0.5 * (d0[:, None] + d0 - pairwise_distance_matrix(self.group, self.points))
 
     def is_positive_semidefinite(self, tol_rel: float = RELATIVE_EIG_TOL) -> bool:
         return self.min_K_eig >= -tol_rel * max(self.K_eig_scale, 1.0)
@@ -164,27 +232,24 @@ class GramAudit:
 
 
 def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
-    """Kernel matrix of the rows of x with the decisive eigenvalues of it and
-    of the distance matrix on sum-zero weights.
+    """Eigenvalues of the kernel matrix of the rows of x and of their distance
+    matrix on sum-zero weights, the decisive ones kept.
 
-    x0 defaults to the group identity.  Raises on non-finite distances.
+    x0 defaults to the group identity.  Both matrices live in one (m, m + 1)
+    buffer: the distances are written into it, packed and solved in place.
+    Raises on non-finite distances.
     """
     if len(x) < 2:
         raise ValueError("need at least 2 points")
     m = len(x)
-    # allocated before D: allocated after it, a second m = 2,000 call in one
-    # process peaked about 25 MB higher, placed among the holes D's temporaries left
+    x0 = group.identity if x0 is None else x0
     buf = np.empty((m, m + 1))
-    d = pairwise_distance_matrix(group, x)
-    d0 = group.distances(x, group.identity if x0 is None else x0)
-    if not (np.isfinite(d).all() and np.isfinite(d0).all()):
-        raise ValueError("non-finite distance encountered")
-    _pack_kernel_and_centered(buf, d, d0)
-    del d  # at the solves: buf and the solvers' copies of K and the centered D
-    k_eigs, c_eigs = _eigvalsh_pair(buf[:, :m], buf[:, 1:].T)
+    pairwise_distance_matrix(group, x, out=buf[:, 1:])
+    _pack_kernel_and_centered(buf, group.distances(x, x0))
+    k_eigs, c_eigs = _solve_pair(buf)
     c_eigs = c_eigs[1:]
     return GramAudit(
-        packed=buf,
+        group=group, points=x, x0=x0,
         max_centered_eig=float(c_eigs[-1]),
         min_K_eig=float(k_eigs[0]),
         centered_eig_scale=float(np.abs(c_eigs).max()),

@@ -391,12 +391,48 @@ def test_sizes_beyond_physical_memory_name_their_flags(args, sizes, capsys):
     assert f"error: {sizes} needs about " in err and "GB" in err
 
 
-@pytest.mark.parametrize("workers, matrices", [(1, 3), (2, 4)])
-def test_check_is_charged_the_matrices_of_its_solve_path(workers, matrices, monkeypatch):
-    # the concurrent solves hold one solver copy more than solves in turn
+@pytest.mark.parametrize("lapacke, workers, copies", [(True, 1, 0), (True, 2, 0), (False, 1, 1),
+                                                     (False, 2, 2)],
+                         ids=["in-place-1", "in-place-2", "fallback-1", "fallback-2"])
+def test_check_is_charged_one_buffer_and_the_copies_of_its_solve_path(lapacke, workers, copies,
+                                                                      monkeypatch):
+    # in place the solves copy nothing; the fallback's concurrent solves hold
+    # one copy more than solves in turn
     monkeypatch.setattr(kernel_lab, "_solve_workers", lambda: workers)
+    if not lapacke:
+        monkeypatch.setattr(kernel_lab, "_lapacke_dsyevd", lambda: None)
+    elif kernel_lab._lapacke_dsyevd() is None:
+        pytest.skip("numpy bundles no LAPACKE")
     cfg = RunConfig(command="check", points=1000)
-    assert _peak_bytes(cfg, SU2) == matrices * 8 * 1000 ** 2 + 48 * 4 * 1000
+    assert _peak_bytes(cfg, SU2) == (8 * 1000 * 1001 + copies * 8 * 1000 ** 2 + 16 * 2 ** 17
+                                     + 1024 * 1000 + 48 * 4 * 1000 + 8 * 2 ** 20)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("path", ["in-place", "fallback"])
+def test_check_grows_no_more_than_its_charge(path):
+    # small SO(n) matrices, where the fixed BLAS and LAPACK scratch outweighs them
+    import levy_groups
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(levy_groups.__file__)))
+    code = f"""if True:
+        from levy_groups import cli, group_core, kernel_lab
+        if {path == "fallback"}:
+            kernel_lab._lapacke_dsyevd = lambda: None
+        def hwm():
+            with open("/proc/self/status") as f:
+                return next(int(l.split()[1]) * 1024 for l in f if l.startswith("VmHWM:"))
+        argv = ["check", "--group", "son", "--n", "10", "--points", "500", "--out", {os.devnull!r}]
+        before = hwm()
+        cli.main(argv)
+        cfg = cli.config_from_args(cli.build_parser().parse_args(argv), argv)
+        print(hwm() - before, cli._peak_bytes(cfg, group_core.group_named("son", 10)))
+    """
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    grown, charged = map(int, done.stdout.split())
+    assert grown <= charged
 
 
 @pytest.mark.parametrize("points, realizations, colour", [(200, 10_000, 2048), (10, 200_000, 22_528),

@@ -20,7 +20,7 @@ from levy_groups import (
     pairwise_distance_matrix,
     transfer_witness,
 )
-from levy_groups import kernel_lab
+from levy_groups import group_core, kernel_lab
 from levy_groups.kernel_lab import WitnessCertificate, _centered, sum_zero_basis
 
 
@@ -126,7 +126,7 @@ def serial_audit(group, x):
     after the other."""
     d = group.pairwise(x)  # the distance formulas work in blocks; D is taken as given
     d0 = group.distances(x, group.identity)
-    k_eigs = np.linalg.eigvalsh(0.5 * (d0[:, None] + d0[None, :] - d))
+    k_eigs = np.linalg.eigvalsh(0.5 * (d0[:, None] + d0[None, :] - d), UPLO="U")
     m, r = len(d), d.mean(axis=0)
     s = 1.0 + m * float(np.abs(d).max())
     c_eigs = np.linalg.eigvalsh(d - np.add.outer(r, r) + (r.mean() - s / m))[1:]
@@ -145,9 +145,71 @@ def test_audit_matches_serial_reference_bit_for_bit(group, m, workers, monkeypat
 
 
 @GROUPS
+@pytest.mark.parametrize("floats, m", [(1000, 2), (1000, 3), (1000, 50), (1000, 129), (100, 129)])
+def test_audit_packs_over_many_blocks_bit_for_bit(group, floats, m, monkeypatch):
+    # 20 rows a block at m = 50 and 7 at m = 129, each ending in a partial
+    # block; one row a block where a row holds more than the block's floats
+    monkeypatch.setattr(group_core, "_BLOCK_FLOATS", floats)
+    x = group.sample(RngStream(54, m), m)
+    audit = gram_audit(group, x)
+    got = (audit.max_centered_eig, audit.min_K_eig, audit.centered_eig_scale, audit.K_eig_scale)
+    assert got == serial_audit(group, x)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_audit_without_lapacke_is_bit_for_bit_the_same(workers, monkeypatch):
+    # the fallback's eigvalsh reads the same triangles from copies
+    monkeypatch.setattr(kernel_lab, "_solve_workers", lambda: workers)
+    for group in (SU2, SO3, group_named("son", 5)):
+        for m in (2, 3, 129, 400):
+            x = group.sample(RngStream(55, m), m)
+            audits = [gram_audit(group, x)]
+            with monkeypatch.context() as patch:
+                patch.setattr(kernel_lab, "_lapacke_dsyevd", lambda: None)
+                audits.append(gram_audit(group, x))
+            assert len({(a.max_centered_eig, a.min_K_eig, a.centered_eig_scale, a.K_eig_scale)
+                        for a in audits}) == 1
+
+
+SENTINEL = np.array(0x7FF8DEADBEEF0001, dtype=np.uint64).view(np.float64)  # a NaN payload
+
+
+@pytest.mark.skipif(kernel_lab._lapacke_dsyevd() is None, reason="numpy bundles no LAPACKE")
+@pytest.mark.parametrize("part", ["K", "centered D"])
+@pytest.mark.parametrize("m", [1, 2, 5, 130])
+def test_packed_solve_reads_and_writes_only_its_triangle(part, m):
+    a = RngStream(56, m).generator.standard_normal((m, m))
+    a += a.T
+    buf = np.full((m, m + 1), SENTINEL)
+    lower = np.tri(m, dtype=bool)
+    if part == "K":  # its lower triangle in buf[:, :m]
+        np.copyto(buf[:, :m], a, where=lower)
+    else:  # its upper triangle in buf[:, 1:]
+        np.copyto(buf[:, 1:], a, where=lower.T)
+    others = np.isnan(buf)
+    eigs = kernel_lab._packed_eigvalsh(buf, part)
+    assert np.array_equal(eigs, np.linalg.eigvalsh(a, UPLO="U" if part == "K" else "L"))
+    assert (buf[others].view(np.uint64) == SENTINEL.view(np.uint64)).all()
+
+
+@pytest.mark.parametrize("part", ["K", "centered D"])
+def test_packed_solve_raises_on_a_lapacke_error(part, monkeypatch):
+    buf = np.eye(3, 4)
+    if kernel_lab._lapacke_dsyevd() is not None:  # LAPACKE rejects a NaN in the triangle
+        buf[(1, 1) if part == "K" else (1, 2)] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match=f"solve of {part} failed: .* info -5"):
+            kernel_lab._packed_eigvalsh(buf, part)
+    monkeypatch.setattr(kernel_lab, "_lapacke_dsyevd", lambda: lambda *args: 2)
+    with pytest.raises(np.linalg.LinAlgError, match=f"solve of {part} failed: .* info 2"):
+        kernel_lab._packed_eigvalsh(buf, part)
+    for bad in (np.eye(3), np.eye(3, 5)[:, :4], np.eye(3, 4, dtype=np.float32)):
+        with pytest.raises(ValueError, match=r"C-contiguous float64 \(m, m \+ 1\) buffer"):
+            kernel_lab._packed_eigvalsh(bad, part)
+
+
+@GROUPS
 @pytest.mark.parametrize("m", [129, 300])
 def test_audit_kernel_is_the_formula_and_bitwise_symmetric(group, m):
-    # 129 and 300 end in a partial block of _CENTER_ROWS rows
     x = group.sample(RngStream(52, m), m)
     k = gram_audit(group, x).K
     d0 = group.distances(x, group.identity)
@@ -161,13 +223,13 @@ def test_audit_holds_one_packed_matrix_at_its_solves(group, monkeypatch):
     m = 300
     x = group.sample(RngStream(53, 0), m)
     held = []
-    solve = kernel_lab._eigvalsh_pair
+    solve = kernel_lab._solve_pair
 
-    def spy(a, b):
+    def spy(buf):
         held.append(tracemalloc.get_traced_memory()[0])
-        return solve(a, b)
+        return solve(buf)
 
-    monkeypatch.setattr(kernel_lab, "_eigvalsh_pair", spy)
+    monkeypatch.setattr(kernel_lab, "_solve_pair", spy)
     tracemalloc.start()
     try:
         gram_audit(group, x)
@@ -176,18 +238,34 @@ def test_audit_holds_one_packed_matrix_at_its_solves(group, monkeypatch):
     assert held[0] <= 1.1 * 8 * m * (m + 1)  # K and the centered D share one buffer
 
 
+@GROUPS
+def test_audit_peaks_at_one_packed_matrix(group, monkeypatch):
+    # the distances are written into the buffer and both spectra solved in it;
+    # all else is block scratch, here blocks of 1,024 floats (one row on SO(5))
+    m = 600
+    monkeypatch.setattr(group_core, "_BLOCK_FLOATS", 1 << 10)
+    x = group.sample(RngStream(53, 1), m)
+    tracemalloc.start()
+    try:
+        gram_audit(group, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8 * m * (m + 1)
+
+
 def test_worker_error_reaches_the_caller_and_the_worker_ends(monkeypatch):
     monkeypatch.setattr(kernel_lab, "_solve_workers", lambda: 2)
     caller = threading.get_ident()
-    eigvalsh = np.linalg.eigvalsh
+    solve = kernel_lab._packed_eigvalsh
 
-    def failing_off_the_caller(a):
+    def failing_off_the_caller(buf, part):
         if threading.get_ident() != caller:
             time.sleep(0.2)  # outlast the caller's solve, so only a join sees the error
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigvalsh(a)
+        return solve(buf, part)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", failing_off_the_caller)
+    monkeypatch.setattr(kernel_lab, "_packed_eigvalsh", failing_off_the_caller)
     before = set(threading.enumerate())
     with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
         gram_audit(SU2, su2_points(51, 20))
