@@ -227,7 +227,7 @@ def _validate(cfg: RunConfig):
             if hasattr(os, "sysconf") else math.inf)
     if need > have:
         size_flags = {"coeffs": (), "densities": ("points", "bins"),
-                      "simulate": ("points", "realizations")}.get(cfg.command, ("points", "n"))
+                      "simulate": ("points",)}.get(cfg.command, ("points", "n"))
         sizes = " ".join(f"--{k} {getattr(cfg, k)}" for k in size_flags
                          if getattr(cfg, k) is not None)
         raise UsageError(f"{sizes} needs about {need / 1e9:.3g} GB for {cfg.command}, "
@@ -255,23 +255,27 @@ def _peak_bytes(cfg: RunConfig, group) -> int:
     40), (150, 60) and (500, 8)), witness on SO(n) 90 B (embedded points and
     JSON), haar 187-245 B (JSON text); densities 1.23 kB per bin and series;
     coeffs 24.3 float64 arrays of one Monte Carlo chunk (--mc-n 1,000,000 at
-    lmax 50).  Rounded up below; except for check and simulate, a fixed few MB
-    of BLAS and LAPACK scratch is left out.
+    lmax 50), or of --mc-n pairs below a chunk.  Rounded up below; except for
+    check and simulate, a fixed few MB of BLAS and LAPACK scratch is left out.
 
     simulate holds, over its m + 1 points, about 5 m x m matrices, one
-    (m + 1, realizations) value matrix that the normals are coloured in, its
-    widest colouring block (two blocks of columns, wider below 32 points), the
-    two column blocks of the variogram's Gram products, and 0.66 kB per
-    variogram row in JSON (0.40 kB in CSV); its first factorization adds about
-    7 MiB of BLAS scratch, which it is charged.  Measured growth in JSON at (points,
-    realizations) (100, 50,000) 48.3 MiB, (200, 10,000) 32.4, (400, 2,000)
-    57.7, (800, 100) 232.0 and (1,500, 100) 805.2; in CSV (50, 10,000) 11.4
-    and (800, 100) 150.7.
+    colouring block of normals and one of values (its widest: two blocks of
+    columns, wider below 32 points, or every realization if fewer), the two
+    column blocks of the variogram's Gram products, and 0.66 kB per variogram
+    row in JSON (0.40 kB in CSV); the realizations stream through the blocks,
+    so beyond the widest block the charge does not grow with them; a replay
+    of the variogram's cancellation guard (pairs closer than about 0.01) also
+    holds the value rows of the flagged pairs' points, which is not charged.
+    Its first factorization adds about 7 MiB of BLAS scratch, which it is
+    charged.  Measured growth in JSON at (points, realizations) (20, 4,000)
+    8.1 MiB, (20, 400,000) 8.3, (100, 50,000) 12.1, (200, 10,000) 23.3, (200,
+    100,000) 23.2, (400, 2,000) 70.2, (800, 100) 232.4 and (1,500, 100) 805.3;
+    in CSV (50, 10,000) 9.1 and (800, 100) 151.1.
     """
     m = cfg.points
     entries = m * group.point_size
     if cfg.command == "coeffs":
-        return 25 * 8 * harmonic._MC_CHUNK
+        return 25 * 8 * min(harmonic._MC_CHUNK, cfg.mc_samples)
     if cfg.command == "densities":
         return 40 * entries + 1300 * cfg.bins * (2 if group is group_core.SO3 else 1)
     if cfg.command == "check":
@@ -282,7 +286,7 @@ def _peak_bytes(cfg: RunConfig, group) -> int:
         return 8 * 8 * m * m + 112 * entries
     if cfg.command == "simulate":
         colour = min(cfg.realizations, 2 * field_sim._colour_width(m))  # its widest block
-        return (6 * 8 * (m + 1) ** 2 + 8 * (m + 1) * (cfg.realizations + colour + 2 * field_sim._BLOCK)
+        return (6 * 8 * (m + 1) ** 2 + 8 * (2 * m + 1) * colour + 16 * (m + 1) * field_sim._BLOCK
                 + 700 * m * (m + 1) // 2 + 8 * 2 ** 20)
     return 256 * entries  # haar
 
@@ -418,7 +422,7 @@ def _run_simulate(cfg: RunConfig, group) -> int:
     except field_sim.KernelNotPSDError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE_FINDING
-    rows = field_sim.empirical_variogram(field_sim.sample_field(fs, cfg.realizations, rng))
+    rows = field_sim.empirical_variogram(fs, cfg.realizations, rng)
     _emit(cfg, {
         "schema_version": "1", "kind": "simulate", "group": cfg.group,
         "points": cfg.points, "realizations": cfg.realizations,

@@ -109,25 +109,45 @@ def _colour_width(n: int) -> int:
     return _BLOCK * -(-_BLOCK // max(n, 1) ** 2)
 
 
+def _coloured_blocks(fs: FieldSample, realizations: int, gen: np.random.Generator,
+                     out: Optional[np.ndarray] = None):
+    """Yield (first column, values block) over the realizations, one colouring
+    block of columns at a time.
+
+    The normals are drawn realization-major (each realization's m - 1 normals
+    consecutive in the stream), a block of realizations at a time, into one
+    buffer, and coloured by the Cholesky factor into the block's rows below
+    the base point, which stay zero.  A block is a view of ``out`` (an (m,
+    realizations) array, zero in its first row) when given, else of one
+    buffer that the next block overwrites.  The values equal one full
+    L @ Z.T of Z drawn at once as (realizations, m - 1), bit for bit (see
+    :func:`_colour_width`).
+    """
+    chol = fs.chol[1:, 1:]
+    width = _colour_width(len(chol))
+    cuts = [*range(0, max(realizations // width, 1) * width, width), realizations]
+    widest = cuts[-1] - cuts[-2]  # the last block, up to twice as wide as the others
+    z = np.empty((widest, len(chol)))
+    vals = np.zeros((fs.m, widest)) if out is None else None
+    for a, b in zip(cuts, cuts[1:]):
+        block = vals[:, :b - a] if out is None else out[:, a:b]
+        np.matmul(chol, gen.standard_normal(out=z[:b - a]).T, out=block[1:])
+        yield a, block
+
+
 def sample_field(fs: FieldSample, realizations: int, rng: RngStream) -> FieldSample:
     """Draw independent realizations; returns a new FieldSample with
     ``values`` of shape (m, realizations), one column per realization.
 
-    The normals Z are drawn straight into the value matrix and coloured there
-    to L Z one column block at a time, so one (m, realizations) array and one
-    block are held.  The values equal one full L @ Z bit for bit (see
-    :func:`_colour_width`).
+    The values are coloured straight into the value matrix, one block of
+    columns at a time, from the same draws as :func:`empirical_variogram`
+    streams.
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
     vals = np.zeros((fs.m, realizations))
-    z = vals[1:]
-    rng.generator.standard_normal(out=z)
-    chol = fs.chol[1:, 1:]
-    width = _colour_width(len(chol))  # the last block is up to twice as wide
-    cuts = [*range(0, max(realizations // width, 1) * width, width), realizations]
-    for a, b in zip(cuts, cuts[1:]):
-        z[:, a:b] = chol @ z[:, a:b]
+    for _ in _coloured_blocks(fs, realizations, rng.generator, out=vals):
+        pass
     return replace(fs, values=vals)
 
 
@@ -139,30 +159,37 @@ class VariogramRow(NamedTuple):
     stderr: float
 
 
-def empirical_variogram(fs: FieldSample) -> list[VariogramRow]:
-    """Estimates of E|X_i - X_j|^2 with standard errors, one row per pair
-    i < j in row-major order.  Needs >= 100 realizations.
-    With S = V V^T, Q = V^2 (V^2)^T and T = V^3 V^T of the values V, the
-    sums of (V_i - V_j)^2 and of its square over the realizations are
-    S_ii + S_jj - 2 S_ij and Q_ii + Q_jj - 4 (T_ij + T_ji) + 6 Q_ij.  Both
-    cancel when V_i is close to V_j; eps times the sum of the absolute terms
-    bounds the rounding (Chan, Golub & LeVeque 1983), and a pair whose bound
-    exceeds ``_CANCELLATION_TOL`` of either value is recomputed directly.
+def empirical_variogram(fs: FieldSample, realizations: int,
+                        rng: RngStream) -> list[VariogramRow]:
+    """Estimates of E|X_i - X_j|^2 with standard errors over ``realizations``
+    fresh draws of the field, one row per pair i < j in row-major order.
+    Needs >= 100 realizations.
+
+    The realizations stream through one colouring block at a time, drawn as
+    :func:`sample_field` draws them, so no (m, realizations) array is held.
+    With S = V V^T, Q = V^2 (V^2)^T and T = V^3 V^T of the values V, summed
+    over column blocks of ``_BLOCK``, the sums of (V_i - V_j)^2 and of its
+    square over the realizations are S_ii + S_jj - 2 S_ij and
+    Q_ii + Q_jj - 4 (T_ij + T_ji) + 6 Q_ij.  Both cancel when V_i is close to
+    V_j; eps times the sum of the absolute terms bounds the rounding (Chan,
+    Golub & LeVeque 1983), and a pair whose bound exceeds
+    ``_CANCELLATION_TOL`` of either value is recomputed directly: the draws
+    are replayed once from the generator state before the pass, holding the
+    value rows of the flagged pairs' points, and the end state is restored.
     """
-    if fs.values is None:
-        raise ValueError("sample the field first")
-    v = fs.values
-    r = v.shape[1]
-    if r < 100:
+    if realizations < 100:
         raise ValueError("need at least 100 realizations")
+    r, gen = realizations, rng.generator
+    start = gen.bit_generator.state
     i, j = np.triu_indices(fs.m, 1)
     s, q, t = np.zeros((3, fs.m, fs.m))
-    for c in range(0, r, _BLOCK):  # scratch memory O(m * block)
-        b = v[:, c:c + _BLOCK]
-        b2 = b * b
-        s += b @ b.T
-        q += b2 @ b2.T
-        t += (b2 * b) @ b.T
+    for _, v in _coloured_blocks(fs, r, gen):
+        for c in range(0, v.shape[1], _BLOCK):  # colouring blocks are whole _BLOCKs
+            b = v[:, c:c + _BLOCK]
+            b2 = b * b
+            s += b @ b.T
+            q += b2 @ b2.T
+            t += (b2 * b) @ b.T
     sq = s[i, i] + s[j, j] - 2.0 * s[i, j]
     num = q[i, i] + q[j, j] - 4.0 * (t[i, j] + t[j, i]) + 6.0 * q[i, j] - sq * sq / r
     eps = np.finfo(float).eps
@@ -171,9 +198,19 @@ def empirical_variogram(fs: FieldSample) -> list[VariogramRow]:
                      + 6.0 * q[i, j] + (sq + 2.0 * sq_err) * sq / r)
     unsafe = (sq_err > _CANCELLATION_TOL * sq) | (num_err > _CANCELLATION_TOL * num)
     est, se = sq / r, np.sqrt(np.where(unsafe, 0.0, num) / (r - 1)) / np.sqrt(r)
-    for p in np.flatnonzero(unsafe):
-        d = (v[i[p]] - v[j[p]]) ** 2
-        est[p], se[p] = d.mean(), d.std(ddof=1) / np.sqrt(r)
+    unsafe = np.flatnonzero(unsafe)
+    if unsafe.size:
+        rows, at = np.unique(np.concatenate((i[unsafe], j[unsafe])), return_inverse=True)
+        held = np.empty((len(rows), r))
+        end, gen.bit_generator.state = gen.bit_generator.state, start
+        try:
+            for a, v in _coloured_blocks(fs, r, gen):
+                held[:, a:a + v.shape[1]] = v[rows]
+        finally:
+            gen.bit_generator.state = end
+        for p, a, b in zip(unsafe, at[:unsafe.size], at[unsafe.size:]):
+            d = (held[a] - held[b]) ** 2
+            est[p], se[p] = d.mean(), d.std(ddof=1) / np.sqrt(r)
     k = fs.K  # d_ij = K_ii + K_jj - 2 K_ij, exact from the kernel definition
     dist = k[i, i] + k[j, j] - 2.0 * k[i, j]
     return list(map(VariogramRow, i.tolist(), j.tolist(), dist.tolist(),

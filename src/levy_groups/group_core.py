@@ -274,17 +274,20 @@ class SO3Group(SOnGroup):
         sine and cosine, so it is accurate at every angle, where
         arccos((tr - 1)/2) loses half the digits near 0 and pi.  tr P and each
         axial component P[a, b] - P[b, a] = [x_a, -x_b] . [y_b, y_a] (rows a
-        and b) is one GEMM.
+        and b) is one GEMM.  The sine is summed in out and the cosine formed
+        in the one block of scratch the kernel holds.
         """
-        c = np.matmul(x.reshape(len(x), 9), y.reshape(len(y), 9).T, out=out)
-        c -= 1.0
-        s, axial = np.zeros_like(c), np.empty_like(c)
-        for a, b in ((2, 1), (0, 2), (1, 0)):
+        scratch = np.empty_like(out)
+        for k, (a, b) in enumerate(((2, 1), (0, 2), (1, 0))):
+            axial = scratch if k else out
             np.matmul(np.hstack((x[:, a], -x[:, b])), np.hstack((y[:, b], y[:, a])).T, out=axial)
             axial *= axial
-            s += axial
-        np.sqrt(s, out=s)
-        np.arctan2(s, c, out=c)
+            if k:
+                out += axial
+        np.sqrt(out, out=out)
+        c = np.matmul(x.reshape(len(x), 9), y.reshape(len(y), 9).T, out=scratch)
+        c -= 1.0
+        np.arctan2(out, c, out=out)
 
 
 SU2 = SU2Group()

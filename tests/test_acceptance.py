@@ -175,9 +175,8 @@ def test_criterion_7_field_law():
     t0 = time.monotonic()
     rng = RngStream(7, 0)
     fs = build_field(SU2, SU2.sample(rng, 50))
-    fs = sample_field(fs, 10_000, RngStream(7, 1))
-    pinned = float(np.abs(fs.values[0]).max()) == 0.0
-    rows = empirical_variogram(fs)
+    pinned = float(np.abs(sample_field(fs, 10_000, RngStream(7, 1)).values[0]).max()) == 0.0
+    rows = empirical_variogram(fs, 10_000, RngStream(7, 1))  # the same realizations
     covered = sum(
         1 for r in rows if abs(r.estimate - r.distance) <= 3.0 * r.stderr
     )

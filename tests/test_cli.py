@@ -383,6 +383,7 @@ def test_points_beyond_physical_memory_are_usage_errors(args, capsys):
      "--points 10000000000000 --bins 60"),
     (["densities", "--group", "so3", "--points", "10", "--bins", "10000000000000"],
      "--points 10 --bins 10000000000000"),
+    (["simulate", "--points", "1000000"], "--points 1000000"),  # not --realizations
 ])
 def test_sizes_beyond_physical_memory_name_their_flags(args, sizes, capsys):
     # returns from the size check, before anything is sampled or allocated
@@ -408,41 +409,69 @@ def test_check_is_charged_one_buffer_and_the_copies_of_its_solve_path(lapacke, w
                                      + 1024 * 1000 + 48 * 4 * 1000 + 8 * 2 ** 20)
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
-@pytest.mark.parametrize("path", ["in-place", "fallback"])
-def test_check_grows_no_more_than_its_charge(path):
-    # small SO(n) matrices, where the fixed BLAS and LAPACK scratch outweighs them
+def grown_and_charged(argv, setup=""):
+    """VmHWM growth of one CLI run in a fresh interpreter, after ``setup``
+    (one line of Python), and the run's charge, in bytes."""
     import levy_groups
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(levy_groups.__file__)))
+    argv = argv + ["--out", os.devnull]
     code = f"""if True:
-        from levy_groups import cli, group_core, kernel_lab
-        if {path == "fallback"}:
-            kernel_lab._lapacke_dsyevd = lambda: None
+        from levy_groups import cli
+        {setup}
         def hwm():
             with open("/proc/self/status") as f:
                 return next(int(l.split()[1]) * 1024 for l in f if l.startswith("VmHWM:"))
-        argv = ["check", "--group", "son", "--n", "10", "--points", "500", "--out", {os.devnull!r}]
+        argv = {argv!r}
         before = hwm()
         cli.main(argv)
         cfg = cli.config_from_args(cli.build_parser().parse_args(argv), argv)
-        print(hwm() - before, cli._peak_bytes(cfg, group_core.group_named("son", 10)))
+        print(hwm() - before, cli._peak_bytes(cfg, cli._validate(cfg)))
     """
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
-    grown, charged = map(int, done.stdout.split())
+    return tuple(map(int, done.stdout.split()))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("path", ["in-place", "fallback"])
+def test_check_grows_no_more_than_its_charge(path):
+    # small SO(n) matrices, where the fixed BLAS and LAPACK scratch outweighs them
+    setup = ("from levy_groups import kernel_lab; kernel_lab._lapacke_dsyevd = lambda: None"
+             if path == "fallback" else "")
+    grown, charged = grown_and_charged(
+        ["check", "--group", "son", "--n", "10", "--points", "500"], setup)
     assert grown <= charged
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_simulate_memory_does_not_grow_with_realizations():
+    # 400,000 realizations of 21 values would be a 67 MB value matrix
+    few, _ = grown_and_charged(["simulate", "--points", "20", "--realizations", "4000"])
+    grown, charged = grown_and_charged(["simulate", "--points", "20", "--realizations", "400000"])
+    assert grown <= charged
+    assert grown <= few + 4 * 2 ** 20
 
 
 @pytest.mark.parametrize("points, realizations, colour", [(200, 10_000, 2048), (10, 200_000, 22_528),
                                                            (1, 5_000, 5_000)])
-def test_simulate_is_charged_one_value_matrix_and_its_widest_blocks(points, realizations, colour):
-    # the normals are coloured in the value matrix, a block of columns at a time
+def test_simulate_is_charged_its_widest_blocks_not_its_realizations(points, realizations, colour):
+    # the realizations stream through one colouring block of normals and of
+    # values at a time, and two column blocks of the Gram products
     cfg = RunConfig(command="simulate", points=points, realizations=realizations)
-    assert _peak_bytes(cfg, SU2) == (6 * 8 * (points + 1) ** 2
-                                     + 8 * (points + 1) * (realizations + colour + 2048)
-                                     + 700 * points * (points + 1) // 2 + 8 * 2 ** 20)
+    charge = _peak_bytes(cfg, SU2)
+    assert charge == (6 * 8 * (points + 1) ** 2 + 8 * (2 * points + 1) * colour
+                      + 16 * (points + 1) * 1024 + 700 * points * (points + 1) // 2 + 8 * 2 ** 20)
+    if colour < realizations:  # wider than the widest block
+        cfg.realizations *= 100
+        assert _peak_bytes(cfg, SU2) == charge
+
+
+@pytest.mark.parametrize("mc_samples, chunk", [(0, 0), (1000, 1000), (10 ** 6, 1 << 17)])
+def test_coeffs_is_charged_one_monte_carlo_chunk_at_most(mc_samples, chunk):
+    cfg = RunConfig(command="coeffs", mc_samples=mc_samples)
+    assert _peak_bytes(cfg, SU2) == 25 * 8 * chunk
 
 
 def test_unknown_group_rejected_by_argparse(capsys):

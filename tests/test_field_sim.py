@@ -22,6 +22,13 @@ def su2_points(seed, m, stream=0):
     return SU2.sample(RngStream(seed, stream), m)
 
 
+def same_state(a, b):
+    """Equal bit-generator states (dicts holding arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
 def qmul(p, q):
     """SU(2) product of unit quadruples (a1, a2, b1, b2), on (..., 4) arrays:
     the matrix product of [[a, b], [-conj(b), conj(a)]]."""
@@ -121,7 +128,7 @@ def test_sampling_is_reproducible():
 def test_values_are_the_cholesky_factor_times_the_normals(m, r):
     fs = build_field(SU2, su2_points(76, m))
     vals = sample_field(fs, r, RngStream(76, 1)).values
-    z = RngStream(76, 1).generator.standard_normal((m, r))
+    z = RngStream(76, 1).generator.standard_normal((r, m)).T  # realization-major
     assert np.array_equal(vals[1:], fs.chol[1:, 1:] @ z)
 
 
@@ -134,7 +141,7 @@ def test_sampling_holds_one_value_matrix_and_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the normals are coloured in place; the last block is up to two wide
+    # the values are coloured in place from one block of normals, up to two wide
     assert peak <= 1.1 * 8 * fs.m * r + 8 * fs.m * 2 * field_sim._BLOCK
 
 
@@ -163,8 +170,7 @@ def test_field_moments_match_kernel():
 
 def test_variogram_matches_distances():
     fs = build_field(SU2, su2_points(68, 12))
-    fs = sample_field(fs, 10_000, RngStream(68, 1))
-    rows = empirical_variogram(fs)
+    rows = empirical_variogram(fs, 10_000, RngStream(68, 1))
     assert len(rows) == 13 * 12 // 2
     covered = sum(
         1 for row in rows if abs(row.estimate - row.distance) <= 3.0 * row.stderr
@@ -179,9 +185,10 @@ def test_variogram_matches_the_direct_formula_on_every_pair(m):
     pts = su2_points(77, m)
     h = np.array([1e-3, 1e-6, 1e-9])
     pts = np.vstack([pts, qmul(pts[:3], np.stack([np.cos(h), np.sin(h), 0 * h, 0 * h], axis=-1))])
-    fs = sample_field(build_field(SU2, pts), 10_000, RngStream(77, 1))
-    rows = empirical_variogram(fs)
+    fs = build_field(SU2, pts)
+    rows = empirical_variogram(fs, 10_000, RngStream(77, 1))
     assert len(rows) == (m + 4) * (m + 3) // 2
+    fs = sample_field(fs, 10_000, RngStream(77, 1))  # the same realizations
     r = fs.values.shape[1]
     for row in rows:
         sq = (fs.values[row.pair_i] - fs.values[row.pair_j]) ** 2
@@ -190,12 +197,99 @@ def test_variogram_matches_the_direct_formula_on_every_pair(m):
         assert abs(row.stderr - se) <= 1e-9 * se
 
 
+def moment_rows(v, tol):
+    """(estimate, stderr) of every pair from the whole value matrix v: the
+    Gram-product moments over 1,024-column blocks, each pair whose rounding
+    bound exceeds tol of its value recomputed from its differences."""
+    r = v.shape[1]
+    i, j = np.triu_indices(len(v), 1)
+    s, q, t = np.zeros((3, len(v), len(v)))
+    for c in range(0, r, 1024):
+        b = v[:, c:c + 1024]
+        b2 = b * b
+        s += b @ b.T
+        q += b2 @ b2.T
+        t += (b2 * b) @ b.T
+    sq = s[i, i] + s[j, j] - 2.0 * s[i, j]
+    num = q[i, i] + q[j, j] - 4.0 * (t[i, j] + t[j, i]) + 6.0 * q[i, j] - sq * sq / r
+    eps = np.finfo(float).eps
+    sq_err = eps * (s[i, i] + s[j, j] + 2.0 * np.abs(s[i, j]))
+    num_err = eps * (q[i, i] + q[j, j] + 4.0 * (np.abs(t[i, j]) + np.abs(t[j, i]))
+                     + 6.0 * q[i, j] + (sq + 2.0 * sq_err) * sq / r)
+    unsafe = (sq_err > tol * sq) | (num_err > tol * num)
+    est, se = sq / r, np.sqrt(np.where(unsafe, 0.0, num) / (r - 1)) / np.sqrt(r)
+    for p in np.flatnonzero(unsafe):
+        d = (v[i[p]] - v[j[p]]) ** 2
+        est[p], se[p] = d.mean(), d.std(ddof=1) / np.sqrt(r)
+    return est, se, int(unsafe.sum())
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """One entry per pass of the realizations through their colouring blocks."""
+    calls, blocks = [], field_sim._coloured_blocks
+    monkeypatch.setattr(field_sim, "_coloured_blocks",
+                        lambda *a, **k: calls.append(1) or blocks(*a, **k))
+    return calls
+
+
+# no pair flagged, the three planted pairs, every pair; r spans one colouring
+# block, whole blocks and a wide last block
+@pytest.mark.parametrize("planted, tol, flagged", [(False, field_sim._CANCELLATION_TOL, 0),
+                                                   (True, field_sim._CANCELLATION_TOL, 3),
+                                                   (True, 0.0, 15 * 14 // 2)],
+                         ids=["none", "planted", "every"])
+@pytest.mark.parametrize("r", [300, 4096, 5003])
+def test_streamed_variogram_is_the_moment_formula_on_the_values(planted, tol, flagged, r,
+                                                                passes, monkeypatch):
+    pts = su2_points(81, 14 if planted else 11)
+    if planted:
+        h = np.array([1e-3, 1e-6, 1e-9])
+        pts[11:] = qmul(pts[:3], np.stack([np.cos(h), np.sin(h), 0 * h, 0 * h], axis=-1))
+    fs = build_field(SU2, pts)
+    est, se, unsafe = moment_rows(sample_field(fs, r, RngStream(81, 1)).values, tol)
+    assert unsafe == flagged
+    passes.clear()  # sample_field's pass
+    monkeypatch.setattr(field_sim, "_CANCELLATION_TOL", tol)
+    rng = RngStream(81, 1)
+    rows = empirical_variogram(fs, r, rng)
+    assert len(passes) == (2 if flagged else 1)  # a replay is one more pass
+    assert np.array_equal([row.estimate for row in rows], est)
+    assert np.array_equal([row.stderr for row in rows], se)
+    straight = RngStream(81, 1).generator
+    straight.standard_normal((r, fs.m - 1))
+    assert same_state(rng.generator.bit_generator.state, straight.bit_generator.state)
+
+
+def test_haar_points_are_not_replayed(passes):
+    # the simulate benchmark's size: 200 Haar points and 10,000 realizations
+    empirical_variogram(build_field(SU2, su2_points(82, 200)), 10_000, RngStream(82, 1))
+    assert len(passes) == 1
+
+
+def test_variogram_memory_does_not_grow_with_realizations():
+    fs = build_field(SU2, su2_points(83, 50))
+    peaks = []
+    for r in (2_047, 100_000):  # the widest last block, and many blocks
+        tracemalloc.start()
+        try:
+            empirical_variogram(fs, r, RngStream(83, 1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # 100,000 realizations of values alone would be 40.8 MB; a pass holds
+    # S, Q and T, one colouring block of normals and of values, two blocks
+    # of the Gram products and the rows
+    width = 2 * field_sim._colour_width(fs.m - 1)
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[1] <= 8 * (3 * fs.m ** 2 + (2 * fs.m - 1) * width + 2 * fs.m * field_sim._BLOCK)
+
+
 def test_variogram_degenerate_and_antipodal_pairs():
     e = SU2.identity
     pts = np.vstack([-e, su2_points(69, 8)])
     fs = build_field(SU2, pts, x0=e)
-    fs = sample_field(fs, 10_000, RngStream(69, 1))
-    antipodal = empirical_variogram(fs)[0]  # the pair (0, 1): base point and -e
+    antipodal = empirical_variogram(fs, 10_000, RngStream(69, 1))[0]  # the pair (0, 1): base point and -e
     assert (antipodal.pair_i, antipodal.pair_j) == (0, 1)
     assert antipodal.distance == pytest.approx(math.pi)
     assert abs(antipodal.estimate - math.pi) <= 3.0 * antipodal.stderr
@@ -203,21 +297,20 @@ def test_variogram_degenerate_and_antipodal_pairs():
 
 def test_variogram_needs_enough_realizations():
     fs = build_field(SU2, su2_points(70, 5))
-    with pytest.raises(ValueError):
-        empirical_variogram(fs)
-    fs = sample_field(fs, 99, RngStream(70, 1))
-    with pytest.raises(ValueError):
-        empirical_variogram(fs)
+    rng = RngStream(70, 1)
+    state = rng.generator.bit_generator.state
+    for r in (0, 99):
+        with pytest.raises(ValueError):
+            empirical_variogram(fs, r, rng)
+    assert same_state(rng.generator.bit_generator.state, state)  # nothing drawn
 
 
 def test_variogram_invariant_under_group_translation():
     pts = SU2.sample(RngStream(71, 0), 11)
     pts, h = pts[:10], pts[10]
     moved = qmul(h, pts)
-    fs_a = sample_field(build_field(SU2, pts, x0=SU2.identity), 2000, RngStream(71, 1))
-    fs_b = sample_field(build_field(SU2, moved, x0=h), 2000, RngStream(71, 1))
-    rows_a = empirical_variogram(fs_a)
-    rows_b = empirical_variogram(fs_b)
+    rows_a = empirical_variogram(build_field(SU2, pts, x0=SU2.identity), 2000, RngStream(71, 1))
+    rows_b = empirical_variogram(build_field(SU2, moved, x0=h), 2000, RngStream(71, 1))
     for ra, rb in zip(rows_a, rows_b):
         assert abs(ra.distance - rb.distance) < 1e-7
         assert abs(ra.estimate - rb.estimate) < 1e-6
@@ -225,12 +318,8 @@ def test_variogram_invariant_under_group_translation():
 
 def test_jitter_insensitivity():
     pts = su2_points(72, 25)
-    rows_small = empirical_variogram(
-        sample_field(build_field(SU2, pts, jitter=1e-10), 2000, RngStream(72, 1))
-    )
-    rows_large = empirical_variogram(
-        sample_field(build_field(SU2, pts, jitter=1e-8), 2000, RngStream(72, 1))
-    )
+    rows_small = empirical_variogram(build_field(SU2, pts, jitter=1e-10), 2000, RngStream(72, 1))
+    rows_large = empirical_variogram(build_field(SU2, pts, jitter=1e-8), 2000, RngStream(72, 1))
     for a, b in zip(rows_small, rows_large):
         assert abs(a.estimate - b.estimate) < 1e-3
 
@@ -241,8 +330,7 @@ def test_jitter_insensitivity():
 
 def test_variogram_csv_layout(tmp_path):
     # The variogram's CSV goes out through the CLI's one emitter.
-    fs = sample_field(build_field(SU2, su2_points(73, 4)), 200, RngStream(73, 1))
-    rows = empirical_variogram(fs)
+    rows = empirical_variogram(build_field(SU2, su2_points(73, 4)), 200, RngStream(73, 1))
     out = tmp_path / "variogram.csv"
     cfg = RunConfig("simulate", format="csv", out=str(out), no_meta=True)
     _emit(cfg, {}, VariogramRow._fields, rows)

@@ -254,6 +254,23 @@ def test_audit_peaks_at_one_packed_matrix(group, monkeypatch):
     assert peak <= 1.1 * 8 * m * (m + 1)
 
 
+def test_so3_audit_with_real_blocks_peaks_no_higher_than_su2():
+    # SO(3)'s distance kernel holds one block of scratch beside its output, as
+    # its _pair_floats declares, so its peak is the pack's, as on SU(2)
+    m = 1000
+    peaks = {}
+    for group in (SU2, SO3):
+        gram_audit(group, group.sample(RngStream(54, 0), 10))  # load the solver first
+        x = group.sample(RngStream(54, 1), m)
+        tracemalloc.start()
+        try:
+            gram_audit(group, x)
+            peaks[group] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[SO3] <= peaks[SU2]
+
+
 def test_worker_error_reaches_the_caller_and_the_worker_ends(monkeypatch):
     monkeypatch.setattr(kernel_lab, "_solve_workers", lambda: 2)
     caller = threading.get_ident()
