@@ -238,15 +238,16 @@ def _validate(cfg: RunConfig):
 def _peak_bytes(cfg: RunConfig, group) -> int:
     """Estimated peak memory in bytes, from the arrays a command holds at once.
 
-    check holds one (m, m + 1) float64 buffer: the distances are written into
-    it, K and the centered D packed in it a block of rows at a time, and both
-    spectra solved in place; where numpy bundles no LAPACKE, each solve copies
-    its matrix (two copies at once when the solves run concurrently).  Measured
-    above the interpreter (VmHWM, numpy 2.4, SU(2)) at m = 1,000, 2,000 and
-    3,000: 16.2, 40.2 and 79.3 MiB with the solves at once, 15.8, 39.5 and 78.1
-    in turn; with the copies 31.3, 101.0 and 216.4 at once, 23.1, 69.7 and 146.6
-    in turn.  Above the buffer and copies that is about 7.6 MiB of BLAS and
-    LAPACK scratch and up to 1 kB per point of solver workspace, both charged.
+    check holds one (m, m) float64 buffer: the distances are written into it,
+    K formed in it a block of rows at a time, reflected to H K H and reduced
+    to tridiagonal form in place; where numpy bundles no LAPACK, eigvalsh
+    copies the matrix, then its [1:, 1:] block, one after the other.  Measured
+    above the interpreter (VmHWM, numpy 2.4, SU(2), BLAS on one thread) at
+    m = 1,000, 2,000 and 3,000: 16.9, 41.5 and 80.6 MiB in place, 23.7, 69.9
+    and 146.3 with the copies.  Above the buffer that is the reduction's
+    queried workspace, about 830 B per point (charged at 1 kB), and 8.5 to 9.6
+    MiB of block, BLAS and LAPACK scratch, charged as 2 MiB of blocks and
+    8 MiB.
     witness grows by 7.3 and 6.4 m x m matrices, one trial or several, its eigh
     holding about six.  Per entry of the m sampled points (4 on SU(2), n^2 on
     SO(n)): densities 12-22 B (sample, the QR copies of one sampler block,
@@ -279,8 +280,8 @@ def _peak_bytes(cfg: RunConfig, group) -> int:
     if cfg.command == "densities":
         return 40 * entries + 1300 * cfg.bins * (2 if group is group_core.SO3 else 1)
     if cfg.command == "check":
-        copies = 0 if kernel_lab._lapacke_dsyevd() else kernel_lab._solve_workers()
-        return (8 * m * (m + 1) + copies * 8 * m * m + 16 * max(group_core._BLOCK_FLOATS, m)
+        copies = 0 if kernel_lab._lapack() else 1
+        return (8 * m * m * (1 + copies) + 16 * max(group_core._BLOCK_FLOATS, m)
                 + 1024 * m + 48 * entries + 8 * 2 ** 20)
     if cfg.command == "witness":
         return 8 * 8 * m * m + 112 * entries

@@ -8,9 +8,13 @@ K is positive definite exactly when d is a restricted negative definite
 kernel (quadratic form <= 0 over weights summing to zero).  On finite
 point sets both sides reduce to eigenvalue tests: the smallest eigenvalue
 of K, and the largest eigenvalue of the distance matrix compressed onto
-the sum-zero subspace.  A witness certificate is a point set and sum-zero
-weight vector whose quadratic form is strictly positive, certifying that
-the distance is not restricted negative definite.
+the sum-zero subspace.  For sum-zero v, v^T K v = -v^T D v / 2, so one
+reduction decides both: a Householder reflector H sends the constants to
+e1, and a tridiagonalization that fixes e1 turns H K H into T, whose ends
+are K's and whose block T[1:, 1:] holds K, and so -D/2, on sum-zero
+weights.  A witness certificate is a point set and sum-zero weight vector
+whose quadratic form is strictly positive, certifying that the distance is
+not restricted negative definite.
 """
 
 from __future__ import annotations
@@ -20,7 +24,6 @@ import functools
 import glob
 import json
 import os
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -50,153 +53,139 @@ def sum_zero_basis(m: int) -> np.ndarray:
     return b
 
 
-def _centering(d: np.ndarray) -> tuple[np.ndarray, float]:
-    """The column means r of d and the shift r.mean() - s/m, for
-    s = 1 + m max|d| > ||D||_2, that _center adds to every entry.
-
-    The shift is finite exactly when d is: s is inf or nan otherwise."""
-    m, r = len(d), d.mean(axis=0)
-    s = 1.0 + m * max(float(d.max()), -float(d.min()))
-    return r, r.mean() - s / m
-
-
-def _center(block: np.ndarray, ri: np.ndarray, rj: np.ndarray, shift: float) -> np.ndarray:
-    """Overwrite the block of d at rows i and columns j with d - (r_i + r_j) + shift."""
-    block -= np.add.outer(ri, rj)
-    block += shift
-    return block
-
-
 def _block_rows(m: int) -> int:
-    """Rows per block of the centering: about group_core._BLOCK_FLOATS floats, or one row."""
+    """Rows per block of an (m, m) pass: about group_core._BLOCK_FLOATS floats, or one row."""
     return max(1, group_core._BLOCK_FLOATS // m)
 
 
-def _centered(d: np.ndarray) -> np.ndarray:
-    """Overwrite d with J D J - (s/m) 1 1^T, for J = I - 1 1^T/m and
-    s = 1 + m max|d| > ||D||_2, and return it: its lowest eigenvalue is -s, on
-    the constants; the rest are D's on sum-zero weights.
-
-    Works in blocks of rows, each entry rounding as d - (r_i + r_j) + shift."""
-    r, shift = _centering(d)
-    step = _block_rows(len(d))
-    for i in range(0, len(d), step):
-        _center(d[i:i + step], r[i:i + step], r, shift)
-    return d
+def _householder(m: int) -> tuple[np.ndarray, float]:
+    """u = 1/sqrt(m) + e1 and tau = 2 / u^T u = 1 / u_1 of the reflector
+    H = I - tau u u^T, which sends the constants to -sqrt(m) e1.  H is
+    symmetric and orthogonal and its first column is constant, so its last
+    m - 1 columns are an orthonormal basis of the sum-zero subspace."""
+    u = np.full(m, 1.0 / np.sqrt(m))
+    u[0] += 1.0
+    return u, 1.0 / u[0]
 
 
-def _pack_kernel_and_centered(buf: np.ndarray, d0: np.ndarray) -> None:
-    """Overwrite the (m, m + 1) buf, whose buf[:, 1:] holds D, with K's lower
-    triangle in buf[:, :m] and the centered D's upper triangle in buf[:, 1:],
-    diagonals included; raise ValueError if D or d0 is not finite.
+def _reflect(a: np.ndarray) -> np.ndarray:
+    """Overwrite the symmetric (m, m) a with H a H (see _householder) and
+    return it: a[1:, 1:] is then a compressed onto the sum-zero subspace.
 
-    Blocks of rows run from the last to the first.  K left of a block's
-    diagonal square is read from D's upper triangle in the rows above, which
-    no block has overwritten yet (D is bitwise symmetric); K on the square is
-    formed before the block's D is centered where it lies.  Each entry rounds
-    as 0.5 * (d0_i + d0_j - d_ij) and as _centered's."""
-    m = len(buf)
-    d = buf[:, 1:]
-    r, shift = _centering(d)
-    if not (np.isfinite(shift) and np.isfinite(d0).all()):
-        raise ValueError("non-finite distance encountered")
+    One rank-2 update a - u w^T - w u^T, for p = tau a u and
+    w = p - (tau / 2) (u^T p) u, in blocks of rows; nothing m x m is made."""
+    m = len(a)
+    u, tau = _householder(m)
+    p = tau * (a @ u)
+    w = p - (0.5 * tau * (u @ p)) * u
     step = _block_rows(m)
-    for i in reversed(range(0, m, step)):
-        j = min(i + step, m)
-        k = np.add.outer(d0[i:j], d0[:i], out=buf[i:j, :i])
-        k -= d[:i, i:j].T
-        k *= 0.5
-        k = np.add.outer(d0[i:j], d0[i:j])
-        k -= d[i:j, i:j]
-        k *= 0.5
-        _center(d[i:j, i:], r[i:j], r[i:], shift)
-        np.copyto(buf[i:j, i:j], k, where=np.tri(j - i, dtype=bool))
-
-
-def _solve_workers() -> int:
-    """2 when gram_audit may solve its two spectra at once, else 1.
-
-    Two concurrent solves pay only when each keeps one core to itself: the
-    process may run on at least two CPUs, and the environment pins numpy's
-    OpenBLAS to one thread (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, is
-    1).  With BLAS threads free, the solves already share the cores, and
-    running two at once was slower than in turn.
-    """
-    env = os.environ
-    pinned = (env.get("OPENBLAS_NUM_THREADS") or env.get("OMP_NUM_THREADS")) == "1"
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return 2 if pinned and cpus >= 2 else 1
+    for i in range(0, m, step):
+        rows = a[i:i + step]
+        rows -= np.multiply.outer(u[i:i + step], w)
+        rows -= np.multiply.outer(w[i:i + step], u)
+    return a
 
 
 @functools.cache
-def _lapacke_dsyevd():
-    """LAPACKE_dsyevd of the OpenBLAS bundled with numpy (64-bit integers), or
-    None where numpy ships no such library."""
+def _lapack():
+    """(dsytrd_2stage, LAPACKE_dstebz) of the OpenBLAS bundled with numpy
+    (64-bit integers), or None where numpy ships no such library."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
         try:
-            dsyevd = ctypes.CDLL(path).scipy_LAPACKE_dsyevd64_
+            lib = ctypes.CDLL(path)
+            dsytrd, dstebz = lib.scipy_dsytrd_2stage_64_, lib.scipy_LAPACKE_dstebz64_
         except (OSError, AttributeError):
             continue
-        dsyevd.restype = ctypes.c_int64
-        dsyevd.argtypes = (ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_int64,
-                           ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
-        return dsyevd
+        dsytrd.restype = None  # Fortran: every argument by reference, INFO among them
+        dsytrd.argtypes = ((ctypes.c_char_p,) * 2 + (ctypes.c_void_p,) * 11
+                           + (ctypes.c_size_t,) * 2)
+        dstebz.restype = ctypes.c_int64
+        dstebz.argtypes = ((ctypes.c_char, ctypes.c_char, ctypes.c_int64, ctypes.c_double,
+                            ctypes.c_double, ctypes.c_int64, ctypes.c_int64, ctypes.c_double)
+                           + (ctypes.c_void_p,) * 7)
+        return dsytrd, dstebz
     return None
 
 
-def _packed_eigvalsh(buf: np.ndarray, part: str) -> np.ndarray:
-    """Ascending eigenvalues of K (part "K") or of the centered D ("centered D")
-    from their triangles in the packed, C-contiguous (m, m + 1) buf (see
-    _pack_kernel_and_centered).
+def _dsytrd_2stage(m: int, a, d, e, tau, hous2, work, query: bool = False) -> None:
+    """dsytrd_2stage('N', 'L') on the order-m matrix a (None for a query),
+    with LHOUS2 and LWORK the lengths of hous2 and work, or -1 for a
+    workspace query, which writes the sizes to hous2[0] and work[0].
+    Fortran takes every argument by reference, and each CHARACTER's length
+    after the rest.  Raises LinAlgError when INFO is not 0."""
+    n, info = ctypes.c_int64(m), ctypes.c_int64(0)
+    lhous2, lwork = (ctypes.c_int64(-1 if query else len(x)) for x in (hous2, work))
+    _lapack()[0](b"N", b"L", ctypes.byref(n), None if a is None else a.ctypes.data,
+                 ctypes.byref(n), d.ctypes.data, e.ctypes.data, tau.ctypes.data,
+                 hous2.ctypes.data, ctypes.byref(lhous2), work.ctypes.data, ctypes.byref(lwork),
+                 ctypes.byref(info), 1, 1)
+    if info.value:
+        raise np.linalg.LinAlgError(f"tridiagonal reduction failed: dsytrd_2stage info {info.value}")
 
-    LAPACK's dsyevd reads buf column-major with leading dimension m + 1: K is
-    the upper triangle of the matrix at buf[0, 0], the centered D the lower
-    one of the matrix at buf[0, 1].  It overwrites that triangle and nothing
-    else, so the two solves may run at once.  Without LAPACKE, eigvalsh reads
-    the same numbers, in the same order, from copies."""
-    m, kernel = len(buf), part == "K"
-    if buf.dtype != np.float64 or buf.shape != (m, m + 1) or not buf.flags.c_contiguous:
-        raise ValueError(f"need a C-contiguous float64 (m, m + 1) buffer, got {buf.dtype} "
-                         f"{buf.shape}")
-    dsyevd = _lapacke_dsyevd()
-    if dsyevd is None:
-        return (np.linalg.eigvalsh(buf[:, :m].T, UPLO="U") if kernel
-                else np.linalg.eigvalsh(buf[:, 1:].T))
-    eigs = np.empty(m)  # held until LAPACK has written it
-    info = dsyevd(102, b"N", b"U" if kernel else b"L", m,  # 102: column-major
-                  buf.ctypes.data + (0 if kernel else buf.itemsize), m + 1, eigs.ctypes.data)
+
+def _tridiagonal_workspace(m: int) -> tuple[int, int]:
+    """Floats of WORK and of HOUS2 that dsytrd_2stage asks for at order m."""
+    unused, hous2, work = np.zeros(1), np.zeros(1), np.zeros(1)
+    _dsytrd_2stage(m, None, unused, unused, unused, hous2, work, query=True)
+    return int(work[0]), int(hous2[0])
+
+
+def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the tridiagonal T = Q^T a Q to which
+    LAPACK's two-stage dsytrd_2stage reduces the C-contiguous float64
+    (m, m) a, overwriting it.  It reads a's upper triangle (Fortran's lower,
+    'L'), and its Q fixes e1: T[1:, 1:] is similar to a[1:, 1:].
+
+    Raises ValueError on a non-finite entry, before LAPACK runs."""
+    m = len(a)
+    if a.dtype != np.float64 or a.shape != (m, m) or not a.flags.c_contiguous:
+        raise ValueError(f"need a C-contiguous float64 (m, m) matrix, got {a.dtype} {a.shape}")
+    step = _block_rows(m)
+    if not all(np.isfinite(a[i:i + step]).all() for i in range(0, m, step)):
+        raise ValueError("non-finite entry in the matrix to reduce")
+    lwork, lhous2 = _tridiagonal_workspace(m)
+    d, e = np.empty(m), np.empty(m)
+    _dsytrd_2stage(m, a, d, e, np.empty(m), np.empty(lhous2), np.empty(lwork))
+    return d, e[:m - 1]
+
+
+def _eigenvalue(d: np.ndarray, e: np.ndarray, k: int) -> float:
+    """The k-th smallest (from 1) eigenvalue of the symmetric tridiagonal
+    matrix with diagonal d and off-diagonal e, by bisection: LAPACKE dstebz
+    with range 'I' and abstol 2 * tiny, which resolves it to full accuracy.
+
+    Raises ValueError on a non-finite entry, before LAPACK runs."""
+    d, e = np.ascontiguousarray(d, dtype=float), np.ascontiguousarray(e, dtype=float)
+    n = len(d)
+    if not (d.ndim == 1 and n >= 1 and e.shape == (n - 1,)):
+        raise ValueError(f"need n >= 1 diagonal and n - 1 off-diagonal entries, got {d.shape} "
+                         f"and {e.shape}")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("non-finite entry in the tridiagonal matrix")
+    w, found, blocks = np.empty(n), np.zeros(2, np.int64), np.empty((2, n), np.int64)
+    info = _lapack()[1](b"I", b"B", n, 0.0, 0.0, k, k, 2.0 * np.finfo(float).tiny,
+                        d.ctypes.data, e.ctypes.data, found.ctypes.data, found[1:].ctypes.data,
+                        w.ctypes.data, blocks.ctypes.data, blocks[1].ctypes.data)
     if info:
-        raise np.linalg.LinAlgError(f"eigenvalue solve of {part} failed: LAPACKE dsyevd info {info}")
-    return eigs
+        raise np.linalg.LinAlgError(f"bisection failed: dstebz info {info}")
+    return float(w[0])
 
 
-def _solve_pair(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The spectra of K and of the centered D in buf, each solved in place:
-    K on a worker thread while this thread solves the centered D when
-    _solve_workers() allows two (LAPACK runs without the GIL), else in turn.
+def _spectral_ends(a: np.ndarray) -> tuple[float, float, float, float]:
+    """The smallest and largest eigenvalues of the symmetric (m, m) a, then
+    those of a[1:, 1:], read from a's upper triangle; a is overwritten.
 
-    An exception from the worker is raised here, after the worker has ended."""
-    if _solve_workers() < 2:
-        return _packed_eigvalsh(buf, "K"), _packed_eigvalsh(buf, "centered D")
-    out = []
-
-    def solve_kernel():
-        try:
-            out.append(_packed_eigvalsh(buf, "K"))
-        except BaseException as exc:  # handed to the calling thread
-            out.append(exc)
-
-    worker = threading.Thread(target=solve_kernel, name="gram_audit-eigvalsh")
-    worker.start()
-    try:
-        c_eigs = _packed_eigvalsh(buf, "centered D")
-    finally:
-        worker.join()
-    if isinstance(out[0], BaseException):
-        raise out[0]
-    return out[0], c_eigs
+    One reduction gives both: the extremes of T and of T[1:, 1:] (see
+    _tridiagonal), by bisection.  Without LAPACK, eigvalsh of a copy of a,
+    then of a[1:, 1:]."""
+    m = len(a)
+    if _lapack() is None:
+        whole, part = (np.linalg.eigvalsh(b, UPLO="U") for b in (a, a[1:, 1:]))
+        return float(whole[0]), float(whole[-1]), float(part[0]), float(part[-1])
+    d, e = _tridiagonal(a)
+    return (_eigenvalue(d, e, 1), _eigenvalue(d, e, m),
+            _eigenvalue(d[1:], e[1:], 1), _eigenvalue(d[1:], e[1:], m - 1))
 
 
 @dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
@@ -235,25 +224,33 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
     """Eigenvalues of the kernel matrix of the rows of x and of their distance
     matrix on sum-zero weights, the decisive ones kept.
 
-    x0 defaults to the group identity.  Both matrices live in one (m, m + 1)
-    buffer: the distances are written into it, packed and solved in place.
-    Raises on non-finite distances.
+    x0 defaults to the group identity.  One (m, m) buffer holds the
+    distances, then K, formed in place a block of rows at a time, then
+    H K H (see _reflect), whose one reduction gives both spectra's ends: K's
+    are those of H K H, and since v^T K v = -v^T D v / 2 for sum-zero v, D's
+    on sum-zero weights are -2 times those of its [1:, 1:] block.  Raises
+    ValueError on non-finite distances.
     """
     if len(x) < 2:
         raise ValueError("need at least 2 points")
     m = len(x)
     x0 = group.identity if x0 is None else x0
-    buf = np.empty((m, m + 1))
-    pairwise_distance_matrix(group, x, out=buf[:, 1:])
-    _pack_kernel_and_centered(buf, group.distances(x, x0))
-    k_eigs, c_eigs = _solve_pair(buf)
-    c_eigs = c_eigs[1:]
+    buf = pairwise_distance_matrix(group, x, out=np.empty((m, m)))
+    d0 = group.distances(x, x0)
+    if not (np.isfinite(d0).all() and np.isfinite(buf.sum(axis=1)).all()):
+        raise ValueError("non-finite distance encountered")
+    step = _block_rows(m)
+    for i in range(0, m, step):
+        rows = buf[i:i + step]
+        np.subtract(np.add.outer(d0[i:i + step], d0), rows, out=rows)
+        rows *= 0.5
+    k_min, k_max, c_min, c_max = _spectral_ends(_reflect(buf))
     return GramAudit(
         group=group, points=x, x0=x0,
-        max_centered_eig=float(c_eigs[-1]),
-        min_K_eig=float(k_eigs[0]),
-        centered_eig_scale=float(np.abs(c_eigs).max()),
-        K_eig_scale=float(np.abs(k_eigs).max()),
+        max_centered_eig=-2.0 * c_min,
+        min_K_eig=k_min,
+        centered_eig_scale=2.0 * max(abs(c_min), abs(c_max)),
+        K_eig_scale=max(abs(k_min), abs(k_max)),
     )
 
 
@@ -409,12 +406,14 @@ def find_witness(
     if group is not sampled and not (isinstance(group, SOnGroup) and group.n > 3):
         raise ValueError(f"no witness search on {group!r}: use SU2, SO3 or SO(n) with n > 3")
 
+    u, tau = _householder(m)
     for trial in range(trials):
         x = sampled.sample(rng, m)
         d = sampled.pairwise(x)
-        eigvals, eigvecs = np.linalg.eigh(_centered(d.copy()))
-        weights = _centered_unit(eigvecs[:, -1])
+        eigvals, eigvecs = np.linalg.eigh(_reflect(d.copy())[1:, 1:])
+        weights = np.concatenate(([0.0], eigvecs[:, -1]))  # H maps it to sum-zero weights
         del eigvecs
+        weights = _centered_unit(weights - (tau * (u @ weights)) * u)
         value = float(weights @ d @ weights)
         if not (eigvals[-1] > margin and value > margin):
             # drop the failed trial's arrays before the next one samples, so

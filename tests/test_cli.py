@@ -392,21 +392,20 @@ def test_sizes_beyond_physical_memory_name_their_flags(args, sizes, capsys):
     assert f"error: {sizes} needs about " in err and "GB" in err
 
 
-@pytest.mark.parametrize("lapacke, workers, copies", [(True, 1, 0), (True, 2, 0), (False, 1, 1),
-                                                     (False, 2, 2)],
+@pytest.mark.parametrize("lapack, points", [(True, 1000), (True, 2000), (False, 1000),
+                                            (False, 2000)],
                          ids=["in-place-1", "in-place-2", "fallback-1", "fallback-2"])
-def test_check_is_charged_one_buffer_and_the_copies_of_its_solve_path(lapacke, workers, copies,
+def test_check_is_charged_one_buffer_and_the_copies_of_its_solve_path(lapack, points,
                                                                       monkeypatch):
-    # in place the solves copy nothing; the fallback's concurrent solves hold
-    # one copy more than solves in turn
-    monkeypatch.setattr(kernel_lab, "_solve_workers", lambda: workers)
-    if not lapacke:
-        monkeypatch.setattr(kernel_lab, "_lapacke_dsyevd", lambda: None)
-    elif kernel_lab._lapacke_dsyevd() is None:
-        pytest.skip("numpy bundles no LAPACKE")
-    cfg = RunConfig(command="check", points=1000)
-    assert _peak_bytes(cfg, SU2) == (8 * 1000 * 1001 + copies * 8 * 1000 ** 2 + 16 * 2 ** 17
-                                     + 1024 * 1000 + 48 * 4 * 1000 + 8 * 2 ** 20)
+    # the reduction works in place; without LAPACK, eigvalsh copies the
+    # matrix, then its [1:, 1:] block, one after the other
+    if not lapack:
+        monkeypatch.setattr(kernel_lab, "_lapack", lambda: None)
+    elif kernel_lab._lapack() is None:
+        pytest.skip("numpy bundles no LAPACK")
+    cfg = RunConfig(command="check", points=points)
+    assert _peak_bytes(cfg, SU2) == (8 * points ** 2 * (1 if lapack else 2) + 16 * 2 ** 17
+                                     + 1024 * points + 48 * 4 * points + 8 * 2 ** 20)
 
 
 def grown_and_charged(argv, setup=""):
@@ -437,12 +436,14 @@ def grown_and_charged(argv, setup=""):
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 @pytest.mark.parametrize("path", ["in-place", "fallback"])
 def test_check_grows_no_more_than_its_charge(path):
-    # small SO(n) matrices, where the fixed BLAS and LAPACK scratch outweighs them
-    setup = ("from levy_groups import kernel_lab; kernel_lab._lapacke_dsyevd = lambda: None"
+    # small SO(n) matrices, where the fixed BLAS and LAPACK scratch outweighs
+    # them, and the benchmark's largest SU(2) audit
+    setup = ("from levy_groups import kernel_lab; kernel_lab._lapack = lambda: None"
              if path == "fallback" else "")
-    grown, charged = grown_and_charged(
-        ["check", "--group", "son", "--n", "10", "--points", "500"], setup)
-    assert grown <= charged
+    for argv in (["check", "--group", "son", "--n", "10", "--points", "500"],
+                 ["check", "--group", "su2", "--points", "2000"]):
+        grown, charged = grown_and_charged(argv, setup)
+        assert grown <= charged, argv
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
