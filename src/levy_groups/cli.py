@@ -236,60 +236,26 @@ def _validate(cfg: RunConfig):
 
 
 def _peak_bytes(cfg: RunConfig, group) -> int:
-    """Estimated peak memory in bytes, from the arrays a command holds at once.
-
-    check holds one (m, m) float64 buffer: the distances are written into it,
-    K formed in it a block of rows at a time, reflected to H K H and reduced
-    to tridiagonal form in place; where numpy bundles no LAPACK, eigvalsh
-    copies the matrix, then its [1:, 1:] block, one after the other.  Measured
-    above the interpreter (VmHWM, numpy 2.4, SU(2), BLAS on one thread) at
-    m = 1,000, 2,000 and 3,000: 16.9, 41.5 and 80.6 MiB in place, 23.7, 69.9
-    and 146.3 with the copies.  Above the buffer that is the reduction's
-    queried workspace, about 830 B per point (charged at 1 kB), and 8.5 to 9.6
-    MiB of block, BLAS and LAPACK scratch, charged as 2 MiB of blocks and
-    8 MiB.
-    witness grows by 7.3 and 6.4 m x m matrices, one trial or several, its eigh
-    holding about six.  Per entry of the m sampled points (4 on SU(2), n^2 on
-    SO(n)): densities 12-22 B (sample, the QR copies of one sampler block,
-    angles), check 22-24 B on SO(n) (sample, and one block of pairwise
-    products, or one row where a row is larger; at (n, m) = (300, 20), (200,
-    40), (150, 60) and (500, 8)), witness on SO(n) 90 B (embedded points and
-    JSON), haar 187-245 B (JSON text); densities 1.23 kB per bin and series;
-    coeffs 24.3 float64 arrays of one Monte Carlo chunk (--mc-n 1,000,000 at
-    lmax 50), or of --mc-n pairs below a chunk.  Rounded up below; except for
-    check and simulate, a fixed few MB of BLAS and LAPACK scratch is left out.
-
-    simulate holds, over its m + 1 points, about 5 m x m matrices, one
-    colouring block of normals and one of values (its widest: two blocks of
-    columns, wider below 32 points, or every realization if fewer), the two
-    column blocks of the variogram's Gram products, and 0.66 kB per variogram
-    row in JSON (0.40 kB in CSV); the realizations stream through the blocks,
-    so beyond the widest block the charge does not grow with them; a replay
-    of the variogram's cancellation guard (pairs closer than about 0.01) also
-    holds the value rows of the flagged pairs' points, which is not charged.
-    Its first factorization adds about 7 MiB of BLAS scratch, which it is
-    charged.  Measured growth in JSON at (points, realizations) (20, 4,000)
-    8.1 MiB, (20, 400,000) 8.3, (100, 50,000) 12.1, (200, 10,000) 23.3, (200,
-    100,000) 23.2, (400, 2,000) 70.2, (800, 100) 232.4 and (1,500, 100) 805.3;
-    in CSV (50, 10,000) 9.1 and (800, 100) 151.1.
+    """Estimated peak memory in bytes: the charges the modules state for their
+    arrays, and the output text _emit builds, per row or entry rounded up from
+    VmHWM growth above the interpreter: densities 1.23 kB per bin and series,
+    simulate 0.66 kB per variogram row in JSON (0.40 kB in CSV), haar 187-245
+    B per float of the samples.  simulate grew in JSON at (points,
+    realizations) (20, 4,000) 8.1 MiB, (20, 400,000) 8.3, (100, 50,000) 12.1,
+    (200, 10,000) 23.3, (200, 100,000) 23.2, (400, 2,000) 70.2, (800, 100)
+    232.4 and (1,500, 100) 805.3; in CSV (50, 10,000) 9.1 and (800, 100)
+    151.1.  Except for check and simulate, a few MB of BLAS scratch is left out.
     """
     m = cfg.points
-    entries = m * group.point_size
-    if cfg.command == "coeffs":
-        return 25 * 8 * min(harmonic._MC_CHUNK, cfg.mc_samples)
-    if cfg.command == "densities":
-        return 40 * entries + 1300 * cfg.bins * (2 if group is group_core.SO3 else 1)
-    if cfg.command == "check":
-        copies = 0 if kernel_lab._lapack() else 1
-        return (8 * m * m * (1 + copies) + 16 * max(group_core._BLOCK_FLOATS, m)
-                + 1024 * m + 48 * entries + 8 * 2 ** 20)
-    if cfg.command == "witness":
-        return 8 * 8 * m * m + 112 * entries
-    if cfg.command == "simulate":
-        colour = min(cfg.realizations, 2 * field_sim._colour_width(m))  # its widest block
-        return (6 * 8 * (m + 1) ** 2 + 8 * (2 * m + 1) * colour + 16 * (m + 1) * field_sim._BLOCK
-                + 700 * m * (m + 1) // 2 + 8 * 2 ** 20)
-    return 256 * entries  # haar
+    return {
+        "coeffs": lambda: harmonic.monte_carlo_bytes(cfg.mc_samples),
+        "densities": lambda: (group.sample_bytes(m)
+                              + 1300 * cfg.bins * (2 if group is group_core.SO3 else 1)),
+        "check": lambda: group.sample_bytes(m) + kernel_lab.audit_bytes(group, m),
+        "witness": lambda: kernel_lab.witness_bytes(group, m),
+        "simulate": lambda: field_sim.variogram_bytes(m, cfg.realizations) + 700 * m * (m + 1) // 2,
+        "haar": lambda: 256 * m * group.point_size,
+    }[cfg.command]()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .group_core import pairwise_distance_matrix
+from .kernel_lab import brownian_kernel
 from .rng import RngStream
 
 DEFAULT_JITTER = 1e-10
@@ -59,9 +59,10 @@ def build_field(
 
     x0 defaults to the group identity; the first row of x within
     ``_COINCIDENCE_TOL`` of it is moved to the front, or else x0 is
-    prepended.  The x0 row/column is pinned to exactly zero and the trailing
-    block Cholesky-factored with additive jitter escalating by decades;
-    exhausting the ladder raises :class:`KernelNotPSDError`.
+    prepended.  The kernel is formed in the distance matrix, its x0
+    row/column exactly zero, and the trailing block Cholesky-factored with
+    additive jitter escalating by decades; exhausting the ladder raises
+    :class:`KernelNotPSDError`.
     """
     if jitter <= 0.0:
         raise ValueError("jitter must be positive")
@@ -72,21 +73,17 @@ def build_field(
     if hit.size:
         x0, x = x[hit[0]], np.delete(x, hit[0], axis=0)
     pts = np.concatenate((x0[None], x))
-    d = pairwise_distance_matrix(group, pts)
-    m = len(pts)
-    k = 0.5 * (d[0][:, None] + d[0][None, :] - d)
-    k[0, :] = 0.0
-    k[:, 0] = 0.0
+    k = brownian_kernel(group, pts)
 
-    chol = np.zeros((m, m))
+    chol = np.zeros_like(k)
     jit = 0.0
-    if m > 1:
+    if len(k) > 1:
         block = k[1:, 1:]
         max_diag = float(block.diagonal().max())
         ladder = [jitter * 10.0 ** e for e in range(_JITTER_DECADES + 1)]
         for jit in ladder:
             try:
-                chol[1:, 1:] = np.linalg.cholesky(block + jit * max_diag * np.eye(m - 1))
+                chol[1:, 1:] = np.linalg.cholesky(block + jit * max_diag * np.eye(len(block)))
                 break
             except np.linalg.LinAlgError:
                 continue
@@ -95,6 +92,18 @@ def build_field(
                 f"kernel not PSD: Cholesky failed up to jitter {ladder[-1]:g}"
             )
     return FieldSample(points=pts, K=k, chol=chol, jitter_used=jit)
+
+
+def variogram_bytes(m: int, realizations: int) -> int:
+    """Bytes build_field and empirical_variogram hold at their peak for m
+    points besides x0, their rows aside: about 5 (m + 1) x (m + 1) matrices,
+    charged 6; one colouring block of normals and of values at its widest;
+    the two _BLOCK column blocks of the Gram products; 8 MiB, as the first
+    factorization adds about 7 MiB of BLAS scratch.  Not charged: the value
+    rows of the points of pairs closer than about 0.01, which the
+    cancellation guard's replay holds."""
+    return (6 * 8 * (m + 1) ** 2 + 8 * (2 * m + 1) * min(realizations, 2 * _colour_width(m))
+            + 16 * (m + 1) * _BLOCK + 8 * 2 ** 20)
 
 
 def _colour_width(n: int) -> int:

@@ -198,6 +198,19 @@ class _Group:
             _zero_equal_points(block, x[i:i + step], y[None])
         return d
 
+    def sample_bytes(self, m: int) -> int:
+        """Bytes to sample m points and take their distances to one point: the
+        sample, the QR copies of one sampler block, the angles (VmHWM of
+        `densities`: 12-22 B per float of the sample)."""
+        return 40 * m * self.point_size
+
+    def pairwise_bytes(self, m: int) -> int:
+        """Bytes of ``pairwise``'s kernel scratch beyond its blocks: one row of
+        point_size floats per pair (the products on SO(n); with the sample,
+        VmHWM of `check` on SO(n) at (n, m) = (300, 20), (200, 40), (150, 60)
+        and (500, 8): 22-24 B per float of the sample)."""
+        return 8 * m * self.point_size
+
 
 class SU2Group(_Group):
     """SU(2) on (m, 4) arrays of unit quadruples."""

@@ -170,6 +170,13 @@ def _characters(group, c, lmax: int):
     yield cur
 
 
+def monte_carlo_bytes(n_samples: int) -> int:
+    """Bytes alpha_monte_carlo holds: float64 arrays of one chunk of pairs, or
+    of n_samples below a chunk; 24.3 of them in VmHWM of `coeffs` (--mc-n
+    1,000,000 at lmax 50), 14-16 traced, charged 25."""
+    return 25 * 8 * min(_MC_CHUNK, n_samples)
+
+
 def alpha_monte_carlo(
     group,
     lmax: int,

@@ -53,9 +53,24 @@ def sum_zero_basis(m: int) -> np.ndarray:
     return b
 
 
-def _block_rows(m: int) -> int:
-    """Rows per block of an (m, m) pass: about group_core._BLOCK_FLOATS floats, or one row."""
-    return max(1, group_core._BLOCK_FLOATS // m)
+def _row_blocks(m: int) -> list[slice]:
+    """The blocks of rows of an (m, m) pass: about group_core._BLOCK_FLOATS floats, or one row."""
+    step = max(1, group_core._BLOCK_FLOATS // m)
+    return [slice(i, i + step) for i in range(0, m, step)]
+
+
+def brownian_kernel(group, x: np.ndarray, x0=None, out=None) -> np.ndarray:
+    """The kernel matrix 0.5 (d0_i + d0_j - d_ij) of the rows of x for the
+    base point x0, formed in their distance matrix (``out`` when given) a
+    block of rows at a time.  x0 defaults to x[0], whose row and column then
+    come out exactly 0.0."""
+    d = pairwise_distance_matrix(group, x, out=out)
+    d0 = d[0].copy() if x0 is None else group.distances(x, x0)
+    for s in _row_blocks(len(d)):
+        rows = d[s]
+        np.subtract(np.add.outer(d0[s], d0), rows, out=rows)
+        rows *= 0.5
+    return d
 
 
 def _householder(m: int) -> tuple[np.ndarray, float]:
@@ -78,11 +93,10 @@ def _reflect(a: np.ndarray) -> np.ndarray:
     u, tau = _householder(m)
     p = tau * (a @ u)
     w = p - (0.5 * tau * (u @ p)) * u
-    step = _block_rows(m)
-    for i in range(0, m, step):
-        rows = a[i:i + step]
-        rows -= np.multiply.outer(u[i:i + step], w)
-        rows -= np.multiply.outer(w[i:i + step], u)
+    for s in _row_blocks(m):
+        rows = a[s]
+        rows -= np.multiply.outer(u[s], w)
+        rows -= np.multiply.outer(w[s], u)
     return a
 
 
@@ -141,8 +155,7 @@ def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m = len(a)
     if a.dtype != np.float64 or a.shape != (m, m) or not a.flags.c_contiguous:
         raise ValueError(f"need a C-contiguous float64 (m, m) matrix, got {a.dtype} {a.shape}")
-    step = _block_rows(m)
-    if not all(np.isfinite(a[i:i + step]).all() for i in range(0, m, step)):
+    if not all(np.isfinite(a[s]).all() for s in _row_blocks(m)):
         raise ValueError("non-finite entry in the matrix to reduce")
     lwork, lhous2 = _tridiagonal_workspace(m)
     d, e = np.empty(m), np.empty(m)
@@ -209,9 +222,8 @@ class GramAudit:
 
     @property
     def K(self) -> np.ndarray:
-        """The kernel matrix 0.5 (d0_i + d0_j - d_ij), recomputed from the points on each read."""
-        d0 = self.group.distances(self.points, self.x0)
-        return 0.5 * (d0[:, None] + d0 - pairwise_distance_matrix(self.group, self.points))
+        """The kernel matrix (see brownian_kernel), recomputed from the points on each read."""
+        return brownian_kernel(self.group, self.points, self.x0)
 
     def is_positive_semidefinite(self, tol_rel: float = RELATIVE_EIG_TOL) -> bool:
         return self.min_K_eig >= -tol_rel * max(self.K_eig_scale, 1.0)
@@ -233,17 +245,10 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
     """
     if len(x) < 2:
         raise ValueError("need at least 2 points")
-    m = len(x)
     x0 = group.identity if x0 is None else x0
-    buf = pairwise_distance_matrix(group, x, out=np.empty((m, m)))
-    d0 = group.distances(x, x0)
-    if not (np.isfinite(d0).all() and np.isfinite(buf.sum(axis=1)).all()):
+    buf = brownian_kernel(group, x, x0, out=np.empty((len(x), len(x))))
+    if not np.isfinite(buf.sum(axis=1)).all():  # K is finite where d and d0 are
         raise ValueError("non-finite distance encountered")
-    step = _block_rows(m)
-    for i in range(0, m, step):
-        rows = buf[i:i + step]
-        np.subtract(np.add.outer(d0[i:i + step], d0), rows, out=rows)
-        rows *= 0.5
     k_min, k_max, c_min, c_max = _spectral_ends(_reflect(buf))
     return GramAudit(
         group=group, points=x, x0=x0,
@@ -252,6 +257,20 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
         centered_eig_scale=2.0 * max(abs(c_min), abs(c_max)),
         K_eig_scale=max(abs(k_min), abs(k_max)),
     )
+
+
+def audit_bytes(group, m: int) -> int:
+    """Bytes gram_audit holds at its peak on m points, their sample aside:
+    the (m, m) buffer, and without LAPACK the copy eigvalsh makes of it, then
+    of its [1:, 1:] block; two blocks of _row_blocks, or two rows; the
+    reduction's workspace, about 830 B per point, charged 1 kB; a row of the
+    distance kernel's scratch; 8 MiB of BLAS and LAPACK scratch.  VmHWM of
+    `check` above the interpreter (numpy 2.4, SU(2), BLAS on one thread) at
+    m = 1,000, 2,000 and 3,000: 16.9, 41.5 and 80.6 MiB in place, 23.7, 69.9
+    and 146.3 with the copies; 8.5 to 9.6 MiB of it is block, BLAS and
+    LAPACK scratch."""
+    return (8 * m * m * (1 if _lapack() else 2) + 16 * max(group_core._BLOCK_FLOATS, m)
+            + 1024 * m + group.pairwise_bytes(m) + 8 * 2 ** 20)
 
 
 # ---------------------------------------------------------------------------
@@ -373,11 +392,6 @@ def _finite(doc: dict, key: str, shape: tuple, kind: str) -> np.ndarray:
     return a
 
 
-def _centered_unit(w: np.ndarray) -> np.ndarray:
-    w = w - w.mean()
-    return w / np.linalg.norm(w)
-
-
 def find_witness(
     group,
     m: int,
@@ -413,7 +427,9 @@ def find_witness(
         eigvals, eigvecs = np.linalg.eigh(_reflect(d.copy())[1:, 1:])
         weights = np.concatenate(([0.0], eigvecs[:, -1]))  # H maps it to sum-zero weights
         del eigvecs
-        weights = _centered_unit(weights - (tau * (u @ weights)) * u)
+        weights -= (tau * (u @ weights)) * u
+        weights -= weights.mean()
+        weights /= np.linalg.norm(weights)
         value = float(weights @ d @ weights)
         if not (eigvals[-1] > margin and value > margin):
             # drop the failed trial's arrays before the next one samples, so
@@ -429,6 +445,14 @@ def find_witness(
         f"no witness in {trials} trial(s) with m={m}: the metric may be "
         "positive definite on this group, or m too small"
     )
+
+
+def witness_bytes(group, m: int) -> int:
+    """Bytes find_witness and its certificate's JSON hold at their peak on m
+    points of group: VmHWM grew by 7.3 and 6.4 m x m matrices, one trial or
+    several, its eigh holding about six; on SO(n), 90 B per float of the
+    points (the embedded points and their JSON)."""
+    return 8 * 8 * m * m + 112 * m * group.point_size
 
 
 def transfer_witness(cert: WitnessCertificate, n: int, scale: float = 1.0) -> WitnessCertificate:

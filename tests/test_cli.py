@@ -9,9 +9,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from levy_groups import SU2, WitnessCertificate, __version__, kernel_lab
-from levy_groups.cli import (EXIT_NEGATIVE_FINDING, EXIT_OK, EXIT_USAGE, RunConfig,
-                             _peak_bytes, main)
+from levy_groups import WitnessCertificate, __version__
+from levy_groups.cli import EXIT_NEGATIVE_FINDING, EXIT_OK, EXIT_USAGE, main
 
 
 def load_schema(kind: str) -> dict:
@@ -392,22 +391,6 @@ def test_sizes_beyond_physical_memory_name_their_flags(args, sizes, capsys):
     assert f"error: {sizes} needs about " in err and "GB" in err
 
 
-@pytest.mark.parametrize("lapack, points", [(True, 1000), (True, 2000), (False, 1000),
-                                            (False, 2000)],
-                         ids=["in-place-1", "in-place-2", "fallback-1", "fallback-2"])
-def test_check_is_charged_one_buffer_and_the_copies_of_its_solve_path(lapack, points,
-                                                                      monkeypatch):
-    # the reduction works in place; without LAPACK, eigvalsh copies the
-    # matrix, then its [1:, 1:] block, one after the other
-    if not lapack:
-        monkeypatch.setattr(kernel_lab, "_lapack", lambda: None)
-    elif kernel_lab._lapack() is None:
-        pytest.skip("numpy bundles no LAPACK")
-    cfg = RunConfig(command="check", points=points)
-    assert _peak_bytes(cfg, SU2) == (8 * points ** 2 * (1 if lapack else 2) + 16 * 2 ** 17
-                                     + 1024 * points + 48 * 4 * points + 8 * 2 ** 20)
-
-
 def grown_and_charged(argv, setup=""):
     """VmHWM growth of one CLI run in a fresh interpreter, after ``setup``
     (one line of Python), and the run's charge, in bytes."""
@@ -453,26 +436,6 @@ def test_simulate_memory_does_not_grow_with_realizations():
     grown, charged = grown_and_charged(["simulate", "--points", "20", "--realizations", "400000"])
     assert grown <= charged
     assert grown <= few + 4 * 2 ** 20
-
-
-@pytest.mark.parametrize("points, realizations, colour", [(200, 10_000, 2048), (10, 200_000, 22_528),
-                                                           (1, 5_000, 5_000)])
-def test_simulate_is_charged_its_widest_blocks_not_its_realizations(points, realizations, colour):
-    # the realizations stream through one colouring block of normals and of
-    # values at a time, and two column blocks of the Gram products
-    cfg = RunConfig(command="simulate", points=points, realizations=realizations)
-    charge = _peak_bytes(cfg, SU2)
-    assert charge == (6 * 8 * (points + 1) ** 2 + 8 * (2 * points + 1) * colour
-                      + 16 * (points + 1) * 1024 + 700 * points * (points + 1) // 2 + 8 * 2 ** 20)
-    if colour < realizations:  # wider than the widest block
-        cfg.realizations *= 100
-        assert _peak_bytes(cfg, SU2) == charge
-
-
-@pytest.mark.parametrize("mc_samples, chunk", [(0, 0), (1000, 1000), (10 ** 6, 1 << 17)])
-def test_coeffs_is_charged_one_monte_carlo_chunk_at_most(mc_samples, chunk):
-    cfg = RunConfig(command="coeffs", mc_samples=mc_samples)
-    assert _peak_bytes(cfg, SU2) == 25 * 8 * chunk
 
 
 def test_unknown_group_rejected_by_argparse(capsys):

@@ -285,6 +285,18 @@ def test_variogram_memory_does_not_grow_with_realizations():
     assert peaks[1] <= 8 * (3 * fs.m ** 2 + (2 * fs.m - 1) * width + 2 * fs.m * field_sim._BLOCK)
 
 
+@pytest.mark.parametrize("points, realizations, colour", [(200, 10_000, 2048), (10, 200_000, 22_528),
+                                                           (1, 5_000, 5_000)])
+def test_simulate_is_charged_its_widest_blocks_not_its_realizations(points, realizations, colour):
+    # the realizations stream through one colouring block of normals and of
+    # values at a time, at most ``colour`` columns wide, a column of each
+    # holding m and m + 1 floats, and two column blocks of the Gram products
+    charge = field_sim.variogram_bytes(points, realizations)
+    assert charge - field_sim.variogram_bytes(points, colour - 1) == 8 * (2 * points + 1)
+    if colour < realizations:  # wider than the widest block
+        assert field_sim.variogram_bytes(points, 100 * realizations) == charge
+
+
 def test_variogram_degenerate_and_antipodal_pairs():
     e = SU2.identity
     pts = np.vstack([-e, su2_points(69, 8)])

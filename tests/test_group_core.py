@@ -499,7 +499,7 @@ def test_pairwise_is_symmetric_and_matches_each_pair(group, m):
 
 @BLOCKED
 def test_pairwise_into_a_strided_view_is_the_same_matrix(group, m):
-    # gram_audit writes D into the last m columns of an (m, m + 1) buffer
+    # out= takes any (m, m) view, here the last m columns of a wider buffer
     x = group.sample(RngStream(27, m), m)
     buf = np.full((m, m + 1), np.nan)
     assert np.shares_memory(pairwise_distance_matrix(group, x, scale=2.0, out=buf[:, 1:]), buf)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from levy_groups.harmonic import (
     alpha_quadrature,
     angle_density,
     dim_irrep,
+    monte_carlo_bytes,
     trace_density_so3,
 )
 from levy_groups.quadrature import simpson_adaptive
@@ -285,6 +287,25 @@ def test_monte_carlo_table_within_five_sigma(group):
         for l, (est, se) in enumerate(zip(estimates, stderrs)):
             assert se > 0.0
             assert abs(est - alpha_closed(group, l)) <= 5.0 * se, (seed, l)
+
+
+@pytest.mark.parametrize("mc_samples, chunk", [(0, 0), (1000, 1000), (10 ** 6, 1 << 17)])
+def test_coeffs_is_charged_one_monte_carlo_chunk_at_most(mc_samples, chunk):
+    assert monte_carlo_bytes(mc_samples) == chunk * monte_carlo_bytes(1)
+
+
+@pytest.mark.parametrize("group", [SU2, SO3], ids=["su2", "so3"])
+@pytest.mark.parametrize("n_samples", [10 ** 5, 10 ** 6])
+def test_monte_carlo_peaks_within_its_charge(group, n_samples):
+    # the first call makes about 1 MB of one-time allocations
+    alpha_monte_carlo(group, 2, 1000, RngStream(94, 0))
+    tracemalloc.start()
+    try:
+        alpha_monte_carlo(group, 50, n_samples, RngStream(94, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= monte_carlo_bytes(n_samples)
 
 
 def test_alpha_monte_carlo_validates_input():

@@ -134,9 +134,9 @@ def serial_audit(group, x):
     return -2.0 * c_min, k_min, 2.0 * max(abs(c_min), abs(c_max)), max(abs(k_min), abs(k_max))
 
 
-def dsyevd_audit(group, x):
-    """The four floats from two whole spectra: K's, and that of D centered
-    with the constants shifted below the rest."""
+def eigvalsh_audit(group, x):
+    """The four floats from two whole spectra by eigvalsh: K's, and that of D
+    centered with the constants shifted below the rest."""
     d = group.pairwise(x)
     d0 = group.distances(x, group.identity)
     k_eigs = np.linalg.eigvalsh(0.5 * (d0[:, None] + d0[None, :] - d), UPLO="U")
@@ -159,7 +159,7 @@ def test_audit_matches_serial_reference_bit_for_bit(group, m, solves, monkeypatc
     x = group.sample(RngStream(50, m), m)
     got = audit_floats(gram_audit(group, x))
     assert got == serial_audit(group, x)
-    want = dsyevd_audit(group, x)
+    want = eigvalsh_audit(group, x)
     c_scale, k_scale = max(want[2], 1.0), max(want[3], 1.0)
     assert all(abs(g - w) <= 1e-14 * scale
                for g, w, scale in zip(got, want, (c_scale, k_scale, c_scale, k_scale)))
@@ -174,7 +174,7 @@ def test_audit_packs_over_many_blocks_bit_for_bit(group, floats, m, monkeypatch)
     monkeypatch.setattr(group_core, "_BLOCK_FLOATS", floats)
     x = group.sample(RngStream(54, m), m)
     blocked = audit_floats(gram_audit(group, x))
-    monkeypatch.setattr(kernel_lab, "_block_rows", lambda m: m)
+    monkeypatch.setattr(kernel_lab, "_row_blocks", lambda m: [slice(0, m)])
     assert audit_floats(gram_audit(group, x)) == blocked
 
 
@@ -308,7 +308,7 @@ def test_audit_holds_one_packed_matrix_at_its_solves(group, monkeypatch):
         gram_audit(group, x)
     finally:
         tracemalloc.stop()
-    assert held[0] <= 1.1 * 8 * m * (m + 1)  # D, K and H K H share one buffer
+    assert held[0] <= 1.02 * 8 * m * m  # D, K and H K H share one (m, m) buffer
 
 
 @GROUPS
@@ -325,8 +325,8 @@ def test_audit_peaks_at_one_packed_matrix(group, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - workspace_bytes(m) <= 1.1 * 8 * m * (m + 1)
-    assert workspace_bytes(m) <= 1024 * m  # the solver allowance cli._peak_bytes charges
+    assert peak - workspace_bytes(m) <= 1.02 * 8 * m * m
+    assert workspace_bytes(m) <= 1024 * m  # within audit_bytes' 1 kB per point for it
 
 
 def test_so3_audit_with_real_blocks_peaks_no_higher_than_su2():
@@ -344,8 +344,26 @@ def test_so3_audit_with_real_blocks_peaks_no_higher_than_su2():
         finally:
             tracemalloc.stop()
     assert peaks[SO3] <= peaks[SU2]
-    assert peaks[SU2] - workspace_bytes(m) <= 1.1 * 8 * m * (m + 1)
+    assert peaks[SU2] - workspace_bytes(m) <= 1.1 * 8 * m * m
     assert workspace_bytes(m) <= 1024 * m
+
+
+@pytest.mark.parametrize("lapack, points", [(True, 1000), (True, 2000), (False, 1000),
+                                            (False, 2000)],
+                         ids=["in-place-1", "in-place-2", "fallback-1", "fallback-2"])
+def test_check_is_charged_one_buffer_and_the_copies_of_its_solve_path(lapack, points,
+                                                                      monkeypatch):
+    # the reduction works in place; without LAPACK, eigvalsh copies the
+    # matrix, then its [1:, 1:] block, one after the other: one more m x m
+    if kernel_lab._lapack() is None:
+        pytest.skip("numpy bundles no LAPACK")
+    in_place = kernel_lab.audit_bytes(SU2, points)
+    if not lapack:
+        monkeypatch.setattr(kernel_lab, "_lapack", lambda: None)
+    charge = [kernel_lab.audit_bytes(SU2, m) for m in (points - 1, points, points + 1)]
+    assert charge[1] - in_place == (0 if lapack else 8 * points ** 2)
+    # the second difference in m leaves the m x m float64 arrays held: 2 * 8 each
+    assert charge[0] - 2 * charge[1] + charge[2] == 16 * (1 if lapack else 2)
 
 
 def test_two_point_audit_has_negative_top_eigenvalue():
