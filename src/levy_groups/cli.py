@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .rng import KEY_LIMIT, RngStream
 EXIT_OK = 0
 EXIT_NEGATIVE_FINDING = 1
 EXIT_USAGE = 2
+FORMATS = ("csv", "json")
 
 
 @dataclass
@@ -54,11 +55,41 @@ class RunConfig:
     no_meta: bool = False
     command_line: str = ""
 
-    def __post_init__(self):
-        if self.points is None:
-            self.points = {"densities": 100000, "simulate": 50, "haar": 10}.get(self.command, 100)
-        if self.tol is None:
-            self.tol = 1e-8 if self.command == "check" else 1e-10
+    def __post_init__(self):  # an unknown command gets no defaults; _validate refuses it
+        spec = COMMANDS.get(self.command)
+        self.points = getattr(spec, "points", None) if self.points is None else self.points
+        self.tol = getattr(spec, "tol", None) if self.tol is None else self.tol
+
+
+class Command(NamedTuple):
+    """One subcommand, as the parser, RunConfig, _validate, _peak_bytes and run see it."""
+
+    summary: str
+    groups: tuple[str, ...]             # its --group choices
+    flags: tuple[str, ...]              # the RunConfig fields it takes, keys of _FLAGS
+    least: dict                         # field -> least value (--n only with --group son)
+    charge: Callable[..., int]          # (cfg, group) -> peak bytes; see _peak_bytes
+    handler: Callable[..., int]         # (cfg, group) -> exit code
+    size_flags: tuple[str, ...] = ("points", "n")  # named when the charge is too large
+    points: int = 100                   # default --points
+    tol: float = 1e-10                  # default --tol
+    group_required: bool = True
+    formats: tuple[str, ...] = FORMATS
+
+
+# RunConfig field -> (option, argparse type, help); the parser adds the command's default
+_FLAGS = {
+    "n": ("--n", int, "n of SO(n), required with --group son"),
+    "lmax": ("--lmax", int, "highest degree"),
+    "tol": ("--tol", float, "quadrature (coeffs) or relative eigenvalue (check) tolerance"),
+    "mc_samples": ("--mc-n", int, "Monte Carlo pairs per coefficient; 0 disables"),
+    "points": ("--points", int, "Haar samples"),
+    "bins": ("--bins", int, "histogram bins"),
+    "trials": ("--trials", int, "point sets to try"),
+    "margin": ("--margin", float, "value a witness must clear"),
+    "realizations": ("--realizations", int, "field draws"),
+    "jitter": ("--jitter", float, "first Cholesky jitter, as a fraction below 1 of max K_ii"),
+}
 
 
 class UsageError(Exception):
@@ -72,26 +103,17 @@ def main(argv: Optional[list[str]] = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code) if exc.code else EXIT_OK
-    try:
-        config = config_from_args(ns, argv)
-        return run(config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return run(config_from_args(ns, argv))
 
 
 def run(config: RunConfig) -> int:
-    """Execute a RunConfig; returns the process exit code."""
-    group = _validate(config)
-    handler = {
-        "coeffs": _run_coeffs,
-        "densities": _run_densities,
-        "check": _run_check,
-        "witness": _run_witness,
-        "simulate": _run_simulate,
-        "haar": _run_haar,
-    }[config.command]
-    return handler(config, group)
+    """Execute a RunConfig; returns the process exit code (2 on a bad flag, named on stderr)."""
+    try:
+        group = _validate(config)
+        return COMMANDS[config.command].handler(config, group)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 # ---------------------------------------------------------------------------
@@ -106,68 +128,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     # flags left out stay out of the namespace: RunConfig holds every default
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--seed", help="64-bit seed, or 'random' for one-off entropy "
-                        f"(default {RunConfig.seed})")
+    common.add_argument("--seed", type=_parse_seed, help="64-bit seed, or 'random' for "
+                        f"one-off entropy (default {RunConfig.seed})")
     common.add_argument("--stream", type=int, help=f"stream id (default {RunConfig.stream})")
-    common.add_argument("--format", choices=["csv", "json"])
+    common.add_argument("--format", choices=FORMATS)
     common.add_argument("--out", help="output path, '-' for stdout")
     common.add_argument("--no-meta", action="store_true",
                         help="omit the meta block (volatile fields) entirely")
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, groups, summary, required=True):
-        p = sub.add_parser(name, parents=[common], help=summary,
+    for name, spec in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=spec.summary,
                            argument_default=argparse.SUPPRESS)
-        p.add_argument("--group", choices=groups, required=required)
-        return p
-
-    p = command("coeffs", ["su2", "so3"],
-                "expansion coefficients by closed form, quadrature, Monte Carlo")
-    p.add_argument("--lmax", type=int)
-    p.add_argument("--tol", type=float, help="quadrature tolerance")
-    p.add_argument("--mc-n", type=int, dest="mc_samples",
-                   help=f"Monte Carlo pairs per coefficient; 0 disables "
-                        f"(default {RunConfig.mc_samples})")
-
-    p = command("densities", ["su2", "so3"],
-                "angle/trace density curves with empirical histograms")
-    p.add_argument("--points", type=int, help="Haar samples")
-    p.add_argument("--bins", type=int)
-
-    p = command("check", ["su2", "so3", "son"],
-                "eigenvalue audit of the Brownian kernel on Haar points")
-    p.add_argument("--n", type=int)
-    p.add_argument("--points", type=int)
-    p.add_argument("--tol", type=float, help="relative eigenvalue tolerance")
-
-    p = command("witness", ["su2", "so3", "son"],
-                "search for a restricted-negative-definiteness counterexample")
-    p.add_argument("--n", type=int)
-    p.add_argument("--points", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--margin", type=float)
-
-    p = command("simulate", ["su2", "so3"],
-                "sample the pinned Gaussian field and emit its variogram; "
-                "--group so3 runs the expected-to-fail diagnostic", required=False)
-    p.add_argument("--points", type=int)
-    p.add_argument("--realizations", type=int)
-    p.add_argument("--jitter", type=float,
-                   help="first Cholesky jitter, as a fraction below 1 of K's largest "
-                        f"diagonal entry (default {RunConfig.jitter:g})")
-
-    p = command("haar", ["su2", "so3", "son"], "raw Haar samples")
-    p.add_argument("--n", type=int)
-    p.add_argument("--points", type=int)
-
+        p.add_argument("--group", choices=spec.groups, required=spec.group_required)
+        defaults = RunConfig(name)
+        for dest in spec.flags:
+            option, kind, text = _FLAGS[dest]
+            default = getattr(defaults, dest)
+            p.add_argument(option, type=kind, dest=dest,
+                           help=text if default is None else f"{text} (default {default})")
     return parser
 
 
 def config_from_args(ns: argparse.Namespace, argv: list[str]) -> RunConfig:
     given = {f.name: getattr(ns, f.name) for f in fields(RunConfig) if hasattr(ns, f.name)}
-    if "seed" in given:
-        given["seed"] = _parse_seed(given["seed"])
     return RunConfig(**given, command_line="levy-groups " + " ".join(argv))
 
 
@@ -177,28 +161,23 @@ def _parse_seed(raw: str) -> int:
     try:
         return int(raw, 0)
     except ValueError:
-        raise UsageError(f"--seed must be an integer or 'random', got {raw!r}")
+        raise argparse.ArgumentTypeError(f"must be an integer or 'random', got {raw!r}")
 
 
 def _validate(cfg: RunConfig):
     """Raise UsageError naming the first bad flag; else return the group descriptor."""
-    if cfg.group == "son":
-        if cfg.n is None:
-            raise UsageError("--n is required with --group son")
-        if cfg.command == "witness":
-            if cfg.n <= 3:
-                raise UsageError("--n must be > 3 for witness with --group son")
-        elif cfg.n < 2:
-            raise UsageError("--n must be >= 2")
-    elif cfg.n is not None:
-        raise UsageError("--n is only valid with --group son")
-    if cfg.command == "witness" and cfg.format == "csv":
-        raise UsageError("--format csv is not supported for witness (certificates are JSON)")
+    spec = COMMANDS.get(cfg.command)
+    if spec is None:
+        raise UsageError(f"unknown command {cfg.command!r} (choose from {', '.join(COMMANDS)})")
+    for flag, allowed in (("group", spec.groups), ("format", spec.formats)):
+        if getattr(cfg, flag) not in allowed:
+            raise UsageError(f"--{flag} must be one of {', '.join(allowed)} for {cfg.command}")
+    if (cfg.n is None) == (cfg.group == "son"):
+        raise UsageError("--n is required with --group son" if cfg.n is None
+                         else "--n is only valid with --group son")
     for flag in ("seed", "stream"):  # RngStream would fold others onto [0, 2^64)
         if not 0 <= getattr(cfg, flag) < KEY_LIMIT:
             raise UsageError(f"--{flag} must be in [0, 2^64), got {getattr(cfg, flag)}")
-    if cfg.lmax < 0:
-        raise UsageError("--lmax must be >= 0")
     for flag in ("tol", "jitter", "margin"):
         if not 0.0 < getattr(cfg, flag) < math.inf:  # also rejects nan
             raise UsageError(f"--{flag} must be a positive finite number")
@@ -207,28 +186,17 @@ def _validate(cfg: RunConfig):
     if cfg.out != "-" and (not cfg.out or os.path.isdir(cfg.out)
                            or not os.path.isdir(os.path.dirname(cfg.out) or ".")):
         raise UsageError(f"--out {cfg.out!r} is not a file path in an existing directory")
-    if cfg.command == "coeffs" and cfg.mc_samples != 0 and cfg.mc_samples < 1000:
+    if cfg.mc_samples != 0 and cfg.mc_samples < 1000:
         raise UsageError("--mc-n must be 0 or >= 1000")
-    if cfg.command in ("densities", "simulate", "haar") and cfg.points < 1:
-        raise UsageError("--points must be >= 1")
-    if cfg.command == "densities" and cfg.bins < 1:
-        raise UsageError("--bins must be >= 1")
-    if cfg.command == "check" and cfg.points < 2:
-        raise UsageError("--points must be >= 2 for check")
-    if cfg.command == "witness" and cfg.points < 4:
-        raise UsageError("--points must be >= 4 for witness")
-    if cfg.command == "witness" and cfg.trials < 1:
-        raise UsageError("--trials must be >= 1")
-    if cfg.command == "simulate" and cfg.realizations < 100:
-        raise UsageError("--realizations must be >= 100")
+    for flag, least in spec.least.items():
+        if getattr(cfg, flag) is not None and getattr(cfg, flag) < least:
+            raise UsageError(f"{_FLAGS[flag][0]} must be >= {least} for {cfg.command}")
     group = group_core.group_named(cfg.group, cfg.n)
     need = _peak_bytes(cfg, group)
     have = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
             if hasattr(os, "sysconf") else math.inf)
     if need > have:
-        size_flags = {"coeffs": (), "densities": ("points", "bins"),
-                      "simulate": ("points",)}.get(cfg.command, ("points", "n"))
-        sizes = " ".join(f"--{k} {getattr(cfg, k)}" for k in size_flags
+        sizes = " ".join(f"{_FLAGS[k][0]} {getattr(cfg, k)}" for k in spec.size_flags
                          if getattr(cfg, k) is not None)
         raise UsageError(f"{sizes} needs about {need / 1e9:.3g} GB for {cfg.command}, "
                          f"more than the {have / 1e9:.3g} GB of physical memory")
@@ -236,26 +204,18 @@ def _validate(cfg: RunConfig):
 
 
 def _peak_bytes(cfg: RunConfig, group) -> int:
-    """Estimated peak memory in bytes: the charges the modules state for their
-    arrays, and the output text _emit builds, per row or entry rounded up from
-    VmHWM growth above the interpreter: densities 1.23 kB per bin and series,
-    simulate 0.66 kB per variogram row in JSON (0.40 kB in CSV), haar 187-245
-    B per float of the samples.  simulate grew in JSON at (points,
-    realizations) (20, 4,000) 8.1 MiB, (20, 400,000) 8.3, (100, 50,000) 12.1,
-    (200, 10,000) 23.3, (200, 100,000) 23.2, (400, 2,000) 70.2, (800, 100)
-    232.4 and (1,500, 100) 805.3; in CSV (50, 10,000) 9.1 and (800, 100)
-    151.1.  Except for check and simulate, a few MB of BLAS scratch is left out.
+    """Estimated peak memory in bytes, the command's charge: the charges the
+    modules state for their arrays, and the output text _emit builds, per row
+    or entry rounded up from VmHWM growth above the interpreter: densities
+    1.23 kB per bin and series, simulate 0.66 kB per variogram row in JSON
+    (0.40 kB in CSV), haar 187-245 B per float of the samples.  simulate grew
+    in JSON at (points, realizations) (20, 4,000) 8.1 MiB, (20, 400,000) 8.3,
+    (100, 50,000) 12.1, (200, 10,000) 23.3, (200, 100,000) 23.2, (400, 2,000)
+    70.2, (800, 100) 232.4 and (1,500, 100) 805.3; in CSV (50, 10,000) 9.1 and
+    (800, 100) 151.1.  Except for check and simulate, a few MB of BLAS scratch
+    is left out.
     """
-    m = cfg.points
-    return {
-        "coeffs": lambda: harmonic.monte_carlo_bytes(cfg.mc_samples),
-        "densities": lambda: (group.sample_bytes(m)
-                              + 1300 * cfg.bins * (2 if group is group_core.SO3 else 1)),
-        "check": lambda: group.sample_bytes(m) + kernel_lab.audit_bytes(group, m),
-        "witness": lambda: kernel_lab.witness_bytes(group, m),
-        "simulate": lambda: field_sim.variogram_bytes(m, cfg.realizations) + 700 * m * (m + 1) // 2,
-        "haar": lambda: 256 * m * group.point_size,
-    }[cfg.command]()
+    return COMMANDS[cfg.command].charge(cfg, group)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +368,40 @@ def _run_haar(cfg: RunConfig, group) -> int:
         "seed": cfg.seed, "stream": cfg.stream, "samples": samples.tolist(),
     }, group.columns, samples)
     return EXIT_OK
+
+
+# each subcommand's groups, flags, least values, defaults, size flags, memory charge and handler
+COMMANDS = {
+    "coeffs": Command("expansion coefficients by closed form, quadrature, Monte Carlo",
+                      ("su2", "so3"), ("lmax", "tol", "mc_samples"), {"lmax": 0},
+                      lambda cfg, group: harmonic.monte_carlo_bytes(cfg.mc_samples),
+                      _run_coeffs, size_flags=()),
+    "densities": Command("angle/trace density curves with empirical histograms",
+                         ("su2", "so3"), ("points", "bins"), {"points": 1, "bins": 1},
+                         lambda cfg, group: (group.sample_bytes(cfg.points) + 1300 * cfg.bins
+                                             * (2 if group is group_core.SO3 else 1)),
+                         _run_densities, size_flags=("points", "bins"), points=100000),
+    "check": Command("eigenvalue audit of the Brownian kernel on Haar points",
+                     ("su2", "so3", "son"), ("n", "points", "tol"), {"n": 2, "points": 2},
+                     lambda cfg, group: (group.sample_bytes(cfg.points)
+                                         + kernel_lab.audit_bytes(group, cfg.points)),
+                     _run_check, tol=1e-8),
+    "witness": Command("search for a restricted-negative-definiteness counterexample",
+                       ("su2", "so3", "son"), ("n", "points", "trials", "margin"),
+                       {"n": 4, "points": 4, "trials": 1},
+                       lambda cfg, group: kernel_lab.witness_bytes(group, cfg.points),
+                       _run_witness, formats=("json",)),  # certificates are JSON
+    "simulate": Command("sample the pinned Gaussian field and emit its variogram; "
+                        "--group so3 runs the expected-to-fail diagnostic",
+                        ("su2", "so3"), ("points", "realizations", "jitter"),
+                        {"points": 1, "realizations": 100},
+                        lambda cfg, group: (field_sim.variogram_bytes(cfg.points, cfg.realizations)
+                                            + 700 * cfg.points * (cfg.points + 1) // 2),
+                        _run_simulate, size_flags=("points",), points=50, group_required=False),
+    "haar": Command("raw Haar samples", ("su2", "so3", "son"), ("n", "points"),
+                    {"n": 2, "points": 1},
+                    lambda cfg, group: 256 * cfg.points * group.point_size, _run_haar, points=10),
+}
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ import functools
 import glob
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -201,7 +201,7 @@ def _spectral_ends(a: np.ndarray) -> tuple[float, float, float, float]:
             _eigenvalue(d[1:], e[1:], 1), _eigenvalue(d[1:], e[1:], m - 1))
 
 
-@dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
+@dataclass(frozen=True)
 class GramAudit:
     """Eigenvalue evidence for one point configuration.
 
@@ -212,18 +212,10 @@ class GramAudit:
     point x0.
     """
 
-    group: object
-    points: np.ndarray = field(repr=False)
-    x0: np.ndarray = field(repr=False)
     max_centered_eig: float
     min_K_eig: float
     centered_eig_scale: float
     K_eig_scale: float
-
-    @property
-    def K(self) -> np.ndarray:
-        """The kernel matrix (see brownian_kernel), recomputed from the points on each read."""
-        return brownian_kernel(self.group, self.points, self.x0)
 
     def is_positive_semidefinite(self, tol_rel: float = RELATIVE_EIG_TOL) -> bool:
         return self.min_K_eig >= -tol_rel * max(self.K_eig_scale, 1.0)
@@ -251,7 +243,6 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
         raise ValueError("non-finite distance encountered")
     k_min, k_max, c_min, c_max = _spectral_ends(_reflect(buf))
     return GramAudit(
-        group=group, points=x, x0=x0,
         max_centered_eig=-2.0 * c_min,
         min_K_eig=k_min,
         centered_eig_scale=2.0 * max(abs(c_min), abs(c_max)),

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from levy_groups import WitnessCertificate, __version__
-from levy_groups.cli import EXIT_NEGATIVE_FINDING, EXIT_OK, EXIT_USAGE, main
+from levy_groups.cli import (COMMANDS, EXIT_NEGATIVE_FINDING, EXIT_OK, EXIT_USAGE, RunConfig,
+                             build_parser, main, run)
 
 
 def load_schema(kind: str) -> dict:
@@ -447,8 +449,6 @@ def test_missing_command_is_usage_error():
 
 
 def test_run_config_direct_invocation(tmp_path):
-    from levy_groups.cli import RunConfig, run
-
     out = tmp_path / "direct.json"
     cfg = RunConfig(command="check", group="su2", points=50, seed=1,
                     tol=1e-8, out=str(out))
@@ -458,7 +458,7 @@ def test_run_config_direct_invocation(tmp_path):
 
 
 def test_run_config_defaults_match_the_cli():
-    from levy_groups.cli import RunConfig, build_parser, config_from_args
+    from levy_groups.cli import config_from_args
 
     for argv in (["check", "--group", "su2"], ["witness", "--group", "so3"],
                  ["densities", "--group", "so3"], ["simulate"], ["haar", "--group", "su2"],
@@ -479,3 +479,46 @@ def test_cli_import_does_not_load_scipy():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("kwargs,needle", [
+    *(pytest.param({"command": name, "group": g, "n": 4 if g == "son" else None}, "--group",
+                   id=f"{name}-{g}")
+      for name, spec in COMMANDS.items() for g in ("su2", "so3", "son") if g not in spec.groups),
+    pytest.param({"command": "check", "group": "bogus"}, "--group", id="unknown-group"),
+    pytest.param({"command": "bogus"}, "bogus", id="unknown-command"),
+    pytest.param({"command": "haar", "format": "xml"}, "--format", id="unknown-format"),
+    pytest.param({"command": "witness", "group": "so3", "format": "csv"}, "--format",
+                 id="witness-csv"),
+])
+def test_run_config_refuses_what_the_parser_would(kwargs, needle, tmp_path, capsys):
+    # the library entry point checks the table as argparse's choices do: exit 2, no traceback
+    out = tmp_path / "out"
+    assert run(RunConfig(**kwargs, out=str(out))) == EXIT_USAGE
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_subparser_is_built_from_its_entry():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(COMMANDS)
+    # the flags each subcommand took before its entry held them
+    own = {"coeffs": ["--lmax", "--tol", "--mc-n"], "densities": ["--points", "--bins"],
+           "check": ["--n", "--points", "--tol"],
+           "witness": ["--n", "--points", "--trials", "--margin"],
+           "simulate": ["--points", "--realizations", "--jitter"], "haar": ["--n", "--points"]}
+    common = ["--help", "--seed", "--stream", "--format", "--out", "--no-meta", "--group"]
+    for name, spec in COMMANDS.items():
+        p = sub.choices[name]
+        group = p._option_string_actions["--group"]
+        assert list(group.choices) == list(spec.groups)
+        assert group.required == spec.group_required
+        assert [a.option_strings[-1] for a in p._actions] == common + own[name]
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_each_entrys_groups_are_its_schemas_group_enum(name):
+    # witness takes su2 only to exit 1 without a certificate
+    groups = [g for g in COMMANDS[name].groups if (name, g) != ("witness", "su2")]
+    assert groups == load_schema(name)["properties"]["group"]["enum"]

@@ -48,7 +48,7 @@ def lemma_equivalence(group, x):
 def test_kernel_vanishes_at_base_point():
     e = SU2.identity
     pts = np.vstack([e, SU2.sample(RngStream(40, 0), 5)])
-    k = gram_audit(SU2, pts, x0=e).K
+    k = kernel_lab.brownian_kernel(SU2, pts, e)
     assert np.abs(k[0]).max() == pytest.approx(0.0, abs=1e-15)
 
 
@@ -58,7 +58,7 @@ def test_kernel_diagonal_is_distance_to_base():
     rng = RngStream(41, 0)
     x0 = SU2.sample(rng, 1)[0]
     x = SU2.sample(rng, 5)
-    k = gram_audit(SU2, x, x0=x0).K
+    k = kernel_lab.brownian_kernel(SU2, x, x0)
     for i in range(5):
         assert k[i, i] == pytest.approx(su2_dist(x[i], x0), abs=1e-7)
 
@@ -70,14 +70,14 @@ def test_kernel_antipodal_equatorial_configuration():
     y = np.array([0.0, 1.0, 0.0, 0.0])
     assert su2_dist(y, e) == pytest.approx(math.pi / 2)
     assert su2_dist(x, y) == pytest.approx(math.pi / 2)
-    k = gram_audit(SU2, np.stack([x, y]), x0=e).K
+    k = kernel_lab.brownian_kernel(SU2, np.stack([x, y]), e)
     assert k[0, 1] == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_kernel_symmetry():
     rng = RngStream(42, 0)
     x, y, x0 = SU2.sample(rng, 3)
-    k = gram_audit(SU2, np.stack([x, y]), x0=x0).K
+    k = kernel_lab.brownian_kernel(SU2, np.stack([x, y]), x0)
     assert np.array_equal(k, k.T)
     want = 0.5 * (su2_dist(x, x0) + su2_dist(y, x0) - su2_dist(x, y))
     assert k[0, 1] == pytest.approx(want, abs=1e-12)
@@ -284,7 +284,7 @@ def workspace_bytes(m):
 @pytest.mark.parametrize("m", [129, 300])
 def test_audit_kernel_is_the_formula_and_bitwise_symmetric(group, m):
     x = group.sample(RngStream(52, m), m)
-    k = gram_audit(group, x).K
+    k = kernel_lab.brownian_kernel(group, x, group.identity)
     d0 = group.distances(x, group.identity)
     want = 0.5 * (d0[:, None] + d0[None, :] - pairwise_distance_matrix(group, x))
     assert np.array_equal(k, k.T)
@@ -394,9 +394,11 @@ def test_su2_kernel_is_positive_definite_at_scale():
 def test_audit_base_point_row_vanishes_when_x0_included():
     e = SU2.identity
     pts = np.vstack([e, su2_points(45, 5)])
-    audit = gram_audit(SU2, pts, x0=e)
-    assert np.abs(audit.K[0, :]).max() < 1e-12
-    assert np.abs(audit.K[:, 0]).max() < 1e-12
+    k = kernel_lab.brownian_kernel(SU2, pts, e)
+    assert np.abs(k[0, :]).max() < 1e-12
+    assert np.abs(k[:, 0]).max() < 1e-12
+    # the zero row makes the audited K singular
+    assert abs(gram_audit(SU2, pts, x0=e).min_K_eig) < 1e-12
 
 
 def test_audit_rejects_bad_input():
@@ -526,14 +528,15 @@ def test_transfer_factorizes_no_son_pair(monkeypatch):
     assert transfer_witness(cert, 6).value == cert.value
 
 
-def test_audit_and_certificate_compare_and_hash_by_identity():
+def test_audit_compares_by_value_and_certificate_by_identity():
     x = su2_points(57, 10)
     audit = gram_audit(SU2, x)
-    assert audit != gram_audit(SU2, x)  # a field-wise __eq__ raises on the arrays
-    assert audit == audit
+    assert audit == gram_audit(SU2, x)  # four floats
     cert = find_witness(SO3, m=20, trials=10, rng=RngStream(58, 0))
+    # array fields: a field-wise __eq__ would raise
     assert cert != WitnessCertificate.from_json(cert.to_json())
-    assert len({audit, cert, cert}) == 2
+    assert cert == cert
+    assert len({audit, gram_audit(SU2, x), cert, cert}) == 2
 
 
 def test_witness_success_rate_one_trial():

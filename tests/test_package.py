@@ -24,3 +24,43 @@ def test_cli_reads_no_private_name_of_another_module():
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in modules and node.attr.startswith("_")]
     assert private == []
+
+
+def command_facts_outside_the_table(source: str, commands) -> list[str]:
+    """Functions of ``source`` (``<module>`` for top-level code) that compare a
+    ``.command`` attribute with a string or hold a dict keyed by a command
+    name, the ``COMMANDS`` table aside."""
+    tree = ast.parse(source)
+    table = next((node.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "COMMANDS" for t in node.targets)),
+                 None)
+
+    def strings(node):
+        items = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return [e for e in items if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+
+    def offends(node):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            return (any(isinstance(s, ast.Attribute) and s.attr == "command" for s in sides)
+                    and any(strings(s) for s in sides))
+        return (isinstance(node, ast.Dict) and node is not table
+                and any(isinstance(k, ast.Constant) and k.value in commands for k in node.keys))
+
+    found, inside = set(), set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                inside.add(node)
+                if offends(node):
+                    found.add(fn.name)
+    if any(offends(node) and node not in inside for node in ast.walk(tree)):
+        found.add("<module>")
+    return sorted(found)
+
+
+def test_cli_states_each_command_fact_in_its_commands_entry():
+    # groups, defaults, least values, size flags, charge and handler: one entry each
+    with open(levy_groups.cli.__file__) as fh:
+        source = fh.read()
+    assert command_facts_outside_the_table(source, set(levy_groups.cli.COMMANDS)) == []
