@@ -29,7 +29,7 @@ from .rng import RngStream
 
 ORTHOGONALITY_TOL = 1e-10
 # float64 per block of haar_son_batch's draws and of the distance kernels' scratch: 1 MiB
-_BLOCK_FLOATS = 1 << 17
+BLOCK_FLOATS = 1 << 17
 # distances below this are checked for bitwise-equal points; arccos of an SU(2)
 # dot product a few ulps below 1 reads up to about 5e-8 for equal points
 _NEAR_ZERO_ANGLE = 1e-6
@@ -86,7 +86,7 @@ def haar_son_batch(n: int, size: int, rng: RngStream) -> np.ndarray:
     # QR holds about four copies of its input, so it runs on blocks of the
     # output; the generator fills them with the same normals as one draw
     out = np.empty((size, n, n))
-    step = max(1, _BLOCK_FLOATS // (n * n))
+    step = max(1, BLOCK_FLOATS // (n * n))
     for i in range(0, size, step):
         q, r = np.linalg.qr(rng.generator.standard_normal((min(step, size - i), n, n)))
         d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
@@ -94,23 +94,6 @@ def haar_son_batch(n: int, size: int, rng: RngStream) -> np.ndarray:
         q *= d[:, None, :]
         q[np.linalg.det(q) < 0, :, -1] *= -1.0
         out[i:i + step] = q
-    return out
-
-
-def ad_matrix(quaternions: np.ndarray) -> np.ndarray:
-    """Covering map SU(2) -> SO(3) on (..., 4) arrays of unit quadruples."""
-    q = np.asarray(quaternions, dtype=float)
-    a1, a2, b1, b2 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    out = np.empty(q.shape[:-1] + (3, 3))
-    out[..., 0, 0] = a1 * a1 - a2 * a2 - (b1 * b1 - b2 * b2)
-    out[..., 0, 1] = -2 * a1 * a2 - 2 * b1 * b2
-    out[..., 0, 2] = -2 * (a1 * b1 - a2 * b2)
-    out[..., 1, 0] = 2 * a1 * a2 - 2 * b1 * b2
-    out[..., 1, 1] = (a1 * a1 - a2 * a2) + (b1 * b1 - b2 * b2)
-    out[..., 1, 2] = -2 * (a1 * b2 + a2 * b1)
-    out[..., 2, 0] = 2 * (a1 * b1 + a2 * b2)
-    out[..., 2, 1] = -2 * (-a1 * b2 + a2 * b1)
-    out[..., 2, 2] = (a1 * a1 + a2 * a2) - (b1 * b1 + b2 * b2)
     return out
 
 
@@ -128,22 +111,19 @@ def _zero_equal_points(d: np.ndarray, x: np.ndarray, y: np.ndarray) -> None:
         d.flat[near[same]] = 0.0
 
 
-def dist_son(g: np.ndarray, h: np.ndarray, scale: float = 1.0) -> float:
+def dist_son(g: np.ndarray, h: np.ndarray) -> float:
     """Bi-invariant distance between the (n, n) rotations g and h on SO(n),
-    as ``SOnGroup(n).distances`` measures it, times an optional positive
-    metric scale."""
+    as ``SOnGroup(n).distances`` measures it."""
     if g.shape != h.shape:
         raise ValueError(f"size mismatch: {g.shape} vs {h.shape}")
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    return scale * float(SOnGroup(len(g)).distances(g[None], h)[0])
+    return float(SOnGroup(len(g)).distances(g[None], h)[0])
 
 
 def embed_so3(x: np.ndarray, n: int) -> np.ndarray:
     """Block-diagonal embedding of SO(3) into SO(n), n > 3, on (..., 3, 3) arrays.
 
-    The embedding is distance-preserving for the principal-angle metric
-    at every scale: the extra block contributes only zero angles.
+    The embedding is distance-preserving for the principal-angle metric:
+    the extra block contributes only zero angles.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[-2:] != (3, 3):
@@ -164,7 +144,7 @@ class _Group:
     """The blocked distance loops every descriptor shares.  A descriptor supplies
     ``_angles(x, y, out)``, writing the (len(x), len(y)) distances between
     the points of x and of y into out, and ``_pair_floats``, that kernel's
-    float64 scratch per pair; blocks hold ``_BLOCK_FLOATS`` of it, or one row.
+    float64 scratch per pair; blocks hold ``BLOCK_FLOATS`` of it, or one row.
     """
 
     _pair_floats = 1
@@ -176,7 +156,7 @@ class _Group:
         written into ``out``, an (m, m) array or view, when given."""
         m = len(x)
         d = np.empty((m, m)) if out is None else out
-        step = max(1, _BLOCK_FLOATS // max(m * self._pair_floats, 1))
+        step = max(1, BLOCK_FLOATS // max(m * self._pair_floats, 1))
         for i in range(0, m, step):
             j = i + step
             block = d[i:j, i:]
@@ -191,7 +171,7 @@ class _Group:
     def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Distance from each point of x to the point y."""
         d = np.empty(len(x))
-        step = max(1, _BLOCK_FLOATS // self._pair_floats)
+        step = max(1, BLOCK_FLOATS // self._pair_floats)
         for i in range(0, len(x), step):
             block = d[i:i + step, None]
             self._angles(x[i:i + step], y[None], block)
@@ -324,13 +304,7 @@ def group_named(name: str, n: int | None = None):
     raise ValueError(f"unknown group {name!r}")
 
 
-def pairwise_distance_matrix(group, x: np.ndarray, scale: float = 1.0,
-                             out: np.ndarray | None = None) -> np.ndarray:
-    """Symmetric zero-diagonal distance matrix of the rows of x, times ``scale``,
-    written into ``out`` when given (see ``pairwise``)."""
-    if scale <= 0.0:
-        raise ValueError("scale must be positive")
-    d = group.pairwise(x, out)
-    if scale != 1.0:
-        d *= scale
-    return d
+def pairwise_distance_matrix(group, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``group.pairwise(x, out)``: the symmetric zero-diagonal distance matrix
+    of the rows of x, written into ``out`` when given."""
+    return group.pairwise(x, out)

@@ -28,14 +28,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import canonical, group_core
+from . import __version__, canonical, group_core
 from .group_core import (SO3, SU2, SOnGroup, check_rotations, embed_so3, group_named,
                          pairwise_distance_matrix)
 from .rng import KEY_LIMIT, RngStream
 
 RELATIVE_EIG_TOL = 1e-8
 DEFAULT_MARGIN = 1e-6
-CERTIFICATE_SCHEMA_VERSION = "1"
+CERTIFICATE_SCHEMA_VERSION = "2"
+# the document's keys in order (schemas/witness.schema.json's "required"); "meta" may follow
+_CERTIFICATE_KEYS = ("schema_version", "kind", "group", "n", "m", "points", "weights", "value",
+                     "seed", "method", "tool_version")
 
 
 class WitnessNotFoundError(RuntimeError):
@@ -54,8 +57,8 @@ def sum_zero_basis(m: int) -> np.ndarray:
 
 
 def _row_blocks(m: int) -> list[slice]:
-    """The blocks of rows of an (m, m) pass: about group_core._BLOCK_FLOATS floats, or one row."""
-    step = max(1, group_core._BLOCK_FLOATS // m)
+    """The blocks of rows of an (m, m) pass: about group_core.BLOCK_FLOATS floats, or one row."""
+    step = max(1, group_core.BLOCK_FLOATS // m)
     return [slice(i, i + step) for i in range(0, m, step)]
 
 
@@ -260,7 +263,7 @@ def audit_bytes(group, m: int) -> int:
     m = 1,000, 2,000 and 3,000: 16.9, 41.5 and 80.6 MiB in place, 23.7, 69.9
     and 146.3 with the copies; 8.5 to 9.6 MiB of it is block, BLAS and
     LAPACK scratch."""
-    return (8 * m * m * (1 if _lapack() else 2) + 16 * max(group_core._BLOCK_FLOATS, m)
+    return (8 * m * m * (1 if _lapack() else 2) + 16 * max(group_core.BLOCK_FLOATS, m)
             + 1024 * m + group.pairwise_bytes(m) + 8 * 2 ** 20)
 
 
@@ -280,13 +283,11 @@ class WitnessCertificate:
     seed: int
     stream: int
     method: str = "eigenvector"
-    scale: float = 1.0
-    tool_version: str = "0.1.0"
+    tool_version: str = __version__
 
-    def quadratic_form(self, scale: float | None = None) -> float:
+    def quadratic_form(self) -> float:
         """Recompute sum_ij w_i w_j d(g_i, g_j) from the stored data."""
-        s = self.scale if scale is None else scale
-        d = pairwise_distance_matrix(self.group, self.points, scale=s)
+        d = pairwise_distance_matrix(self.group, self.points)
         return float(self.weights @ d @ self.weights)
 
     def verify(self, tol: float = 1e-10, weight_tol: float = 1e-12) -> bool:
@@ -307,7 +308,6 @@ class WitnessCertificate:
             "value": float(self.value),
             "seed": {"seed": self.seed, "stream": self.stream},
             "method": self.method,
-            "scale": float(self.scale),
             "tool_version": self.tool_version,
         }
 
@@ -318,9 +318,7 @@ class WitnessCertificate:
     def from_json(cls, text: str) -> "WitnessCertificate":
         """Parse a certificate; raises ValueError naming the first bad field."""
         doc = json.loads(text)
-        missing = [k for k in ("schema_version", "kind", "group", "n", "m", "points", "weights",
-                               "value", "seed", "method", "scale", "tool_version")
-                   if not isinstance(doc, dict) or k not in doc]
+        missing = [k for k in _CERTIFICATE_KEYS if not isinstance(doc, dict) or k not in doc]
         if missing:
             raise ValueError(f"certificate is missing {', '.join(missing)}")
         for key, allowed in (("schema_version", (CERTIFICATE_SCHEMA_VERSION,)),
@@ -328,6 +326,9 @@ class WitnessCertificate:
             if doc[key] not in allowed:
                 raise ValueError(f"certificate {key} must be {' or '.join(map(repr, allowed))}, "
                                  f"got {doc[key]!r}")
+        unknown = [k for k in doc if k not in _CERTIFICATE_KEYS and k != "meta"]
+        if unknown:
+            raise ValueError(f"certificate has unknown key {', '.join(unknown)}")
         if not isinstance(doc["tool_version"], str):
             raise ValueError("certificate tool_version must be a string")
         n, m, group, seed = doc["n"], doc["m"], doc["group"], doc["seed"]
@@ -344,16 +345,13 @@ class WitnessCertificate:
         points = _finite(doc, "points", (m, n * n), f"m = {m} rows of n^2 = {n * n} numbers")
         weights = _finite(doc, "weights", (m,), f"m = {m} numbers")
         value = float(_finite(doc, "value", (), "a number"))
-        scale = float(_finite(doc, "scale", (), "a number"))
-        if not scale > 0.0:
-            raise ValueError(f"certificate scale must be positive, got {scale!r}")
         try:
             points = check_rotations(points.reshape(m, n, n))
         except ValueError as exc:  # not orthogonal, or det -1
             raise ValueError(f"certificate points: {exc}") from None
         return cls(group=group_named(group, n), points=points, weights=weights, value=value,
                    seed=seed["seed"], stream=seed["stream"], method=doc["method"],
-                   scale=scale, tool_version=doc["tool_version"])
+                   tool_version=doc["tool_version"])
 
 
 def _json_isinstance(x, types) -> bool:
@@ -446,20 +444,14 @@ def witness_bytes(group, m: int) -> int:
     return 8 * 8 * m * m + 112 * m * group.point_size
 
 
-def transfer_witness(cert: WitnessCertificate, n: int, scale: float = 1.0) -> WitnessCertificate:
+def transfer_witness(cert: WitnessCertificate, n: int) -> WitnessCertificate:
     """Carry an SO(3) certificate into SO(n), n > 3.
 
-    Points are embedded block-diagonally, weights kept.  The embedding is an
-    isometry (``embed_so3``), so the quadratic form is stated from the SO(3)
-    distances (times ``scale``), without factorizing a single SO(n) pair; at
-    scale 1 it is the certificate's value bit for bit.  ``verify`` on the
-    result recomputes it in SO(n), from the principal angles.
+    Points are embedded block-diagonally, weights and value kept: the
+    embedding is an isometry (``embed_so3``), so the quadratic form is the
+    certificate's, and nothing is computed.  ``verify`` on the result
+    recomputes it in SO(n), from the principal angles.
     """
     if cert.group is not SO3:
         raise ValueError("transfer requires an SO(3) certificate")
-    if n <= 3:
-        raise ValueError("target size must exceed 3")
-    d = pairwise_distance_matrix(SO3, cert.points, scale=scale)
-    value = float(cert.weights @ d @ cert.weights)
-    return replace(cert, group=SOnGroup(n), points=embed_so3(cert.points, n), value=value,
-                   method="transfer", scale=scale)
+    return replace(cert, group=SOnGroup(n), points=embed_so3(cert.points, n), method="transfer")

@@ -1,6 +1,8 @@
 """Closed-form characters and distribution functions of SU(2) and SO(3),
 which the tests use as oracles for ``levy_groups.harmonic`` and the Haar
-samplers.  Each takes the descriptor ``SU2`` or ``SO3``, as ``harmonic`` does.
+samplers, and the covering map SU(2) -> SO(3).  Each character and
+distribution function takes the descriptor ``SU2`` or ``SO3``, as
+``harmonic`` does.
 """
 
 import math
@@ -61,3 +63,20 @@ def trace_cdf_so3(y):
     w = np.arccos(np.clip((y_arr - 1.0) / 2.0, -1.0, 1.0))
     out = 1.0 - (w - np.sin(w)) / math.pi
     return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out
+
+
+def ad_matrix(quaternions: np.ndarray) -> np.ndarray:
+    """Covering map SU(2) -> SO(3) on (..., 4) arrays of unit quadruples."""
+    q = np.asarray(quaternions, dtype=float)
+    a1, a2, b1, b2 = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    out = np.empty(q.shape[:-1] + (3, 3))
+    out[..., 0, 0] = a1 * a1 - a2 * a2 - (b1 * b1 - b2 * b2)
+    out[..., 0, 1] = -2 * a1 * a2 - 2 * b1 * b2
+    out[..., 0, 2] = -2 * (a1 * b1 - a2 * b2)
+    out[..., 1, 0] = 2 * a1 * a2 - 2 * b1 * b2
+    out[..., 1, 1] = (a1 * a1 - a2 * a2) + (b1 * b1 - b2 * b2)
+    out[..., 1, 2] = -2 * (a1 * b2 + a2 * b1)
+    out[..., 2, 0] = 2 * (a1 * b1 + a2 * b2)
+    out[..., 2, 1] = -2 * (-a1 * b2 + a2 * b1)
+    out[..., 2, 2] = (a1 * a1 + a2 * a2) - (b1 * b1 + b2 * b2)
+    return out

@@ -17,12 +17,11 @@ from levy_groups import (
 )
 from levy_groups import group_core
 from levy_groups.group_core import (
-    ad_matrix,
     check_rotations,
     haar_son_batch,
     haar_su2_batch,
 )
-from oracles import angle_cdf, trace_cdf_so3
+from oracles import ad_matrix, angle_cdf, trace_cdf_so3
 
 E = SU2.identity
 
@@ -257,14 +256,12 @@ def test_son_distances_match_logm_near_zero_and_pi(n):
                 assert abs(got - oracle) <= min(1e-8, 1e-7 * oracle), (t, planes, got, oracle)
 
 
-def test_dist_son_errors_and_scale():
+def test_dist_son_errors():
     g, h = np.eye(3), np.eye(4)
     with pytest.raises(ValueError):
         dist_son(g, h)
-    with pytest.raises(ValueError):
-        dist_son(g, g, scale=0.0)
     a, b = haar_son_batch(3, 2, RngStream(15, 0))
-    assert dist_son(a, b, scale=2.5) == pytest.approx(2.5 * dist_son(a, b), rel=1e-14)
+    assert dist_son(a, b) > 0.0
     assert dist_son(a, a) == 0.0
 
 
@@ -292,7 +289,7 @@ def test_son_pairwise_is_exactly_zero_on_repeated_rows(group):
 def test_haar_son_batch_blocks_give_the_one_draw_recipe(block, monkeypatch):
     """QR by blocks of the output, bit for bit the draws of one QR of one
     Gaussian batch, and the stream left where that recipe leaves it."""
-    monkeypatch.setattr(group_core, "_BLOCK_FLOATS", block)
+    monkeypatch.setattr(group_core, "BLOCK_FLOATS", block)
     for n, size in ((2, 7), (5, 40), (9, 3), (11, 1)):
         gen = RngStream(19, n).generator
         q, r = np.linalg.qr(gen.standard_normal((size, n, n)))
@@ -433,12 +430,9 @@ def test_pairwise_fast_paths_agree_with_scalar_metrics():
     so5 = group_named("son", 5)
     so5_pts = x = haar_son_batch(5, 5, rng)
     d_default = pairwise_distance_matrix(so5, x)
-    d_scaled = pairwise_distance_matrix(so5, x, scale=3.0)
-    assert np.abs(3.0 * d_default - d_scaled).max() < 1e-10
-    d_loop = scalar_pairwise(lambda g, h: dist_son(g, h, scale=2.0), so5_pts)
-    assert np.abs(2.0 * d_default - d_loop).max() < 1e-10
-    with pytest.raises(ValueError):
-        pairwise_distance_matrix(so5, x, scale=0.0)
+    assert np.array_equal(d_default, so5.pairwise(x))
+    d_loop = scalar_pairwise(dist_son, so5_pts)
+    assert np.abs(d_default - d_loop).max() < 1e-14
 
 
 def test_pairwise_batch_helpers_match_definitions():
@@ -502,8 +496,8 @@ def test_pairwise_into_a_strided_view_is_the_same_matrix(group, m):
     # out= takes any (m, m) view, here the last m columns of a wider buffer
     x = group.sample(RngStream(27, m), m)
     buf = np.full((m, m + 1), np.nan)
-    assert np.shares_memory(pairwise_distance_matrix(group, x, scale=2.0, out=buf[:, 1:]), buf)
-    assert np.array_equal(buf[:, 1:], pairwise_distance_matrix(group, x, scale=2.0))
+    assert np.shares_memory(pairwise_distance_matrix(group, x, out=buf[:, 1:]), buf)
+    assert np.array_equal(buf[:, 1:], pairwise_distance_matrix(group, x))
     assert np.isnan(buf[:, 0]).all()
 
 
@@ -536,7 +530,7 @@ def test_pairwise_scratch_is_a_few_blocks(group, m):
     # the equal-point test runs block by block: an m x m boolean mask would
     # be 9 MB, over eight blocks, at m = 3,000
     x = group.sample(RngStream(28, m), m)
-    block = 8 * max(group_core._BLOCK_FLOATS, m * group._pair_floats)  # at least one row
+    block = 8 * max(group_core.BLOCK_FLOATS, m * group._pair_floats)  # at least one row
     tracemalloc.start()
     try:
         group.pairwise(x)

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tracemalloc
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -17,8 +18,12 @@ from levy_groups import (
     pairwise_distance_matrix,
     transfer_witness,
 )
+import levy_groups
 from levy_groups import group_core, kernel_lab
 from levy_groups.kernel_lab import WitnessCertificate, _reflect, sum_zero_basis
+
+WITNESS_SCHEMA = json.loads(
+    (resources.files("levy_groups") / "schemas" / "witness.schema.json").read_text())
 
 
 def su2_points(seed, m, stream=0):
@@ -171,7 +176,7 @@ def test_audit_packs_over_many_blocks_bit_for_bit(group, floats, m, monkeypatch)
     # K and H K H in 20 rows a block at m = 50 and 7 at m = 129, each ending
     # in a partial block; one row a block where a row holds more than the
     # block's floats.  The distances are blocked alike both times.
-    monkeypatch.setattr(group_core, "_BLOCK_FLOATS", floats)
+    monkeypatch.setattr(group_core, "BLOCK_FLOATS", floats)
     x = group.sample(RngStream(54, m), m)
     blocked = audit_floats(gram_audit(group, x))
     monkeypatch.setattr(kernel_lab, "_row_blocks", lambda m: [slice(0, m)])
@@ -317,7 +322,7 @@ def test_audit_peaks_at_one_packed_matrix(group, monkeypatch):
     # is the reduction's workspace and block scratch, here blocks of 1,024
     # floats (one row on SO(5))
     m = 600
-    monkeypatch.setattr(group_core, "_BLOCK_FLOATS", 1 << 10)
+    monkeypatch.setattr(group_core, "BLOCK_FLOATS", 1 << 10)
     x = group.sample(RngStream(53, 1), m)
     tracemalloc.start()
     try:
@@ -500,13 +505,19 @@ def test_transfer_preserves_value():
         assert moved.verify(tol=1e-12)
 
 
-def test_transfer_scales_bilinearly():
+def test_transfer_embeds_without_computing_a_distance(monkeypatch):
     cert = find_witness(SO3, m=40, trials=10, rng=RngStream(54, 0))
-    scaled = transfer_witness(cert, 4, scale=2.5)
-    assert scaled.value == pytest.approx(2.5 * cert.value, rel=1e-12)
-    # and rescaling an unscaled transfer reproduces it
-    moved = transfer_witness(cert, 4)
-    assert moved.quadratic_form(scale=2.5) == pytest.approx(scaled.value, rel=1e-12)
+
+    def refuse(self, x, out=None):
+        raise AssertionError("distance matrix computed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(group_core._Group, "pairwise", refuse)
+        moved = {n: transfer_witness(cert, n) for n in (4, 7)}
+    for n, cert_n in moved.items():
+        assert cert_n.value == cert.value
+        assert np.array_equal(cert_n.weights, cert.weights)
+        assert cert_n.verify(tol=1e-12)  # recomputed in SO(n)
 
 
 def test_transfer_rejects_bad_targets():
@@ -578,8 +589,15 @@ def test_certificate_json_is_stable():
     keys = list(json.loads(cert.to_json()).keys())
     assert keys == [
         "schema_version", "kind", "group", "n", "m", "points", "weights",
-        "value", "seed", "method", "scale", "tool_version",
+        "value", "seed", "method", "tool_version",
     ]
+    assert keys == WITNESS_SCHEMA["required"]
+
+
+def test_fresh_certificate_states_the_package_version():
+    cert = find_witness(SO3, m=15, trials=10, rng=RngStream(58, 0))
+    assert cert.tool_version == levy_groups.__version__
+    assert json.loads(cert.to_json())["tool_version"] == levy_groups.__version__
 
 
 def test_tampered_certificate_fails_verification():
@@ -622,8 +640,8 @@ MALFORMED = {
     "inf-weight": (_set_in("weights", 2, math.inf), "weights has non-finite"),
     "nan-value": (_set("value", math.nan), "value has non-finite"),
     "list-value": (_set("value", [1.0]), "value must be a number"),
-    "negative-scale": (_set("scale", -1.0), "scale must be positive"),
-    "zero-scale": (_set("scale", 0.0), "scale must be positive"),
+    "negative-scale": (_set("scale", -1.0), "unknown key scale"),
+    "zero-scale": (_set("scale", 0.0), "unknown key scale"),
     "bad-seed": (_set("seed", 56), "seed must be"),
     "negative-seed": (lambda doc: doc["seed"].__setitem__("seed", -5), "each in [0, 2^64)"),
     "not-orthogonal": (lambda doc: doc["points"][0].__setitem__(0, 2.0),
@@ -633,16 +651,30 @@ MALFORMED = {
         slice(0, 3), [-v for v in doc["points"][2][:3]]), "points: det(g) = "),
     "string-value": (_set("value", "0.5"), "value must be a number"),
     "bool-value": (_set("value", True), "value must be a number"),
-    "string-scale": (_set("scale", "1"), "scale must be a number"),
+    "string-scale": (_set("scale", "1"), "unknown key scale"),
+    "extra-key": (_set("extra", 1), "unknown key extra"),
     "string-weight": (lambda doc: doc["weights"].__setitem__(0, str(doc["weights"][0])),
                       "weights must be m = 15 numbers"),
     "string-point": (lambda doc: doc["points"][0].__setitem__(0, str(doc["points"][0][0])),
                      "points must be m = 15 rows of n^2 = 9"),
     "bogus-method": (_set("method", "bogus"), "method must be 'eigenvector' or 'transfer'"),
-    "schema-version-9": (_set("schema_version", "9"), "schema_version must be '1'"),
+    "schema-version-9": (_set("schema_version", "9"), "schema_version must be '2'"),
+    # a version-1 document states a metric scale; it is refused, never read at scale 1
+    "schema-version-1": (lambda doc: doc.update(schema_version="1", scale=1.0),
+                         "schema_version must be '2'"),
     "kind-coeffs": (_set("kind", "coeffs"), "kind must be 'witness'"),
     "integer-tool-version": (_set("tool_version", 1), "tool_version must be a string"),
 }
+
+
+@pytest.mark.parametrize("key", WITNESS_SCHEMA["required"])
+def test_certificate_without_a_required_key_is_rejected_naming_it(key):
+    doc = json.loads(find_witness(SO3, m=15, trials=10, rng=RngStream(58, 0)).to_json())
+    doc["meta"] = {"tool_version": levy_groups.__version__, "command": "witness"}
+    WitnessCertificate.from_json(json.dumps(doc))  # the CLI's meta block is no unknown key
+    del doc[key]
+    with pytest.raises(ValueError, match=re.escape(f"is missing {key}") + "$"):
+        WitnessCertificate.from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("case", list(MALFORMED))

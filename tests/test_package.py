@@ -1,7 +1,13 @@
 import ast
+from pathlib import Path
+
+import pytest
 
 import levy_groups
 import levy_groups.cli
+
+PACKAGE = Path(levy_groups.__file__).parent
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py"))
 
 
 def test_every_export_resolves_once():
@@ -10,20 +16,36 @@ def test_every_export_resolves_once():
     assert [n for n in names if not hasattr(levy_groups, n)] == []
 
 
-def test_cli_reads_no_private_name_of_another_module():
-    # each module states its own memory charge; the CLI sums them
-    with open(levy_groups.cli.__file__) as fh:
-        tree = ast.parse(fh.read())
+def private_names_of_other_modules(source: str) -> list[str]:
+    """``module.name`` for each private name of another module of the package
+    that ``source`` imports (``from .module import _name``) or reads
+    (``module._name`` after ``from . import module``); dunders are public."""
+    tree = ast.parse(source)
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
     modules = {alias.asname or alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
                for alias in node.names}
-    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
-               for alias in node.names if alias.name.startswith("_")]
-    private += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
-                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                and node.value.id in modules and node.attr.startswith("_")]
-    assert private == []
+    found = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+             for alias in node.names if private(alias.name)]
+    found += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and private(node.attr)]
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_reads_no_private_name_of_another_module(module):
+    # each module states its own memory charge and block size; the others read them
+    assert private_names_of_other_modules((PACKAGE / f"{module}.py").read_text()) == []
+
+
+def test_private_name_guard_sees_both_forms():
+    source = "from . import group_core\nfrom .rng import _x, y\ngroup_core._B + group_core.B\n"
+    assert private_names_of_other_modules(source) == ["rng._x", "group_core._B"]
 
 
 def command_facts_outside_the_table(source: str, commands) -> list[str]:
