@@ -258,13 +258,14 @@ def audit_bytes(group, m: int) -> int:
     the (m, m) buffer, and without LAPACK the copy eigvalsh makes of it, then
     of its [1:, 1:] block; two blocks of _row_blocks, or two rows; the
     reduction's workspace, about 830 B per point, charged 1 kB; a row of the
-    distance kernel's scratch; 8 MiB of BLAS and LAPACK scratch.  VmHWM of
-    `check` above the interpreter (numpy 2.4, SU(2), BLAS on one thread) at
-    m = 1,000, 2,000 and 3,000: 16.9, 41.5 and 80.6 MiB in place, 23.7, 69.9
-    and 146.3 with the copies; 8.5 to 9.6 MiB of it is block, BLAS and
-    LAPACK scratch."""
+    distance kernel's scratch; 9 MiB of BLAS and LAPACK scratch.  VmHWM of
+    `check` above the imports, their bytecode cached (numpy 2.4, SU(2), 2
+    cores) at m = 1,000, 2,000 and 3,000: 17.9, 42.3 and 81.5 MiB in place
+    with BLAS on one thread, 18.5, 43.1 and 82.1 with BLAS threads free,
+    24.6, 70.7 and 147.4 with the copies; 8.6 MiB of BLAS and LAPACK
+    scratch at m = 2,000 and 3,000 with BLAS threads free."""
     return (8 * m * m * (1 if _lapack() else 2) + 16 * max(group_core.BLOCK_FLOATS, m)
-            + 1024 * m + group.pairwise_bytes(m) + 8 * 2 ** 20)
+            + 1024 * m + group.pairwise_bytes(m) + 9 * 2 ** 20)
 
 
 # ---------------------------------------------------------------------------
