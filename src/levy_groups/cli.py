@@ -10,8 +10,6 @@ to the generated_at meta field; --no-meta removes the meta block.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import math
 import os
 import sys
@@ -22,7 +20,6 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__, canonical, field_sim, group_core, harmonic, kernel_lab
-from .canonical import format_float
 from .quadrature import QuadratureError
 from .rng import KEY_LIMIT, RngStream
 
@@ -205,15 +202,18 @@ def _validate(cfg: RunConfig):
 
 def _peak_bytes(cfg: RunConfig, group) -> int:
     """Estimated peak memory in bytes, the command's charge: the charges the
-    modules state for their arrays, and the output text _emit builds, per row
-    or entry rounded up from VmHWM growth above the interpreter: densities
-    1.23 kB per bin and series, simulate 0.66 kB per variogram row in JSON
-    (0.40 kB in CSV), haar 187-245 B per float of the samples.  simulate grew
-    in JSON at (points, realizations) (20, 4,000) 8.1 MiB, (20, 400,000) 8.3,
-    (100, 50,000) 12.1, (200, 10,000) 23.3, (200, 100,000) 23.2, (400, 2,000)
-    70.2, (800, 100) 232.4 and (1,500, 100) 805.3; in CSV (50, 10,000) 9.1 and
-    (800, 100) 151.1.  Except for check and simulate, a few MB of BLAS scratch
-    is left out.
+    modules state for their arrays; for the output, which streams whatever
+    its size, the emitter's bounded chunk (canonical.dump_bytes); for the
+    rows densities builds, 400 B per bin and series (VmHWM growth above the
+    interpreter of 0.36 and 0.37 kB at 100,000 bins on SO(3) and 200,000 on
+    SU(2), which grew 1.23 kB while the text was built whole).  simulate
+    grew in JSON at (points, realizations) (20, 4,000) 8.1 MiB, (20,
+    400,000) 8.1, (100, 50,000) 11.3, (200, 10,000) 16.9, (200, 100,000)
+    16.6, (400, 2,000) 32.7, (800, 100) 58.5 and (1,500, 100) 186.0; in
+    CSV (50, 10,000) 8.7 and (800, 100) 58.5.  haar --group su2 --points
+    1,000,000 grew 82.2 MiB in JSON and in CSV, 21.5 B per float of the
+    samples.  Except for check and simulate, a few MB of BLAS scratch is
+    left out.
     """
     return COMMANDS[cfg.command].charge(cfg, group)
 
@@ -223,43 +223,46 @@ def _peak_bytes(cfg: RunConfig, group) -> int:
 # ---------------------------------------------------------------------------
 
 def _emit(cfg: RunConfig, doc: dict, header, rows) -> None:
-    """Write ``doc`` as canonical JSON, or ``header`` and ``rows`` as CSV.
+    """Stream ``doc`` as canonical JSON, or ``header`` and ``rows`` as CSV,
+    to --out or stdout.
 
     The meta block goes inside the JSON document, or above the CSV header
     as ``# key: value`` lines; ``--no-meta`` drops it.  ``rows`` is only
-    iterated for CSV, so it may be a generator.
+    iterated for CSV, so it may be a generator.  --out is opened at the
+    first chunk written, so a non-finite value the writers raise on before
+    it (any in a table, or in a document under one chunk) leaves --out as
+    it was.
     """
     meta = {} if cfg.no_meta else {
         "tool_version": __version__,
         "command": cfg.command_line or cfg.command,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    if cfg.format == "json":
-        if meta:
-            doc["meta"] = meta
-        text = canonical.dumps(doc)
-    else:
-        buf = io.StringIO()
-        buf.writelines(f"# {k}: {v}\n" for k, v in meta.items())
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(map(_cell, row) for row in rows)
-        text = buf.getvalue()
-    if cfg.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(cfg.out, "w", newline="") as fh:
-            fh.write(text)
+    out = sys.stdout if cfg.out == "-" else _Output(cfg.out)
+    try:
+        if cfg.format == "json":
+            canonical.dump({**doc, "meta": meta} if meta else doc, out)
+        else:
+            canonical.dump_csv(header, rows, out, (f"{k}: {v}" for k, v in meta.items()))
+    finally:
+        if out is not sys.stdout:
+            out.close()
 
 
-def _cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return format_float(x)
-    return str(x)
+class _Output:
+    """A text file opened for writing at its first write."""
+
+    def __init__(self, path: str):
+        self.path, self.fh = path, None
+
+    def write(self, text: str) -> None:
+        if self.fh is None:
+            self.fh = open(self.path, "w", newline="")
+        self.fh.write(text)
+
+    def close(self) -> None:
+        if self.fh is not None:
+            self.fh.close()
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +359,7 @@ def _run_simulate(cfg: RunConfig, group) -> int:
         "jitter": cfg.jitter, "jitter_used": fs.jitter_used,
         "seed": cfg.seed, "stream": cfg.stream,
         "rows": rows,
-    }, field_sim.VariogramRow._fields, rows)
+    }, rows.row._fields, rows)
     return EXIT_OK
 
 
@@ -365,7 +368,7 @@ def _run_haar(cfg: RunConfig, group) -> int:
     _emit(cfg, {
         "schema_version": "1", "kind": "haar", "group": cfg.group,
         "n": getattr(group, "n", None), "count": cfg.points,
-        "seed": cfg.seed, "stream": cfg.stream, "samples": samples.tolist(),
+        "seed": cfg.seed, "stream": cfg.stream, "samples": samples,
     }, group.columns, samples)
     return EXIT_OK
 
@@ -378,8 +381,9 @@ COMMANDS = {
                       _run_coeffs, size_flags=()),
     "densities": Command("angle/trace density curves with empirical histograms",
                          ("su2", "so3"), ("points", "bins"), {"points": 1, "bins": 1},
-                         lambda cfg, group: (group.sample_bytes(cfg.points) + 1300 * cfg.bins
-                                             * (2 if group is group_core.SO3 else 1)),
+                         lambda cfg, group: (group.sample_bytes(cfg.points) + 400 * cfg.bins
+                                             * (2 if group is group_core.SO3 else 1)
+                                             + canonical.dump_bytes()),
                          _run_densities, size_flags=("points", "bins"), points=100000),
     "check": Command("eigenvalue audit of the Brownian kernel on Haar points",
                      ("su2", "so3", "son"), ("n", "points", "tol"), {"n": 2, "points": 2},
@@ -396,11 +400,12 @@ COMMANDS = {
                         ("su2", "so3"), ("points", "realizations", "jitter"),
                         {"points": 1, "realizations": 100},
                         lambda cfg, group: (field_sim.variogram_bytes(cfg.points, cfg.realizations)
-                                            + 700 * cfg.points * (cfg.points + 1) // 2),
+                                            + canonical.dump_bytes()),
                         _run_simulate, size_flags=("points",), points=50, group_required=False),
     "haar": Command("raw Haar samples", ("su2", "so3", "son"), ("n", "points"),
                     {"n": 2, "points": 1},
-                    lambda cfg, group: 256 * cfg.points * group.point_size, _run_haar, points=10),
+                    lambda cfg, group: group.sample_bytes(cfg.points) + canonical.dump_bytes(),
+                    _run_haar, points=10),
 }
 
 

@@ -13,6 +13,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .canonical import Table
 from .kernel_lab import brownian_kernel
 from .rng import RngStream
 
@@ -78,12 +79,14 @@ def build_field(
     chol = np.zeros_like(k)
     jit = 0.0
     if len(k) > 1:
-        block = k[1:, 1:]
-        max_diag = float(block.diagonal().max())
+        block = k[1:, 1:].copy()  # each rung sets its diagonal to K's plus the jitter
+        diag = block.diagonal().copy()
+        max_diag = float(diag.max())
         ladder = [jitter * 10.0 ** e for e in range(_JITTER_DECADES + 1)]
         for jit in ladder:
+            np.fill_diagonal(block, diag + jit * max_diag)
             try:
-                chol[1:, 1:] = np.linalg.cholesky(block + jit * max_diag * np.eye(len(block)))
+                chol[1:, 1:] = np.linalg.cholesky(block)
                 break
             except np.linalg.LinAlgError:
                 continue
@@ -96,14 +99,18 @@ def build_field(
 
 def variogram_bytes(m: int, realizations: int) -> int:
     """Bytes build_field and empirical_variogram hold at their peak for m
-    points besides x0, their rows aside: about 5 (m + 1) x (m + 1) matrices,
-    charged 6; one colouring block of normals and of values at its widest;
-    the two _BLOCK column blocks of the Gram products; 8 MiB, as the first
-    factorization adds about 7 MiB of BLAS scratch.  Not charged: the value
-    rows of the points of pairs closer than about 0.01, which the
-    cancellation guard's replay holds."""
-    return (6 * 8 * (m + 1) ** 2 + 8 * (2 * m + 1) * min(realizations, 2 * _colour_width(m))
-            + 16 * (m + 1) * _BLOCK + 8 * 2 ** 20)
+    points besides x0, the returned columns included.  VmHWM growth above
+    the interpreter, with one BLAS thread, read about 5.4 (m + 1) x (m + 1)
+    matrices after build_field (K, the jittered block, numpy's copy of it,
+    the Cholesky result and the factor) and about 11 once the variogram is
+    done (K, the factor, S, Q, T and a dozen vectors of one entry per pair,
+    each half a matrix) at m = 800 and 1,500; charged 12.  Besides: one colouring block of normals and of values at its
+    widest; the _BLOCK columns of powers; 8 MiB, as the first factorization
+    adds about 7 MiB of BLAS scratch.  Not charged: the value rows of the
+    points of pairs closer than about 0.01, which the cancellation guard's
+    replay holds."""
+    return (12 * 8 * (m + 1) ** 2 + 8 * (2 * m + 1) * min(realizations, 2 * _colour_width(m))
+            + 8 * (m + 1) * _BLOCK + 8 * 2 ** 20)
 
 
 def _colour_width(n: int) -> int:
@@ -160,6 +167,23 @@ def sample_field(fs: FieldSample, realizations: int, rng: RngStream) -> FieldSam
     return replace(fs, values=vals)
 
 
+def _gram_moments(fs: FieldSample, realizations: int, gen: np.random.Generator):
+    """S = V V^T, Q = V^2 (V^2)^T and T = V^3 V^T of the values V of the
+    realizations, summed over column blocks of _BLOCK, each block's powers
+    in one reused buffer and each product in another."""
+    s, q, t = np.zeros((3, fs.m, fs.m))
+    powers, prod = np.empty((fs.m, _BLOCK)), np.empty((fs.m, fs.m))
+    for _, v in _coloured_blocks(fs, realizations, gen):
+        for c in range(0, v.shape[1], _BLOCK):  # colouring blocks are whole _BLOCKs
+            b = v[:, c:c + _BLOCK]
+            b2 = np.multiply(b, b, out=powers[:, :b.shape[1]])
+            s += np.matmul(b, b.T, out=prod)
+            q += np.matmul(b2, b2.T, out=prod)
+            b2 *= b  # now the cubes
+            t += np.matmul(b2, b.T, out=prod)
+    return s, q, t
+
+
 class VariogramRow(NamedTuple):
     pair_i: int
     pair_j: int
@@ -168,11 +192,11 @@ class VariogramRow(NamedTuple):
     stderr: float
 
 
-def empirical_variogram(fs: FieldSample, realizations: int,
-                        rng: RngStream) -> list[VariogramRow]:
+def empirical_variogram(fs: FieldSample, realizations: int, rng: RngStream) -> Table:
     """Estimates of E|X_i - X_j|^2 with standard errors over ``realizations``
-    fresh draws of the field, one row per pair i < j in row-major order.
-    Needs >= 100 realizations.
+    fresh draws of the field, one :class:`VariogramRow` per pair i < j in
+    row-major order, held as the five columns ``pair_i``, ``pair_j``,
+    ``distance``, ``estimate`` and ``stderr``.  Needs >= 100 realizations.
 
     The realizations stream through one colouring block at a time, drawn as
     :func:`sample_field` draws them, so no (m, realizations) array is held.
@@ -191,14 +215,7 @@ def empirical_variogram(fs: FieldSample, realizations: int,
     r, gen = realizations, rng.generator
     start = gen.bit_generator.state
     i, j = np.triu_indices(fs.m, 1)
-    s, q, t = np.zeros((3, fs.m, fs.m))
-    for _, v in _coloured_blocks(fs, r, gen):
-        for c in range(0, v.shape[1], _BLOCK):  # colouring blocks are whole _BLOCKs
-            b = v[:, c:c + _BLOCK]
-            b2 = b * b
-            s += b @ b.T
-            q += b2 @ b2.T
-            t += (b2 * b) @ b.T
+    s, q, t = _gram_moments(fs, r, gen)
     sq = s[i, i] + s[j, j] - 2.0 * s[i, j]
     num = q[i, i] + q[j, j] - 4.0 * (t[i, j] + t[j, i]) + 6.0 * q[i, j] - sq * sq / r
     eps = np.finfo(float).eps
@@ -222,5 +239,4 @@ def empirical_variogram(fs: FieldSample, realizations: int,
             est[p], se[p] = d.mean(), d.std(ddof=1) / np.sqrt(r)
     k = fs.K  # d_ij = K_ii + K_jj - 2 K_ij, exact from the kernel definition
     dist = k[i, i] + k[j, j] - 2.0 * k[i, j]
-    return list(map(VariogramRow, i.tolist(), j.tolist(), dist.tolist(),
-                    est.tolist(), se.tolist()))
+    return Table(VariogramRow, i, j, dist, est, se)

@@ -297,15 +297,17 @@ class WitnessCertificate:
         return abs(self.quadratic_form() - self.value) <= tol
 
     def to_doc(self) -> dict:
-        """The certificate as a canonical-JSON-ready document."""
+        """The certificate as a canonical-JSON-ready document; the points
+        (one row of floats each) and weights stay arrays, which canonical
+        writes as lists."""
         return {
             "schema_version": CERTIFICATE_SCHEMA_VERSION,
             "kind": "witness",
             "group": self.group.name,
             "n": getattr(self.group, "n", None),
             "m": len(self.points),
-            "points": self.points.reshape(len(self.points), -1).tolist(),
-            "weights": [float(w) for w in self.weights],
+            "points": self.points.reshape(len(self.points), -1),
+            "weights": self.weights,
             "value": float(self.value),
             "seed": {"seed": self.seed, "stream": self.stream},
             "method": self.method,

@@ -1,5 +1,7 @@
+import json
 import math
 
+import numpy as np
 import pytest
 
 from levy_groups import canonical
@@ -96,3 +98,121 @@ def test_coefficient_rows_with_monte_carlo_are_the_walks_bytes(monkeypatch):
     rows = [CoefficientRow(l, 2 * l + 1, 1.0 / (l + 1), -0.0, math.pi * l, 2.5e-310)
             for l in range(60)]
     assert canonical.dumps([rows]) == walked([rows], monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# streaming: dump to a handle, dumps, and the item-by-item walk agree
+# ---------------------------------------------------------------------------
+
+def variogram_table(n):
+    i = np.arange(n)
+    return canonical.Table(VariogramRow, i, 300 + 7 * i, i / 7.0,
+                           np.where(i % 5, -0.0, 1e300), 5e-324 * (i + 1))
+
+
+def mixed_doc():
+    """Every kind the walk meets: tables past one pass, nested lists,
+    named tuples, None, ints, booleans, strings, -0.0 and a subnormal."""
+    table = variogram_table(1500)
+    samples = np.sin(np.arange(3000.0)).reshape(600, 5) * 1e-300
+    return {
+        "none": None, "flag": True, "count": -7, "name": "a \"quoted\" %s",
+        "zero": -0.0, "tiny": 5e-324, "empty": [], "nothing": {},
+        "rows": table, "head": table[:3], "samples": samples, "column": samples[:, 2],
+        "coeffs": [CoefficientRow(l, 2 * l + 1, 1.0 / (l + 1), -0.0, None, None)
+                   for l in range(5)],
+        "nested": [[[0.1, -0.0], [5e-324]], [[1, 2], []], [None, 1.5, "x"]],
+        "long": [k / 3.0 for k in range(5000)],
+        "indices": np.arange(4000),
+        "scalars": [np.float64(0.25), np.int64(3), np.bool_(False)],
+    }
+
+
+class Writes:
+    """A text handle that records each write."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def test_dump_to_a_file_is_dumps_and_the_walk(tmp_path, monkeypatch):
+    doc = mixed_doc()
+    path = tmp_path / "doc.json"
+    with open(path, "w", newline="") as fh:
+        canonical.dump(doc, fh)
+    text = canonical.dumps(doc)
+    assert path.read_bytes() == text.encode()
+    assert text == walked(doc, monkeypatch)
+    assert json.loads(text)["rows"][1] == {"pair_i": 1, "pair_j": 307, "distance": 1 / 7.0,
+                                           "estimate": -0.0, "stderr": 1e-323}
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 4096])
+def test_any_chunk_size_writes_the_same_text(chunk, monkeypatch):
+    doc = mixed_doc()
+    text = canonical.dumps(doc)
+    monkeypatch.setattr(canonical, "_CHUNK", chunk)
+    fh = Writes()
+    canonical.dump(doc, fh)
+    assert "".join(fh.writes) == text
+    assert len(fh.writes) > 1
+
+
+def test_dump_writes_bounded_chunks():
+    # a 100,000-row table is 18 MB of text, written a pass of rows at a time
+    fh = Writes()
+    canonical.dump({"rows": variogram_table(100_000)}, fh)
+    sizes = list(map(len, fh.writes))
+    assert sum(sizes) > 10 ** 7
+    assert max(sizes) < 10 ** 5
+
+
+def test_csv_rows_from_a_template_are_the_walks_bytes(monkeypatch):
+    # a Table, named tuples and a 2-D array, then the same rows a row at a time
+    samples = np.sin(np.arange(3000.0)).reshape(600, 5)
+    cases = [(VariogramRow._fields, variogram_table(1500)),
+             (CoefficientRow._fields, [CoefficientRow(l, 2 * l + 1, 1.0 / (l + 1), -0.0,
+                                                      math.pi * l, 2.5e-310) for l in range(60)]),
+             (list("abcde"), samples)]
+    for header, rows in cases:
+        fh = Writes()
+        canonical.dump_csv(header, rows, fh, ["k: v"])
+        with monkeypatch.context() as m:
+            m.setattr(canonical, "_rows_template", lambda rows, level: None)
+            one_at_a_time = Writes()
+            canonical.dump_csv(header, rows, one_at_a_time, ["k: v"])
+        assert "".join(fh.writes) == "".join(one_at_a_time.writes)
+        assert "".join(fh.writes).startswith(f"# k: v\n{','.join(header)}\n")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_column_raises_before_any_write(bad):
+    table = variogram_table(100_000)
+    table.estimate[-1] = bad  # the last row, several passes in
+    samples = np.zeros((10_000, 4))
+    samples[-1, 3] = bad
+    for doc in ({"rows": table}, {"samples": samples}, [0.5] * 10_000 + [bad]):
+        fh = Writes()
+        with pytest.raises(ValueError, match="non-finite"):
+            canonical.dump(doc, fh)
+        assert fh.writes == []
+    fh = Writes()
+    with pytest.raises(ValueError, match="non-finite"):
+        canonical.dump_csv(VariogramRow._fields, table, fh)
+    assert fh.writes == []
+
+
+def test_table_is_a_sequence_of_rows():
+    table = variogram_table(10)
+    assert len(table) == 10
+    assert table[2] == VariogramRow(2, 314, 2 / 7.0, -0.0, 1.5e-323)
+    assert type(table[2].pair_i) is int and type(table[2].distance) is float
+    assert list(table[1:3]) == [table[1], table[2]]
+    assert np.array_equal(table.pair_j, 300 + 7 * np.arange(10))
+    with pytest.raises(AttributeError):
+        table.no_such_column
+    with pytest.raises(ValueError):
+        canonical.Table(VariogramRow, np.arange(3), np.arange(4), *np.zeros((3, 3)))

@@ -522,3 +522,71 @@ def test_each_entrys_groups_are_its_schemas_group_enum(name):
     # witness takes su2 only to exit 1 without a certificate
     groups = [g for g in COMMANDS[name].groups if (name, g) != ("witness", "su2")]
     assert groups == load_schema(name)["properties"]["group"]["enum"]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_simulate_growth_with_points_stays_within_a_charge_of_no_text_per_row():
+    # the variogram streams out a chunk of rows at a time: doubling the
+    # points quadruples the pairs, and the charge grows by the field's
+    # matrices alone
+    from levy_groups import field_sim
+
+    r = 1000
+    small, small_charge = grown_and_charged(["simulate", "--points", "200", "--realizations",
+                                             str(r)])
+    large, large_charge = grown_and_charged(["simulate", "--points", "400", "--realizations",
+                                             str(r)])
+    assert small <= small_charge and large <= large_charge
+    assert large_charge - small_charge == (field_sim.variogram_bytes(400, r)
+                                           - field_sim.variogram_bytes(200, r))
+
+
+# each subcommand once, small, with both formats it takes
+STREAMED = [
+    ["coeffs", "--group", "su2", "--lmax", "3", "--mc-n", "1000"],
+    ["densities", "--group", "so3", "--points", "500", "--bins", "6"],
+    ["check", "--group", "son", "--n", "4", "--points", "20"],
+    ["witness", "--group", "so3", "--points", "40"],
+    ["simulate", "--points", "30", "--realizations", "200"],
+    ["haar", "--group", "son", "--n", "3", "--points", "700"],
+]
+
+
+@pytest.mark.parametrize("args, fmt", [(a, f) for a in STREAMED for f in COMMANDS[a[0]].formats],
+                         ids=lambda v: v if isinstance(v, str) else v[0])
+def test_out_and_stdout_get_the_same_bytes(args, fmt, tmp_path, capsysbinary):
+    argv = args + ["--seed", "5", "--no-meta", "--format", fmt]
+    out = tmp_path / "out"
+    main(argv + ["--out", str(out)])
+    capsysbinary.readouterr()
+    main(argv)
+    assert capsysbinary.readouterr().out == out.read_bytes()
+    assert len(out.read_bytes()) > 100
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("where", ["column", "scalar"])
+def test_a_non_finite_value_raises_before_any_byte_reaches_out(where, fmt, tmp_path,
+                                                                monkeypatch):
+    from dataclasses import replace
+
+    from levy_groups import field_sim, kernel_lab
+
+    if where == "column":  # the last estimate of 20,100 pairs
+        variogram = field_sim.empirical_variogram
+
+        def planted(*args, **kwargs):
+            table = variogram(*args, **kwargs)
+            table.estimate[-1] = math.nan
+            return table
+        monkeypatch.setattr(field_sim, "empirical_variogram", planted)
+        argv = ["simulate", "--points", "200", "--realizations", "100"]
+    else:  # min_K_eig, a field of the document's head and a CSV row
+        audit = kernel_lab.gram_audit
+        monkeypatch.setattr(kernel_lab, "gram_audit",
+                            lambda *a, **k: replace(audit(*a, **k), min_K_eig=math.nan))
+        argv = ["check", "--group", "su2", "--points", "10"]
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="non-finite"):
+        main(argv + ["--format", fmt, "--out", str(out)])
+    assert not out.exists()

@@ -99,6 +99,32 @@ def test_build_field_validates_arguments():
         build_field(SU2, su2_points(64, 3), jitter=0.0)
 
 
+def factored_per_rung(k, jitter):
+    """(factor, jitter) of the trailing block of k as the ladder first read:
+    K + jit max(K_ii) I formed anew on each rung, x10 up to three times."""
+    block = k[1:, 1:]
+    for jit in (jitter * 10.0 ** e for e in range(4)):
+        try:
+            return np.linalg.cholesky(block + jit * block.diagonal().max() * np.eye(len(block))), jit
+        except np.linalg.LinAlgError:
+            continue
+    return None, None
+
+
+# duplicated points make K singular: at these jitters the factor needs the
+# first, second, third and fourth rung
+@pytest.mark.parametrize("seed, m, jitter, rung", [(60, 40, 1e-10, 0), (0, 10, 1e-16, 1),
+                                                   (0, 10, 1e-17, 2), (0, 10, 1e-18, 3)])
+def test_jitter_ladder_factor_is_the_per_rung_formulas_bit_for_bit(seed, m, jitter, rung):
+    x = su2_points(seed, m)
+    x = np.concatenate([x, x[:m // 2]]) if rung else x
+    fs = build_field(SU2, x, jitter=jitter)
+    factor, jit = factored_per_rung(fs.K, jitter)
+    assert fs.jitter_used == jit == jitter * 10.0 ** rung
+    assert np.array_equal(fs.chol[1:, 1:], factor)
+    assert np.array_equal(fs.chol[0], np.zeros(fs.m)) and np.array_equal(fs.chol[:, 0], fs.chol[0])
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -172,6 +198,9 @@ def test_variogram_matches_distances():
     fs = build_field(SU2, su2_points(68, 12))
     rows = empirical_variogram(fs, 10_000, RngStream(68, 1))
     assert len(rows) == 13 * 12 // 2
+    i, j = np.triu_indices(13, 1)
+    assert np.array_equal(rows.pair_i, i) and np.array_equal(rows.pair_j, j)
+    assert [row.estimate for row in rows[:3]] == rows.estimate[:3].tolist()
     covered = sum(
         1 for row in rows if abs(row.estimate - row.distance) <= 3.0 * row.stderr
     )

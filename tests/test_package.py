@@ -86,3 +86,29 @@ def test_cli_states_each_command_fact_in_its_commands_entry():
     with open(levy_groups.cli.__file__) as fh:
         source = fh.read()
     assert command_facts_outside_the_table(source, set(levy_groups.cli.COMMANDS)) == []
+
+
+def buffered_output_calls(source: str) -> list[str]:
+    """Each use in ``source`` of ``canonical.dumps`` or ``io.StringIO``, as an
+    attribute or imported by name: text built whole before it is written."""
+    banned = {("canonical", "dumps"), ("io", "StringIO")}
+    tree = ast.parse(source)
+    found = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+             and (node.value.id, node.attr) in banned]
+    found += [f"{node.module.lstrip('.')}.{alias.name}" for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module
+              for alias in node.names if (node.module.lstrip("."), alias.name) in banned]
+    return found
+
+
+def test_cli_streams_its_output():
+    # JSON and CSV go to the handle a chunk at a time, never as one string
+    with open(levy_groups.cli.__file__) as fh:
+        assert buffered_output_calls(fh.read()) == []
+
+
+def test_streaming_guard_sees_both_forms():
+    source = ("from . import canonical\nfrom io import StringIO\nimport io\n"
+              "canonical.dumps(d)\nio.StringIO()\ncanonical.dump(d, fh)\n")
+    assert buffered_output_calls(source) == ["canonical.dumps", "io.StringIO", "io.StringIO"]
