@@ -10,6 +10,7 @@ to the generated_at meta field; --no-meta removes the meta block.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -19,7 +20,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from . import __version__, canonical, field_sim, group_core, harmonic, kernel_lab
+from . import __version__, canonical, field_sim, group_core, harmonic, kernel_lab, lapack
 from .quadrature import QuadratureError
 from .rng import KEY_LIMIT, RngStream
 
@@ -95,29 +96,44 @@ class UsageError(Exception):
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the diagnostic
         return int(exc.code) if exc.code else EXIT_OK
     return run(config_from_args(ns, argv))
 
 
 def run(config: RunConfig) -> int:
-    """Execute a RunConfig; returns the process exit code (2 on a bad flag, named on stderr)."""
+    """Execute a RunConfig; returns the process exit code (2 on a bad flag, named on stderr).
+
+    BLAS runs on one thread for the run, so the output's bytes do not depend
+    on OPENBLAS_NUM_THREADS or the core count; the count it had is restored
+    after.  Without numpy's bundled OpenBLAS nothing is pinned, and the meta
+    block says so."""
+    before = lapack.set_threads(1)
     try:
         group = _validate(config)
         return COMMANDS[config.command].handler(config, group)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if before is not None:
+            lapack.set_threads(before)
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads, built once a process: parsing leaves no state in it."""
+    return build_parser()
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of every subcommand in COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="levy-groups",
         description="Brownian kernels and character expansions on SU(2)/SO(n)",
@@ -212,8 +228,8 @@ def _peak_bytes(cfg: RunConfig, group) -> int:
     16.6, (400, 2,000) 32.7, (800, 100) 58.5 and (1,500, 100) 186.0; in
     CSV (50, 10,000) 8.7 and (800, 100) 58.5.  haar --group su2 --points
     1,000,000 grew 82.2 MiB in JSON and in CSV, 21.5 B per float of the
-    samples.  Except for check and simulate, a few MB of BLAS scratch is
-    left out.
+    samples.  Except for check, simulate and witness, a few MB of BLAS
+    scratch is left out.
     """
     return COMMANDS[cfg.command].charge(cfg, group)
 
@@ -237,6 +253,8 @@ def _emit(cfg: RunConfig, doc: dict, header, rows) -> None:
         "tool_version": __version__,
         "command": cfg.command_line or cfg.command,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "blas_core": lapack.core_name() or "unknown",
+        "blas_threads": lapack.threads() or "unpinned",
     }
     out = sys.stdout if cfg.out == "-" else _Output(cfg.out)
     try:

@@ -13,6 +13,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import lapack
 from .canonical import Table
 from .kernel_lab import brownian_kernel
 from .rng import RngStream
@@ -79,17 +80,14 @@ def build_field(
     chol = np.zeros_like(k)
     jit = 0.0
     if len(k) > 1:
-        block = k[1:, 1:].copy()  # each rung sets its diagonal to K's plus the jitter
-        diag = block.diagonal().copy()
+        block, diag = chol[1:, 1:], k[1:, 1:].diagonal()
         max_diag = float(diag.max())
         ladder = [jitter * 10.0 ** e for e in range(_JITTER_DECADES + 1)]
         for jit in ladder:
+            block[...] = k[1:, 1:]  # each rung factors K's block plus the jitter afresh
             np.fill_diagonal(block, diag + jit * max_diag)
-            try:
-                chol[1:, 1:] = np.linalg.cholesky(block)
+            if _factor(chol):
                 break
-            except np.linalg.LinAlgError:
-                continue
         else:
             raise KernelNotPSDError(
                 f"kernel not PSD: Cholesky failed up to jitter {ladder[-1]:g}"
@@ -97,14 +95,36 @@ def build_field(
     return FieldSample(points=pts, K=k, chol=chol, jitter_used=jit)
 
 
+def _factor(a: np.ndarray) -> bool:
+    """Overwrite the block a[1:, 1:] with its lower Cholesky factor, its
+    strict upper triangle zeroed, and return True; False if the block is
+    not positive definite.  LAPACK's dpotrf in place (lapack.potrf), or
+    without it np.linalg.cholesky of a copy: the same factor, bit for bit."""
+    block = a[1:, 1:]
+    if not lapack.available():
+        try:
+            block[...] = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    if lapack.potrf(a):
+        return False
+    for i in range(len(block) - 1):  # a row at a time: no (m, m) mask or index arrays
+        block[i, i + 1:] = 0.0
+    return True
+
+
 def variogram_bytes(m: int, realizations: int) -> int:
     """Bytes build_field and empirical_variogram hold at their peak for m
     points besides x0, the returned columns included.  VmHWM growth above
-    the interpreter, with one BLAS thread, read about 5.4 (m + 1) x (m + 1)
-    matrices after build_field (K, the jittered block, numpy's copy of it,
-    the Cholesky result and the factor) and about 11 once the variogram is
-    done (K, the factor, S, Q, T and a dozen vectors of one entry per pair,
-    each half a matrix) at m = 800 and 1,500; charged 12.  Besides: one colouring block of normals and of values at its
+    the interpreter, with one BLAS thread, read about 3.2 (m + 1) x (m + 1)
+    matrices after build_field (K, the factor, and the transposed copy of
+    its triangle that LAPACKE factors; 5.4 when np.linalg.cholesky took a
+    copy of the jittered block and returned another) and about 11 once the
+    variogram is done (K, the factor, S, Q, T and a dozen vectors of one
+    entry per pair, each half a matrix) at m = 800 and 1,500: `simulate
+    --points 1500 --realizations 100` grew 186.4 MiB; charged 12.
+    Besides: one colouring block of normals and of values at its
     widest; the _BLOCK columns of powers; 8 MiB, as the first factorization
     adds about 7 MiB of BLAS scratch.  Not charged: the value rows of the
     points of pairs closer than about 0.01, which the cancellation guard's

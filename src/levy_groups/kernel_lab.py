@@ -19,16 +19,12 @@ not restricted negative definite.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import glob
 import json
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__, canonical, group_core
+from . import __version__, canonical, group_core, lapack
 from .group_core import (SO3, SU2, SOnGroup, check_rotations, embed_so3, group_named,
                          pairwise_distance_matrix)
 from .rng import KEY_LIMIT, RngStream
@@ -103,105 +99,20 @@ def _reflect(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@functools.cache
-def _lapack():
-    """(dsytrd_2stage, LAPACKE_dstebz) of the OpenBLAS bundled with numpy
-    (64-bit integers), or None where numpy ships no such library."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
-        try:
-            lib = ctypes.CDLL(path)
-            dsytrd, dstebz = lib.scipy_dsytrd_2stage_64_, lib.scipy_LAPACKE_dstebz64_
-        except (OSError, AttributeError):
-            continue
-        dsytrd.restype = None  # Fortran: every argument by reference, INFO among them
-        dsytrd.argtypes = ((ctypes.c_char_p,) * 2 + (ctypes.c_void_p,) * 11
-                           + (ctypes.c_size_t,) * 2)
-        dstebz.restype = ctypes.c_int64
-        dstebz.argtypes = ((ctypes.c_char, ctypes.c_char, ctypes.c_int64, ctypes.c_double,
-                            ctypes.c_double, ctypes.c_int64, ctypes.c_int64, ctypes.c_double)
-                           + (ctypes.c_void_p,) * 7)
-        return dsytrd, dstebz
-    return None
-
-
-def _dsytrd_2stage(m: int, a, d, e, tau, hous2, work, query: bool = False) -> None:
-    """dsytrd_2stage('N', 'L') on the order-m matrix a (None for a query),
-    with LHOUS2 and LWORK the lengths of hous2 and work, or -1 for a
-    workspace query, which writes the sizes to hous2[0] and work[0].
-    Fortran takes every argument by reference, and each CHARACTER's length
-    after the rest.  Raises LinAlgError when INFO is not 0."""
-    n, info = ctypes.c_int64(m), ctypes.c_int64(0)
-    lhous2, lwork = (ctypes.c_int64(-1 if query else len(x)) for x in (hous2, work))
-    _lapack()[0](b"N", b"L", ctypes.byref(n), None if a is None else a.ctypes.data,
-                 ctypes.byref(n), d.ctypes.data, e.ctypes.data, tau.ctypes.data,
-                 hous2.ctypes.data, ctypes.byref(lhous2), work.ctypes.data, ctypes.byref(lwork),
-                 ctypes.byref(info), 1, 1)
-    if info.value:
-        raise np.linalg.LinAlgError(f"tridiagonal reduction failed: dsytrd_2stage info {info.value}")
-
-
-def _tridiagonal_workspace(m: int) -> tuple[int, int]:
-    """Floats of WORK and of HOUS2 that dsytrd_2stage asks for at order m."""
-    unused, hous2, work = np.zeros(1), np.zeros(1), np.zeros(1)
-    _dsytrd_2stage(m, None, unused, unused, unused, hous2, work, query=True)
-    return int(work[0]), int(hous2[0])
-
-
-def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the tridiagonal T = Q^T a Q to which
-    LAPACK's two-stage dsytrd_2stage reduces the C-contiguous float64
-    (m, m) a, overwriting it.  It reads a's upper triangle (Fortran's lower,
-    'L'), and its Q fixes e1: T[1:, 1:] is similar to a[1:, 1:].
-
-    Raises ValueError on a non-finite entry, before LAPACK runs."""
-    m = len(a)
-    if a.dtype != np.float64 or a.shape != (m, m) or not a.flags.c_contiguous:
-        raise ValueError(f"need a C-contiguous float64 (m, m) matrix, got {a.dtype} {a.shape}")
-    if not all(np.isfinite(a[s]).all() for s in _row_blocks(m)):
-        raise ValueError("non-finite entry in the matrix to reduce")
-    lwork, lhous2 = _tridiagonal_workspace(m)
-    d, e = np.empty(m), np.empty(m)
-    _dsytrd_2stage(m, a, d, e, np.empty(m), np.empty(lhous2), np.empty(lwork))
-    return d, e[:m - 1]
-
-
-def _eigenvalue(d: np.ndarray, e: np.ndarray, k: int) -> float:
-    """The k-th smallest (from 1) eigenvalue of the symmetric tridiagonal
-    matrix with diagonal d and off-diagonal e, by bisection: LAPACKE dstebz
-    with range 'I' and abstol 2 * tiny, which resolves it to full accuracy.
-
-    Raises ValueError on a non-finite entry, before LAPACK runs."""
-    d, e = np.ascontiguousarray(d, dtype=float), np.ascontiguousarray(e, dtype=float)
-    n = len(d)
-    if not (d.ndim == 1 and n >= 1 and e.shape == (n - 1,)):
-        raise ValueError(f"need n >= 1 diagonal and n - 1 off-diagonal entries, got {d.shape} "
-                         f"and {e.shape}")
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ValueError("non-finite entry in the tridiagonal matrix")
-    w, found, blocks = np.empty(n), np.zeros(2, np.int64), np.empty((2, n), np.int64)
-    info = _lapack()[1](b"I", b"B", n, 0.0, 0.0, k, k, 2.0 * np.finfo(float).tiny,
-                        d.ctypes.data, e.ctypes.data, found.ctypes.data, found[1:].ctypes.data,
-                        w.ctypes.data, blocks.ctypes.data, blocks[1].ctypes.data)
-    if info:
-        raise np.linalg.LinAlgError(f"bisection failed: dstebz info {info}")
-    return float(w[0])
-
-
 def _spectral_ends(a: np.ndarray) -> tuple[float, float, float, float]:
     """The smallest and largest eigenvalues of the symmetric (m, m) a, then
     those of a[1:, 1:], read from a's upper triangle; a is overwritten.
 
     One reduction gives both: the extremes of T and of T[1:, 1:] (see
-    _tridiagonal), by bisection.  Without LAPACK, eigvalsh of a copy of a,
-    then of a[1:, 1:]."""
+    lapack.tridiagonal), by bisection.  Without LAPACK, eigvalsh of a copy
+    of a, then of a[1:, 1:]."""
     m = len(a)
-    if _lapack() is None:
+    if not lapack.available():
         whole, part = (np.linalg.eigvalsh(b, UPLO="U") for b in (a, a[1:, 1:]))
         return float(whole[0]), float(whole[-1]), float(part[0]), float(part[-1])
-    d, e = _tridiagonal(a)
-    return (_eigenvalue(d, e, 1), _eigenvalue(d, e, m),
-            _eigenvalue(d[1:], e[1:], 1), _eigenvalue(d[1:], e[1:], m - 1))
+    d, e = lapack.tridiagonal(a)
+    ends = lapack.eigenvalue
+    return ends(d, e, 1), ends(d, e, m), ends(d[1:], e[1:], 1), ends(d[1:], e[1:], m - 1)
 
 
 @dataclass(frozen=True)
@@ -264,7 +175,7 @@ def audit_bytes(group, m: int) -> int:
     with BLAS on one thread, 18.5, 43.1 and 82.1 with BLAS threads free,
     24.6, 70.7 and 147.4 with the copies; 8.6 MiB of BLAS and LAPACK
     scratch at m = 2,000 and 3,000 with BLAS threads free."""
-    return (8 * m * m * (1 if _lapack() else 2) + 16 * max(group_core.BLOCK_FLOATS, m)
+    return (8 * m * m * (1 if lapack.available() else 2) + 16 * max(group_core.BLOCK_FLOATS, m)
             + 1024 * m + group.pairwise_bytes(m) + 9 * 2 ** 20)
 
 
@@ -398,7 +309,8 @@ def find_witness(
     ``group`` is the descriptor ``SO3``, ``group_named("son", n)`` with
     n > 3, or ``SU2``.  For SO(n) the points are Haar draws of the embedded
     SO(3) subgroup, which is where the defect provably lives; the
-    certificate is stated in SO(n).
+    certificate is stated in SO(n).  The weights' entry of largest
+    magnitude is positive, whichever sign the eigen-solver gave the vector.
 
     First trial to succeed wins; raises WitnessNotFoundError otherwise.
     On SU2 the same search is expected to fail: the SU(2) distance is
@@ -416,17 +328,17 @@ def find_witness(
     for trial in range(trials):
         x = sampled.sample(rng, m)
         d = sampled.pairwise(x)
-        eigvals, eigvecs = np.linalg.eigh(_reflect(d.copy())[1:, 1:])
-        weights = np.concatenate(([0.0], eigvecs[:, -1]))  # H maps it to sum-zero weights
-        del eigvecs
+        top, vector = _top_pair(_reflect(d.copy()))
+        weights = np.concatenate(([0.0], vector))  # H maps it to sum-zero weights
         weights -= (tau * (u @ weights)) * u
         weights -= weights.mean()
         weights /= np.linalg.norm(weights)
+        weights *= np.sign(weights[np.argmax(np.abs(weights))])  # largest entry positive
         value = float(weights @ d @ weights)
-        if not (eigvals[-1] > margin and value > margin):
+        if not (top > margin and value > margin):
             # drop the failed trial's arrays before the next one samples, so
             # a search of many trials peaks no higher than a search of one
-            del x, d, eigvals, weights
+            del x, d, vector, weights
             continue
         cert = WitnessCertificate(
             group=sampled, points=x,
@@ -439,12 +351,30 @@ def find_witness(
     )
 
 
+def _top_pair(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """The largest eigenvalue of the block a[1:, 1:] of the symmetric
+    (m, m) a and a unit eigenvector for it: LAPACK's dsyevr in place
+    (lapack.syevr_top), or without it numpy's eigh of the block, its other
+    eigenvectors dropped.  a is overwritten."""
+    if lapack.available():
+        return lapack.syevr_top(a)
+    values, vectors = np.linalg.eigh(a[1:, 1:])
+    return float(values[-1]), vectors[:, -1].copy()
+
+
 def witness_bytes(group, m: int) -> int:
     """Bytes find_witness and its certificate's JSON hold at their peak on m
-    points of group: VmHWM grew by 7.3 and 6.4 m x m matrices, one trial or
-    several, its eigh holding about six; on SO(n), 90 B per float of the
-    points (the embedded points and their JSON)."""
-    return 8 * 8 * m * m + 112 * m * group.point_size
+    points of group: the distance matrix and the copy dsyevr overwrites,
+    charged 3 m x m matrices, or 8 where eigh takes the pair and holds about
+    six more; on SO(n), 90 B per float of the points (the embedded points
+    and their JSON); 9 MiB of BLAS and LAPACK scratch, as audit_bytes
+    charges.  VmHWM of `witness
+    --group so3` above the imports, one trial or ten, BLAS on one thread:
+    8.2, 24.4, 70.5 and 147.1 MiB at m = 100, 1,000, 2,000 and 3,000 with
+    dsyevr (2.3 matrices at 2,000, 2.1 at 3,000), 56.6 and 196.6 MiB at
+    1,000 and 2,000 with eigh (6.4 matrices)."""
+    matrices = 3 if lapack.available() else 8
+    return matrices * 8 * m * m + 112 * m * group.point_size + 9 * 2 ** 20
 
 
 def transfer_witness(cert: WitnessCertificate, n: int) -> WitnessCertificate:

@@ -1,0 +1,198 @@
+"""LAPACK routines and BLAS thread control from the OpenBLAS bundled with numpy.
+
+numpy's wheels ship OpenBLAS as ``libscipy_openblas64_`` (64-bit integers,
+every symbol prefixed ``scipy_`` and suffixed ``64_``).  This module loads
+it once and declares each symbol it calls in one table, ``_SYMBOLS``.  Each
+wrapper checks the dtype, shape, contiguity and finiteness of its arrays
+before any pointer reaches LAPACK, and raises ``LinAlgError`` naming the
+routine when LAPACK reports an error.
+
+``available()`` is false where numpy ships no such library; callers then
+take their numpy path (``eigvalsh``, ``eigh``, ``cholesky``), and the
+thread wrappers change nothing.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import glob
+import os
+from typing import Optional
+
+import numpy as np
+
+from . import group_core
+
+_INT, _DOUBLE, _PTR, _CHAR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_char
+_ROW_MAJOR, _COL_MAJOR = 101, 102  # LAPACKE's layouts; row-major transposes a copy
+_ABSTOL = 2.0 * np.finfo(float).tiny  # bisection to full accuracy
+
+# symbol -> (restype, argtypes); every LAPACKE layout flag is a C int
+_SYMBOLS = {
+    # Fortran: every argument by reference, INFO among them, then each CHARACTER's length
+    "scipy_dsytrd_2stage_64_": (None, (ctypes.c_char_p,) * 2 + (_PTR,) * 11
+                                + (ctypes.c_size_t,) * 2),
+    "scipy_LAPACKE_dstebz64_": (_INT, (_CHAR, _CHAR, _INT, _DOUBLE, _DOUBLE, _INT, _INT,
+                                       _DOUBLE) + (_PTR,) * 7),
+    "scipy_LAPACKE_dsyevr64_": (_INT, (ctypes.c_int, _CHAR, _CHAR, _CHAR, _INT, _PTR, _INT,
+                                       _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE, _PTR, _PTR, _PTR,
+                                       _INT, _PTR)),
+    "scipy_LAPACKE_dpotrf64_": (_INT, (ctypes.c_int, _CHAR, _INT, _PTR, _INT)),
+    "scipy_openblas_set_num_threads64_": (None, (ctypes.c_int,)),
+    "scipy_openblas_get_num_threads64_": (ctypes.c_int, ()),
+    "scipy_openblas_get_corename64_": (ctypes.c_char_p, ()),
+}
+
+
+@functools.cache
+def _library() -> Optional[dict]:
+    """symbol -> declared function of numpy's bundled OpenBLAS, or None
+    where numpy ships no library that exports every symbol of _SYMBOLS."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(path)
+            routines = {name: getattr(lib, name) for name in _SYMBOLS}
+        except (OSError, AttributeError):
+            continue
+        for name, (restype, argtypes) in _SYMBOLS.items():
+            routines[name].restype, routines[name].argtypes = restype, argtypes
+        return routines
+    return None
+
+
+def available() -> bool:
+    """Whether numpy bundles the library; without it, callers take their numpy path."""
+    return _library() is not None
+
+
+def _square(a: np.ndarray) -> int:
+    """The order of the C-contiguous float64 square a with finite entries,
+    else ValueError."""
+    m = len(a)
+    if a.dtype != np.float64 or a.shape != (m, m) or not a.flags.c_contiguous:
+        raise ValueError(f"need a C-contiguous float64 (m, m) matrix, got {a.dtype} {a.shape}")
+    step = max(1, group_core.BLOCK_FLOATS // max(m, 1))  # rows a pass, as in kernel_lab
+    if not all(np.isfinite(a[i:i + step]).all() for i in range(0, m, step)):
+        raise ValueError("non-finite entry in the matrix")
+    return m
+
+
+def _dsytrd_2stage(m: int, a, d, e, tau, hous2, work, query: bool = False) -> None:
+    """dsytrd_2stage('N', 'L') on the order-m matrix a (None for a query),
+    with LHOUS2 and LWORK the lengths of hous2 and work, or -1 for a
+    workspace query, which writes the sizes to hous2[0] and work[0].
+    Raises LinAlgError when INFO is not 0."""
+    n, info = ctypes.c_int64(m), ctypes.c_int64(0)
+    lhous2, lwork = (ctypes.c_int64(-1 if query else len(x)) for x in (hous2, work))
+    _library()["scipy_dsytrd_2stage_64_"](
+        b"N", b"L", ctypes.byref(n), None if a is None else a.ctypes.data, ctypes.byref(n),
+        d.ctypes.data, e.ctypes.data, tau.ctypes.data, hous2.ctypes.data, ctypes.byref(lhous2),
+        work.ctypes.data, ctypes.byref(lwork), ctypes.byref(info), 1, 1)
+    if info.value:
+        raise np.linalg.LinAlgError(
+            f"tridiagonal reduction failed: dsytrd_2stage info {info.value}")
+
+
+def tridiagonal_workspace(m: int) -> tuple[int, int]:
+    """Floats of WORK and of HOUS2 that dsytrd_2stage asks for at order m."""
+    unused, hous2, work = np.zeros(1), np.zeros(1), np.zeros(1)
+    _dsytrd_2stage(m, None, unused, unused, unused, hous2, work, query=True)
+    return int(work[0]), int(hous2[0])
+
+
+def tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the tridiagonal T = Q^T a Q to which
+    LAPACK's two-stage dsytrd_2stage reduces the C-contiguous float64
+    (m, m) a, overwriting it.  It reads a's upper triangle (Fortran's lower,
+    'L'), and its Q fixes e1: T[1:, 1:] is similar to a[1:, 1:].
+
+    Raises ValueError on a non-finite entry, before LAPACK runs."""
+    m = _square(a)
+    lwork, lhous2 = tridiagonal_workspace(m)
+    d, e = np.empty(m), np.empty(m)
+    _dsytrd_2stage(m, a, d, e, np.empty(m), np.empty(lhous2), np.empty(lwork))
+    return d, e[:m - 1]
+
+
+def eigenvalue(d: np.ndarray, e: np.ndarray, k: int) -> float:
+    """The k-th smallest (from 1) eigenvalue of the symmetric tridiagonal
+    matrix with diagonal d and off-diagonal e, by bisection: LAPACKE dstebz
+    with range 'I' and abstol 2 * tiny, which resolves it to full accuracy.
+
+    Raises ValueError on a non-finite entry, before LAPACK runs."""
+    d, e = np.ascontiguousarray(d, dtype=float), np.ascontiguousarray(e, dtype=float)
+    n = len(d)
+    if not (d.ndim == 1 and n >= 1 and e.shape == (n - 1,)):
+        raise ValueError(f"need n >= 1 diagonal and n - 1 off-diagonal entries, got {d.shape} "
+                         f"and {e.shape}")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("non-finite entry in the tridiagonal matrix")
+    w, found, blocks = np.empty(n), np.zeros(2, np.int64), np.empty((2, n), np.int64)
+    info = _library()["scipy_LAPACKE_dstebz64_"](
+        b"I", b"B", n, 0.0, 0.0, k, k, _ABSTOL, d.ctypes.data, e.ctypes.data, found.ctypes.data,
+        found[1:].ctypes.data, w.ctypes.data, blocks.ctypes.data, blocks[1].ctypes.data)
+    if info:
+        raise np.linalg.LinAlgError(f"bisection failed: dstebz info {info}")
+    return float(w[0])
+
+
+def syevr_top(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """The largest eigenvalue of the symmetric block a[1:, 1:] of the
+    C-contiguous float64 (m, m) a, m >= 2, and a unit eigenvector for it.
+
+    LAPACKE dsyevr with range 'I' computes that one pair (bisection and
+    inverse iteration) in place: it reads the block's upper triangle,
+    passed column-major from the pointer of a[1, 1] with leading dimension
+    m as Fortran's lower ('L'), so no copy of it is made, and overwrites
+    it.  Raises ValueError on a non-finite entry, before LAPACK runs."""
+    m = _square(a)
+    if m < 2:
+        raise ValueError(f"need m >= 2 for the block a[1:, 1:], got {m}")
+    n = m - 1
+    w, z, found, support = np.empty(n), np.empty(n), np.zeros(1, np.int64), np.empty(2, np.int64)
+    info = _library()["scipy_LAPACKE_dsyevr64_"](
+        _COL_MAJOR, b"V", b"I", b"L", n, a[1:, 1:].ctypes.data, m, 0.0, 0.0, n, n, _ABSTOL,
+        found.ctypes.data, w.ctypes.data, z.ctypes.data, n, support.ctypes.data)
+    if info or found[0] != 1:
+        raise np.linalg.LinAlgError(f"eigenpair failed: dsyevr info {info}")
+    return float(w[0]), z
+
+
+def potrf(a: np.ndarray) -> int:
+    """Factor the symmetric positive definite block a[1:, 1:] of the
+    C-contiguous float64 (m, m) a in place: LAPACKE dpotrf, row-major with
+    leading dimension m from the pointer of a[1, 1], reads the block's
+    lower triangle and overwrites it with the Cholesky factor L, the factor
+    np.linalg.cholesky gives, bit for bit.  LAPACKE factors a transposed
+    copy of that triangle; the strict upper triangle is left as it was.
+    Returns 0, or the order (from 1) of the leading minor that is not
+    positive definite, whose factor is then partial.  Raises ValueError on
+    a non-finite entry, before LAPACK runs."""
+    m = _square(a)
+    info = _library()["scipy_LAPACKE_dpotrf64_"](_ROW_MAJOR, b"L", m - 1, a[1:, 1:].ctypes.data, m)
+    if info < 0:
+        raise np.linalg.LinAlgError(f"Cholesky factorization failed: dpotrf info {info}")
+    return int(info)
+
+
+def set_threads(n: int) -> Optional[int]:
+    """Set the BLAS thread count to n and return the count it had, or None,
+    changing nothing, without the library."""
+    if not available():
+        return None
+    before = threads()
+    _library()["scipy_openblas_set_num_threads64_"](n)
+    return before
+
+
+def threads() -> Optional[int]:
+    """The BLAS thread count, or None without the library."""
+    return _library()["scipy_openblas_get_num_threads64_"]() if available() else None
+
+
+def core_name() -> Optional[str]:
+    """The CPU kernel set OpenBLAS picked at load (``DYNAMIC_ARCH``), or None
+    without the library."""
+    return _library()["scipy_openblas_get_corename64_"]().decode() if available() else None

@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from levy_groups import WitnessCertificate, __version__
+from levy_groups import WitnessCertificate, __version__, cli, lapack
 from levy_groups.cli import (COMMANDS, EXIT_NEGATIVE_FINDING, EXIT_OK, EXIT_USAGE, RunConfig,
                              build_parser, main, run)
 
@@ -258,10 +258,11 @@ def test_csv_meta_lines_precede_the_header(args, tmp_path):
     assert lines[1] == "# command: levy-groups " + " ".join(
         args + ["--format", "csv", "--seed", "3", "--out", str(tmp_path / "meta.csv")])
     assert lines[2].startswith("# generated_at: ")
+    assert lines[3].startswith("# blas_core: ") and lines[4].startswith("# blas_threads: ")
     _, bare = run_cli(args + ["--format", "csv", "--seed", "3", "--no-meta"], tmp_path,
                       "bare.csv")
     assert not bare.startswith("#")
-    assert bare.splitlines() == lines[3:]
+    assert bare.splitlines() == lines[5:]
 
 
 def test_seed_random_is_accepted(tmp_path):
@@ -270,6 +271,58 @@ def test_seed_random_is_accepted(tmp_path):
     )
     assert code == EXIT_OK
     validate("haar", text)
+
+
+def test_seed_random_draws_a_new_seed_on_each_call(tmp_path):
+    # main's parser is built once a process; its seed type runs at each parse
+    args = ["haar", "--group", "su2", "--points", "1", "--seed", "random", "--no-meta"]
+    seeds = {json.loads(run_cli(args, tmp_path)[1])["seed"] for _ in range(3)}
+    assert len(seeds) == 3
+
+
+def test_main_parses_with_one_parser_a_process():
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+
+
+@pytest.mark.parametrize("args", [
+    ["witness", "--group", "son", "--n", "5", "--points", "30"],
+    ["check", "--group", "so3", "--points", "20"],
+    ["simulate", "--points", "5", "--realizations", "100", "--format", "csv"],
+    ["coeffs", "--group", "su2", "--lmax", "2", "--mc-n", "1000"],
+])
+def test_repeated_in_process_runs_write_identical_bytes(args, tmp_path):
+    texts = [run_cli(args + ["--seed", "4", "--no-meta"], tmp_path)[1] for _ in range(3)]
+    assert texts[0] and texts[0] == texts[1] == texts[2]
+
+
+def test_meta_names_the_blas_core_and_the_runs_one_thread(tmp_path, monkeypatch):
+    args = ["haar", "--group", "su2", "--points", "1"]
+    before = lapack.threads()
+    meta = json.loads(run_cli(args, tmp_path)[1])["meta"]
+    assert lapack.threads() == before  # restored after the run
+    if lapack.available():
+        assert meta["blas_core"] == lapack.core_name() and meta["blas_threads"] == 1
+    monkeypatch.setattr(lapack, "_library", lambda: None)
+    meta = validate("haar", run_cli(args, tmp_path)[1])["meta"]
+    assert (meta["blas_core"], meta["blas_threads"]) == ("unknown", "unpinned")
+
+
+@pytest.mark.parametrize("argv", [["check", "--group", "su2", "--points", "1000"],
+                                  ["simulate", "--points", "200", "--realizations", "2000"]])
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(argv):
+    import levy_groups
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(levy_groups.__file__)))
+    outs = []
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-m", "levy_groups.cli", *argv, "--seed", "3", "--no-meta"],
+            capture_output=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads})
+        assert done.returncode == EXIT_OK, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_seeds_and_streams_span_64_bits(tmp_path):
@@ -423,10 +476,23 @@ def grown_and_charged(argv, setup=""):
 def test_check_grows_no_more_than_its_charge(path):
     # small SO(n) matrices, where the fixed BLAS and LAPACK scratch outweighs
     # them, and the benchmark's largest SU(2) audit
-    setup = ("from levy_groups import kernel_lab; kernel_lab._lapack = lambda: None"
+    setup = ("from levy_groups import lapack; lapack.available = lambda: False"
              if path == "fallback" else "")
     for argv in (["check", "--group", "son", "--n", "10", "--points", "500"],
                  ["check", "--group", "su2", "--points", "2000"]):
+        grown, charged = grown_and_charged(argv, setup)
+        assert grown <= charged, argv
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("path", ["in-place", "fallback"])
+def test_witness_grows_no_more_than_its_charge(path):
+    # the benchmark's SO(6) search, where the BLAS and LAPACK scratch
+    # outweighs the matrices, and an SO(3) search where they dominate
+    setup = ("from levy_groups import lapack; lapack.available = lambda: False"
+             if path == "fallback" else "")
+    for argv in (["witness", "--group", "son", "--n", "6", "--points", "100"],
+                 ["witness", "--group", "so3", "--points", "1000"]):
         grown, charged = grown_and_charged(argv, setup)
         assert grown <= charged, argv
 

@@ -19,7 +19,7 @@ from levy_groups import (
     transfer_witness,
 )
 import levy_groups
-from levy_groups import group_core, kernel_lab
+from levy_groups import group_core, kernel_lab, lapack
 from levy_groups.kernel_lab import WitnessCertificate, _reflect, sum_zero_basis
 
 WITNESS_SCHEMA = json.loads(
@@ -158,8 +158,8 @@ def test_audit_matches_serial_reference_bit_for_bit(group, m, solves, monkeypatc
     # one reduction, or without LAPACK two eigvalsh solves; either is within
     # rounding of two whole spectra
     if solves == 2:
-        monkeypatch.setattr(kernel_lab, "_lapack", lambda: None)
-    elif kernel_lab._lapack() is None:
+        monkeypatch.setattr(lapack, "available", lambda: False)
+    elif not lapack.available():
         pytest.skip("numpy bundles no LAPACK")
     x = group.sample(RngStream(50, m), m)
     got = audit_floats(gram_audit(group, x))
@@ -193,8 +193,8 @@ def test_spectral_ends_are_those_of_a_and_of_its_helmert_compression(m, path, mo
         a = RngStream(57, m).generator.standard_normal((m, m))
         a += a.T
     if path == "fallback":
-        monkeypatch.setattr(kernel_lab, "_lapack", lambda: None)
-    elif kernel_lab._lapack() is None:
+        monkeypatch.setattr(lapack, "available", lambda: False)
+    elif not lapack.available():
         pytest.skip("numpy bundles no LAPACK")
     b = sum_zero_basis(len(a))
     whole, part = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b.T @ a @ b)
@@ -206,7 +206,7 @@ def test_spectral_ends_are_those_of_a_and_of_its_helmert_compression(m, path, mo
 SENTINEL = np.array(0x7FE0DEADBEEF0001, dtype=np.uint64).view(np.float64)  # huge, finite
 
 
-@pytest.mark.skipif(kernel_lab._lapack() is None, reason="numpy bundles no LAPACK")
+@pytest.mark.skipif(not lapack.available(), reason="numpy bundles no LAPACK")
 @pytest.mark.parametrize("part", ["K", "centered D"])
 @pytest.mark.parametrize("m", [1, 2, 5, 130])
 def test_packed_solve_reads_and_writes_only_its_triangle(part, m):
@@ -218,71 +218,32 @@ def test_packed_solve_reads_and_writes_only_its_triangle(part, m):
     a += a.T
     upper = np.triu(np.ones((n, n), dtype=bool))
     buf = np.where(upper, a, SENTINEL)
-    d, e = kernel_lab._tridiagonal(buf)
+    d, e = lapack.tridiagonal(buf)
     if part == "centered D":
         d, e, a = d[1:], e[1:], a[1:, 1:]
     eigs = np.linalg.eigvalsh(a)
-    got = kernel_lab._eigenvalue(d, e, 1), kernel_lab._eigenvalue(d, e, m)
+    got = lapack.eigenvalue(d, e, 1), lapack.eigenvalue(d, e, m)
     assert np.abs(np.subtract(got, (eigs[0], eigs[-1]))).max() <= 1e-14 * max(1.0, np.abs(eigs).max())
     assert (buf[~upper].view(np.uint64) == SENTINEL.view(np.uint64)).all()
 
 
-@pytest.mark.skipif(kernel_lab._lapack() is None, reason="numpy bundles no LAPACK")
+@pytest.mark.skipif(not lapack.available(), reason="numpy bundles no LAPACK")
 @pytest.mark.parametrize("part", ["K", "centered D"])
 def test_packed_solve_raises_on_a_lapacke_error(part, monkeypatch):
     # bisection on T (order m) gives K's ends, on T[1:, 1:] (order m - 1) the
     # centered D's; a failure on either reaches gram_audit's caller
     m = 20
-    dsytrd, dstebz = kernel_lab._lapack()
+    dstebz = lapack._library()["scipy_LAPACKE_dstebz64_"]
     order = m if part == "K" else m - 1
-    monkeypatch.setattr(kernel_lab, "_lapack", lambda: (
-        dsytrd, lambda *args: 2 if args[2] == order else dstebz(*args)))
+    monkeypatch.setitem(lapack._library(), "scipy_LAPACKE_dstebz64_",
+                        lambda *args: 2 if args[2] == order else dstebz(*args))
     with pytest.raises(np.linalg.LinAlgError, match="bisection failed: dstebz info 2"):
         gram_audit(SU2, su2_points(51, m))
 
 
-@pytest.mark.skipif(kernel_lab._lapack() is None, reason="numpy bundles no LAPACK")
-def test_lapack_errors_name_their_routine():
-    a, d, e = np.eye(4), np.ones(4), np.ones(4)
-    with pytest.raises(np.linalg.LinAlgError, match="dsytrd_2stage info -10"):  # LHOUS2 too small
-        kernel_lab._dsytrd_2stage(4, a, d, e, np.ones(4), np.ones(1), np.ones(1))
-    with pytest.raises(np.linalg.LinAlgError, match="dstebz info -6"):  # no 5th eigenvalue
-        kernel_lab._eigenvalue(d, e[:3], 5)
-
-
-def test_lapack_wrappers_reject_bad_input_before_lapack_and_raise_on_info(monkeypatch):
-    calls = []
-
-    def dsytrd(*args):
-        calls.append("dsytrd_2stage")
-        args[12]._obj.value = 3  # INFO, by reference
-
-    monkeypatch.setattr(kernel_lab, "_lapack", lambda: (dsytrd, lambda *args: calls.append(1) or 2))
-    a = np.eye(4)
-    a[1, 2] = np.nan
-    with pytest.raises(ValueError, match="non-finite entry"):
-        kernel_lab._tridiagonal(a)
-    with pytest.raises(ValueError, match="non-finite entry"):
-        kernel_lab._eigenvalue(np.array([1.0, np.nan]), np.zeros(1), 1)
-    with pytest.raises(ValueError, match="non-finite entry"):
-        kernel_lab._eigenvalue(np.ones(2), np.array([np.inf]), 1)
-    for bad in (np.eye(3, 4), np.eye(4)[:, ::-1], np.eye(3, dtype=np.float32)):
-        with pytest.raises(ValueError, match=r"C-contiguous float64 \(m, m\) matrix"):
-            kernel_lab._tridiagonal(bad)
-    for d, e in ((np.ones(3), np.ones(3)), (np.ones(3), np.ones(1)), (np.ones(0), np.ones(0)),
-                 (np.ones((2, 2)), np.ones(1))):
-        with pytest.raises(ValueError, match="off-diagonal entries"):
-            kernel_lab._eigenvalue(d, e, 1)
-    assert calls == []
-    with pytest.raises(np.linalg.LinAlgError, match="reduction failed: dsytrd_2stage info 3"):
-        kernel_lab._tridiagonal(np.eye(4))
-    with pytest.raises(np.linalg.LinAlgError, match="bisection failed: dstebz info 2"):
-        kernel_lab._eigenvalue(np.ones(2), np.zeros(1), 1)
-
-
 def workspace_bytes(m):
     """Bytes of the reduction's queried WORK and HOUS2 at order m (0 without LAPACK)."""
-    return 8 * sum(kernel_lab._tridiagonal_workspace(m)) if kernel_lab._lapack() else 0
+    return 8 * sum(lapack.tridiagonal_workspace(m)) if lapack.available() else 0
 
 
 @GROUPS
@@ -353,22 +314,22 @@ def test_so3_audit_with_real_blocks_peaks_no_higher_than_su2():
     assert workspace_bytes(m) <= 1024 * m
 
 
-@pytest.mark.parametrize("lapack, points", [(True, 1000), (True, 2000), (False, 1000),
+@pytest.mark.parametrize("reduce, points", [(True, 1000), (True, 2000), (False, 1000),
                                             (False, 2000)],
                          ids=["in-place-1", "in-place-2", "fallback-1", "fallback-2"])
-def test_check_is_charged_one_buffer_and_the_copies_of_its_solve_path(lapack, points,
+def test_check_is_charged_one_buffer_and_the_copies_of_its_solve_path(reduce, points,
                                                                       monkeypatch):
     # the reduction works in place; without LAPACK, eigvalsh copies the
     # matrix, then its [1:, 1:] block, one after the other: one more m x m
-    if kernel_lab._lapack() is None:
+    if not lapack.available():
         pytest.skip("numpy bundles no LAPACK")
     in_place = kernel_lab.audit_bytes(SU2, points)
-    if not lapack:
-        monkeypatch.setattr(kernel_lab, "_lapack", lambda: None)
+    if not reduce:
+        monkeypatch.setattr(lapack, "available", lambda: False)
     charge = [kernel_lab.audit_bytes(SU2, m) for m in (points - 1, points, points + 1)]
-    assert charge[1] - in_place == (0 if lapack else 8 * points ** 2)
+    assert charge[1] - in_place == (0 if reduce else 8 * points ** 2)
     # the second difference in m leaves the m x m float64 arrays held: 2 * 8 each
-    assert charge[0] - 2 * charge[1] + charge[2] == 16 * (1 if lapack else 2)
+    assert charge[0] - 2 * charge[1] + charge[2] == 16 * (1 if reduce else 2)
 
 
 def test_two_point_audit_has_negative_top_eigenvalue():
@@ -461,6 +422,21 @@ def test_find_witness_so3():
     assert abs(float(np.sum(cert.weights))) < 1e-12
     assert cert.verify(tol=1e-10)
     assert cert.quadratic_form() == pytest.approx(cert.value, abs=1e-10)
+
+
+@pytest.mark.parametrize("group", [SO3, group_named("son", 6)], ids=["so3", "son6"])
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_witness_is_the_same_with_eighs_eigenpair(group, seed, monkeypatch):
+    # dsyevr's one eigenpair and the last of eigh's give the same points, and
+    # weights and value within rounding, the weights' largest entry positive
+    fast = find_witness(group, m=100, trials=10, rng=RngStream(seed, 0))
+    monkeypatch.setattr(lapack, "available", lambda: False)
+    slow = find_witness(group, m=100, trials=10, rng=RngStream(seed, 0))
+    assert np.array_equal(fast.points, slow.points)
+    assert np.abs(fast.weights - slow.weights).max() <= 1e-13
+    assert abs(fast.value - slow.value) <= 1e-13 * abs(slow.value)
+    for cert in (fast, slow):
+        assert cert.weights[np.argmax(np.abs(cert.weights))] > 0
 
 
 def test_find_witness_su2_fails():

@@ -48,6 +48,28 @@ def test_private_name_guard_sees_both_forms():
     assert private_names_of_other_modules(source) == ["rng._x", "group_core._B"]
 
 
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules ``source`` imports, either form."""
+    tree = ast.parse(source)
+    names = {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    return names | {node.module.split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_the_lapack_layer_imports_ctypes(module):
+    # one loader and one table of foreign symbols: lapack.py
+    imported = imported_modules((PACKAGE / f"{module}.py").read_text())
+    assert ("ctypes" in imported) == (module == "lapack")
+
+
+def test_import_guard_sees_both_forms():
+    source = ("import ctypes.util\nfrom ctypes import byref\nfrom . import lapack\n"
+              "import numpy as np\n")
+    assert imported_modules(source) == {"ctypes", "numpy"}
+
+
 def command_facts_outside_the_table(source: str, commands) -> list[str]:
     """Functions of ``source`` (``<module>`` for top-level code) that compare a
     ``.command`` attribute with a string or hold a dict keyed by a command
