@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import __version__, canonical, field_sim, group_core, harmonic, kernel_lab, lapack
-from .quadrature import QuadratureError
+from .quadrature import QuadratureError, quadrature_bytes
 from .rng import KEY_LIMIT, RngStream
 
 EXIT_OK = 0
@@ -227,7 +227,7 @@ def _peak_bytes(cfg: RunConfig, group) -> int:
     400,000) 8.1, (100, 50,000) 11.3, (200, 10,000) 16.9, (200, 100,000)
     16.6, (400, 2,000) 32.7, (800, 100) 58.5 and (1,500, 100) 186.0; in
     CSV (50, 10,000) 8.7 and (800, 100) 58.5.  haar --group su2 --points
-    1,000,000 grew 82.2 MiB in JSON and in CSV, 21.5 B per float of the
+    1,000,000 grew 38.8 MiB in JSON and in CSV, 10.2 B per float of the
     samples.  Except for check, simulate and witness, a few MB of BLAS
     scratch is left out.
     """
@@ -395,7 +395,8 @@ def _run_haar(cfg: RunConfig, group) -> int:
 COMMANDS = {
     "coeffs": Command("expansion coefficients by closed form, quadrature, Monte Carlo",
                       ("su2", "so3"), ("lmax", "tol", "mc_samples"), {"lmax": 0},
-                      lambda cfg, group: harmonic.monte_carlo_bytes(cfg.mc_samples),
+                      lambda cfg, group: (harmonic.monte_carlo_bytes(cfg.mc_samples)
+                                          + quadrature_bytes()),
                       _run_coeffs, size_flags=()),
     "densities": Command("angle/trace density curves with empirical histograms",
                          ("su2", "so3"), ("points", "bins"), {"points": 1, "bins": 1},

@@ -67,11 +67,17 @@ def haar_su2_batch(rng: RngStream, size: int) -> np.ndarray:
     sphere identification this is exactly Haar measure on SU(2).
     """
     v = rng.generator.standard_normal((size, 4))
-    norm = np.linalg.norm(v, axis=1)
-    while (bad := norm < 1e-150).any():  # degenerate draw, probability ~0
-        v[bad] = rng.generator.standard_normal((int(bad.sum()), 4))
-        norm = np.linalg.norm(v, axis=1)
-    return v / norm[:, None]
+    # in place, a block of rows at a time: a row's norm does not depend on
+    # the blocking, and the norm's squares are one block
+    step = BLOCK_FLOATS // 4
+    for i in range(0, size, step):
+        block = v[i:i + step]
+        norm = np.linalg.norm(block, axis=1)
+        while (bad := norm < 1e-150).any():  # degenerate draw, probability ~0
+            block[bad] = rng.generator.standard_normal((int(bad.sum()), 4))
+            norm = np.linalg.norm(block, axis=1)
+        block /= norm[:, None]
+    return v
 
 
 def haar_son_batch(n: int, size: int, rng: RngStream) -> np.ndarray:
@@ -181,7 +187,9 @@ class _Group:
     def sample_bytes(self, m: int) -> int:
         """Bytes to sample m points and take their distances to one point: the
         sample, the QR copies of one sampler block, the angles (VmHWM of
-        `densities`: 12-22 B per float of the sample)."""
+        `densities` and `haar` at 10^6 points on SU(2) and SO(3), and at
+        (n, m) = (10, 100,000) and (40, 5,000) on SO(n): 9.3-12.6 B per
+        float of the sample)."""
         return 40 * m * self.point_size
 
     def pairwise_bytes(self, m: int) -> int:

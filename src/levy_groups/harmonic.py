@@ -146,35 +146,37 @@ def alpha_quadrature(group, l: int, tol: float = 1e-10) -> float:
     return simpson_adaptive(integrand, 0.0, math.pi, tol=tol, panels=l + 3)
 
 
-def _characters(group, c, lmax: int):
+def _characters(group, c, lmax: int, scratch=None):
     """Yield chi_0, ..., chi_lmax at the elements whose rotation angle has
     cosine ``c`` (an array), by the recurrence
     chi_{l+1} = 2c chi_l - chi_{l-1} from chi_0 = 1.
 
     The same recurrence serves both groups; only the start differs:
     chi_{-1} = 0 on SU(2) (the Chebyshev U_l in cos t) and -1 on SO(3),
-    where chi_l = 1 + 2 sum_{m<=l} cos(mt).  A yielded array is overwritten
-    two steps later: only the current and the previous character, and one
-    scratch array, are held.
+    where chi_l = 1 + 2 sum_{m<=l} cos(mt).  chi_{l+1} is written over
+    chi_{l-1}, so a yielded array is overwritten two steps later: only the
+    current and the previous character are held.  ``scratch``, an array
+    of c's shape (a new one when None), holds 2c chi_l during a step only,
+    so between steps its caller, and other such generators, may use it.
     """
     two_c = 2.0 * np.asarray(c, dtype=float)
     del c  # may be a view that would keep the caller's whole draw alive
     prev = np.full_like(two_c, -1.0 if _is_so3(group) else 0.0)
     cur = np.ones_like(two_c)
-    scratch = np.empty_like(two_c)
+    scratch = np.empty_like(two_c) if scratch is None else scratch
     for _ in range(lmax):
         yield cur
         np.multiply(two_c, cur, out=scratch)
-        scratch -= prev
-        prev, cur, scratch = cur, scratch, prev
+        np.subtract(scratch, prev, out=prev)
+        prev, cur = cur, prev
     yield cur
 
 
 def monte_carlo_bytes(n_samples: int) -> int:
     """Bytes alpha_monte_carlo holds: float64 arrays of one chunk of pairs, or
-    of n_samples below a chunk; 24.3 of them in VmHWM of `coeffs` (--mc-n
-    1,000,000 at lmax 50), 14-16 traced, charged 25."""
-    return 25 * 8 * min(_MC_CHUNK, n_samples)
+    of n_samples below a chunk; 16.5-17.3 of them in VmHWM of `coeffs`
+    (--mc-n 1,000,000 at lmax 50 and 0), 10 traced, charged 20."""
+    return 20 * 8 * min(_MC_CHUNK, n_samples)
 
 
 def alpha_monte_carlo(
@@ -207,23 +209,26 @@ def alpha_monte_carlo(
         # cosines of the angles of g, h and gh^{-1}: the quaternion's real
         # part on SU(2); on SO(3), through the covering map, the rotation
         # angle of Ad(q) has cosine 2 q_1^2 - 1
-        cos_g, cos_h = u[:, 0], v[:, 0]
         cos_gh = np.einsum("ij,ij->i", u, v)
+        cos_g = u[:, 0].copy()
+        del u
+        cos_h = v[:, 0].copy()
+        del v
         if so3:
             cos_g, cos_h, cos_gh = (2.0 * c * c - 1.0 for c in (cos_g, cos_h, cos_gh))
-        tgh = np.arccos(np.clip(cos_gh, -1.0, 1.0))
-        chars = zip(_characters(group, cos_g, lmax), _characters(group, cos_h, lmax))
-        del u, v, cos_g, cos_h, cos_gh
-        x = np.empty_like(tgh)
+        tgh = np.arccos(np.clip(cos_gh, -1.0, 1.0, out=cos_gh), out=cos_gh)
+        x = np.empty_like(tgh)  # each step's scratch, then the loop's product
+        chars = zip(_characters(group, cos_g, lmax, x), _characters(group, cos_h, lmax, x))
+        del cos_g, cos_h, cos_gh
         for l, (chi_g, chi_h) in enumerate(chars):
             np.multiply(tgh, chi_g, out=x)
             x *= chi_h
             total[l] += float(x.sum())
             x *= x
             total_sq[l] += float(x.sum())
-        # zip leaves the second generator unfinished: release its arrays
-        # before the next chunk draws
-        del chars, tgh, x
+        # zip leaves the second generator unfinished, and the loop keeps the
+        # last pair: release their arrays before the next chunk draws
+        del chars, chi_g, chi_h, tgh, x
         done += m
     estimates, stderrs = [], []
     for l in range(lmax + 1):

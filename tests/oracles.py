@@ -1,8 +1,9 @@
 """Closed-form characters and distribution functions of SU(2) and SO(3),
 which the tests use as oracles for ``levy_groups.harmonic`` and the Haar
-samplers, and the covering map SU(2) -> SO(3).  Each character and
-distribution function takes the descriptor ``SU2`` or ``SO3``, as
-``harmonic`` does.
+samplers, the covering map SU(2) -> SO(3), and the recursive adaptive
+Simpson rule that ``levy_groups.quadrature`` walks a level at a time.
+Each character and distribution function takes the descriptor ``SU2`` or
+``SO3``, as ``harmonic`` does.
 """
 
 import math
@@ -10,6 +11,7 @@ import math
 import numpy as np
 
 from levy_groups.harmonic import _is_so3
+from levy_groups.quadrature import MAX_DEPTH, QuadratureError
 
 # below this, sin(t) is treated as singular and the character limit is used
 _SIN_TOL = 1e-8
@@ -80,3 +82,49 @@ def ad_matrix(quaternions: np.ndarray) -> np.ndarray:
     out[..., 2, 1] = -2 * (-a1 * b2 + a2 * b1)
     out[..., 2, 2] = (a1 * a1 + a2 * a2) - (b1 * b1 + b2 * b2)
     return out
+
+
+def _simpson(a, fa, b, fb, c, fc):
+    return (b - a) / 6.0 * (fa + 4.0 * fc + fb)
+
+
+def _adaptive(f, a, fa, b, fb, c, fc, whole, tol, depth):
+    left_mid = 0.5 * (a + c)
+    right_mid = 0.5 * (c + b)
+    f_lm = f(left_mid)
+    f_rm = f(right_mid)
+    left = _simpson(a, fa, c, fc, left_mid, f_lm)
+    right = _simpson(c, fc, b, fb, right_mid, f_rm)
+    err = left + right - whole
+    if abs(err) <= 15.0 * tol:
+        return left + right + err / 15.0
+    if depth >= MAX_DEPTH:
+        raise QuadratureError(
+            f"adaptive Simpson did not converge on [{a}, {b}] "
+            f"(residual {abs(err):g} at depth {depth})"
+        )
+    half = 0.5 * tol
+    return _adaptive(f, a, fa, c, fc, left_mid, f_lm, left, half, depth + 1) + _adaptive(
+        f, c, fc, b, fb, right_mid, f_rm, right, half, depth + 1
+    )
+
+
+def simpson_recursive(f, a, b, tol=1e-10, panels=1):
+    """``quadrature.simpson_adaptive`` by recursion, depth first: each
+    panel's tree is walked left half before right, and its value summed on
+    the way back up."""
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    if panels < 1:
+        raise ValueError("panels must be >= 1")
+    if a == b:
+        return 0.0
+    total = 0.0
+    edges = [a + (b - a) * (i / panels) for i in range(panels)] + [b]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        flo, fhi = f(lo), f(hi)
+        c = 0.5 * (lo + hi)
+        fc = f(c)
+        whole = _simpson(lo, flo, hi, fhi, c, fc)
+        total += _adaptive(f, lo, flo, hi, fhi, c, fc, whole, tol / panels, 0)
+    return total

@@ -446,9 +446,10 @@ def test_sizes_beyond_physical_memory_name_their_flags(args, sizes, capsys):
     assert f"error: {sizes} needs about " in err and "GB" in err
 
 
-def grown_and_charged(argv, setup=""):
+def grown_and_charged(argv, setup="", error=None):
     """VmHWM growth of one CLI run in a fresh interpreter, after ``setup``
-    (one line of Python), and the run's charge, in bytes."""
+    (one line of Python), and the run's charge, in bytes.  With ``error``
+    the run must exit 2 with that text on stderr."""
     import levy_groups
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(levy_groups.__file__)))
@@ -461,14 +462,16 @@ def grown_and_charged(argv, setup=""):
                 return next(int(l.split()[1]) * 1024 for l in f if l.startswith("VmHWM:"))
         argv = {argv!r}
         before = hwm()
-        cli.main(argv)
+        code = cli.main(argv)
         cfg = cli.config_from_args(cli.build_parser().parse_args(argv), argv)
-        print(hwm() - before, cli._peak_bytes(cfg, cli._validate(cfg)))
+        print(hwm() - before, cli._peak_bytes(cfg, cli._validate(cfg)), code)
     """
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
-    return tuple(map(int, done.stdout.split()))
+    grown, charged, code = map(int, done.stdout.split())
+    assert error is None or (code == EXIT_USAGE and error in done.stderr), done.stderr
+    return grown, charged
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
@@ -495,6 +498,19 @@ def test_witness_grows_no_more_than_its_charge(path):
                  ["witness", "--group", "so3", "--points", "1000"]):
         grown, charged = grown_and_charged(argv, setup)
         assert grown <= charged, argv
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("group", ["su2", "so3"])
+def test_coeffs_grows_no_more_than_its_charge(group):
+    # a full Monte Carlo chunk, and a tolerance no interval reaches, which
+    # walks the quadrature's widest blocks down to its depth cap
+    grown, charged = grown_and_charged(["coeffs", "--group", group, "--lmax", "50",
+                                        "--mc-n", "1000000"])
+    assert grown <= charged
+    grown, charged = grown_and_charged(["coeffs", "--group", group, "--mc-n", "0",
+                                        "--tol", "1e-300"], error="--tol 1e-300 ")
+    assert grown <= charged
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")

@@ -105,6 +105,19 @@ def test_haar_su2_unit_norm():
     assert np.abs((q ** 2).sum(axis=1) - 1.0).max() < 1e-12
 
 
+@pytest.mark.parametrize("block", [1 << 17, 40])
+def test_haar_su2_normalises_in_blocks_as_the_whole_draw(block, monkeypatch):
+    """Normalised in place a block of rows at a time, bit for bit the whole
+    draw divided by its norms, and the stream left where that leaves it."""
+    monkeypatch.setattr(group_core, "BLOCK_FLOATS", block)
+    for size in (1, 10, 23, 1000):
+        gen = RngStream(5, size).generator
+        v = gen.standard_normal((size, 4))
+        rng = RngStream(5, size)
+        assert np.array_equal(haar_su2_batch(rng, size), v / np.linalg.norm(v, axis=1)[:, None])
+        assert rng.generator.random() == gen.random()
+
+
 def test_haar_su2_first_coordinate_moments():
     # Var(a1) = 1/4: oracle by integrating cos^2 against the theta marginal
     from levy_groups.quadrature import simpson_adaptive

@@ -92,6 +92,19 @@ def test_character_recurrence_matches_chi(group):
     assert l == 50
 
 
+@pytest.mark.parametrize("group", [SU2, SO3], ids=["SU2", "SO3"])
+def test_characters_sharing_one_scratch_match_their_own(group):
+    # alpha_monte_carlo's use: two generators in step and the caller's
+    # product between steps, all in one scratch array
+    c_g, c_h = np.cos(np.linspace(0.0, math.pi, 101)), np.cos(np.linspace(0.3, 2.0, 101))
+    x = np.empty_like(c_g)
+    shared = zip(_characters(group, c_g, 20, x), _characters(group, c_h, 20, x))
+    own = zip(_characters(group, c_g, 20), _characters(group, c_h, 20))
+    for (g, h), (g_own, h_own) in zip(shared, own):
+        np.multiply(g, h, out=x)
+        assert np.array_equal(g, g_own) and np.array_equal(h, h_own)
+
+
 def test_chi_vectorized_matches_scalar():
     t = np.linspace(0.0, math.pi, 7)
     for group in (SU2, SO3):
