@@ -27,11 +27,11 @@ from .group_core import (
     pairwise_distance_matrix,
 )
 from .harmonic import (
-    CoefficientTable,
     alpha_closed,
     alpha_monte_carlo,
     alpha_quadrature,
     angle_density,
+    coefficients,
     dim_irrep,
     trace_density_so3,
 )
@@ -47,7 +47,6 @@ from .quadrature import QuadratureError, simpson_adaptive
 from .rng import RngStream
 
 __all__ = [
-    "CoefficientTable",
     "FieldSample",
     "GramAudit",
     "KernelNotPSDError",
@@ -62,6 +61,7 @@ __all__ = [
     "alpha_quadrature",
     "angle_density",
     "build_field",
+    "coefficients",
     "dim_irrep",
     "dist_son",
     "embed_so3",

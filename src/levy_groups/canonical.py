@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import math
-from itertools import chain
 from typing import Any, Callable, Iterable, Optional
 
 import numpy as np
@@ -36,7 +35,8 @@ class Table:
     ``table.<field>`` is that field's column; ``len``, indexing and iteration
     see rows of ``row``, and a slice is a Table.  The writers take a Table as
     the list of its rows and format it from the columns, a chunk of rows at a
-    time, with no object per row.
+    time, with no object per row; a table with an object column (None cells)
+    is walked a row at a time.
     """
 
     __slots__ = ("row", "columns")
@@ -60,19 +60,23 @@ class Table:
     def __getitem__(self, k):
         if isinstance(k, slice):
             return Table(self.row, *(c[k] for c in self.columns))
-        return self.row(*(c[k].item() for c in self.columns))
+        return self.row(*(c.item(k) for c in self.columns))
 
     def __iter__(self):
         return map(self.row, *(c.tolist() for c in self.columns))
 
 
-def dump_bytes() -> int:
+def dump_bytes(row_cells: int = 0) -> int:
     """Bytes :func:`dump` and :func:`dump_csv` hold at their peak beyond the
-    object they write, whatever its size: one pass of cells and its text,
-    the pieces held and their joined copy.  Writing a million-row Table and
-    a (250,000, 9) array to os.devnull grew VmHWM by 0.3-0.4 MiB in JSON and
-    2.7 MiB in CSV; charged 4 MiB."""
-    return 4 * 2 ** 20
+    object they write, whatever its length, for rows of ``row_cells`` cells:
+    one pass of cells and its text, the pieces held and their joined copy.
+    Writing a million-row Table and a (250,000, 9) array to os.devnull grew
+    VmHWM by 0.3-0.4 MiB in JSON and 2.7 MiB in CSV; charged 4 MiB.  A row
+    wider than a chunk is a pass of its own: its Python floats, their tuple,
+    the template and its text, joined and encoded.  Rows of 90,000 to
+    640,000 cells grew 101-123 B per cell in JSON and 201-205 B in CSV, with
+    a header of as many names; charged 256 B per cell."""
+    return 4 * 2 ** 20 + (256 * row_cells if row_cells > _CHUNK else 0)
 
 
 def dumps(obj: Any) -> str:
@@ -88,9 +92,10 @@ def dump(obj: Any, fh) -> None:
 
     Named tuples are written as objects keyed by their field names, a Table
     as the list of its rows, a numpy array as its nested lists.  A
-    non-finite float raises ValueError; one in a table or a list of floats
-    raises before any of that list is written, and a document whose text
-    before it is under a chunk reaches ``fh`` not at all.
+    non-finite float raises ValueError; one in a table of int and float
+    columns or in a 1-D or 2-D array raises before any of it is written, and
+    a document whose text before it is under a chunk reaches ``fh`` not at
+    all.
     """
     out = _Pieces(fh)
     _walk(obj, out, 0)
@@ -101,9 +106,9 @@ def dump(obj: Any, fh) -> None:
 def dump_csv(header: Iterable[str], rows, fh, comments: Iterable[str] = ()) -> None:
     """Write ``comments`` as ``# `` lines, then ``header`` and ``rows`` as CSV
     to the text handle ``fh``: floats via format_float, None empty, booleans
-    true/false.  A Table, a list of uniform rows or a 2-D array is written
-    from the same row template as :func:`dump`, a chunk of rows at a time;
-    any other ``rows`` (a generator, say) a row at a time."""
+    true/false.  A Table or a 1-D or 2-D array is written from the same row
+    template as :func:`dump`, a chunk of rows at a time; any other ``rows``
+    (a generator, say) a row at a time."""
     out = _Pieces(fh)
     out.extend(f"# {c}\n" for c in comments)
     w = csv.writer(out, lineterminator="\n")
@@ -226,10 +231,10 @@ def _rows_template(rows, level: Optional[int]):
     """(template, cells, width) of ``rows`` when all of them share one layout
     of ints and finite floats: the %-template of one row as the walk above
     writes it at ``level`` (a CSV line when ``level`` is None), cells(rs)
-    the flat cells of the rows ``rs`` (a slice), and the cells per row.  Lists of floats,
-    lists of named tuples of one type, Tables and 1-D or 2-D int or float
-    arrays qualify; else None, and the rows are walked one at a time.  A
-    non-finite float among the cells raises ValueError."""
+    the flat cells of the rows ``rs`` (a slice), and the cells per row.
+    Tables and 1-D or 2-D arrays of ints and floats qualify; else None, and
+    the rows are walked one at a time.  A non-finite float among the cells
+    raises ValueError."""
     if isinstance(rows, Table):
         names, columns = rows.row._fields, rows.columns
         fmts = [_FORMATS.get(c.dtype.kind) for c in columns]
@@ -238,45 +243,21 @@ def _rows_template(rows, level: Optional[int]):
         for name, c in zip(names, columns):
             _require_finite(c, f"column {name!r}")
         return _template(names, fmts, level), _interleave(columns), len(columns)
-    if isinstance(rows, np.ndarray):
-        fmt = _FORMATS.get(rows.dtype.kind)
-        if fmt is None or rows.ndim > 2:
-            return None
-        _require_finite(rows, "array")
-        if rows.ndim == 1:
-            return _template(None, [fmt], level), lambda rs: rows[rs].tolist(), 1
-        return (_template((), [fmt] * rows.shape[1], level),
-                lambda rs: rows[rs].ravel().tolist(), rows.shape[1])
-    kind = type(rows[0])
-    if kind is float:
-        if set(map(type, rows)) != {float}:
-            return None
-        _require_finite(rows, "list")
-        return _template(None, ["%.17g"], level), rows.__getitem__, 1
-    if not getattr(kind, "_fields", None) or any(type(row) is not kind for row in rows):
+    if not isinstance(rows, np.ndarray):
         return None
-    fmts = []
-    for name, column in zip(kind._fields, zip(*rows)):
-        types = set(map(type, column))
-        if types == {int}:
-            fmts.append("%d")
-        elif types == {float}:
-            _require_finite(column, f"column {name!r}")
-            fmts.append("%.17g")
-        else:
-            return None
-    return (_template(kind._fields, fmts, level),
-            lambda rs: chain.from_iterable(rows[rs]), len(fmts))
+    fmt = _FORMATS.get(rows.dtype.kind)
+    if fmt is None or rows.ndim > 2:
+        return None
+    _require_finite(rows, "array")
+    if rows.ndim == 1:
+        return _template(None, [fmt], level), lambda rs: rows[rs].tolist(), 1
+    return (_template((), [fmt] * rows.shape[1], level),
+            lambda rs: rows[rs].ravel().tolist(), rows.shape[1])
 
 
-def _require_finite(values, what: str) -> None:
-    if isinstance(values, np.ndarray):
-        # nan and inf pass through min and max, which make no array
-        finite = not values.size or (math.isfinite(values.min())
-                                     and math.isfinite(values.max()))
-    else:
-        finite = all(map(math.isfinite, values))
-    if not finite:
+def _require_finite(values: np.ndarray, what: str) -> None:
+    # nan and inf pass through min and max, which make no array
+    if values.size and not (math.isfinite(values.min()) and math.isfinite(values.max())):
         raise ValueError(f"non-finite value in {what} cannot be serialized")
 
 

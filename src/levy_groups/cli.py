@@ -60,13 +60,13 @@ class RunConfig:
 
 
 class Command(NamedTuple):
-    """One subcommand, as the parser, RunConfig, _validate, _peak_bytes and run see it."""
+    """One subcommand, as the parser, RunConfig, _validate and run see it."""
 
     summary: str
     groups: tuple[str, ...]             # its --group choices
     flags: tuple[str, ...]              # the RunConfig fields it takes, keys of _FLAGS
     least: dict                         # field -> least value (--n only with --group son)
-    charge: Callable[..., int]          # (cfg, group) -> peak bytes; see _peak_bytes
+    charge: Callable[..., int]          # (cfg, group) -> estimated peak bytes
     handler: Callable[..., int]         # (cfg, group) -> exit code
     size_flags: tuple[str, ...] = ("points", "n")  # named when the charge is too large
     points: int = 100                   # default --points
@@ -205,7 +205,7 @@ def _validate(cfg: RunConfig):
         if getattr(cfg, flag) is not None and getattr(cfg, flag) < least:
             raise UsageError(f"{_FLAGS[flag][0]} must be >= {least} for {cfg.command}")
     group = group_core.group_named(cfg.group, cfg.n)
-    need = _peak_bytes(cfg, group)
+    need = spec.charge(cfg, group)
     have = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
             if hasattr(os, "sysconf") else math.inf)
     if need > have:
@@ -214,24 +214,6 @@ def _validate(cfg: RunConfig):
         raise UsageError(f"{sizes} needs about {need / 1e9:.3g} GB for {cfg.command}, "
                          f"more than the {have / 1e9:.3g} GB of physical memory")
     return group
-
-
-def _peak_bytes(cfg: RunConfig, group) -> int:
-    """Estimated peak memory in bytes, the command's charge: the charges the
-    modules state for their arrays; for the output, which streams whatever
-    its size, the emitter's bounded chunk (canonical.dump_bytes); for the
-    rows densities builds, 400 B per bin and series (VmHWM growth above the
-    interpreter of 0.36 and 0.37 kB at 100,000 bins on SO(3) and 200,000 on
-    SU(2), which grew 1.23 kB while the text was built whole).  simulate
-    grew in JSON at (points, realizations) (20, 4,000) 8.1 MiB, (20,
-    400,000) 8.1, (100, 50,000) 11.3, (200, 10,000) 16.9, (200, 100,000)
-    16.6, (400, 2,000) 32.7, (800, 100) 58.5 and (1,500, 100) 186.0; in
-    CSV (50, 10,000) 8.7 and (800, 100) 58.5.  haar --group su2 --points
-    1,000,000 grew 38.8 MiB in JSON and in CSV, 10.2 B per float of the
-    samples.  Except for check, simulate and witness, a few MB of BLAS
-    scratch is left out.
-    """
-    return COMMANDS[cfg.command].charge(cfg, group)
 
 
 # ---------------------------------------------------------------------------
@@ -289,16 +271,25 @@ class _Output:
 
 def _run_coeffs(cfg: RunConfig, group) -> int:
     try:
-        table = harmonic.CoefficientTable.compute(
-            group, cfg.lmax, cfg.mc_samples, RngStream(cfg.seed, cfg.stream), cfg.tol)
+        rows = harmonic.coefficients(group, cfg.lmax, cfg.mc_samples,
+                                     RngStream(cfg.seed, cfg.stream), cfg.tol)
     except QuadratureError as exc:
         raise UsageError(f"--tol {cfg.tol:g} is below what the quadrature reaches: {exc}")
     _emit(cfg, {
         "schema_version": "1", "kind": "coeffs", "group": cfg.group,
         "lmax": cfg.lmax, "mc_samples": cfg.mc_samples,
-        "seed": cfg.seed, "stream": cfg.stream, "rows": table.rows,
-    }, harmonic.CoefficientRow._fields, table.rows)
+        "seed": cfg.seed, "stream": cfg.stream, "rows": rows,
+    }, rows.row._fields, rows)
     return EXIT_OK
+
+
+class DensityRow(NamedTuple):
+    """One histogram bin of a densities series, beside the Haar density at its center."""
+
+    center: float
+    width: float
+    empirical: float
+    theoretical: float
 
 
 def _run_densities(cfg: RunConfig, group) -> int:
@@ -312,19 +303,15 @@ def _run_densities(cfg: RunConfig, group) -> int:
     for name, values, rng_bounds, density in series:
         hist, edges = np.histogram(values, bins=cfg.bins, range=rng_bounds, density=True)
         centers = 0.5 * (edges[:-1] + edges[1:])
-        width = float(edges[1] - edges[0])
-        out_series.append({
-            "name": name,
-            "rows": [{"center": float(c), "width": width,
-                      "empirical": float(e), "theoretical": float(density(c))}
-                     for c, e in zip(centers, hist)],
-        })
+        out_series.append({"name": name, "rows": canonical.Table(
+            DensityRow, centers, np.full(cfg.bins, edges[1] - edges[0]), hist, density(centers))})
     _emit(cfg, {
         "schema_version": "1", "kind": "densities", "group": cfg.group,
         "samples": cfg.points, "bins": cfg.bins,
         "seed": cfg.seed, "stream": cfg.stream, "series": out_series,
-    }, ["series", "center", "width", "empirical", "theoretical"],
-        ((s["name"], *r.values()) for s in out_series for r in s["rows"]))
+    }, ("series", *DensityRow._fields),
+        ((s["name"], *cells) for s in out_series
+         for cells in zip(*(c.tolist() for c in s["rows"].columns))))
     return EXIT_OK
 
 
@@ -391,13 +378,18 @@ def _run_haar(cfg: RunConfig, group) -> int:
     return EXIT_OK
 
 
-# each subcommand's groups, flags, least values, defaults, size flags, memory charge and handler
+# each subcommand's groups, flags, least values, defaults, size flags, memory charge and handler.
+# A charge adds the charges the modules state for their arrays and, for the output,
+# which streams whatever its length, the writer's pass (canonical.dump_bytes).
 COMMANDS = {
     "coeffs": Command("expansion coefficients by closed form, quadrature, Monte Carlo",
                       ("su2", "so3"), ("lmax", "tol", "mc_samples"), {"lmax": 0},
                       lambda cfg, group: (harmonic.monte_carlo_bytes(cfg.mc_samples)
                                           + quadrature_bytes()),
                       _run_coeffs, size_flags=()),
+    # 400 B per bin and series for the columns and the CSV rows made from them:
+    # VmHWM grew 91 and 89 B per bin and series in JSON, 161 and 242 in CSV, at
+    # 100,000 bins on SO(3) and 200,000 on SU(2)
     "densities": Command("angle/trace density curves with empirical histograms",
                          ("su2", "so3"), ("points", "bins"), {"points": 1, "bins": 1},
                          lambda cfg, group: (group.sample_bytes(cfg.points) + 400 * cfg.bins
@@ -421,9 +413,14 @@ COMMANDS = {
                         lambda cfg, group: (field_sim.variogram_bytes(cfg.points, cfg.realizations)
                                             + canonical.dump_bytes()),
                         _run_simulate, size_flags=("points",), points=50, group_required=False),
+    # one row a point: --group su2 --points 1,000,000 grew 38.8 MiB in JSON and in CSV,
+    # 10.2 B per float of the samples.  An SO(n) row wider than a chunk of cells is a
+    # pass of its own, beside the QR copies of one n x n draw: --group son --n 400
+    # --points 2 grew 42.4 MiB in JSON and 49.0 in CSV, charged 67.5
     "haar": Command("raw Haar samples", ("su2", "so3", "son"), ("n", "points"),
                     {"n": 2, "points": 1},
-                    lambda cfg, group: group.sample_bytes(cfg.points) + canonical.dump_bytes(),
+                    lambda cfg, group: (group.sample_bytes(cfg.points)
+                                        + canonical.dump_bytes(group.point_size)),
                     _run_haar, points=10),
 }
 

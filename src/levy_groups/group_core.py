@@ -28,7 +28,8 @@ import numpy as np
 from .rng import RngStream
 
 ORTHOGONALITY_TOL = 1e-10
-# float64 per block of haar_son_batch's draws and of the distance kernels' scratch: 1 MiB
+# float64 per block of the samplers' draws, of the distance kernels' scratch and of
+# kernel_lab's passes over an (m, m) matrix: 1 MiB
 BLOCK_FLOATS = 1 << 17
 # distances below this are checked for bitwise-equal points; arccos of an SU(2)
 # dot product a few ulps below 1 reads up to about 5e-8 for equal points
@@ -56,6 +57,13 @@ def check_rotations(x) -> np.ndarray:
     return x
 
 
+def row_blocks(rows: int, floats_per_row: int) -> list[slice]:
+    """The blocks of rows 0..rows of a pass that holds ``floats_per_row``
+    float64 per row: about BLOCK_FLOATS floats each, or one row."""
+    step = max(1, BLOCK_FLOATS // max(floats_per_row, 1))
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
 # ---------------------------------------------------------------------------
 # Haar sampling
 # ---------------------------------------------------------------------------
@@ -69,9 +77,8 @@ def haar_su2_batch(rng: RngStream, size: int) -> np.ndarray:
     v = rng.generator.standard_normal((size, 4))
     # in place, a block of rows at a time: a row's norm does not depend on
     # the blocking, and the norm's squares are one block
-    step = BLOCK_FLOATS // 4
-    for i in range(0, size, step):
-        block = v[i:i + step]
+    for s in row_blocks(size, 4):
+        block = v[s]
         norm = np.linalg.norm(block, axis=1)
         while (bad := norm < 1e-150).any():  # degenerate draw, probability ~0
             block[bad] = rng.generator.standard_normal((int(bad.sum()), 4))
@@ -89,17 +96,17 @@ def haar_son_batch(n: int, size: int, rng: RngStream) -> np.ndarray:
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    # QR holds about four copies of its input, so it runs on blocks of the
-    # output; the generator fills them with the same normals as one draw
+    # QR holds several copies of its input (SOnGroup.sample_bytes), so it runs
+    # on blocks of the output; the generator fills them with the same normals
+    # as one draw
     out = np.empty((size, n, n))
-    step = max(1, BLOCK_FLOATS // (n * n))
-    for i in range(0, size, step):
-        q, r = np.linalg.qr(rng.generator.standard_normal((min(step, size - i), n, n)))
+    for s in row_blocks(size, n * n):
+        q, r = np.linalg.qr(rng.generator.standard_normal((s.stop - s.start, n, n)))
         d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
         d[d == 0] = 1.0
         q *= d[:, None, :]
         q[np.linalg.det(q) < 0, :, -1] *= -1.0
-        out[i:i + step] = q
+        out[s] = q
     return out
 
 
@@ -155,16 +162,14 @@ class _Group:
 
     _pair_floats = 1
 
-    def pairwise(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def pairwise(self, x: np.ndarray) -> np.ndarray:
         """(m, m) distances between the points of x: blocks of rows against
         the columns from their first row on, each mirrored into the lower
-        triangle, so d is bitwise symmetric, with a zero diagonal.  They are
-        written into ``out``, an (m, m) array or view, when given."""
+        triangle, so d is bitwise symmetric, with a zero diagonal."""
         m = len(x)
-        d = np.empty((m, m)) if out is None else out
-        step = max(1, BLOCK_FLOATS // max(m * self._pair_floats, 1))
-        for i in range(0, m, step):
-            j = i + step
+        d = np.empty((m, m))
+        for s in row_blocks(m, m * self._pair_floats):
+            i, j = s.start, s.stop
             block = d[i:j, i:]
             self._angles(x[i:j], x[i:], block)
             _zero_equal_points(block, x[i:j], x[i:])
@@ -177,11 +182,10 @@ class _Group:
     def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Distance from each point of x to the point y."""
         d = np.empty(len(x))
-        step = max(1, BLOCK_FLOATS // self._pair_floats)
-        for i in range(0, len(x), step):
-            block = d[i:i + step, None]
-            self._angles(x[i:i + step], y[None], block)
-            _zero_equal_points(block, x[i:i + step], y[None])
+        for s in row_blocks(len(x), self._pair_floats):
+            block = d[s, None]
+            self._angles(x[s], y[None], block)
+            _zero_equal_points(block, x[s], y[None])
         return d
 
     def sample_bytes(self, m: int) -> int:
@@ -240,6 +244,14 @@ class SOnGroup(_Group):
         return tuple(f"r{i}c{j}" for i in range(self.n) for j in range(self.n))
 
     _pair_floats = property(lambda self: self.point_size)  # one product x_i y_j^T per pair
+
+    def sample_bytes(self, m: int) -> int:
+        """_Group's charge, and the QR copies of one block of haar_son_batch,
+        which holds BLOCK_FLOATS floats or one n x n draw: the sampler alone
+        grew VmHWM by 4.7-10.7 blocks beside its output at (n, m) = (100, 20),
+        (300, 3), (400, 1), (400, 2) and (800, 1); charged 10."""
+        block = min(m * self.point_size, max(BLOCK_FLOATS, self.point_size))
+        return super().sample_bytes(m) + 80 * block
 
     def __repr__(self) -> str:
         return f"SO({self.n})"
@@ -312,7 +324,7 @@ def group_named(name: str, n: int | None = None):
     raise ValueError(f"unknown group {name!r}")
 
 
-def pairwise_distance_matrix(group, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``group.pairwise(x, out)``: the symmetric zero-diagonal distance matrix
-    of the rows of x, written into ``out`` when given."""
-    return group.pairwise(x, out)
+def pairwise_distance_matrix(group, x: np.ndarray) -> np.ndarray:
+    """``group.pairwise(x)``: the symmetric zero-diagonal distance matrix
+    of the rows of x."""
+    return group.pairwise(x)

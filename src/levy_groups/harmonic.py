@@ -21,7 +21,8 @@ independent ways:
                            comes from the cosine of each angle by the
                            recurrence chi_{l+1} = 2 cos(t) chi_l - chi_{l-1}.
 
-``CoefficientTable`` holds the three columns, one row per l.
+``coefficients`` returns the three columns as a ``canonical.Table`` of
+``CoefficientRow``, one row per l.
 
 The sign of the nontrivial coefficients decides whether the Brownian
 kernel built from d is positive definite: on SU(2) all of them are <= 0,
@@ -31,11 +32,11 @@ on SO(3) the even-l ones are strictly positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .canonical import Table
 from .group_core import SO3, SU2, haar_su2_batch
 from .quadrature import simpson_adaptive
 from .rng import RngStream
@@ -255,30 +256,16 @@ class CoefficientRow(NamedTuple):
     stderr: Optional[float]
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
-    """Coefficients for one group, one row per l."""
-
-    group: object  # SU2 or SO3
-    rows: tuple[CoefficientRow, ...]
-
-    @classmethod
-    def compute(
-        cls,
-        group,
-        lmax: int,
-        mc_samples: int = 0,
-        rng: RngStream | None = None,
-        tol: float = 1e-10,
-    ) -> "CoefficientTable":
-        """Closed-form and quadrature columns for l <= lmax, plus Monte
-        Carlo when ``mc_samples`` > 0 (an rng is then required), every row
-        from the same Haar draw."""
-        if mc_samples > 0 and rng is None:
-            raise ValueError("Monte Carlo entries need an RngStream")
-        off = [None] * (lmax + 1)
-        mc = alpha_monte_carlo(group, lmax, mc_samples, rng) if mc_samples > 0 else (off, off)
-        return cls(group, tuple(
-            CoefficientRow(l, dim_irrep(group, l), alpha_closed(group, l),
-                           alpha_quadrature(group, l, tol=tol), estimate, stderr)
-            for l, estimate, stderr in zip(range(lmax + 1), *mc)))
+def coefficients(group, lmax: int, mc_samples: int = 0, rng: RngStream | None = None,
+                 tol: float = 1e-10) -> Table:
+    """Table of CoefficientRow for l <= lmax: closed-form and quadrature
+    columns, plus Monte Carlo when ``mc_samples`` > 0 (an rng is then
+    required), every row from the same Haar draw."""
+    if mc_samples > 0 and rng is None:
+        raise ValueError("Monte Carlo entries need an RngStream")
+    ls = range(lmax + 1)
+    off = [None] * len(ls)
+    mc = alpha_monte_carlo(group, lmax, mc_samples, rng) if mc_samples > 0 else (off, off)
+    return Table(CoefficientRow, ls, [dim_irrep(group, l) for l in ls],
+                 [alpha_closed(group, l) for l in ls],
+                 [alpha_quadrature(group, l, tol=tol) for l in ls], *mc)

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__, canonical, group_core, lapack
 from .group_core import (SO3, SU2, SOnGroup, check_rotations, embed_so3, group_named,
-                         pairwise_distance_matrix)
+                         pairwise_distance_matrix, row_blocks)
 from .rng import KEY_LIMIT, RngStream
 
 RELATIVE_EIG_TOL = 1e-8
@@ -52,20 +52,14 @@ def sum_zero_basis(m: int) -> np.ndarray:
     return b
 
 
-def _row_blocks(m: int) -> list[slice]:
-    """The blocks of rows of an (m, m) pass: about group_core.BLOCK_FLOATS floats, or one row."""
-    step = max(1, group_core.BLOCK_FLOATS // m)
-    return [slice(i, i + step) for i in range(0, m, step)]
-
-
-def brownian_kernel(group, x: np.ndarray, x0=None, out=None) -> np.ndarray:
+def brownian_kernel(group, x: np.ndarray, x0=None) -> np.ndarray:
     """The kernel matrix 0.5 (d0_i + d0_j - d_ij) of the rows of x for the
-    base point x0, formed in their distance matrix (``out`` when given) a
-    block of rows at a time.  x0 defaults to x[0], whose row and column then
-    come out exactly 0.0."""
-    d = pairwise_distance_matrix(group, x, out=out)
+    base point x0, formed in their distance matrix a block of rows at a
+    time.  x0 defaults to x[0], whose row and column then come out exactly
+    0.0."""
+    d = pairwise_distance_matrix(group, x)
     d0 = d[0].copy() if x0 is None else group.distances(x, x0)
-    for s in _row_blocks(len(d)):
+    for s in row_blocks(len(d), len(d)):
         rows = d[s]
         np.subtract(np.add.outer(d0[s], d0), rows, out=rows)
         rows *= 0.5
@@ -92,7 +86,7 @@ def _reflect(a: np.ndarray) -> np.ndarray:
     u, tau = _householder(m)
     p = tau * (a @ u)
     w = p - (0.5 * tau * (u @ p)) * u
-    for s in _row_blocks(m):
+    for s in row_blocks(m, m):
         rows = a[s]
         rows -= np.multiply.outer(u[s], w)
         rows -= np.multiply.outer(w[s], u)
@@ -152,7 +146,7 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
     if len(x) < 2:
         raise ValueError("need at least 2 points")
     x0 = group.identity if x0 is None else x0
-    buf = brownian_kernel(group, x, x0, out=np.empty((len(x), len(x))))
+    buf = brownian_kernel(group, x, x0)
     if not np.isfinite(buf.sum(axis=1)).all():  # K is finite where d and d0 are
         raise ValueError("non-finite distance encountered")
     k_min, k_max, c_min, c_max = _spectral_ends(_reflect(buf))
@@ -167,7 +161,7 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
 def audit_bytes(group, m: int) -> int:
     """Bytes gram_audit holds at its peak on m points, their sample aside:
     the (m, m) buffer, and without LAPACK the copy eigvalsh makes of it, then
-    of its [1:, 1:] block; two blocks of _row_blocks, or two rows; the
+    of its [1:, 1:] block; two blocks of row_blocks, or two rows; the
     reduction's workspace, about 830 B per point, charged 1 kB; a row of the
     distance kernel's scratch; 9 MiB of BLAS and LAPACK scratch.  VmHWM of
     `check` above the imports, their bytecode cached (numpy 2.4, SU(2), 2

@@ -73,8 +73,7 @@ def _square(a: np.ndarray) -> int:
     m = len(a)
     if a.dtype != np.float64 or a.shape != (m, m) or not a.flags.c_contiguous:
         raise ValueError(f"need a C-contiguous float64 (m, m) matrix, got {a.dtype} {a.shape}")
-    step = max(1, group_core.BLOCK_FLOATS // max(m, 1))  # rows a pass, as in kernel_lab
-    if not all(np.isfinite(a[i:i + step]).all() for i in range(0, m, step)):
+    if not all(np.isfinite(a[s]).all() for s in group_core.row_blocks(m, m)):
         raise ValueError("non-finite entry in the matrix")
     return m
 

@@ -33,8 +33,9 @@ def test_variogram_rows_exact_text():
 
 
 def test_coefficient_rows_with_monte_carlo_off_exact_text():
-    rows = (CoefficientRow(0, 1, 1.5, 1.5, None, None),
-            CoefficientRow(2, 5, 2.0 / (9.0 * math.pi), 0.25, None, None))
+    # the None columns are object arrays: the rows are walked one at a time
+    rows = canonical.Table(CoefficientRow, [0, 2], [1, 5], [1.5, 2.0 / (9.0 * math.pi)],
+                           [1.5, 0.25], [None, None], [None, None])
     assert canonical.dumps([rows]) == """[
   [
     {
@@ -75,10 +76,14 @@ def walked(obj, monkeypatch):
 
 
 def test_float_lists_are_the_walks_bytes(monkeypatch):
+    # a list is walked item by item; a 1-D float array, from its template,
+    # gives the same text
     rows = [[0.1, -0.0, 5e-324, 1.0 / 3.0, -1e300], [math.pi], [2.0 ** 0.5, 1e-17]]
     doc = {"points": rows, "weights": rows[0], "deep": [[rows]], "one": [0.5]}
-    assert canonical.dumps(doc) == walked(doc, monkeypatch)
-    assert canonical.dumps([1.5, 2.25]) == "[\n  1.5,\n  2.25\n]\n"
+    arrays = {"points": list(map(np.array, rows)), "weights": np.array(rows[0]),
+              "deep": [[list(map(np.array, rows))]], "one": np.array([0.5])}
+    assert canonical.dumps(arrays) == canonical.dumps(doc) == walked(arrays, monkeypatch)
+    assert canonical.dumps(np.array([1.5, 2.25])) == "[\n  1.5,\n  2.25\n]\n"
 
 
 @pytest.mark.parametrize("mixed", [[1.5, 2], [1.5, True], [1.5, None], [2, 1.5], [1.5, "x"]])
@@ -87,16 +92,22 @@ def test_mixed_lists_are_walked(mixed, monkeypatch):
 
 
 def test_variogram_row_lists_are_the_walks_bytes(monkeypatch):
-    # pair indices past 256, a negative zero and a subnormal, in one % pass
-    rows = [VariogramRow(i, 300 + 7 * i, i / 7.0, -0.0 if i % 5 else 1e300, 5e-324 * (i + 1))
-            for i in range(1500)]
+    # pair indices past 256, a negative zero and a subnormal, in one % pass;
+    # a list of the same rows is walked
+    rows = variogram_table(1500)
     doc = {"rows": rows, "one": rows[:1]}
     assert canonical.dumps(doc) == walked(doc, monkeypatch)
+    assert canonical.dumps(doc) == canonical.dumps({"rows": list(rows), "one": [rows[0]]})
+
+
+def coefficient_table(n):
+    l = np.arange(n)
+    return canonical.Table(CoefficientRow, l, 2 * l + 1, 1.0 / (l + 1), np.full(n, -0.0),
+                           math.pi * l, np.full(n, 2.5e-310))
 
 
 def test_coefficient_rows_with_monte_carlo_are_the_walks_bytes(monkeypatch):
-    rows = [CoefficientRow(l, 2 * l + 1, 1.0 / (l + 1), -0.0, math.pi * l, 2.5e-310)
-            for l in range(60)]
+    rows = coefficient_table(60)
     assert canonical.dumps([rows]) == walked([rows], monkeypatch)
 
 
@@ -121,6 +132,8 @@ def mixed_doc():
         "rows": table, "head": table[:3], "samples": samples, "column": samples[:, 2],
         "coeffs": [CoefficientRow(l, 2 * l + 1, 1.0 / (l + 1), -0.0, None, None)
                    for l in range(5)],
+        "coeff_table": canonical.Table(CoefficientRow, range(3), [1, 3, 5], [0.5, -0.0, 5e-324],
+                                       [1.0, 2.0, 3.0], [None] * 3, [None] * 3),
         "nested": [[[0.1, -0.0], [5e-324]], [[1, 2], []], [None, 1.5, "x"]],
         "long": [k / 3.0 for k in range(5000)],
         "indices": np.arange(4000),
@@ -171,11 +184,10 @@ def test_dump_writes_bounded_chunks():
 
 
 def test_csv_rows_from_a_template_are_the_walks_bytes(monkeypatch):
-    # a Table, named tuples and a 2-D array, then the same rows a row at a time
+    # two Tables and a 2-D array, then the same rows a row at a time
     samples = np.sin(np.arange(3000.0)).reshape(600, 5)
     cases = [(VariogramRow._fields, variogram_table(1500)),
-             (CoefficientRow._fields, [CoefficientRow(l, 2 * l + 1, 1.0 / (l + 1), -0.0,
-                                                      math.pi * l, 2.5e-310) for l in range(60)]),
+             (CoefficientRow._fields, coefficient_table(60)),
              (list("abcde"), samples)]
     for header, rows in cases:
         fh = Writes()
@@ -194,7 +206,7 @@ def test_non_finite_column_raises_before_any_write(bad):
     table.estimate[-1] = bad  # the last row, several passes in
     samples = np.zeros((10_000, 4))
     samples[-1, 3] = bad
-    for doc in ({"rows": table}, {"samples": samples}, [0.5] * 10_000 + [bad]):
+    for doc in ({"rows": table}, {"samples": samples}, np.array([0.5] * 10_000 + [bad])):
         fh = Writes()
         with pytest.raises(ValueError, match="non-finite"):
             canonical.dump(doc, fh)
@@ -214,5 +226,9 @@ def test_table_is_a_sequence_of_rows():
     assert np.array_equal(table.pair_j, 300 + 7 * np.arange(10))
     with pytest.raises(AttributeError):
         table.no_such_column
+    # an object column, as coefficients with Monte Carlo off hold, indexes to None
+    off = canonical.Table(CoefficientRow, [0, 1], [1, 3], [1.5, 0.5], [1.5, 0.5], [None] * 2,
+                          [None] * 2)
+    assert off[1] == CoefficientRow(1, 3, 0.5, 0.5, None, None) and list(off)[1] == off[1]
     with pytest.raises(ValueError):
         canonical.Table(VariogramRow, np.arange(3), np.arange(4), *np.zeros((3, 3)))

@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from levy_groups import WitnessCertificate, __version__, cli, lapack
+from levy_groups import WitnessCertificate, __version__, canonical, cli, lapack
 from levy_groups.cli import (COMMANDS, EXIT_NEGATIVE_FINDING, EXIT_OK, EXIT_USAGE, RunConfig,
                              build_parser, main, run)
 
@@ -217,6 +217,24 @@ def test_haar_su2_json_and_csv(tmp_path):
     assert len(lines) == 4
     m = np.array([float(x) for x in lines[1].split(",")]).reshape(4, 4)
     assert np.abs(m.T @ m - np.eye(4)).max() < 1e-10
+
+
+@pytest.mark.parametrize("args", [
+    ["coeffs", "--group", "so3", "--lmax", "4", "--mc-n", "2000"],
+    ["densities", "--group", "so3", "--points", "500", "--bins", "7"],
+    ["simulate", "--points", "10", "--realizations", "200"],
+    ["haar", "--group", "son", "--n", "4", "--points", "5"],
+    ["witness", "--group", "so3", "--points", "100", "--seed", "7"],
+], ids=lambda args: args[0])
+def test_numeric_tables_are_written_from_their_columns(args, tmp_path, monkeypatch):
+    # no subcommand makes a row object of a numeric table on its way out
+    def refuse(table):
+        raise AssertionError(f"a Table of {table.row.__name__} was iterated row by row")
+
+    monkeypatch.setattr(canonical.Table, "__iter__", refuse)
+    for fmt in COMMANDS[args[0]].formats:
+        code, text = run_cli(args + ["--format", fmt, "--no-meta"], tmp_path, f"out.{fmt}")
+        assert code == EXIT_OK and text
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +482,7 @@ def grown_and_charged(argv, setup="", error=None):
         before = hwm()
         code = cli.main(argv)
         cfg = cli.config_from_args(cli.build_parser().parse_args(argv), argv)
-        print(hwm() - before, cli._peak_bytes(cfg, cli._validate(cfg)), code)
+        print(hwm() - before, cli.COMMANDS[cfg.command].charge(cfg, cli._validate(cfg)), code)
     """
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
@@ -511,6 +529,17 @@ def test_coeffs_grows_no_more_than_its_charge(group):
     grown, charged = grown_and_charged(["coeffs", "--group", group, "--mc-n", "0",
                                         "--tol", "1e-300"], error="--tol 1e-300 ")
     assert grown <= charged
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_haar_grows_no_more_than_its_charge(fmt):
+    # SO(n) rows far wider than a chunk of cells, each written in one pass,
+    # and a sampler block of one n x n draw
+    for argv in (["haar", "--group", "son", "--n", "400", "--points", "2"],
+                 ["haar", "--group", "son", "--n", "300", "--points", "3"]):
+        grown, charged = grown_and_charged(argv + ["--format", fmt])
+        assert grown <= charged, argv
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")

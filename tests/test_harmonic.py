@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from levy_groups import SO3, SU2, RngStream, group_named
+from levy_groups.canonical import Table
 from levy_groups.group_core import haar_son_batch, haar_su2_batch
 from levy_groups.harmonic import (
-    CoefficientTable,
+    CoefficientRow,
     _characters,
     alpha_closed,
     alpha_monte_carlo,
     alpha_quadrature,
     angle_density,
+    coefficients,
     dim_irrep,
     monte_carlo_bytes,
     trace_density_so3,
@@ -368,23 +370,30 @@ def test_formulas_reject_groups_without_them():
 # ---------------------------------------------------------------------------
 
 def test_coefficient_table_compute_and_consistency():
-    table = CoefficientTable.compute(
-        SO3, lmax=4, mc_samples=50_000, rng=RngStream(34, 0)
-    )
-    row = table.rows[2]
+    table = coefficients(SO3, lmax=4, mc_samples=50_000, rng=RngStream(34, 0))
+    assert type(table) is Table and table.row is CoefficientRow and len(table) == 5
+    row = table[2]
     assert row.closed == pytest.approx(ALPHA_SO3_2)
     assert row.quadrature == pytest.approx(ALPHA_SO3_2, abs=1e-9)
     assert row.monte_carlo is not None
     assert row.stderr is not None and row.stderr > 0
-    for r in table.rows:  # closed vs quadrature, and Monte Carlo within 4 sigma
+    for r in table:  # closed vs quadrature, and Monte Carlo within 4 sigma
         assert abs(r.closed - r.quadrature) <= 1e-8
         assert abs(r.monte_carlo - r.closed) <= 4.0 * r.stderr
     # the Monte Carlo column is one shared draw for every row
     estimates, stderrs = alpha_monte_carlo(SO3, 4, 50_000, RngStream(34, 0))
-    assert [r.monte_carlo for r in table.rows] == estimates
-    assert [r.stderr for r in table.rows] == stderrs
+    assert table.monte_carlo.tolist() == estimates
+    assert table.stderr.tolist() == stderrs
+
+
+def test_coefficient_table_without_monte_carlo_holds_none():
+    table = coefficients(SU2, lmax=3)
+    assert table.l.tolist() == [0, 1, 2, 3] and table.dim.tolist() == [1, 2, 3, 4]
+    assert table[3] == CoefficientRow(3, 4, alpha_closed(SU2, 3), alpha_quadrature(SU2, 3),
+                                      None, None)
+    assert [r.monte_carlo for r in table] == [None] * 4
 
 
 def test_coefficient_table_requires_rng_for_mc():
     with pytest.raises(ValueError):
-        CoefficientTable.compute(SO3, lmax=2, mc_samples=2000, rng=None)
+        coefficients(SO3, lmax=2, mc_samples=2000, rng=None)

@@ -179,7 +179,7 @@ def test_audit_packs_over_many_blocks_bit_for_bit(group, floats, m, monkeypatch)
     monkeypatch.setattr(group_core, "BLOCK_FLOATS", floats)
     x = group.sample(RngStream(54, m), m)
     blocked = audit_floats(gram_audit(group, x))
-    monkeypatch.setattr(kernel_lab, "_row_blocks", lambda m: [slice(0, m)])
+    monkeypatch.setattr(kernel_lab, "row_blocks", lambda rows, floats: [slice(0, rows)])
     assert audit_floats(gram_audit(group, x)) == blocked
 
 
@@ -484,7 +484,7 @@ def test_transfer_preserves_value():
 def test_transfer_embeds_without_computing_a_distance(monkeypatch):
     cert = find_witness(SO3, m=40, trials=10, rng=RngStream(54, 0))
 
-    def refuse(self, x, out=None):
+    def refuse(self, x):
         raise AssertionError("distance matrix computed")
 
     with monkeypatch.context() as patch:
