@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, canonical, field_sim, group_core, harmonic, kernel_lab, lapack
 from .quadrature import QuadratureError, quadrature_bytes
-from .rng import KEY_LIMIT, RngStream
+from .rng import IMPORT_BYTES, KEY_LIMIT, RngStream
 
 EXIT_OK = 0
 EXIT_NEGATIVE_FINDING = 1
@@ -70,7 +70,7 @@ class Command(NamedTuple):
     handler: Callable[..., int]         # (cfg, group) -> exit code
     size_flags: tuple[str, ...] = ("points", "n")  # named when the charge is too large
     points: int = 100                   # default --points
-    tol: float = 1e-10                  # default --tol
+    tol: float = harmonic.QUADRATURE_TOL  # default --tol
     group_required: bool = True
     formats: tuple[str, ...] = FORMATS
 
@@ -205,7 +205,7 @@ def _validate(cfg: RunConfig):
         if getattr(cfg, flag) is not None and getattr(cfg, flag) < least:
             raise UsageError(f"{_FLAGS[flag][0]} must be >= {least} for {cfg.command}")
     group = group_core.group_named(cfg.group, cfg.n)
-    need = spec.charge(cfg, group)
+    need = charge(cfg, group)
     have = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
             if hasattr(os, "sysconf") else math.inf)
     if need > have:
@@ -214,6 +214,11 @@ def _validate(cfg: RunConfig):
         raise UsageError(f"{sizes} needs about {need / 1e9:.3g} GB for {cfg.command}, "
                          f"more than the {have / 1e9:.3g} GB of physical memory")
     return group
+
+
+def charge(cfg: RunConfig, group) -> int:
+    """Estimated peak bytes of a valid run: its command's charge and numpy.random's import."""
+    return COMMANDS[cfg.command].charge(cfg, group) + IMPORT_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +405,7 @@ COMMANDS = {
                      ("su2", "so3", "son"), ("n", "points", "tol"), {"n": 2, "points": 2},
                      lambda cfg, group: (group.sample_bytes(cfg.points)
                                          + kernel_lab.audit_bytes(group, cfg.points)),
-                     _run_check, tol=1e-8),
+                     _run_check, tol=kernel_lab.RELATIVE_EIG_TOL),
     "witness": Command("search for a restricted-negative-definiteness counterexample",
                        ("su2", "so3", "son"), ("n", "points", "trials", "margin"),
                        {"n": 4, "points": 4, "trials": 1},

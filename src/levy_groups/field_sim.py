@@ -86,32 +86,13 @@ def build_field(
         for jit in ladder:
             block[...] = k[1:, 1:]  # each rung factors K's block plus the jitter afresh
             np.fill_diagonal(block, diag + jit * max_diag)
-            if _factor(chol):
+            if not lapack.cholesky(chol):
                 break
         else:
             raise KernelNotPSDError(
                 f"kernel not PSD: Cholesky failed up to jitter {ladder[-1]:g}"
             )
     return FieldSample(points=pts, K=k, chol=chol, jitter_used=jit)
-
-
-def _factor(a: np.ndarray) -> bool:
-    """Overwrite the block a[1:, 1:] with its lower Cholesky factor, its
-    strict upper triangle zeroed, and return True; False if the block is
-    not positive definite.  LAPACK's dpotrf in place (lapack.potrf), or
-    without it np.linalg.cholesky of a copy: the same factor, bit for bit."""
-    block = a[1:, 1:]
-    if not lapack.available():
-        try:
-            block[...] = np.linalg.cholesky(block)
-        except np.linalg.LinAlgError:
-            return False
-        return True
-    if lapack.potrf(a):
-        return False
-    for i in range(len(block) - 1):  # a row at a time: no (m, m) mask or index arrays
-        block[i, i + 1:] = 0.0
-    return True
 
 
 def variogram_bytes(m: int, realizations: int) -> int:
@@ -124,13 +105,12 @@ def variogram_bytes(m: int, realizations: int) -> int:
     variogram is done (K, the factor, S, Q, T and a dozen vectors of one
     entry per pair, each half a matrix) at m = 800 and 1,500: `simulate
     --points 1500 --realizations 100` grew 186.4 MiB; charged 12.
-    Besides: one colouring block of normals and of values at its
-    widest; the _BLOCK columns of powers; 8 MiB, as the first factorization
-    adds about 7 MiB of BLAS scratch.  Not charged: the value rows of the
-    points of pairs closer than about 0.01, which the cancellation guard's
-    replay holds."""
+    Besides: one colouring block of normals and of values at its widest;
+    the _BLOCK columns of powers; lapack.SCRATCH_BYTES.  Not charged: the
+    value rows of the points of pairs closer than about 0.01, which the
+    cancellation guard's replay holds."""
     return (12 * 8 * (m + 1) ** 2 + 8 * (2 * m + 1) * min(realizations, 2 * _colour_width(m))
-            + 8 * (m + 1) * _BLOCK + 8 * 2 ** 20)
+            + 8 * (m + 1) * _BLOCK + lapack.SCRATCH_BYTES)
 
 
 def _colour_width(n: int) -> int:

@@ -107,6 +107,7 @@ def haar_son_batch(n: int, size: int, rng: RngStream) -> np.ndarray:
         q *= d[:, None, :]
         q[np.linalg.det(q) < 0, :, -1] *= -1.0
         out[s] = q
+        del q, r, d  # before the next block's QR
     return out
 
 

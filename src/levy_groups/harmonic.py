@@ -43,6 +43,7 @@ from .rng import RngStream
 
 # Haar pairs drawn per batch in alpha_monte_carlo (bounds its scratch memory)
 _MC_CHUNK = 1 << 17
+QUADRATURE_TOL = 1e-10  # default absolute tolerance of the adaptive Simpson rule
 
 
 def _is_so3(group) -> bool:
@@ -123,7 +124,7 @@ def alpha_closed(group, l: int) -> float:
     return -8.0 / math.pi * (l + 1) / (l * l * (l + 2) ** 2)
 
 
-def alpha_quadrature(group, l: int, tol: float = 1e-10) -> float:
+def alpha_quadrature(group, l: int, tol: float = QUADRATURE_TOL) -> float:
     """Expansion coefficient by adaptive Simpson on
     int_0^pi t chi_l(t) (angle density)(t) dt.
 
@@ -257,7 +258,7 @@ class CoefficientRow(NamedTuple):
 
 
 def coefficients(group, lmax: int, mc_samples: int = 0, rng: RngStream | None = None,
-                 tol: float = 1e-10) -> Table:
+                 tol: float = QUADRATURE_TOL) -> Table:
     """Table of CoefficientRow for l <= lmax: closed-form and quadrature
     columns, plus Monte Carlo when ``mc_samples`` > 0 (an rng is then
     required), every row from the same Haar draw."""

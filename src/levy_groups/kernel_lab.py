@@ -93,22 +93,6 @@ def _reflect(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _spectral_ends(a: np.ndarray) -> tuple[float, float, float, float]:
-    """The smallest and largest eigenvalues of the symmetric (m, m) a, then
-    those of a[1:, 1:], read from a's upper triangle; a is overwritten.
-
-    One reduction gives both: the extremes of T and of T[1:, 1:] (see
-    lapack.tridiagonal), by bisection.  Without LAPACK, eigvalsh of a copy
-    of a, then of a[1:, 1:]."""
-    m = len(a)
-    if not lapack.available():
-        whole, part = (np.linalg.eigvalsh(b, UPLO="U") for b in (a, a[1:, 1:]))
-        return float(whole[0]), float(whole[-1]), float(part[0]), float(part[-1])
-    d, e = lapack.tridiagonal(a)
-    ends = lapack.eigenvalue
-    return ends(d, e, 1), ends(d, e, m), ends(d[1:], e[1:], 1), ends(d[1:], e[1:], m - 1)
-
-
 @dataclass(frozen=True)
 class GramAudit:
     """Eigenvalue evidence for one point configuration.
@@ -138,10 +122,10 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
 
     x0 defaults to the group identity.  One (m, m) buffer holds the
     distances, then K, formed in place a block of rows at a time, then
-    H K H (see _reflect), whose one reduction gives both spectra's ends: K's
-    are those of H K H, and since v^T K v = -v^T D v / 2 for sum-zero v, D's
-    on sum-zero weights are -2 times those of its [1:, 1:] block.  Raises
-    ValueError on non-finite distances.
+    H K H (see _reflect), whose one reduction (lapack.extremes) gives both
+    spectra's ends: K's are those of H K H, and since v^T K v = -v^T D v / 2
+    for sum-zero v, D's on sum-zero weights are -2 times those of its
+    [1:, 1:] block.  Raises ValueError on non-finite distances.
     """
     if len(x) < 2:
         raise ValueError("need at least 2 points")
@@ -149,7 +133,7 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
     buf = brownian_kernel(group, x, x0)
     if not np.isfinite(buf.sum(axis=1)).all():  # K is finite where d and d0 are
         raise ValueError("non-finite distance encountered")
-    k_min, k_max, c_min, c_max = _spectral_ends(_reflect(buf))
+    k_min, k_max, c_min, c_max = lapack.extremes(_reflect(buf))
     return GramAudit(
         max_centered_eig=-2.0 * c_min,
         min_K_eig=k_min,
@@ -163,14 +147,13 @@ def audit_bytes(group, m: int) -> int:
     the (m, m) buffer, and without LAPACK the copy eigvalsh makes of it, then
     of its [1:, 1:] block; two blocks of row_blocks, or two rows; the
     reduction's workspace, about 830 B per point, charged 1 kB; a row of the
-    distance kernel's scratch; 9 MiB of BLAS and LAPACK scratch.  VmHWM of
+    distance kernel's scratch; lapack.SCRATCH_BYTES.  VmHWM of
     `check` above the imports, their bytecode cached (numpy 2.4, SU(2), 2
     cores) at m = 1,000, 2,000 and 3,000: 17.9, 42.3 and 81.5 MiB in place
     with BLAS on one thread, 18.5, 43.1 and 82.1 with BLAS threads free,
-    24.6, 70.7 and 147.4 with the copies; 8.6 MiB of BLAS and LAPACK
-    scratch at m = 2,000 and 3,000 with BLAS threads free."""
+    24.6, 70.7 and 147.4 with the copies."""
     return (8 * m * m * (1 if lapack.available() else 2) + 16 * max(group_core.BLOCK_FLOATS, m)
-            + 1024 * m + group.pairwise_bytes(m) + 9 * 2 ** 20)
+            + 1024 * m + group.pairwise_bytes(m) + lapack.SCRATCH_BYTES)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +305,7 @@ def find_witness(
     for trial in range(trials):
         x = sampled.sample(rng, m)
         d = sampled.pairwise(x)
-        top, vector = _top_pair(_reflect(d.copy()))
+        top, vector = lapack.top_pair(_reflect(d.copy()))
         weights = np.concatenate(([0.0], vector))  # H maps it to sum-zero weights
         weights -= (tau * (u @ weights)) * u
         weights -= weights.mean()
@@ -345,30 +328,18 @@ def find_witness(
     )
 
 
-def _top_pair(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """The largest eigenvalue of the block a[1:, 1:] of the symmetric
-    (m, m) a and a unit eigenvector for it: LAPACK's dsyevr in place
-    (lapack.syevr_top), or without it numpy's eigh of the block, its other
-    eigenvectors dropped.  a is overwritten."""
-    if lapack.available():
-        return lapack.syevr_top(a)
-    values, vectors = np.linalg.eigh(a[1:, 1:])
-    return float(values[-1]), vectors[:, -1].copy()
-
-
 def witness_bytes(group, m: int) -> int:
     """Bytes find_witness and its certificate's JSON hold at their peak on m
     points of group: the distance matrix and the copy dsyevr overwrites,
     charged 3 m x m matrices, or 8 where eigh takes the pair and holds about
     six more; on SO(n), 90 B per float of the points (the embedded points
-    and their JSON); 9 MiB of BLAS and LAPACK scratch, as audit_bytes
-    charges.  VmHWM of `witness
-    --group so3` above the imports, one trial or ten, BLAS on one thread:
+    and their JSON); lapack.SCRATCH_BYTES.  VmHWM of `witness --group so3`
+    above the imports, one trial or ten, BLAS on one thread:
     8.2, 24.4, 70.5 and 147.1 MiB at m = 100, 1,000, 2,000 and 3,000 with
     dsyevr (2.3 matrices at 2,000, 2.1 at 3,000), 56.6 and 196.6 MiB at
     1,000 and 2,000 with eigh (6.4 matrices)."""
     matrices = 3 if lapack.available() else 8
-    return matrices * 8 * m * m + 112 * m * group.point_size + 9 * 2 ** 20
+    return matrices * 8 * m * m + 112 * m * group.point_size + lapack.SCRATCH_BYTES
 
 
 def transfer_witness(cert: WitnessCertificate, n: int) -> WitnessCertificate:

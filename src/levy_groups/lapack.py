@@ -7,9 +7,10 @@ wrapper checks the dtype, shape, contiguity and finiteness of its arrays
 before any pointer reaches LAPACK, and raises ``LinAlgError`` naming the
 routine when LAPACK reports an error.
 
-``available()`` is false where numpy ships no such library; callers then
-take their numpy path (``eigvalsh``, ``eigh``, ``cholesky``), and the
-thread wrappers change nothing.
+Each operation, ``extremes``, ``top_pair`` and ``cholesky``, is one call
+that runs on either backend: where numpy ships no such library,
+``available()`` is false and they take numpy's ``eigvalsh``, ``eigh`` and
+``cholesky``; the thread wrappers then change nothing.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from . import group_core
 _INT, _DOUBLE, _PTR, _CHAR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_char
 _ROW_MAJOR, _COL_MAJOR = 101, 102  # LAPACKE's layouts; row-major transposes a copy
 _ABSTOL = 2.0 * np.finfo(float).tiny  # bisection to full accuracy
+# BLAS and LAPACK scratch, which every memory charge adds: 8.6 MiB of VmHWM for `check`
+# at m = 2,000 and 3,000 (numpy 2.4, BLAS threads free), about 7 for the first Cholesky
+SCRATCH_BYTES = 9 * 2 ** 20
 
 # symbol -> (restype, argtypes); every LAPACKE layout flag is a C int
 _SYMBOLS = {
@@ -63,16 +67,18 @@ def _library() -> Optional[dict]:
 
 
 def available() -> bool:
-    """Whether numpy bundles the library; without it, callers take their numpy path."""
+    """Whether numpy bundles the library; without it, the operations take numpy's."""
     return _library() is not None
 
 
-def _square(a: np.ndarray) -> int:
-    """The order of the C-contiguous float64 square a with finite entries,
-    else ValueError."""
+def _square(a: np.ndarray, least: int = 1) -> int:
+    """The order, at least ``least``, of the C-contiguous float64 square a
+    with finite entries, else ValueError."""
     m = len(a)
     if a.dtype != np.float64 or a.shape != (m, m) or not a.flags.c_contiguous:
         raise ValueError(f"need a C-contiguous float64 (m, m) matrix, got {a.dtype} {a.shape}")
+    if m < least:
+        raise ValueError(f"need m >= {least} for the block a[1:, 1:], got {m}")
     if not all(np.isfinite(a[s]).all() for s in group_core.row_blocks(m, m)):
         raise ValueError("non-finite entry in the matrix")
     return m
@@ -101,21 +107,7 @@ def tridiagonal_workspace(m: int) -> tuple[int, int]:
     return int(work[0]), int(hous2[0])
 
 
-def tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the tridiagonal T = Q^T a Q to which
-    LAPACK's two-stage dsytrd_2stage reduces the C-contiguous float64
-    (m, m) a, overwriting it.  It reads a's upper triangle (Fortran's lower,
-    'L'), and its Q fixes e1: T[1:, 1:] is similar to a[1:, 1:].
-
-    Raises ValueError on a non-finite entry, before LAPACK runs."""
-    m = _square(a)
-    lwork, lhous2 = tridiagonal_workspace(m)
-    d, e = np.empty(m), np.empty(m)
-    _dsytrd_2stage(m, a, d, e, np.empty(m), np.empty(lhous2), np.empty(lwork))
-    return d, e[:m - 1]
-
-
-def eigenvalue(d: np.ndarray, e: np.ndarray, k: int) -> float:
+def _eigenvalue(d: np.ndarray, e: np.ndarray, k: int) -> float:
     """The k-th smallest (from 1) eigenvalue of the symmetric tridiagonal
     matrix with diagonal d and off-diagonal e, by bisection: LAPACKE dstebz
     with range 'I' and abstol 2 * tiny, which resolves it to full accuracy.
@@ -137,18 +129,40 @@ def eigenvalue(d: np.ndarray, e: np.ndarray, k: int) -> float:
     return float(w[0])
 
 
-def syevr_top(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """The largest eigenvalue of the symmetric block a[1:, 1:] of the
-    C-contiguous float64 (m, m) a, m >= 2, and a unit eigenvector for it.
+def extremes(a: np.ndarray) -> tuple[float, float, float, float]:
+    """The smallest and largest eigenvalues of the symmetric C-contiguous
+    float64 (m, m) a, m >= 2, then those of a[1:, 1:], read from a's upper
+    triangle; a is overwritten.  One reduction gives both: LAPACK's two-stage
+    dsytrd_2stage reduces a (Fortran's lower triangle, 'L') to a tridiagonal
+    T = Q^T a Q whose Q fixes e1, so T[1:, 1:] is similar to a[1:, 1:], and
+    bisection reads the ends of T and of T[1:, 1:].  Without the library,
+    eigvalsh of a copy of a, then of a[1:, 1:].  Raises ValueError on a
+    non-finite entry, before LAPACK runs."""
+    m = _square(a, least=2)
+    if not available():
+        whole, part = (np.linalg.eigvalsh(b, UPLO="U") for b in (a, a[1:, 1:]))
+        return float(whole[0]), float(whole[-1]), float(part[0]), float(part[-1])
+    lwork, lhous2 = tridiagonal_workspace(m)
+    d, e = np.empty(m), np.empty(m)
+    _dsytrd_2stage(m, a, d, e, np.empty(m), np.empty(lhous2), np.empty(lwork))
+    ends, e = _eigenvalue, e[:m - 1]
+    return ends(d, e, 1), ends(d, e, m), ends(d[1:], e[1:], 1), ends(d[1:], e[1:], m - 1)
 
-    LAPACKE dsyevr with range 'I' computes that one pair (bisection and
-    inverse iteration) in place: it reads the block's upper triangle,
-    passed column-major from the pointer of a[1, 1] with leading dimension
-    m as Fortran's lower ('L'), so no copy of it is made, and overwrites
-    it.  Raises ValueError on a non-finite entry, before LAPACK runs."""
-    m = _square(a)
-    if m < 2:
-        raise ValueError(f"need m >= 2 for the block a[1:, 1:], got {m}")
+
+def top_pair(a: np.ndarray) -> tuple[float, np.ndarray]:
+    """The largest eigenvalue of the symmetric block a[1:, 1:] of the
+    C-contiguous float64 (m, m) a, m >= 2, and a unit eigenvector for it;
+    a is overwritten.  LAPACKE dsyevr with range 'I' computes that one pair
+    (bisection and inverse iteration) in place: it reads the block's upper
+    triangle, passed column-major from the pointer of a[1, 1] with leading
+    dimension m as Fortran's lower ('L'), so no copy of it is made.  Without
+    the library, numpy's eigh of the block's lower triangle, its other
+    eigenvectors dropped.  Raises ValueError on a non-finite entry, before
+    LAPACK runs."""
+    m = _square(a, least=2)
+    if not available():
+        values, vectors = np.linalg.eigh(a[1:, 1:])
+        return float(values[-1]), vectors[:, -1].copy()
     n = m - 1
     w, z, found, support = np.empty(n), np.empty(n), np.zeros(1, np.int64), np.empty(2, np.int64)
     info = _library()["scipy_LAPACKE_dsyevr64_"](
@@ -159,21 +173,44 @@ def syevr_top(a: np.ndarray) -> tuple[float, np.ndarray]:
     return float(w[0]), z
 
 
-def potrf(a: np.ndarray) -> int:
-    """Factor the symmetric positive definite block a[1:, 1:] of the
-    C-contiguous float64 (m, m) a in place: LAPACKE dpotrf, row-major with
-    leading dimension m from the pointer of a[1, 1], reads the block's
-    lower triangle and overwrites it with the Cholesky factor L, the factor
-    np.linalg.cholesky gives, bit for bit.  LAPACKE factors a transposed
-    copy of that triangle; the strict upper triangle is left as it was.
-    Returns 0, or the order (from 1) of the leading minor that is not
-    positive definite, whose factor is then partial.  Raises ValueError on
-    a non-finite entry, before LAPACK runs."""
-    m = _square(a)
-    info = _library()["scipy_LAPACKE_dpotrf64_"](_ROW_MAJOR, b"L", m - 1, a[1:, 1:].ctypes.data, m)
+def cholesky(a: np.ndarray) -> int:
+    """Overwrite the block a[1:, 1:] of the C-contiguous float64 (m, m) a
+    with the Cholesky factor of its lower triangle, np.linalg.cholesky's bit
+    for bit, its strict upper triangle zeroed, and return 0; or return the
+    order (from 1) of the first leading minor that is not positive definite,
+    the block then unspecified.  LAPACKE dpotrf, row-major with leading
+    dimension m from the pointer of a[1, 1], factors a transposed copy of
+    the triangle; without the library, np.linalg.cholesky of a copy, and on
+    failure a bisection over the leading minors.  Raises ValueError on a
+    non-finite entry, before LAPACK runs."""
+    m, block = _square(a), a[1:, 1:]
+    if not available():
+        try:
+            block[...] = np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            return _first_failed_minor(block)
+        return 0
+    info = _library()["scipy_LAPACKE_dpotrf64_"](_ROW_MAJOR, b"L", m - 1, block.ctypes.data, m)
     if info < 0:
         raise np.linalg.LinAlgError(f"Cholesky factorization failed: dpotrf info {info}")
+    if info == 0:
+        for i in range(m - 2):  # a row at a time: no (m, m) mask or index arrays
+            block[i, i + 1:] = 0.0
     return int(info)
+
+
+def _first_failed_minor(block: np.ndarray) -> int:
+    """The order of the first leading minor of block (whose whole is one) on
+    which np.linalg.cholesky fails, by bisection."""
+    low, high = 1, len(block)
+    while low < high:
+        mid = (low + high) // 2
+        try:
+            np.linalg.cholesky(block[:mid, :mid])
+            low = mid + 1
+        except np.linalg.LinAlgError:
+            high = mid
+    return high
 
 
 def set_threads(n: int) -> Optional[int]:

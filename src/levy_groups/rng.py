@@ -8,6 +8,9 @@ import numpy as np
 
 KEY_LIMIT = 1 << 64  # keys are read mod KEY_LIMIT; the CLI and certificates take [0, KEY_LIMIT)
 _MASK64 = KEY_LIMIT - 1
+# numpy 2 imports numpy.random at the first RngStream: VmHWM rose 5.6 MiB after the
+# CLI's imports, 6.1 after `import numpy` alone (numpy 2.4); every run's charge adds it
+IMPORT_BYTES = 7 * 2 ** 20
 
 
 @dataclass

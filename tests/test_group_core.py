@@ -315,6 +315,22 @@ def test_haar_son_batch_blocks_give_the_one_draw_recipe(block, monkeypatch):
         assert rng.generator.random() == gen.random()
 
 
+def test_haar_son_batch_peak_does_not_grow_with_its_blocks():
+    # one 400 x 400 draw a block: each block's QR arrays are freed before the
+    # next block's QR runs, so 1, 2 and 3 blocks peak alike beside the output
+    n = 400
+    haar_son_batch(n, 1, RngStream(20, 0))  # load the solver first
+    above = []
+    for size in (1, 2, 3):
+        tracemalloc.start()
+        try:
+            haar_son_batch(n, size, RngStream(20, size))
+            above.append(tracemalloc.get_traced_memory()[1] - 8 * size * n * n)
+        finally:
+            tracemalloc.stop()
+    assert max(above) - min(above) <= 0.01 * 8 * n * n
+
+
 def axis_rotation(u, t):
     """Rotation by t about the unit axis u (Rodrigues' formula)."""
     k = np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])

@@ -134,7 +134,7 @@ def serial_audit(group, x):
     then H K H, then the ends of its spectrum and of its [1:, 1:] block."""
     d = group.pairwise(x)  # the distance formulas work in blocks; D is taken as given
     d0 = group.distances(x, group.identity)
-    k_min, k_max, c_min, c_max = kernel_lab._spectral_ends(
+    k_min, k_max, c_min, c_max = lapack.extremes(
         kernel_lab._reflect(0.5 * (d0[:, None] + d0[None, :] - d)))
     return -2.0 * c_min, k_min, 2.0 * max(abs(c_min), abs(c_max)), max(abs(k_min), abs(k_max))
 
@@ -198,7 +198,7 @@ def test_spectral_ends_are_those_of_a_and_of_its_helmert_compression(m, path, mo
         pytest.skip("numpy bundles no LAPACK")
     b = sum_zero_basis(len(a))
     whole, part = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b.T @ a @ b)
-    got = kernel_lab._spectral_ends(kernel_lab._reflect(a.copy()))
+    got = lapack.extremes(kernel_lab._reflect(a.copy()))
     want = (whole[0], whole[-1], part[0], part[-1])
     assert np.abs(np.subtract(got, want)).max() <= 1e-14 * max(1.0, np.linalg.norm(a, 2))
 
@@ -211,18 +211,15 @@ SENTINEL = np.array(0x7FE0DEADBEEF0001, dtype=np.uint64).view(np.float64)  # hug
 @pytest.mark.parametrize("m", [1, 2, 5, 130])
 def test_packed_solve_reads_and_writes_only_its_triangle(part, m):
     # the reduction reads and overwrites a's upper triangle only; K's ends are
-    # those of T, the centered D's those of the order-m block T[1:, 1:] of an
+    # those of T, the centered D's those of the order-m block T[1:, 1:] of the
     # order m + 1 matrix, which is similar to a[1:, 1:] since Q fixes e1
-    n = m if part == "K" else m + 1
-    a = RngStream(56, n).generator.standard_normal((n, n))
+    a = RngStream(56, m + 1).generator.standard_normal((m + 1, m + 1))
     a += a.T
-    upper = np.triu(np.ones((n, n), dtype=bool))
+    upper = np.triu(np.ones((m + 1, m + 1), dtype=bool))
     buf = np.where(upper, a, SENTINEL)
-    d, e = lapack.tridiagonal(buf)
-    if part == "centered D":
-        d, e, a = d[1:], e[1:], a[1:, 1:]
+    ends = lapack.extremes(buf)
+    got, a = (ends[:2], a) if part == "K" else (ends[2:], a[1:, 1:])
     eigs = np.linalg.eigvalsh(a)
-    got = lapack.eigenvalue(d, e, 1), lapack.eigenvalue(d, e, m)
     assert np.abs(np.subtract(got, (eigs[0], eigs[-1]))).max() <= 1e-14 * max(1.0, np.abs(eigs).max())
     assert (buf[~upper].view(np.uint64) == SENTINEL.view(np.uint64)).all()
 
@@ -262,13 +259,13 @@ def test_audit_holds_one_packed_matrix_at_its_solves(group, monkeypatch):
     m = 300
     x = group.sample(RngStream(53, 0), m)
     held = []
-    solve = kernel_lab._spectral_ends
+    solve = lapack.extremes
 
     def spy(a):
         held.append(tracemalloc.get_traced_memory()[0])
         return solve(a)
 
-    monkeypatch.setattr(kernel_lab, "_spectral_ends", spy)
+    monkeypatch.setattr(lapack, "extremes", spy)
     tracemalloc.start()
     try:
         gram_audit(group, x)

@@ -27,7 +27,7 @@ def test_lapack_errors_name_their_routine():
     with pytest.raises(np.linalg.LinAlgError, match="dsytrd_2stage info -10"):  # LHOUS2 too small
         lapack._dsytrd_2stage(4, a, d, e, np.ones(4), np.ones(1), np.ones(1))
     with pytest.raises(np.linalg.LinAlgError, match="dstebz info -6"):  # no 5th eigenvalue
-        lapack.eigenvalue(d, e[:3], 5)
+        lapack._eigenvalue(d, e[:3], 5)
 
 
 def test_lapack_wrappers_reject_bad_input_before_lapack_and_raise_on_info(monkeypatch):
@@ -46,7 +46,7 @@ def test_lapack_wrappers_reject_bad_input_before_lapack_and_raise_on_info(monkey
         "scipy_LAPACKE_dsyevr64_": returning("dsyevr", 3),
         "scipy_LAPACKE_dpotrf64_": returning("dpotrf", -4),
     })
-    square = (lapack.tridiagonal, lapack.syevr_top, lapack.potrf)
+    square = (lapack.extremes, lapack.top_pair, lapack.cholesky)
     a = np.eye(4)
     a[1, 2] = np.nan
     for wrapper in square:
@@ -55,26 +55,40 @@ def test_lapack_wrappers_reject_bad_input_before_lapack_and_raise_on_info(monkey
         for bad in (np.eye(3, 4), np.eye(4)[:, ::-1], np.eye(3, dtype=np.float32)):
             with pytest.raises(ValueError, match=r"C-contiguous float64 \(m, m\) matrix"):
                 wrapper(bad)
-    with pytest.raises(ValueError, match="m >= 2"):  # the block a[1:, 1:] is empty
-        lapack.syevr_top(np.eye(1))
+    for wrapper in (lapack.extremes, lapack.top_pair):  # the block a[1:, 1:] is empty
+        with pytest.raises(ValueError, match="m >= 2"):
+            wrapper(np.eye(1))
     with pytest.raises(ValueError, match="non-finite entry"):
-        lapack.eigenvalue(np.array([1.0, np.nan]), np.zeros(1), 1)
+        lapack._eigenvalue(np.array([1.0, np.nan]), np.zeros(1), 1)
     with pytest.raises(ValueError, match="non-finite entry"):
-        lapack.eigenvalue(np.ones(2), np.array([np.inf]), 1)
+        lapack._eigenvalue(np.ones(2), np.array([np.inf]), 1)
     for d, e in ((np.ones(3), np.ones(3)), (np.ones(3), np.ones(1)), (np.ones(0), np.ones(0)),
                  (np.ones((2, 2)), np.ones(1))):
         with pytest.raises(ValueError, match="off-diagonal entries"):
-            lapack.eigenvalue(d, e, 1)
+            lapack._eigenvalue(d, e, 1)
     assert calls == []
     with pytest.raises(np.linalg.LinAlgError, match="reduction failed: dsytrd_2stage info 3"):
-        lapack.tridiagonal(np.eye(4))
+        lapack.extremes(np.eye(4))
     with pytest.raises(np.linalg.LinAlgError, match="bisection failed: dstebz info 2"):
-        lapack.eigenvalue(np.ones(2), np.zeros(1), 1)
+        lapack._eigenvalue(np.ones(2), np.zeros(1), 1)
     with pytest.raises(np.linalg.LinAlgError, match="eigenpair failed: dsyevr info 3"):
-        lapack.syevr_top(np.eye(4))
+        lapack.top_pair(np.eye(4))
     with pytest.raises(np.linalg.LinAlgError, match="factorization failed: dpotrf info -4"):
-        lapack.potrf(np.eye(4))
+        lapack.cholesky(np.eye(4))
     assert calls == ["dsytrd_2stage", "dstebz", "dsyevr", "dpotrf"]
+
+
+@pytest.mark.parametrize("path", ["lapack", "numpy"])
+def test_operations_reject_bad_input_on_either_backend(path, monkeypatch):
+    if path == "numpy":
+        monkeypatch.setattr(lapack, "available", lambda: False)
+    a = np.eye(4)
+    a[3, 2] = np.inf
+    for wrapper in (lapack.extremes, lapack.top_pair, lapack.cholesky):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            wrapper(a)
+        with pytest.raises(ValueError, match=r"C-contiguous float64 \(m, m\) matrix"):
+            wrapper(np.eye(4)[:, ::-1])
 
 
 @needs_lapack
@@ -84,7 +98,7 @@ def test_syevr_top_is_the_top_eigenpair_of_the_block_from_its_upper_triangle(m):
     block = symmetric(60, m)
     upper = np.triu(np.ones((m, m), dtype=bool))
     a = bordered(np.where(upper, block, SENTINEL), SENTINEL)
-    value, vector = lapack.syevr_top(a)
+    value, vector = lapack.top_pair(a)
     eigs, vecs = np.linalg.eigh(block)
     scale = max(1.0, np.abs(eigs).max())
     assert abs(value - eigs[-1]) <= 1e-14 * scale
@@ -96,26 +110,49 @@ def test_syevr_top_is_the_top_eigenpair_of_the_block_from_its_upper_triangle(m):
     assert (a[untouched].view(np.uint64) == SENTINEL.view(np.uint64)).all()
 
 
-@needs_lapack
-@pytest.mark.parametrize("m", [1, 2, 5, 130, 300])
-def test_potrf_is_numpys_cholesky_bit_for_bit_from_the_lower_triangle(m):
-    # dpotrf reads the block's lower triangle only and leaves the rest as it was
+def factors_the_block_as_numpy_does(m):
+    """Both backends read the block's lower triangle only, zero its strict
+    upper triangle and leave the first row and column as they were."""
     g = RngStream(61, m).generator.standard_normal((m, m))
     block = g @ g.T + m * np.eye(m)
     lower = np.tril(np.ones((m, m), dtype=bool))
     a = bordered(np.where(lower, block, SENTINEL), SENTINEL)
-    assert lapack.potrf(a) == 0
-    assert np.array_equal(np.where(lower, a[1:, 1:], 0.0), np.linalg.cholesky(block))
+    assert lapack.cholesky(a) == 0
+    assert np.array_equal(a[1:, 1:], np.linalg.cholesky(block))
     untouched = np.ones(a.shape, dtype=bool)
-    untouched[1:, 1:] = ~lower
+    untouched[1:, 1:] = False
     assert (a[untouched].view(np.uint64) == SENTINEL.view(np.uint64)).all()
 
 
 @needs_lapack
+@pytest.mark.parametrize("m", [1, 2, 5, 130, 300])
+def test_potrf_is_numpys_cholesky_bit_for_bit_from_the_lower_triangle(m):
+    factors_the_block_as_numpy_does(m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 130])
+def test_cholesky_without_the_library_is_numpys_from_the_lower_triangle(m, monkeypatch):
+    monkeypatch.setattr(lapack, "available", lambda: False)
+    factors_the_block_as_numpy_does(m)
+
+
+FAILED_PIVOTS = [([1.0, 4.0, -1.0, 1.0], 3), ([-1.0, 1.0], 1), ([1.0] * 6 + [0.0], 7)]
+
+
+@needs_lapack
 def test_potrf_returns_the_failed_pivot():
-    a = bordered(np.diag([1.0, 4.0, -1.0, 1.0]), 0.0)
-    assert lapack.potrf(a) == 3
-    assert a[1, 1] == 1.0 and a[2, 2] == 2.0  # the leading two columns are factored
+    for diagonal, pivot in FAILED_PIVOTS:
+        a = bordered(np.diag(diagonal), 0.0)
+        assert lapack.cholesky(a) == pivot
+        # the columns before the pivot are factored
+        assert np.array_equal(a.diagonal()[1:pivot], np.sqrt(diagonal[:pivot - 1]))
+
+
+@pytest.mark.parametrize("diagonal, pivot", FAILED_PIVOTS)
+def test_cholesky_without_the_library_returns_the_failed_pivot(diagonal, pivot, monkeypatch):
+    # the first leading minor that is not positive definite, by bisection
+    monkeypatch.setattr(lapack, "available", lambda: False)
+    assert lapack.cholesky(bordered(np.diag(diagonal), 0.0)) == pivot
 
 
 @needs_lapack

@@ -70,6 +70,43 @@ def test_import_guard_sees_both_forms():
     assert imported_modules(source) == {"ctypes", "numpy"}
 
 
+def backend_reads_outside_charges(source: str) -> list[str]:
+    """Functions of ``source`` (``<module>`` for top-level code) that read
+    ``lapack.available``, or import it by name, other than ``*_bytes``
+    charges and the functions nested in them."""
+    tree = ast.parse(source)
+
+    def reads(node):
+        if isinstance(node, ast.ImportFrom):
+            return node.module == "lapack" and any(a.name == "available" for a in node.names)
+        return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and (node.value.id, node.attr) == ("lapack", "available"))
+
+    owner, charged = {}, set()
+    for fn in ast.walk(tree):  # outer functions first, so the innermost owns a node
+        if isinstance(fn, ast.FunctionDef):
+            for node in ast.walk(fn):
+                owner[node] = fn.name
+                if fn.name.endswith("_bytes"):
+                    charged.add(node)
+    return sorted({owner.get(node, "<module>") for node in ast.walk(tree)
+                   if reads(node) and node not in charged})
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "lapack"])
+def test_only_memory_charges_know_the_lapack_backend(module):
+    # each operation runs on either backend behind one lapack call; a charge
+    # may still count the copies the numpy path makes
+    assert backend_reads_outside_charges((PACKAGE / f"{module}.py").read_text()) == []
+
+
+def test_backend_guard_sees_both_forms():
+    source = ("from .lapack import available\nfrom . import lapack\n"
+              "def audit_bytes(m):\n    return 2 if lapack.available() else 1\n"
+              "def solve(a):\n    if lapack.available():\n        return lapack.extremes(a)\n")
+    assert backend_reads_outside_charges(source) == ["<module>", "solve"]
+
+
 def command_facts_outside_the_table(source: str, commands) -> list[str]:
     """Functions of ``source`` (``<module>`` for top-level code) that compare a
     ``.command`` attribute with a string or hold a dict keyed by a command
