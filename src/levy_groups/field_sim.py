@@ -104,13 +104,16 @@ def variogram_bytes(m: int, realizations: int) -> int:
     copy of the jittered block and returned another) and about 11 once the
     variogram is done (K, the factor, S, Q, T and a dozen vectors of one
     entry per pair, each half a matrix) at m = 800 and 1,500: `simulate
-    --points 1500 --realizations 100` grew 186.4 MiB; charged 12.
-    Besides: one colouring block of normals and of values at its widest;
-    the _BLOCK columns of powers; lapack.SCRATCH_BYTES.  Not charged: the
-    value rows of the points of pairs closer than about 0.01, which the
-    cancellation guard's replay holds."""
-    return (12 * 8 * (m + 1) ** 2 + 8 * (2 * m + 1) * min(realizations, 2 * _colour_width(m))
-            + 8 * (m + 1) * _BLOCK + lapack.SCRATCH_BYTES)
+    --points 1500 --realizations 100` grew 186.3 MiB; charged 12.
+    Besides: one colouring block of values at its widest; the one scratch
+    of _gram_moments, that block's normals or the _BLOCK columns of powers,
+    whichever is larger (`simulate --points 200 --realizations 10000` grew
+    15.5 MiB, against 17.2 with the two apart); lapack.SCRATCH_BYTES.  Not
+    charged: the value rows of the points of pairs closer than about 0.01,
+    which the cancellation guard's replay holds."""
+    widest = min(realizations, 2 * _colour_width(m))
+    return (12 * 8 * (m + 1) ** 2 + 8 * (m + 1) * widest + 8 * max(m * widest, (m + 1) * _BLOCK)
+            + lapack.SCRATCH_BYTES)
 
 
 def _colour_width(n: int) -> int:
@@ -125,25 +128,34 @@ def _colour_width(n: int) -> int:
     return _BLOCK * -(-_BLOCK // max(n, 1) ** 2)
 
 
+def _colour_cuts(n: int, realizations: int) -> list[int]:
+    """Column cuts of the colouring blocks of an n x n factor: blocks of
+    _colour_width(n) columns, the last up to twice as wide as the others."""
+    width = _colour_width(n)
+    return [*range(0, max(realizations // width, 1) * width, width), realizations]
+
+
 def _coloured_blocks(fs: FieldSample, realizations: int, gen: np.random.Generator,
-                     out: Optional[np.ndarray] = None):
+                     out: Optional[np.ndarray] = None, scratch: Optional[np.ndarray] = None):
     """Yield (first column, values block) over the realizations, one colouring
     block of columns at a time.
 
     The normals are drawn realization-major (each realization's m - 1 normals
-    consecutive in the stream), a block of realizations at a time, into one
-    buffer, and coloured by the Cholesky factor into the block's rows below
-    the base point, which stay zero.  A block is a view of ``out`` (an (m,
-    realizations) array, zero in its first row) when given, else of one
-    buffer that the next block overwrites.  The values equal one full
-    L @ Z.T of Z drawn at once as (realizations, m - 1), bit for bit (see
-    :func:`_colour_width`).
+    consecutive in the stream), a block of realizations at a time, into the
+    head of ``scratch``, a flat float64 array of at least widest x (m - 1)
+    entries (a new one when None), and coloured by the Cholesky factor into
+    the block's rows below the base point, which stay zero.  The normals are
+    spent once a block is yielded, so the caller may use ``scratch`` until
+    the next step.  A block is a view of ``out`` (an (m, realizations)
+    array, zero in its first row) when given, else of one buffer that the
+    next block overwrites.  The values equal one full L @ Z.T of Z drawn at
+    once as (realizations, m - 1), bit for bit (see :func:`_colour_width`).
     """
     chol = fs.chol[1:, 1:]
-    width = _colour_width(len(chol))
-    cuts = [*range(0, max(realizations // width, 1) * width, width), realizations]
-    widest = cuts[-1] - cuts[-2]  # the last block, up to twice as wide as the others
-    z = np.empty((widest, len(chol)))
+    cuts = _colour_cuts(len(chol), realizations)
+    widest = cuts[-1] - cuts[-2]
+    z = np.empty(widest * len(chol)) if scratch is None else scratch[:widest * len(chol)]
+    z = z.reshape(widest, len(chol))
     vals = np.zeros((fs.m, widest)) if out is None else None
     for a, b in zip(cuts, cuts[1:]):
         block = vals[:, :b - a] if out is None else out[:, a:b]
@@ -169,11 +181,16 @@ def sample_field(fs: FieldSample, realizations: int, rng: RngStream) -> FieldSam
 
 def _gram_moments(fs: FieldSample, realizations: int, gen: np.random.Generator):
     """S = V V^T, Q = V^2 (V^2)^T and T = V^3 V^T of the values V of the
-    realizations, summed over column blocks of _BLOCK, each block's powers
-    in one reused buffer and each product in another."""
+    realizations, summed over column blocks of _BLOCK.  One flat scratch
+    holds each colouring block's normals, then, once they are spent, its
+    _BLOCK columns of powers; each product goes in one reused buffer."""
+    cuts = _colour_cuts(fs.m - 1, realizations)
+    widest = cuts[-1] - cuts[-2]
+    scratch = np.empty(max(widest * (fs.m - 1), fs.m * _BLOCK))
+    powers = scratch[:fs.m * _BLOCK].reshape(fs.m, _BLOCK)
     s, q, t = np.zeros((3, fs.m, fs.m))
-    powers, prod = np.empty((fs.m, _BLOCK)), np.empty((fs.m, fs.m))
-    for _, v in _coloured_blocks(fs, realizations, gen):
+    prod = np.empty((fs.m, fs.m))
+    for _, v in _coloured_blocks(fs, realizations, gen, scratch=scratch):
         for c in range(0, v.shape[1], _BLOCK):  # colouring blocks are whole _BLOCKs
             b = v[:, c:c + _BLOCK]
             b2 = np.multiply(b, b, out=powers[:, :b.shape[1]])

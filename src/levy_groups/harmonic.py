@@ -41,8 +41,11 @@ from .group_core import SO3, SU2, haar_su2_batch
 from .quadrature import simpson_adaptive
 from .rng import RngStream
 
-# Haar pairs drawn per batch in alpha_monte_carlo (bounds its scratch memory)
-_MC_CHUNK = 1 << 17
+# Haar pairs per block of alpha_monte_carlo.  Its characters loop works on 10
+# floats a pair, 1.25 MiB here, inside a core's 2 MiB L2.  alpha_monte_carlo(SO3,
+# 50, 100_000), one BLAS thread on a 2-core Xeon, median of 21 in alternation:
+# 54-56 ms here, 50-52 at 1 << 13, 58-59 at 1 << 15 and 69-73 at 1 << 17
+_MC_CHUNK = 1 << 14
 QUADRATURE_TOL = 1e-10  # default absolute tolerance of the adaptive Simpson rule
 
 
@@ -148,24 +151,23 @@ def alpha_quadrature(group, l: int, tol: float = QUADRATURE_TOL) -> float:
     return simpson_adaptive(integrand, 0.0, math.pi, tol=tol, panels=l + 3)
 
 
-def _characters(group, c, lmax: int, scratch=None):
+def _characters(group, c, lmax: int):
     """Yield chi_0, ..., chi_lmax at the elements whose rotation angle has
-    cosine ``c`` (an array), by the recurrence
+    cosine ``c`` (an array of any shape), by the recurrence
     chi_{l+1} = 2c chi_l - chi_{l-1} from chi_0 = 1.
 
     The same recurrence serves both groups; only the start differs:
     chi_{-1} = 0 on SU(2) (the Chebyshev U_l in cos t) and -1 on SO(3),
     where chi_l = 1 + 2 sum_{m<=l} cos(mt).  chi_{l+1} is written over
     chi_{l-1}, so a yielded array is overwritten two steps later: only the
-    current and the previous character are held.  ``scratch``, an array
-    of c's shape (a new one when None), holds 2c chi_l during a step only,
-    so between steps its caller, and other such generators, may use it.
+    current and the previous character are held, with one scratch array
+    for 2c chi_l.
     """
     two_c = 2.0 * np.asarray(c, dtype=float)
     del c  # may be a view that would keep the caller's whole draw alive
     prev = np.full_like(two_c, -1.0 if _is_so3(group) else 0.0)
     cur = np.ones_like(two_c)
-    scratch = np.empty_like(two_c) if scratch is None else scratch
+    scratch = np.empty_like(two_c)
     for _ in range(lmax):
         yield cur
         np.multiply(two_c, cur, out=scratch)
@@ -175,10 +177,41 @@ def _characters(group, c, lmax: int, scratch=None):
 
 
 def monte_carlo_bytes(n_samples: int) -> int:
-    """Bytes alpha_monte_carlo holds: float64 arrays of one chunk of pairs, or
-    of n_samples below a chunk; 16.5-17.3 of them in VmHWM of `coeffs`
-    (--mc-n 1,000,000 at lmax 50 and 0), 10 traced, charged 20."""
-    return 20 * 8 * min(_MC_CHUNK, n_samples)
+    """Bytes alpha_monte_carlo holds: float64 arrays of one block of pairs,
+    or of n_samples below a block.  Traced, 14.0-14.1 of them (a block's
+    second draw, beside its first); in VmHWM of `coeffs --lmax 50` above
+    --mc-n 0, up to 15.0 (0.5-1.9 MiB at --mc-n 100,000 and 1,000,000 on
+    both groups); charged 16."""
+    return 16 * 8 * min(_MC_CHUNK, n_samples)
+
+
+def _block_sums(group, lmax: int, m: int, rng: RngStream) -> np.ndarray:
+    """Sums (row 0) and sums of squares (row 1), for l = 0, ..., lmax, of
+    d(gh^{-1}, e) chi_l(g) chi_l(h) over m fresh Haar pairs (g, h).
+
+    The characters of g and h come from one ``_characters`` generator on
+    their stacked cosines.  Every array is local, so none outlives the
+    block."""
+    u = haar_su2_batch(rng, m)
+    v = haar_su2_batch(rng, m)
+    # cosines of the angles of g and h, stacked, and of gh^{-1}: the
+    # quaternion's real part on SU(2); on SO(3), through the covering map,
+    # the rotation angle of Ad(q) has cosine 2 q_1^2 - 1
+    cos_gh = np.einsum("ij,ij->i", u, v)
+    cos = np.stack((u[:, 0], v[:, 0]))
+    del u, v
+    if group is SO3:
+        cos, cos_gh = (2.0 * c * c - 1.0 for c in (cos, cos_gh))
+    tgh = np.arccos(np.clip(cos_gh, -1.0, 1.0, out=cos_gh), out=cos_gh)
+    x = np.empty_like(tgh)
+    sums = np.empty((2, lmax + 1))
+    for l, chi in enumerate(_characters(group, cos, lmax)):
+        np.multiply(tgh, chi[0], out=x)
+        x *= chi[1]
+        sums[0, l] = x.sum()  # numpy's own reduction: no BLAS, so no thread count enters
+        x *= x
+        sums[1, l] = x.sum()
+    return sums
 
 
 def alpha_monte_carlo(
@@ -190,48 +223,20 @@ def alpha_monte_carlo(
     """Monte Carlo coefficients of chi_0, ..., chi_lmax from the double Haar
     integral, every l from one shared draw.
 
-    Each chunk of Haar pairs (g, h) is drawn once and serves every l: the
-    mean of d(gh^{-1}, e) chi_l(g) chi_l(h) times d_l estimates alpha_l,
-    with the characters streamed by ``_characters``.  Per-l sums and sums
-    of squares accumulate chunk by chunk; no (lmax+1) x chunk table is
-    built.  Returns (estimates, standard errors of the scaled means), one
-    entry per l.  Requires n_samples >= 1000.
+    Each block of ``_MC_CHUNK`` Haar pairs (g, h) is drawn once and serves
+    every l (``_block_sums``): the mean of d(gh^{-1}, e) chi_l(g) chi_l(h)
+    times d_l estimates alpha_l.  Per-l sums and sums of squares accumulate
+    block by block; no (lmax+1) x block table is built.  Returns
+    (estimates, standard errors of the scaled means), one entry per l.
+    Requires n_samples >= 1000.
     """
     if n_samples < 1000:
         raise ValueError("n_samples must be >= 1000")
     dim_irrep(group, lmax)  # rejects lmax < 0 and other groups before any sampling
-    so3 = group is SO3
-    total = [0.0] * (lmax + 1)
-    total_sq = [0.0] * (lmax + 1)
-    done = 0
-    while done < n_samples:
-        m = min(_MC_CHUNK, n_samples - done)
-        u = haar_su2_batch(rng, m)
-        v = haar_su2_batch(rng, m)
-        # cosines of the angles of g, h and gh^{-1}: the quaternion's real
-        # part on SU(2); on SO(3), through the covering map, the rotation
-        # angle of Ad(q) has cosine 2 q_1^2 - 1
-        cos_gh = np.einsum("ij,ij->i", u, v)
-        cos_g = u[:, 0].copy()
-        del u
-        cos_h = v[:, 0].copy()
-        del v
-        if so3:
-            cos_g, cos_h, cos_gh = (2.0 * c * c - 1.0 for c in (cos_g, cos_h, cos_gh))
-        tgh = np.arccos(np.clip(cos_gh, -1.0, 1.0, out=cos_gh), out=cos_gh)
-        x = np.empty_like(tgh)  # each step's scratch, then the loop's product
-        chars = zip(_characters(group, cos_g, lmax, x), _characters(group, cos_h, lmax, x))
-        del cos_g, cos_h, cos_gh
-        for l, (chi_g, chi_h) in enumerate(chars):
-            np.multiply(tgh, chi_g, out=x)
-            x *= chi_h
-            total[l] += float(x.sum())
-            x *= x
-            total_sq[l] += float(x.sum())
-        # zip leaves the second generator unfinished, and the loop keeps the
-        # last pair: release their arrays before the next chunk draws
-        del chars, chi_g, chi_h, tgh, x
-        done += m
+    sums = np.zeros((2, lmax + 1))
+    for done in range(0, n_samples, _MC_CHUNK):
+        sums += _block_sums(group, lmax, min(_MC_CHUNK, n_samples - done), rng)
+    total, total_sq = sums.tolist()
     estimates, stderrs = [], []
     for l in range(lmax + 1):
         d_l = dim_irrep(group, l)

@@ -80,16 +80,18 @@ def _reflect(a: np.ndarray) -> np.ndarray:
     """Overwrite the symmetric (m, m) a with H a H (see _householder) and
     return it: a[1:, 1:] is then a compressed onto the sum-zero subspace.
 
-    One rank-2 update a - u w^T - w u^T, for p = tau a u and
-    w = p - (tau / 2) (u^T p) u, in blocks of rows; nothing m x m is made."""
+    One rank-2 update a - (u w^T + w u^T), for p = tau a u and
+    w = p - (tau / 2) (u^T p) u, in blocks of rows; nothing m x m is made.
+    Entry (i, j) subtracts u_i w_j + w_i u_j, the same float as entry
+    (j, i) subtracts, so a bitwise-symmetric a stays bitwise symmetric."""
     m = len(a)
     u, tau = _householder(m)
     p = tau * (a @ u)
     w = p - (0.5 * tau * (u @ p)) * u
-    for s in row_blocks(m, m):
-        rows = a[s]
-        rows -= np.multiply.outer(u[s], w)
-        rows -= np.multiply.outer(w[s], u)
+    for s in row_blocks(m, 2 * m):  # the update and its second term: two blocks
+        update = np.multiply.outer(u[s], w)
+        update += np.multiply.outer(w[s], u)
+        a[s] -= update
     return a
 
 

@@ -532,6 +532,14 @@ def test_coeffs_grows_no_more_than_its_charge(group):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_benchmark_coeffs_grows_no_more_than_its_charge():
+    # coeffs-so3's run: 100,000 pairs, whole Monte Carlo blocks and a short last one
+    grown, charged = grown_and_charged(["coeffs", "--group", "so3", "--lmax", "50",
+                                        "--mc-n", "100000"])
+    assert grown <= charged
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_haar_grows_no_more_than_its_charge(fmt):
     # SO(n) rows far wider than a chunk of cells, each written in one pass,

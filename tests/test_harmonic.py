@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from levy_groups import SO3, SU2, RngStream, group_named
+from levy_groups import SO3, SU2, RngStream, group_named, lapack
 from levy_groups.canonical import Table
 from levy_groups.group_core import haar_son_batch, haar_su2_batch
 from levy_groups.harmonic import (
@@ -95,16 +95,14 @@ def test_character_recurrence_matches_chi(group):
 
 
 @pytest.mark.parametrize("group", [SU2, SO3], ids=["SU2", "SO3"])
-def test_characters_sharing_one_scratch_match_their_own(group):
-    # alpha_monte_carlo's use: two generators in step and the caller's
-    # product between steps, all in one scratch array
+def test_characters_of_stacked_cosines_match_their_own(group):
+    # alpha_monte_carlo's use: one generator on the (2, P) stack of both
+    # sides' cosines, each row bit for bit the characters of its own cosines
     c_g, c_h = np.cos(np.linspace(0.0, math.pi, 101)), np.cos(np.linspace(0.3, 2.0, 101))
-    x = np.empty_like(c_g)
-    shared = zip(_characters(group, c_g, 20, x), _characters(group, c_h, 20, x))
+    stacked = _characters(group, np.stack((c_g, c_h)), 20)
     own = zip(_characters(group, c_g, 20), _characters(group, c_h, 20))
-    for (g, h), (g_own, h_own) in zip(shared, own):
-        np.multiply(g, h, out=x)
-        assert np.array_equal(g, g_own) and np.array_equal(h, h_own)
+    for chi, (g_own, h_own) in zip(stacked, own):
+        assert np.array_equal(chi[0], g_own) and np.array_equal(chi[1], h_own)
 
 
 def test_chi_vectorized_matches_scalar():
@@ -304,7 +302,7 @@ def test_monte_carlo_table_within_five_sigma(group):
             assert abs(est - alpha_closed(group, l)) <= 5.0 * se, (seed, l)
 
 
-@pytest.mark.parametrize("mc_samples, chunk", [(0, 0), (1000, 1000), (10 ** 6, 1 << 17)])
+@pytest.mark.parametrize("mc_samples, chunk", [(0, 0), (1000, 1000), (10 ** 6, 1 << 14)])
 def test_coeffs_is_charged_one_monte_carlo_chunk_at_most(mc_samples, chunk):
     assert monte_carlo_bytes(mc_samples) == chunk * monte_carlo_bytes(1)
 
@@ -321,6 +319,20 @@ def test_monte_carlo_peaks_within_its_charge(group, n_samples):
     finally:
         tracemalloc.stop()
     assert peak <= monte_carlo_bytes(n_samples)
+
+
+@pytest.mark.parametrize("group", [SU2, SO3], ids=["su2", "so3"])
+def test_monte_carlo_does_not_depend_on_the_blas_thread_count(group):
+    # several blocks and a short last one; the sums are numpy reductions
+    before = lapack.set_threads(1)
+    try:
+        one = alpha_monte_carlo(group, 20, 40_000, RngStream(95, 0))
+        lapack.set_threads(2)
+        two = alpha_monte_carlo(group, 20, 40_000, RngStream(95, 0))
+    finally:
+        if before is not None:
+            lapack.set_threads(before)
+    assert one == two
 
 
 def test_alpha_monte_carlo_validates_input():

@@ -125,6 +125,18 @@ def test_centered_spectrum_is_the_helmert_compression(group, m):
     assert np.abs(ones).max() <= 1e-14 * len(d)
 
 
+@pytest.mark.parametrize("group", [SU2, SO3], ids=["su2", "so3"])
+@pytest.mark.parametrize("seed", range(5))
+def test_reflect_keeps_a_symmetric_matrix_bit_for_bit(group, seed):
+    # lapack.top_pair's backends read opposite triangles of find_witness's
+    # H D H, and gram_audit's H K H is reduced from one triangle
+    x = group.sample(RngStream(seed, 0), 100)
+    for a in (group.pairwise(x), kernel_lab.brownian_kernel(group, x, group.identity)):
+        assert np.array_equal(a, a.T)
+        _reflect(a)
+        assert np.array_equal(a, a.T)
+
+
 def audit_floats(audit):
     return audit.max_centered_eig, audit.min_K_eig, audit.centered_eig_scale, audit.K_eig_scale
 
