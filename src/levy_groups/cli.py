@@ -328,7 +328,7 @@ def _run_check(cfg: RunConfig, group) -> int:
     equiv = psd == rnd
     doc = {
         "schema_version": "1", "kind": "check", "group": cfg.group,
-        "n": cfg.n, "points": cfg.points,
+        "n": getattr(group, "n", None), "points": cfg.points,
         "seed": cfg.seed, "stream": cfg.stream,
         "min_K_eig": audit.min_K_eig,
         "max_centered_eig": audit.max_centered_eig,

@@ -75,14 +75,14 @@ def haar_su2_batch(rng: RngStream, size: int) -> np.ndarray:
     sphere identification this is exactly Haar measure on SU(2).
     """
     v = rng.generator.standard_normal((size, 4))
-    # in place, a block of rows at a time: a row's norm does not depend on
-    # the blocking, and the norm's squares are one block
+    # in place, a block of rows at a time: a row's norm does not depend on the blocking.
+    # Its squares are added a column at a time in np.linalg.norm's order, bit for bit
     for s in row_blocks(size, 4):
         block = v[s]
-        norm = np.linalg.norm(block, axis=1)
+        norm = np.sqrt(sum(block[:, k] ** 2 for k in range(4)))
         while (bad := norm < 1e-150).any():  # degenerate draw, probability ~0
             block[bad] = rng.generator.standard_normal((int(bad.sum()), 4))
-            norm = np.linalg.norm(block, axis=1)
+            norm = np.sqrt(sum(block[:, k] ** 2 for k in range(4)))
         block /= norm[:, None]
     return v
 

@@ -41,10 +41,10 @@ from .group_core import SO3, SU2, haar_su2_batch
 from .quadrature import simpson_adaptive
 from .rng import RngStream
 
-# Haar pairs per block of alpha_monte_carlo.  Its characters loop works on 10
-# floats a pair, 1.25 MiB here, inside a core's 2 MiB L2.  alpha_monte_carlo(SO3,
-# 50, 100_000), one BLAS thread on a 2-core Xeon, median of 21 in alternation:
-# 54-56 ms here, 50-52 at 1 << 13, 58-59 at 1 << 15 and 69-73 at 1 << 17
+# Haar pairs per block of alpha_monte_carlo, for speed and memory; the pairs do not
+# depend on it.  Its characters loop works on 10 floats a pair, 1.25 MiB here, in a
+# 2 MiB L2.  alpha_monte_carlo(SO3, 50, 100_000), one BLAS thread on a 2-core Xeon,
+# median of 15 in alternation: 53-54 ms here, 57 at 1 << 13, 60 at 1 << 15, 68 at 1 << 17
 _MC_CHUNK = 1 << 14
 QUADRATURE_TOL = 1e-10  # default absolute tolerance of the adaptive Simpson rule
 
@@ -177,29 +177,27 @@ def _characters(group, c, lmax: int):
 
 
 def monte_carlo_bytes(n_samples: int) -> int:
-    """Bytes alpha_monte_carlo holds: float64 arrays of one block of pairs,
-    or of n_samples below a block.  Traced, 14.0-14.1 of them (a block's
-    second draw, beside its first); in VmHWM of `coeffs --lmax 50` above
-    --mc-n 0, up to 15.0 (0.5-1.9 MiB at --mc-n 100,000 and 1,000,000 on
-    both groups); charged 16."""
+    """Bytes alpha_monte_carlo holds: float64 arrays of one block of pairs, or of
+    n_samples below a block.  Traced, 12.0-12.1 at a full block (the characters loop),
+    14.1 below (the draw: numpy adds its squares in place only from 256 KiB); VmHWM of
+    `coeffs --lmax 50` above --mc-n 0, up to 15.3 (--mc-n 5,000 to 10^6); charged 16."""
     return 16 * 8 * min(_MC_CHUNK, n_samples)
 
 
 def _block_sums(group, lmax: int, m: int, rng: RngStream) -> np.ndarray:
     """Sums (row 0) and sums of squares (row 1), for l = 0, ..., lmax, of
-    d(gh^{-1}, e) chi_l(g) chi_l(h) over m fresh Haar pairs (g, h).
+    d(gh^{-1}, e) chi_l(g) chi_l(h) over the next m Haar pairs (g, h).
 
-    The characters of g and h come from one ``_characters`` generator on
-    their stacked cosines.  Every array is local, so none outlives the
-    block."""
-    u = haar_su2_batch(rng, m)
-    v = haar_su2_batch(rng, m)
-    # cosines of the angles of g and h, stacked, and of gh^{-1}: the
-    # quaternion's real part on SU(2); on SO(3), through the covering map,
+    Pair k is rows 2k and 2k + 1 of one draw of 2m rows, filled in stream order,
+    so no block size changes the pairs.  The characters of g and h come from one
+    ``_characters`` generator on their stacked cosines; every array is local."""
+    w = haar_su2_batch(rng, 2 * m)
+    # cosines of the angles of g and h, stacked on unit stride, and of gh^{-1}:
+    # the quaternion's real part on SU(2); on SO(3), through the covering map,
     # the rotation angle of Ad(q) has cosine 2 q_1^2 - 1
-    cos_gh = np.einsum("ij,ij->i", u, v)
-    cos = np.stack((u[:, 0], v[:, 0]))
-    del u, v
+    cos_gh = np.einsum("ij,ij->i", w[0::2], w[1::2])
+    cos = np.stack((w[0::2, 0], w[1::2, 0]))
+    del w
     if group is SO3:
         cos, cos_gh = (2.0 * c * c - 1.0 for c in (cos, cos_gh))
     tgh = np.arccos(np.clip(cos_gh, -1.0, 1.0, out=cos_gh), out=cos_gh)
@@ -223,9 +221,9 @@ def alpha_monte_carlo(
     """Monte Carlo coefficients of chi_0, ..., chi_lmax from the double Haar
     integral, every l from one shared draw.
 
-    Each block of ``_MC_CHUNK`` Haar pairs (g, h) is drawn once and serves
-    every l (``_block_sums``): the mean of d(gh^{-1}, e) chi_l(g) chi_l(h)
-    times d_l estimates alpha_l.  Per-l sums and sums of squares accumulate
+    The pairs are consecutive rows of the stream, taken ``_MC_CHUNK`` at a time;
+    each block serves every l (``_block_sums``): the mean of d(gh^{-1}, e)
+    chi_l(g) chi_l(h) times d_l estimates alpha_l.  Per-l sums and sums of squares accumulate
     block by block; no (lmax+1) x block table is built.  Returns
     (estimates, standard errors of the scaled means), one entry per l.
     Requires n_samples >= 1000.

@@ -129,6 +129,13 @@ def test_check_son_direct(tmp_path):
     assert code in (EXIT_OK, EXIT_NEGATIVE_FINDING)
 
 
+def test_check_haar_and_witness_state_the_same_n_for_so3(tmp_path):
+    # n is the descriptor's, as the certificate states it: SO(3) is SO(n) at n = 3
+    for argv in (["check"], ["haar"], ["witness", "--trials", "1"]):
+        _, text = run_cli(argv + ["--group", "so3", "--points", "20"], tmp_path)
+        assert validate(argv[0], text)["n"] == 3, argv[0]
+
+
 def test_witness_so3_certificate(tmp_path):
     code, text = run_cli(
         ["witness", "--group", "so3", "--points", "100", "--seed", "7"], tmp_path

@@ -118,6 +118,16 @@ def test_haar_su2_normalises_in_blocks_as_the_whole_draw(block, monkeypatch):
         assert rng.generator.random() == gen.random()
 
 
+@pytest.mark.parametrize("a,b", [(3 * (1 << 15) + 5, 1234), (1 << 15, 7), (1, 40_000)])
+def test_haar_su2_rows_follow_the_stream_whatever_the_split(a, b):
+    # alpha_monte_carlo pairs rows 2k and 2k + 1 of its draws, so its pairs do
+    # not depend on its block size only if a + b rows are a rows, then b rows
+    assert len(group_core.row_blocks(a + b, 4)) >= 2
+    whole = haar_su2_batch(RngStream(6, 1), a + b)
+    rng = RngStream(6, 1)
+    assert np.array_equal(whole, np.vstack((haar_su2_batch(rng, a), haar_su2_batch(rng, b))))
+
+
 def test_haar_su2_first_coordinate_moments():
     # Var(a1) = 1/4: oracle by integrating cos^2 against the theta marginal
     from levy_groups.quadrature import simpson_adaptive

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from levy_groups import SO3, SU2, RngStream, group_named, lapack
+from levy_groups import SO3, SU2, RngStream, group_named, harmonic, lapack
 from levy_groups.canonical import Table
 from levy_groups.group_core import haar_son_batch, haar_su2_batch
 from levy_groups.harmonic import (
@@ -263,10 +263,10 @@ def test_alpha_monte_carlo_smoke():
 
 
 def _monte_carlo_per_l(group, l, n, rng):
-    """The one-l estimator as a direct formula: fresh pairs, angles by
-    arccos, characters by ``chi``."""
-    u = haar_su2_batch(rng, n)
-    v = haar_su2_batch(rng, n)
+    """The one-l estimator as a direct formula: pair k is rows 2k and 2k + 1
+    of one draw, angles by arccos, characters by ``chi``."""
+    w = haar_su2_batch(rng, 2 * n)
+    u, v = w[0::2], w[1::2]
     dot = np.einsum("ij,ij->i", u, v)
     if group is SO3:
         u0, v0, dot = (2.0 * c * c - 1.0 for c in (u[:, 0], v[:, 0], dot))
@@ -333,6 +333,19 @@ def test_monte_carlo_does_not_depend_on_the_blas_thread_count(group):
         if before is not None:
             lapack.set_threads(before)
     assert one == two
+
+
+@pytest.mark.parametrize("group", [SU2, SO3], ids=["su2", "so3"])
+def test_monte_carlo_does_not_depend_on_the_block_size(group, monkeypatch):
+    # the pairs are consecutive rows of the stream in every block; only the
+    # grouping of the per-block sums moves, by rounding
+    def at(chunk):
+        monkeypatch.setattr(harmonic, "_MC_CHUNK", chunk)
+        return np.array(alpha_monte_carlo(group, 50, 100_003, RngStream(96, 0)))
+
+    ref = at(1 << 14)
+    for chunk in (1 << 12, 1 << 16):
+        assert np.all(np.abs(at(chunk) - ref) <= 1e-13 * np.abs(ref)), chunk
 
 
 def test_alpha_monte_carlo_validates_input():
