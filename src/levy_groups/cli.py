@@ -2,9 +2,11 @@
 machine-readable (csv/json) output.
 
 Exit codes: 0 success, 1 negative finding (witness not found, kernel not
-PSD where positivity was required), 2 invalid arguments.  All diagnostics
-go to stderr.  Identical command lines produce byte-identical output up
-to the generated_at meta field; --no-meta removes the meta block.
+PSD where positivity was required), 2 invalid arguments.  A handler
+``(cfg, group, rng)`` computes and writes; it raises a finding or a bad
+flag, and ``run`` alone reports it on stderr and picks the exit code.
+Identical command lines produce byte-identical output up to the
+generated_at meta field; --no-meta removes the meta block.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ class Command(NamedTuple):
     flags: tuple[str, ...]              # the RunConfig fields it takes, keys of _FLAGS
     least: dict                         # field -> least value (--n only with --group son)
     charge: Callable[..., int]          # (cfg, group) -> estimated peak bytes
-    handler: Callable[..., int]         # (cfg, group) -> exit code
+    handler: Callable[..., None]        # (cfg, group, rng); raises what run reports
     size_flags: tuple[str, ...] = ("points", "n")  # named when the charge is too large
     points: int = 100                   # default --points
     tol: float = harmonic.QUADRATURE_TOL  # default --tol
@@ -94,6 +96,13 @@ class UsageError(Exception):
     """Invalid flag combination; the message names the offending flag."""
 
 
+class NegativeFinding(Exception):
+    """A computed answer of no: run reports it as ``<command>: <message>``, exit 1."""
+
+
+_FINDINGS = (NegativeFinding, kernel_lab.WitnessNotFoundError, field_sim.KernelNotPSDError)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -104,7 +113,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def run(config: RunConfig) -> int:
-    """Execute a RunConfig; returns the process exit code (2 on a bad flag, named on stderr).
+    """Execute a RunConfig; returns the exit code, 1 or 2 with the finding or flag on stderr.
 
     BLAS runs on one thread for the run, so the output's bytes do not depend
     on OPENBLAS_NUM_THREADS or the core count; the count it had is restored
@@ -113,10 +122,14 @@ def run(config: RunConfig) -> int:
     before = lapack.set_threads(1)
     try:
         group = _validate(config)
-        return COMMANDS[config.command].handler(config, group)
+        COMMANDS[config.command].handler(config, group, RngStream(config.seed, config.stream))
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except _FINDINGS as exc:
+        print(f"{config.command}: {exc}", file=sys.stderr)
+        return EXIT_NEGATIVE_FINDING
     finally:
         if before is not None:
             lapack.set_threads(before)
@@ -274,10 +287,9 @@ class _Output:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def _run_coeffs(cfg: RunConfig, group) -> int:
+def _run_coeffs(cfg: RunConfig, group, rng: RngStream) -> None:
     try:
-        rows = harmonic.coefficients(group, cfg.lmax, cfg.mc_samples,
-                                     RngStream(cfg.seed, cfg.stream), cfg.tol)
+        rows = harmonic.coefficients(group, cfg.lmax, cfg.mc_samples, rng, cfg.tol)
     except QuadratureError as exc:
         raise UsageError(f"--tol {cfg.tol:g} is below what the quadrature reaches: {exc}")
     _emit(cfg, {
@@ -285,7 +297,6 @@ def _run_coeffs(cfg: RunConfig, group) -> int:
         "lmax": cfg.lmax, "mc_samples": cfg.mc_samples,
         "seed": cfg.seed, "stream": cfg.stream, "rows": rows,
     }, rows.row._fields, rows)
-    return EXIT_OK
 
 
 class DensityRow(NamedTuple):
@@ -297,8 +308,8 @@ class DensityRow(NamedTuple):
     theoretical: float
 
 
-def _run_densities(cfg: RunConfig, group) -> int:
-    x = group.sample(RngStream(cfg.seed, cfg.stream), cfg.points)
+def _run_densities(cfg: RunConfig, group, rng: RngStream) -> None:
+    x = group.sample(rng, cfg.points)
     series = [("angle", group.distances(x, group.identity), (0.0, math.pi),
                lambda t: harmonic.angle_density(group, t))]
     if group is group_core.SO3:
@@ -317,11 +328,10 @@ def _run_densities(cfg: RunConfig, group) -> int:
     }, ("series", *DensityRow._fields),
         ((s["name"], *cells) for s in out_series
          for cells in zip(*(c.tolist() for c in s["rows"].columns))))
-    return EXIT_OK
 
 
-def _run_check(cfg: RunConfig, group) -> int:
-    x = group.sample(RngStream(cfg.seed, cfg.stream), cfg.points)
+def _run_check(cfg: RunConfig, group, rng: RngStream) -> None:
+    x = group.sample(rng, cfg.points)
     audit = kernel_lab.gram_audit(group, x)
     psd = audit.is_positive_semidefinite(cfg.tol)
     rnd = audit.is_restricted_negative(cfg.tol)
@@ -338,30 +348,16 @@ def _run_check(cfg: RunConfig, group) -> int:
     _emit(cfg, doc, ["key", "value"],
           (kv for kv in doc.items() if kv[0] not in ("schema_version", "kind")))
     if not (psd and equiv):
-        print("check: kernel is not positive semidefinite on this configuration",
-              file=sys.stderr)
-        return EXIT_NEGATIVE_FINDING
-    return EXIT_OK
+        raise NegativeFinding("kernel is not positive semidefinite on this configuration")
 
 
-def _run_witness(cfg: RunConfig, group) -> int:
-    rng = RngStream(cfg.seed, cfg.stream)
-    try:
-        cert = kernel_lab.find_witness(group, cfg.points, cfg.trials, rng, margin=cfg.margin)
-    except kernel_lab.WitnessNotFoundError as exc:
-        print(f"witness: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE_FINDING
+def _run_witness(cfg: RunConfig, group, rng: RngStream) -> None:
+    cert = kernel_lab.find_witness(group, cfg.points, cfg.trials, rng, margin=cfg.margin)
     _emit(cfg, cert.to_doc(), (), ())
-    return EXIT_OK
 
 
-def _run_simulate(cfg: RunConfig, group) -> int:
-    rng = RngStream(cfg.seed, cfg.stream)
-    try:
-        fs = field_sim.build_field(group, group.sample(rng, cfg.points), jitter=cfg.jitter)
-    except field_sim.KernelNotPSDError as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
-        return EXIT_NEGATIVE_FINDING
+def _run_simulate(cfg: RunConfig, group, rng: RngStream) -> None:
+    fs = field_sim.build_field(group, group.sample(rng, cfg.points), jitter=cfg.jitter)
     rows = field_sim.empirical_variogram(fs, cfg.realizations, rng)
     _emit(cfg, {
         "schema_version": "1", "kind": "simulate", "group": cfg.group,
@@ -370,20 +366,19 @@ def _run_simulate(cfg: RunConfig, group) -> int:
         "seed": cfg.seed, "stream": cfg.stream,
         "rows": rows,
     }, rows.row._fields, rows)
-    return EXIT_OK
 
 
-def _run_haar(cfg: RunConfig, group) -> int:
-    samples = group.sample(RngStream(cfg.seed, cfg.stream), cfg.points).reshape(cfg.points, -1)
+def _run_haar(cfg: RunConfig, group, rng: RngStream) -> None:
+    samples = group.sample(rng, cfg.points).reshape(cfg.points, -1)
     _emit(cfg, {
         "schema_version": "1", "kind": "haar", "group": cfg.group,
         "n": getattr(group, "n", None), "count": cfg.points,
         "seed": cfg.seed, "stream": cfg.stream, "samples": samples,
     }, group.columns, samples)
-    return EXIT_OK
 
 
-# each subcommand's groups, flags, least values, defaults, size flags, memory charge and handler.
+# each subcommand's groups, flags, least values, --points and --tol defaults, size flags,
+# memory charge and handler; a flag only one command takes has its default in RunConfig.
 # A charge adds the charges the modules state for their arrays and, for the output,
 # which streams whatever its length, the writer's pass (canonical.dump_bytes).
 COMMANDS = {

@@ -181,8 +181,9 @@ class WitnessCertificate:
         d = pairwise_distance_matrix(self.group, self.points)
         return float(self.weights @ d @ self.weights)
 
-    def verify(self, tol: float = 1e-10, weight_tol: float = 1e-12) -> bool:
-        if abs(float(np.sum(self.weights))) > weight_tol:
+    def verify(self, tol: float = 1e-10) -> bool:
+        """Sum-zero weights (to 1e-12), value > tol and the recomputed form within tol of it."""
+        if abs(float(np.sum(self.weights))) > 1e-12 or not self.value > tol:
             return False
         return abs(self.quadratic_form() - self.value) <= tol
 
@@ -227,6 +228,8 @@ class WitnessCertificate:
         n, m, group, seed = doc["n"], doc["m"], doc["group"], doc["seed"]
         if not (_json_isinstance(n, int) and _json_isinstance(m, int)):
             raise ValueError("certificate n and m must be integers")
+        if m < 4:  # every metric on 3 or fewer points is of negative type
+            raise ValueError(f"certificate m must be >= 4, got {m}")
         if not (group == "so3" and n == 3 or group == "son" and n > 3):
             raise ValueError(f"certificate group {group!r} does not match n = {n} "
                              "(so3 needs n = 3, son needs n > 3)")

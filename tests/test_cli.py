@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from levy_groups import WitnessCertificate, __version__, canonical, cli, lapack
+from levy_groups import WitnessCertificate, __version__, canonical, cli, kernel_lab, lapack
 from levy_groups.cli import (COMMANDS, EXIT_NEGATIVE_FINDING, EXIT_OK, EXIT_USAGE, RunConfig,
                              build_parser, main, run)
 
@@ -169,6 +169,28 @@ def test_witness_su2_not_found(tmp_path, capsys):
     assert code == EXIT_NEGATIVE_FINDING
     assert text == ""
     assert "no witness" in capsys.readouterr().err
+
+
+def test_run_reports_a_raised_finding_and_creates_no_output(tmp_path, capsys, monkeypatch):
+    def not_found(*args, **kwargs):
+        raise kernel_lab.WitnessNotFoundError("x")
+
+    monkeypatch.setattr(kernel_lab, "find_witness", not_found)
+    out = tmp_path / "cert.json"
+    code = run(RunConfig("witness", group="so3", out=str(out)))
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (EXIT_NEGATIVE_FINDING, "", "witness: x\n")
+    assert not out.exists()
+
+
+def test_run_lets_a_fault_that_is_no_finding_propagate(tmp_path, monkeypatch):
+    # a RuntimeError that is not a negative finding is a fault, not an exit 1
+    def broken(*args, **kwargs):
+        raise RuntimeError("y")
+
+    monkeypatch.setattr(kernel_lab, "find_witness", broken)
+    with pytest.raises(RuntimeError, match="y"):
+        run(RunConfig("witness", group="so3", out=str(tmp_path / "cert.json")))
 
 
 def test_simulate_su2_variogram_csv(tmp_path):

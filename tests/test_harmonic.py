@@ -115,18 +115,17 @@ def test_chi_vectorized_matches_scalar():
 
 
 def test_chi_orthonormal_under_angle_density():
-    # Weyl integration in angle coordinates, both groups, l,k <= 20
+    # Weyl integration in angle coordinates, both groups, l,k <= 20.  Each
+    # integrand is a cosine polynomial of degree at most 42 in t, which one
+    # 128-node Gauss-Legendre rule integrates to rounding
+    nodes, weights = np.polynomial.legendre.leggauss(128)
+    t, w = 0.5 * math.pi * (nodes + 1.0), 0.5 * math.pi * weights
     for group in (SU2, SO3):
+        density = w * angle_density(group, t)
         for l in range(0, 21, 4):
             for k in range(l, 21, 4):
-                val = simpson_adaptive(
-                    lambda t: chi(group, l, t) * chi(group, k, t) * angle_density(group, t),
-                    0.0,
-                    math.pi,
-                    tol=1e-10,
-                    panels=l + k + 3,
-                )
-                assert val == pytest.approx(1.0 if l == k else 0.0, abs=1e-8)
+                val = float(np.sum(chi(group, l, t) * chi(group, k, t) * density))
+                assert val == pytest.approx(1.0 if l == k else 0.0, abs=1e-12)
 
 
 def test_characters_are_positive_definite():

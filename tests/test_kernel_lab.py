@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -593,6 +594,30 @@ def test_tampered_certificate_fails_verification():
     doc = json.loads(cert.to_json())
     doc["weights"][0] += 0.25  # breaks the sum-zero constraint
     assert not WitnessCertificate.from_json(json.dumps(doc)).verify()
+
+
+def _planted(m: int, seed: int) -> WitnessCertificate:
+    """Weights (1, -1, 0, ...) on m Haar SO(3) points, stating their true
+    form -2 d(g_1, g_2) < 0: consistent data that witness nothing."""
+    weights = np.zeros(m)
+    weights[:2] = (1.0, -1.0)
+    cert = WitnessCertificate(group=SO3, points=SO3.sample(RngStream(seed, 0), m),
+                              weights=weights, value=0.0, seed=seed, stream=0)
+    return dataclasses.replace(cert, value=cert.quadratic_form())
+
+
+def test_certificate_of_a_non_positive_form_fails_verification():
+    cert = _planted(6, 3)
+    assert cert.value < -1.0
+    assert abs(cert.quadratic_form() - cert.value) <= 1e-10  # the stated value is right
+    assert not cert.verify()
+
+
+def test_certificate_of_fewer_than_four_points_is_refused_naming_m():
+    cert = _planted(2, 3)
+    assert not cert.verify()
+    with pytest.raises(ValueError, match=re.escape("m must be >= 4, got 2")):
+        WitnessCertificate.from_json(cert.to_json())
 
 
 def _set(key, value):

@@ -141,7 +141,8 @@ def command_facts_outside_the_table(source: str, commands) -> list[str]:
 
 
 def test_cli_states_each_command_fact_in_its_commands_entry():
-    # groups, defaults, least values, size flags, charge and handler: one entry each
+    # groups, --points and --tol defaults, least values, size flags, charge and
+    # handler: one entry each
     with open(levy_groups.cli.__file__) as fh:
         source = fh.read()
     assert command_facts_outside_the_table(source, set(levy_groups.cli.COMMANDS)) == []
@@ -171,3 +172,41 @@ def test_streaming_guard_sees_both_forms():
     source = ("from . import canonical\nfrom io import StringIO\nimport io\n"
               "canonical.dumps(d)\nio.StringIO()\ncanonical.dump(d, fh)\n")
     assert buffered_output_calls(source) == ["canonical.dumps", "io.StringIO", "io.StringIO"]
+
+
+def handler_outputs(source: str, handlers: set) -> list[str]:
+    """``name: print`` for each handler in ``source`` that prints, and
+    ``name: return`` for each that returns a value: the handlers' outcomes
+    are run's to report."""
+    found = []
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, ast.FunctionDef) and fn.name in handlers:
+            for node in ast.walk(fn):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "print"):
+                    found.append(f"{fn.name}: print")
+                if isinstance(node, ast.Return) and node.value is not None:
+                    found.append(f"{fn.name}: return")
+    return sorted(found)
+
+
+def stream_constructions(source: str) -> int:
+    return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "RngStream" for node in ast.walk(ast.parse(source)))
+
+
+def test_cli_handlers_only_compute_and_write():
+    # run builds the one stream and reports every finding and exit code
+    with open(levy_groups.cli.__file__) as fh:
+        source = fh.read()
+    handlers = {spec.handler.__name__ for spec in levy_groups.cli.COMMANDS.values()}
+    assert handler_outputs(source, handlers) == []
+    assert stream_constructions(source) == 1
+
+
+def test_handler_guard_sees_prints_returns_and_streams():
+    source = ("def h(cfg, group, rng):\n    print('x')\n    return 1\n"
+              "def g(cfg, group, rng):\n    rng = RngStream(0, 0)\n    return\n"
+              "def other():\n    return RngStream(1, 0)\n")
+    assert handler_outputs(source, {"h", "g"}) == ["h: print", "h: return"]
+    assert stream_constructions(source) == 2
