@@ -12,6 +12,7 @@ generated_at meta field; --no-meta removes the meta block.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -70,7 +71,6 @@ class Command(NamedTuple):
     least: dict                         # field -> least value (--n only with --group son)
     charge: Callable[..., int]          # (cfg, group) -> estimated peak bytes
     handler: Callable[..., None]        # (cfg, group, rng); raises what run reports
-    size_flags: tuple[str, ...] = ("points", "n")  # named when the charge is too large
     points: int = 100                   # default --points
     tol: float = harmonic.QUADRATURE_TOL  # default --tol
     group_required: bool = True
@@ -222,8 +222,8 @@ def _validate(cfg: RunConfig):
     have = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
             if hasattr(os, "sysconf") else math.inf)
     if need > have:
-        sizes = " ".join(f"{_FLAGS[k][0]} {getattr(cfg, k)}" for k in spec.size_flags
-                         if getattr(cfg, k) is not None)
+        sizes = " ".join(f"{_FLAGS[k][0]} {getattr(cfg, k)}" for k in ("points", "n", "bins")
+                         if k in spec.flags and getattr(cfg, k) is not None)
         raise UsageError(f"{sizes} needs about {need / 1e9:.3g} GB for {cfg.command}, "
                          f"more than the {have / 1e9:.3g} GB of physical memory")
     return group
@@ -268,19 +268,29 @@ def _emit(cfg: RunConfig, doc: dict, header, rows) -> None:
 
 
 class _Output:
-    """A text file opened for writing at its first write."""
+    """A text file opened for writing at its first write.  An OSError on it
+    is a UsageError naming --out, reported with exit 2."""
 
     def __init__(self, path: str):
         self.path, self.fh = path, None
 
     def write(self, text: str) -> None:
-        if self.fh is None:
-            self.fh = open(self.path, "w", newline="")
-        self.fh.write(text)
+        with self._naming_out():
+            if self.fh is None:
+                self.fh = open(self.path, "w", newline="")
+            self.fh.write(text)
 
     def close(self) -> None:
-        if self.fh is not None:
-            self.fh.close()
+        with self._naming_out():
+            if self.fh is not None:
+                self.fh.close()
+
+    @contextlib.contextmanager
+    def _naming_out(self):
+        try:
+            yield
+        except OSError as exc:
+            raise UsageError(f"--out {self.path!r}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +387,9 @@ def _run_haar(cfg: RunConfig, group, rng: RngStream) -> None:
     }, group.columns, samples)
 
 
-# each subcommand's groups, flags, least values, --points and --tol defaults, size flags,
-# memory charge and handler; a flag only one command takes has its default in RunConfig.
+# each subcommand's groups, flags, least values, --points and --tol defaults, memory
+# charge and handler; a flag only one command takes has its default in RunConfig, and a
+# charge too large for memory names the command's own --points, --n and --bins.
 # A charge adds the charges the modules state for their arrays and, for the output,
 # which streams whatever its length, the writer's pass (canonical.dump_bytes).
 COMMANDS = {
@@ -386,7 +397,7 @@ COMMANDS = {
                       ("su2", "so3"), ("lmax", "tol", "mc_samples"), {"lmax": 0},
                       lambda cfg, group: (harmonic.monte_carlo_bytes(cfg.mc_samples)
                                           + quadrature_bytes()),
-                      _run_coeffs, size_flags=()),
+                      _run_coeffs),
     # 400 B per bin and series for the columns and the CSV rows made from them:
     # VmHWM grew 91 and 89 B per bin and series in JSON, 161 and 242 in CSV, at
     # 100,000 bins on SO(3) and 200,000 on SU(2)
@@ -395,7 +406,7 @@ COMMANDS = {
                          lambda cfg, group: (group.sample_bytes(cfg.points) + 400 * cfg.bins
                                              * (2 if group is group_core.SO3 else 1)
                                              + canonical.dump_bytes()),
-                         _run_densities, size_flags=("points", "bins"), points=100000),
+                         _run_densities, points=100000),
     "check": Command("eigenvalue audit of the Brownian kernel on Haar points",
                      ("su2", "so3", "son"), ("n", "points", "tol"), {"n": 2, "points": 2},
                      lambda cfg, group: (group.sample_bytes(cfg.points)
@@ -412,7 +423,7 @@ COMMANDS = {
                         {"points": 1, "realizations": 100},
                         lambda cfg, group: (field_sim.variogram_bytes(cfg.points, cfg.realizations)
                                             + canonical.dump_bytes()),
-                        _run_simulate, size_flags=("points",), points=50, group_required=False),
+                        _run_simulate, points=50, group_required=False),
     # one row a point: --group su2 --points 1,000,000 grew 38.8 MiB in JSON and in CSV,
     # 10.2 B per float of the samples.  An SO(n) row wider than a chunk of cells is a
     # pass of its own, beside the QR copies of one n x n draw: --group son --n 400

@@ -4,19 +4,19 @@ SU(2) points are unit 4-vectors (a1, a2, b1, b2), i.e. the coordinates of
 the 2x2 matrix [[a, b], [-conj(b), conj(a)]] with a = a1 + i*a2 and
 b = b1 + i*b2.  This identifies SU(2) with the unit sphere of R^4; the
 geodesic distance induced by the inner product <X, Y> = -tr(XY)/2 on the
-Lie algebra is the great-circle angle arccos(<g, h>).
+Lie algebra is the great-circle angle atan2(|Im(conj(h) g)|, <g, h>).
 
 SO(n) points are n x n rotation matrices.  The matching bi-invariant
 distance is sqrt(sum of squared principal rotation angles) of g h^T,
-taken from the arguments of its eigenvalues; for n = 3 it is the
-rotation angle atan2(|vee(P - P^T)|, tr P - 1) of P = g h^T, which unlike
-arccos((tr - 1)/2) stays accurate near 0 and pi.
+taken from the arguments of its eigenvalues; for n = 3 it is the rotation
+angle atan2(|vee(P - P^T)|, tr P - 1) of P = g h^T.  The two atan2 forms
+are one kernel, which unlike an inverse cosine stays accurate near 0 and pi.
 
 Points move as arrays: one descriptor per group (``SU2``, ``SO3``,
 ``group_named("son", n)``) samples stacked (m, 4) quadruples or (m, n, n)
-rotations and writes its distance once, as the kernel ``_angles``.  The
-``pairwise`` and ``distances`` they share run every kernel on blocks and read
-exactly 0.0 between bitwise-equal points.
+rotations and states its distance once, as a kernel ``_angles`` or as the
+data of the shared one.  The shared ``pairwise`` and ``distances`` run it on
+blocks and read exactly 0.0 between bitwise-equal points.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ ORTHOGONALITY_TOL = 1e-10
 # float64 per block of the samplers' draws, of the distance kernels' scratch and of
 # kernel_lab's passes over an (m, m) matrix: 1 MiB
 BLOCK_FLOATS = 1 << 17
-# distances below this are checked for bitwise-equal points; arccos of an SU(2)
-# dot product a few ulps below 1 reads up to about 5e-8 for equal points
+# distances below this are checked for bitwise-equal points, between which every
+# kernel's products can leave a rounding residue
 _NEAR_ZERO_ANGLE = 1e-6
 
 
@@ -205,24 +205,44 @@ class _Group:
         return 8 * m * self.point_size
 
 
-class SU2Group(_Group):
+class _ClosedForm(_Group):
+    """atan2(sine, cosine) of inner products of the points: unlike an inverse cosine,
+    accurate near 0 and pi (Kahan, "How Futile are Mindless Assessments of Roundoff",
+    2006).  The GEMMs [x_a, -x_b] . [y_b, y_a] of the ``_planes`` (a, b) square to
+    (c sin t)^2 in sum, in out; <x, y> - ``_cos_shift`` = c cos t, in one scratch block."""
+
+    _pair_floats = 1
+
+    def _angles(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+        scratch = np.empty_like(out)
+        for k, (a, b) in enumerate(self._planes):
+            axial = scratch if k else out
+            np.matmul(np.hstack((x[:, a], -x[:, b])), np.hstack((y[:, b], y[:, a])).T, out=axial)
+            axial *= axial
+            if k:
+                out += axial
+        np.sqrt(out, out=out)
+        c = np.matmul(x.reshape(len(x), -1), y.reshape(len(y), -1).T, out=scratch)
+        c -= self._cos_shift
+        np.arctan2(out, c, out=out)
+
+
+class SU2Group(_ClosedForm):
     """SU(2) on (m, 4) arrays of unit quadruples."""
 
     name = "su2"
     point_size = 4  # floats per point
     identity = np.array([1.0, 0.0, 0.0, 0.0])
     columns = ("a1", "a2", "b1", "b2")
+    # Im(conj(q) p): its three components on (a1, a2, b1, b2) square to 1 - <p, q>^2
+    _planes = (([1, 2], [0, 3]), ([2, 3], [0, 1]), ([3, 1], [0, 2]))
+    _cos_shift = 0.0
 
     def __repr__(self) -> str:
         return "SU(2)"
 
     def sample(self, rng: RngStream, m: int) -> np.ndarray:
         return haar_su2_batch(rng, m)
-
-    def _angles(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-        """Great-circle angles arccos(<x_i, y_j>), one GEMM."""
-        np.matmul(x, y.T, out=out)
-        np.arccos(np.clip(out, -1.0, 1.0, out=out), out=out)
 
 
 class SOnGroup(_Group):
@@ -274,34 +294,13 @@ class SOnGroup(_Group):
         np.sqrt(out, out=out)
 
 
-class SO3Group(SOnGroup):
-    """SO(3), where the rotation angle follows from a few inner products of rows."""
+class SO3Group(_ClosedForm, SOnGroup):
+    """SO(3): rows (a, b) give P[a, b] - P[b, a] of P = x y^T, the axial vector of
+    P - P^T, of norm 2 sin t, and tr P - 1 = 2 cos t."""
 
     name = "so3"
-    _pair_floats = 1
-
-    def _angles(self, x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-        """Rotation angles of P = x_i y_j^T, without per-pair factorizations.
-
-        The angle is atan2(|vee(P - P^T)|, tr P - 1) (Kahan, "How Futile are
-        Mindless Assessments of Roundoff", 2006): both arguments are twice the
-        sine and cosine, so it is accurate at every angle, where
-        arccos((tr - 1)/2) loses half the digits near 0 and pi.  tr P and each
-        axial component P[a, b] - P[b, a] = [x_a, -x_b] . [y_b, y_a] (rows a
-        and b) is one GEMM.  The sine is summed in out and the cosine formed
-        in the one block of scratch the kernel holds.
-        """
-        scratch = np.empty_like(out)
-        for k, (a, b) in enumerate(((2, 1), (0, 2), (1, 0))):
-            axial = scratch if k else out
-            np.matmul(np.hstack((x[:, a], -x[:, b])), np.hstack((y[:, b], y[:, a])).T, out=axial)
-            axial *= axial
-            if k:
-                out += axial
-        np.sqrt(out, out=out)
-        c = np.matmul(x.reshape(len(x), 9), y.reshape(len(y), 9).T, out=scratch)
-        c -= 1.0
-        np.arctan2(out, c, out=out)
+    _planes = ((2, 1), (0, 2), (1, 0))
+    _cos_shift = 1.0
 
 
 SU2 = SU2Group()

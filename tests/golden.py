@@ -3,8 +3,8 @@ the stderr of small command lines at seeds 1-3, run in process through
 ``cli.main``, with the OpenBLAS core (``blas_core``) they were recorded on.
 
 ``tests/test_golden.py`` compares a fresh run with ``golden/manifest.json``.
-A change that moves output bytes on purpose rewrites the manifest, and the
-manifest's diff names the lines that moved:
+A change that moves output bytes on purpose rewrites the manifest; the
+writer prints each line and seed whose digest, exit code or stderr moved:
 
     python tests/golden.py --write
 """
@@ -68,10 +68,27 @@ def record() -> dict:
             "lines": {line: {str(s): run_line(line, s) for s in SEEDS} for line in LINES}}
 
 
+def moves(old: dict, new: dict) -> list[str]:
+    """``<line> --seed <s>: <fields>`` for each line and seed of the manifest
+    ``new`` whose digest, exit code or stderr differs from ``old``'s."""
+    found = []
+    for line, seeds in new["lines"].items():
+        for seed, got in seeds.items():
+            was = old.get("lines", {}).get(line, {}).get(seed, {})
+            fields = [k for k in ("sha256", "exit", "stderr") if was.get(k) != got[k]]
+            if fields:
+                found.append(f"{line} --seed {seed}: {', '.join(fields)}")
+    return found
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/golden.py --write")
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+    old = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    new = record()
+    for moved in moves(old, new):
+        print(f"moved: {moved}")
     MANIFEST.parent.mkdir(exist_ok=True)
-    MANIFEST.write_text(json.dumps(record(), indent=1) + "\n")
+    MANIFEST.write_text(json.dumps(new, indent=1) + "\n")
     print(f"wrote {MANIFEST}")

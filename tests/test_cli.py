@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import math
 import os
@@ -459,6 +460,14 @@ def test_out_into_a_missing_directory_is_a_usage_error(tmp_path, capsys):
         assert code == EXIT_USAGE
         assert "--out" in capsys.readouterr().err
     assert not out.parent.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("points", [3, 20000])  # fails at close, and at a write before it
+def test_an_unwritable_out_is_a_usage_error(points, capsys):
+    code = main(["haar", "--group", "su2", "--points", str(points), "--out", "/dev/full"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: --out '/dev/full': {os.strerror(errno.ENOSPC)}\n"
 
 
 @pytest.mark.parametrize("args", [

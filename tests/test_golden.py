@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from golden import LINES, MANIFEST, SEEDS, blas_core, run_line
+from golden import LINES, MANIFEST, SEEDS, blas_core, moves, run_line
 
 RECORDED = json.loads(MANIFEST.read_text())
 
@@ -39,3 +39,14 @@ def test_another_core_compares_exits_and_skips_digests_naming_both(monkeypatch):
     monkeypatch.setitem(globals(), "blas_core", lambda: "OtherCore")
     with pytest.raises(pytest.skip.Exception, match=f"{RECORDED['blas_core']}.*OtherCore"):
         test_output_matches_the_manifest(LINES[-1])
+
+
+def test_the_writer_names_each_line_and_seed_that_moved():
+    new = json.loads(json.dumps(RECORDED))
+    assert moves(RECORDED, new) == []
+    seeds = new["lines"][LINES[0]]
+    seeds["2"]["sha256"] = "0" * 64
+    seeds["3"].update(exit=7, stderr="x\n")
+    assert moves(RECORDED, new) == [f"{LINES[0]} --seed 2: sha256",
+                                    f"{LINES[0]} --seed 3: exit, stderr"]
+    assert len(moves({}, new)) == len(LINES) * len(SEEDS)

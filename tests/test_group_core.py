@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -21,6 +22,7 @@ from levy_groups.group_core import (
     haar_son_batch,
     haar_su2_batch,
 )
+from levy_groups.kernel_lab import sum_zero_basis
 from oracles import ad_matrix, angle_cdf, trace_cdf_so3
 
 E = SU2.identity
@@ -80,7 +82,7 @@ def test_su2_product_matches_matrix_product():
 
 def test_su2_inverse_and_identity():
     for g in SU2.sample(RngStream(0, 3), 10):
-        assert su2_dist(qmul(g, qinv(g)), E) < 1e-7
+        assert su2_dist(qmul(g, qinv(g)), E) <= 1e-15
         assert np.abs(qmatrix(qinv(g)) - np.conj(qmatrix(g).T)).max() < 1e-14
 
 
@@ -235,7 +237,7 @@ def test_dist_su2_against_matrix_log_oracle():
         g, h = SU2.sample(rng, 2)
         x = logm(qmatrix(qmul(g, qinv(h))))
         oracle = math.sqrt(max(0.0, -0.5 * np.trace(x @ x).real))
-        assert abs(su2_dist(g, h) - oracle) < 1e-8
+        assert abs(su2_dist(g, h) - oracle) <= 1e-14
 
 
 def test_rotation_angle_so3_values():
@@ -359,6 +361,46 @@ def test_so3_distances_are_accurate_near_zero_and_pi(t):
         assert abs(d[0, 1] - t) <= 1e-14 and d[1, 0] == d[0, 1], (t, d[0, 1])
         assert abs(SO3.distances(x[1:], g)[0] - t) <= 1e-14
         assert abs(SO3.distances(r[None], SO3.identity)[0] - t) <= 1e-14
+
+
+@pytest.mark.parametrize("t", [1e-12, 1e-9, 1e-6, 1e-4, 0.3, 2.0, math.pi - 1e-4,
+                               math.pi - 1e-6, math.pi - 1e-9, math.pi])
+def test_su2_distances_are_accurate_near_zero_and_pi(t):
+    # h = g (cos t, sin t u) is at great-circle angle t from g, for every unit 3-vector u
+    rng = RngStream(24, 1)
+    axes = rng.generator.standard_normal((8, 3))
+    for u, g in zip(axes / np.linalg.norm(axes, axis=1)[:, None], SU2.sample(rng, 8)):
+        x = np.stack([g, qmul(g, np.array([math.cos(t), *(math.sin(t) * u)]))])
+        d = SU2.pairwise(x)
+        assert abs(d[0, 1] - t) <= 1e-14 and d[1, 0] == d[0, 1], (t, d[0, 1])
+        assert abs(SU2.distances(x[1:], g)[0] - t) <= 1e-14
+
+
+def binary_icosahedral():
+    """The 120 unit quaternions of the binary icosahedral group: the 24 Hurwitz
+    units and the even permutations of (0, +-1, +-phi, +-1/phi) / 2."""
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    units = {tuple(s * (k == i) for k in range(4)) for i in range(4) for s in (1.0, -1.0)}
+    units |= set(itertools.product((0.5, -0.5), repeat=4))
+    for p in itertools.permutations(range(4)):
+        if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0:
+            for s in itertools.product((1.0, -1.0), repeat=3):
+                v = [0.0, s[0] * 0.5, s[1] * phi / 2.0, s[2] / (2.0 * phi)]
+                units.add(tuple(v[k] for k in p))
+    return np.array(sorted(units))
+
+
+def test_su2_binary_icosahedral_set_is_singular_at_every_translation():
+    # D of a finite subgroup is negative semidefinite on sum-zero vectors with a
+    # top eigenvalue of 0; a left translation keeps every distance but rounds
+    # the points, and the 60 antipodal pairs then sit a few ulps from -1
+    x = binary_icosahedral()
+    assert len(x) == 120
+    b = sum_zero_basis(len(x))
+    rng = RngStream(2, 0)
+    for g in (E, *SU2.sample(rng, 5)):
+        top = np.linalg.eigvalsh(b.T @ SU2.pairwise(qmul(g, x)) @ b)[-1]
+        assert abs(top) <= 1e-13, top
 
 
 def test_dist_son_3_equals_rotation_angle():
@@ -489,16 +531,23 @@ def test_pairwise_batch_helpers_match_definitions():
 # blocked distances
 # ---------------------------------------------------------------------------
 
+# the closed-form groups' planes (a, b), each a sine component
+# [g_a, -g_b] . [h_b, h_a], and the shift of the cosine g . h
+CLOSED_FORMS = {
+    SU2: ((([1, 2], [0, 3]), ([2, 3], [0, 1]), ([3, 1], [0, 2])), 0.0),  # Im(conj(h) g)
+    SO3: (((2, 1), (0, 2), (1, 0)), 1.0),  # the axial vector of P = g h^T, and tr P - 1
+}
+
+
 def pair_distance(group, g, h):
     """One pair's distance by its descriptor's formula, exactly 0 between equal points."""
     if np.array_equal(g, h):
         return 0.0
-    if group is SU2:
-        return math.acos(max(-1.0, min(1.0, float(g @ h))))
-    if group is SO3:  # tr P - 1 and the axial vector of P = g h^T, as dot products of rows
-        axial = [float(np.concatenate((g[a], -g[b])) @ np.concatenate((h[b], h[a])))
-                 for a, b in ((2, 1), (0, 2), (1, 0))]
-        return math.atan2(math.sqrt(sum(v * v for v in axial)), float(g.ravel() @ h.ravel()) - 1.0)
+    if group in CLOSED_FORMS:  # atan2 of the sine and cosine, as dot products
+        planes, shift = CLOSED_FORMS[group]
+        sine = [float(np.concatenate((g[a], -g[b])) @ np.concatenate((h[b], h[a])))
+                for a, b in planes]
+        return math.atan2(math.sqrt(sum(v * v for v in sine)), float(g.ravel() @ h.ravel()) - shift)
     return math.sqrt(0.5 * float(np.sum(np.angle(np.linalg.eigvals(g @ h.T)) ** 2)))
 
 
@@ -541,12 +590,15 @@ def test_distances_match_each_pair(group, m):
 
 
 def test_su2_distances_over_two_blocks_are_the_one_product_formula():
-    # the reference is the one matrix-vector product: pair by pair, dot
-    # products round differently, which arccos magnifies by 1/sin(t) at small t
+    # the reference is the closed form on matrix-vector products of all the points
     m = (1 << 17) + 3  # one block of rows and three more
     x = SU2.sample(RngStream(27, m), m)
-    d = SU2.distances(x, x[5].copy())
-    ref = np.arccos(np.clip(x @ x[5], -1.0, 1.0))
+    y = x[5].copy()
+    d = SU2.distances(x, y)
+    planes, shift = CLOSED_FORMS[SU2]
+    sine = sum((np.hstack((x[:, a], -x[:, b])) @ np.concatenate((y[b], y[a]))) ** 2
+               for a, b in planes)
+    ref = np.arctan2(np.sqrt(sine), x @ y - shift)
     ref[5] = 0.0
     assert (np.abs(d - ref) <= 4 * np.spacing(ref)).all()
     assert np.flatnonzero(d == 0.0).tolist() == [5]
@@ -570,6 +622,10 @@ def test_pairwise_scratch_is_a_few_blocks(group, m):
 
 
 def test_descriptors_write_only_their_kernel():
+    # SU(2) and SO(3) state only the data of the one closed-form kernel
     for cls in (group_core.SU2Group, group_core.SOnGroup, group_core.SO3Group):
-        assert "_angles" in vars(cls)
         assert not {"pairwise", "distances"} & set(vars(cls)), cls
+    assert "_angles" in vars(group_core.SOnGroup)
+    for cls in (group_core.SU2Group, group_core.SO3Group):
+        assert cls._angles is group_core._ClosedForm._angles, cls
+        assert {"_planes", "_cos_shift"} <= set(vars(cls)) and "_angles" not in vars(cls), cls

@@ -141,8 +141,8 @@ def command_facts_outside_the_table(source: str, commands) -> list[str]:
 
 
 def test_cli_states_each_command_fact_in_its_commands_entry():
-    # groups, --points and --tol defaults, least values, size flags, charge and
-    # handler: one entry each
+    # groups, --points and --tol defaults, least values, charge and handler: one
+    # entry each
     with open(levy_groups.cli.__file__) as fh:
         source = fh.read()
     assert command_facts_outside_the_table(source, set(levy_groups.cli.COMMANDS)) == []
