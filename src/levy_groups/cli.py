@@ -353,7 +353,7 @@ def _run_check(cfg: RunConfig, group, rng: RngStream) -> None:
         "min_K_eig": audit.min_K_eig,
         "max_centered_eig": audit.max_centered_eig,
         "kernel_psd": psd, "restricted_negative": rnd,
-        "equivalence_ok": equiv, "tol_rel": cfg.tol,
+        "equivalence_ok": equiv, "tol_rel": cfg.tol, "method": audit.method,
     }
     _emit(cfg, doc, ["key", "value"],
           (kv for kv in doc.items() if kv[0] not in ("schema_version", "kind")))

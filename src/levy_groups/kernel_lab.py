@@ -9,12 +9,16 @@ kernel (quadratic form <= 0 over weights summing to zero).  On finite
 point sets both sides reduce to eigenvalue tests: the smallest eigenvalue
 of K, and the largest eigenvalue of the distance matrix compressed onto
 the sum-zero subspace.  For sum-zero v, v^T K v = -v^T D v / 2, so one
-reduction decides both: a Householder reflector H sends the constants to
-e1, and a tridiagonalization that fixes e1 turns H K H into T, whose ends
-are K's and whose block T[1:, 1:] holds K, and so -D/2, on sum-zero
-weights.  A witness certificate is a point set and sum-zero weight vector
-whose quadratic form is strictly positive, certifying that the distance is
-not restricted negative definite.
+matrix holds both: a Householder reflector H sends the constants to e1,
+and H K H has K's spectrum while its block [1:, 1:] is K, and so -D/2, on
+sum-zero weights.  One factorization decides both: where H K H is positive
+definite, one Cholesky factor of the block, bordered with the first
+column, gives both spectra's ends by Lanczos; elsewhere a
+tridiagonalization that fixes e1 turns H K H into T, whose ends are K's
+and whose block T[1:, 1:] is similar to H K H's.  A witness certificate
+is a point set and sum-zero weight vector whose quadratic form is
+strictly positive, certifying that the distance is not restricted
+negative definite.
 """
 
 from __future__ import annotations
@@ -103,13 +107,15 @@ class GramAudit:
     restricted to the sum-zero subspace; positive means the distance is
     not restricted negative definite there.  ``min_K_eig`` is the smallest
     eigenvalue of the Brownian-kernel matrix ``K`` of the points for base
-    point x0.
+    point x0.  ``method`` names the factorization that gave the ends:
+    ``"cholesky"`` where H K H is positive definite, else ``"reduction"``.
     """
 
     max_centered_eig: float
     min_K_eig: float
     centered_eig_scale: float
     K_eig_scale: float
+    method: str
 
     def is_positive_semidefinite(self, tol_rel: float = RELATIVE_EIG_TOL) -> bool:
         return self.min_K_eig >= -tol_rel * max(self.K_eig_scale, 1.0)
@@ -124,10 +130,14 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
 
     x0 defaults to the group identity.  One (m, m) buffer holds the
     distances, then K, formed in place a block of rows at a time, then
-    H K H (see _reflect), whose one reduction (lapack.extremes) gives both
-    spectra's ends: K's are those of H K H, and since v^T K v = -v^T D v / 2
-    for sum-zero v, D's on sum-zero weights are -2 times those of its
-    [1:, 1:] block.  Raises ValueError on non-finite distances.
+    H K H (see _reflect), whose one factorization gives both spectra's
+    ends: K's are those of H K H, and since v^T K v = -v^T D v / 2 for
+    sum-zero v, D's on sum-zero weights are -2 times those of its [1:, 1:]
+    block.  Where H K H is positive definite, the ends come from its
+    Cholesky factor (lapack.definite_extremes); where the factor fails,
+    as on SO(n), from the reduction (lapack.extremes), which reads the
+    triangle the factor leaves as it was.  Raises ValueError on non-finite
+    distances.
     """
     if len(x) < 2:
         raise ValueError("need at least 2 points")
@@ -135,12 +145,15 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
     buf = brownian_kernel(group, x, x0)
     if not np.isfinite(buf.sum(axis=1)).all():  # K is finite where d and d0 are
         raise ValueError("non-finite distance encountered")
-    k_min, k_max, c_min, c_max = lapack.extremes(_reflect(buf))
+    ends = lapack.definite_extremes(_reflect(buf))
+    method = "reduction" if ends is None else "cholesky"
+    k_min, k_max, c_min, c_max = ends or lapack.extremes(buf)
     return GramAudit(
         max_centered_eig=-2.0 * c_min,
         min_K_eig=k_min,
         centered_eig_scale=2.0 * max(abs(c_min), abs(c_max)),
         K_eig_scale=max(abs(k_min), abs(k_max)),
+        method=method,
     )
 
 
@@ -148,14 +161,15 @@ def audit_bytes(group, m: int) -> int:
     """Bytes gram_audit holds at its peak on m points, their sample aside:
     the (m, m) buffer, and without LAPACK the copy eigvalsh makes of it, then
     of its [1:, 1:] block; two blocks of row_blocks, or two rows; the
-    reduction's workspace, about 830 B per point, charged 1 kB; a row of the
-    distance kernel's scratch; lapack.SCRATCH_BYTES.  VmHWM of
-    `check` above the imports, their bytecode cached (numpy 2.4, SU(2), 2
-    cores) at m = 1,000, 2,000 and 3,000: 17.9, 42.3 and 81.5 MiB in place
-    with BLAS on one thread, 18.5, 43.1 and 82.1 with BLAS threads free,
-    24.6, 70.7 and 147.4 with the copies."""
+    workspace, lapack.KRYLOV_BYTES (1 kB) per point, which holds the
+    factor's Lanczos basis or the reduction's workspace (about 830 B); a row
+    of the distance kernel's scratch; lapack.SCRATCH_BYTES.  VmHWM of
+    `check` above the imports, their bytecode cached (numpy 2.4, SU(2),
+    where the factor runs, 2 cores) at m = 1,000, 2,000 and 3,000: 17.2,
+    40.9 and 79.3 MiB in place with BLAS on one thread, 17.9, 42.9 and 82.7
+    with BLAS threads free, 24.6, 70.8 and 147.5 with the copies."""
     return (8 * m * m * (1 if lapack.available() else 2) + 16 * max(group_core.BLOCK_FLOATS, m)
-            + 1024 * m + group.pairwise_bytes(m) + lapack.SCRATCH_BYTES)
+            + lapack.KRYLOV_BYTES * m + group.pairwise_bytes(m) + lapack.SCRATCH_BYTES)
 
 
 # ---------------------------------------------------------------------------

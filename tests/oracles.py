@@ -1,11 +1,13 @@
 """Closed-form characters and distribution functions of SU(2) and SO(3),
 which the tests use as oracles for ``levy_groups.harmonic`` and the Haar
-samplers, the covering map SU(2) -> SO(3), and the recursive adaptive
+samplers, the covering map SU(2) -> SO(3), the binary icosahedral group,
+a singular positive semidefinite set of SU(2), and the recursive adaptive
 Simpson rule that ``levy_groups.quadrature`` walks a level at a time.
 Each character and distribution function takes the descriptor ``SU2`` or
 ``SO3``, as ``harmonic`` does.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -128,3 +130,17 @@ def simpson_recursive(f, a, b, tol=1e-10, panels=1):
         whole = _simpson(lo, flo, hi, fhi, c, fc)
         total += _adaptive(f, lo, flo, hi, fhi, c, fc, whole, tol / panels, 0)
     return total
+
+
+def binary_icosahedral():
+    """The 120 unit quaternions of the binary icosahedral group: the 24 Hurwitz
+    units and the even permutations of (0, +-1, +-phi, +-1/phi) / 2."""
+    phi = (1.0 + math.sqrt(5.0)) / 2.0
+    units = {tuple(s * (k == i) for k in range(4)) for i in range(4) for s in (1.0, -1.0)}
+    units |= set(itertools.product((0.5, -0.5), repeat=4))
+    for p in itertools.permutations(range(4)):
+        if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0:
+            for s in itertools.product((1.0, -1.0), repeat=3):
+                v = [0.0, s[0] * 0.5, s[1] * phi / 2.0, s[2] / (2.0 * phi)]
+                units.add(tuple(v[k] for k in p))
+    return np.array(sorted(units))

@@ -107,6 +107,17 @@ def test_check_su2_passes(tmp_path):
     assert doc["restricted_negative"] is True
     assert doc["equivalence_ok"] is True
     assert doc["max_centered_eig"] <= 1e-8
+    # K is positive definite: the ends come from its Cholesky factor
+    assert doc["method"] == ("cholesky" if lapack.available() else "reduction")
+
+
+def test_check_so3_states_the_reduction_where_k_is_indefinite(tmp_path):
+    # ROADMAP item 1's set: the sum-zero block factors, K does not
+    code, text = run_cli(
+        ["check", "--group", "so3", "--points", "10", "--seed", "5"], tmp_path
+    )
+    assert code == EXIT_NEGATIVE_FINDING
+    assert validate("check", text)["method"] == "reduction"
 
 
 def test_check_so3_reports_negative_finding(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -23,7 +22,7 @@ from levy_groups.group_core import (
     haar_su2_batch,
 )
 from levy_groups.kernel_lab import sum_zero_basis
-from oracles import ad_matrix, angle_cdf, trace_cdf_so3
+from oracles import ad_matrix, angle_cdf, binary_icosahedral, trace_cdf_so3
 
 E = SU2.identity
 
@@ -374,20 +373,6 @@ def test_su2_distances_are_accurate_near_zero_and_pi(t):
         d = SU2.pairwise(x)
         assert abs(d[0, 1] - t) <= 1e-14 and d[1, 0] == d[0, 1], (t, d[0, 1])
         assert abs(SU2.distances(x[1:], g)[0] - t) <= 1e-14
-
-
-def binary_icosahedral():
-    """The 120 unit quaternions of the binary icosahedral group: the 24 Hurwitz
-    units and the even permutations of (0, +-1, +-phi, +-1/phi) / 2."""
-    phi = (1.0 + math.sqrt(5.0)) / 2.0
-    units = {tuple(s * (k == i) for k in range(4)) for i in range(4) for s in (1.0, -1.0)}
-    units |= set(itertools.product((0.5, -0.5), repeat=4))
-    for p in itertools.permutations(range(4)):
-        if sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4)) % 2 == 0:
-            for s in itertools.product((1.0, -1.0), repeat=3):
-                v = [0.0, s[0] * 0.5, s[1] * phi / 2.0, s[2] / (2.0 * phi)]
-                units.add(tuple(v[k] for k in p))
-    return np.array(sorted(units))
 
 
 def test_su2_binary_icosahedral_set_is_singular_at_every_translation():

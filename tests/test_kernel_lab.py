@@ -22,6 +22,7 @@ from levy_groups import (
 import levy_groups
 from levy_groups import group_core, kernel_lab, lapack
 from levy_groups.kernel_lab import WitnessCertificate, _reflect, sum_zero_basis
+from oracles import binary_icosahedral
 
 WITNESS_SCHEMA = json.loads(
     (resources.files("levy_groups") / "schemas" / "witness.schema.json").read_text())
@@ -144,11 +145,12 @@ def audit_floats(audit):
 
 def serial_audit(group, x):
     """gram_audit's four floats by its formulas, on fresh arrays: K whole,
-    then H K H, then the ends of its spectrum and of its [1:, 1:] block."""
+    then H K H, then the ends of its spectrum and of its [1:, 1:] block, from
+    its factor where it is positive definite, else from the reduction."""
     d = group.pairwise(x)  # the distance formulas work in blocks; D is taken as given
     d0 = group.distances(x, group.identity)
-    k_min, k_max, c_min, c_max = lapack.extremes(
-        kernel_lab._reflect(0.5 * (d0[:, None] + d0[None, :] - d)))
+    a = kernel_lab._reflect(0.5 * (d0[:, None] + d0[None, :] - d))
+    k_min, k_max, c_min, c_max = lapack.definite_extremes(a) or lapack.extremes(a)
     return -2.0 * c_min, k_min, 2.0 * max(abs(c_min), abs(c_max)), max(abs(k_min), abs(k_max))
 
 
@@ -168,8 +170,8 @@ def eigvalsh_audit(group, x):
 @pytest.mark.parametrize("m", [2, 3, 50, 128, 129, 257, 400])
 @pytest.mark.parametrize("solves", [1, 2])
 def test_audit_matches_serial_reference_bit_for_bit(group, m, solves, monkeypatch):
-    # one reduction, or without LAPACK two eigvalsh solves; either is within
-    # rounding of two whole spectra
+    # one factor or one reduction, or without LAPACK two eigvalsh solves;
+    # each is within rounding of two whole spectra
     if solves == 2:
         monkeypatch.setattr(lapack, "available", lambda: False)
     elif not lapack.available():
@@ -241,19 +243,46 @@ def test_packed_solve_reads_and_writes_only_its_triangle(part, m):
 @pytest.mark.parametrize("part", ["K", "centered D"])
 def test_packed_solve_raises_on_a_lapacke_error(part, monkeypatch):
     # bisection on T (order m) gives K's ends, on T[1:, 1:] (order m - 1) the
-    # centered D's; a failure on either reaches gram_audit's caller
+    # centered D's; a failure on either reaches gram_audit's caller.  SO(3)
+    # points: K is indefinite there, so the reduction runs
     m = 20
     dstebz = lapack._library()["scipy_LAPACKE_dstebz64_"]
     order = m if part == "K" else m - 1
     monkeypatch.setitem(lapack._library(), "scipy_LAPACKE_dstebz64_",
                         lambda *args: 2 if args[2] == order else dstebz(*args))
     with pytest.raises(np.linalg.LinAlgError, match="bisection failed: dstebz info 2"):
-        gram_audit(SU2, su2_points(51, m))
+        gram_audit(SO3, so3_points(51, m))
 
 
-def workspace_bytes(m):
-    """Bytes of the reduction's queried WORK and HOUS2 at order m (0 without LAPACK)."""
-    return 8 * sum(lapack.tridiagonal_workspace(m)) if lapack.available() else 0
+@pytest.mark.skipif(not lapack.available(), reason="numpy bundles no LAPACK")
+@pytest.mark.parametrize("routine, info, message", [
+    ("dpotrf", 4, "Cholesky factorization failed: dpotrf info -4"),
+    ("dtrtrs", 9, "triangular solve failed: dtrtrs info -9")])
+def test_factor_raises_on_a_lapack_error(routine, info, message, monkeypatch):
+    # SU(2): K is positive definite, so the factor runs; INFO < 0 (an
+    # illegal argument) reaches gram_audit's caller, naming the routine
+    name = f"scipy_{routine}_64_"
+    real = lapack._library()[name]
+
+    def failing(*args):
+        real(*args)
+        args[info]._obj.value = -info  # INFO, by reference
+
+    monkeypatch.setitem(lapack._library(), name, failing)
+    with pytest.raises(np.linalg.LinAlgError, match=message):
+        gram_audit(SU2, su2_points(51, 20))
+
+
+def workspace_bytes(m, group=SO3):
+    """Bytes of the audit's workspace at order m: on SU(2), where K is
+    positive definite, the Lanczos basis of up to KRYLOV_BYTES // 8
+    vectors; elsewhere the reduction's queried WORK and HOUS2 (0 without
+    LAPACK)."""
+    if not lapack.available():
+        return 0
+    if group is SU2:
+        return min(lapack.KRYLOV_BYTES // 8, m) * 8 * m
+    return 8 * sum(lapack.tridiagonal_workspace(m))
 
 
 @GROUPS
@@ -272,19 +301,19 @@ def test_audit_holds_one_packed_matrix_at_its_solves(group, monkeypatch):
     m = 300
     x = group.sample(RngStream(53, 0), m)
     held = []
-    solve = lapack.extremes
+    for name in ("definite_extremes", "extremes"):
+        def spy(a, solve=getattr(lapack, name)):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return solve(a)
 
-    def spy(a):
-        held.append(tracemalloc.get_traced_memory()[0])
-        return solve(a)
-
-    monkeypatch.setattr(lapack, "extremes", spy)
+        monkeypatch.setattr(lapack, name, spy)
     tracemalloc.start()
     try:
         gram_audit(group, x)
     finally:
         tracemalloc.stop()
-    assert held[0] <= 1.02 * 8 * m * m  # D, K and H K H share one (m, m) buffer
+    assert held  # the factor's attempt, then the reduction where it fails
+    assert max(held) <= 1.02 * 8 * m * m  # D, K and H K H share one (m, m) buffer
 
 
 @GROUPS
@@ -301,8 +330,8 @@ def test_audit_peaks_at_one_packed_matrix(group, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - workspace_bytes(m) <= 1.02 * 8 * m * m
-    assert workspace_bytes(m) <= 1024 * m  # within audit_bytes' 1 kB per point for it
+    assert peak - workspace_bytes(m, group) <= 1.02 * 8 * m * m
+    assert workspace_bytes(m, group) <= 1024 * m  # within audit_bytes' 1 kB per point for it
 
 
 def test_so3_audit_with_real_blocks_peaks_no_higher_than_su2():
@@ -320,8 +349,8 @@ def test_so3_audit_with_real_blocks_peaks_no_higher_than_su2():
         finally:
             tracemalloc.stop()
     assert peaks[SO3] <= peaks[SU2]
-    assert peaks[SU2] - workspace_bytes(m) <= 1.1 * 8 * m * m
-    assert workspace_bytes(m) <= 1024 * m
+    assert peaks[SU2] - workspace_bytes(m, SU2) <= 1.1 * 8 * m * m
+    assert workspace_bytes(m, SU2) <= 1024 * m
 
 
 @pytest.mark.parametrize("reduce, points", [(True, 1000), (True, 2000), (False, 1000),
@@ -340,6 +369,29 @@ def test_check_is_charged_one_buffer_and_the_copies_of_its_solve_path(reduce, po
     assert charge[1] - in_place == (0 if reduce else 8 * points ** 2)
     # the second difference in m leaves the m x m float64 arrays held: 2 * 8 each
     assert charge[0] - 2 * charge[1] + charge[2] == 16 * (1 if reduce else 2)
+
+
+def test_audit_states_its_method():
+    # K is positive definite on Haar SU(2) sets and indefinite on this SO(3) set
+    assert gram_audit(SU2, su2_points(58, 40)).method == "cholesky"
+    assert gram_audit(SO3, so3_points(5, 10)).method == "reduction"
+
+
+@pytest.mark.skipif(not lapack.available(), reason="numpy bundles no LAPACK")
+def test_audit_takes_the_reduction_where_lanczos_outgrows_its_storage(monkeypatch):
+    x = su2_points(58, 50)
+    monkeypatch.setattr(lapack, "KRYLOV_BYTES", 8 * 4)  # four Lanczos steps
+    audit = gram_audit(SU2, x)
+    assert audit.method == "reduction"
+    monkeypatch.setattr(lapack, "definite_extremes", lambda a: None)
+    assert audit == gram_audit(SU2, x)  # the reduction's floats, bit for bit
+
+
+def test_binary_icosahedral_audit_reads_a_zero_top_sum_zero_eigenvalue():
+    # a finite subgroup: D is negative semidefinite on sum-zero weights with
+    # top eigenvalue 0, so K is singular there
+    audit = gram_audit(SU2, binary_icosahedral())
+    assert abs(audit.max_centered_eig) <= 1e-13
 
 
 def test_two_point_audit_has_negative_top_eigenvalue():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from levy_groups import RngStream, lapack
+from levy_groups import SO3, SU2, RngStream, kernel_lab, lapack
 
 needs_lapack = pytest.mark.skipif(not lapack.available(), reason="numpy bundles no LAPACK")
 
@@ -46,7 +46,7 @@ def test_lapack_wrappers_reject_bad_input_before_lapack_and_raise_on_info(monkey
         "scipy_LAPACKE_dsyevr64_": returning("dsyevr", 3),
         "scipy_LAPACKE_dpotrf64_": returning("dpotrf", -4),
     })
-    square = (lapack.extremes, lapack.top_pair, lapack.cholesky)
+    square = (lapack.extremes, lapack.definite_extremes, lapack.top_pair, lapack.cholesky)
     a = np.eye(4)
     a[1, 2] = np.nan
     for wrapper in square:
@@ -55,7 +55,7 @@ def test_lapack_wrappers_reject_bad_input_before_lapack_and_raise_on_info(monkey
         for bad in (np.eye(3, 4), np.eye(4)[:, ::-1], np.eye(3, dtype=np.float32)):
             with pytest.raises(ValueError, match=r"C-contiguous float64 \(m, m\) matrix"):
                 wrapper(bad)
-    for wrapper in (lapack.extremes, lapack.top_pair):  # the block a[1:, 1:] is empty
+    for wrapper in (lapack.extremes, lapack.definite_extremes, lapack.top_pair):  # no block
         with pytest.raises(ValueError, match="m >= 2"):
             wrapper(np.eye(1))
     with pytest.raises(ValueError, match="non-finite entry"):
@@ -84,11 +84,93 @@ def test_operations_reject_bad_input_on_either_backend(path, monkeypatch):
         monkeypatch.setattr(lapack, "available", lambda: False)
     a = np.eye(4)
     a[3, 2] = np.inf
-    for wrapper in (lapack.extremes, lapack.top_pair, lapack.cholesky):
+    for wrapper in (lapack.extremes, lapack.definite_extremes, lapack.top_pair, lapack.cholesky):
         with pytest.raises(ValueError, match="non-finite entry"):
             wrapper(a)
         with pytest.raises(ValueError, match=r"C-contiguous float64 \(m, m\) matrix"):
             wrapper(np.eye(4)[:, ::-1])
+
+
+def audited(group, x):
+    """H K H of the rows of x for the base point e, as gram_audit builds it."""
+    return kernel_lab._reflect(kernel_lab.brownian_kernel(group, x, group.identity))
+
+
+def planted(values):
+    """Q diag(values) Q^T for a Haar orthogonal Q, bitwise symmetric."""
+    m = len(values)
+    q, _ = np.linalg.qr(RngStream(62, m).generator.standard_normal((m, m)))
+    a = (q * (0.5 * values)) @ q.T
+    return a + a.T
+
+
+def upper_sentinel(a):
+    """a with SENTINEL in its strict upper triangle, and that triangle's mask."""
+    upper = np.triu(np.ones(a.shape, dtype=bool), 1)
+    return np.where(upper, SENTINEL, a), upper
+
+
+def reads_as_the_reduction(a):
+    """definite_extremes reads a's lower triangle only, leaves its strict
+    upper triangle as it was and gives extremes' floats within 1e-14 of
+    the scale."""
+    want = lapack.extremes(a.copy())
+    buf, upper = upper_sentinel(a)
+    got = lapack.definite_extremes(buf)
+    assert got is not None
+    assert np.abs(np.subtract(got, want)).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+    assert (buf[upper].view(np.uint64) == SENTINEL.view(np.uint64)).all()
+
+
+@needs_lapack
+@pytest.mark.parametrize("m", [2, 3, 7, 50, 129, 400, 1000])
+def test_definite_extremes_are_the_reductions_on_su2(m):
+    reads_as_the_reduction(audited(SU2, SU2.sample(RngStream(63, m), m)))
+
+
+@needs_lapack
+@pytest.mark.parametrize("bottom", ["cluster", "double"])
+@pytest.mark.parametrize("m", [40, 200])
+def test_definite_extremes_are_the_reductions_on_planted_spectra(bottom, m):
+    # six bottom eigenvalues within 1e-6 relative of each other, or an exact
+    # double one; the rest spread over [10, 100]
+    values = np.linspace(10.0, 100.0, m)
+    if bottom == "cluster":
+        values[:6] = 1.0 + 2e-7 * np.arange(6)
+    else:
+        values[:2] = 1.0
+    reads_as_the_reduction(planted(values))
+
+
+def so3_item_1_set():
+    """check --group so3 --points 10 at seed 5: a[1:, 1:] is positive
+    definite, a is not, so the border's delta^2 <= 0."""
+    a = audited(SO3, SO3.sample(RngStream(5, 0), 10))
+    assert np.linalg.eigvalsh(a[1:, 1:])[0] > 0.0 > np.linalg.eigvalsh(a)[0]
+    return a
+
+
+@needs_lapack
+@pytest.mark.parametrize("case", ["indefinite", "so3 seed 5", "identical points"])
+def test_definite_extremes_restore_the_diagonal_where_the_factor_fails(case):
+    if case == "indefinite":
+        a = symmetric(64, 30)
+    elif case == "so3 seed 5":
+        a = so3_item_1_set()
+    else:  # K = d(g, e) 1 1^T, of rank one
+        a = audited(SU2, np.stack([SU2.sample(RngStream(64, 0), 1)[0]] * 5))
+    buf, upper = upper_sentinel(a)
+    assert lapack.definite_extremes(buf) is None
+    assert np.array_equal(buf.diagonal(), a.diagonal())
+    assert (buf[upper].view(np.uint64) == SENTINEL.view(np.uint64)).all()
+
+
+def test_definite_extremes_without_the_library_is_none(monkeypatch):
+    monkeypatch.setattr(lapack, "available", lambda: False)
+    a = audited(SU2, SU2.sample(RngStream(65, 0), 20))
+    before = a.copy()
+    assert lapack.definite_extremes(a) is None
+    assert np.array_equal(a, before)
 
 
 @needs_lapack
