@@ -347,7 +347,7 @@ def _run_check(cfg: RunConfig, group, rng: RngStream) -> None:
     rnd = audit.is_restricted_negative(cfg.tol)
     equiv = psd == rnd
     doc = {
-        "schema_version": "1", "kind": "check", "group": cfg.group,
+        "schema_version": "2", "kind": "check", "group": cfg.group,
         "n": getattr(group, "n", None), "points": cfg.points,
         "seed": cfg.seed, "stream": cfg.stream,
         "min_K_eig": audit.min_K_eig,

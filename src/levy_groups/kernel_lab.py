@@ -133,11 +133,10 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
     H K H (see _reflect), whose one factorization gives both spectra's
     ends: K's are those of H K H, and since v^T K v = -v^T D v / 2 for
     sum-zero v, D's on sum-zero weights are -2 times those of its [1:, 1:]
-    block.  Where H K H is positive definite, the ends come from its
-    Cholesky factor (lapack.definite_extremes); where the factor fails,
-    as on SO(n), from the reduction (lapack.extremes), which reads the
-    triangle the factor leaves as it was.  Raises ValueError on non-finite
-    distances.
+    block.  lapack.factored_extremes reads them from the Cholesky factor
+    of H K H where it is positive definite, and where the factor fails, as
+    on SO(n), from extremes' reduction, which reads the triangle the
+    factor leaves as it was.  Raises ValueError on non-finite distances.
     """
     if len(x) < 2:
         raise ValueError("need at least 2 points")
@@ -145,9 +144,7 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
     buf = brownian_kernel(group, x, x0)
     if not np.isfinite(buf.sum(axis=1)).all():  # K is finite where d and d0 are
         raise ValueError("non-finite distance encountered")
-    ends = lapack.definite_extremes(_reflect(buf))
-    method = "reduction" if ends is None else "cholesky"
-    k_min, k_max, c_min, c_max = ends or lapack.extremes(buf)
+    (k_min, k_max, c_min, c_max), method = lapack.factored_extremes(_reflect(buf))
     return GramAudit(
         max_centered_eig=-2.0 * c_min,
         min_K_eig=k_min,

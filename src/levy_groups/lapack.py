@@ -11,9 +11,10 @@ Each operation, ``extremes``, ``top_pair`` and ``cholesky``, is one call
 that runs on either backend: where numpy ships no such library,
 ``available()`` is false and they take numpy's ``eigvalsh``, ``eigh`` and
 ``cholesky``; the thread wrappers then change nothing.  The fourth,
-``definite_extremes``, reads extremes' four floats from one Cholesky
-factor where the matrix is positive definite, and returns None elsewhere
-and without the library, so that ``extremes`` runs.
+``factored_extremes``, reads extremes' four floats from one Cholesky
+factor where the matrix is positive definite, and elsewhere, and without
+the library, runs ``extremes``' reduction on the matrix as it was; it
+names which one it ran.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import group_core
+from .rng import RngStream
 
 _INT, _DOUBLE, _PTR, _CHAR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_char
 _ROW_MAJOR, _COL_MAJOR = 101, 102  # LAPACKE's layouts; row-major transposes a copy
@@ -35,7 +37,7 @@ _ABSTOL = 2.0 * np.finfo(float).tiny  # bisection to full accuracy
 # at m = 2,000 and 3,000 (numpy 2.4, BLAS threads free), about 7 for the first Cholesky
 SCRATCH_BYTES = 9 * 2 ** 20
 # Workspace bytes a point of the audit: extremes' reduction takes about 830, and
-# definite_extremes' Lanczos basis, up to KRYLOV_BYTES / 8 vectors, stays within it
+# factored_extremes' Lanczos basis, up to KRYLOV_BYTES / 8 vectors, stays within it
 KRYLOV_BYTES = 1024
 _RITZ_TOL = 1e-10  # Lanczos stops on a top Ritz pair whose residual is within this of its value
 _PANEL = 32  # rows of the factor a step of _factor
@@ -46,7 +48,7 @@ _SYMBOLS = {
     # CHARACTER's length.  extremes' reduction:
     "scipy_dsytrd_2stage_64_": (None, (ctypes.c_char_p,) * 2 + (_PTR,) * 11
                                 + (ctypes.c_size_t,) * 2),
-    # definite_extremes' factor (dpotrf, dtrsm, dsyrk) and Lanczos steps (dtrtrs, dtrmv),
+    # factored_extremes' factor (dpotrf, dtrsm, dsyrk) and Lanczos steps (dtrtrs, dtrmv),
     # column-major on the block's lower triangle, so no copy of it is made
     "scipy_dpotrf_64_": (None, (ctypes.c_char_p,) + (_PTR,) * 4 + (ctypes.c_size_t,)),
     "scipy_dtrsm_64_": (None, (ctypes.c_char_p,) * 4 + (_PTR,) * 7 + (ctypes.c_size_t,) * 4),
@@ -154,7 +156,11 @@ def extremes(a: np.ndarray) -> tuple[float, float, float, float]:
     bisection reads the ends of T and of T[1:, 1:].  Without the library,
     eigvalsh of a copy of a, then of a[1:, 1:].  Raises ValueError on a
     non-finite entry, before LAPACK runs."""
-    m = _square(a, least=2)
+    return _reduce(a, _square(a, least=2))
+
+
+def _reduce(a: np.ndarray, m: int) -> tuple[float, float, float, float]:
+    """extremes on the order-m a that _square has checked."""
     if not available():
         whole, part = (np.linalg.eigvalsh(b, UPLO="U") for b in (a, a[1:, 1:]))
         return float(whole[0]), float(whole[-1]), float(part[0]), float(part[-1])
@@ -170,9 +176,10 @@ def _int(value: int):
     return ctypes.byref(ctypes.c_int64(value))
 
 
-def definite_extremes(a: np.ndarray) -> Optional[tuple[float, float, float, float]]:
-    """extremes' four floats from one Cholesky factor, when the symmetric
-    C-contiguous float64 (m, m) a, m >= 2, is positive definite; else None.
+def factored_extremes(a: np.ndarray) -> tuple[tuple[float, float, float, float], str]:
+    """extremes' four floats for the symmetric C-contiguous float64 (m, m)
+    a, m >= 2, and the factorization that gave them: "cholesky" where a is
+    positive definite, else "reduction", extremes' own.
 
     _factor factors the block B = a[1:, 1:] in place on its lower triangle
     as B = L L^T, with no copy.  Bordering L with a's first column,
@@ -181,25 +188,26 @@ def definite_extremes(a: np.ndarray) -> Optional[tuple[float, float, float, floa
     from M M^T and L L^T, two dtrmv a step, and the bottoms from their
     inverses, two dtrtrs a step, each problem alone with one right-hand
     side: numpy's OpenBLAS takes a BLAS-2 path for one, which at m = 2,000
-    runs in 0.9 ms against 2.5 for two and packs nothing.
+    runs in 0.9 ms against 2.5 for two and packs nothing.  On success a's
+    lower triangle holds the factor.
 
-    On success a's lower triangle holds the factor.  None when the factor
-    fails, when delta^2 <= 0, when Lanczos needs more than KRYLOV_BYTES a
-    point of Krylov basis, or without the library; a's diagonal is then
-    restored and its upper triangle, which extremes reads, is as it was.
-    Raises ValueError on a non-finite entry, before LAPACK runs."""
+    The reduction runs where the factor fails, where delta^2 <= 0, where
+    Lanczos would need more than KRYLOV_BYTES a point of Krylov basis, and
+    without the library; a's diagonal is restored first, and its upper
+    triangle, which the reduction reads, is as it was.  a is checked once:
+    ValueError on a non-finite entry, before LAPACK runs."""
     m = _square(a, least=2)
-    if not available():
-        return None
-    diagonal = a.diagonal().copy()
-    ends = _bordered_ends(a, m)
-    if ends is None:
+    if available():
+        diagonal = a.diagonal().copy()
+        ends = _bordered_ends(a, m)
+        if ends is not None:
+            return ends, "cholesky"
         np.fill_diagonal(a, diagonal)
-    return ends
+    return _reduce(a, m), "reduction"
 
 
 def _bordered_ends(a: np.ndarray, m: int) -> Optional[tuple[float, float, float, float]]:
-    """definite_extremes' four floats from the factor M of a, which is left
+    """factored_extremes' four floats from the factor M of a, which is left
     in a's lower triangle; or None, a's diagonal then overwritten."""
     if not _factor(a, m):
         return None
@@ -231,7 +239,7 @@ def _bordered_ends(a: np.ndarray, m: int) -> Optional[tuple[float, float, float,
         _triangular(b"T", a, x)
         _triangular(b"N", a, x)
 
-    start = np.random.default_rng(0).standard_normal(m)
+    start = RngStream(0, 0).generator.standard_normal(m)  # every problem's, fixed
     tops = []
     for apply, x in ((inverse, start), (product, start), (block_inverse, start[1:]),
                      (block_product, start[1:])):

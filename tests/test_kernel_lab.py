@@ -150,7 +150,7 @@ def serial_audit(group, x):
     d = group.pairwise(x)  # the distance formulas work in blocks; D is taken as given
     d0 = group.distances(x, group.identity)
     a = kernel_lab._reflect(0.5 * (d0[:, None] + d0[None, :] - d))
-    k_min, k_max, c_min, c_max = lapack.definite_extremes(a) or lapack.extremes(a)
+    (k_min, k_max, c_min, c_max), _ = lapack.factored_extremes(a)
     return -2.0 * c_min, k_min, 2.0 * max(abs(c_min), abs(c_max)), max(abs(k_min), abs(k_max))
 
 
@@ -301,10 +301,10 @@ def test_audit_holds_one_packed_matrix_at_its_solves(group, monkeypatch):
     m = 300
     x = group.sample(RngStream(53, 0), m)
     held = []
-    for name in ("definite_extremes", "extremes"):
-        def spy(a, solve=getattr(lapack, name)):
+    for name in ("factored_extremes", "_reduce"):
+        def spy(*args, solve=getattr(lapack, name)):
             held.append(tracemalloc.get_traced_memory()[0])
-            return solve(a)
+            return solve(*args)
 
         monkeypatch.setattr(lapack, name, spy)
     tracemalloc.start()
@@ -331,26 +331,37 @@ def test_audit_peaks_at_one_packed_matrix(group, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak - workspace_bytes(m, group) <= 1.02 * 8 * m * m
-    assert workspace_bytes(m, group) <= 1024 * m  # within audit_bytes' 1 kB per point for it
+    assert workspace_bytes(m) <= 1024 * m  # the reduction's, within audit_bytes' 1 kB per point
 
 
-def test_so3_audit_with_real_blocks_peaks_no_higher_than_su2():
+def test_so3_audit_with_real_blocks_peaks_no_higher_than_su2(monkeypatch):
     # SO(3)'s distance kernel holds one block of scratch beside its output, as
-    # its _pair_floats declares, so its peak is the buffer's, as on SU(2)
+    # its _pair_floats declares, so up to the solve its peak is the buffer's,
+    # as on SU(2); in the solve each holds the buffer and its solver's
+    # workspace: SU(2)'s Lanczos basis, SO(3)'s reduction
     m = 1000
-    peaks = {}
+    before, during = {}, {}
+    solve = lapack.factored_extremes
+
+    def spy(a):
+        before[group] = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        return solve(a)
+
+    monkeypatch.setattr(lapack, "factored_extremes", spy)
     for group in (SU2, SO3):
         gram_audit(group, group.sample(RngStream(54, 0), 10))  # load the solver first
         x = group.sample(RngStream(54, 1), m)
         tracemalloc.start()
         try:
             gram_audit(group, x)
-            peaks[group] = tracemalloc.get_traced_memory()[1]
+            during[group] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peaks[SO3] <= peaks[SU2]
-    assert peaks[SU2] - workspace_bytes(m, SU2) <= 1.1 * 8 * m * m
-    assert workspace_bytes(m, SU2) <= 1024 * m
+    assert before[SO3] <= before[SU2]
+    for group in (SU2, SO3):
+        assert during[group] - workspace_bytes(m, group) <= 1.02 * 8 * m * m
+    assert workspace_bytes(m, SO3) <= 1024 * m  # the reduction's, within audit_bytes' 1 kB per point
 
 
 @pytest.mark.parametrize("reduce, points", [(True, 1000), (True, 2000), (False, 1000),
@@ -371,19 +382,13 @@ def test_check_is_charged_one_buffer_and_the_copies_of_its_solve_path(reduce, po
     assert charge[0] - 2 * charge[1] + charge[2] == 16 * (1 if reduce else 2)
 
 
-def test_audit_states_its_method():
-    # K is positive definite on Haar SU(2) sets and indefinite on this SO(3) set
-    assert gram_audit(SU2, su2_points(58, 40)).method == "cholesky"
-    assert gram_audit(SO3, so3_points(5, 10)).method == "reduction"
-
-
 @pytest.mark.skipif(not lapack.available(), reason="numpy bundles no LAPACK")
 def test_audit_takes_the_reduction_where_lanczos_outgrows_its_storage(monkeypatch):
     x = su2_points(58, 50)
     monkeypatch.setattr(lapack, "KRYLOV_BYTES", 8 * 4)  # four Lanczos steps
     audit = gram_audit(SU2, x)
     assert audit.method == "reduction"
-    monkeypatch.setattr(lapack, "definite_extremes", lambda a: None)
+    monkeypatch.setattr(lapack, "_bordered_ends", lambda a, m: None)
     assert audit == gram_audit(SU2, x)  # the reduction's floats, bit for bit
 
 

@@ -46,7 +46,7 @@ def test_lapack_wrappers_reject_bad_input_before_lapack_and_raise_on_info(monkey
         "scipy_LAPACKE_dsyevr64_": returning("dsyevr", 3),
         "scipy_LAPACKE_dpotrf64_": returning("dpotrf", -4),
     })
-    square = (lapack.extremes, lapack.definite_extremes, lapack.top_pair, lapack.cholesky)
+    square = (lapack.extremes, lapack.factored_extremes, lapack.top_pair, lapack.cholesky)
     a = np.eye(4)
     a[1, 2] = np.nan
     for wrapper in square:
@@ -55,7 +55,7 @@ def test_lapack_wrappers_reject_bad_input_before_lapack_and_raise_on_info(monkey
         for bad in (np.eye(3, 4), np.eye(4)[:, ::-1], np.eye(3, dtype=np.float32)):
             with pytest.raises(ValueError, match=r"C-contiguous float64 \(m, m\) matrix"):
                 wrapper(bad)
-    for wrapper in (lapack.extremes, lapack.definite_extremes, lapack.top_pair):  # no block
+    for wrapper in (lapack.extremes, lapack.factored_extremes, lapack.top_pair):  # no block
         with pytest.raises(ValueError, match="m >= 2"):
             wrapper(np.eye(1))
     with pytest.raises(ValueError, match="non-finite entry"):
@@ -84,7 +84,7 @@ def test_operations_reject_bad_input_on_either_backend(path, monkeypatch):
         monkeypatch.setattr(lapack, "available", lambda: False)
     a = np.eye(4)
     a[3, 2] = np.inf
-    for wrapper in (lapack.extremes, lapack.definite_extremes, lapack.top_pair, lapack.cholesky):
+    for wrapper in (lapack.extremes, lapack.factored_extremes, lapack.top_pair, lapack.cholesky):
         with pytest.raises(ValueError, match="non-finite entry"):
             wrapper(a)
         with pytest.raises(ValueError, match=r"C-contiguous float64 \(m, m\) matrix"):
@@ -111,27 +111,27 @@ def upper_sentinel(a):
 
 
 def reads_as_the_reduction(a):
-    """definite_extremes reads a's lower triangle only, leaves its strict
-    upper triangle as it was and gives extremes' floats within 1e-14 of
-    the scale."""
+    """factored_extremes factors a, reading its lower triangle only, leaves
+    its strict upper triangle as it was and gives extremes' floats within
+    1e-14 of the scale."""
     want = lapack.extremes(a.copy())
     buf, upper = upper_sentinel(a)
-    got = lapack.definite_extremes(buf)
-    assert got is not None
+    got, method = lapack.factored_extremes(buf)
+    assert method == "cholesky"
     assert np.abs(np.subtract(got, want)).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
     assert (buf[upper].view(np.uint64) == SENTINEL.view(np.uint64)).all()
 
 
 @needs_lapack
 @pytest.mark.parametrize("m", [2, 3, 7, 50, 129, 400, 1000])
-def test_definite_extremes_are_the_reductions_on_su2(m):
+def test_factored_extremes_are_the_reductions_on_su2(m):
     reads_as_the_reduction(audited(SU2, SU2.sample(RngStream(63, m), m)))
 
 
 @needs_lapack
 @pytest.mark.parametrize("bottom", ["cluster", "double"])
 @pytest.mark.parametrize("m", [40, 200])
-def test_definite_extremes_are_the_reductions_on_planted_spectra(bottom, m):
+def test_factored_extremes_are_the_reductions_on_planted_spectra(bottom, m):
     # six bottom eigenvalues within 1e-6 relative of each other, or an exact
     # double one; the rest spread over [10, 100]
     values = np.linspace(10.0, 100.0, m)
@@ -152,24 +152,50 @@ def so3_item_1_set():
 
 @needs_lapack
 @pytest.mark.parametrize("case", ["indefinite", "so3 seed 5", "identical points"])
-def test_definite_extremes_restore_the_diagonal_where_the_factor_fails(case):
+def test_factored_extremes_reduce_a_restored_matrix_where_the_factor_fails(case, monkeypatch):
+    # the reduction sees the diagonal restored and the strict upper triangle
+    # bit for bit
     if case == "indefinite":
         a = symmetric(64, 30)
     elif case == "so3 seed 5":
         a = so3_item_1_set()
     else:  # K = d(g, e) 1 1^T, of rank one
         a = audited(SU2, np.stack([SU2.sample(RngStream(64, 0), 1)[0]] * 5))
+    seen = []
+    monkeypatch.setattr(lapack, "_reduce", lambda b, m: seen.append((b.copy(), m)) or (1.0,) * 4)
     buf, upper = upper_sentinel(a)
-    assert lapack.definite_extremes(buf) is None
-    assert np.array_equal(buf.diagonal(), a.diagonal())
-    assert (buf[upper].view(np.uint64) == SENTINEL.view(np.uint64)).all()
+    assert lapack.factored_extremes(buf) == ((1.0,) * 4, "reduction")
+    [(b, m)] = seen
+    assert m == len(a)
+    assert np.array_equal(b.diagonal(), a.diagonal())
+    assert (b[upper].view(np.uint64) == SENTINEL.view(np.uint64)).all()
 
 
-def test_definite_extremes_without_the_library_is_none(monkeypatch):
+def _once(check):
+    """check, raising if it is called a second time."""
+    calls = []
+
+    def once(*args, **kwargs):
+        assert not calls, "the matrix is checked twice"
+        calls.append(args)
+        return check(*args, **kwargs)
+    return once
+
+
+@needs_lapack
+def test_factored_extremes_where_the_factor_fails_are_the_reductions_bit_for_bit(monkeypatch):
+    # and the matrix is checked once, not again for the reduction
+    a = so3_item_1_set()
+    want = lapack.extremes(a.copy())
+    monkeypatch.setattr(lapack, "_square", _once(lapack._square))
+    assert lapack.factored_extremes(a) == (want, "reduction")
+
+
+def test_factored_extremes_without_the_library_are_eigvalshs(monkeypatch):
     monkeypatch.setattr(lapack, "available", lambda: False)
     a = audited(SU2, SU2.sample(RngStream(65, 0), 20))
     before = a.copy()
-    assert lapack.definite_extremes(a) is None
+    assert lapack.factored_extremes(a) == (lapack.extremes(a.copy()), "reduction")
     assert np.array_equal(a, before)
 
 
