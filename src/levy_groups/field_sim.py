@@ -98,13 +98,12 @@ def build_field(
 def variogram_bytes(m: int, realizations: int) -> int:
     """Bytes build_field and empirical_variogram hold at their peak for m
     points besides x0, the returned columns included.  VmHWM growth above
-    the interpreter, with one BLAS thread, read about 3.2 (m + 1) x (m + 1)
-    matrices after build_field (K, the factor, and the transposed copy of
-    its triangle that LAPACKE factors; 5.4 when np.linalg.cholesky took a
-    copy of the jittered block and returned another) and about 11 once the
-    variogram is done (K, the factor, S, Q, T and a dozen vectors of one
-    entry per pair, each half a matrix) at m = 800 and 1,500: `simulate
-    --points 1500 --realizations 100` grew 186.3 MiB; charged 12.
+    the interpreter, with one BLAS thread, read 2.45 and 2.14 (m + 1)^2
+    matrices after build_field (K and the factor lapack.cholesky forms in
+    place) and 10.55 and 10.21 at the variogram's end, the peak (K, the
+    factor, S, Q, T and a dozen vectors of one entry per pair, each half a
+    matrix) at m = 800 and 1,500: `simulate --points 1500 --realizations
+    100` grew 182.3 MiB; charged 12.
     Besides: one colouring block of values at its widest; the one scratch
     of _gram_moments, that block's normals or the _BLOCK columns of powers,
     whichever is larger (`simulate --points 200 --realizations 10000` grew

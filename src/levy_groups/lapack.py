@@ -14,7 +14,8 @@ that runs on either backend: where numpy ships no such library,
 ``factored_extremes``, reads extremes' four floats from one Cholesky
 factor where the matrix is positive definite, and elsewhere, and without
 the library, runs ``extremes``' reduction on the matrix as it was; it
-names which one it ran.
+names which one it ran.  It and ``cholesky`` share one factor, ``_factor``,
+in place in panels, which agrees with numpy's to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from . import group_core
 from .rng import RngStream
 
 _INT, _DOUBLE, _PTR, _CHAR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_char
-_ROW_MAJOR, _COL_MAJOR = 101, 102  # LAPACKE's layouts; row-major transposes a copy
+_COL_MAJOR = 102  # LAPACKE's layout flag
 _ABSTOL = 2.0 * np.finfo(float).tiny  # bisection to full accuracy
 # BLAS and LAPACK scratch, which every memory charge adds: 8.6 MiB of VmHWM for `check`
-# at m = 2,000 and 3,000 (numpy 2.4, BLAS threads free), about 7 for the first Cholesky
+# at m = 2,000 and 3,000 (numpy 2.4, BLAS threads free), 2.8 and 4.5 for the first cholesky
 SCRATCH_BYTES = 9 * 2 ** 20
 # Workspace bytes a point of the audit: extremes' reduction takes about 830, and
 # factored_extremes' Lanczos basis, up to KRYLOV_BYTES / 8 vectors, stays within it
@@ -48,8 +49,8 @@ _SYMBOLS = {
     # CHARACTER's length.  extremes' reduction:
     "scipy_dsytrd_2stage_64_": (None, (ctypes.c_char_p,) * 2 + (_PTR,) * 11
                                 + (ctypes.c_size_t,) * 2),
-    # factored_extremes' factor (dpotrf, dtrsm, dsyrk) and Lanczos steps (dtrtrs, dtrmv),
-    # column-major on the block's lower triangle, so no copy of it is made
+    # _factor's panels (dpotrf, dtrsm, dsyrk) and factored_extremes' Lanczos steps (dtrtrs,
+    # dtrmv), column-major on the block's lower triangle, so no copy of it is made
     "scipy_dpotrf_64_": (None, (ctypes.c_char_p,) + (_PTR,) * 4 + (ctypes.c_size_t,)),
     "scipy_dtrsm_64_": (None, (ctypes.c_char_p,) * 4 + (_PTR,) * 7 + (ctypes.c_size_t,) * 4),
     "scipy_dsyrk_64_": (None, (ctypes.c_char_p,) * 2 + (_PTR,) * 8 + (ctypes.c_size_t,) * 2),
@@ -60,7 +61,6 @@ _SYMBOLS = {
     "scipy_LAPACKE_dsyevr64_": (_INT, (ctypes.c_int, _CHAR, _CHAR, _CHAR, _INT, _PTR, _INT,
                                        _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE, _PTR, _PTR, _PTR,
                                        _INT, _PTR)),
-    "scipy_LAPACKE_dpotrf64_": (_INT, (ctypes.c_int, _CHAR, _INT, _PTR, _INT)),
     "scipy_openblas_set_num_threads64_": (None, (ctypes.c_int,)),
     "scipy_openblas_get_num_threads64_": (ctypes.c_int, ()),
     "scipy_openblas_get_corename64_": (ctypes.c_char_p, ()),
@@ -209,7 +209,7 @@ def factored_extremes(a: np.ndarray) -> tuple[tuple[float, float, float, float],
 def _bordered_ends(a: np.ndarray, m: int) -> Optional[tuple[float, float, float, float]]:
     """factored_extremes' four floats from the factor M of a, which is left
     in a's lower triangle; or None, a's diagonal then overwritten."""
-    if not _factor(a, m):
+    if _factor(a, m):
         return None
     w = a[1:, 0].copy()
     _triangular(b"T", a, w)
@@ -249,15 +249,17 @@ def _bordered_ends(a: np.ndarray, m: int) -> Optional[tuple[float, float, float,
     return 1.0 / tops[0], tops[1], 1.0 / tops[2], tops[3]
 
 
-def _factor(a: np.ndarray, m: int) -> bool:
-    """Whether the block a[1:, 1:] is positive definite, factored in place
-    on its lower triangle as L L^T: column-major from the pointer of a[1, 1]
-    with leading dimension m, that triangle is Fortran's upper, U = L^T.
-    _PANEL rows of U at a time: dpotrf('U') of the panel's diagonal block,
-    dtrsm of the rest of the panel, a dsyrk update of the trailing block.
-    OpenBLAS's own dpotrf packs an (m, 384) panel: at m = 2,000 it took
-    6.0 MiB of VmHWM against 0.6 for these panels, and no less time (numpy
-    2.4, SkylakeX, one thread: 69 against 60 ms)."""
+def _factor(a: np.ndarray, m: int) -> int:
+    """Factor the block a[1:, 1:] in place on its lower triangle as L L^T
+    and return 0, or return k + INFO, the order of the first leading minor
+    that is not positive definite, for the panel at row k.  Column-major
+    from the pointer of a[1, 1] with leading dimension m, that triangle is
+    Fortran's upper, U = L^T.  _PANEL rows of U at a time: dpotrf('U') of
+    the panel's diagonal block, dtrsm of the rest of the panel, a dsyrk
+    update of the trailing block.  OpenBLAS's own dpotrf packs an (m, 384)
+    panel: at m = 2,000 it took 6.0 MiB of VmHWM against 0.6 for these
+    panels, and no less time (numpy 2.4, SkylakeX, one thread: 69 against
+    60 ms)."""
     def at(i, j):  # the pointer of Fortran's (i, j) of the block
         return a[1 + j:, 1 + i:].ctypes.data
 
@@ -269,14 +271,14 @@ def _factor(a: np.ndarray, m: int) -> bool:
         if info.value < 0:
             raise np.linalg.LinAlgError(f"Cholesky factorization failed: dpotrf info {info.value}")
         if info.value > 0:
-            return False
+            return k + info.value
         if k + width < n:
             _library()["scipy_dtrsm_64_"](b"L", b"U", b"T", b"N", _int(width), rest, one,
                                           at(k, k), ld, at(k, k + width), ld, 1, 1, 1, 1)
             _library()["scipy_dsyrk_64_"](b"U", b"T", rest, _int(width), minus_one,
                                           at(k, k + width), ld, one, at(k + width, k + width),
                                           ld, 1, 1)
-    return True
+    return 0
 
 
 def _triangular(trans: bytes, a: np.ndarray, x: np.ndarray, multiply: bool = False) -> None:
@@ -350,14 +352,13 @@ def top_pair(a: np.ndarray) -> tuple[float, np.ndarray]:
 
 def cholesky(a: np.ndarray) -> int:
     """Overwrite the block a[1:, 1:] of the C-contiguous float64 (m, m) a
-    with the Cholesky factor of its lower triangle, np.linalg.cholesky's bit
-    for bit, its strict upper triangle zeroed, and return 0; or return the
-    order (from 1) of the first leading minor that is not positive definite,
-    the block then unspecified.  LAPACKE dpotrf, row-major with leading
-    dimension m from the pointer of a[1, 1], factors a transposed copy of
-    the triangle; without the library, np.linalg.cholesky of a copy, and on
-    failure a bisection over the leading minors.  Raises ValueError on a
-    non-finite entry, before LAPACK runs."""
+    with the Cholesky factor of its lower triangle, its strict upper
+    triangle zeroed, and return 0; or return the order (from 1) of the first
+    leading minor that is not positive definite, the block then unspecified.
+    _factor factors the triangle in place, in panels; without the library,
+    np.linalg.cholesky of a copy, and on failure a bisection over the
+    leading minors.  Raises ValueError on a non-finite entry, before LAPACK
+    runs."""
     m, block = _square(a), a[1:, 1:]
     if not available():
         try:
@@ -365,13 +366,11 @@ def cholesky(a: np.ndarray) -> int:
         except np.linalg.LinAlgError:
             return _first_failed_minor(block)
         return 0
-    info = _library()["scipy_LAPACKE_dpotrf64_"](_ROW_MAJOR, b"L", m - 1, block.ctypes.data, m)
-    if info < 0:
-        raise np.linalg.LinAlgError(f"Cholesky factorization failed: dpotrf info {info}")
-    if info == 0:
+    pivot = _factor(a, m)
+    if not pivot:
         for i in range(m - 2):  # a row at a time: no (m, m) mask or index arrays
             block[i, i + 1:] = 0.0
-    return int(info)
+    return pivot
 
 
 def _first_failed_minor(block: np.ndarray) -> int:

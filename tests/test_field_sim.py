@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,7 @@ from levy_groups import (
     build_field,
     empirical_variogram,
     field_sim,
+    lapack,
     sample_field,
 )
 from levy_groups.cli import RunConfig, _emit
@@ -101,13 +105,14 @@ def test_build_field_validates_arguments():
 
 def factored_per_rung(k, jitter):
     """(factor, jitter) of the trailing block of k as the ladder first read:
-    K + jit max(K_ii) I formed anew on each rung, x10 up to three times."""
+    K + jit max(K_ii) I formed anew on each rung, x10 up to three times,
+    bordered by zeros and factored by lapack.cholesky."""
     block = k[1:, 1:]
     for jit in (jitter * 10.0 ** e for e in range(4)):
-        try:
-            return np.linalg.cholesky(block + jit * block.diagonal().max() * np.eye(len(block))), jit
-        except np.linalg.LinAlgError:
-            continue
+        a = np.zeros_like(k)
+        a[1:, 1:] = block + jit * block.diagonal().max() * np.eye(len(block))
+        if not lapack.cholesky(a):
+            return a[1:, 1:], jit
     return None, None
 
 
@@ -123,6 +128,30 @@ def test_jitter_ladder_factor_is_the_per_rung_formulas_bit_for_bit(seed, m, jitt
     assert fs.jitter_used == jit == jitter * 10.0 ** rung
     assert np.array_equal(fs.chol[1:, 1:], factor)
     assert np.array_equal(fs.chol[0], np.zeros(fs.m)) and np.array_equal(fs.chol[:, 0], fs.chol[0])
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_build_field_factors_without_a_copy_of_the_block():
+    # K and the factor are two (m + 1)^2 matrices; a transposed copy of the
+    # block for the factor would be a third.  A fresh interpreter on one BLAS
+    # thread, as the CLI runs, so no earlier test's peak hides the growth
+    code = """if True:
+        from levy_groups import SU2, RngStream, build_field, lapack
+        def hwm():
+            with open("/proc/self/status") as f:
+                return next(int(l.split()[1]) * 1024 for l in f if l.startswith("VmHWM:"))
+        lapack.set_threads(1)
+        x = SU2.sample(RngStream(84, 0), 2000)
+        before = hwm()
+        fs = build_field(SU2, x)
+        print(hwm() - before, fs.m)
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(field_sim.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    grown, m = map(int, done.stdout.split())
+    assert m == 2001 and grown <= 2.4 * 8 * m ** 2
 
 
 # ---------------------------------------------------------------------------

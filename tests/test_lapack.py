@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,10 @@ def test_lapack_wrappers_reject_bad_input_before_lapack_and_raise_on_info(monkey
         calls.append("dsytrd_2stage")
         args[12]._obj.value = 3  # INFO, by reference
 
+    def dpotrf(*args):
+        calls.append("dpotrf")
+        args[4]._obj.value = -4
+
     def returning(name, info):
         return lambda *args: calls.append(name) or info
 
@@ -44,7 +51,7 @@ def test_lapack_wrappers_reject_bad_input_before_lapack_and_raise_on_info(monkey
         "scipy_dsytrd_2stage_64_": dsytrd,
         "scipy_LAPACKE_dstebz64_": returning("dstebz", 2),
         "scipy_LAPACKE_dsyevr64_": returning("dsyevr", 3),
-        "scipy_LAPACKE_dpotrf64_": returning("dpotrf", -4),
+        "scipy_dpotrf_64_": dpotrf,
     })
     square = (lapack.extremes, lapack.factored_extremes, lapack.top_pair, lapack.cholesky)
     a = np.eye(4)
@@ -218,15 +225,22 @@ def test_syevr_top_is_the_top_eigenpair_of_the_block_from_its_upper_triangle(m):
     assert (a[untouched].view(np.uint64) == SENTINEL.view(np.uint64)).all()
 
 
-def factors_the_block_as_numpy_does(m):
+def factors_the_block_as_numpy_does(m, bits):
     """Both backends read the block's lower triangle only, zero its strict
-    upper triangle and leave the first row and column as they were."""
+    upper triangle and leave the first row and column as they were; the
+    factor is np.linalg.cholesky's bit for bit, or with ``bits`` false
+    reproduces the block within 4 m eps of its scale."""
     g = RngStream(61, m).generator.standard_normal((m, m))
     block = g @ g.T + m * np.eye(m)
     lower = np.tril(np.ones((m, m), dtype=bool))
     a = bordered(np.where(lower, block, SENTINEL), SENTINEL)
     assert lapack.cholesky(a) == 0
-    assert np.array_equal(a[1:, 1:], np.linalg.cholesky(block))
+    factor = a[1:, 1:]
+    assert np.array_equal(factor, np.tril(factor))
+    if bits:
+        assert np.array_equal(factor, np.linalg.cholesky(block))
+    eps = np.finfo(float).eps
+    assert np.abs(factor @ factor.T - block).max() <= 4 * m * eps * np.abs(block).max()
     untouched = np.ones(a.shape, dtype=bool)
     untouched[1:, 1:] = False
     assert (a[untouched].view(np.uint64) == SENTINEL.view(np.uint64)).all()
@@ -235,16 +249,19 @@ def factors_the_block_as_numpy_does(m):
 @needs_lapack
 @pytest.mark.parametrize("m", [1, 2, 5, 130, 300])
 def test_potrf_is_numpys_cholesky_bit_for_bit_from_the_lower_triangle(m):
-    factors_the_block_as_numpy_does(m)
+    # _factor's panels agree with numpy's factor to rounding, not in its bits
+    factors_the_block_as_numpy_does(m, bits=False)
 
 
 @pytest.mark.parametrize("m", [1, 2, 5, 130])
 def test_cholesky_without_the_library_is_numpys_from_the_lower_triangle(m, monkeypatch):
     monkeypatch.setattr(lapack, "available", lambda: False)
-    factors_the_block_as_numpy_does(m)
+    factors_the_block_as_numpy_does(m, bits=True)
 
 
-FAILED_PIVOTS = [([1.0, 4.0, -1.0, 1.0], 3), ([-1.0, 1.0], 1), ([1.0] * 6 + [0.0], 7)]
+# the last four at m = 100: at the edges of _factor's panels and past the first
+FAILED_PIVOTS = [([1.0, 4.0, -1.0, 1.0], 3), ([-1.0, 1.0], 1), ([1.0] * 6 + [0.0], 7)] + [
+    ([1.0] * (p - 1) + [-1.0] * (101 - p), p) for p in (32, 33, 64, 97)]
 
 
 @needs_lapack
@@ -261,6 +278,23 @@ def test_cholesky_without_the_library_returns_the_failed_pivot(diagonal, pivot, 
     # the first leading minor that is not positive definite, by bisection
     monkeypatch.setattr(lapack, "available", lambda: False)
     assert lapack.cholesky(bordered(np.diag(diagonal), 0.0)) == pivot
+
+
+def symbols_never_called(source: str, table: dict) -> list[str]:
+    """Keys of ``table`` that no ``_library()[name]`` of ``source`` reaches."""
+    called = {node.slice.value for node in ast.walk(ast.parse(source))
+              if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)
+              and getattr(node.value.func, "id", None) == "_library"
+              and isinstance(node.slice, ast.Constant)}
+    return sorted(set(table) - called)
+
+
+def test_every_declared_symbol_is_called():
+    # _library() requires every symbol of the table, so a dead entry would
+    # send a library that lacks it to the fallback
+    assert symbols_never_called(inspect.getsource(lapack), lapack._SYMBOLS) == []
+    source = 'def f():\n    return _library()["used"](1) + other()["dead"]\n'
+    assert symbols_never_called(source, {"used": 0, "dead": 0}) == ["dead"]
 
 
 @needs_lapack
