@@ -30,10 +30,8 @@ from .harmonic import (
     alpha_closed,
     alpha_monte_carlo,
     alpha_quadrature,
-    angle_density,
     coefficients,
     dim_irrep,
-    trace_density_so3,
 )
 from .kernel_lab import (
     GramAudit,
@@ -59,7 +57,6 @@ __all__ = [
     "alpha_closed",
     "alpha_monte_carlo",
     "alpha_quadrature",
-    "angle_density",
     "build_field",
     "coefficients",
     "dim_irrep",
@@ -72,6 +69,5 @@ __all__ = [
     "pairwise_distance_matrix",
     "sample_field",
     "simpson_adaptive",
-    "trace_density_so3",
     "transfer_witness",
 ]

@@ -45,7 +45,6 @@ class RunConfig:
     trials: int = 10
     realizations: int = 10000
     mc_samples: int = 100000
-    bins: int = 60
     seed: int = 0
     stream: int = 0
     tol: Optional[float] = None
@@ -84,7 +83,6 @@ _FLAGS = {
     "tol": ("--tol", float, "quadrature (coeffs) or relative eigenvalue (check) tolerance"),
     "mc_samples": ("--mc-n", int, "Monte Carlo pairs per coefficient; 0 disables"),
     "points": ("--points", int, "Haar samples"),
-    "bins": ("--bins", int, "histogram bins"),
     "trials": ("--trials", int, "point sets to try"),
     "margin": ("--margin", float, "value a witness must clear"),
     "realizations": ("--realizations", int, "field draws"),
@@ -222,7 +220,7 @@ def _validate(cfg: RunConfig):
     have = (os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
             if hasattr(os, "sysconf") else math.inf)
     if need > have:
-        sizes = " ".join(f"{_FLAGS[k][0]} {getattr(cfg, k)}" for k in ("points", "n", "bins")
+        sizes = " ".join(f"{_FLAGS[k][0]} {getattr(cfg, k)}" for k in ("points", "n", "lmax")
                          if k in spec.flags and getattr(cfg, k) is not None)
         raise UsageError(f"{sizes} needs about {need / 1e9:.3g} GB for {cfg.command}, "
                          f"more than the {have / 1e9:.3g} GB of physical memory")
@@ -309,37 +307,6 @@ def _run_coeffs(cfg: RunConfig, group, rng: RngStream) -> None:
     }, rows.row._fields, rows)
 
 
-class DensityRow(NamedTuple):
-    """One histogram bin of a densities series, beside the Haar density at its center."""
-
-    center: float
-    width: float
-    empirical: float
-    theoretical: float
-
-
-def _run_densities(cfg: RunConfig, group, rng: RngStream) -> None:
-    x = group.sample(rng, cfg.points)
-    series = [("angle", group.distances(x, group.identity), (0.0, math.pi),
-               lambda t: harmonic.angle_density(group, t))]
-    if group is group_core.SO3:
-        series.append(("trace", np.trace(x, axis1=-2, axis2=-1), (-1.0, 3.0),
-                       harmonic.trace_density_so3))
-    out_series = []
-    for name, values, rng_bounds, density in series:
-        hist, edges = np.histogram(values, bins=cfg.bins, range=rng_bounds, density=True)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        out_series.append({"name": name, "rows": canonical.Table(
-            DensityRow, centers, np.full(cfg.bins, edges[1] - edges[0]), hist, density(centers))})
-    _emit(cfg, {
-        "schema_version": "1", "kind": "densities", "group": cfg.group,
-        "samples": cfg.points, "bins": cfg.bins,
-        "seed": cfg.seed, "stream": cfg.stream, "series": out_series,
-    }, ("series", *DensityRow._fields),
-        ((s["name"], *cells) for s in out_series
-         for cells in zip(*(c.tolist() for c in s["rows"].columns))))
-
-
 def _run_check(cfg: RunConfig, group, rng: RngStream) -> None:
     x = group.sample(rng, cfg.points)
     audit = kernel_lab.gram_audit(group, x)
@@ -389,24 +356,15 @@ def _run_haar(cfg: RunConfig, group, rng: RngStream) -> None:
 
 # each subcommand's groups, flags, least values, --points and --tol defaults, memory
 # charge and handler; a flag only one command takes has its default in RunConfig, and a
-# charge too large for memory names the command's own --points, --n and --bins.
+# charge too large for memory names the command's own --points, --n and --lmax.
 # A charge adds the charges the modules state for their arrays and, for the output,
 # which streams whatever its length, the writer's pass (canonical.dump_bytes).
 COMMANDS = {
     "coeffs": Command("expansion coefficients by closed form, quadrature, Monte Carlo",
                       ("su2", "so3"), ("lmax", "tol", "mc_samples"), {"lmax": 0},
-                      lambda cfg, group: (harmonic.monte_carlo_bytes(cfg.mc_samples)
+                      lambda cfg, group: (harmonic.monte_carlo_bytes(cfg.lmax, cfg.mc_samples)
                                           + quadrature_bytes()),
                       _run_coeffs),
-    # 400 B per bin and series for the columns and the CSV rows made from them:
-    # VmHWM grew 91 and 89 B per bin and series in JSON, 161 and 242 in CSV, at
-    # 100,000 bins on SO(3) and 200,000 on SU(2)
-    "densities": Command("angle/trace density curves with empirical histograms",
-                         ("su2", "so3"), ("points", "bins"), {"points": 1, "bins": 1},
-                         lambda cfg, group: (group.sample_bytes(cfg.points) + 400 * cfg.bins
-                                             * (2 if group is group_core.SO3 else 1)
-                                             + canonical.dump_bytes()),
-                         _run_densities, points=100000),
     "check": Command("eigenvalue audit of the Brownian kernel on Haar points",
                      ("su2", "so3", "son"), ("n", "points", "tol"), {"n": 2, "points": 2},
                      lambda cfg, group: (group.sample_bytes(cfg.points)

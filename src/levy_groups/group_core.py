@@ -191,10 +191,10 @@ class _Group:
 
     def sample_bytes(self, m: int) -> int:
         """Bytes to sample m points and take their distances to one point: the
-        sample, the QR copies of one sampler block, the angles (VmHWM of
-        `densities` and `haar` at 10^6 points on SU(2) and SO(3), and at
-        (n, m) = (10, 100,000) and (40, 5,000) on SO(n): 9.3-12.6 B per
-        float of the sample)."""
+        sample, the QR copies of one sampler block, the angles, one float a
+        point (VmHWM of `haar` at 10^6 points on SU(2) and SO(3), and at
+        (n, m) = (10, 100,000) and (40, 5,000) on SO(n), in JSON and CSV:
+        9.1-9.9 B per float of the sample)."""
         return 40 * m * self.point_size
 
     def pairwise_bytes(self, m: int) -> int:

@@ -1,5 +1,5 @@
-"""Characters, Haar densities and the character-expansion coefficients of
-the distance-to-identity function on SU(2) and SO(3).
+"""Characters and the character-expansion coefficients of the
+distance-to-identity function on SU(2) and SO(3).
 
 Every function takes the group as its descriptor, ``SU2`` or ``SO3`` from
 ``group_core``, and raises ValueError naming any other group.
@@ -63,37 +63,6 @@ def dim_irrep(group, l: int) -> int:
     if l < 0:
         raise ValueError("l must be >= 0")
     return 2 * l + 1 if _is_so3(group) else l + 1
-
-
-def angle_density(group, t):
-    """Haar density of the distance-to-identity angle on [0, pi].
-
-    SO(3): (1 - cos t)/pi.  SU(2): (2/pi) sin^2(t).  Zero outside [0, pi].
-    """
-    t_arr = np.asarray(t, dtype=float)
-    inside = (t_arr >= 0.0) & (t_arr <= math.pi)
-    if _is_so3(group):
-        vals = (1.0 - np.cos(t_arr)) / math.pi
-    else:
-        vals = (2.0 / math.pi) * np.sin(t_arr) ** 2
-    out = np.where(inside, vals, 0.0)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-
-def trace_density_so3(y):
-    """Haar density of the trace of an SO(3) rotation on [-1, 3].
-
-    (1/2pi) (3-y)^{1/2} (y+1)^{-1/2}; the y = -1 endpoint is an
-    integrable singularity and evaluates to inf.
-    """
-    y_arr = np.asarray(y, dtype=float)
-    inside = (y_arr >= -1.0) & (y_arr <= 3.0)
-    num = np.sqrt(np.clip(3.0 - y_arr, 0.0, None))
-    den = np.sqrt(np.clip(y_arr + 1.0, 0.0, None))
-    with np.errstate(divide="ignore"):
-        vals = num / den / (2.0 * math.pi)
-    out = np.where(inside, vals, 0.0)
-    return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +145,19 @@ def _characters(group, c, lmax: int):
     yield cur
 
 
-def monte_carlo_bytes(n_samples: int) -> int:
-    """Bytes alpha_monte_carlo holds: float64 arrays of one block of pairs, or of
-    n_samples below a block.  Traced, 12.0-12.1 at a full block (the characters loop),
+def monte_carlo_bytes(lmax: int, n_samples: int) -> int:
+    """Bytes ``coefficients(group, lmax, n_samples)`` holds beside the quadrature's:
+    its lmax + 1 rows and, with Monte Carlo on, alpha_monte_carlo's block of pairs.
+
+    A row is its cells in the per-l lists, the Table's columns and the Monte Carlo
+    sums.  VmHWM of `coeffs` grew 224-226 B a row at --mc-n 0 and 271-273 at --mc-n
+    1,000, from --lmax 100,000 to 200,000 on both groups in JSON and CSV, with the
+    closed forms and the quadrature, O(lmax^2) in time, stubbed by a new float a row;
+    charged 320.  A block is float64 arrays of one block of pairs, or of n_samples
+    below a block.  Traced, 12.0-12.1 a pair at a full block (the characters loop),
     14.1 below (the draw: numpy adds its squares in place only from 256 KiB); VmHWM of
     `coeffs --lmax 50` above --mc-n 0, up to 15.3 (--mc-n 5,000 to 10^6); charged 16."""
-    return 16 * 8 * min(_MC_CHUNK, n_samples)
+    return 320 * (lmax + 1) + 16 * 8 * min(_MC_CHUNK, n_samples)
 
 
 def _block_sums(group, lmax: int, m: int, rng: RngStream) -> np.ndarray:

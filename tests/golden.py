@@ -26,8 +26,6 @@ LINES = (
     "coeffs --group su2 --lmax 6 --mc-n 2000",
     "coeffs --group so3 --lmax 6 --mc-n 20000 --format csv",
     "coeffs --group so3 --lmax 4 --mc-n 0",
-    "densities --group su2 --points 2000 --bins 8 --format csv",
-    "densities --group so3 --points 2000 --bins 8",
     "check --group su2 --points 40",
     "check --group so3 --points 40 --format csv",
     "check --group so3 --points 10",

@@ -1,10 +1,10 @@
-"""Closed-form characters and distribution functions of SU(2) and SO(3),
-which the tests use as oracles for ``levy_groups.harmonic`` and the Haar
-samplers, the covering map SU(2) -> SO(3), the binary icosahedral group,
-a singular positive semidefinite set of SU(2), and the recursive adaptive
-Simpson rule that ``levy_groups.quadrature`` walks a level at a time.
-Each character and distribution function takes the descriptor ``SU2`` or
-``SO3``, as ``harmonic`` does.
+"""Closed-form characters, densities and distribution functions of SU(2)
+and SO(3), which the tests use as oracles for ``levy_groups.harmonic`` and
+the Haar samplers, the covering map SU(2) -> SO(3), the binary icosahedral
+group, a singular positive semidefinite set of SU(2), and the recursive
+adaptive Simpson rule that ``levy_groups.quadrature`` walks a level at a time.
+Each character, and each density and distribution function of the angle,
+takes the descriptor ``SU2`` or ``SO3``, as ``harmonic`` does.
 """
 
 import itertools
@@ -51,6 +51,21 @@ def chi(group, l: int, t):
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
+def angle_density(group, t):
+    """Haar density of the distance-to-identity angle on [0, pi].
+
+    SO(3): (1 - cos t)/pi.  SU(2): (2/pi) sin^2(t).  Zero outside [0, pi].
+    """
+    t_arr = np.asarray(t, dtype=float)
+    inside = (t_arr >= 0.0) & (t_arr <= math.pi)
+    if _is_so3(group):
+        vals = (1.0 - np.cos(t_arr)) / math.pi
+    else:
+        vals = (2.0 / math.pi) * np.sin(t_arr) ** 2
+    out = np.where(inside, vals, 0.0)
+    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+
 def angle_cdf(group, t):
     """Distribution function of the angle law, for goodness-of-fit tests."""
     t_arr = np.clip(np.asarray(t, dtype=float), 0.0, math.pi)
@@ -59,6 +74,22 @@ def angle_cdf(group, t):
     else:
         out = (t_arr - np.sin(t_arr) * np.cos(t_arr)) / math.pi
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+
+
+def trace_density_so3(y):
+    """Haar density of the trace of an SO(3) rotation on [-1, 3].
+
+    (1/2pi) (3-y)^{1/2} (y+1)^{-1/2}; the y = -1 endpoint is an
+    integrable singularity and evaluates to inf.
+    """
+    y_arr = np.asarray(y, dtype=float)
+    inside = (y_arr >= -1.0) & (y_arr <= 3.0)
+    num = np.sqrt(np.clip(3.0 - y_arr, 0.0, None))
+    den = np.sqrt(np.clip(y_arr + 1.0, 0.0, None))
+    with np.errstate(divide="ignore"):
+        vals = num / den / (2.0 * math.pi)
+    out = np.where(inside, vals, 0.0)
+    return float(out) if np.isscalar(y) or y_arr.ndim == 0 else out
 
 
 def trace_cdf_so3(y):

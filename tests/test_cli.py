@@ -67,36 +67,6 @@ def test_coeffs_csv_round_trips_floats(tmp_path):
     assert cells[4] == "" and cells[5] == ""  # mc disabled
 
 
-def test_densities_json_schema(tmp_path):
-    code, text = run_cli(
-        ["densities", "--group", "so3", "--points", "20000", "--bins", "24", "--seed", "2"],
-        tmp_path,
-    )
-    assert code == EXIT_OK
-    doc = validate("densities", text)
-    names = [s["name"] for s in doc["series"]]
-    assert names == ["angle", "trace"]
-    angle_rows = doc["series"][0]["rows"]
-    assert len(angle_rows) == 24
-    # histogram masses and theoretical curve integrate to ~1
-    emp = sum(r["empirical"] * r["width"] for r in angle_rows)
-    assert emp == pytest.approx(1.0, abs=1e-9)
-    theo = sum(r["theoretical"] * r["width"] for r in angle_rows)
-    assert theo == pytest.approx(1.0, abs=0.05)
-
-
-def test_densities_su2_csv(tmp_path):
-    code, text = run_cli(
-        ["densities", "--group", "su2", "--points", "5000", "--format", "csv",
-         "--no-meta"],
-        tmp_path, "out.csv",
-    )
-    assert code == EXIT_OK
-    lines = text.splitlines()
-    assert lines[0] == "series,center,width,empirical,theoretical"
-    assert all(line.split(",")[0] == "angle" for line in lines[1:])
-
-
 def test_check_su2_passes(tmp_path):
     code, text = run_cli(
         ["check", "--group", "su2", "--points", "200", "--seed", "1"], tmp_path
@@ -262,7 +232,6 @@ def test_haar_su2_json_and_csv(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["coeffs", "--group", "so3", "--lmax", "4", "--mc-n", "2000"],
-    ["densities", "--group", "so3", "--points", "500", "--bins", "7"],
     ["simulate", "--points", "10", "--realizations", "200"],
     ["haar", "--group", "son", "--n", "4", "--points", "5"],
     ["witness", "--group", "so3", "--points", "100", "--seed", "7"],
@@ -305,7 +274,6 @@ def test_meta_differs_only_in_generated_at(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["coeffs", "--group", "su2", "--lmax", "2", "--mc-n", "0"],
-    ["densities", "--group", "so3", "--points", "500", "--bins", "4"],
     ["check", "--group", "su2", "--points", "10"],
     ["simulate", "--points", "4", "--realizations", "100"],
     ["haar", "--group", "so3", "--points", "2"],
@@ -429,12 +397,12 @@ def test_float_cells_have_17_significant_digits(tmp_path):
         (["witness", "--group", "so3", "--trials", "0"], "--trials"),
         (["witness", "--group", "so3", "--margin", "0"], "--margin"),
         (["check", "--group", "su2", "--points", "1"], "--points"),
-        (["densities", "--group", "su2", "--bins", "0"], "--bins"),
+        (["haar", "--group", "su2", "--bins", "8"], "--bins"),  # no such flag
         # --tol belongs to coeffs and check only
         (["haar", "--group", "su2", "--tol", "5"], "--tol"),
         (["simulate", "--tol", "7"], "--tol"),
         (["witness", "--group", "so3", "--tol", "3"], "--tol"),
-        (["densities", "--group", "su2", "--tol", "-1"], "--tol"),
+        (["haar", "--group", "so3", "--tol", "-1"], "--tol"),
         # non-finite values: nan <= 0 is False, so each needs its own test
         (["coeffs", "--group", "so3", "--lmax", "2", "--mc-n", "0", "--tol", "nan"], "--tol"),
         (["coeffs", "--group", "su2", "--tol", "inf"], "--tol"),
@@ -455,6 +423,7 @@ def test_float_cells_have_17_significant_digits(tmp_path):
         (["check", "--group", "so3", "--seed", str(1 << 64)], "--seed"),
         (["witness", "--group", "so3", "--stream", "-1"], "--stream"),
         (["coeffs", "--group", "su2", "--stream", str(1 << 64)], "--stream"),
+        (["densities", "--group", "su2"], "invalid choice: 'densities'"),  # retired
     ],
 )
 def test_invalid_flag_combinations(args, needle, capsys):
@@ -500,10 +469,8 @@ def test_points_beyond_physical_memory_are_usage_errors(args, capsys):
      "--points 100 --n 1000000"),
     (["haar", "--group", "son", "--n", "1000000", "--points", "1"], "--points 1 --n 1000000"),
     (["haar", "--group", "su2", "--points", "10000000000000"], "--points 10000000000000"),
-    (["densities", "--group", "su2", "--points", "10000000000000"],
-     "--points 10000000000000 --bins 60"),
-    (["densities", "--group", "so3", "--points", "10", "--bins", "10000000000000"],
-     "--points 10 --bins 10000000000000"),
+    (["haar", "--group", "son", "--n", "1000000"], "--points 10 --n 1000000"),  # default --points
+    (["coeffs", "--group", "so3", "--lmax", "1000000000000"], "--lmax 1000000000000"),
     (["simulate", "--points", "1000000"], "--points 1000000"),  # not --realizations
 ])
 def test_sizes_beyond_physical_memory_name_their_flags(args, sizes, capsys):
@@ -581,6 +548,19 @@ def test_coeffs_grows_no_more_than_its_charge(group):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_coeffs_growth_with_lmax_stays_within_the_charge_of_its_rows():
+    # 100,000 rows more, with the closed forms and the quadrature, O(lmax^2) in
+    # time, stubbed by a new float a row: the table's lists and columns alone
+    setup = ("from levy_groups import harmonic; harmonic.alpha_closed = "
+             "harmonic.alpha_quadrature = lambda group, l, tol=None: l * 0.5")
+    runs = [grown_and_charged(["coeffs", "--group", "so3", "--lmax", lmax, "--mc-n", "1000"],
+                              setup) for lmax in ("100000", "200000")]
+    (small, small_charge), (large, large_charge) = runs
+    assert small <= small_charge and large <= large_charge
+    assert large - small <= large_charge - small_charge
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_benchmark_coeffs_grows_no_more_than_its_charge():
     # coeffs-so3's run: 100,000 pairs, whole Monte Carlo blocks and a short last one
     grown, charged = grown_and_charged(["coeffs", "--group", "so3", "--lmax", "50",
@@ -601,9 +581,9 @@ def test_haar_grows_no_more_than_its_charge(fmt):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 @pytest.mark.parametrize("argv", [
-    ["densities", "--group", "so3", "--points", "1000", "--bins", "10"],
+    ["haar", "--group", "so3", "--points", "1000"],
     ["haar", "--group", "su2", "--points", "10"],
-], ids=["densities", "haar"])
+], ids=["haar-so3", "haar"])
 def test_small_run_grows_no_more_than_its_charge(argv):
     # small arrays, where numpy.random's import at the first RngStream is most of the growth
     grown, charged = grown_and_charged(argv)
@@ -640,14 +620,13 @@ def test_run_config_defaults_match_the_cli():
     from levy_groups.cli import config_from_args
 
     for argv in (["check", "--group", "su2"], ["witness", "--group", "so3"],
-                 ["densities", "--group", "so3"], ["simulate"], ["haar", "--group", "su2"],
-                 ["coeffs", "--group", "su2"]):
+                 ["simulate"], ["haar", "--group", "su2"], ["coeffs", "--group", "su2"]):
         cfg = config_from_args(build_parser().parse_args(argv), argv)
         direct = RunConfig(command=argv[0], group=cfg.group)
         assert (cfg.points, cfg.tol, cfg.seed) == (direct.points, direct.tol, direct.seed)
     assert RunConfig(command="check").tol == 1e-8
     assert RunConfig(command="coeffs").tol == 1e-10
-    assert RunConfig(command="densities").points == 100000
+    assert RunConfig(command="simulate").points == 50
 
 
 def test_cli_import_does_not_load_scipy():
@@ -666,6 +645,7 @@ def test_cli_import_does_not_load_scipy():
       for name, spec in COMMANDS.items() for g in ("su2", "so3", "son") if g not in spec.groups),
     pytest.param({"command": "check", "group": "bogus"}, "--group", id="unknown-group"),
     pytest.param({"command": "bogus"}, "bogus", id="unknown-command"),
+    pytest.param({"command": "densities"}, "unknown command 'densities'", id="retired-command"),
     pytest.param({"command": "haar", "format": "xml"}, "--format", id="unknown-format"),
     pytest.param({"command": "witness", "group": "so3", "format": "csv"}, "--format",
                  id="witness-csv"),
@@ -683,8 +663,7 @@ def test_each_subparser_is_built_from_its_entry():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == list(COMMANDS)
     # the flags each subcommand took before its entry held them
-    own = {"coeffs": ["--lmax", "--tol", "--mc-n"], "densities": ["--points", "--bins"],
-           "check": ["--n", "--points", "--tol"],
+    own = {"coeffs": ["--lmax", "--tol", "--mc-n"], "check": ["--n", "--points", "--tol"],
            "witness": ["--n", "--points", "--trials", "--margin"],
            "simulate": ["--points", "--realizations", "--jitter"], "haar": ["--n", "--points"]}
     common = ["--help", "--seed", "--stream", "--format", "--out", "--no-meta", "--group"]
@@ -694,6 +673,13 @@ def test_each_subparser_is_built_from_its_entry():
         assert list(group.choices) == list(spec.groups)
         assert group.required == spec.group_required
         assert [a.option_strings[-1] for a in p._actions] == common + own[name]
+
+
+def test_the_schemas_are_one_per_command():
+    # a retired command leaves no schema behind, and a new one ships with its own
+    schemas = (resources.files("levy_groups") / "schemas").iterdir()
+    assert sorted(p.name for p in schemas if p.name.endswith(".schema.json")) == \
+        sorted(f"{name}.schema.json" for name in COMMANDS)
 
 
 @pytest.mark.parametrize("name", list(COMMANDS))
@@ -723,7 +709,6 @@ def test_simulate_growth_with_points_stays_within_a_charge_of_no_text_per_row():
 # each subcommand once, small, with both formats it takes
 STREAMED = [
     ["coeffs", "--group", "su2", "--lmax", "3", "--mc-n", "1000"],
-    ["densities", "--group", "so3", "--points", "500", "--bins", "6"],
     ["check", "--group", "son", "--n", "4", "--points", "20"],
     ["witness", "--group", "so3", "--points", "40"],
     ["simulate", "--points", "30", "--realizations", "200"],

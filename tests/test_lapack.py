@@ -248,7 +248,7 @@ def factors_the_block_as_numpy_does(m, bits):
 
 @needs_lapack
 @pytest.mark.parametrize("m", [1, 2, 5, 130, 300])
-def test_potrf_is_numpys_cholesky_bit_for_bit_from_the_lower_triangle(m):
+def test_potrf_factors_the_block_to_rounding_from_the_lower_triangle(m):
     # _factor's panels agree with numpy's factor to rounding, not in its bits
     factors_the_block_as_numpy_does(m, bits=False)
 
