@@ -223,7 +223,8 @@ class _ClosedForm(_Group):
                 out += axial
         np.sqrt(out, out=out)
         c = np.matmul(x.reshape(len(x), -1), y.reshape(len(y), -1).T, out=scratch)
-        c -= self._cos_shift
+        if self._cos_shift:  # x - 0.0 is x, -0.0 included: SU(2) skips the pass
+            c -= self._cos_shift
         np.arctan2(out, c, out=out)
 
 

@@ -11,9 +11,10 @@ of K, and the largest eigenvalue of the distance matrix compressed onto
 the sum-zero subspace.  For sum-zero v, v^T K v = -v^T D v / 2, so one
 matrix holds both: a Householder reflector H sends the constants to e1,
 and H K H has K's spectrum while its block [1:, 1:] is K, and so -D/2, on
-sum-zero weights.  One factorization decides both: where H K H is positive
-definite, one Cholesky factor of the block, bordered with the first
-column, gives both spectra's ends by Lanczos; elsewhere a
+sum-zero weights; it is built as -1/2 H D H plus a border in its first row
+and column, with no K formed.  One factorization decides both: where
+H K H is positive definite, one Cholesky factor of the block, bordered with
+the first column, gives both spectra's bottoms by Lanczos; elsewhere a
 tridiagonalization that fixes e1 turns H K H into T, whose ends are K's
 and whose block T[1:, 1:] is similar to H K H's.  A witness certificate
 is a point set and sum-zero weight vector whose quadratic form is
@@ -59,8 +60,8 @@ def sum_zero_basis(m: int) -> np.ndarray:
 def brownian_kernel(group, x: np.ndarray, x0=None) -> np.ndarray:
     """The kernel matrix 0.5 (d0_i + d0_j - d_ij) of the rows of x for the
     base point x0, formed in their distance matrix a block of rows at a
-    time.  x0 defaults to x[0], whose row and column then come out exactly
-    0.0."""
+    time, for build_field.  x0 defaults to x[0], whose row and column then
+    come out exactly 0.0."""
     d = pairwise_distance_matrix(group, x)
     d0 = d[0].copy() if x0 is None else group.distances(x, x0)
     for s in row_blocks(len(d), len(d)):
@@ -80,22 +81,34 @@ def _householder(m: int) -> tuple[np.ndarray, float]:
     return u, 1.0 / u[0]
 
 
-def _reflect(a: np.ndarray) -> np.ndarray:
-    """Overwrite the symmetric (m, m) a with H a H (see _householder) and
-    return it: a[1:, 1:] is then a compressed onto the sum-zero subspace.
+def _reflect(a: np.ndarray, scale: float) -> np.ndarray:
+    """Overwrite the symmetric (m, m) a with H (scale a) H (see _householder)
+    and return it: a[1:, 1:] is then scale a compressed onto the sum-zero
+    subspace.
 
-    One rank-2 update a - (u w^T + w u^T), for p = tau a u and
-    w = p - (tau / 2) (u^T p) u, in blocks of rows; nothing m x m is made.
-    Entry (i, j) subtracts u_i w_j + w_i u_j, the same float as entry
-    (j, i) subtracts, so a bitwise-symmetric a stays bitwise symmetric."""
+    H a H = a - (u w^T + w u^T) for p = tau a u and w = p - (tau / 2) (u^T p) u.
+    Since u = 1/sqrt(m) + e1, p comes from a's row sums and first column, and
+    the update splits in two: one blocked pass a_ij <- scale a_ij + (g_i + g_j)
+    for g = -scale w / sqrt(m), then the e1 terms, -scale w, in row 0 and in
+    column 0.  Entry (i, j) gets the same floats as entry (j, i), so a
+    bitwise-symmetric a stays bitwise symmetric; nothing m x m is made.
+    Raises ValueError where a row sum, and so an entry, is not finite."""
     m = len(a)
     u, tau = _householder(m)
-    p = tau * (a @ u)
-    w = p - (0.5 * tau * (u @ p)) * u
-    for s in row_blocks(m, 2 * m):  # the update and its second term: two blocks
-        update = np.multiply.outer(u[s], w)
-        update += np.multiply.outer(w[s], u)
-        a[s] -= update
+    sums = a @ np.ones(m)
+    if not np.isfinite(sums).all():
+        raise ValueError("non-finite distance encountered")
+    root = np.sqrt(m)
+    p = tau * (sums / root + a[:, 0])
+    w = scale * (p - (0.5 * tau * (u @ p)) * u)
+    g = w / -root
+    for s in row_blocks(m, 2 * m):  # the rows and their outer sum: two blocks
+        rows = a[s]
+        if scale != 1.0:
+            rows *= scale
+        rows += np.add.outer(g[s], g)
+    a[0] -= w
+    a[:, 0] -= w
     return a
 
 
@@ -109,6 +122,9 @@ class GramAudit:
     eigenvalue of the Brownian-kernel matrix ``K`` of the points for base
     point x0.  ``method`` names the factorization that gave the ends:
     ``"cholesky"`` where H K H is positive definite, else ``"reduction"``.
+    The two scales, the spectra's largest magnitudes, set the decisions'
+    tolerances; on the Cholesky path no decision reads them, since there
+    ``min_K_eig`` > 0 > ``max_centered_eig``.
     """
 
     max_centered_eig: float
@@ -128,23 +144,20 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
     """Eigenvalues of the kernel matrix of the rows of x and of their distance
     matrix on sum-zero weights, the decisive ones kept.
 
-    x0 defaults to the group identity.  One (m, m) buffer holds the
-    distances, then K, formed in place a block of rows at a time, then
-    H K H (see _reflect), whose one factorization gives both spectra's
-    ends: K's are those of H K H, and since v^T K v = -v^T D v / 2 for
-    sum-zero v, D's on sum-zero weights are -2 times those of its [1:, 1:]
-    block.  lapack.factored_extremes reads them from the Cholesky factor
-    of H K H where it is positive definite, and where the factor fails, as
-    on SO(n), from extremes' reduction, which reads the triangle the
-    factor leaves as it was.  Raises ValueError on non-finite distances.
+    x0 defaults to the group identity.  One (m, m) buffer holds H K H
+    (_centered_kernel), whose one factorization gives both spectra's ends:
+    K's are those of H K H, and since v^T K v = -v^T D v / 2 for sum-zero v,
+    D's on sum-zero weights are -2 times those of its [1:, 1:] block.
+    lapack.factored_extremes reads them from the Cholesky factor of H K H
+    where it is positive definite, and where the factor fails, as on SO(n),
+    from extremes' reduction, which reads the triangle the factor leaves as
+    it was.  Raises ValueError on non-finite distances.
     """
     if len(x) < 2:
         raise ValueError("need at least 2 points")
     x0 = group.identity if x0 is None else x0
-    buf = brownian_kernel(group, x, x0)
-    if not np.isfinite(buf.sum(axis=1)).all():  # K is finite where d and d0 are
-        raise ValueError("non-finite distance encountered")
-    (k_min, k_max, c_min, c_max), method = lapack.factored_extremes(_reflect(buf))
+    (k_min, k_max, c_min, c_max), method = lapack.factored_extremes(
+        _centered_kernel(group, x, x0))
     return GramAudit(
         max_centered_eig=-2.0 * c_min,
         min_K_eig=k_min,
@@ -152,6 +165,27 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
         K_eig_scale=max(abs(k_min), abs(k_max)),
         method=method,
     )
+
+
+def _centered_kernel(group, x: np.ndarray, x0) -> np.ndarray:
+    """H K H for the kernel K of the rows of x and base point x0, built in
+    their distance matrix D and never forming K: H 1 = -sqrt(m) e1, so K's
+    d0 terms reach only row 0 and column 0, and
+    H K H = -1/2 H D H - (sqrt(m) / 2) (h e1^T + e1 h^T) for h = H d0.
+    _reflect turns D into -1/2 H D H in one pass, and the border
+    (sqrt(m) / 2) h is subtracted from row 0 and from column 0, so the
+    result is bitwise symmetric.  Raises ValueError on non-finite distances.
+    """
+    m = len(x)
+    u, tau = _householder(m)
+    d0 = group.distances(x, x0)
+    border = 0.5 * np.sqrt(m) * (d0 - (tau * (u @ d0)) * u)
+    if not np.isfinite(border).all():
+        raise ValueError("non-finite distance encountered")
+    a = _reflect(pairwise_distance_matrix(group, x), -0.5)
+    a[0] -= border
+    a[:, 0] -= border
+    return a
 
 
 def audit_bytes(group, m: int) -> int:
@@ -321,7 +355,7 @@ def find_witness(
     for trial in range(trials):
         x = sampled.sample(rng, m)
         d = sampled.pairwise(x)
-        top, vector = lapack.top_pair(_reflect(d.copy()))
+        top, vector = lapack.top_pair(_reflect(d.copy(), 1.0))
         weights = np.concatenate(([0.0], vector))  # H maps it to sum-zero weights
         weights -= (tau * (u @ weights)) * u
         weights -= weights.mean()

@@ -11,11 +11,14 @@ Each operation, ``extremes``, ``top_pair`` and ``cholesky``, is one call
 that runs on either backend: where numpy ships no such library,
 ``available()`` is false and they take numpy's ``eigvalsh``, ``eigh`` and
 ``cholesky``; the thread wrappers then change nothing.  The fourth,
-``factored_extremes``, reads extremes' four floats from one Cholesky
-factor where the matrix is positive definite, and elsewhere, and without
-the library, runs ``extremes``' reduction on the matrix as it was; it
-names which one it ran.  It and ``cholesky`` share one factor, ``_factor``,
-in place in panels, which agrees with numpy's to rounding, not bit for bit.
+``factored_extremes``, reads extremes' four floats by Lanczos where the
+matrix is positive definite, the bottoms from one Cholesky factor and the
+tops from the matrix itself, and elsewhere, and without the library, runs
+``extremes``' reduction on the matrix as it was; it names which one it
+ran.  The factor works in the lower triangle; the tops and the reduction
+read the upper, whose strict part is left bit for bit.  It and
+``cholesky`` share one factor, ``_factor``, in place in panels, which
+agrees with numpy's to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -49,13 +52,14 @@ _SYMBOLS = {
     # CHARACTER's length.  extremes' reduction:
     "scipy_dsytrd_2stage_64_": (None, (ctypes.c_char_p,) * 2 + (_PTR,) * 11
                                 + (ctypes.c_size_t,) * 2),
-    # _factor's panels (dpotrf, dtrsm, dsyrk) and factored_extremes' Lanczos steps (dtrtrs,
-    # dtrmv), column-major on the block's lower triangle, so no copy of it is made
+    # _factor's panels (dpotrf, dtrsm, dsyrk) and factored_extremes' Lanczos steps: dtrtrs
+    # on the factor, the block's lower triangle, and dsymv on the matrix's upper triangle,
+    # each column-major, so no copy is made
     "scipy_dpotrf_64_": (None, (ctypes.c_char_p,) + (_PTR,) * 4 + (ctypes.c_size_t,)),
     "scipy_dtrsm_64_": (None, (ctypes.c_char_p,) * 4 + (_PTR,) * 7 + (ctypes.c_size_t,) * 4),
     "scipy_dsyrk_64_": (None, (ctypes.c_char_p,) * 2 + (_PTR,) * 8 + (ctypes.c_size_t,) * 2),
     "scipy_dtrtrs_64_": (None, (ctypes.c_char_p,) * 3 + (_PTR,) * 7 + (ctypes.c_size_t,) * 3),
-    "scipy_dtrmv_64_": (None, (ctypes.c_char_p,) * 3 + (_PTR,) * 5 + (ctypes.c_size_t,) * 3),
+    "scipy_dsymv_64_": (None, (ctypes.c_char_p,) + (_PTR,) * 9 + (ctypes.c_size_t,)),
     "scipy_LAPACKE_dstebz64_": (_INT, (_CHAR, _CHAR, _INT, _DOUBLE, _DOUBLE, _INT, _INT,
                                        _DOUBLE) + (_PTR,) * 7),
     "scipy_LAPACKE_dsyevr64_": (_INT, (ctypes.c_int, _CHAR, _CHAR, _CHAR, _INT, _PTR, _INT,
@@ -184,12 +188,16 @@ def factored_extremes(a: np.ndarray) -> tuple[tuple[float, float, float, float],
     _factor factors the block B = a[1:, 1:] in place on its lower triangle
     as B = L L^T, with no copy.  Bordering L with a's first column,
     w = L^-1 a[1:, 0] and delta^2 = a[0, 0] - w^T w, gives a = M M^T for
-    M = [[delta, w^T], [0, L]].  Lanczos (_lanczos) then reads the tops
-    from M M^T and L L^T, two dtrmv a step, and the bottoms from their
-    inverses, two dtrtrs a step, each problem alone with one right-hand
-    side: numpy's OpenBLAS takes a BLAS-2 path for one, which at m = 2,000
-    runs in 0.9 ms against 2.5 for two and packs nothing.  On success a's
-    lower triangle holds the factor.
+    M = [[delta, w^T], [0, L]].  Lanczos (_lanczos) then reads the bottoms
+    from the inverses of M M^T and L L^T, two dtrtrs a step, and the tops
+    from a and B themselves, one dsymv a step on a's upper triangle, which
+    the factor leaves as it was, with a's diagonal written back for those
+    steps.  Each problem runs alone with one right-hand side: numpy's
+    OpenBLAS takes a BLAS-2 path for one, which at m = 2,000 runs in 0.9 ms
+    against 2.5 for two and packs nothing.  The tops only set the scales:
+    here a is positive definite, so no decision reads them.  On success a's
+    lower triangle holds the factor, and its strict upper triangle is as it
+    was, bit for bit.
 
     The reduction runs where the factor fails, where delta^2 <= 0, where
     Lanczos would need more than KRYLOV_BYTES a point of Krylov basis, and
@@ -198,32 +206,31 @@ def factored_extremes(a: np.ndarray) -> tuple[tuple[float, float, float, float],
     ValueError on a non-finite entry, before LAPACK runs."""
     m = _square(a, least=2)
     if available():
-        diagonal = a.diagonal().copy()
         ends = _bordered_ends(a, m)
         if ends is not None:
             return ends, "cholesky"
-        np.fill_diagonal(a, diagonal)
     return _reduce(a, m), "reduction"
 
 
 def _bordered_ends(a: np.ndarray, m: int) -> Optional[tuple[float, float, float, float]]:
-    """factored_extremes' four floats from the factor M of a, which is left
-    in a's lower triangle; or None, a's diagonal then overwritten."""
-    if _factor(a, m):
-        return None
+    """factored_extremes' four floats, the bottoms from the factor M of a,
+    which is left in a's lower triangle, the tops from a's upper triangle;
+    or None, a's diagonal then restored."""
+    diagonal = a.diagonal().copy()
+    ends = None if _factor(a, m) else _lanczos_ends(a, m, diagonal)
+    if ends is None:
+        np.fill_diagonal(a, diagonal)
+    return ends
+
+
+def _lanczos_ends(a: np.ndarray, m: int,
+                  diagonal: np.ndarray) -> Optional[tuple[float, float, float, float]]:
+    """_bordered_ends on the factored a, whose diagonal was ``diagonal``."""
     w = a[1:, 0].copy()
     _triangular(b"T", a, w)
     square = a[0, 0] - w @ w
     if not square > 0.0:
         return None
-    delta = np.sqrt(square)
-
-    def product(x):  # x <- M M^T x: y = M^T x, then M y
-        first = delta * delta * x[0]
-        _triangular(b"N", a, x[1:], multiply=True)
-        x[1:] += x[0] * w
-        x[0] = first + w @ x[1:]
-        _triangular(b"T", a, x[1:], multiply=True)
 
     def inverse(x):  # x <- (M M^T)^-1 x: y = M^-1 x, then M^-T y
         _triangular(b"T", a, x[1:])
@@ -231,22 +238,32 @@ def _bordered_ends(a: np.ndarray, m: int) -> Optional[tuple[float, float, float,
         x[1:] -= x[0] * w
         _triangular(b"N", a, x[1:])
 
-    def block_product(x):  # x <- L L^T x
-        _triangular(b"N", a, x, multiply=True)
-        _triangular(b"T", a, x, multiply=True)
-
     def block_inverse(x):  # x <- (L L^T)^-1 x
         _triangular(b"T", a, x)
         _triangular(b"N", a, x)
 
+    one, zero = (ctypes.byref(ctypes.c_double(v)) for v in (1.0, 0.0))
+    y = np.empty(m)
+
+    def symmetric(x):  # x <- a x, or B x for x of m - 1 floats, from a's upper triangle
+        n, at = len(x), m - len(x)  # a[at, at] is the first entry read
+        _library()["scipy_dsymv_64_"](b"L", _int(n), one, a[at:, at:].ctypes.data, _int(m),
+                                      x.ctypes.data, _int(1), zero, y.ctypes.data, _int(1), 1)
+        x[...] = y[:n]
+
     start = RngStream(0, 0).generator.standard_normal(m)  # every problem's, fixed
-    tops = []
-    for apply, x in ((inverse, start), (product, start), (block_inverse, start[1:]),
-                     (block_product, start[1:])):
-        tops.append(_lanczos(apply, x, KRYLOV_BYTES // 8))
-        if tops[-1] is None:
-            return None
-    return 1.0 / tops[0], tops[1], 1.0 / tops[2], tops[3]
+    steps = KRYLOV_BYTES // 8
+    bottoms = [_lanczos(apply, x, steps) for apply, x in ((inverse, start),
+                                                          (block_inverse, start[1:]))]
+    if None in bottoms:
+        return None
+    factor_diagonal = a.diagonal().copy()
+    np.fill_diagonal(a, diagonal)  # the tops read a itself
+    tops = [_lanczos(symmetric, x, steps) for x in (start, start[1:])]
+    if None in tops:
+        return None
+    np.fill_diagonal(a, factor_diagonal)
+    return 1.0 / bottoms[0], tops[0], 1.0 / bottoms[1], tops[1]
 
 
 def _factor(a: np.ndarray, m: int) -> int:
@@ -281,19 +298,14 @@ def _factor(a: np.ndarray, m: int) -> int:
     return 0
 
 
-def _triangular(trans: bytes, a: np.ndarray, x: np.ndarray, multiply: bool = False) -> None:
-    """Overwrite the contiguous vector x of m - 1 floats with U^-1 x
-    (dtrtrs), or U x (dtrmv), for U the factor _factor leaves at a[1, 1]
-    (Fortran's upper, so L^T) or, with ``trans`` 'T', its transpose L."""
+def _triangular(trans: bytes, a: np.ndarray, x: np.ndarray) -> None:
+    """Overwrite the contiguous vector x of m - 1 floats with U^-1 x by
+    dtrtrs, for U the factor _factor leaves at a[1, 1] (Fortran's upper, so
+    L^T) or, with ``trans`` 'T', its transpose L."""
     m = len(a)
-    n, factor = _int(m - 1), (a[1:, 1:].ctypes.data, _int(m))
-    if multiply:
-        _library()["scipy_dtrmv_64_"](b"U", trans, b"N", n, *factor, x.ctypes.data, _int(1),
-                                      1, 1, 1)
-        return
-    info = ctypes.c_int64(0)
-    _library()["scipy_dtrtrs_64_"](b"U", trans, b"N", n, _int(1), *factor, x.ctypes.data, n,
-                                   ctypes.byref(info), 1, 1, 1)
+    n, info = _int(m - 1), ctypes.c_int64(0)
+    _library()["scipy_dtrtrs_64_"](b"U", trans, b"N", n, _int(1), a[1:, 1:].ctypes.data,
+                                   _int(m), x.ctypes.data, n, ctypes.byref(info), 1, 1, 1)
     if info.value:
         raise np.linalg.LinAlgError(f"triangular solve failed: dtrtrs info {info.value}")
 

@@ -1,8 +1,9 @@
 """Closed-form characters, densities and distribution functions of SU(2)
 and SO(3), which the tests use as oracles for ``levy_groups.harmonic`` and
 the Haar samplers, the covering map SU(2) -> SO(3), the binary icosahedral
-group, a singular positive semidefinite set of SU(2), and the recursive
-adaptive Simpson rule that ``levy_groups.quadrature`` walks a level at a time.
+group, a singular positive semidefinite set of SU(2), the recursive
+adaptive Simpson rule that ``levy_groups.quadrature`` walks a level at a time,
+and the matrix H K H that ``kernel_lab.gram_audit`` hands to its solver.
 Each character, and each density and distribution function of the angle,
 takes the descriptor ``SU2`` or ``SO3``, as ``harmonic`` does.
 """
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from levy_groups.harmonic import _is_so3
+from levy_groups.kernel_lab import _householder, _reflect
 from levy_groups.quadrature import MAX_DEPTH, QuadratureError
 
 # below this, sin(t) is treated as singular and the character limit is used
@@ -175,3 +177,17 @@ def binary_icosahedral():
                 v = [0.0, s[0] * 0.5, s[1] * phi / 2.0, s[2] / (2.0 * phi)]
                 units.add(tuple(v[k] for k in p))
     return np.array(sorted(units))
+
+
+def audit_matrix(group, x):
+    """H K H of the rows of x for the base point e, by gram_audit's formulas on
+    fresh arrays: -1/2 H D H, then (sqrt(m)/2) H d0 subtracted from row 0 and
+    from column 0, since H 1 = -sqrt(m) e1 carries K's d0 terms there."""
+    m = len(x)
+    u, tau = _householder(m)
+    d0 = group.distances(x, group.identity)
+    border = 0.5 * np.sqrt(m) * (d0 - (tau * (u @ d0)) * u)
+    a = _reflect(group.pairwise(x), -0.5)
+    a[0] -= border
+    a[:, 0] -= border
+    return a

@@ -22,7 +22,7 @@ from levy_groups import (
 import levy_groups
 from levy_groups import group_core, kernel_lab, lapack
 from levy_groups.kernel_lab import WitnessCertificate, _reflect, sum_zero_basis
-from oracles import binary_icosahedral
+from oracles import audit_matrix, binary_icosahedral
 
 WITNESS_SCHEMA = json.loads(
     (resources.files("levy_groups") / "schemas" / "witness.schema.json").read_text())
@@ -120,11 +120,12 @@ def test_centered_spectrum_is_the_helmert_compression(group, m):
     d = group.pairwise(x)
     b = sum_zero_basis(len(d))
     want = np.linalg.eigvalsh(b.T @ d @ b)
-    got = np.linalg.eigvalsh(_reflect(d.copy())[1:, 1:])  # d stays D for the bound below
-    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.linalg.norm(d, 2))
-    ones = _reflect(np.ones_like(d))  # H sends the constants to e1
-    ones[0, 0] -= len(d)
-    assert np.abs(ones).max() <= 1e-14 * len(d)
+    for scale in (1.0, -0.5):  # find_witness's H D H, and gram_audit's -1/2 H D H
+        got = np.linalg.eigvalsh(_reflect(d.copy(), scale)[1:, 1:])  # d stays D for the bound
+        assert np.abs(got - np.sort(scale * want)).max() <= 1e-12 * max(1.0, np.linalg.norm(d, 2))
+        ones = _reflect(np.ones_like(d), scale)  # H sends the constants to e1
+        ones[0, 0] -= scale * len(d)
+        assert np.abs(ones).max() <= 1e-14 * len(d)
 
 
 @pytest.mark.parametrize("group", [SU2, SO3], ids=["su2", "so3"])
@@ -133,10 +134,27 @@ def test_reflect_keeps_a_symmetric_matrix_bit_for_bit(group, seed):
     # lapack.top_pair's backends read opposite triangles of find_witness's
     # H D H, and gram_audit's H K H is reduced from one triangle
     x = group.sample(RngStream(seed, 0), 100)
-    for a in (group.pairwise(x), kernel_lab.brownian_kernel(group, x, group.identity)):
-        assert np.array_equal(a, a.T)
-        _reflect(a)
-        assert np.array_equal(a, a.T)
+    for scale in (1.0, -0.5):
+        for a in (group.pairwise(x), kernel_lab.brownian_kernel(group, x, group.identity)):
+            assert np.array_equal(a, a.T)
+            _reflect(a, scale)
+            assert np.array_equal(a, a.T)
+
+
+@pytest.mark.parametrize("group", [SU2, SO3, group_named("son", 4)], ids=["su2", "so3", "so4"])
+def test_audit_matrix_is_minus_half_hdh_bordered_and_bitwise_symmetric(group, monkeypatch):
+    # gram_audit forms no K: H K H's [1:, 1:] block is -1/2 H D H's bit for
+    # bit, and the whole is H K H within rounding
+    x = group.sample(RngStream(59, 0), 150)
+    seen = []
+    monkeypatch.setattr(lapack, "factored_extremes",
+                        lambda a: seen.append(a.copy()) or ((1.0,) * 4, "reduction"))
+    gram_audit(group, x)
+    [a] = seen
+    assert np.array_equal(a, a.T)
+    assert np.array_equal(a[1:, 1:], _reflect(group.pairwise(x), -0.5)[1:, 1:])
+    want = _reflect(kernel_lab.brownian_kernel(group, x, group.identity), 1.0)
+    assert np.abs(a - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def audit_floats(audit):
@@ -144,13 +162,12 @@ def audit_floats(audit):
 
 
 def serial_audit(group, x):
-    """gram_audit's four floats by its formulas, on fresh arrays: K whole,
-    then H K H, then the ends of its spectrum and of its [1:, 1:] block, from
-    its factor where it is positive definite, else from the reduction."""
-    d = group.pairwise(x)  # the distance formulas work in blocks; D is taken as given
-    d0 = group.distances(x, group.identity)
-    a = kernel_lab._reflect(0.5 * (d0[:, None] + d0[None, :] - d))
-    (k_min, k_max, c_min, c_max), _ = lapack.factored_extremes(a)
+    """gram_audit's four floats by its formulas, on fresh arrays: H K H as
+    -1/2 H D H and its border (oracles.audit_matrix), then the ends of its
+    spectrum and of its [1:, 1:] block, from its factor where it is positive
+    definite, else from the reduction."""
+    # the distance formulas work in blocks; D is taken as given
+    (k_min, k_max, c_min, c_max), _ = lapack.factored_extremes(audit_matrix(group, x))
     return -2.0 * c_min, k_min, 2.0 * max(abs(c_min), abs(c_max)), max(abs(k_min), abs(k_max))
 
 
@@ -213,7 +230,7 @@ def test_spectral_ends_are_those_of_a_and_of_its_helmert_compression(m, path, mo
         pytest.skip("numpy bundles no LAPACK")
     b = sum_zero_basis(len(a))
     whole, part = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b.T @ a @ b)
-    got = lapack.extremes(kernel_lab._reflect(a.copy()))
+    got = lapack.extremes(kernel_lab._reflect(a.copy(), 1.0))
     want = (whole[0], whole[-1], part[0], part[-1])
     assert np.abs(np.subtract(got, want)).max() <= 1e-14 * max(1.0, np.linalg.norm(a, 2))
 

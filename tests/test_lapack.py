@@ -4,7 +4,8 @@ import inspect
 import numpy as np
 import pytest
 
-from levy_groups import SO3, SU2, RngStream, kernel_lab, lapack
+from levy_groups import SO3, SU2, RngStream, lapack
+from oracles import audit_matrix
 
 needs_lapack = pytest.mark.skipif(not lapack.available(), reason="numpy bundles no LAPACK")
 
@@ -98,11 +99,6 @@ def test_operations_reject_bad_input_on_either_backend(path, monkeypatch):
             wrapper(np.eye(4)[:, ::-1])
 
 
-def audited(group, x):
-    """H K H of the rows of x for the base point e, as gram_audit builds it."""
-    return kernel_lab._reflect(kernel_lab.brownian_kernel(group, x, group.identity))
-
-
 def planted(values):
     """Q diag(values) Q^T for a Haar orthogonal Q, bitwise symmetric."""
     m = len(values)
@@ -118,21 +114,26 @@ def upper_sentinel(a):
 
 
 def reads_as_the_reduction(a):
-    """factored_extremes factors a, reading its lower triangle only, leaves
-    its strict upper triangle as it was and gives extremes' floats within
-    1e-14 of the scale."""
+    """factored_extremes gives extremes' floats within 1e-14 of the scale,
+    leaves a's strict upper triangle as it was, bit for bit, and leaves in
+    its lower triangle the factor of the block B = a[1:, 1:], which
+    reproduces B within 4 m eps of its scale."""
     want = lapack.extremes(a.copy())
-    buf, upper = upper_sentinel(a)
+    buf = a.copy()
     got, method = lapack.factored_extremes(buf)
     assert method == "cholesky"
     assert np.abs(np.subtract(got, want)).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
-    assert (buf[upper].view(np.uint64) == SENTINEL.view(np.uint64)).all()
+    upper = np.triu(np.ones(a.shape, dtype=bool), 1)
+    assert np.array_equal(buf[upper].view(np.uint64), a[upper].view(np.uint64))
+    block, factor = a[1:, 1:], np.tril(buf[1:, 1:])
+    eps = np.finfo(float).eps
+    assert np.abs(factor @ factor.T - block).max() <= 4 * len(block) * eps * np.abs(block).max()
 
 
 @needs_lapack
 @pytest.mark.parametrize("m", [2, 3, 7, 50, 129, 400, 1000])
 def test_factored_extremes_are_the_reductions_on_su2(m):
-    reads_as_the_reduction(audited(SU2, SU2.sample(RngStream(63, m), m)))
+    reads_as_the_reduction(audit_matrix(SU2, SU2.sample(RngStream(63, m), m)))
 
 
 @needs_lapack
@@ -149,10 +150,46 @@ def test_factored_extremes_are_the_reductions_on_planted_spectra(bottom, m):
     reads_as_the_reduction(planted(values))
 
 
+@needs_lapack
+def test_factored_extremes_spend_one_dsymv_a_top_step_and_two_dtrtrs_a_bottom_step(monkeypatch):
+    # the factor's panels and the border's one solve, then four Lanczos
+    # problems: each bottom step two triangular solves on the factor, each top
+    # step one product with the matrix itself; no triangular product anywhere
+    calls = []
+    library = lapack._library()
+    for name, routine in list(library.items()):
+        monkeypatch.setitem(library, name, lambda *args, name=name, routine=routine:
+                            calls.append(name[len("scipy_"):-len("_64_")]) or routine(*args))
+    lanczos = lapack._lanczos
+
+    def problem(apply, start, steps):
+        calls.append("problem")
+
+        def step(x):
+            calls.append("step")
+            apply(x)
+        return lanczos(step, start, steps)
+
+    monkeypatch.setattr(lapack, "_lanczos", problem)
+    a = audit_matrix(SU2, SU2.sample(RngStream(66, 300), 300))
+    assert lapack.factored_extremes(a)[1] == "cholesky"
+    setup, *problems = " ".join(calls).split("problem")
+    assert set(setup.split()) == {"dpotrf", "dtrsm", "dsyrk", "dtrtrs"}
+    assert setup.split().count("dtrtrs") == 1
+    kinds = []
+    for steps in problems:
+        before, *each = steps.split("step")
+        assert before.split() == [] and len(each) >= 5
+        assert len({s.strip() for s in each}) == 1  # every step of a problem alike
+        kinds.append(each[0].split())
+    assert sorted(kinds) == [["dsymv"]] * 2 + [["dtrtrs", "dtrtrs"]] * 2
+    assert "dtrmv" not in calls
+
+
 def so3_item_1_set():
     """check --group so3 --points 10 at seed 5: a[1:, 1:] is positive
     definite, a is not, so the border's delta^2 <= 0."""
-    a = audited(SO3, SO3.sample(RngStream(5, 0), 10))
+    a = audit_matrix(SO3, SO3.sample(RngStream(5, 0), 10))
     assert np.linalg.eigvalsh(a[1:, 1:])[0] > 0.0 > np.linalg.eigvalsh(a)[0]
     return a
 
@@ -167,7 +204,7 @@ def test_factored_extremes_reduce_a_restored_matrix_where_the_factor_fails(case,
     elif case == "so3 seed 5":
         a = so3_item_1_set()
     else:  # K = d(g, e) 1 1^T, of rank one
-        a = audited(SU2, np.stack([SU2.sample(RngStream(64, 0), 1)[0]] * 5))
+        a = audit_matrix(SU2, np.stack([SU2.sample(RngStream(64, 0), 1)[0]] * 5))
     seen = []
     monkeypatch.setattr(lapack, "_reduce", lambda b, m: seen.append((b.copy(), m)) or (1.0,) * 4)
     buf, upper = upper_sentinel(a)
@@ -200,7 +237,7 @@ def test_factored_extremes_where_the_factor_fails_are_the_reductions_bit_for_bit
 
 def test_factored_extremes_without_the_library_are_eigvalshs(monkeypatch):
     monkeypatch.setattr(lapack, "available", lambda: False)
-    a = audited(SU2, SU2.sample(RngStream(65, 0), 20))
+    a = audit_matrix(SU2, SU2.sample(RngStream(65, 0), 20))
     before = a.copy()
     assert lapack.factored_extremes(a) == (lapack.extremes(a.copy()), "reduction")
     assert np.array_equal(a, before)
