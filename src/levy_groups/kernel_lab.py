@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
@@ -120,24 +121,24 @@ class GramAudit:
     restricted to the sum-zero subspace; positive means the distance is
     not restricted negative definite there.  ``min_K_eig`` is the smallest
     eigenvalue of the Brownian-kernel matrix ``K`` of the points for base
-    point x0.  ``method`` names the factorization that gave the ends:
+    point x0.  ``method`` names the factorization that gave them:
     ``"cholesky"`` where H K H is positive definite, else ``"reduction"``.
     The two scales, the spectra's largest magnitudes, set the decisions'
-    tolerances; on the Cholesky path no decision reads them, since there
-    ``min_K_eig`` > 0 > ``max_centered_eig``.
+    tolerances; the factor gives none, None read as 1, as there
+    ``min_K_eig`` > 0 > ``max_centered_eig`` for every ``tol_rel`` >= 0.
     """
 
     max_centered_eig: float
     min_K_eig: float
-    centered_eig_scale: float
-    K_eig_scale: float
+    centered_eig_scale: Optional[float]
+    K_eig_scale: Optional[float]
     method: str
 
     def is_positive_semidefinite(self, tol_rel: float = RELATIVE_EIG_TOL) -> bool:
-        return self.min_K_eig >= -tol_rel * max(self.K_eig_scale, 1.0)
+        return self.min_K_eig >= -tol_rel * max(self.K_eig_scale or 1.0, 1.0)
 
     def is_restricted_negative(self, tol_rel: float = RELATIVE_EIG_TOL) -> bool:
-        return self.max_centered_eig <= tol_rel * max(self.centered_eig_scale, 1.0)
+        return self.max_centered_eig <= tol_rel * max(self.centered_eig_scale or 1.0, 1.0)
 
 
 def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
@@ -148,21 +149,23 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
     (_centered_kernel), whose one factorization gives both spectra's ends:
     K's are those of H K H, and since v^T K v = -v^T D v / 2 for sum-zero v,
     D's on sum-zero weights are -2 times those of its [1:, 1:] block.
-    lapack.factored_extremes reads them from the Cholesky factor of H K H
-    where it is positive definite, and where the factor fails, as on SO(n),
-    from extremes' reduction, which reads the triangle the factor leaves as
-    it was.  Raises ValueError on non-finite distances.
+    lapack.factored_extremes_unchecked (the buffer's row sums have checked
+    it) reads the bottoms from the Cholesky factor of H K H where it is
+    positive definite, with no tops and so no scales, and where the factor
+    fails, as on SO(n), all four ends from extremes' reduction, which reads
+    the triangle the factor leaves as it was.  Raises ValueError on
+    non-finite distances.
     """
     if len(x) < 2:
         raise ValueError("need at least 2 points")
     x0 = group.identity if x0 is None else x0
-    (k_min, k_max, c_min, c_max), method = lapack.factored_extremes(
+    (k_min, k_max, c_min, c_max), method = lapack.factored_extremes_unchecked(
         _centered_kernel(group, x, x0))
     return GramAudit(
         max_centered_eig=-2.0 * c_min,
         min_K_eig=k_min,
-        centered_eig_scale=2.0 * max(abs(c_min), abs(c_max)),
-        K_eig_scale=max(abs(k_min), abs(k_max)),
+        centered_eig_scale=None if c_max is None else 2.0 * max(abs(c_min), abs(c_max)),
+        K_eig_scale=None if k_max is None else max(abs(k_min), abs(k_max)),
         method=method,
     )
 

@@ -4,21 +4,22 @@ numpy's wheels ship OpenBLAS as ``libscipy_openblas64_`` (64-bit integers,
 every symbol prefixed ``scipy_`` and suffixed ``64_``).  This module loads
 it once and declares each symbol it calls in one table, ``_SYMBOLS``.  Each
 wrapper checks the dtype, shape, contiguity and finiteness of its arrays
-before any pointer reaches LAPACK, and raises ``LinAlgError`` naming the
-routine when LAPACK reports an error.
+before any pointer reaches LAPACK (``factored_extremes_unchecked``, for a
+matrix its caller has checked, aside), and raises ``LinAlgError`` naming
+the routine when LAPACK reports an error.
 
 Each operation, ``extremes``, ``top_pair`` and ``cholesky``, is one call
 that runs on either backend: where numpy ships no such library,
 ``available()`` is false and they take numpy's ``eigvalsh``, ``eigh`` and
 ``cholesky``; the thread wrappers then change nothing.  The fourth,
-``factored_extremes``, reads extremes' four floats by Lanczos where the
-matrix is positive definite, the bottoms from one Cholesky factor and the
-tops from the matrix itself, and elsewhere, and without the library, runs
-``extremes``' reduction on the matrix as it was; it names which one it
-ran.  The factor works in the lower triangle; the tops and the reduction
-read the upper, whose strict part is left bit for bit.  It and
-``cholesky`` share one factor, ``_factor``, in place in panels, which
-agrees with numpy's to rounding, not bit for bit.
+``factored_extremes``, reads extremes' bottoms by Lanczos from one
+Cholesky factor where the matrix is positive definite, and no tops, and
+elsewhere, and without the library, runs ``extremes``' reduction on the
+matrix as it was; it names which one it ran.  The factor works in the
+lower triangle; the reduction reads the upper, whose strict part the
+factor leaves bit for bit.  It and ``cholesky`` share one factor,
+``_factor``, in place in panels, which agrees with numpy's to rounding,
+not bit for bit.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ SCRATCH_BYTES = 9 * 2 ** 20
 KRYLOV_BYTES = 1024
 _RITZ_TOL = 1e-10  # Lanczos stops on a top Ritz pair whose residual is within this of its value
 _PANEL = 32  # rows of the factor a step of _factor
+# extremes' four floats, the bottom and top of a, then of a[1:, 1:]; the tops None on the factor
+_Ends = tuple[float, Optional[float], float, Optional[float]]
 
 # symbol -> (restype, argtypes); every LAPACKE layout flag is a C int
 _SYMBOLS = {
@@ -52,14 +55,12 @@ _SYMBOLS = {
     # CHARACTER's length.  extremes' reduction:
     "scipy_dsytrd_2stage_64_": (None, (ctypes.c_char_p,) * 2 + (_PTR,) * 11
                                 + (ctypes.c_size_t,) * 2),
-    # _factor's panels (dpotrf, dtrsm, dsyrk) and factored_extremes' Lanczos steps: dtrtrs
-    # on the factor, the block's lower triangle, and dsymv on the matrix's upper triangle,
-    # each column-major, so no copy is made
+    # _factor's panels (dpotrf, dtrsm, dsyrk) and factored_extremes' Lanczos steps, dtrtrs
+    # on the factor, the block's lower triangle, each column-major, so no copy is made
     "scipy_dpotrf_64_": (None, (ctypes.c_char_p,) + (_PTR,) * 4 + (ctypes.c_size_t,)),
     "scipy_dtrsm_64_": (None, (ctypes.c_char_p,) * 4 + (_PTR,) * 7 + (ctypes.c_size_t,) * 4),
     "scipy_dsyrk_64_": (None, (ctypes.c_char_p,) * 2 + (_PTR,) * 8 + (ctypes.c_size_t,) * 2),
     "scipy_dtrtrs_64_": (None, (ctypes.c_char_p,) * 3 + (_PTR,) * 7 + (ctypes.c_size_t,) * 3),
-    "scipy_dsymv_64_": (None, (ctypes.c_char_p,) + (_PTR,) * 9 + (ctypes.c_size_t,)),
     "scipy_LAPACKE_dstebz64_": (_INT, (_CHAR, _CHAR, _INT, _DOUBLE, _DOUBLE, _INT, _INT,
                                        _DOUBLE) + (_PTR,) * 7),
     "scipy_LAPACKE_dsyevr64_": (_INT, (ctypes.c_int, _CHAR, _CHAR, _CHAR, _INT, _PTR, _INT,
@@ -180,31 +181,38 @@ def _int(value: int):
     return ctypes.byref(ctypes.c_int64(value))
 
 
-def factored_extremes(a: np.ndarray) -> tuple[tuple[float, float, float, float], str]:
+def factored_extremes(a: np.ndarray) -> tuple[_Ends, str]:
     """extremes' four floats for the symmetric C-contiguous float64 (m, m)
     a, m >= 2, and the factorization that gave them: "cholesky" where a is
-    positive definite, else "reduction", extremes' own.
+    positive definite, its two tops then None, else "reduction", extremes'
+    own.
 
     _factor factors the block B = a[1:, 1:] in place on its lower triangle
     as B = L L^T, with no copy.  Bordering L with a's first column,
     w = L^-1 a[1:, 0] and delta^2 = a[0, 0] - w^T w, gives a = M M^T for
     M = [[delta, w^T], [0, L]].  Lanczos (_lanczos) then reads the bottoms
-    from the inverses of M M^T and L L^T, two dtrtrs a step, and the tops
-    from a and B themselves, one dsymv a step on a's upper triangle, which
-    the factor leaves as it was, with a's diagonal written back for those
-    steps.  Each problem runs alone with one right-hand side: numpy's
-    OpenBLAS takes a BLAS-2 path for one, which at m = 2,000 runs in 0.9 ms
-    against 2.5 for two and packs nothing.  The tops only set the scales:
-    here a is positive definite, so no decision reads them.  On success a's
-    lower triangle holds the factor, and its strict upper triangle is as it
-    was, bit for bit.
+    from the inverses of M M^T and L L^T, two dtrtrs a step, each problem
+    alone with one right-hand side (a BLAS-2 path that packs nothing): the
+    first from a fixed start, the second from the tail of the first's Ritz
+    vector, as B's bottom eigenvector is nearly a's with its first entry
+    dropped.  The tops would only set tolerance scales, and with a positive
+    definite a both decisions hold whatever the scale, so none is computed.
+    On success a's lower triangle holds the factor, and its strict upper
+    triangle is as it was, bit for bit.
 
     The reduction runs where the factor fails, where delta^2 <= 0, where
     Lanczos would need more than KRYLOV_BYTES a point of Krylov basis, and
     without the library; a's diagonal is restored first, and its upper
-    triangle, which the reduction reads, is as it was.  a is checked once:
-    ValueError on a non-finite entry, before LAPACK runs."""
-    m = _square(a, least=2)
+    triangle, which the reduction reads, is as it was.  ValueError on a
+    non-finite entry, before LAPACK runs."""
+    _square(a, least=2)
+    return factored_extremes_unchecked(a)
+
+
+def factored_extremes_unchecked(a: np.ndarray) -> tuple[_Ends, str]:
+    """factored_extremes on an a its caller built C-contiguous float64,
+    (m, m) with m >= 2, and has checked for finite entries."""
+    m = len(a)
     if available():
         ends = _bordered_ends(a, m)
         if ends is not None:
@@ -212,20 +220,18 @@ def factored_extremes(a: np.ndarray) -> tuple[tuple[float, float, float, float],
     return _reduce(a, m), "reduction"
 
 
-def _bordered_ends(a: np.ndarray, m: int) -> Optional[tuple[float, float, float, float]]:
-    """factored_extremes' four floats, the bottoms from the factor M of a,
-    which is left in a's lower triangle, the tops from a's upper triangle;
-    or None, a's diagonal then restored."""
+def _bordered_ends(a: np.ndarray, m: int) -> Optional[_Ends]:
+    """factored_extremes' floats from the factor M of a, which is left in
+    a's lower triangle; or None, a's diagonal then restored."""
     diagonal = a.diagonal().copy()
-    ends = None if _factor(a, m) else _lanczos_ends(a, m, diagonal)
+    ends = None if _factor(a, m) else _lanczos_ends(a, m)
     if ends is None:
         np.fill_diagonal(a, diagonal)
     return ends
 
 
-def _lanczos_ends(a: np.ndarray, m: int,
-                  diagonal: np.ndarray) -> Optional[tuple[float, float, float, float]]:
-    """_bordered_ends on the factored a, whose diagonal was ``diagonal``."""
+def _lanczos_ends(a: np.ndarray, m: int) -> Optional[_Ends]:
+    """_bordered_ends on the factored a."""
     w = a[1:, 0].copy()
     _triangular(b"T", a, w)
     square = a[0, 0] - w @ w
@@ -242,28 +248,16 @@ def _lanczos_ends(a: np.ndarray, m: int,
         _triangular(b"T", a, x)
         _triangular(b"N", a, x)
 
-    one, zero = (ctypes.byref(ctypes.c_double(v)) for v in (1.0, 0.0))
-    y = np.empty(m)
-
-    def symmetric(x):  # x <- a x, or B x for x of m - 1 floats, from a's upper triangle
-        n, at = len(x), m - len(x)  # a[at, at] is the first entry read
-        _library()["scipy_dsymv_64_"](b"L", _int(n), one, a[at:, at:].ctypes.data, _int(m),
-                                      x.ctypes.data, _int(1), zero, y.ctypes.data, _int(1), 1)
-        x[...] = y[:n]
-
-    start = RngStream(0, 0).generator.standard_normal(m)  # every problem's, fixed
+    start = RngStream(0, 0).generator.standard_normal(m)  # the first problem's, fixed
     steps = KRYLOV_BYTES // 8
-    bottoms = [_lanczos(apply, x, steps) for apply, x in ((inverse, start),
-                                                          (block_inverse, start[1:]))]
-    if None in bottoms:
+    whole = _lanczos(inverse, start, steps)
+    if whole is None:
         return None
-    factor_diagonal = a.diagonal().copy()
-    np.fill_diagonal(a, diagonal)  # the tops read a itself
-    tops = [_lanczos(symmetric, x, steps) for x in (start, start[1:])]
-    if None in tops:
-        return None
-    np.fill_diagonal(a, factor_diagonal)
-    return 1.0 / bottoms[0], tops[0], 1.0 / bottoms[1], tops[1]
+    tail = whole[1][1:]
+    if not (np.isfinite(tail).all() and tail.any()):
+        tail = start[1:]
+    block = _lanczos(block_inverse, tail, steps)
+    return None if block is None else (1.0 / whole[0], None, 1.0 / block[0], None)
 
 
 def _factor(a: np.ndarray, m: int) -> int:
@@ -310,13 +304,13 @@ def _triangular(trans: bytes, a: np.ndarray, x: np.ndarray) -> None:
         raise np.linalg.LinAlgError(f"triangular solve failed: dtrtrs info {info.value}")
 
 
-def _lanczos(apply, start: np.ndarray, steps: int) -> Optional[float]:
+def _lanczos(apply, start: np.ndarray, steps: int) -> Optional[tuple[float, np.ndarray]]:
     """The largest eigenvalue of the symmetric operator that apply(x)
-    applies in place to a vector x of len(start) floats, by Lanczos from
-    start with full reorthogonalization (classical Gram-Schmidt, twice);
-    None if no Ritz pair is within _RITZ_TOL of its value after ``steps``
-    steps.  At len(start) steps the basis spans the space, and the Ritz
-    values are the eigenvalues."""
+    applies in place to a vector x of len(start) floats, and its unit Ritz
+    vector, by Lanczos from start with full reorthogonalization (classical
+    Gram-Schmidt, twice); None if no Ritz pair is within _RITZ_TOL of its
+    value after ``steps`` steps.  At len(start) steps the basis spans the
+    space, and the Ritz values are the eigenvalues."""
     basis = np.empty((min(steps, len(start)), len(start)))
     alpha, beta = np.zeros(len(basis)), np.zeros(len(basis))
     x = start / np.linalg.norm(start)
@@ -332,7 +326,7 @@ def _lanczos(apply, start: np.ndarray, steps: int) -> Optional[float]:
         t.flat[k + 1::k + 2] = beta[:k]  # the subdiagonal: eigh reads the lower triangle
         values, vectors = np.linalg.eigh(t)
         if norm * abs(vectors[-1, -1]) <= _RITZ_TOL * abs(values[-1]) or k + 1 == len(start):
-            return float(values[-1])
+            return float(values[-1]), vectors[:, -1] @ v
         beta[k] = norm
         x /= norm
     return None

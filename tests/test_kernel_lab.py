@@ -147,7 +147,7 @@ def test_audit_matrix_is_minus_half_hdh_bordered_and_bitwise_symmetric(group, mo
     # bit, and the whole is H K H within rounding
     x = group.sample(RngStream(59, 0), 150)
     seen = []
-    monkeypatch.setattr(lapack, "factored_extremes",
+    monkeypatch.setattr(lapack, "factored_extremes_unchecked",
                         lambda a: seen.append(a.copy()) or ((1.0,) * 4, "reduction"))
     gram_audit(group, x)
     [a] = seen
@@ -164,10 +164,12 @@ def audit_floats(audit):
 def serial_audit(group, x):
     """gram_audit's four floats by its formulas, on fresh arrays: H K H as
     -1/2 H D H and its border (oracles.audit_matrix), then the ends of its
-    spectrum and of its [1:, 1:] block, from its factor where it is positive
-    definite, else from the reduction."""
+    spectrum and of its [1:, 1:] block: from its factor where it is positive
+    definite, the bottoms only, so no scales, else from the reduction."""
     # the distance formulas work in blocks; D is taken as given
-    (k_min, k_max, c_min, c_max), _ = lapack.factored_extremes(audit_matrix(group, x))
+    (k_min, k_max, c_min, c_max), method = lapack.factored_extremes(audit_matrix(group, x))
+    if method == "cholesky":
+        return -2.0 * c_min, k_min, None, None
     return -2.0 * c_min, k_min, 2.0 * max(abs(c_min), abs(c_max)), max(abs(k_min), abs(k_max))
 
 
@@ -194,10 +196,14 @@ def test_audit_matches_serial_reference_bit_for_bit(group, m, solves, monkeypatc
     elif not lapack.available():
         pytest.skip("numpy bundles no LAPACK")
     x = group.sample(RngStream(50, m), m)
-    got = audit_floats(gram_audit(group, x))
+    audit = gram_audit(group, x)
+    got = audit_floats(audit)
     assert got == serial_audit(group, x)
+    assert (got[2] is None and got[3] is None) == (audit.method == "cholesky")
     want = eigvalsh_audit(group, x)
     c_scale, k_scale = max(want[2], 1.0), max(want[3], 1.0)
+    if got[2] is None:  # the factor's: no tops, so no scales
+        got, want = got[:2], want[:2]
     assert all(abs(g - w) <= 1e-14 * scale
                for g, w, scale in zip(got, want, (c_scale, k_scale, c_scale, k_scale)))
 
@@ -318,7 +324,7 @@ def test_audit_holds_one_packed_matrix_at_its_solves(group, monkeypatch):
     m = 300
     x = group.sample(RngStream(53, 0), m)
     held = []
-    for name in ("factored_extremes", "_reduce"):
+    for name in ("factored_extremes_unchecked", "_reduce"):
         def spy(*args, solve=getattr(lapack, name)):
             held.append(tracemalloc.get_traced_memory()[0])
             return solve(*args)
@@ -358,14 +364,14 @@ def test_so3_audit_with_real_blocks_peaks_no_higher_than_su2(monkeypatch):
     # workspace: SU(2)'s Lanczos basis, SO(3)'s reduction
     m = 1000
     before, during = {}, {}
-    solve = lapack.factored_extremes
+    solve = lapack.factored_extremes_unchecked
 
     def spy(a):
         before[group] = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         return solve(a)
 
-    monkeypatch.setattr(lapack, "factored_extremes", spy)
+    monkeypatch.setattr(lapack, "factored_extremes_unchecked", spy)
     for group in (SU2, SO3):
         gram_audit(group, group.sample(RngStream(54, 0), 10))  # load the solver first
         x = group.sample(RngStream(54, 1), m)
@@ -407,6 +413,22 @@ def test_audit_takes_the_reduction_where_lanczos_outgrows_its_storage(monkeypatc
     assert audit.method == "reduction"
     monkeypatch.setattr(lapack, "_bordered_ends", lambda a, m: None)
     assert audit == gram_audit(SU2, x)  # the reduction's floats, bit for bit
+
+
+@pytest.mark.parametrize("m", [*range(2, 400, 9), 400, "icosahedral"])
+def test_audit_decisions_are_those_with_the_reductions_scales(m):
+    # on the Cholesky path the scales are None; the decisions are those the
+    # reduction's scales give, at every tolerance >= 0
+    x = binary_icosahedral() if m == "icosahedral" else SU2.sample(RngStream(68, m), m)
+    audit = gram_audit(SU2, x)
+    k_min, k_max, c_min, c_max = lapack.extremes(audit_matrix(SU2, x))
+    scaled = dataclasses.replace(audit, centered_eig_scale=2.0 * max(abs(c_min), abs(c_max)),
+                                 K_eig_scale=max(abs(k_min), abs(k_max)))
+    if audit.method == "cholesky":
+        assert audit.centered_eig_scale is None and audit.K_eig_scale is None
+    for tol in (0.0, 1e-14, kernel_lab.RELATIVE_EIG_TOL, 1e-3):
+        assert audit.is_positive_semidefinite(tol) == scaled.is_positive_semidefinite(tol)
+        assert audit.is_restricted_negative(tol) == scaled.is_restricted_negative(tol)
 
 
 def test_binary_icosahedral_audit_reads_a_zero_top_sum_zero_eigenvalue():

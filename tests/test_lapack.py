@@ -114,15 +114,17 @@ def upper_sentinel(a):
 
 
 def reads_as_the_reduction(a):
-    """factored_extremes gives extremes' floats within 1e-14 of the scale,
-    leaves a's strict upper triangle as it was, bit for bit, and leaves in
-    its lower triangle the factor of the block B = a[1:, 1:], which
-    reproduces B within 4 m eps of its scale."""
+    """factored_extremes gives extremes' bottoms within 1e-14 of the scale
+    and no tops, leaves a's strict upper triangle as it was, bit for bit,
+    and leaves in its lower triangle the factor of the block B = a[1:, 1:],
+    which reproduces B within 4 m eps of its scale."""
     want = lapack.extremes(a.copy())
     buf = a.copy()
     got, method = lapack.factored_extremes(buf)
     assert method == "cholesky"
-    assert np.abs(np.subtract(got, want)).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
+    assert got[1] is None and got[3] is None
+    bottoms = np.subtract(got[::2], want[::2])
+    assert np.abs(bottoms).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
     upper = np.triu(np.ones(a.shape, dtype=bool), 1)
     assert np.array_equal(buf[upper].view(np.uint64), a[upper].view(np.uint64))
     block, factor = a[1:, 1:], np.tril(buf[1:, 1:])
@@ -150,11 +152,30 @@ def test_factored_extremes_are_the_reductions_on_planted_spectra(bottom, m):
     reads_as_the_reduction(planted(values))
 
 
+def spy_on_problems(monkeypatch):
+    """Record each Lanczos problem of lapack as [apply, start, steps taken,
+    result], the start as passed."""
+    problems, lanczos = [], lapack._lanczos
+
+    def problem(apply, start, steps):
+        seen = [apply, start.copy(), 0, None]
+        problems.append(seen)
+
+        def step(x):
+            seen[2] += 1
+            apply(x)
+        seen[3] = lanczos(step, start, steps)
+        return seen[3]
+
+    monkeypatch.setattr(lapack, "_lanczos", problem)
+    return problems
+
+
 @needs_lapack
-def test_factored_extremes_spend_one_dsymv_a_top_step_and_two_dtrtrs_a_bottom_step(monkeypatch):
-    # the factor's panels and the border's one solve, then four Lanczos
-    # problems: each bottom step two triangular solves on the factor, each top
-    # step one product with the matrix itself; no triangular product anywhere
+def test_factored_extremes_spend_two_dtrtrs_a_bottom_step_and_no_dsymv(monkeypatch):
+    # the factor's panels and the border's one solve, then the two bottom
+    # Lanczos problems, each step two triangular solves on the factor; no
+    # product with the matrix or the factor anywhere
     calls = []
     library = lapack._library()
     for name, routine in list(library.items()):
@@ -179,11 +200,60 @@ def test_factored_extremes_spend_one_dsymv_a_top_step_and_two_dtrtrs_a_bottom_st
     kinds = []
     for steps in problems:
         before, *each = steps.split("step")
-        assert before.split() == [] and len(each) >= 5
+        assert before.split() == [] and len(each) >= 2
         assert len({s.strip() for s in each}) == 1  # every step of a problem alike
         kinds.append(each[0].split())
-    assert sorted(kinds) == [["dsymv"]] * 2 + [["dtrtrs", "dtrtrs"]] * 2
-    assert "dtrmv" not in calls
+    assert kinds == [["dtrtrs", "dtrtrs"]] * 2
+    assert "dsymv" not in calls and "dtrmv" not in calls
+
+
+@needs_lapack
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_second_bottom_starts_from_the_first_ritz_vector_and_takes_fewer_steps(seed,
+                                                                              monkeypatch):
+    # L L^T's bottom eigenvector is nearly the tail of M M^T's; from the
+    # fixed start's tail the same problem takes more steps to the same value
+    m = 400
+    problems = spy_on_problems(monkeypatch)
+    a = audit_matrix(SU2, SU2.sample(RngStream(seed, 0), m))
+    (k_min, _, c_min, _), method = lapack.factored_extremes(a)
+    assert method == "cholesky"
+    whole, block = problems
+    fixed = RngStream(0, 0).generator.standard_normal(m)
+    assert np.array_equal(whole[1], fixed)
+    assert np.array_equal(block[1], whole[3][1][1:])
+    assert abs(np.linalg.norm(whole[3][1]) - 1.0) <= 1e-14
+    assert (k_min, c_min) == (1.0 / whole[3][0], 1.0 / block[3][0])
+    cold = spy_on_problems(monkeypatch)
+    value, _ = lapack._lanczos(block[0], fixed[1:], lapack.KRYLOV_BYTES // 8)
+    assert block[2] < cold[0][2]
+    assert abs(value - block[3][0]) <= 1e-13 * value
+
+
+@needs_lapack
+@pytest.mark.parametrize("tail", ["zero", "nan"])
+def test_second_bottom_starts_from_the_fixed_tail_where_the_ritz_tail_is_unusable(tail,
+                                                                                 monkeypatch):
+    # a Ritz vector of M M^T that is e1, or not finite, gives L L^T no start
+    m = 50
+    problems, lanczos = [], lapack._lanczos
+
+    def problem(apply, start, steps):
+        problems.append(start.copy())
+        value, vector = lanczos(apply, start, steps)
+        if len(problems) == 1:
+            vector = np.zeros(m) if tail == "zero" else np.full(m, np.nan)
+            vector[0] = 1.0
+        return value, vector
+
+    monkeypatch.setattr(lapack, "_lanczos", problem)
+    a = audit_matrix(SU2, SU2.sample(RngStream(67, 0), m))
+    want = lapack.extremes(a.copy())
+    got, method = lapack.factored_extremes(a)
+    assert method == "cholesky"
+    fixed = RngStream(0, 0).generator.standard_normal(m)
+    assert len(problems) == 2 and np.array_equal(problems[1], fixed[1:])
+    assert abs(got[2] - want[2]) <= 1e-14 * max(np.abs(want).max(), 1.0)
 
 
 def so3_item_1_set():
