@@ -72,10 +72,13 @@ def dim_irrep(group, l: int) -> int:
 def alpha_closed(group, l: int) -> float:
     """Closed-form expansion coefficient of d(., e) on chi_l.
 
-    SO(3), l >= 1:
+    SO(3): pi/2 + 2/pi for l = 0, (2/pi)/(l+1)^2 for even l >= 2 and
+    -(2/pi)/l^2 for odd l.  These are the sums
         (2/pi) (1 + sum_{m<=l} ((-1)^m - 1)/m^2
                   + sum_{2<=m<=l} (m^2+1)/(m^2-1)^2 ((-1)^m + 1))
-    and pi/2 + 2/pi for l = 0.  SU(2): pi/2 for l = 0,
+    in closed form: (m^2+1)/(m^2-1)^2 = (1/(m-1)^2 + 1/(m+1)^2)/2, so the
+    even-m terms of the second sum telescope against the odd-m terms of the
+    first, and no cancelling series is summed.  SU(2): pi/2 for l = 0,
     -(8/pi)(l+1)/(l^2 (l+2)^2) for odd l, 0 for even l >= 2.
     """
     if l < 0:
@@ -83,12 +86,7 @@ def alpha_closed(group, l: int) -> float:
     if _is_so3(group):
         if l == 0:
             return math.pi / 2.0 + 2.0 / math.pi
-        total = 1.0
-        for m in range(1, l + 1):
-            total += ((-1) ** m - 1) / m ** 2
-        for m in range(2, l + 1):
-            total += (m * m + 1) / (m * m - 1) ** 2 * ((-1) ** m + 1)
-        return 2.0 / math.pi * total
+        return 2.0 / math.pi / (l + 1) ** 2 if l % 2 == 0 else -2.0 / math.pi / l ** 2
     if l == 0:
         return math.pi / 2.0
     if l % 2 == 0:

@@ -149,17 +149,17 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
     (_centered_kernel), whose one factorization gives both spectra's ends:
     K's are those of H K H, and since v^T K v = -v^T D v / 2 for sum-zero v,
     D's on sum-zero weights are -2 times those of its [1:, 1:] block.
-    lapack.factored_extremes_unchecked (the buffer's row sums have checked
-    it) reads the bottoms from the Cholesky factor of H K H where it is
-    positive definite, with no tops and so no scales, and where the factor
-    fails, as on SO(n), all four ends from extremes' reduction, which reads
-    the triangle the factor leaves as it was.  Raises ValueError on
+    lapack.factored_extremes (the buffer's row sums have checked it) reads
+    the bottoms from the Cholesky factor of H K H where it is positive
+    definite, with no tops and so no scales, and where the factor fails, as
+    on SO(n), all four ends from one tridiagonal reduction, which reads the
+    triangle the factor leaves as it was.  Raises ValueError on
     non-finite distances.
     """
     if len(x) < 2:
         raise ValueError("need at least 2 points")
     x0 = group.identity if x0 is None else x0
-    (k_min, k_max, c_min, c_max), method = lapack.factored_extremes_unchecked(
+    (k_min, k_max, c_min, c_max), method = lapack.factored_extremes(
         _centered_kernel(group, x, x0))
     return GramAudit(
         max_centered_eig=-2.0 * c_min,

@@ -2,24 +2,18 @@
 
 numpy's wheels ship OpenBLAS as ``libscipy_openblas64_`` (64-bit integers,
 every symbol prefixed ``scipy_`` and suffixed ``64_``).  This module loads
-it once and declares each symbol it calls in one table, ``_SYMBOLS``.  Each
-wrapper checks the dtype, shape, contiguity and finiteness of its arrays
-before any pointer reaches LAPACK (``factored_extremes_unchecked``, for a
-matrix its caller has checked, aside), and raises ``LinAlgError`` naming
-the routine when LAPACK reports an error.
-
-Each operation, ``extremes``, ``top_pair`` and ``cholesky``, is one call
-that runs on either backend: where numpy ships no such library,
-``available()`` is false and they take numpy's ``eigvalsh``, ``eigh`` and
-``cholesky``; the thread wrappers then change nothing.  The fourth,
-``factored_extremes``, reads extremes' bottoms by Lanczos from one
-Cholesky factor where the matrix is positive definite, and no tops, and
-elsewhere, and without the library, runs ``extremes``' reduction on the
-matrix as it was; it names which one it ran.  The factor works in the
-lower triangle; the reduction reads the upper, whose strict part the
-factor leaves bit for bit.  It and ``cholesky`` share one factor,
-``_factor``, in place in panels, which agrees with numpy's to rounding,
-not bit for bit.
+it once and declares each symbol it calls in one table, ``_SYMBOLS``.  It
+exports what the package calls: ``factored_extremes`` for the audit,
+``top_pair`` for the witness search, ``cholesky`` for the field, and the
+thread helpers ``set_threads``, ``threads`` and ``core_name``.  Where numpy
+ships no such library, ``available()`` is false, the operations take
+numpy's ``eigvalsh``, ``eigh`` and ``cholesky``, and the thread helpers
+change nothing.  ``top_pair`` and ``cholesky`` check the dtype, shape,
+contiguity and finiteness of their arrays before any pointer reaches
+LAPACK; ``factored_extremes`` takes a buffer its caller has checked.  Each
+raises ``LinAlgError`` naming the routine when LAPACK reports an error.
+``factored_extremes`` and ``cholesky`` share one factor, ``_factor``, in
+place in panels, which agrees with numpy's to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -41,18 +35,18 @@ _ABSTOL = 2.0 * np.finfo(float).tiny  # bisection to full accuracy
 # BLAS and LAPACK scratch, which every memory charge adds: 8.6 MiB of VmHWM for `check`
 # at m = 2,000 and 3,000 (numpy 2.4, BLAS threads free), 2.8 and 4.5 for the first cholesky
 SCRATCH_BYTES = 9 * 2 ** 20
-# Workspace bytes a point of the audit: extremes' reduction takes about 830, and
+# Workspace bytes a point of the audit: _reduce takes about 830, and
 # factored_extremes' Lanczos basis, up to KRYLOV_BYTES / 8 vectors, stays within it
 KRYLOV_BYTES = 1024
 _RITZ_TOL = 1e-10  # Lanczos stops on a top Ritz pair whose residual is within this of its value
 _PANEL = 32  # rows of the factor a step of _factor
-# extremes' four floats, the bottom and top of a, then of a[1:, 1:]; the tops None on the factor
+# _reduce's four floats, the bottom and top of a, then of a[1:, 1:]; the tops None on the factor
 _Ends = tuple[float, Optional[float], float, Optional[float]]
 
 # symbol -> (restype, argtypes); every LAPACKE layout flag is a C int
 _SYMBOLS = {
     # Fortran: every argument by reference, INFO among them (BLAS has none), then each
-    # CHARACTER's length.  extremes' reduction:
+    # CHARACTER's length.  _reduce:
     "scipy_dsytrd_2stage_64_": (None, (ctypes.c_char_p,) * 2 + (_PTR,) * 11
                                 + (ctypes.c_size_t,) * 2),
     # _factor's panels (dpotrf, dtrsm, dsyrk) and factored_extremes' Lanczos steps, dtrtrs
@@ -123,7 +117,7 @@ def _dsytrd_2stage(m: int, a, d, e, tau, hous2, work, query: bool = False) -> No
             f"tridiagonal reduction failed: dsytrd_2stage info {info.value}")
 
 
-def tridiagonal_workspace(m: int) -> tuple[int, int]:
+def _tridiagonal_workspace(m: int) -> tuple[int, int]:
     """Floats of WORK and of HOUS2 that dsytrd_2stage asks for at order m."""
     unused, hous2, work = np.zeros(1), np.zeros(1), np.zeros(1)
     _dsytrd_2stage(m, None, unused, unused, unused, hous2, work, query=True)
@@ -152,24 +146,18 @@ def _eigenvalue(d: np.ndarray, e: np.ndarray, k: int) -> float:
     return float(w[0])
 
 
-def extremes(a: np.ndarray) -> tuple[float, float, float, float]:
-    """The smallest and largest eigenvalues of the symmetric C-contiguous
-    float64 (m, m) a, m >= 2, then those of a[1:, 1:], read from a's upper
-    triangle; a is overwritten.  One reduction gives both: LAPACK's two-stage
-    dsytrd_2stage reduces a (Fortran's lower triangle, 'L') to a tridiagonal
-    T = Q^T a Q whose Q fixes e1, so T[1:, 1:] is similar to a[1:, 1:], and
-    bisection reads the ends of T and of T[1:, 1:].  Without the library,
-    eigvalsh of a copy of a, then of a[1:, 1:].  Raises ValueError on a
-    non-finite entry, before LAPACK runs."""
-    return _reduce(a, _square(a, least=2))
-
-
 def _reduce(a: np.ndarray, m: int) -> tuple[float, float, float, float]:
-    """extremes on the order-m a that _square has checked."""
+    """The smallest and largest eigenvalues of the symmetric order-m a,
+    m >= 2, then those of a[1:, 1:], read from a's upper triangle; a is
+    overwritten.  One reduction gives both: LAPACK's two-stage dsytrd_2stage
+    reduces a (Fortran's lower triangle, 'L') to a tridiagonal T = Q^T a Q
+    whose Q fixes e1, so T[1:, 1:] is similar to a[1:, 1:], and bisection
+    reads the ends of T and of T[1:, 1:].  Without the library, eigvalsh of
+    a copy of a, then of a[1:, 1:].  Checks nothing: its caller has."""
     if not available():
         whole, part = (np.linalg.eigvalsh(b, UPLO="U") for b in (a, a[1:, 1:]))
         return float(whole[0]), float(whole[-1]), float(part[0]), float(part[-1])
-    lwork, lhous2 = tridiagonal_workspace(m)
+    lwork, lhous2 = _tridiagonal_workspace(m)
     d, e = np.empty(m), np.empty(m)
     _dsytrd_2stage(m, a, d, e, np.empty(m), np.empty(lhous2), np.empty(lwork))
     ends, e = _eigenvalue, e[:m - 1]
@@ -182,10 +170,11 @@ def _int(value: int):
 
 
 def factored_extremes(a: np.ndarray) -> tuple[_Ends, str]:
-    """extremes' four floats for the symmetric C-contiguous float64 (m, m)
-    a, m >= 2, and the factorization that gave them: "cholesky" where a is
-    positive definite, its two tops then None, else "reduction", extremes'
-    own.
+    """_reduce's four floats for the symmetric a, and the factorization that
+    gave them: "cholesky" where a is positive definite, its two tops then
+    None, else "reduction".  The caller owes a C-contiguous float64 (m, m)
+    buffer, m >= 2, whose entries it has checked finite (gram_audit's
+    _reflect does, by its row sums); nothing here scans it again.
 
     _factor factors the block B = a[1:, 1:] in place on its lower triangle
     as B = L L^T, with no copy.  Bordering L with a's first column,
@@ -200,18 +189,10 @@ def factored_extremes(a: np.ndarray) -> tuple[_Ends, str]:
     On success a's lower triangle holds the factor, and its strict upper
     triangle is as it was, bit for bit.
 
-    The reduction runs where the factor fails, where delta^2 <= 0, where
-    Lanczos would need more than KRYLOV_BYTES a point of Krylov basis, and
-    without the library; a's diagonal is restored first, and its upper
-    triangle, which the reduction reads, is as it was.  ValueError on a
-    non-finite entry, before LAPACK runs."""
-    _square(a, least=2)
-    return factored_extremes_unchecked(a)
-
-
-def factored_extremes_unchecked(a: np.ndarray) -> tuple[_Ends, str]:
-    """factored_extremes on an a its caller built C-contiguous float64,
-    (m, m) with m >= 2, and has checked for finite entries."""
+    _reduce runs where the factor fails, where delta^2 <= 0, where Lanczos
+    would need more than KRYLOV_BYTES a point of Krylov basis, and without
+    the library; a's diagonal is restored first, and its upper triangle,
+    which the reduction reads, is as it was."""
     m = len(a)
     if available():
         ends = _bordered_ends(a, m)

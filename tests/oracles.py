@@ -3,7 +3,8 @@ and SO(3), which the tests use as oracles for ``levy_groups.harmonic`` and
 the Haar samplers, the covering map SU(2) -> SO(3), the binary icosahedral
 group, a singular positive semidefinite set of SU(2), the recursive
 adaptive Simpson rule that ``levy_groups.quadrature`` walks a level at a time,
-and the matrix H K H that ``kernel_lab.gram_audit`` hands to its solver.
+the matrix H K H that ``kernel_lab.gram_audit`` hands to its solver, and the
+four spectrum ends of that solver's tridiagonal reduction.
 Each character, and each density and distribution function of the angle,
 takes the descriptor ``SU2`` or ``SO3``, as ``harmonic`` does.
 """
@@ -13,6 +14,7 @@ import math
 
 import numpy as np
 
+from levy_groups import lapack
 from levy_groups.harmonic import _is_so3
 from levy_groups.kernel_lab import _householder, _reflect
 from levy_groups.quadrature import MAX_DEPTH, QuadratureError
@@ -191,3 +193,11 @@ def audit_matrix(group, x):
     a[0] -= border
     a[:, 0] -= border
     return a
+
+
+def reduced_ends(a):
+    """The smallest and largest eigenvalues of the symmetric C-contiguous
+    float64 (m, m) a, m >= 2, then those of a[1:, 1:], by
+    ``lapack.factored_extremes``' tridiagonal reduction, the path it takes
+    where the factor fails; it reads a's upper triangle and overwrites a."""
+    return lapack._reduce(a, len(a))

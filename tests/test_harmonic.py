@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -214,6 +215,34 @@ def test_alpha_quadrature_frozen_values():
     assert alpha_quadrature(SO3, 1) == pytest.approx(ALPHA_SO3_1, abs=1e-9)
     assert alpha_quadrature(SU2, 2) == pytest.approx(0.0, abs=1e-9)
     assert alpha_quadrature(SU2, 0) == pytest.approx(ALPHA_SU2_0, abs=1e-9)
+
+
+def so3_series(l: int) -> Fraction:
+    """alpha_closed(SO3, l) / (2/pi), l >= 1, as the two series the closed
+    form telescopes, summed exactly."""
+    total = Fraction(1)
+    for m in range(1, l + 1):
+        total += Fraction((-1) ** m - 1, m * m)
+    for m in range(2, l + 1):
+        total += Fraction(m * m + 1, (m * m - 1) ** 2) * ((-1) ** m + 1)
+    return total
+
+
+def test_so3_series_telescope_to_the_closed_form():
+    for l in range(1, 61):
+        assert so3_series(l) == (Fraction(1, (l + 1) ** 2) if l % 2 == 0 else Fraction(-1, l * l))
+
+
+def test_alpha_closed_so3_is_the_closed_form_to_rounding():
+    # to rounding at every l: no cancelling series is summed in floats
+    mpmath = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mpmath.workdps(40):
+        for l in [*range(1, 3001), *range(99_000, 100_001)]:
+            want = 2 / mpmath.pi * (mpmath.mpf(1) / (l + 1) ** 2 if l % 2 == 0
+                                    else -mpmath.mpf(1) / l ** 2)
+            worst = max(worst, float(abs(alpha_closed(SO3, l) / want - 1)))
+    assert worst <= 4e-16
 
 
 @pytest.mark.parametrize("group", [SU2, SO3], ids=["SU2", "SO3"])

@@ -22,7 +22,7 @@ from levy_groups import (
 import levy_groups
 from levy_groups import group_core, kernel_lab, lapack
 from levy_groups.kernel_lab import WitnessCertificate, _reflect, sum_zero_basis
-from oracles import audit_matrix, binary_icosahedral
+from oracles import audit_matrix, binary_icosahedral, reduced_ends
 
 WITNESS_SCHEMA = json.loads(
     (resources.files("levy_groups") / "schemas" / "witness.schema.json").read_text())
@@ -147,7 +147,7 @@ def test_audit_matrix_is_minus_half_hdh_bordered_and_bitwise_symmetric(group, mo
     # bit, and the whole is H K H within rounding
     x = group.sample(RngStream(59, 0), 150)
     seen = []
-    monkeypatch.setattr(lapack, "factored_extremes_unchecked",
+    monkeypatch.setattr(lapack, "factored_extremes",
                         lambda a: seen.append(a.copy()) or ((1.0,) * 4, "reduction"))
     gram_audit(group, x)
     [a] = seen
@@ -236,7 +236,7 @@ def test_spectral_ends_are_those_of_a_and_of_its_helmert_compression(m, path, mo
         pytest.skip("numpy bundles no LAPACK")
     b = sum_zero_basis(len(a))
     whole, part = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b.T @ a @ b)
-    got = lapack.extremes(kernel_lab._reflect(a.copy(), 1.0))
+    got = reduced_ends(kernel_lab._reflect(a.copy(), 1.0))
     want = (whole[0], whole[-1], part[0], part[-1])
     assert np.abs(np.subtract(got, want)).max() <= 1e-14 * max(1.0, np.linalg.norm(a, 2))
 
@@ -255,7 +255,7 @@ def test_packed_solve_reads_and_writes_only_its_triangle(part, m):
     a += a.T
     upper = np.triu(np.ones((m + 1, m + 1), dtype=bool))
     buf = np.where(upper, a, SENTINEL)
-    ends = lapack.extremes(buf)
+    ends = reduced_ends(buf)
     got, a = (ends[:2], a) if part == "K" else (ends[2:], a[1:, 1:])
     eigs = np.linalg.eigvalsh(a)
     assert np.abs(np.subtract(got, (eigs[0], eigs[-1]))).max() <= 1e-14 * max(1.0, np.abs(eigs).max())
@@ -305,7 +305,7 @@ def workspace_bytes(m, group=SO3):
         return 0
     if group is SU2:
         return min(lapack.KRYLOV_BYTES // 8, m) * 8 * m
-    return 8 * sum(lapack.tridiagonal_workspace(m))
+    return 8 * sum(lapack._tridiagonal_workspace(m))
 
 
 @GROUPS
@@ -324,7 +324,7 @@ def test_audit_holds_one_packed_matrix_at_its_solves(group, monkeypatch):
     m = 300
     x = group.sample(RngStream(53, 0), m)
     held = []
-    for name in ("factored_extremes_unchecked", "_reduce"):
+    for name in ("factored_extremes", "_reduce"):
         def spy(*args, solve=getattr(lapack, name)):
             held.append(tracemalloc.get_traced_memory()[0])
             return solve(*args)
@@ -364,14 +364,14 @@ def test_so3_audit_with_real_blocks_peaks_no_higher_than_su2(monkeypatch):
     # workspace: SU(2)'s Lanczos basis, SO(3)'s reduction
     m = 1000
     before, during = {}, {}
-    solve = lapack.factored_extremes_unchecked
+    solve = lapack.factored_extremes
 
     def spy(a):
         before[group] = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         return solve(a)
 
-    monkeypatch.setattr(lapack, "factored_extremes_unchecked", spy)
+    monkeypatch.setattr(lapack, "factored_extremes", spy)
     for group in (SU2, SO3):
         gram_audit(group, group.sample(RngStream(54, 0), 10))  # load the solver first
         x = group.sample(RngStream(54, 1), m)
@@ -421,7 +421,7 @@ def test_audit_decisions_are_those_with_the_reductions_scales(m):
     # reduction's scales give, at every tolerance >= 0
     x = binary_icosahedral() if m == "icosahedral" else SU2.sample(RngStream(68, m), m)
     audit = gram_audit(SU2, x)
-    k_min, k_max, c_min, c_max = lapack.extremes(audit_matrix(SU2, x))
+    k_min, k_max, c_min, c_max = reduced_ends(audit_matrix(SU2, x))
     scaled = dataclasses.replace(audit, centered_eig_scale=2.0 * max(abs(c_min), abs(c_max)),
                                  K_eig_scale=max(abs(k_min), abs(k_max)))
     if audit.method == "cholesky":

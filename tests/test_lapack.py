@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from levy_groups import SO3, SU2, RngStream, lapack
-from oracles import audit_matrix
+from oracles import audit_matrix, reduced_ends
 
 needs_lapack = pytest.mark.skipif(not lapack.available(), reason="numpy bundles no LAPACK")
 
@@ -54,18 +54,16 @@ def test_lapack_wrappers_reject_bad_input_before_lapack_and_raise_on_info(monkey
         "scipy_LAPACKE_dsyevr64_": returning("dsyevr", 3),
         "scipy_dpotrf_64_": dpotrf,
     })
-    square = (lapack.extremes, lapack.factored_extremes, lapack.top_pair, lapack.cholesky)
     a = np.eye(4)
     a[1, 2] = np.nan
-    for wrapper in square:
+    for wrapper in (lapack.top_pair, lapack.cholesky):
         with pytest.raises(ValueError, match="non-finite entry"):
             wrapper(a)
         for bad in (np.eye(3, 4), np.eye(4)[:, ::-1], np.eye(3, dtype=np.float32)):
             with pytest.raises(ValueError, match=r"C-contiguous float64 \(m, m\) matrix"):
                 wrapper(bad)
-    for wrapper in (lapack.extremes, lapack.factored_extremes, lapack.top_pair):  # no block
-        with pytest.raises(ValueError, match="m >= 2"):
-            wrapper(np.eye(1))
+    with pytest.raises(ValueError, match="m >= 2"):  # no block
+        lapack.top_pair(np.eye(1))
     with pytest.raises(ValueError, match="non-finite entry"):
         lapack._eigenvalue(np.array([1.0, np.nan]), np.zeros(1), 1)
     with pytest.raises(ValueError, match="non-finite entry"):
@@ -76,7 +74,7 @@ def test_lapack_wrappers_reject_bad_input_before_lapack_and_raise_on_info(monkey
             lapack._eigenvalue(d, e, 1)
     assert calls == []
     with pytest.raises(np.linalg.LinAlgError, match="reduction failed: dsytrd_2stage info 3"):
-        lapack.extremes(np.eye(4))
+        reduced_ends(np.eye(4))
     with pytest.raises(np.linalg.LinAlgError, match="bisection failed: dstebz info 2"):
         lapack._eigenvalue(np.ones(2), np.zeros(1), 1)
     with pytest.raises(np.linalg.LinAlgError, match="eigenpair failed: dsyevr info 3"):
@@ -92,7 +90,7 @@ def test_operations_reject_bad_input_on_either_backend(path, monkeypatch):
         monkeypatch.setattr(lapack, "available", lambda: False)
     a = np.eye(4)
     a[3, 2] = np.inf
-    for wrapper in (lapack.extremes, lapack.factored_extremes, lapack.top_pair, lapack.cholesky):
+    for wrapper in (lapack.top_pair, lapack.cholesky):
         with pytest.raises(ValueError, match="non-finite entry"):
             wrapper(a)
         with pytest.raises(ValueError, match=r"C-contiguous float64 \(m, m\) matrix"):
@@ -114,11 +112,11 @@ def upper_sentinel(a):
 
 
 def reads_as_the_reduction(a):
-    """factored_extremes gives extremes' bottoms within 1e-14 of the scale
+    """factored_extremes gives the reduction's bottoms within 1e-14 of the scale
     and no tops, leaves a's strict upper triangle as it was, bit for bit,
     and leaves in its lower triangle the factor of the block B = a[1:, 1:],
     which reproduces B within 4 m eps of its scale."""
-    want = lapack.extremes(a.copy())
+    want = reduced_ends(a.copy())
     buf = a.copy()
     got, method = lapack.factored_extremes(buf)
     assert method == "cholesky"
@@ -248,7 +246,7 @@ def test_second_bottom_starts_from_the_fixed_tail_where_the_ritz_tail_is_unusabl
 
     monkeypatch.setattr(lapack, "_lanczos", problem)
     a = audit_matrix(SU2, SU2.sample(RngStream(67, 0), m))
-    want = lapack.extremes(a.copy())
+    want = reduced_ends(a.copy())
     got, method = lapack.factored_extremes(a)
     assert method == "cholesky"
     fixed = RngStream(0, 0).generator.standard_normal(m)
@@ -285,23 +283,16 @@ def test_factored_extremes_reduce_a_restored_matrix_where_the_factor_fails(case,
     assert (b[upper].view(np.uint64) == SENTINEL.view(np.uint64)).all()
 
 
-def _once(check):
-    """check, raising if it is called a second time."""
-    calls = []
-
-    def once(*args, **kwargs):
-        assert not calls, "the matrix is checked twice"
-        calls.append(args)
-        return check(*args, **kwargs)
-    return once
-
-
 @needs_lapack
 def test_factored_extremes_where_the_factor_fails_are_the_reductions_bit_for_bit(monkeypatch):
-    # and the matrix is checked once, not again for the reduction
+    # and the entry scans nothing: its caller has checked the matrix
     a = so3_item_1_set()
-    want = lapack.extremes(a.copy())
-    monkeypatch.setattr(lapack, "_square", _once(lapack._square))
+    want = reduced_ends(a.copy())
+
+    def scan(*args):
+        raise AssertionError("factored_extremes checks the matrix")
+
+    monkeypatch.setattr(lapack, "_square", scan)
     assert lapack.factored_extremes(a) == (want, "reduction")
 
 
@@ -309,7 +300,10 @@ def test_factored_extremes_without_the_library_are_eigvalshs(monkeypatch):
     monkeypatch.setattr(lapack, "available", lambda: False)
     a = audit_matrix(SU2, SU2.sample(RngStream(65, 0), 20))
     before = a.copy()
-    assert lapack.factored_extremes(a) == (lapack.extremes(a.copy()), "reduction")
+    # numpy's own spectra, from the upper triangle the reduction would read
+    whole, part = (np.linalg.eigvalsh(b, UPLO="U") for b in (before, before[1:, 1:]))
+    want = (whole[0], whole[-1], part[0], part[-1])
+    assert lapack.factored_extremes(a) == (want, "reduction")
     assert np.array_equal(a, before)
 
 

@@ -70,6 +70,40 @@ def test_import_guard_sees_both_forms():
     assert imported_modules(source) == {"ctypes", "numpy"}
 
 
+def unread_exports(module: str, source: str, others) -> list[str]:
+    """Public names that ``source``, the package's ``module``, binds at top
+    level (a def, a class or an assignment) and that no source of ``others``
+    reads, as ``module.name`` or imported by name (``from .module import name``)."""
+    defined = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    read = set()
+    for node in (n for other in others for n in ast.walk(ast.parse(other))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == module:
+                read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module:
+            read |= {alias.name for alias in node.names}
+    return sorted(name for name in defined - read if not name.startswith("_"))
+
+
+def test_lapack_exports_only_what_another_module_reads():
+    # an entry only the tests call would be code the package carries for them
+    others = [(PACKAGE / f"{m}.py").read_text() for m in MODULES if m != "lapack"]
+    assert unread_exports("lapack", (PACKAGE / "lapack.py").read_text(), others) == []
+
+
+def test_export_guard_sees_both_forms():
+    source = ("import os\nfrom . import rng\nA, _B = 1, 2\nC: int = 3\n"
+              "def f():\n    pass\ndef g():\n    pass\ndef _h():\n    pass\nclass D:\n    pass\n")
+    others = ["from . import lapack\nlapack.f()\nrng.g()\n", "from .lapack import A\n"]
+    assert unread_exports("lapack", source, others) == ["C", "D", "g"]
+
+
 def backend_reads_outside_charges(source: str) -> list[str]:
     """Functions of ``source`` (``<module>`` for top-level code) that read
     ``lapack.available``, or import it by name, other than ``*_bytes``
@@ -103,7 +137,7 @@ def test_only_memory_charges_know_the_lapack_backend(module):
 def test_backend_guard_sees_both_forms():
     source = ("from .lapack import available\nfrom . import lapack\n"
               "def audit_bytes(m):\n    return 2 if lapack.available() else 1\n"
-              "def solve(a):\n    if lapack.available():\n        return lapack.extremes(a)\n")
+              "def solve(a):\n    if lapack.available():\n        return lapack.factored_extremes(a)\n")
     assert backend_reads_outside_charges(source) == ["<module>", "solve"]
 
 
