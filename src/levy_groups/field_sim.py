@@ -15,6 +15,7 @@ import numpy as np
 
 from . import lapack
 from .canonical import Table
+from .group_core import BLOCK_FLOATS, row_blocks
 from .kernel_lab import brownian_kernel
 from .rng import RngStream
 
@@ -97,22 +98,27 @@ def build_field(
 
 def variogram_bytes(m: int, realizations: int) -> int:
     """Bytes build_field and empirical_variogram hold at their peak for m
-    points besides x0, the returned columns included.  VmHWM growth above
-    the interpreter, with one BLAS thread, read 2.45 and 2.14 (m + 1)^2
-    matrices after build_field (K and the factor lapack.cholesky forms in
-    place) and 10.55 and 10.21 at the variogram's end, the peak (K, the
-    factor, S, Q, T and a dozen vectors of one entry per pair, each half a
-    matrix) at m = 800 and 1,500: `simulate --points 1500 --realizations
-    100` grew 182.3 MiB; charged 12.
-    Besides: one colouring block of values at its widest; the one scratch
-    of _gram_moments, that block's normals or the _BLOCK columns of powers,
-    whichever is larger (`simulate --points 200 --realizations 10000` grew
-    15.5 MiB, against 17.2 with the two apart); lapack.SCRATCH_BYTES.  Not
-    charged: the value rows of the points of pairs closer than about 0.01,
-    which the cancellation guard's replay holds."""
-    widest = min(realizations, 2 * _colour_width(m))
-    return (12 * 8 * (m + 1) ** 2 + 8 * (m + 1) * widest + 8 * max(m * widest, (m + 1) * _BLOCK)
-            + lapack.SCRATCH_BYTES)
+    points besides x0, the returned columns included.  While the
+    realizations stream: six (m + 1)^2 matrices (K, the factor, S, Q, T and
+    the Gram products' buffer), one colouring block of values at its widest
+    and the one scratch of _gram_moments, that block's normals or its
+    powers, whichever is larger.  The pair terms' first pass holds five
+    matrices and the stderr column (half a matrix), the second three and
+    the five columns (two); either holds the terms of one block of pairs,
+    which read 10.2 float64 a pair at m = 1,500 and are charged 12.
+    Besides: lapack.SCRATCH_BYTES.  VmHWM growth above the interpreter,
+    with one BLAS thread, as `simulate` runs (numpy.random's import and the
+    writer's pass included, as in cli.charge): 13.6 MiB at --points 200
+    --realizations 10000, charged 26.8; 45.1 and 115.7 MiB, 9.22 and 6.73
+    matrices, at 800 and 1,500 points and 100 realizations, charged 62.6
+    and 137.4.  Not charged: the value rows of the points of pairs closer
+    than about 0.01, which the cancellation guard's replay holds."""
+    width = _colour_width(m)
+    # the widest block is the first or the last, and r ends as one block and r's remainder do
+    widest = _widest(_colour_cuts(m, min(realizations, width + realizations % width)))
+    return (6 * 8 * (m + 1) ** 2 + 8 * (m + 1) * widest
+            + 8 * max(m * widest, (m + 1) * min(_BLOCK, widest))
+            + 12 * 8 * min(BLOCK_FLOATS, (m + 1) * m // 2) + lapack.SCRATCH_BYTES)
 
 
 def _colour_width(n: int) -> int:
@@ -121,17 +127,37 @@ def _colour_width(n: int) -> int:
     Each block takes the full product's BLAS kernel, so the values equal one
     full L @ Z bit for bit: a multiple of _BLOCK keeps it on the kernel's tile
     grid, and _BLOCK**2 multiply-adds or more keep it above OpenBLAS's
-    small-matrix kernels (10**6).  Narrower blocks, and a narrow last block,
-    take other kernels (a one-column one gemv) whose sums differ.
+    small-matrix kernels (10**6).  Narrower blocks take other kernels (a
+    one-column one gemv) whose sums differ; :func:`_colour_cuts` says when a
+    last block narrower than this may stand on its own.
     """
     return _BLOCK * -(-_BLOCK // max(n, 1) ** 2)
 
 
 def _colour_cuts(n: int, realizations: int) -> list[int]:
     """Column cuts of the colouring blocks of an n x n factor: blocks of
-    _colour_width(n) columns, the last up to twice as wide as the others."""
+    _colour_width(n) columns, then the remainder of the realizations.
+
+    The remainder is a block of its own when it is a multiple of 8 columns,
+    at least _BLOCK // 4 of them and at least _BLOCK**2 multiply-adds (n^2
+    per column); else it joins the last whole block, which is then up to
+    twice as wide.  These keep a short block on the full product's kernels.
+    With OpenBLAS on SkylakeX and one BLAS thread, remainders of 100-188
+    columns changed the sums at n = 100-400, and none of 192 or more did at
+    n = 32-700.  On two BLAS threads, remainders of 256-692 columns that are
+    not multiples of 8 changed the sums at n = 64-700, and no multiple of 8
+    did, on two or four threads.
+    """
     width = _colour_width(n)
-    return [*range(0, max(realizations // width, 1) * width, width), realizations]
+    whole, rest = divmod(realizations, width)
+    own = rest % 8 == 0 and 4 * rest >= _BLOCK and n * n * rest >= _BLOCK ** 2
+    return [*range(0, max(whole + own, 1) * width, width), realizations]
+
+
+def _widest(cuts: list[int]) -> int:
+    """Columns of the widest block between the cuts: the first or the last,
+    as every other is as wide as the first."""
+    return max(cuts[1] - cuts[0], cuts[-1] - cuts[-2])
 
 
 def _coloured_blocks(fs: FieldSample, realizations: int, gen: np.random.Generator,
@@ -148,11 +174,11 @@ def _coloured_blocks(fs: FieldSample, realizations: int, gen: np.random.Generato
     the next step.  A block is a view of ``out`` (an (m, realizations)
     array, zero in its first row) when given, else of one buffer that the
     next block overwrites.  The values equal one full L @ Z.T of Z drawn at
-    once as (realizations, m - 1), bit for bit (see :func:`_colour_width`).
+    once as (realizations, m - 1), bit for bit (see :func:`_colour_cuts`).
     """
     chol = fs.chol[1:, 1:]
     cuts = _colour_cuts(len(chol), realizations)
-    widest = cuts[-1] - cuts[-2]
+    widest = _widest(cuts)
     z = np.empty(widest * len(chol)) if scratch is None else scratch[:widest * len(chol)]
     z = z.reshape(widest, len(chol))
     vals = np.zeros((fs.m, widest)) if out is None else None
@@ -180,17 +206,21 @@ def sample_field(fs: FieldSample, realizations: int, rng: RngStream) -> FieldSam
 
 def _gram_moments(fs: FieldSample, realizations: int, gen: np.random.Generator):
     """S = V V^T, Q = V^2 (V^2)^T and T = V^3 V^T of the values V of the
-    realizations, summed over column blocks of _BLOCK.  One flat scratch
-    holds each colouring block's normals, then, once they are spent, its
-    _BLOCK columns of powers; each product goes in one reused buffer."""
+    realizations, three separate arrays, summed over column blocks of
+    _BLOCK.  One flat scratch, sized for the widest colouring block, holds
+    each block's normals, then, once they are spent, its powers, _BLOCK
+    columns or the block's width, whichever is fewer; each product goes in
+    one reused buffer.  The colouring cuts fall on multiples of _BLOCK, so
+    the column blocks, and the sums, do not depend on the colouring."""
     cuts = _colour_cuts(fs.m - 1, realizations)
-    widest = cuts[-1] - cuts[-2]
-    scratch = np.empty(max(widest * (fs.m - 1), fs.m * _BLOCK))
-    powers = scratch[:fs.m * _BLOCK].reshape(fs.m, _BLOCK)
-    s, q, t = np.zeros((3, fs.m, fs.m))
+    widest = _widest(cuts)
+    width = min(_BLOCK, widest)
+    scratch = np.empty(max(widest * (fs.m - 1), fs.m * width))
+    powers = scratch[:fs.m * width].reshape(fs.m, width)
+    s, q, t = (np.zeros((fs.m, fs.m)) for _ in range(3))
     prod = np.empty((fs.m, fs.m))
     for _, v in _coloured_blocks(fs, realizations, gen, scratch=scratch):
-        for c in range(0, v.shape[1], _BLOCK):  # colouring blocks are whole _BLOCKs
+        for c in range(0, v.shape[1], _BLOCK):
             b = v[:, c:c + _BLOCK]
             b2 = np.multiply(b, b, out=powers[:, :b.shape[1]])
             s += np.matmul(b, b.T, out=prod)
@@ -198,6 +228,18 @@ def _gram_moments(fs: FieldSample, realizations: int, gen: np.random.Generator):
             b2 *= b  # now the cubes
             t += np.matmul(b2, b.T, out=prod)
     return s, q, t
+
+
+def _pair_blocks(m: int):
+    """Yield (first pair, i, j) over blocks of upper-triangle rows of an
+    (m, m) matrix, about BLOCK_FLOATS entries of the rows each: the rows'
+    pairs i < j in row-major order, from the pair's index among all pairs."""
+    first = 0
+    for rows in row_blocks(m - 1, m):
+        i, j = np.nonzero(np.arange(m) > np.arange(rows.start, rows.stop)[:, None])
+        i += rows.start
+        yield first, i, j
+        first += len(i)
 
 
 class VariogramRow(NamedTuple):
@@ -211,8 +253,9 @@ class VariogramRow(NamedTuple):
 def empirical_variogram(fs: FieldSample, realizations: int, rng: RngStream) -> Table:
     """Estimates of E|X_i - X_j|^2 with standard errors over ``realizations``
     fresh draws of the field, one :class:`VariogramRow` per pair i < j in
-    row-major order, held as the five columns ``pair_i``, ``pair_j``,
-    ``distance``, ``estimate`` and ``stderr``.  Needs >= 100 realizations.
+    row-major order, held as the five columns ``pair_i``, ``pair_j``
+    (int32), ``distance``, ``estimate`` and ``stderr``.  Needs >= 100
+    realizations.
 
     The realizations stream through one colouring block at a time, drawn as
     :func:`sample_field` draws them, so no (m, realizations) array is held.
@@ -225,24 +268,45 @@ def empirical_variogram(fs: FieldSample, realizations: int, rng: RngStream) -> T
     ``_CANCELLATION_TOL`` of either value is recomputed directly: the draws
     are replayed once from the generator state before the pass, holding the
     value rows of the flagged pairs' points, and the end state is restored.
+
+    The pair terms are formed a block of upper-triangle rows at a time, in
+    two passes, so no per-pair vector but the columns is held whole.  The
+    first writes ``stderr`` and flags the pairs; Q and T are then freed, and
+    the second writes ``estimate`` from S, and ``distance`` and the pair
+    indices from K.
     """
     if realizations < 100:
         raise ValueError("need at least 100 realizations")
-    r, gen = realizations, rng.generator
+    r, gen, m = realizations, rng.generator, fs.m
     start = gen.bit_generator.state
-    i, j = np.triu_indices(fs.m, 1)
     s, q, t = _gram_moments(fs, r, gen)
-    sq = s[i, i] + s[j, j] - 2.0 * s[i, j]
-    num = q[i, i] + q[j, j] - 4.0 * (t[i, j] + t[j, i]) + 6.0 * q[i, j] - sq * sq / r
+    ds, dq = s.diagonal(), q.diagonal()
     eps = np.finfo(float).eps
-    sq_err = eps * (s[i, i] + s[j, j] + 2.0 * np.abs(s[i, j]))
-    num_err = eps * (q[i, i] + q[j, j] + 4.0 * (np.abs(t[i, j]) + np.abs(t[j, i]))
-                     + 6.0 * q[i, j] + (sq + 2.0 * sq_err) * sq / r)
-    unsafe = (sq_err > _CANCELLATION_TOL * sq) | (num_err > _CANCELLATION_TOL * num)
-    est, se = sq / r, np.sqrt(np.where(unsafe, 0.0, num) / (r - 1)) / np.sqrt(r)
-    unsafe = np.flatnonzero(unsafe)
+    se = np.empty(m * (m - 1) // 2)
+    flagged = [np.empty(0, dtype=np.intp)]  # one array to concatenate when x0 alone has no pairs
+    for first, i, j in _pair_blocks(m):
+        s_ij = s[i, j]
+        sq = ds[i] + ds[j] - 2.0 * s_ij
+        num = dq[i] + dq[j] - 4.0 * (t[i, j] + t[j, i]) + 6.0 * q[i, j] - sq * sq / r
+        sq_err = eps * (ds[i] + ds[j] + 2.0 * np.abs(s_ij))
+        num_err = eps * (dq[i] + dq[j] + 4.0 * (np.abs(t[i, j]) + np.abs(t[j, i]))
+                         + 6.0 * q[i, j] + (sq + 2.0 * sq_err) * sq / r)
+        unsafe = (sq_err > _CANCELLATION_TOL * sq) | (num_err > _CANCELLATION_TOL * num)
+        se[first:first + len(i)] = np.sqrt(np.where(unsafe, 0.0, num) / (r - 1)) / np.sqrt(r)
+        flagged.append(first + np.flatnonzero(unsafe))
+    del q, t, dq
+    est, dist = np.empty_like(se), np.empty_like(se)
+    pair_i, pair_j = np.empty(len(se), dtype=np.int32), np.empty(len(se), dtype=np.int32)
+    k, dk = fs.K, fs.K.diagonal()  # d_ij = K_ii + K_jj - 2 K_ij, exact from the kernel definition
+    for first, i, j in _pair_blocks(m):
+        block = slice(first, first + len(i))
+        est[block] = (ds[i] + ds[j] - 2.0 * s[i, j]) / r
+        dist[block] = dk[i] + dk[j] - 2.0 * k[i, j]
+        pair_i[block], pair_j[block] = i, j
+    del s, ds
+    unsafe = np.concatenate(flagged)
     if unsafe.size:
-        rows, at = np.unique(np.concatenate((i[unsafe], j[unsafe])), return_inverse=True)
+        rows, at = np.unique(np.concatenate((pair_i[unsafe], pair_j[unsafe])), return_inverse=True)
         held = np.empty((len(rows), r))
         end, gen.bit_generator.state = gen.bit_generator.state, start
         try:
@@ -253,6 +317,4 @@ def empirical_variogram(fs: FieldSample, realizations: int, rng: RngStream) -> T
         for p, a, b in zip(unsafe, at[:unsafe.size], at[unsafe.size:]):
             d = (held[a] - held[b]) ** 2
             est[p], se[p] = d.mean(), d.std(ddof=1) / np.sqrt(r)
-    k = fs.K  # d_ij = K_ii + K_jj - 2 K_ij, exact from the kernel definition
-    dist = k[i, i] + k[j, j] - 2.0 * k[i, j]
-    return Table(VariogramRow, i, j, dist, est, se)
+    return Table(VariogramRow, pair_i, pair_j, dist, est, se)

@@ -187,6 +187,47 @@ def test_values_are_the_cholesky_factor_times_the_normals(m, r):
     assert np.array_equal(vals[1:], fs.chol[1:, 1:] @ z)
 
 
+@pytest.mark.parametrize("rest", [1, 100, 150, 255, 256, 300, 784, 1023])
+@pytest.mark.parametrize("n", [5, 20, 31, 45, 200, 333])
+def test_each_colouring_block_is_the_full_product_and_no_wider_than_the_rule(n, rest):
+    # two whole blocks and a remainder: the remainder is a block of its own
+    # when it is a multiple of 8, >= 256 columns and >= 1024^2 multiply-adds,
+    # else it joins the last whole block; either way the values are one full
+    # product's, on one BLAS thread and on two
+    fs = build_field(SU2, su2_points(85, n))
+    width = field_sim._colour_width(n)
+    r = 2 * width + rest
+    own = rest % 8 == 0 and rest >= 256 and n * n * rest >= 1024 ** 2
+    widths = [v.shape[1] for _, v in field_sim._coloured_blocks(fs, r, RngStream(85, 1).generator)]
+    assert widths == ([width, width, rest] if own else [width, width + rest])
+    z = RngStream(85, 1).generator.standard_normal((r, n)).T
+    before = lapack.set_threads(1)
+    try:
+        for threads in (1, 2):
+            lapack.set_threads(threads)
+            vals = sample_field(fs, r, RngStream(85, 1)).values
+            assert np.array_equal(vals[1:], fs.chol[1:, 1:] @ z), threads
+    finally:
+        if before is not None:
+            lapack.set_threads(before)
+
+
+@pytest.mark.parametrize("n, r, cuts", [
+    (200, 1023, [0, 1023]),  # less than one block
+    (200, 3072, [0, 1024, 2048, 3072]),  # whole blocks
+    (200, 2048 + 248, [0, 1024, 2296]),  # 8 columns short of _BLOCK // 4
+    (200, 2048 + 256, [0, 1024, 2048, 2304]),
+    (200, 2048 + 260, [0, 1024, 2308]),  # not a multiple of 8
+    (200, 2048 + 264, [0, 1024, 2048, 2312]),
+    (45, 2048 + 512, [0, 1024, 2560]),  # 512 x 45^2 multiply-adds, short of _BLOCK^2
+    (45, 2048 + 520, [0, 1024, 2048, 2568]),
+    (64, 1024 + 256, [0, 1024, 1280]),  # exactly _BLOCK^2 multiply-adds
+    (31, 2048 + 1016, [0, 3064]),  # 2,048-column blocks at n = 31
+])
+def test_colour_cuts_split_the_remainder_at_the_rule_and_no_column_off(n, r, cuts):
+    assert field_sim._colour_cuts(n, r) == cuts
+
+
 def test_sampling_holds_one_value_matrix_and_one_block():
     fs = build_field(SU2, su2_points(79, 200))
     r = 10_000
@@ -196,8 +237,9 @@ def test_sampling_holds_one_value_matrix_and_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the values are coloured in place from one block of normals, up to two wide
-    assert peak <= 1.1 * 8 * fs.m * r + 8 * fs.m * 2 * field_sim._BLOCK
+    # the values are coloured in place from one block of normals, of 1,024
+    # columns: the 784-column remainder is a block of its own
+    assert peak <= 1.1 * 8 * fs.m * r + 8 * fs.m * field_sim._BLOCK
 
 
 def test_field_sample_compares_and_hashes_by_identity():
@@ -256,9 +298,10 @@ def test_variogram_matches_the_direct_formula_on_every_pair(m):
 
 
 def moment_rows(v, tol):
-    """(estimate, stderr) of every pair from the whole value matrix v: the
-    Gram-product moments over 1,024-column blocks, each pair whose rounding
-    bound exceeds tol of its value recomputed from its differences."""
+    """(estimate, stderr, flagged) of every pair from the whole value matrix
+    v: the Gram-product moments over 1,024-column blocks, each pair whose
+    rounding bound exceeds tol of its value recomputed from its differences;
+    flagged holds those pairs' indices."""
     r = v.shape[1]
     i, j = np.triu_indices(len(v), 1)
     s, q, t = np.zeros((3, len(v), len(v)))
@@ -279,7 +322,7 @@ def moment_rows(v, tol):
     for p in np.flatnonzero(unsafe):
         d = (v[i[p]] - v[j[p]]) ** 2
         est[p], se[p] = d.mean(), d.std(ddof=1) / np.sqrt(r)
-    return est, se, int(unsafe.sum())
+    return est, se, np.flatnonzero(unsafe)
 
 
 @pytest.fixture
@@ -306,7 +349,7 @@ def test_streamed_variogram_is_the_moment_formula_on_the_values(planted, tol, fl
         pts[11:] = qmul(pts[:3], np.stack([np.cos(h), np.sin(h), 0 * h, 0 * h], axis=-1))
     fs = build_field(SU2, pts)
     est, se, unsafe = moment_rows(sample_field(fs, r, RngStream(81, 1)).values, tol)
-    assert unsafe == flagged
+    assert len(unsafe) == flagged
     passes.clear()  # sample_field's pass
     monkeypatch.setattr(field_sim, "_CANCELLATION_TOL", tol)
     rng = RngStream(81, 1)
@@ -315,6 +358,38 @@ def test_streamed_variogram_is_the_moment_formula_on_the_values(planted, tol, fl
     assert np.array_equal([row.estimate for row in rows], est)
     assert np.array_equal([row.stderr for row in rows], se)
     straight = RngStream(81, 1).generator
+    straight.standard_normal((r, fs.m - 1))
+    assert same_state(rng.generator.bit_generator.state, straight.bit_generator.state)
+
+
+def test_streamed_variogram_spans_blocks_of_pairs(passes):
+    # 515 points and x0: the pair terms take three blocks of upper-triangle
+    # rows, and near-copies planted in the last three rows pair with a point
+    # in each, so the flagged pairs' offsets and their replay cross the
+    # blocks' edges; 1,304 realizations colour as 1,024 and 280 columns
+    pts = su2_points(86, 515)
+    h = np.array([1e-3, 1e-6, 1e-9])
+    pts[512:] = qmul(pts[[0, 300, 511]], np.stack([np.cos(h), np.sin(h), 0 * h, 0 * h], axis=-1))
+    fs = build_field(SU2, pts)
+    planted = [(1, 513), (301, 514), (512, 515)]
+    blocks = [(i[0], i[-1]) for _, i, _ in field_sim._pair_blocks(fs.m)]
+    assert len(blocks) == 3
+    assert [next(b for b, (lo, hi) in enumerate(blocks) if lo <= a <= hi) for a, _ in planted] \
+        == [0, 1, 2]
+    r = 1304
+    est, se, unsafe = moment_rows(sample_field(fs, r, RngStream(86, 1)).values,
+                                  field_sim._CANCELLATION_TOL)
+    i, j = np.triu_indices(fs.m, 1)
+    assert list(zip(i[unsafe], j[unsafe])) == planted
+    passes.clear()  # sample_field's pass
+    rng = RngStream(86, 1)
+    rows = empirical_variogram(fs, r, rng)
+    assert len(passes) == 2
+    assert np.array_equal(rows.estimate, est) and np.array_equal(rows.stderr, se)
+    assert np.array_equal(rows.pair_i, i) and np.array_equal(rows.pair_j, j)
+    k = fs.K
+    assert np.array_equal(rows.distance, k[i, i] + k[j, j] - 2.0 * k[i, j])
+    straight = RngStream(86, 1).generator
     straight.standard_normal((r, fs.m - 1))
     assert same_state(rng.generator.bit_generator.state, straight.bit_generator.state)
 
@@ -336,21 +411,28 @@ def test_variogram_memory_does_not_grow_with_realizations():
         finally:
             tracemalloc.stop()
     # 100,000 realizations of values alone would be 40.8 MB; a pass holds
-    # S, Q and T, one colouring block of normals and of values, two blocks
-    # of the Gram products and the rows
-    width = 2 * field_sim._colour_width(fs.m - 1)
+    # S, Q, T and the products' buffer, one colouring block of values and
+    # one scratch of its normals or powers, each of 1,024 columns, and
+    # a few of numpy's ufunc buffers, np.getbufsize() floats each, where the
+    # last block's powers are formed from strided views
     assert peaks[1] <= 1.1 * peaks[0]
-    assert peaks[1] <= 8 * (3 * fs.m ** 2 + (2 * fs.m - 1) * width + 2 * fs.m * field_sim._BLOCK)
+    assert peaks[1] <= 8 * (4 * fs.m ** 2 + 2 * fs.m * field_sim._BLOCK + 4 * np.getbufsize())
 
 
-@pytest.mark.parametrize("points, realizations, colour", [(200, 10_000, 2048), (10, 200_000, 22_528),
+# 10,000 = 9 x 1,024 + a block of 784; 199,680 and 100 times as many realizations
+# leave 8,192 columns over 11,264-column blocks, 819,200 multiply-adds, which join
+# the last block
+@pytest.mark.parametrize("points, realizations, colour", [(200, 10_000, 1024),
+                                                           (10, 199_680, 19_456),
                                                            (1, 5_000, 5_000)])
 def test_simulate_is_charged_its_widest_blocks_not_its_realizations(points, realizations, colour):
-    # the realizations stream through one colouring block of normals and of
-    # values at a time, at most ``colour`` columns wide, a column of each
-    # holding m and m + 1 floats, and two column blocks of the Gram products
+    # the realizations stream through one colouring block of values at a
+    # time, ``colour`` columns wide at the widest, a column holding m + 1
+    # floats, and one scratch of its m normals a column, or of its m + 1
+    # powers where the widest block is within 1,024 columns
     charge = field_sim.variogram_bytes(points, realizations)
-    assert charge - field_sim.variogram_bytes(points, colour - 1) == 8 * (2 * points + 1)
+    floats = 2 * points + 1 + (colour <= field_sim._BLOCK)
+    assert charge - field_sim.variogram_bytes(points, colour - 1) == 8 * floats
     if colour < realizations:  # wider than the widest block
         assert field_sim.variogram_bytes(points, 100 * realizations) == charge
 
