@@ -174,7 +174,9 @@ def _coloured_blocks(fs: FieldSample, realizations: int, gen: np.random.Generato
     the next step.  A block is a view of ``out`` (an (m, realizations)
     array, zero in its first row) when given, else of one buffer that the
     next block overwrites.  The values equal one full L @ Z.T of Z drawn at
-    once as (realizations, m - 1), bit for bit (see :func:`_colour_cuts`).
+    once as (realizations, m - 1), bit for bit (see :func:`_colour_cuts`),
+    where BLAS runs on one thread or two, as the CLI pins it to one; at more
+    threads OpenBLAS may split the two products' sums differently.
     """
     chol = fs.chol[1:, 1:]
     cuts = _colour_cuts(len(chol), realizations)
@@ -194,7 +196,8 @@ def sample_field(fs: FieldSample, realizations: int, rng: RngStream) -> FieldSam
 
     The values are coloured straight into the value matrix, one block of
     columns at a time, from the same draws as :func:`empirical_variogram`
-    streams.
+    streams.  On one or two BLAS threads they equal one full L @ Z.T bit
+    for bit (see :func:`_coloured_blocks`); at more, they may not.
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")

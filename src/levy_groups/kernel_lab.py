@@ -82,15 +82,15 @@ def _householder(m: int) -> tuple[np.ndarray, float]:
     return u, 1.0 / u[0]
 
 
-def _reflect(a: np.ndarray, scale: float) -> np.ndarray:
-    """Overwrite the symmetric (m, m) a with H (scale a) H (see _householder)
-    and return it: a[1:, 1:] is then scale a compressed onto the sum-zero
+def _reflect(a: np.ndarray) -> np.ndarray:
+    """Overwrite the symmetric (m, m) a with H (-a/2) H (see _householder)
+    and return it: a[1:, 1:] is then -a/2 compressed onto the sum-zero
     subspace.
 
     H a H = a - (u w^T + w u^T) for p = tau a u and w = p - (tau / 2) (u^T p) u.
     Since u = 1/sqrt(m) + e1, p comes from a's row sums and first column, and
-    the update splits in two: one blocked pass a_ij <- scale a_ij + (g_i + g_j)
-    for g = -scale w / sqrt(m), then the e1 terms, -scale w, in row 0 and in
+    the update splits in two: one blocked pass a_ij <- -a_ij / 2 + (g_i + g_j)
+    for g = w / (2 sqrt(m)), then the e1 terms, w / 2, in row 0 and in
     column 0.  Entry (i, j) gets the same floats as entry (j, i), so a
     bitwise-symmetric a stays bitwise symmetric; nothing m x m is made.
     Raises ValueError where a row sum, and so an entry, is not finite."""
@@ -101,12 +101,11 @@ def _reflect(a: np.ndarray, scale: float) -> np.ndarray:
         raise ValueError("non-finite distance encountered")
     root = np.sqrt(m)
     p = tau * (sums / root + a[:, 0])
-    w = scale * (p - (0.5 * tau * (u @ p)) * u)
+    w = -0.5 * (p - (0.5 * tau * (u @ p)) * u)
     g = w / -root
     for s in row_blocks(m, 2 * m):  # the rows and their outer sum: two blocks
         rows = a[s]
-        if scale != 1.0:
-            rows *= scale
+        rows *= -0.5
         rows += np.add.outer(g[s], g)
     a[0] -= w
     a[:, 0] -= w
@@ -185,7 +184,7 @@ def _centered_kernel(group, x: np.ndarray, x0) -> np.ndarray:
     border = 0.5 * np.sqrt(m) * (d0 - (tau * (u @ d0)) * u)
     if not np.isfinite(border).all():
         raise ValueError("non-finite distance encountered")
-    a = _reflect(pairwise_distance_matrix(group, x), -0.5)
+    a = _reflect(pairwise_distance_matrix(group, x))
     a[0] -= border
     a[:, 0] -= border
     return a
@@ -334,8 +333,19 @@ def find_witness(
 ) -> WitnessCertificate:
     """Randomized search for a positive quadratic form over sum-zero weights.
 
-    Per trial: m Haar points, top eigenpair of the distance matrix on the
-    sum-zero subspace; accepted when the eigenvalue clears ``margin``.
+    Per trial: m Haar points and their distance matrix D; the weights are
+    the top eigenvector of D compressed onto the centred degree-2 span
+    (_degree_two_span), one Rayleigh-Ritz step, mapped back to the points.
+    A trial is accepted when the weights' quadratic form w^T D w, the value
+    the certificate states, clears ``margin``.  Why that span: SO(3) fails
+    because its coefficient alpha_2 is positive (Gangolli 1967), so on Haar
+    points the top sum-zero eigenvectors of D lie near the l = 2 block of
+    L^2(SO(3)) (Koltchinskii and Gine 2000), whose functions are
+    polynomials of degree <= 2 in a rotation's entries.  The 45 products of
+    the 9 entries span, once centred, at most 34 dimensions, so for m <= 35
+    the span is the whole sum-zero space and the weights are D's top
+    sum-zero eigenvector.
+
     ``group`` is the descriptor ``SO3``, ``group_named("son", n)`` with
     n > 3, or ``SU2``.  For SO(n) the points are Haar draws of the embedded
     SO(3) subgroup, which is where the defect provably lives; the
@@ -344,7 +354,8 @@ def find_witness(
 
     First trial to succeed wins; raises WitnessNotFoundError otherwise.
     On SU2 the same search is expected to fail: the SU(2) distance is
-    restricted negative definite.
+    restricted negative definite, and its span (10 products of the 4
+    coordinates) has rank 9.
     """
     if m < 4:
         raise ValueError("m must be >= 4")
@@ -354,21 +365,20 @@ def find_witness(
     if group is not sampled and not (isinstance(group, SOnGroup) and group.n > 3):
         raise ValueError(f"no witness search on {group!r}: use SU2, SO3 or SO(n) with n > 3")
 
-    u, tau = _householder(m)
+    pairs = np.triu_indices(sampled.point_size)
     for trial in range(trials):
         x = sampled.sample(rng, m)
         d = sampled.pairwise(x)
-        top, vector = lapack.top_pair(_reflect(d.copy(), 1.0))
-        weights = np.concatenate(([0.0], vector))  # H maps it to sum-zero weights
-        weights -= (tau * (u @ weights)) * u
+        span = _degree_two_span(x, pairs)
+        weights = span @ np.linalg.eigh(span.T @ d @ span)[1][:, -1]
         weights -= weights.mean()
         weights /= np.linalg.norm(weights)
         weights *= np.sign(weights[np.argmax(np.abs(weights))])  # largest entry positive
         value = float(weights @ d @ weights)
-        if not (top > margin and value > margin):
+        if not value > margin:
             # drop the failed trial's arrays before the next one samples, so
             # a search of many trials peaks no higher than a search of one
-            del x, d, vector, weights
+            del x, d, span, weights
             continue
         cert = WitnessCertificate(
             group=sampled, points=x,
@@ -381,18 +391,31 @@ def find_witness(
     )
 
 
+def _degree_two_span(x: np.ndarray, pairs: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """An orthonormal basis, as columns, of the centred products x_a x_b,
+    (a, b) over ``pairs``, of the flat coordinates of the points x: the
+    eigenvectors of their Gram matrix above 1e-12 of its largest
+    eigenvalue, each divided by its root, mapped through the products."""
+    flat = x.reshape(len(x), -1)
+    products = flat[:, pairs[0]] * flat[:, pairs[1]]
+    products -= products.mean(axis=0)
+    values, vectors = np.linalg.eigh(products.T @ products)
+    keep = values > 1e-12 * values[-1]
+    return products @ (vectors[:, keep] / np.sqrt(values[keep]))
+
+
 def witness_bytes(group, m: int) -> int:
     """Bytes find_witness and its certificate's JSON hold at their peak on m
-    points of group: the distance matrix and the copy dsyevr overwrites,
-    charged 3 m x m matrices, or 8 where eigh takes the pair and holds about
-    six more; on SO(n), 90 B per float of the points (the embedded points
-    and their JSON); lapack.SCRATCH_BYTES.  VmHWM of `witness --group so3`
-    above the imports, one trial or ten, BLAS on one thread:
-    8.2, 24.4, 70.5 and 147.1 MiB at m = 100, 1,000, 2,000 and 3,000 with
-    dsyevr (2.3 matrices at 2,000, 2.1 at 3,000), 56.6 and 196.6 MiB at
-    1,000 and 2,000 with eigh (6.4 matrices)."""
-    matrices = 3 if lapack.available() else 8
-    return matrices * 8 * m * m + 112 * m * group.point_size + lapack.SCRATCH_BYTES
+    points of group: the distance matrix; the degree-2 span's arrays (the
+    products, their basis and D times it), charged 4 m x 45 floats, 45 the
+    products on SO(3); 112 B per float of the points (the sample, on SO(n)
+    its embedding, and their JSON); lapack.SCRATCH_BYTES.  No eigen-solver
+    copies D, so one formula holds on either lapack backend.  VmHWM of
+    `witness` above the imports, BLAS on one thread (numpy 2.4, 2 cores):
+    8.2 MiB for SO(6) at m = 100, and for SO(3), one trial or ten, 17.5,
+    41.6 and 79.9 MiB at m = 1,000, 2,000 and 3,000 (1.16 matrices at
+    3,000)."""
+    return 8 * m * m + 32 * m * 45 + 112 * m * group.point_size + lapack.SCRATCH_BYTES
 
 
 def transfer_witness(cert: WitnessCertificate, n: int) -> WitnessCertificate:

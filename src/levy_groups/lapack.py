@@ -4,16 +4,16 @@ numpy's wheels ship OpenBLAS as ``libscipy_openblas64_`` (64-bit integers,
 every symbol prefixed ``scipy_`` and suffixed ``64_``).  This module loads
 it once and declares each symbol it calls in one table, ``_SYMBOLS``.  It
 exports what the package calls: ``factored_extremes`` for the audit,
-``top_pair`` for the witness search, ``cholesky`` for the field, and the
-thread helpers ``set_threads``, ``threads`` and ``core_name``.  Where numpy
-ships no such library, ``available()`` is false, the operations take
-numpy's ``eigvalsh``, ``eigh`` and ``cholesky``, and the thread helpers
-change nothing.  ``top_pair`` and ``cholesky`` check the dtype, shape,
-contiguity and finiteness of their arrays before any pointer reaches
-LAPACK; ``factored_extremes`` takes a buffer its caller has checked.  Each
-raises ``LinAlgError`` naming the routine when LAPACK reports an error.
-``factored_extremes`` and ``cholesky`` share one factor, ``_factor``, in
-place in panels, which agrees with numpy's to rounding, not bit for bit.
+``cholesky`` for the field, and the thread helpers ``set_threads``,
+``threads`` and ``core_name``; the witness search needs none of it.  Where
+numpy ships no such library, ``available()`` is false, the operations take
+numpy's ``eigvalsh`` and ``cholesky``, and the thread helpers change
+nothing.  ``cholesky`` checks the dtype, shape, contiguity and finiteness of
+its array before any pointer reaches LAPACK; ``factored_extremes`` takes a
+buffer its caller has checked.  Each raises ``LinAlgError`` naming the
+routine when LAPACK reports an error.  ``factored_extremes`` and
+``cholesky`` share one factor, ``_factor``, in place in panels, which
+agrees with numpy's to rounding, not bit for bit.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from . import group_core
 from .rng import RngStream
 
 _INT, _DOUBLE, _PTR, _CHAR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_char
-_COL_MAJOR = 102  # LAPACKE's layout flag
 _ABSTOL = 2.0 * np.finfo(float).tiny  # bisection to full accuracy
 # BLAS and LAPACK scratch, which every memory charge adds: 8.6 MiB of VmHWM for `check`
 # at m = 2,000 and 3,000 (numpy 2.4, BLAS threads free), 2.8 and 4.5 for the first cholesky
@@ -43,7 +42,7 @@ _PANEL = 32  # rows of the factor a step of _factor
 # _reduce's four floats, the bottom and top of a, then of a[1:, 1:]; the tops None on the factor
 _Ends = tuple[float, Optional[float], float, Optional[float]]
 
-# symbol -> (restype, argtypes); every LAPACKE layout flag is a C int
+# symbol -> (restype, argtypes)
 _SYMBOLS = {
     # Fortran: every argument by reference, INFO among them (BLAS has none), then each
     # CHARACTER's length.  _reduce:
@@ -57,9 +56,6 @@ _SYMBOLS = {
     "scipy_dtrtrs_64_": (None, (ctypes.c_char_p,) * 3 + (_PTR,) * 7 + (ctypes.c_size_t,) * 3),
     "scipy_LAPACKE_dstebz64_": (_INT, (_CHAR, _CHAR, _INT, _DOUBLE, _DOUBLE, _INT, _INT,
                                        _DOUBLE) + (_PTR,) * 7),
-    "scipy_LAPACKE_dsyevr64_": (_INT, (ctypes.c_int, _CHAR, _CHAR, _CHAR, _INT, _PTR, _INT,
-                                       _DOUBLE, _DOUBLE, _INT, _INT, _DOUBLE, _PTR, _PTR, _PTR,
-                                       _INT, _PTR)),
     "scipy_openblas_set_num_threads64_": (None, (ctypes.c_int,)),
     "scipy_openblas_get_num_threads64_": (ctypes.c_int, ()),
     "scipy_openblas_get_corename64_": (ctypes.c_char_p, ()),
@@ -88,14 +84,12 @@ def available() -> bool:
     return _library() is not None
 
 
-def _square(a: np.ndarray, least: int = 1) -> int:
-    """The order, at least ``least``, of the C-contiguous float64 square a
-    with finite entries, else ValueError."""
+def _square(a: np.ndarray) -> int:
+    """The order of the C-contiguous float64 square a with finite entries,
+    else ValueError."""
     m = len(a)
     if a.dtype != np.float64 or a.shape != (m, m) or not a.flags.c_contiguous:
         raise ValueError(f"need a C-contiguous float64 (m, m) matrix, got {a.dtype} {a.shape}")
-    if m < least:
-        raise ValueError(f"need m >= {least} for the block a[1:, 1:], got {m}")
     if not all(np.isfinite(a[s]).all() for s in group_core.row_blocks(m, m)):
         raise ValueError("non-finite entry in the matrix")
     return m
@@ -311,30 +305,6 @@ def _lanczos(apply, start: np.ndarray, steps: int) -> Optional[tuple[float, np.n
         beta[k] = norm
         x /= norm
     return None
-
-
-def top_pair(a: np.ndarray) -> tuple[float, np.ndarray]:
-    """The largest eigenvalue of the symmetric block a[1:, 1:] of the
-    C-contiguous float64 (m, m) a, m >= 2, and a unit eigenvector for it;
-    a is overwritten.  LAPACKE dsyevr with range 'I' computes that one pair
-    (bisection and inverse iteration) in place: it reads the block's upper
-    triangle, passed column-major from the pointer of a[1, 1] with leading
-    dimension m as Fortran's lower ('L'), so no copy of it is made.  Without
-    the library, numpy's eigh of the block's lower triangle, its other
-    eigenvectors dropped.  Raises ValueError on a non-finite entry, before
-    LAPACK runs."""
-    m = _square(a, least=2)
-    if not available():
-        values, vectors = np.linalg.eigh(a[1:, 1:])
-        return float(values[-1]), vectors[:, -1].copy()
-    n = m - 1
-    w, z, found, support = np.empty(n), np.empty(n), np.zeros(1, np.int64), np.empty(2, np.int64)
-    info = _library()["scipy_LAPACKE_dsyevr64_"](
-        _COL_MAJOR, b"V", b"I", b"L", n, a[1:, 1:].ctypes.data, m, 0.0, 0.0, n, n, _ABSTOL,
-        found.ctypes.data, w.ctypes.data, z.ctypes.data, n, support.ctypes.data)
-    if info or found[0] != 1:
-        raise np.linalg.LinAlgError(f"eigenpair failed: dsyevr info {info}")
-    return float(w[0]), z
 
 
 def cholesky(a: np.ndarray) -> int:

@@ -189,7 +189,7 @@ def audit_matrix(group, x):
     u, tau = _householder(m)
     d0 = group.distances(x, group.identity)
     border = 0.5 * np.sqrt(m) * (d0 - (tau * (u @ d0)) * u)
-    a = _reflect(group.pairwise(x), -0.5)
+    a = _reflect(group.pairwise(x))
     a[0] -= border
     a[:, 0] -= border
     return a

@@ -525,11 +525,12 @@ def test_check_grows_no_more_than_its_charge(path):
 @pytest.mark.parametrize("path", ["in-place", "fallback"])
 def test_witness_grows_no_more_than_its_charge(path):
     # the benchmark's SO(6) search, where the BLAS and LAPACK scratch
-    # outweighs the matrices, and an SO(3) search where they dominate
+    # outweighs the matrix, and SO(3) searches where the matrix dominates
     setup = ("from levy_groups import lapack; lapack.available = lambda: False"
              if path == "fallback" else "")
     for argv in (["witness", "--group", "son", "--n", "6", "--points", "100"],
-                 ["witness", "--group", "so3", "--points", "1000"]):
+                 ["witness", "--group", "so3", "--points", "1000"],
+                 ["witness", "--group", "so3", "--points", "3000"]):
         grown, charged = grown_and_charged(argv, setup)
         assert grown <= charged, argv
 

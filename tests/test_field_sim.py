@@ -181,10 +181,18 @@ def test_sampling_is_reproducible():
 @pytest.mark.parametrize("m, r", [(30, 400), (5, 1025), (300, 2500), (200, 1026),
                                   (31, 2050), (100, 1100), (20, 5003)])
 def test_values_are_the_cholesky_factor_times_the_normals(m, r):
+    # the promise holds on one BLAS thread and on two, not at every count
     fs = build_field(SU2, su2_points(76, m))
-    vals = sample_field(fs, r, RngStream(76, 1)).values
     z = RngStream(76, 1).generator.standard_normal((r, m)).T  # realization-major
-    assert np.array_equal(vals[1:], fs.chol[1:, 1:] @ z)
+    before = lapack.set_threads(1)
+    try:
+        for threads in (1, 2):
+            lapack.set_threads(threads)
+            vals = sample_field(fs, r, RngStream(76, 1)).values
+            assert np.array_equal(vals[1:], fs.chol[1:, 1:] @ z), threads
+    finally:
+        if before is not None:
+            lapack.set_threads(before)
 
 
 @pytest.mark.parametrize("rest", [1, 100, 150, 255, 256, 300, 784, 1023])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -120,10 +121,11 @@ def test_centered_spectrum_is_the_helmert_compression(group, m):
     d = group.pairwise(x)
     b = sum_zero_basis(len(d))
     want = np.linalg.eigvalsh(b.T @ d @ b)
-    for scale in (1.0, -0.5):  # find_witness's H D H, and gram_audit's -1/2 H D H
-        got = np.linalg.eigvalsh(_reflect(d.copy(), scale)[1:, 1:])  # d stays D for the bound
+    for scale in (1.0, -0.5):  # H D H, and gram_audit's -1/2 H D H
+        # scaling by a power of two is exact: _reflect(-2 scale d) is H (scale d) H
+        got = np.linalg.eigvalsh(_reflect(-2.0 * scale * d)[1:, 1:])
         assert np.abs(got - np.sort(scale * want)).max() <= 1e-12 * max(1.0, np.linalg.norm(d, 2))
-        ones = _reflect(np.ones_like(d), scale)  # H sends the constants to e1
+        ones = _reflect(-2.0 * scale * np.ones_like(d))  # H sends the constants to e1
         ones[0, 0] -= scale * len(d)
         assert np.abs(ones).max() <= 1e-14 * len(d)
 
@@ -131,14 +133,12 @@ def test_centered_spectrum_is_the_helmert_compression(group, m):
 @pytest.mark.parametrize("group", [SU2, SO3], ids=["su2", "so3"])
 @pytest.mark.parametrize("seed", range(5))
 def test_reflect_keeps_a_symmetric_matrix_bit_for_bit(group, seed):
-    # lapack.top_pair's backends read opposite triangles of find_witness's
-    # H D H, and gram_audit's H K H is reduced from one triangle
+    # gram_audit's H K H is reduced from one triangle and factored from the other
     x = group.sample(RngStream(seed, 0), 100)
-    for scale in (1.0, -0.5):
-        for a in (group.pairwise(x), kernel_lab.brownian_kernel(group, x, group.identity)):
-            assert np.array_equal(a, a.T)
-            _reflect(a, scale)
-            assert np.array_equal(a, a.T)
+    for a in (group.pairwise(x), kernel_lab.brownian_kernel(group, x, group.identity)):
+        assert np.array_equal(a, a.T)
+        _reflect(a)
+        assert np.array_equal(a, a.T)
 
 
 @pytest.mark.parametrize("group", [SU2, SO3, group_named("son", 4)], ids=["su2", "so3", "so4"])
@@ -152,8 +152,8 @@ def test_audit_matrix_is_minus_half_hdh_bordered_and_bitwise_symmetric(group, mo
     gram_audit(group, x)
     [a] = seen
     assert np.array_equal(a, a.T)
-    assert np.array_equal(a[1:, 1:], _reflect(group.pairwise(x), -0.5)[1:, 1:])
-    want = _reflect(kernel_lab.brownian_kernel(group, x, group.identity), 1.0)
+    assert np.array_equal(a[1:, 1:], _reflect(group.pairwise(x))[1:, 1:])
+    want = _reflect(-2.0 * kernel_lab.brownian_kernel(group, x, group.identity))
     assert np.abs(a - want).max() <= 1e-15 * np.abs(want).max()
 
 
@@ -236,7 +236,7 @@ def test_spectral_ends_are_those_of_a_and_of_its_helmert_compression(m, path, mo
         pytest.skip("numpy bundles no LAPACK")
     b = sum_zero_basis(len(a))
     whole, part = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b.T @ a @ b)
-    got = reduced_ends(kernel_lab._reflect(a.copy(), 1.0))
+    got = reduced_ends(kernel_lab._reflect(-2.0 * a))
     want = (whole[0], whole[-1], part[0], part[-1])
     assert np.abs(np.subtract(got, want)).max() <= 1e-14 * max(1.0, np.linalg.norm(a, 2))
 
@@ -532,17 +532,60 @@ def test_find_witness_so3():
 
 @pytest.mark.parametrize("group", [SO3, group_named("son", 6)], ids=["so3", "son6"])
 @pytest.mark.parametrize("seed", range(1, 6))
-def test_witness_is_the_same_with_eighs_eigenpair(group, seed, monkeypatch):
-    # dsyevr's one eigenpair and the last of eigh's give the same points, and
-    # weights and value within rounding, the weights' largest entry positive
-    fast = find_witness(group, m=100, trials=10, rng=RngStream(seed, 0))
-    monkeypatch.setattr(lapack, "available", lambda: False)
-    slow = find_witness(group, m=100, trials=10, rng=RngStream(seed, 0))
-    assert np.array_equal(fast.points, slow.points)
-    assert np.abs(fast.weights - slow.weights).max() <= 1e-13
-    assert abs(fast.value - slow.value) <= 1e-13 * abs(slow.value)
-    for cert in (fast, slow):
+def test_witness_is_the_same_with_eighs_eigenpair(group, seed):
+    # numpy's eigh of the Helmert compression of D: up to m = 35 points the
+    # centred degree-2 span is the whole sum-zero space, so the witness is
+    # its top eigenpair, weights within eps |D| / gap; beyond, the span's
+    # Ritz value never exceeds the top eigenvalue (interlacing)
+    for m in (5, 10, 20, 30, 35, 36, 100, 300):
+        x = SO3.sample(RngStream(seed, 0), m)  # the search's one trial
+        d = SO3.pairwise(x)
+        b = sum_zero_basis(m)
+        values, vectors = np.linalg.eigh(b.T @ d @ b)
+        if m <= 35 and values[-1] <= kernel_lab.DEFAULT_MARGIN:
+            with pytest.raises(WitnessNotFoundError):
+                find_witness(group, m, trials=1, rng=RngStream(seed, 0))
+            continue
+        cert = find_witness(group, m, trials=1, rng=RngStream(seed, 0))
+        assert np.array_equal(cert.points[:, :3, :3], x)
+        assert cert.value == float(cert.weights @ d @ cert.weights)
         assert cert.weights[np.argmax(np.abs(cert.weights))] > 0
+        if m > 35:
+            assert cert.value <= values[-1] * (1.0 + 1e-13), m
+            continue
+        assert abs(cert.value - values[-1]) <= 1e-13 * values[-1], m
+        want = b @ vectors[:, -1]
+        want *= np.sign(want[np.argmax(np.abs(want))])
+        assert np.abs(cert.weights - want).max() <= 1e-13 * m / (values[-1] - values[-2]), m
+
+
+def octahedral_rotations():
+    """The octahedral group's 24 rotations: the signed permutation matrices of det +1."""
+    rotations = []
+    for p in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            r = np.zeros((3, 3))
+            r[range(3), p] = signs
+            if np.linalg.det(r) > 0:
+                rotations.append(r)
+    return np.array(rotations)
+
+
+def test_octahedral_witness_is_its_top_eigenvalue_and_its_span_holds_chi_2(monkeypatch):
+    # SO(3) fails the test through its l = 2 character chi_2 = (tr R)^2 - tr R - 1,
+    # a degree-2 polynomial in R's entries, so the span the search compresses
+    # D onto holds it; on the octahedral group the search reaches the group's
+    # top sum-zero eigenvalue, pi / 3
+    x = octahedral_rotations()
+    trace = np.trace(x, axis1=1, axis2=2)
+    chi = trace ** 2 - trace - 1.0
+    assert sorted(set(chi)) == [-1.0, 1.0, 5.0]
+    chi -= chi.mean()
+    span = kernel_lab._degree_two_span(x, np.triu_indices(9))
+    assert np.linalg.norm(chi - span @ (span.T @ chi)) <= 1e-12
+    monkeypatch.setattr(type(SO3), "sample", lambda self, rng, m: x.copy())
+    cert = find_witness(SO3, m=24, trials=1, rng=RngStream(0, 0))
+    assert abs(cert.value - math.pi / 3.0) <= 1e-13 * math.pi / 3.0
 
 
 def test_find_witness_su2_fails():

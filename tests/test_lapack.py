@@ -51,19 +51,15 @@ def test_lapack_wrappers_reject_bad_input_before_lapack_and_raise_on_info(monkey
     monkeypatch.setattr(lapack, "_library", lambda: {
         "scipy_dsytrd_2stage_64_": dsytrd,
         "scipy_LAPACKE_dstebz64_": returning("dstebz", 2),
-        "scipy_LAPACKE_dsyevr64_": returning("dsyevr", 3),
         "scipy_dpotrf_64_": dpotrf,
     })
     a = np.eye(4)
     a[1, 2] = np.nan
-    for wrapper in (lapack.top_pair, lapack.cholesky):
-        with pytest.raises(ValueError, match="non-finite entry"):
-            wrapper(a)
-        for bad in (np.eye(3, 4), np.eye(4)[:, ::-1], np.eye(3, dtype=np.float32)):
-            with pytest.raises(ValueError, match=r"C-contiguous float64 \(m, m\) matrix"):
-                wrapper(bad)
-    with pytest.raises(ValueError, match="m >= 2"):  # no block
-        lapack.top_pair(np.eye(1))
+    with pytest.raises(ValueError, match="non-finite entry"):
+        lapack.cholesky(a)
+    for bad in (np.eye(3, 4), np.eye(4)[:, ::-1], np.eye(3, dtype=np.float32)):
+        with pytest.raises(ValueError, match=r"C-contiguous float64 \(m, m\) matrix"):
+            lapack.cholesky(bad)
     with pytest.raises(ValueError, match="non-finite entry"):
         lapack._eigenvalue(np.array([1.0, np.nan]), np.zeros(1), 1)
     with pytest.raises(ValueError, match="non-finite entry"):
@@ -77,11 +73,9 @@ def test_lapack_wrappers_reject_bad_input_before_lapack_and_raise_on_info(monkey
         reduced_ends(np.eye(4))
     with pytest.raises(np.linalg.LinAlgError, match="bisection failed: dstebz info 2"):
         lapack._eigenvalue(np.ones(2), np.zeros(1), 1)
-    with pytest.raises(np.linalg.LinAlgError, match="eigenpair failed: dsyevr info 3"):
-        lapack.top_pair(np.eye(4))
     with pytest.raises(np.linalg.LinAlgError, match="factorization failed: dpotrf info -4"):
         lapack.cholesky(np.eye(4))
-    assert calls == ["dsytrd_2stage", "dstebz", "dsyevr", "dpotrf"]
+    assert calls == ["dsytrd_2stage", "dstebz", "dpotrf"]
 
 
 @pytest.mark.parametrize("path", ["lapack", "numpy"])
@@ -90,11 +84,10 @@ def test_operations_reject_bad_input_on_either_backend(path, monkeypatch):
         monkeypatch.setattr(lapack, "available", lambda: False)
     a = np.eye(4)
     a[3, 2] = np.inf
-    for wrapper in (lapack.top_pair, lapack.cholesky):
-        with pytest.raises(ValueError, match="non-finite entry"):
-            wrapper(a)
-        with pytest.raises(ValueError, match=r"C-contiguous float64 \(m, m\) matrix"):
-            wrapper(np.eye(4)[:, ::-1])
+    with pytest.raises(ValueError, match="non-finite entry"):
+        lapack.cholesky(a)
+    with pytest.raises(ValueError, match=r"C-contiguous float64 \(m, m\) matrix"):
+        lapack.cholesky(np.eye(4)[:, ::-1])
 
 
 def planted(values):
@@ -305,25 +298,6 @@ def test_factored_extremes_without_the_library_are_eigvalshs(monkeypatch):
     want = (whole[0], whole[-1], part[0], part[-1])
     assert lapack.factored_extremes(a) == (want, "reduction")
     assert np.array_equal(a, before)
-
-
-@needs_lapack
-@pytest.mark.parametrize("m", [1, 2, 5, 130])
-def test_syevr_top_is_the_top_eigenpair_of_the_block_from_its_upper_triangle(m):
-    # dsyevr reads the block's upper triangle only and writes nothing outside it
-    block = symmetric(60, m)
-    upper = np.triu(np.ones((m, m), dtype=bool))
-    a = bordered(np.where(upper, block, SENTINEL), SENTINEL)
-    value, vector = lapack.top_pair(a)
-    eigs, vecs = np.linalg.eigh(block)
-    scale = max(1.0, np.abs(eigs).max())
-    assert abs(value - eigs[-1]) <= 1e-14 * scale
-    assert abs(np.linalg.norm(vector) - 1.0) <= 1e-14
-    assert np.abs(block @ vector - value * vector).max() <= 1e-13 * scale
-    assert abs(abs(vector @ vecs[:, -1]) - 1.0) <= 1e-12
-    untouched = np.ones(a.shape, dtype=bool)
-    untouched[1:, 1:] = ~upper
-    assert (a[untouched].view(np.uint64) == SENTINEL.view(np.uint64)).all()
 
 
 def factors_the_block_as_numpy_does(m, bits):

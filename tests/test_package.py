@@ -104,6 +104,31 @@ def test_export_guard_sees_both_forms():
     assert unread_exports("lapack", source, others) == ["C", "D", "g"]
 
 
+def unread_symbols(source: str) -> list[str]:
+    """Keys of the ``_SYMBOLS`` table that ``source`` declares and that no
+    ``_library()[...]`` subscript of ``source`` reads by that string."""
+    tree = ast.parse(source)
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "_SYMBOLS" for t in node.targets))
+    read = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name) and node.value.func.id == "_library"
+            and isinstance(node.slice, ast.Constant)}
+    return sorted({key.value for key in table.keys} - read)
+
+
+def test_lapack_declares_only_the_symbols_it_calls():
+    # _library() loads only where every declared symbol resolves, so a dead
+    # binding could turn a library the package can use into none at all
+    assert unread_symbols((PACKAGE / "lapack.py").read_text()) == []
+
+
+def test_symbol_guard_sees_an_unread_entry():
+    source = ('_SYMBOLS = {"a": (None, ()), "b": (None, ()), "c": (None, ())}\n'
+              'def f(routines):\n    _library()["a"]()\n    routines["b"]()\n    return "c"\n')
+    assert unread_symbols(source) == ["b", "c"]
+
+
 def backend_reads_outside_charges(source: str) -> list[str]:
     """Functions of ``source`` (``<module>`` for top-level code) that read
     ``lapack.available``, or import it by name, other than ``*_bytes``
