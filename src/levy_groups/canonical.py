@@ -2,8 +2,11 @@
 
 Both the certificate documents and the CLI emit through these helpers so
 identical inputs round-trip to byte-identical text across platforms.  The
-writers stream: text goes to the handle in chunks, a table a chunk of rows
-at a time, so no whole-document string is built.
+writers stream: text goes to the handle in chunks, a table a pass of rows
+at a time, so no whole-document string is built.  A table's numbers are
+turned into text in numpy, a pass at a time: each float's digits come from
+an exact two-product (see the kernel below), and a float outside %.17g's
+fixed notation takes format_float's text.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import csv
 import io
 import json
 import math
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Iterable, Optional
 
 import numpy as np
 
@@ -26,7 +29,9 @@ def format_float(x: float) -> str:
 
 
 _INDENT = 2
-_CHUNK = 2048  # cells per % pass of a table, and pieces held before a write: tens of kB
+_CHUNK = 1 << 14  # cells per pass of a table, and pieces held before a write
+_WRITE = 1 << 16  # characters handed to the handle at a time
+_WINDOW = 1 << 20  # bytes of a pass's matrix compacted at a time
 
 
 class Table:
@@ -69,13 +74,14 @@ class Table:
 def dump_bytes(row_cells: int = 0) -> int:
     """Bytes :func:`dump` and :func:`dump_csv` hold at their peak beyond the
     object they write, whatever its length, for rows of ``row_cells`` cells:
-    one pass of cells and its text, the pieces held and their joined copy.
-    Writing a million-row Table and a (250,000, 9) array to os.devnull grew
-    VmHWM by 0.3-0.4 MiB in JSON and 2.7 MiB in CSV; charged 4 MiB.  A row
-    wider than a chunk is a pass of its own: its Python floats, their tuple,
-    the template and its text, joined and encoded.  Rows of 90,000 to
-    640,000 cells grew 101-123 B per cell in JSON and 201-205 B in CSV, with
-    a header of as many names; charged 256 B per cell."""
+    one pass of a chunk of cells (its byte matrix, the kernel's arrays and
+    its text), the pieces held and their joined copy.  Writing a
+    million-row Table and a (250,000, 9) array to os.devnull grew VmHWM by
+    2.1-2.9 MiB, in JSON and in CSV; charged 4 MiB.  A row wider than a
+    chunk is a pass of its own, its matrix and text a row long, its cells
+    formatted a chunk at a time.  Rows of 90,000 to 640,000 cells grew
+    60-98 B per cell in JSON and 89-121 B in CSV, with a header of as many
+    names; charged 256 B per cell."""
     return 4 * 2 ** 20 + (256 * row_cells if row_cells > _CHUNK else 0)
 
 
@@ -115,7 +121,7 @@ def dump_csv(header: Iterable[str], rows, fh, comments: Iterable[str] = ()) -> N
     w.writerow(header)
     table = _rows_template(rows, None) if _is_list(rows) and len(rows) else None
     if table is not None:
-        _write_rows(out, *table, len(rows), "")
+        _write_rows(out, table, len(rows), "")
     else:
         for row in rows:
             w.writerow(map(_cell, row))
@@ -137,7 +143,9 @@ class _Pieces(list):
     def spill(self, least: int = 0) -> None:
         """Write the pieces joined, when they and the cells number ``least``."""
         if self and len(self) + self.cells >= least:
-            self.fh.write("".join(self))
+            text = "".join(self)
+            for at in range(0, len(text), _WRITE):
+                self.fh.write(text[at:at + _WRITE])
             self.clear()
             self.cells = 0
 
@@ -189,8 +197,8 @@ def _walk(obj: Any, out: _Pieces, level: int) -> None:
             return
         out.append("[\n")
         table = _rows_template(obj, level + 1)
-        if table is not None:  # one % per chunk of rows, no string per row
-            _write_rows(out, *table, len(obj), ",\n")
+        if table is not None:  # a pass of rows at a time, no string per row
+            _write_rows(out, table, len(obj), ",\n")
             out.append("\n")
         else:
             for i, v in enumerate(obj):
@@ -207,52 +215,91 @@ def _walk(obj: Any, out: _Pieces, level: int) -> None:
             raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _write_rows(out: _Pieces, template: str, cells: Callable, width: int, n: int,
-                sep: str) -> None:
-    """Rows 0..n of ``template``, joined by ``sep``, a pass of about a chunk of
-    cells at a time: one % on ``cells(slice(a, b))``, the flat cells of rows
-    a..b.  Each pass but the last spills; the caller spills after the last."""
-    step = min(n, -(-_CHUNK // max(width, 1)))  # a full pass holds a chunk of cells
-    full = sep.join([template] * step)
+def _write_rows(out: _Pieces, layout, n: int, sep: str) -> None:
+    """Rows 0..n of ``layout`` (from :func:`_rows_template`), joined by
+    ``sep``, a pass of about a chunk of cells at a time.  Each pass fills
+    one (rows, bytes a row) matrix of the row's literal text and, between
+    it, each cell's NUL-padded slot, then drops the NULs and decodes, a
+    window of _WINDOW bytes at a time.  A row wider than a chunk is a pass
+    of its own, its cells formatted a chunk at a time.  Each pass but the
+    first spills before it; the caller spills after the last."""
+    head, runs, kinds = layout
+    head = (head if runs else head + sep).encode("ascii")
+    placed, width, seen = [], len(head), [0] * len(kinds)
+    for r, (kind, count, w, after) in enumerate(runs):
+        after = (after + sep if r == len(runs) - 1 else after).encode("ascii")
+        placed.append((kind, seen[kind], count, width, w, after))  # its first cell of the kind
+        seen[kind] += count
+        width += count * (w + len(after))
+    cells = sum(seen)
+    step = min(n, -(-_CHUNK // max(cells, 1)))  # a full pass holds a chunk of cells
+    matrix = np.zeros((step, width), np.uint8)
+    matrix[:, :len(head)] = np.frombuffer(head, np.uint8)
+    for _, _, count, at, w, after in placed:
+        units = matrix[:, at:at + count * (w + len(after))].reshape(step, count, -1)
+        units[:, :, w:] = np.frombuffer(after, np.uint8)
     for a in range(0, n, step):
-        rows = min(step, n - a)
         if a:
             out.spill(_CHUNK)
-            out.append(sep)
-        text = full if rows == step else sep.join([template] * rows)
-        out.append(text % tuple(cells(slice(a, a + rows))))
-        out.cells += rows * width
-
-
-_FORMATS = {"i": "%d", "f": "%.17g"}  # dtype kind -> the text of str() or format_float
+        rows = matrix[:min(step, n - a)]
+        for kind, (slots, values) in enumerate(kinds):
+            block = values(slice(a, a + len(rows)))  # (rows, cells of the kind)
+            per = max(1, _CHUNK // len(rows))
+            for c in range(0, block.shape[1], per):
+                text = slots(block[:, c:c + per].ravel()).reshape(len(rows), -1, _SLOT)
+                for k, first, count, at, w, after in placed:
+                    lo, hi = max(first, c), min(first + count, c + text.shape[1])
+                    if k == kind and lo < hi:
+                        unit = w + len(after)
+                        at += (lo - first) * unit
+                        units = rows[:, at:at + (hi - lo) * unit].reshape(len(rows), hi - lo, unit)
+                        units[:, :, :w] = text[:, lo - c:hi - c, _SLOT - w:]
+        if a + len(rows) == n and sep:
+            rows[-1, -len(sep):] = 0
+        flat = rows.ravel()
+        for at in range(0, flat.size, _WINDOW):
+            window = flat[at:at + _WINDOW]
+            out.append(window[window != 0].tobytes().decode("ascii"))
+        out.cells += len(rows) * cells
 
 
 def _rows_template(rows, level: Optional[int]):
-    """(template, cells, width) of ``rows`` when all of them share one layout
-    of ints and finite floats: the %-template of one row as the walk above
-    writes it at ``level`` (a CSV line when ``level`` is None), cells(rs)
-    the flat cells of the rows ``rs`` (a slice), and the cells per row.
-    Tables and 1-D or 2-D arrays of ints and floats qualify; else None, and
-    the rows are walked one at a time.  A non-finite float among the cells
-    raises ValueError."""
+    """(head, runs, kinds) of ``rows`` when all of them share one layout of
+    ints and finite floats, as the walk above writes them at ``level`` (a
+    CSV line when ``level`` is None): ``head`` the literal text of a row
+    before its first cell, and ``runs`` its cells in runs of (kind, cells,
+    slot bytes, the literal text after each), the row's close after the
+    last run's one cell.  Each of ``kinds`` is (slots, values): values(rs)
+    the (rows, cells) array of the kind's cells of the rows ``rs`` (a
+    slice), slots(x) the text of the flat cells x, a slot of _SLOT bytes a
+    cell that holds it in its last slot bytes, NUL-padded.  Tables and 1-D
+    or 2-D arrays of ints and floats qualify; else None, and the rows are
+    walked one at a time.  A non-finite float among the cells raises
+    ValueError."""
     if isinstance(rows, Table):
         names, columns = rows.row._fields, rows.columns
-        fmts = [_FORMATS.get(c.dtype.kind) for c in columns]
-        if None in fmts:
+        if any(c.dtype.kind not in _SLOTS for c in columns):
             return None
+        groups = {}
         for name, c in zip(names, columns):
             _require_finite(c, f"column {name!r}")
-        return _template(names, fmts, level), _interleave(columns), len(columns)
-    if not isinstance(rows, np.ndarray):
-        return None
-    fmt = _FORMATS.get(rows.dtype.kind)
-    if fmt is None or rows.ndim > 2:
+            groups.setdefault(c.dtype.kind, []).append(c)
+        head, afters = _template(names, len(columns), level)
+        afters = [after for after, count in afters for _ in range(count)]
+        runs = [(list(groups).index(c.dtype.kind), 1, _slot_bytes(c), after)
+                for c, after in zip(columns, afters)]
+        kinds = [(_SLOTS[kind], lambda rs, g=g: np.stack([c[rs] for c in g], 1))
+                 for kind, g in groups.items()]
+        return head, runs, kinds
+    if not isinstance(rows, np.ndarray) or rows.dtype.kind not in _SLOTS or rows.ndim > 2:
         return None
     _require_finite(rows, "array")
+    w, slots = _slot_bytes(rows), _SLOTS[rows.dtype.kind]
     if rows.ndim == 1:
-        return _template(None, [fmt], level), lambda rs: rows[rs].tolist(), 1
-    return (_template((), [fmt] * rows.shape[1], level),
-            lambda rs: rows[rs].ravel().tolist(), rows.shape[1])
+        head, afters = _template(None, 1, level)
+        return head, [(0, 1, w, afters[0][0])], [(slots, lambda rs: rows[rs, None])]
+    head, afters = _template((), rows.shape[1], level)
+    return head, [(0, count, w, after) for after, count in afters], [(slots, lambda rs: rows[rs])]
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -261,32 +308,226 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise ValueError(f"non-finite value in {what} cannot be serialized")
 
 
-def _interleave(columns) -> Callable:
-    """cells(rs): the rows ``rs`` (a slice) of the columns, flattened row by row."""
-    k = len(columns)
-
-    def cells(rs):
-        parts = [column[rs].tolist() for column in columns]
-        flat = [None] * (len(parts[0]) * k)
-        for c, part in enumerate(parts):
-            flat[c::k] = part
-        return flat
-    return cells
+def _slot_bytes(values: np.ndarray) -> int:
+    """Bytes of the widest text of the cells of ``values``: _SLOT for
+    floats, the digits and sign of the largest int."""
+    if values.dtype.kind == "f" or not values.size:
+        return _SLOT
+    lo, hi = int(values.min()), int(values.max())
+    return len(str(max(-lo, hi))) + (lo < 0)
 
 
-def _template(names, fmts: list[str], level: Optional[int]) -> str:
-    """One row: a bare value (``names`` None), a list (``()``) or an object
-    keyed by ``names``, at ``level``; or a CSV line when ``level`` is None."""
+def _template(names, count: int, level: Optional[int]):
+    """The literal text of one row of ``count`` cells: before the first
+    cell, and after the cells as (text, cells) runs, the row's close after
+    the last one: a bare value (``names`` None), a list (``()``) or an
+    object keyed by ``names``, at ``level``; or a CSV line when ``level`` is
+    None."""
     if level is None:
-        return ",".join(fmts) + "\n"
+        return ("", _runs([(",", count - 1), ("\n", 1)])) if count else ("\n", [])
     pad, end_pad = " " * (_INDENT * (level + 1)), " " * (_INDENT * level)
     if names is None:
-        return end_pad + fmts[0]
-    if not fmts:
-        return end_pad + "[]"
+        return end_pad, [("", 1)]
+    if not count:
+        return end_pad + "[]", []
     if names:
-        keys, brackets = [f"{json.dumps(name).replace('%', '%%')}: " for name in names], "{}"
-    else:
-        keys, brackets = [""] * len(fmts), "[]"
-    cells = ",\n".join(f"{pad}{key}{fmt}" for key, fmt in zip(keys, fmts))
-    return f"{end_pad}{brackets[0]}\n{cells}\n{end_pad}{brackets[1]}"
+        keys = [f",\n{pad}{json.dumps(name)}: " for name in names]
+        return f"{end_pad}{{\n{keys[0][2:]}", [(key, 1) for key in keys[1:]] + [(f"\n{end_pad}}}", 1)]
+    return f"{end_pad}[\n{pad}", _runs([(f",\n{pad}", count - 1), (f"\n{end_pad}]", 1)])
+
+
+def _runs(runs):
+    return [(text, cells) for text, cells in runs if cells]
+
+
+# ---------------------------------------------------------------------------
+# the numeric kernel: each cell's text as bytes, in numpy
+# ---------------------------------------------------------------------------
+#
+# A float x with 1e-4 <= |x| < 1e17 is written by %.17g in fixed notation:
+# its 17 significant digits N = round-half-even(|x| 10**(16 - E)), E the
+# decimal exponent of the rounded value, with the point after digit E (or
+# "0." and -E - 1 zeros before them when E < 0), trailing zeros and a bare
+# point stripped.  10**k is an exact double for k <= 22, so Dekker's
+# two-product gives |x| 10**k exactly as hi + lo ("A floating-point
+# technique for extending the available precision", Numer. Math. 18, 1971).
+# Where that product lies in [1e16, 1e17), hi is an even integer and
+# N = hi + rint(lo), ties to even.  Every other float (exponent form,
+# subnormals, a carry to 1e17) takes format_float's text.
+
+_SLOT = 24  # the longest text format_float writes: "-2.2250738585072014e-308"
+_SPLITTER = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+
+
+def _split(a):
+    c = _SPLITTER * a
+    high = c - (c - a)
+    return high, a - high
+
+
+_TEN = np.array([float(10 ** k) for k in range(23)])  # exact
+
+
+def _decades():
+    """The least double at or above 10**j, for j = -4..17: a double a is at
+    or above 10**j exactly when it is at or above this one."""
+    least = []
+    for j in range(-4, 18):
+        t = float(10 ** j) if j >= 0 else 1 / 10 ** -j
+        num, den = t.as_integer_ratio()
+        least.append(t if j >= 0 or num * 10 ** -j >= den else math.nextafter(t, math.inf))
+    return np.array(least)
+
+
+_DECADES = _decades()
+_TEN_HIGH, _TEN_LOW = _split(_TEN)
+
+
+def _tables():
+    """The four ASCII digits of each of 0..9999, a word each, then a float's
+    first word (three NULs and the first of its four leading zeros) and an
+    int's (four NULs); and the trailing zero digits of each, 4 for 0000.
+    Built as bytes, from the 100 digit pairs."""
+    pairs = [b"%02d" % i for i in range(100)]
+    zeros = [2] + [int(p.endswith(b"0")) for p in pairs[1:]]  # of a pair
+    words = b"".join(a.join([b"", *pairs]) for a in pairs) + b"\0\0\0" + b"0" + bytes(4)
+    trailing = b"".join(bytes([2 + zeros[i]] + zeros[1:]) for i in range(100))
+    return np.frombuffer(words, np.uint32), np.frombuffer(trailing, np.int8).astype(np.intp)
+
+
+_WORDS, _TRAILING = _tables()
+_FLOAT_HEAD, _INT_HEAD = _WORDS[10000], _WORDS[10001]
+
+
+def _masks():
+    """The float tables, a row by (k = 16 - E, trailing zeros z, sign):
+    where a slot takes the source byte after its own (the digits before the
+    point), where its own (those after), and the point and the sign.  The
+    source holds "0000" and the 17 digits at bytes 3..23; the text's c-th
+    character goes to byte 2 + c, the sign to byte 0.  Then the int
+    tables, a row by (digits less one, sign): the last digits, and a minus
+    before them."""
+    before, after, marks = [], [], []
+    for k in range(21):
+        point, lead = 21 - k, 4 + min(16 - k, 0)
+        before.append((bytes(2 + lead) + b"\xff" * (point - lead)).ljust(_SLOT, b"\0") * 36)
+        for z in range(18):
+            digits = max(22 - z - point - 1, 0)  # after the point; none: no point
+            after.append((bytes(3 + point) + b"\xff" * digits).ljust(_SLOT, b"\0") * 2)
+            mark = (bytes(2 + point) + (b"." if digits else b"")).ljust(_SLOT, b"\0")
+            marks.append(mark + b"-" + mark[1:])
+    keep = b"".join(bytes(_SLOT - d) + b"\xff" * d for d in range(1, 21) for _ in "+-")
+    sign = b"".join(bytes(_SLOT) + bytes(_SLOT - 1 - d) + b"-" + bytes(d) for d in range(1, 21))
+    return [np.frombuffer(t, np.uint8).reshape(-1, _SLOT)
+            for t in (b"".join(before), b"".join(after), b"".join(marks), keep, sign)]
+
+
+_BEFORE, _AFTER, _MARKS, _INT_KEEP, _INT_SIGN = _masks()
+_POWERS = np.array([10 ** j for j in range(1, 20)], np.uint64)
+
+
+def _words(lead: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """(5, len) indices of the words of each cell: ``lead`` (under 10,000),
+    then the four of the 16 digits of ``rest``."""
+    words = np.empty((5, len(rest)), np.intp)
+    words[0] = lead
+    upper = rest // 10 ** 8
+    lower = rest - upper * 10 ** 8
+    np.floor_divide(upper, 10 ** 4, out=words[1])
+    np.subtract(upper, words[1] * 10 ** 4, out=words[2])
+    np.floor_divide(lower, 10 ** 4, out=words[3])
+    np.subtract(lower, words[3] * 10 ** 4, out=words[4])
+    return words
+
+
+def _source(head, words: np.ndarray) -> np.ndarray:
+    """The bytes of the word ``head`` and the ``words`` of each cell, six
+    words a cell, flat, and one NUL word after."""
+    buf = np.empty(words.shape[1] * 6 + 1, np.uint32)
+    cells = buf[:-1].reshape(-1, 6)
+    cells[:, 0] = head
+    cells[:, 1:] = _WORDS.take(words).T
+    buf[-1] = 0
+    return buf.view(np.uint8)
+
+
+def _exponent(a: np.ndarray) -> np.ndarray:
+    """16 - E, for the decimal exponent E of each a in [1e-4, 1e17)."""
+    e = a.view(np.int64) // 2 ** 52  # the biased binary exponent, 1023 + floor(log2 a)
+    e *= 78913
+    e -= 1023 * 78913 - 5 * 2 ** 18
+    e //= 2 ** 18  # floor(log10 2 * floor(log2 a)) + 5: E + 5, or E + 4
+    e += (a >= _DECADES.take(e)).astype(np.int64)
+    return 21 - e
+
+
+def _digits(a: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """round-half-even(a * 10**k) where that product is in [1e16, 1e17]:
+    Dekker's two-product gives it exactly as product + rest, the product
+    an even integer, so ties go to even."""
+    high, low = _split(a)
+    th, tl = _TEN_HIGH.take(k), _TEN_LOW.take(k)
+    product = a * _TEN.take(k)
+    rest = high * th
+    rest -= product
+    rest += high * tl
+    rest += low * th
+    rest += low * tl
+    digits = product.astype(np.int64)
+    digits += np.rint(rest).astype(np.int64)
+    return digits
+
+
+def _float_slots(x: np.ndarray) -> np.ndarray:
+    """(len(x), _SLOT) bytes: format_float(x) of each cell, NUL-padded."""
+    x = x.astype(np.float64, copy=False)
+    a = np.abs(x)
+    fixed = (a >= 1e-4) & (a < 1e17)
+    bad = np.flatnonzero(np.where(fixed, 0.0, a))  # in exponent form, or subnormal
+    a = np.where(fixed, a, 1.0)
+    k = _exponent(a)  # a * 10**k is in [1e16, 1e17)
+    digits = _digits(a, k)
+    bad = np.concatenate([bad, np.flatnonzero(digits == 10 ** 17)])  # a carry: exponent form
+    digits *= fixed  # zeros write "0"
+    lead = digits // 10 ** 16
+    words = _words(lead, digits - lead * 10 ** 16)
+    z = words[0] == 0  # trailing zeros: the lead digit is 0 only in 0
+    for word in words[1:]:  # the last word's, and the next's where it is 0000
+        t = _TRAILING.take(word)
+        z = np.where(t == 4, z + 4, t)
+    code = k * 36
+    code += z * 2
+    code += x.view(np.int64) < 0  # the sign bit, -0.0's too
+    source = _source(_FLOAT_HEAD, words)
+    del a, fixed, k, digits, lead, words, z, t
+    n = len(x) * _SLOT
+    slots = _BEFORE.take(code, axis=0).ravel()
+    slots &= source[1:n + 1]
+    digit = _AFTER.take(code, axis=0).ravel()
+    digit &= source[:n]
+    slots |= digit
+    del source, digit
+    slots |= _MARKS.take(code, axis=0).ravel()
+    slots = slots.reshape(len(x), _SLOT)
+    if bad.size:
+        text = "".join(format_float(v).ljust(_SLOT, "\0") for v in x[bad].tolist())
+        slots[bad] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _SLOT)
+    return slots
+
+
+def _int_slots(v: np.ndarray) -> np.ndarray:
+    """(len(v), _SLOT) bytes: str() of each int cell, right-aligned."""
+    v = v.astype(np.int64, copy=False)
+    neg = v < 0
+    u = np.where(neg, -v, v).view(np.uint64)  # -(-2**63) wraps to 2**63
+    lead = u // np.uint64(10 ** 16)
+    rest = (u - lead * np.uint64(10 ** 16)).view(np.int64)
+    code = _POWERS.searchsorted(u, side="right") * 2  # digits less one
+    code += neg
+    slots = _source(_INT_HEAD, _words(lead, rest))[:len(v) * _SLOT]
+    slots &= _INT_KEEP.take(code, axis=0).ravel()
+    slots |= _INT_SIGN.take(code, axis=0).ravel()
+    return slots.reshape(len(v), _SLOT)
+
+
+_SLOTS = {"i": _int_slots, "f": _float_slots}  # dtype kind -> the kernel of its cells

@@ -183,9 +183,13 @@ def _coloured_blocks(fs: FieldSample, realizations: int, gen: np.random.Generato
     widest = _widest(cuts)
     z = np.empty(widest * len(chol)) if scratch is None else scratch[:widest * len(chol)]
     z = z.reshape(widest, len(chol))
-    vals = np.zeros((fs.m, widest)) if out is None else None
+    vals = np.empty(fs.m * widest) if out is None else None
     for a, b in zip(cuts, cuts[1:]):
-        block = vals[:, :b - a] if out is None else out[:, a:b]
+        if out is None:  # the buffer's head: a narrower block is contiguous too
+            block = vals[:fs.m * (b - a)].reshape(fs.m, b - a)
+            block[0] = 0.0
+        else:
+            block = out[:, a:b]
         np.matmul(chol, gen.standard_normal(out=z[:b - a]).T, out=block[1:])
         yield a, block
 
@@ -219,13 +223,12 @@ def _gram_moments(fs: FieldSample, realizations: int, gen: np.random.Generator):
     widest = _widest(cuts)
     width = min(_BLOCK, widest)
     scratch = np.empty(max(widest * (fs.m - 1), fs.m * width))
-    powers = scratch[:fs.m * width].reshape(fs.m, width)
     s, q, t = (np.zeros((fs.m, fs.m)) for _ in range(3))
     prod = np.empty((fs.m, fs.m))
     for _, v in _coloured_blocks(fs, realizations, gen, scratch=scratch):
         for c in range(0, v.shape[1], _BLOCK):
             b = v[:, c:c + _BLOCK]
-            b2 = np.multiply(b, b, out=powers[:, :b.shape[1]])
+            b2 = np.multiply(b, b, out=scratch[:b.size].reshape(b.shape))  # the scratch's head
             s += np.matmul(b, b.T, out=prod)
             q += np.matmul(b2, b2.T, out=prod)
             b2 *= b  # now the cubes

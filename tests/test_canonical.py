@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,8 @@ import pytest
 from levy_groups import canonical
 from levy_groups.field_sim import VariogramRow
 from levy_groups.harmonic import CoefficientRow
+
+SRC = str(Path(canonical.__file__).resolve().parents[1])
 
 
 def test_variogram_rows_exact_text():
@@ -232,3 +238,119 @@ def test_table_is_a_sequence_of_rows():
     assert off[1] == CoefficientRow(1, 3, 0.5, 0.5, None, None) and list(off)[1] == off[1]
     with pytest.raises(ValueError):
         canonical.Table(VariogramRow, np.arange(3), np.arange(4), *np.zeros((3, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the numeric kernel: every table cell's text is format_float's or str()'s
+# ---------------------------------------------------------------------------
+
+def property_doubles():
+    """About 1.1 million doubles: random bits, so random signs, across every
+    binade from the subnormals to 1.8e308; ties at the 17th digit (an
+    integer of 12-16 digits plus an odd multiple of 2**-j, 18 digits in
+    all); powers of ten and their neighbours; integers; +-0.0 and both
+    extremes."""
+    rng = np.random.default_rng(45)
+    random = rng.integers(0, 1 << 64, 900_000, dtype=np.uint64).view(np.float64)
+    digits = rng.integers(12, 17, 100_000)
+    j = 18 - digits
+    whole = rng.integers(10 ** (digits - 1), np.minimum(10 ** digits, 2 ** (53 - j)))
+    ties = whole + (2 * rng.integers(0, 2 ** (j - 1)) + 1) / 2.0 ** j
+    tens = np.array([float(f"1e{e}") for e in range(-323, 309)])
+    near = np.concatenate([np.nextafter(tens, 0), tens, np.nextafter(tens, np.inf)])
+    whole_numbers = rng.integers(-(2 ** 53), 2 ** 53, 50_000).astype(np.float64)
+    extremes = np.array([0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                         1e-4, 9.999999999999999e16, 1e17, 0.99999999999999989])
+    doubles = np.concatenate([random[np.isfinite(random)], ties, -ties, near, -near,
+                              whole_numbers, extremes, -extremes])
+    return doubles
+
+
+def test_float_cells_are_format_floats_text():
+    x = property_doubles()
+    assert len(x) > 10 ** 6
+    text = canonical.dumps(x)
+    want = "[\n  " + ("%.17g,\n  " * len(x) % tuple(x.tolist()))[:-4] + "\n]\n"
+    if text != want:
+        got = text[4:-3].split(",\n  ")
+        bad = [(v, g) for v, g in zip(x.tolist(), got) if g != "%.17g" % v]
+        assert bad == []
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_int_cells_are_str_text(dtype):
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(int(info.bits))
+    v = np.concatenate([rng.integers(info.min, info.max, 200_000, dtype=dtype, endpoint=True),
+                        (rng.integers(-10 ** 6, 10 ** 6, 100_000)).astype(dtype),
+                        np.array([info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max], dtype)])
+    text = canonical.dumps(v)
+    assert text == "[\n  " + ",\n  ".join(map(str, v.tolist())) + "\n]\n"
+
+
+def mixed_floats():
+    # in the kernel's domain and out of it, within one pass: -0.0, a subnormal,
+    # exponent forms below 1e-4 and at 1e17 and above, the last double below
+    # 1e17, and 1.0 as parsed from 0.99999999999999999 beside the double below it
+    return np.array([-0.0, 5e-324, 1e-5, 9.999999999999999e16, 1e300, -1e-4,
+                     0.99999999999999999, 0.99999999999999989, 1e17, 0.1])
+
+
+def test_a_column_of_kernel_and_fallback_cells_is_the_walks_bytes(monkeypatch):
+    x = mixed_floats()
+    n = len(x)
+    table = canonical.Table(VariogramRow, np.arange(n), -np.arange(n), x, x[::-1], -x)
+    for write in (lambda fh: canonical.dump({"rows": table}, fh),
+                  lambda fh: canonical.dump_csv(VariogramRow._fields, table, fh)):
+        fh = Writes()
+        write(fh)
+        with monkeypatch.context() as m:
+            m.setattr(canonical, "_rows_template", lambda rows, level: None)
+            walked_fh = Writes()
+            write(walked_fh)
+        assert "".join(fh.writes) == "".join(walked_fh.writes)
+    assert '"distance": -0,\n' in canonical.dumps(table) and "1.0000000000000001e-05" in \
+        canonical.dumps(table)
+
+
+def test_a_row_wider_than_a_pass_is_the_walks_bytes(monkeypatch):
+    wide = (np.sin(np.arange(320_000.0)) * 10.0 ** (np.arange(320_000) % 9 - 4)).reshape(2, -1)
+    header = [f"c{j}" for j in range(wide.shape[1])]
+    for write in (lambda fh: canonical.dump(wide, fh),
+                  lambda fh: canonical.dump_csv(header, wide, fh)):
+        fh = Writes()
+        write(fh)
+        with monkeypatch.context() as m:
+            m.setattr(canonical, "_rows_template", lambda rows, level: None)
+            walked_fh = Writes()
+            write(walked_fh)
+        assert "".join(fh.writes) == "".join(walked_fh.writes)
+        assert max(map(len, fh.writes)) <= canonical._WRITE
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_row_wider_than_a_pass_grows_no_more_than_its_charge(fmt):
+    code = f"""if True:
+        import os
+        import numpy as np
+        from levy_groups import canonical
+        def hwm():
+            with open("/proc/self/status") as f:
+                return next(int(l.split()[1]) * 1024 for l in f if l.startswith("VmHWM:"))
+        wide = np.empty((2, 160_000))
+        wide[:] = np.sin(np.arange(160_000.0))
+        header = [f"c{{j}}" for j in range(160_000)]
+        fh = open(os.devnull, "w")
+        before = hwm()
+        if {fmt!r} == "json":
+            canonical.dump(wide, fh)
+        else:
+            canonical.dump_csv(header, wide, fh)
+        print(hwm() - before, canonical.dump_bytes(160_000))
+    """
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    grown, charged = map(int, done.stdout.split())
+    assert grown <= charged

@@ -522,17 +522,27 @@ def test_check_grows_no_more_than_its_charge(path):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
-@pytest.mark.parametrize("path", ["in-place", "fallback"])
-def test_witness_grows_no_more_than_its_charge(path):
+def test_witness_grows_no_more_than_its_charge():
     # the benchmark's SO(6) search, where the BLAS and LAPACK scratch
     # outweighs the matrix, and SO(3) searches where the matrix dominates
-    setup = ("from levy_groups import lapack; lapack.available = lambda: False"
-             if path == "fallback" else "")
     for argv in (["witness", "--group", "son", "--n", "6", "--points", "100"],
                  ["witness", "--group", "so3", "--points", "1000"],
                  ["witness", "--group", "so3", "--points", "3000"]):
-        grown, charged = grown_and_charged(argv, setup)
+        grown, charged = grown_and_charged(argv)
         assert grown <= charged, argv
+
+
+def test_witness_and_its_charge_never_ask_for_the_lapack_backend(monkeypatch):
+    # the search is numpy only, so its charge has one formula on either backend
+    def refuse():
+        raise AssertionError("lapack.available() was read")
+
+    monkeypatch.setattr(lapack, "available", refuse)
+    from levy_groups import RngStream, SO3
+
+    assert kernel_lab.witness_bytes(SO3, 1000) > 8 * 1000 ** 2
+    cert = kernel_lab.find_witness(SO3, m=40, trials=2, rng=RngStream(5))
+    assert cert.verify() and cert.value > 0
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")

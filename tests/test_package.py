@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -269,3 +270,45 @@ def test_handler_guard_sees_prints_returns_and_streams():
               "def other():\n    return RngStream(1, 0)\n")
     assert handler_outputs(source, {"h", "g"}) == ["h: print", "h: return"]
     assert stream_constructions(source) == 2
+
+
+def float_text(source: str) -> list[str]:
+    """Each place in ``source`` that writes a float as text the way an output
+    document would, outside a raise statement's message: ``format_float``,
+    imported or read, and a g or e format, as a %-template (``"%.17g"``), a
+    str.format field (``"{:g}"``) or an f-string field's spec."""
+    tree = ast.parse(source)
+    template = re.compile(r"%[-+ #0]*\d*(?:\.\d+)?[eEgG]|\{[^{}]*:[^{}]*[eEgG]\}")
+    raised = {node for r in ast.walk(tree) if isinstance(r, ast.Raise) for node in ast.walk(r)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [alias.name for alias in node.names if alias.name == "format_float"]
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            if getattr(node, "id", getattr(node, "attr", None)) == "format_float":
+                found.append("format_float")
+        elif node in raised:
+            continue
+        elif isinstance(node, ast.FormattedValue) and node.format_spec is not None:
+            spec = "".join(str(v.value) for v in node.format_spec.values
+                           if isinstance(v, ast.Constant))
+            if spec[-1:] in ("e", "E", "g", "G"):
+                found.append(f"{{:{spec}}}")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found += template.findall(node.value)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "canonical"])
+def test_only_canonical_turns_floats_into_output_text(module):
+    # one float format for every document, canonical's; a message a raise
+    # reports may still format its own numbers
+    assert float_text((PACKAGE / f"{module}.py").read_text()) == []
+
+
+def test_float_text_guard_sees_both_forms():
+    source = ("from .canonical import format_float\nfrom . import canonical\n"
+              "def f(x):\n    a = canonical.format_float(x)\n    b = '%.17g' % x\n"
+              "    c = f'{x:.3e}, {x:>8}, {x}'\n    d = '{:g} {}'.format(x, x)\n"
+              "    raise ValueError(f'bad {x:g}' + '%.3g' % x)\n")
+    assert float_text(source) == ["%.17g", "format_float", "format_float", "{:.3e}", "{:g}"]
