@@ -30,7 +30,6 @@ def format_float(x: float) -> str:
 
 _INDENT = 2
 _CHUNK = 1 << 14  # cells per pass of a table, and pieces held before a write
-_WRITE = 1 << 16  # characters handed to the handle at a time
 _WINDOW = 1 << 20  # bytes of a pass's matrix compacted at a time
 
 
@@ -143,9 +142,7 @@ class _Pieces(list):
     def spill(self, least: int = 0) -> None:
         """Write the pieces joined, when they and the cells number ``least``."""
         if self and len(self) + self.cells >= least:
-            text = "".join(self)
-            for at in range(0, len(text), _WRITE):
-                self.fh.write(text[at:at + _WRITE])
+            self.fh.write("".join(self))
             self.clear()
             self.cells = 0
 

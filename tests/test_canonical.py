@@ -181,12 +181,16 @@ def test_any_chunk_size_writes_the_same_text(chunk, monkeypatch):
 
 
 def test_dump_writes_bounded_chunks():
-    # a 100,000-row table is 18 MB of text, written a pass of rows at a time
+    # a 100,000-row table is 18 MB of text, written a pass of rows at a time:
+    # no write holds more rows than a pass of _CHUNK cells, nor 50 bytes a cell
     fh = Writes()
     canonical.dump({"rows": variogram_table(100_000)}, fh)
     sizes = list(map(len, fh.writes))
     assert sum(sizes) > 10 ** 7
-    assert max(sizes) < 10 ** 5
+    per_pass = -(-canonical._CHUNK // len(VariogramRow._fields))
+    first = f'"{VariogramRow._fields[0]}": '
+    assert max(w.count(first) for w in fh.writes) <= per_pass
+    assert max(sizes) < 50 * canonical._CHUNK
 
 
 def test_csv_rows_from_a_template_are_the_walks_bytes(monkeypatch):
@@ -316,8 +320,10 @@ def test_a_column_of_kernel_and_fallback_cells_is_the_walks_bytes(monkeypatch):
 def test_a_row_wider_than_a_pass_is_the_walks_bytes(monkeypatch):
     wide = (np.sin(np.arange(320_000.0)) * 10.0 ** (np.arange(320_000) % 9 - 4)).reshape(2, -1)
     header = [f"c{j}" for j in range(wide.shape[1])]
-    for write in (lambda fh: canonical.dump(wide, fh),
-                  lambda fh: canonical.dump_csv(header, wide, fh)):
+    # a pass is one row here: a write holds one row's close ("]" or a line's
+    # end), and the array's close or the header's line
+    for write, close in ((lambda fh: canonical.dump(wide, fh), "]"),
+                         (lambda fh: canonical.dump_csv(header, wide, fh), "\n")):
         fh = Writes()
         write(fh)
         with monkeypatch.context() as m:
@@ -325,7 +331,7 @@ def test_a_row_wider_than_a_pass_is_the_walks_bytes(monkeypatch):
             walked_fh = Writes()
             write(walked_fh)
         assert "".join(fh.writes) == "".join(walked_fh.writes)
-        assert max(map(len, fh.writes)) <= canonical._WRITE
+        assert max(w.count(close) for w in fh.writes) <= 2
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
