@@ -337,7 +337,7 @@ def _run_simulate(cfg: RunConfig, group, rng: RngStream) -> None:
     fs = field_sim.build_field(group, group.sample(rng, cfg.points), jitter=cfg.jitter)
     rows = field_sim.empirical_variogram(fs, cfg.realizations, rng)
     _emit(cfg, {
-        "schema_version": "1", "kind": "simulate", "group": cfg.group,
+        "schema_version": "2", "kind": "simulate", "group": cfg.group,
         "points": cfg.points, "realizations": cfg.realizations,
         "jitter": cfg.jitter, "jitter_used": fs.jitter_used,
         "seed": cfg.seed, "stream": cfg.stream,

@@ -3,7 +3,9 @@
 The field is centered, pinned to zero at the base point x0, and has
 E|X_x - X_y|^2 = d(x, y).  Its covariance is the Brownian kernel, which
 is positive definite on SU(2); the same pipeline fed SO(3) points is a
-diagnostic and fails the Cholesky stage for most configurations.
+diagnostic and fails the Cholesky stage for most configurations.  Every
+increment X_x - X_y is Gaussian, so the variogram's standard errors follow
+from its estimates, and one Gram product of the sampled values gives both.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .rng import RngStream
 DEFAULT_JITTER = 1e-10
 _JITTER_DECADES = 3  # escalate x10 this many times before failing
 _CANCELLATION_TOL = 1e-10  # largest variogram rounding bound accepted, relative to the value
-_BLOCK = 1024  # realizations per column block of the colouring and of the Gram products
+_BLOCK = 1024  # realizations per column block of the colouring and of the Gram product
 
 # points closer than this to x0 are treated as the base point itself
 _COINCIDENCE_TOL = 1e-12
@@ -99,26 +101,26 @@ def build_field(
 def variogram_bytes(m: int, realizations: int) -> int:
     """Bytes build_field and empirical_variogram hold at their peak for m
     points besides x0, the returned columns included.  While the
-    realizations stream: six (m + 1)^2 matrices (K, the factor, S, Q, T and
-    the Gram products' buffer), one colouring block of values at its widest
-    and the one scratch of _gram_moments, that block's normals or its
-    powers, whichever is larger.  The pair terms' first pass holds five
-    matrices and the stderr column (half a matrix), the second three and
-    the five columns (two); either holds the terms of one block of pairs,
-    which read 10.2 float64 a pair at m = 1,500 and are charged 12.
-    Besides: lapack.SCRATCH_BYTES.  VmHWM growth above the interpreter,
-    with one BLAS thread, as `simulate` runs (numpy.random's import and the
-    writer's pass included, as in cli.charge): 13.6 MiB at --points 200
-    --realizations 10000, charged 26.8; 45.1 and 115.7 MiB, 9.22 and 6.73
-    matrices, at 800 and 1,500 points and 100 realizations, charged 62.6
-    and 137.4.  Not charged: the value rows of the points of pairs closer
-    than about 0.01, which the cancellation guard's replay holds."""
+    realizations stream: four (m + 1)^2 matrices (K, the factor, S and the
+    Gram product's buffer), one colouring block of values at its widest and
+    that block's normals.  The one pair pass holds K, the factor, S, the
+    estimate, distance and int32 pair-index columns (one and a half
+    matrices) and the terms of one block of pairs, which read 5.9 float64 a
+    pair at m = 1,500 and are charged 7; the stderr column comes after S is
+    freed.  Besides: lapack.SCRATCH_BYTES.  VmHWM growth above the
+    interpreter, with one BLAS thread, as `simulate` runs (numpy.random's
+    import and the writer's pass included, as in cli.charge): 13.7 MiB at
+    --points 200 --realizations 10000, charged 24.4; 36.6 and 93.1 MiB, 7.47
+    and 5.42 matrices, at 800 and 1,500 points and 100 realizations, charged
+    49.0 and 104.3.  Not charged: the value rows of the points of pairs
+    closer than about 1e-5, which the cancellation guard's replay holds."""
     width = _colour_width(m)
     # the widest block is the first or the last, and r ends as one block and r's remainder do
     widest = _widest(_colour_cuts(m, min(realizations, width + realizations % width)))
-    return (6 * 8 * (m + 1) ** 2 + 8 * (m + 1) * widest
-            + 8 * max(m * widest, (m + 1) * min(_BLOCK, widest))
-            + 12 * 8 * min(BLOCK_FLOATS, (m + 1) * m // 2) + lapack.SCRATCH_BYTES)
+    pairs = (m + 1) * m // 2
+    stream = 4 * 8 * (m + 1) ** 2 + 8 * (m + 1) * widest + 8 * m * widest
+    pair_pass = 3 * 8 * (m + 1) ** 2 + 24 * pairs + 7 * 8 * min(BLOCK_FLOATS, pairs)
+    return max(stream, pair_pass) + lapack.SCRATCH_BYTES
 
 
 def _colour_width(n: int) -> int:
@@ -161,28 +163,25 @@ def _widest(cuts: list[int]) -> int:
 
 
 def _coloured_blocks(fs: FieldSample, realizations: int, gen: np.random.Generator,
-                     out: Optional[np.ndarray] = None, scratch: Optional[np.ndarray] = None):
+                     out: Optional[np.ndarray] = None):
     """Yield (first column, values block) over the realizations, one colouring
     block of columns at a time.
 
     The normals are drawn realization-major (each realization's m - 1 normals
-    consecutive in the stream), a block of realizations at a time, into the
-    head of ``scratch``, a flat float64 array of at least widest x (m - 1)
-    entries (a new one when None), and coloured by the Cholesky factor into
-    the block's rows below the base point, which stay zero.  The normals are
-    spent once a block is yielded, so the caller may use ``scratch`` until
-    the next step.  A block is a view of ``out`` (an (m, realizations)
-    array, zero in its first row) when given, else of one buffer that the
-    next block overwrites.  The values equal one full L @ Z.T of Z drawn at
-    once as (realizations, m - 1), bit for bit (see :func:`_colour_cuts`),
-    where BLAS runs on one thread or two, as the CLI pins it to one; at more
-    threads OpenBLAS may split the two products' sums differently.
+    consecutive in the stream), a block of realizations at a time, into one
+    buffer sized for the widest block, and coloured by the Cholesky factor
+    into the block's rows below the base point, which stay zero.  A block is
+    a view of ``out`` (an (m, realizations) array, zero in its first row)
+    when given, else of one buffer that the next block overwrites.  The
+    values equal one full L @ Z.T of Z drawn at once as (realizations,
+    m - 1), bit for bit (see :func:`_colour_cuts`), where BLAS runs on one
+    thread or two, as the CLI pins it to one; at more threads OpenBLAS may
+    split the two products' sums differently.
     """
     chol = fs.chol[1:, 1:]
     cuts = _colour_cuts(len(chol), realizations)
     widest = _widest(cuts)
-    z = np.empty(widest * len(chol)) if scratch is None else scratch[:widest * len(chol)]
-    z = z.reshape(widest, len(chol))
+    z = np.empty((widest, len(chol)))
     vals = np.empty(fs.m * widest) if out is None else None
     for a, b in zip(cuts, cuts[1:]):
         if out is None:  # the buffer's head: a narrower block is contiguous too
@@ -212,28 +211,16 @@ def sample_field(fs: FieldSample, realizations: int, rng: RngStream) -> FieldSam
 
 
 def _gram_moments(fs: FieldSample, realizations: int, gen: np.random.Generator):
-    """S = V V^T, Q = V^2 (V^2)^T and T = V^3 V^T of the values V of the
-    realizations, three separate arrays, summed over column blocks of
-    _BLOCK.  One flat scratch, sized for the widest colouring block, holds
-    each block's normals, then, once they are spent, its powers, _BLOCK
-    columns or the block's width, whichever is fewer; each product goes in
-    one reused buffer.  The colouring cuts fall on multiples of _BLOCK, so
-    the column blocks, and the sums, do not depend on the colouring."""
-    cuts = _colour_cuts(fs.m - 1, realizations)
-    widest = _widest(cuts)
-    width = min(_BLOCK, widest)
-    scratch = np.empty(max(widest * (fs.m - 1), fs.m * width))
-    s, q, t = (np.zeros((fs.m, fs.m)) for _ in range(3))
-    prod = np.empty((fs.m, fs.m))
-    for _, v in _coloured_blocks(fs, realizations, gen, scratch=scratch):
+    """S = V V^T of the values V of the realizations, summed over column
+    blocks of _BLOCK, one GEMM a block into one reused product buffer.  The
+    colouring cuts fall on multiples of _BLOCK, so the column blocks, and the
+    sum, do not depend on the colouring."""
+    s, prod = np.zeros((fs.m, fs.m)), np.empty((fs.m, fs.m))
+    for _, v in _coloured_blocks(fs, realizations, gen):
         for c in range(0, v.shape[1], _BLOCK):
             b = v[:, c:c + _BLOCK]
-            b2 = np.multiply(b, b, out=scratch[:b.size].reshape(b.shape))  # the scratch's head
             s += np.matmul(b, b.T, out=prod)
-            q += np.matmul(b2, b2.T, out=prod)
-            b2 *= b  # now the cubes
-            t += np.matmul(b2, b.T, out=prod)
-    return s, q, t
+    return s
 
 
 def _pair_blocks(m: int):
@@ -265,48 +252,42 @@ def empirical_variogram(fs: FieldSample, realizations: int, rng: RngStream) -> T
 
     The realizations stream through one colouring block at a time, drawn as
     :func:`sample_field` draws them, so no (m, realizations) array is held.
-    With S = V V^T, Q = V^2 (V^2)^T and T = V^3 V^T of the values V, summed
-    over column blocks of ``_BLOCK``, the sums of (V_i - V_j)^2 and of its
-    square over the realizations are S_ii + S_jj - 2 S_ij and
-    Q_ii + Q_jj - 4 (T_ij + T_ji) + 6 Q_ij.  Both cancel when V_i is close to
-    V_j; eps times the sum of the absolute terms bounds the rounding (Chan,
-    Golub & LeVeque 1983), and a pair whose bound exceeds
-    ``_CANCELLATION_TOL`` of either value is recomputed directly: the draws
-    are replayed once from the generator state before the pass, holding the
-    value rows of the flagged pairs' points, and the end state is restored.
+    With S = V V^T of the values V, summed over column blocks of ``_BLOCK``,
+    the sum of (V_i - V_j)^2 over the realizations is S_ii + S_jj - 2 S_ij.
+    It cancels when V_i is close to V_j; eps times the sum of the absolute
+    terms bounds the rounding (Chan, Golub & LeVeque 1983), and a pair whose
+    bound exceeds ``_CANCELLATION_TOL`` of the value is recomputed directly:
+    the draws are replayed once from the generator state before the pass,
+    holding the value rows of the flagged pairs' points, and the end state
+    is restored.
 
-    The pair terms are formed a block of upper-triangle rows at a time, in
-    two passes, so no per-pair vector but the columns is held whole.  The
-    first writes ``stderr`` and flags the pairs; Q and T are then freed, and
-    the second writes ``estimate`` from S, and ``distance`` and the pair
-    indices from K.
+    Each increment V_i - V_j is a linear map of normal draws, so it is
+    N(0, d_ij) and Var((V_i - V_j)^2) = 2 d_ij^2: ``stderr`` is the plug-in
+    sqrt(2 / r) * ``estimate`` on every row, a replayed one included.
+
+    The pair terms are formed in one pass, a block of upper-triangle rows at
+    a time, so no per-pair vector but the columns is held whole: it writes
+    ``estimate`` from S, flags the pairs, and writes ``distance`` and the
+    pair indices from K.  S is freed before the replay and ``stderr``.
     """
     if realizations < 100:
         raise ValueError("need at least 100 realizations")
     r, gen, m = realizations, rng.generator, fs.m
     start = gen.bit_generator.state
-    s, q, t = _gram_moments(fs, r, gen)
-    ds, dq = s.diagonal(), q.diagonal()
+    s = _gram_moments(fs, r, gen)
+    ds = s.diagonal()
     eps = np.finfo(float).eps
-    se = np.empty(m * (m - 1) // 2)
+    est, dist = np.empty(m * (m - 1) // 2), np.empty(m * (m - 1) // 2)
+    pair_i, pair_j = np.empty(len(est), dtype=np.int32), np.empty(len(est), dtype=np.int32)
+    k, dk = fs.K, fs.K.diagonal()  # d_ij = K_ii + K_jj - 2 K_ij, exact from the kernel definition
     flagged = [np.empty(0, dtype=np.intp)]  # one array to concatenate when x0 alone has no pairs
     for first, i, j in _pair_blocks(m):
+        block = slice(first, first + len(i))
         s_ij = s[i, j]
         sq = ds[i] + ds[j] - 2.0 * s_ij
-        num = dq[i] + dq[j] - 4.0 * (t[i, j] + t[j, i]) + 6.0 * q[i, j] - sq * sq / r
-        sq_err = eps * (ds[i] + ds[j] + 2.0 * np.abs(s_ij))
-        num_err = eps * (dq[i] + dq[j] + 4.0 * (np.abs(t[i, j]) + np.abs(t[j, i]))
-                         + 6.0 * q[i, j] + (sq + 2.0 * sq_err) * sq / r)
-        unsafe = (sq_err > _CANCELLATION_TOL * sq) | (num_err > _CANCELLATION_TOL * num)
-        se[first:first + len(i)] = np.sqrt(np.where(unsafe, 0.0, num) / (r - 1)) / np.sqrt(r)
+        est[block] = sq / r
+        unsafe = eps * (ds[i] + ds[j] + 2.0 * np.abs(s_ij)) > _CANCELLATION_TOL * sq
         flagged.append(first + np.flatnonzero(unsafe))
-    del q, t, dq
-    est, dist = np.empty_like(se), np.empty_like(se)
-    pair_i, pair_j = np.empty(len(se), dtype=np.int32), np.empty(len(se), dtype=np.int32)
-    k, dk = fs.K, fs.K.diagonal()  # d_ij = K_ii + K_jj - 2 K_ij, exact from the kernel definition
-    for first, i, j in _pair_blocks(m):
-        block = slice(first, first + len(i))
-        est[block] = (ds[i] + ds[j] - 2.0 * s[i, j]) / r
         dist[block] = dk[i] + dk[j] - 2.0 * k[i, j]
         pair_i[block], pair_j[block] = i, j
     del s, ds
@@ -321,6 +302,5 @@ def empirical_variogram(fs: FieldSample, realizations: int, rng: RngStream) -> T
         finally:
             gen.bit_generator.state = end
         for p, a, b in zip(unsafe, at[:unsafe.size], at[unsafe.size:]):
-            d = (held[a] - held[b]) ** 2
-            est[p], se[p] = d.mean(), d.std(ddof=1) / np.sqrt(r)
-    return Table(VariogramRow, pair_i, pair_j, dist, est, se)
+            est[p] = ((held[a] - held[b]) ** 2).mean()
+    return Table(VariogramRow, pair_i, pair_j, dist, est, np.sqrt(2.0 / r) * est)

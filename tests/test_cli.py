@@ -611,13 +611,13 @@ def test_simulate_memory_does_not_grow_with_realizations():
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
-def test_simulate_at_1500_points_holds_at_most_eight_matrices():
-    # K, the factor and the Gram moments, with the pair terms a block of rows
-    # at a time and Q and T freed before the columns are built; holding Q, T
-    # and a dozen per-pair vectors whole grew 10.6 (m + 1)^2 matrices here
+def test_simulate_at_1500_points_holds_at_most_six_matrices():
+    # K, the factor, S and the product buffer, then one pass of pair terms a
+    # block of rows at a time: 5.42 (m + 1)^2 matrices grown, bounded here
+    # with 0.58 of a matrix to spare
     grown, charged = grown_and_charged(["simulate", "--points", "1500", "--realizations", "100"])
     assert grown <= charged
-    assert grown <= 8 * 8 * 1501 ** 2
+    assert grown <= 6 * 8 * 1501 ** 2
 
 
 def test_unknown_group_rejected_by_argparse(capsys):
