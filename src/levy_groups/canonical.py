@@ -4,9 +4,11 @@ Both the certificate documents and the CLI emit through these helpers so
 identical inputs round-trip to byte-identical text across platforms.  The
 writers stream: text goes to the handle in chunks, a table a pass of rows
 at a time, so no whole-document string is built.  A table's numbers are
-turned into text in numpy, a pass at a time: each float's digits come from
-an exact two-product (see the kernel below), and a float outside %.17g's
-fixed notation takes format_float's text.
+turned into text in numpy, a pass at a time, by one kernel (below) that
+writes every finite float and every int within +-2**53, as its float,
+whose %.17g text is str()'s: each float's digits come from an exact
+two-product, and a float outside %.17g's fixed notation takes
+format_float's text.
 """
 
 from __future__ import annotations
@@ -220,37 +222,35 @@ def _write_rows(out: _Pieces, layout, n: int, sep: str) -> None:
     window of _WINDOW bytes at a time.  A row wider than a chunk is a pass
     of its own, its cells formatted a chunk at a time.  Each pass but the
     first spills before it; the caller spills after the last."""
-    head, runs, kinds = layout
+    head, runs, values = layout
     head = (head if runs else head + sep).encode("ascii")
-    placed, width, seen = [], len(head), [0] * len(kinds)
-    for r, (kind, count, w, after) in enumerate(runs):
+    placed, width, cells = [], len(head), 0
+    for r, (count, w, after) in enumerate(runs):
         after = (after + sep if r == len(runs) - 1 else after).encode("ascii")
-        placed.append((kind, seen[kind], count, width, w, after))  # its first cell of the kind
-        seen[kind] += count
+        placed.append((cells, count, width, w, after))  # its first cell
+        cells += count
         width += count * (w + len(after))
-    cells = sum(seen)
     step = min(n, -(-_CHUNK // max(cells, 1)))  # a full pass holds a chunk of cells
     matrix = np.zeros((step, width), np.uint8)
     matrix[:, :len(head)] = np.frombuffer(head, np.uint8)
-    for _, _, count, at, w, after in placed:
+    for _, count, at, w, after in placed:
         units = matrix[:, at:at + count * (w + len(after))].reshape(step, count, -1)
         units[:, :, w:] = np.frombuffer(after, np.uint8)
     for a in range(0, n, step):
         if a:
             out.spill(_CHUNK)
         rows = matrix[:min(step, n - a)]
-        for kind, (slots, values) in enumerate(kinds):
-            block = values(slice(a, a + len(rows)))  # (rows, cells of the kind)
-            per = max(1, _CHUNK // len(rows))
-            for c in range(0, block.shape[1], per):
-                text = slots(block[:, c:c + per].ravel()).reshape(len(rows), -1, _SLOT)
-                for k, first, count, at, w, after in placed:
-                    lo, hi = max(first, c), min(first + count, c + text.shape[1])
-                    if k == kind and lo < hi:
-                        unit = w + len(after)
-                        at += (lo - first) * unit
-                        units = rows[:, at:at + (hi - lo) * unit].reshape(len(rows), hi - lo, unit)
-                        units[:, :, :w] = text[:, lo - c:hi - c, _SLOT - w:]
+        block = values(slice(a, a + len(rows)))  # (rows, cells)
+        per = max(1, _CHUNK // len(rows))
+        for c in range(0, cells, per):
+            text = _float_slots(block[:, c:c + per].ravel()).reshape(len(rows), -1, _SLOT)
+            for first, count, at, w, after in placed:
+                lo, hi = max(first, c), min(first + count, c + text.shape[1])
+                if lo < hi:
+                    unit = w + len(after)
+                    at += (lo - first) * unit
+                    units = rows[:, at:at + (hi - lo) * unit].reshape(len(rows), hi - lo, unit)
+                    units[:, :, :w] = text[:, lo - c:hi - c, :w]
         if a + len(rows) == n and sep:
             rows[-1, -len(sep):] = 0
         flat = rows.ravel()
@@ -261,42 +261,41 @@ def _write_rows(out: _Pieces, layout, n: int, sep: str) -> None:
 
 
 def _rows_template(rows, level: Optional[int]):
-    """(head, runs, kinds) of ``rows`` when all of them share one layout of
+    """(head, runs, values) of ``rows`` when all of them share one layout of
     ints and finite floats, as the walk above writes them at ``level`` (a
     CSV line when ``level`` is None): ``head`` the literal text of a row
-    before its first cell, and ``runs`` its cells in runs of (kind, cells,
-    slot bytes, the literal text after each), the row's close after the
-    last run's one cell.  Each of ``kinds`` is (slots, values): values(rs)
-    the (rows, cells) array of the kind's cells of the rows ``rs`` (a
-    slice), slots(x) the text of the flat cells x, a slot of _SLOT bytes a
-    cell that holds it in its last slot bytes, NUL-padded.  Tables and 1-D
-    or 2-D arrays of ints and floats qualify; else None, and the rows are
-    walked one at a time.  A non-finite float among the cells raises
-    ValueError."""
+    before its first cell, ``runs`` its cells in runs of (cells, slot bytes,
+    the literal text after each), the row's close after the last run's one
+    cell, and values(rs) the (rows, cells) block of the cells of the rows
+    ``rs`` (a slice).  One kernel, _float_slots, writes every cell: a
+    finite float, or an int within +-2**53, which a float64 holds exactly
+    and whose %.17g text is str()'s.  Tables and 1-D or 2-D arrays of such
+    ints and floats qualify; else None, and the rows are walked one at a
+    time.  A non-finite float among the cells raises ValueError."""
     if isinstance(rows, Table):
         names, columns = rows.row._fields, rows.columns
-        if any(c.dtype.kind not in _SLOTS for c in columns):
+        if any(c.dtype.kind not in "if" for c in columns):
             return None
-        groups = {}
         for name, c in zip(names, columns):
             _require_finite(c, f"column {name!r}")
-            groups.setdefault(c.dtype.kind, []).append(c)
+        widths = list(map(_slot_bytes, columns))
+        if None in widths:
+            return None
         head, afters = _template(names, len(columns), level)
         afters = [after for after, count in afters for _ in range(count)]
-        runs = [(list(groups).index(c.dtype.kind), 1, _slot_bytes(c), after)
-                for c, after in zip(columns, afters)]
-        kinds = [(_SLOTS[kind], lambda rs, g=g: np.stack([c[rs] for c in g], 1))
-                 for kind, g in groups.items()]
-        return head, runs, kinds
-    if not isinstance(rows, np.ndarray) or rows.dtype.kind not in _SLOTS or rows.ndim > 2:
+        return head, [(1, w, after) for w, after in zip(widths, afters)], \
+            lambda rs: np.stack([c[rs] for c in columns], 1)
+    if not isinstance(rows, np.ndarray) or rows.dtype.kind not in "if" or rows.ndim > 2:
         return None
     _require_finite(rows, "array")
-    w, slots = _slot_bytes(rows), _SLOTS[rows.dtype.kind]
+    w = _slot_bytes(rows)
+    if w is None:
+        return None
     if rows.ndim == 1:
         head, afters = _template(None, 1, level)
-        return head, [(0, 1, w, afters[0][0])], [(slots, lambda rs: rows[rs, None])]
+        return head, [(1, w, afters[0][0])], lambda rs: rows[rs, None]
     head, afters = _template((), rows.shape[1], level)
-    return head, [(0, count, w, after) for after, count in afters], [(slots, lambda rs: rows[rs])]
+    return head, [(count, w, after) for after, count in afters], lambda rs: rows[rs]
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:
@@ -305,13 +304,16 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise ValueError(f"non-finite value in {what} cannot be serialized")
 
 
-def _slot_bytes(values: np.ndarray) -> int:
-    """Bytes of the widest text of the cells of ``values``: _SLOT for
-    floats, the digits and sign of the largest int."""
+def _slot_bytes(values: np.ndarray) -> Optional[int]:
+    """The leading bytes of a _float_slots slot that hold the text of every
+    cell of ``values``: all _SLOT for floats; for ints, from the sign byte
+    to the last digit of the largest, whose first digit is at byte 6, as
+    for every float of 1 or more (see _masks).  None for an int beyond
+    +-2**53, which a float64 may not hold: its rows are walked."""
     if values.dtype.kind == "f" or not values.size:
         return _SLOT
-    lo, hi = int(values.min()), int(values.max())
-    return len(str(max(-lo, hi))) + (lo < 0)
+    top = max(-int(values.min()), int(values.max()))
+    return 6 + len(str(top)) if top <= 2 ** 53 else None
 
 
 def _template(names, count: int, level: Optional[int]):
@@ -349,8 +351,10 @@ def _runs(runs):
 # two-product gives |x| 10**k exactly as hi + lo ("A floating-point
 # technique for extending the available precision", Numer. Math. 18, 1971).
 # Where that product lies in [1e16, 1e17), hi is an even integer and
-# N = hi + rint(lo), ties to even.  Every other float (exponent form,
-# subnormals, a carry to 1e17) takes format_float's text.
+# N = hi + rint(lo), ties to even.  N never carries to 1e17: the largest
+# double below each power of ten from 1e-3 to 1e17 scales to at least 8.3
+# below it.  Every other float (exponent form, subnormals) takes
+# format_float's text.
 
 _SLOT = 24  # the longest text format_float writes: "-2.2250738585072014e-308"
 _SPLITTER = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
@@ -381,29 +385,28 @@ _TEN_HIGH, _TEN_LOW = _split(_TEN)
 
 
 def _tables():
-    """The four ASCII digits of each of 0..9999, a word each, then a float's
-    first word (three NULs and the first of its four leading zeros) and an
-    int's (four NULs); and the trailing zero digits of each, 4 for 0000.
-    Built as bytes, from the 100 digit pairs."""
+    """The four ASCII digits of each of 0..9999, a word each, then a cell's
+    first word (three NULs and the first of its four leading zeros); and
+    the trailing zero digits of each, 4 for 0000.  Built as bytes, from the
+    100 digit pairs."""
     pairs = [b"%02d" % i for i in range(100)]
     zeros = [2] + [int(p.endswith(b"0")) for p in pairs[1:]]  # of a pair
-    words = b"".join(a.join([b"", *pairs]) for a in pairs) + b"\0\0\0" + b"0" + bytes(4)
+    words = b"".join(a.join([b"", *pairs]) for a in pairs) + b"\0\0\0" + b"0"
     trailing = b"".join(bytes([2 + zeros[i]] + zeros[1:]) for i in range(100))
     return np.frombuffer(words, np.uint32), np.frombuffer(trailing, np.int8).astype(np.intp)
 
 
 _WORDS, _TRAILING = _tables()
-_FLOAT_HEAD, _INT_HEAD = _WORDS[10000], _WORDS[10001]
+_FLOAT_HEAD = _WORDS[10000]
 
 
 def _masks():
-    """The float tables, a row by (k = 16 - E, trailing zeros z, sign):
-    where a slot takes the source byte after its own (the digits before the
-    point), where its own (those after), and the point and the sign.  The
-    source holds "0000" and the 17 digits at bytes 3..23; the text's c-th
-    character goes to byte 2 + c, the sign to byte 0.  Then the int
-    tables, a row by (digits less one, sign): the last digits, and a minus
-    before them."""
+    """The tables, a row by (k = 16 - E, trailing zeros z, sign): where a
+    slot takes the source byte after its own (the digits before the point),
+    where its own (those after), and the point and the sign.  The source
+    holds "0000" and the 17 digits at bytes 3..23; the text's c-th
+    character goes to byte 2 + c, the sign to byte 0, so the first digit of
+    a float of 1 or more is at byte 6."""
     before, after, marks = [], [], []
     for k in range(21):
         point, lead = 21 - k, 4 + min(16 - k, 0)
@@ -413,14 +416,11 @@ def _masks():
             after.append((bytes(3 + point) + b"\xff" * digits).ljust(_SLOT, b"\0") * 2)
             mark = (bytes(2 + point) + (b"." if digits else b"")).ljust(_SLOT, b"\0")
             marks.append(mark + b"-" + mark[1:])
-    keep = b"".join(bytes(_SLOT - d) + b"\xff" * d for d in range(1, 21) for _ in "+-")
-    sign = b"".join(bytes(_SLOT) + bytes(_SLOT - 1 - d) + b"-" + bytes(d) for d in range(1, 21))
-    return [np.frombuffer(t, np.uint8).reshape(-1, _SLOT)
-            for t in (b"".join(before), b"".join(after), b"".join(marks), keep, sign)]
+    return [np.frombuffer(b"".join(t), np.uint8).reshape(-1, _SLOT)
+            for t in (before, after, marks)]
 
 
-_BEFORE, _AFTER, _MARKS, _INT_KEEP, _INT_SIGN = _masks()
-_POWERS = np.array([10 ** j for j in range(1, 20)], np.uint64)
+_BEFORE, _AFTER, _MARKS = _masks()
 
 
 def _words(lead: np.ndarray, rest: np.ndarray) -> np.ndarray:
@@ -437,12 +437,12 @@ def _words(lead: np.ndarray, rest: np.ndarray) -> np.ndarray:
     return words
 
 
-def _source(head, words: np.ndarray) -> np.ndarray:
-    """The bytes of the word ``head`` and the ``words`` of each cell, six
+def _source(words: np.ndarray) -> np.ndarray:
+    """The bytes of the word _FLOAT_HEAD and the ``words`` of each cell, six
     words a cell, flat, and one NUL word after."""
     buf = np.empty(words.shape[1] * 6 + 1, np.uint32)
     cells = buf[:-1].reshape(-1, 6)
-    cells[:, 0] = head
+    cells[:, 0] = _FLOAT_HEAD
     cells[:, 1:] = _WORDS.take(words).T
     buf[-1] = 0
     return buf.view(np.uint8)
@@ -476,7 +476,8 @@ def _digits(a: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _float_slots(x: np.ndarray) -> np.ndarray:
-    """(len(x), _SLOT) bytes: format_float(x) of each cell, NUL-padded."""
+    """(len(x), _SLOT) bytes: format_float(x) of each cell, NUL-padded; an
+    int cell within +-2**53 is written as its float, which is str()'s text."""
     x = x.astype(np.float64, copy=False)
     a = np.abs(x)
     fixed = (a >= 1e-4) & (a < 1e17)
@@ -484,7 +485,6 @@ def _float_slots(x: np.ndarray) -> np.ndarray:
     a = np.where(fixed, a, 1.0)
     k = _exponent(a)  # a * 10**k is in [1e16, 1e17)
     digits = _digits(a, k)
-    bad = np.concatenate([bad, np.flatnonzero(digits == 10 ** 17)])  # a carry: exponent form
     digits *= fixed  # zeros write "0"
     lead = digits // 10 ** 16
     words = _words(lead, digits - lead * 10 ** 16)
@@ -495,7 +495,7 @@ def _float_slots(x: np.ndarray) -> np.ndarray:
     code = k * 36
     code += z * 2
     code += x.view(np.int64) < 0  # the sign bit, -0.0's too
-    source = _source(_FLOAT_HEAD, words)
+    source = _source(words)
     del a, fixed, k, digits, lead, words, z, t
     n = len(x) * _SLOT
     slots = _BEFORE.take(code, axis=0).ravel()
@@ -510,21 +510,3 @@ def _float_slots(x: np.ndarray) -> np.ndarray:
         text = "".join(format_float(v).ljust(_SLOT, "\0") for v in x[bad].tolist())
         slots[bad] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _SLOT)
     return slots
-
-
-def _int_slots(v: np.ndarray) -> np.ndarray:
-    """(len(v), _SLOT) bytes: str() of each int cell, right-aligned."""
-    v = v.astype(np.int64, copy=False)
-    neg = v < 0
-    u = np.where(neg, -v, v).view(np.uint64)  # -(-2**63) wraps to 2**63
-    lead = u // np.uint64(10 ** 16)
-    rest = (u - lead * np.uint64(10 ** 16)).view(np.int64)
-    code = _POWERS.searchsorted(u, side="right") * 2  # digits less one
-    code += neg
-    slots = _source(_INT_HEAD, _words(lead, rest))[:len(v) * _SLOT]
-    slots &= _INT_KEEP.take(code, axis=0).ravel()
-    slots |= _INT_SIGN.take(code, axis=0).ravel()
-    return slots.reshape(len(v), _SLOT)
-
-
-_SLOTS = {"i": _int_slots, "f": _float_slots}  # dtype kind -> the kernel of its cells

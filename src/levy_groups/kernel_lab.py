@@ -60,16 +60,12 @@ def sum_zero_basis(m: int) -> np.ndarray:
 
 def brownian_kernel(group, x: np.ndarray, x0=None) -> np.ndarray:
     """The kernel matrix 0.5 (d0_i + d0_j - d_ij) of the rows of x for the
-    base point x0, formed in their distance matrix a block of rows at a
-    time, for build_field.  x0 defaults to x[0], whose row and column then
-    come out exactly 0.0."""
+    base point x0, formed in their distance matrix as -d_ij/2 + (d0_i/2 +
+    d0_j/2) by _outer_sum (halving is exact), for build_field.  x0 defaults
+    to x[0], whose row and column then come out exactly 0.0."""
     d = pairwise_distance_matrix(group, x)
     d0 = d[0].copy() if x0 is None else group.distances(x, x0)
-    for s in row_blocks(len(d), len(d)):
-        rows = d[s]
-        np.subtract(np.add.outer(d0[s], d0), rows, out=rows)
-        rows *= 0.5
-    return d
+    return _outer_sum(d, -0.5, 0.5 * d0)
 
 
 def _householder(m: int) -> tuple[np.ndarray, float]:
@@ -82,6 +78,17 @@ def _householder(m: int) -> tuple[np.ndarray, float]:
     return u, 1.0 / u[0]
 
 
+def _outer_sum(a: np.ndarray, scale: float, g: np.ndarray) -> np.ndarray:
+    """Overwrite the (m, m) a with scale * a_ij + (g_i + g_j), a block of
+    rows at a time, and return it.  Entry (i, j) gets the same floats as
+    entry (j, i), so a bitwise-symmetric a stays bitwise symmetric."""
+    for s in row_blocks(len(a), 2 * len(a)):  # the rows and their outer sum: two blocks
+        rows = a[s]
+        rows *= scale
+        rows += np.add.outer(g[s], g)
+    return a
+
+
 def _reflect(a: np.ndarray) -> np.ndarray:
     """Overwrite the symmetric (m, m) a with H (-a/2) H (see _householder)
     and return it: a[1:, 1:] is then -a/2 compressed onto the sum-zero
@@ -89,10 +96,10 @@ def _reflect(a: np.ndarray) -> np.ndarray:
 
     H a H = a - (u w^T + w u^T) for p = tau a u and w = p - (tau / 2) (u^T p) u.
     Since u = 1/sqrt(m) + e1, p comes from a's row sums and first column, and
-    the update splits in two: one blocked pass a_ij <- -a_ij / 2 + (g_i + g_j)
+    the update splits in two: one _outer_sum pass a_ij <- -a_ij / 2 + (g_i + g_j)
     for g = w / (2 sqrt(m)), then the e1 terms, w / 2, in row 0 and in
-    column 0.  Entry (i, j) gets the same floats as entry (j, i), so a
-    bitwise-symmetric a stays bitwise symmetric; nothing m x m is made.
+    column 0, so a bitwise-symmetric a stays bitwise symmetric; nothing
+    m x m is made.
     Raises ValueError where a row sum, and so an entry, is not finite."""
     m = len(a)
     u, tau = _householder(m)
@@ -102,11 +109,7 @@ def _reflect(a: np.ndarray) -> np.ndarray:
     root = np.sqrt(m)
     p = tau * (sums / root + a[:, 0])
     w = -0.5 * (p - (0.5 * tau * (u @ p)) * u)
-    g = w / -root
-    for s in row_blocks(m, 2 * m):  # the rows and their outer sum: two blocks
-        rows = a[s]
-        rows *= -0.5
-        rows += np.add.outer(g[s], g)
+    _outer_sum(a, -0.5, w / -root)
     a[0] -= w
     a[:, 0] -= w
     return a
@@ -368,7 +371,7 @@ def find_witness(
     pairs = np.triu_indices(sampled.point_size)
     for trial in range(trials):
         x = sampled.sample(rng, m)
-        d = sampled.pairwise(x)
+        d = pairwise_distance_matrix(sampled, x)
         span = _degree_two_span(x, pairs)
         weights = span @ np.linalg.eigh(span.T @ d @ span)[1][:, -1]
         weights -= weights.mean()

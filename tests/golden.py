@@ -35,6 +35,7 @@ LINES = (
     "witness --group son --n 5 --points 20 --trials 2",
     "witness --group su2 --points 20 --trials 2",
     "simulate --points 20 --realizations 500 --format csv",
+    "simulate --points 20 --realizations 500",
     "simulate --group so3 --points 30 --realizations 200",
     "haar --group su2 --points 5 --format csv",
     "haar --group so3 --points 3",

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -290,6 +291,40 @@ def test_int_cells_are_str_text(dtype):
                         np.array([info.min, info.min + 1, -1, 0, 1, info.max - 1, info.max], dtype)])
     text = canonical.dumps(v)
     assert text == "[\n  " + ",\n  ".join(map(str, v.tolist())) + "\n]\n"
+
+
+@pytest.mark.parametrize("edge, kernel",
+                         [(2 ** 53 - 1, True), (2 ** 53, True), (2 ** 53 + 1, False)])
+def test_ints_to_2_53_take_the_kernel_and_beyond_are_walked(edge, kernel):
+    # a float64 holds every int within +-2**53, so the kernel writes them;
+    # past that an int column or array is walked, and both give str()'s text
+    v = np.array([-edge, -1, 0, edge], np.int64)
+    table = canonical.Table(VariogramRow, v, v[::-1], v * 0.5, -v * 0.5, np.full(4, 0.25))
+    for rows in (v, table, v.reshape(2, 2)):
+        assert (canonical._rows_template(rows, 0) is not None) == kernel
+        assert (canonical._rows_template(rows, None) is not None) == kernel
+    assert canonical.dumps(v) == "[\n  " + ",\n  ".join(map(str, v.tolist())) + "\n]\n"
+    text = canonical.dumps(table)
+    assert text == canonical.dumps(list(table)) and f'"pair_i": {-edge},\n' in text
+    fh = Writes()
+    canonical.dump_csv(["a", "b"], v.reshape(2, 2), fh)
+    assert "".join(fh.writes) == f"a,b\n{-edge},-1\n0,{edge}\n"
+
+
+def test_no_double_carries_the_kernels_digits_to_ten_to_the_17():
+    # the largest double below 10**j, j = -3..17, the top of each decade in
+    # the kernel's fixed range, scales by 10**(17 - j) to more than 8 below
+    # 10**17, exactly, so round-half-even never carries it there
+    below = []
+    for j in range(-3, 18):
+        power = Fraction(10) ** j
+        t = float(power)
+        t = math.nextafter(t, 0.0) if Fraction(t) >= power else t
+        assert Fraction(math.nextafter(t, math.inf)) >= power
+        assert 10 ** 17 - Fraction(t) * Fraction(10) ** (17 - j) > 8
+        below.append(t)
+    x = np.array(below + [-t for t in below])
+    assert canonical.dumps(x) == "[\n  " + ",\n  ".join("%.17g" % t for t in x.tolist()) + "\n]\n"
 
 
 def mixed_floats():

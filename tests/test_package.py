@@ -105,6 +105,49 @@ def test_export_guard_sees_both_forms():
     assert unread_exports("lapack", source, others) == ["C", "D", "g"]
 
 
+def orphaned_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each private name that a module of ``sources`` (a
+    module name to its source) binds at top level, by a def, a class or an
+    assignment, and that no source reads: its own module by the bare name,
+    another as ``module._name`` or ``from .module import _name``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(f"{module}.{node.id}")
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                read.add(f"{node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                read |= {f"{node.module}.{alias.name}" for alias in node.names}
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [f"{module}.{name}" for name in names if name.startswith("_")
+                      and not name.endswith("__") and f"{module}.{name}" not in read]
+    return found
+
+
+def test_no_private_name_is_orphaned():
+    # a private helper, table or constant that nothing reads is dead code
+    sources = {m: (PACKAGE / f"{m}.py").read_text() for m in MODULES}
+    assert orphaned_private_names(sources) == []
+
+
+def test_orphan_guard_sees_both_forms():
+    sources = {"a": "_X, _Y = 1, 2\n_Z: int = 3\ndef _f():\n    return _X\n"
+                    "class _C:\n    pass\ndef _g():\n    pass\n__all__ = []\n",
+               "b": "from . import a\nfrom .a import _f\na._C\n_g = 4\n"}
+    assert orphaned_private_names(sources) == ["a._Y", "a._Z", "a._g", "b._g"]
+
+
 def unread_symbols(source: str) -> list[str]:
     """Keys of the ``_SYMBOLS`` table that ``source`` declares and that no
     ``_library()[...]`` subscript of ``source`` reads by that string."""
