@@ -111,13 +111,16 @@ def dump(obj: Any, fh) -> None:
 
 
 def dump_csv(header: Iterable[str], rows, fh, comments: Iterable[str] = ()) -> None:
-    """Write ``comments`` as ``# `` lines, then ``header`` and ``rows`` as CSV
-    to the text handle ``fh``: floats via format_float, None empty, booleans
-    true/false.  A Table or a 1-D or 2-D array is written from the same row
-    template as :func:`dump`, a chunk of rows at a time; any other ``rows``
-    (a generator, say) a row at a time."""
+    """Write each of ``comments`` as one ``# `` line, CR and LF escaped as
+    ``\\r`` and ``\\n``, then ``header`` and ``rows`` as CSV to the text
+    handle ``fh``.  A cell is written as :func:`dump` writes it, a numpy
+    scalar as its ``.item()``, but None empty and a string as csv quotes
+    it; a row that is no list (an element of a 1-D array) is one cell.  A
+    Table or a 1-D or 2-D array is written from the same row template as
+    :func:`dump`, a chunk of rows at a time; any other ``rows`` (a
+    generator, say) a row at a time."""
     out = _Pieces(fh)
-    out.extend(f"# {c}\n" for c in comments)
+    out.extend("# " + c.replace("\r", "\\r").replace("\n", "\\n") + "\n" for c in comments)
     w = csv.writer(out, lineterminator="\n")
     w.writerow(header)
     table = _rows_template(rows, None) if _is_list(rows) and len(rows) else None
@@ -125,7 +128,7 @@ def dump_csv(header: Iterable[str], rows, fh, comments: Iterable[str] = ()) -> N
         _write_rows(out, table, len(rows), "")
     else:
         for row in rows:
-            w.writerow(map(_cell, row))
+            w.writerow([_scalar(x, True) for x in (row if _is_list(row) else (row,))])
             out.spill(_CHUNK)
     out.spill()
 
@@ -149,34 +152,34 @@ class _Pieces(list):
             self.cells = 0
 
 
-def _cell(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return format_float(x)
-    return str(x)
-
-
 def _is_list(obj) -> bool:
     return isinstance(obj, (list, tuple, Table)) or (type(obj) is np.ndarray and obj.ndim > 0)
+
+
+def _scalar(obj, csv_cell: bool = False) -> str:
+    """The text of the scalar ``obj``, a numpy scalar or 0-d array as its
+    ``.item()``'s: null, true or false, str() of an int, format_float of a
+    float, a string as JSON; as a CSV cell, None is empty and a string raw.
+    Anything else raises TypeError."""
+    if isinstance(obj, np.generic) or (isinstance(obj, np.ndarray) and not obj.ndim):
+        obj = obj.item()
+    if obj is None:
+        return "" if csv_cell else "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return obj if csv_cell else json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def _walk(obj: Any, out: _Pieces, level: int) -> None:
     pad = " " * (_INDENT * (level + 1))
     end_pad = " " * (_INDENT * level)
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict) or hasattr(obj, "_asdict"):
+    if isinstance(obj, dict) or hasattr(obj, "_asdict"):
         obj = obj if isinstance(obj, dict) else obj._asdict()
         if not obj:
             out.append("{}")
@@ -207,11 +210,7 @@ def _walk(obj: Any, out: _Pieces, level: int) -> None:
                 out.spill(_CHUNK)
         out.append(end_pad + "]")
     else:
-        # numpy scalars and similar
-        if hasattr(obj, "item"):
-            _walk(obj.item(), out, level)
-        else:
-            raise TypeError(f"cannot serialize {type(obj).__name__}")
+        out.append(_scalar(obj))
 
 
 def _write_rows(out: _Pieces, layout, n: int, sep: str) -> None:
@@ -291,11 +290,9 @@ def _rows_template(rows, level: Optional[int]):
     w = _slot_bytes(rows)
     if w is None:
         return None
-    if rows.ndim == 1:
-        head, afters = _template(None, 1, level)
-        return head, [(1, w, afters[0][0])], lambda rs: rows[rs, None]
-    head, afters = _template((), rows.shape[1], level)
-    return head, [(count, w, after) for after, count in afters], lambda rs: rows[rs]
+    grid = rows[:, None] if rows.ndim == 1 else rows  # a 1-D array: one column of bare values
+    head, afters = _template(None if rows.ndim == 1 else (), grid.shape[1], level)
+    return head, [(count, w, after) for after, count in afters], lambda rs: grid[rs]
 
 
 def _require_finite(values: np.ndarray, what: str) -> None:

@@ -395,3 +395,69 @@ def test_a_row_wider_than_a_pass_grows_no_more_than_its_charge(fmt):
     assert done.returncode == 0, done.stderr
     grown, charged = map(int, done.stdout.split())
     assert grown <= charged
+
+
+# ---------------------------------------------------------------------------
+# one rule for a scalar's text, in JSON and in CSV
+# ---------------------------------------------------------------------------
+
+def csv_text(header, rows, comments=()):
+    fh = Writes()
+    canonical.dump_csv(header, rows, fh, comments)
+    return "".join(fh.writes)
+
+
+@pytest.mark.parametrize("values, text", [
+    (np.array([True, False]), "x\ntrue\nfalse\n"),
+    (np.array([2 ** 53 + 1, -3], np.int64), f"x\n{2 ** 53 + 1}\n-3\n"),
+    (np.array([None, 1.5, "a,b"], dtype=object), 'x\n""\n1.5\n"a,b"\n'),
+], ids=["bool", "int64", "object"])
+def test_csv_of_a_1d_array_the_kernel_refuses_is_one_cell_rows(values, text):
+    # each element is one cell, as in a JSON list and in the kernel's template
+    assert canonical._rows_template(values, None) is None
+    assert csv_text(["x"], values) == csv_text(["x"], [[v] for v in values.tolist()]) == text
+
+
+def test_numpy_scalar_cells_are_their_items():
+    # in CSV as in JSON: np.float32(0.1) is 0.10000000149011612, np.bool_ true
+    rows = [[np.bool_(True), np.float32(0.1), np.int64(-7), np.float64(-0.0), np.str_("s")],
+            (np.bool_(False), np.float32(5e-45), np.int64(2 ** 60), np.array(2.5), None)]
+    items = [[v.item() if hasattr(v, "item") else v for v in row] for row in rows]
+    header = list("abcde")
+    assert csv_text(header, rows) == csv_text(header, items)
+    assert csv_text(header, rows).splitlines()[1] == "true,0.10000000149011612,-7,-0,s"
+    assert canonical.dumps(rows) == canonical.dumps(items)
+    grid = np.array([[True, False], [False, True]])
+    assert csv_text(["a", "b"], grid) == "a,b\ntrue,false\nfalse,true\n"
+    assert json.loads(canonical.dumps(grid)) == grid.tolist()
+
+
+def test_a_comment_with_a_line_break_stays_one_line():
+    text = csv_text(["a"], [[1]], ["command: x --out a\nb.csv", "cr: a\r\nb", "plain: v \\n"])
+    assert text == "# command: x --out a\\nb.csv\n# cr: a\\r\\nb\n# plain: v \\n\na\n1\n"
+    assert [line[:1] for line in text.split("\n")[:3]] == ["#"] * 3
+
+
+@pytest.mark.parametrize("shape, dtype", [((3, 0), np.float64), ((1, 0), np.int64),
+                                          ((0,), np.float64), ((0, 3), np.int64)])
+def test_empty_and_zero_column_arrays_are_the_walks_bytes(shape, dtype, monkeypatch):
+    # a zero-column row is "[]" in JSON and an empty line in CSV
+    a = np.zeros(shape, dtype)
+    doc = {"a": a, "deep": [a]}
+    lists = {"a": a.tolist(), "deep": [a.tolist()]}
+    assert canonical.dumps(doc) == canonical.dumps(lists) == walked(doc, monkeypatch)
+    assert canonical.dumps(a) == canonical.dumps(a.tolist())
+    assert csv_text(["h"], a) == csv_text(["h"], a.tolist())
+    if shape == (3, 0):
+        assert canonical.dumps(a) == "[\n  [],\n  [],\n  []\n]\n"
+        assert csv_text(["h"], a) == "h\n\n\n\n"
+
+
+def test_a_key_that_is_no_string_or_a_value_of_no_known_kind_raises():
+    with pytest.raises(TypeError, match="keys must be strings, got int"):
+        canonical.dumps({"a": {1: 2}})
+    for bad in (object(), {"a": [1, object()]}, np.datetime64("2020-01-01")):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            canonical.dumps(bad)
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        csv_text(["a", "b"], [[1, object()]])

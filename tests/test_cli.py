@@ -292,6 +292,17 @@ def test_csv_meta_lines_precede_the_header(args, tmp_path):
     assert bare.splitlines() == lines[5:]
 
 
+def test_csv_meta_line_of_an_out_path_with_a_line_break_stays_one_line(tmp_path):
+    args = ["haar", "--group", "su2", "--points", "2", "--format", "csv", "--seed", "3"]
+    code, text = run_cli(args, tmp_path, "a\nb.csv")
+    assert code == EXIT_OK
+    lines = text.splitlines()
+    out = str(tmp_path / "a\nb.csv").replace("\n", "\\n")
+    assert lines[1] == "# command: levy-groups " + " ".join(args + ["--out", out])
+    assert [line.startswith("#") for line in lines] == [True] * 5 + [False] * 3
+    assert lines[5] == "a1,a2,b1,b2"
+
+
 def test_seed_random_is_accepted(tmp_path):
     code, text = run_cli(
         ["haar", "--group", "su2", "--points", "2", "--seed", "random"], tmp_path

@@ -103,6 +103,13 @@ def test_build_field_validates_arguments():
         build_field(SU2, su2_points(64, 3), jitter=0.0)
 
 
+def test_sample_field_rejects_no_realizations():
+    fs = build_field(SU2, su2_points(64, 3))
+    for realizations in (0, -1):
+        with pytest.raises(ValueError, match="realizations must be >= 1"):
+            sample_field(fs, realizations, RngStream(0, 0))
+
+
 def factored_per_rung(k, jitter):
     """(factor, jitter) of the trailing block of k as the ladder first read:
     K + jit max(K_ii) I formed anew on each rung, x10 up to three times,

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -104,6 +105,31 @@ def test_son_rejects_bad_matrices():
 def test_haar_su2_unit_norm():
     q = haar_su2_batch(RngStream(1, 0), 1000)
     assert np.abs((q ** 2).sum(axis=1) - 1.0).max() < 1e-12
+
+
+class FirstDrawHasAZeroRow:
+    """A generator whose first standard_normal draw has row 1 all zeros."""
+
+    def __init__(self):
+        self.gen, self.shapes = np.random.default_rng(3), []
+
+    def standard_normal(self, shape):
+        v = self.gen.standard_normal(shape)
+        if not self.shapes:
+            v[1] = 0.0
+        self.shapes.append(shape)
+        return v
+
+
+def test_haar_su2_redraws_a_degenerate_row():
+    # a zero row has no direction: it alone is drawn again, then normalised
+    stub = FirstDrawHasAZeroRow()
+    q = haar_su2_batch(SimpleNamespace(generator=stub), 3)
+    assert stub.shapes == [(3, 4), (1, 4)]
+    gen = np.random.default_rng(3)
+    first, again = gen.standard_normal((3, 4)), gen.standard_normal((1, 4))
+    first[1] = again[0]
+    assert np.array_equal(q, first / np.linalg.norm(first, axis=1)[:, None])
 
 
 @pytest.mark.parametrize("block", [1 << 17, 40])
@@ -324,6 +350,12 @@ def test_haar_son_batch_blocks_give_the_one_draw_recipe(block, monkeypatch):
         rng = RngStream(19, n)
         assert np.array_equal(haar_son_batch(n, size, rng), q)
         assert rng.generator.random() == gen.random()
+
+
+def test_haar_son_batch_rejects_n_below_2():
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="n must be >= 2"):
+            haar_son_batch(n, 3, RngStream(0, 0))
 
 
 def test_haar_son_batch_peak_does_not_grow_with_its_blocks():

@@ -382,6 +382,13 @@ def test_alpha_monte_carlo_validates_input():
         alpha_monte_carlo(SO3, -1, 2000, RngStream(0, 0))
 
 
+@pytest.mark.parametrize("group", [SU2, SO3])
+def test_alpha_closed_and_quadrature_reject_negative_l(group):
+    for alpha in (alpha_closed, alpha_quadrature):
+        with pytest.raises(ValueError, match="l must be >= 0"):
+            alpha(group, -1)
+
+
 def test_characters_orthogonal_to_constants():
     # the double Haar average of chi_l(g) chi_l(h), i.e. the coefficient
     # computation with the distance factor replaced by 1, vanishes

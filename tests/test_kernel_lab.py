@@ -482,6 +482,14 @@ def test_audit_rejects_bad_input():
         gram_audit(SU2, pts)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_reflect_rejects_a_non_finite_entry(bad):
+    a = np.ones((5, 5))
+    a[3, 1] = a[1, 3] = bad
+    with pytest.raises(ValueError, match="non-finite distance"):
+        _reflect(a)
+
+
 def test_quadratic_form_bounded_by_top_eigenvalue():
     pts = so3_points(47, 30)
     audit = gram_audit(SO3, pts)

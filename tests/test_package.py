@@ -185,15 +185,22 @@ def backend_reads_outside_charges(source: str) -> list[str]:
         return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and (node.value.id, node.attr) == ("lapack", "available"))
 
-    owner, charged = {}, set()
+    owner = owners(tree)
+    charged = {node for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) and fn.name.endswith("_bytes")
+               for node in ast.walk(fn)}
+    return sorted({owner.get(node, "<module>") for node in ast.walk(tree)
+                   if reads(node) and node not in charged})
+
+
+def owners(tree) -> dict:
+    """Each node of ``tree`` inside a function, to the innermost function's name."""
+    owner = {}
     for fn in ast.walk(tree):  # outer functions first, so the innermost owns a node
         if isinstance(fn, ast.FunctionDef):
             for node in ast.walk(fn):
                 owner[node] = fn.name
-                if fn.name.endswith("_bytes"):
-                    charged.add(node)
-    return sorted({owner.get(node, "<module>") for node in ast.walk(tree)
-                   if reads(node) and node not in charged})
+    return owner
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "lapack"])
@@ -208,6 +215,29 @@ def test_backend_guard_sees_both_forms():
               "def audit_bytes(m):\n    return 2 if lapack.available() else 1\n"
               "def solve(a):\n    if lapack.available():\n        return lapack.factored_extremes(a)\n")
     assert backend_reads_outside_charges(source) == ["<module>", "solve"]
+
+
+def literal_owners(source: str, literals: set) -> list[str]:
+    """Functions of ``source`` (``<module>`` for top-level code), each the
+    innermost around it, that hold one of the string ``literals``."""
+    tree = ast.parse(source)
+    owner = owners(tree)
+    return sorted({owner.get(node, "<module>") for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and node.value in literals})
+
+
+def test_canonical_writes_null_true_and_false_in_one_function():
+    # one rule gives every scalar's text, in JSON and in CSV alike
+    owners = literal_owners((PACKAGE / "canonical.py").read_text(), {"true", "false", "null"})
+    assert len(owners) == 1 and owners != ["<module>"]
+
+
+def test_literal_guard_sees_both_forms():
+    source = ('NULL = "null"\n'
+              'def cell(x):\n    return "true" if x else "false"\n'
+              'def walk(x):\n    def inner():\n        return "null"\n    return "nulls"\n')
+    assert literal_owners(source, {"true", "false", "null"}) == ["<module>", "cell", "inner"]
 
 
 def command_facts_outside_the_table(source: str, commands) -> list[str]:

@@ -31,6 +31,12 @@ def test_rejects_bad_tolerance():
         simpson_adaptive(math.sin, 0.0, 1.0, tol=0.0)
 
 
+def test_rejects_no_panels():
+    for panels in (0, -1):
+        with pytest.raises(ValueError, match="panels must be >= 1"):
+            simpson_adaptive(math.sin, 0.0, 1.0, panels=panels)
+
+
 def test_raises_when_subdivision_cap_hit():
     jump = 1.0 / 3.0
 
