@@ -337,7 +337,7 @@ def _run_simulate(cfg: RunConfig, group, rng: RngStream) -> None:
     fs = field_sim.build_field(group, group.sample(rng, cfg.points), jitter=cfg.jitter)
     rows = field_sim.empirical_variogram(fs, cfg.realizations, rng)
     _emit(cfg, {
-        "schema_version": "2", "kind": "simulate", "group": cfg.group,
+        "schema_version": "3", "kind": "simulate", "group": cfg.group,
         "points": cfg.points, "realizations": cfg.realizations,
         "jitter": cfg.jitter, "jitter_used": fs.jitter_used,
         "seed": cfg.seed, "stream": cfg.stream,
@@ -372,11 +372,12 @@ COMMANDS = {
                      _run_check, tol=kernel_lab.RELATIVE_EIG_TOL),
     "witness": Command("search for a restricted-negative-definiteness counterexample",
                        ("su2", "so3", "son"), ("n", "points", "trials", "margin"),
-                       {"n": 4, "points": 4, "trials": 1},
+                       {"n": 4, "points": 5, "trials": 1},
                        lambda cfg, group: kernel_lab.witness_bytes(group, cfg.points),
                        _run_witness, formats=("json",)),  # certificates are JSON
-    "simulate": Command("sample the pinned Gaussian field and emit its variogram; "
-                        "--group so3 runs the expected-to-fail diagnostic",
+    "simulate": Command("the pinned Gaussian field's variogram, from the Gram matrix of "
+                        "its realizations drawn in law; --group so3 runs the "
+                        "expected-to-fail diagnostic",
                         ("su2", "so3"), ("points", "realizations", "jitter"),
                         {"points": 1, "realizations": 100},
                         lambda cfg, group: (field_sim.variogram_bytes(cfg.points, cfg.realizations)

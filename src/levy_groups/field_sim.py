@@ -3,9 +3,15 @@
 The field is centered, pinned to zero at the base point x0, and has
 E|X_x - X_y|^2 = d(x, y).  Its covariance is the Brownian kernel, which
 is positive definite on SU(2); the same pipeline fed SO(3) points is a
-diagnostic and fails the Cholesky stage for most configurations.  Every
-increment X_x - X_y is Gaussian, so the variogram's standard errors follow
-from its estimates, and one Gram product of the sampled values gives both.
+diagnostic and fails the Cholesky stage for most configurations.
+
+:func:`sample_field` draws realizations.  The variogram reads r
+realizations only through their Gram matrix, whose law is Wishart(r, K), so
+:func:`empirical_variogram` draws that matrix in law from Bartlett's factor
+instead: its rows have the law of the variogram of r realizations, not the
+values of sample_field's draws from the same stream.  Every increment
+X_x - X_y is Gaussian, so the variogram's standard errors follow from its
+estimates.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from .rng import RngStream
 DEFAULT_JITTER = 1e-10
 _JITTER_DECADES = 3  # escalate x10 this many times before failing
 _CANCELLATION_TOL = 1e-10  # largest variogram rounding bound accepted, relative to the value
-_BLOCK = 1024  # realizations per column block of the colouring and of the Gram product
+_BLOCK = 1024  # realizations per column block of sample_field's colouring
 
 # points closer than this to x0 are treated as the base point itself
 _COINCIDENCE_TOL = 1e-12
@@ -100,27 +106,26 @@ def build_field(
 
 def variogram_bytes(m: int, realizations: int) -> int:
     """Bytes build_field and empirical_variogram hold at their peak for m
-    points besides x0, the returned columns included.  While the
-    realizations stream: four (m + 1)^2 matrices (K, the factor, S and the
-    Gram product's buffer), one colouring block of values at its widest and
-    that block's normals.  The one pair pass holds K, the factor, S, the
-    estimate, distance and int32 pair-index columns (one and a half
+    points besides x0, the returned columns included.  No realization is
+    drawn or held: S is drawn in the law of their Gram matrix (see
+    :func:`empirical_variogram`).  The one pair pass holds four (m + 1)^2
+    matrices at most: K, the factor, S and Bartlett's F, which is
+    (m + 1) x min(m, r), so the charge is the same for every r >= m; besides
+    them the estimate, distance and int32 pair-index columns (one and a half
     matrices) and the terms of one block of pairs, which read 5.9 float64 a
     pair at m = 1,500 and are charged 7; the stderr column comes after S is
-    freed.  Besides: lapack.SCRATCH_BYTES.  VmHWM growth above the
-    interpreter, with one BLAS thread, as `simulate` runs (numpy.random's
-    import and the writer's pass included, as in cli.charge): 13.7 MiB at
-    --points 200 --realizations 10000, charged 24.4; 36.6 and 93.1 MiB, 7.47
-    and 5.42 matrices, at 800 and 1,500 points and 100 realizations, charged
-    49.0 and 104.3.  Not charged: the value rows of the points of pairs
-    closer than about 1e-5, which the cancellation guard's replay holds."""
-    width = _colour_width(m)
-    # the widest block is the first or the last, and r ends as one block and r's remainder do
-    widest = _widest(_colour_cuts(m, min(realizations, width + realizations % width)))
+    freed.  Drawing and colouring F hold less: its normals, and one block of
+    rows of the colouring.  Besides: lapack.SCRATCH_BYTES.  VmHWM growth
+    above the interpreter, with one BLAS thread, as `simulate` runs
+    (numpy.random's import and the writer's pass included, as in
+    cli.charge): 12.0 MiB at --points 200 --realizations 10000, charged
+    22.8; 35.8 and 91.4 MiB, 7.31 and 5.32 matrices, at 800 and 1,500 points
+    and 100 realizations, charged 49.6 and 105.5; 112.3 MiB, 6.53 matrices,
+    at 1,500 points and 3,000 realizations, where F is whole, charged
+    121.5."""
     pairs = (m + 1) * m // 2
-    stream = 4 * 8 * (m + 1) ** 2 + 8 * (m + 1) * widest + 8 * m * widest
-    pair_pass = 3 * 8 * (m + 1) ** 2 + 24 * pairs + 7 * 8 * min(BLOCK_FLOATS, pairs)
-    return max(stream, pair_pass) + lapack.SCRATCH_BYTES
+    return (3 * 8 * (m + 1) ** 2 + 8 * (m + 1) * min(m, realizations) + 24 * pairs
+            + 7 * 8 * min(BLOCK_FLOATS, pairs) + lapack.SCRATCH_BYTES)
 
 
 def _colour_width(n: int) -> int:
@@ -156,71 +161,54 @@ def _colour_cuts(n: int, realizations: int) -> list[int]:
     return [*range(0, max(whole + own, 1) * width, width), realizations]
 
 
-def _widest(cuts: list[int]) -> int:
-    """Columns of the widest block between the cuts: the first or the last,
-    as every other is as wide as the first."""
-    return max(cuts[1] - cuts[0], cuts[-1] - cuts[-2])
-
-
-def _coloured_blocks(fs: FieldSample, realizations: int, gen: np.random.Generator,
-                     out: Optional[np.ndarray] = None):
-    """Yield (first column, values block) over the realizations, one colouring
-    block of columns at a time.
-
-    The normals are drawn realization-major (each realization's m - 1 normals
-    consecutive in the stream), a block of realizations at a time, into one
-    buffer sized for the widest block, and coloured by the Cholesky factor
-    into the block's rows below the base point, which stay zero.  A block is
-    a view of ``out`` (an (m, realizations) array, zero in its first row)
-    when given, else of one buffer that the next block overwrites.  The
-    values equal one full L @ Z.T of Z drawn at once as (realizations,
-    m - 1), bit for bit (see :func:`_colour_cuts`), where BLAS runs on one
-    thread or two, as the CLI pins it to one; at more threads OpenBLAS may
-    split the two products' sums differently.
-    """
-    chol = fs.chol[1:, 1:]
-    cuts = _colour_cuts(len(chol), realizations)
-    widest = _widest(cuts)
-    z = np.empty((widest, len(chol)))
-    vals = np.empty(fs.m * widest) if out is None else None
-    for a, b in zip(cuts, cuts[1:]):
-        if out is None:  # the buffer's head: a narrower block is contiguous too
-            block = vals[:fs.m * (b - a)].reshape(fs.m, b - a)
-            block[0] = 0.0
-        else:
-            block = out[:, a:b]
-        np.matmul(chol, gen.standard_normal(out=z[:b - a]).T, out=block[1:])
-        yield a, block
-
-
 def sample_field(fs: FieldSample, realizations: int, rng: RngStream) -> FieldSample:
     """Draw independent realizations; returns a new FieldSample with
     ``values`` of shape (m, realizations), one column per realization.
 
-    The values are coloured straight into the value matrix, one block of
-    columns at a time, from the same draws as :func:`empirical_variogram`
-    streams.  On one or two BLAS threads they equal one full L @ Z.T bit
-    for bit (see :func:`_coloured_blocks`); at more, they may not.
+    The normals are drawn realization-major (each realization's m - 1 normals
+    consecutive in the stream), a block of realizations at a time (see
+    :func:`_colour_cuts`), into one buffer sized for the widest block, and
+    coloured by the Cholesky factor straight into the value matrix's rows
+    below the base point, which stay zero.  The values equal one full
+    L @ Z.T of Z drawn at once as (realizations, m - 1), bit for bit, where
+    BLAS runs on one thread or two, as the CLI pins it to one; at more
+    threads OpenBLAS may split the two products' sums differently.
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
     vals = np.zeros((fs.m, realizations))
-    for _ in _coloured_blocks(fs, realizations, rng.generator, out=vals):
-        pass
+    chol = fs.chol[1:, 1:]
+    cuts = _colour_cuts(len(chol), realizations)
+    z = np.empty((np.diff(cuts).max(), len(chol)))
+    for a, b in zip(cuts, cuts[1:]):
+        np.matmul(chol, rng.generator.standard_normal(out=z[:b - a]).T, out=vals[1:, a:b])
     return replace(fs, values=vals)
 
 
-def _gram_moments(fs: FieldSample, realizations: int, gen: np.random.Generator):
-    """S = V V^T of the values V of the realizations, summed over column
-    blocks of _BLOCK, one GEMM a block into one reused product buffer.  The
-    colouring cuts fall on multiples of _BLOCK, so the column blocks, and the
-    sum, do not depend on the colouring."""
-    s, prod = np.zeros((fs.m, fs.m)), np.empty((fs.m, fs.m))
-    for _, v in _coloured_blocks(fs, realizations, gen):
-        for c in range(0, v.shape[1], _BLOCK):
-            b = v[:, c:c + _BLOCK]
-            s += np.matmul(b, b.T, out=prod)
-    return s
+def _bartlett_factor(fs: FieldSample, realizations: int, gen: np.random.Generator):
+    """F = L A, an (m, p) array with p = min(m - 1, r) and a zero first row,
+    whose Gram matrix F F^T has the law of V V^T of r realizations V of the
+    field: Wishart(r, K).
+
+    A is Bartlett's factor of Z Z^T for an (m - 1) x r matrix Z of normals
+    (Bartlett 1933; Odell & Feiveson, JASA 61 (1966) 199-203), lower
+    trapezoidal, also when r < m - 1: A_ij ~ N(0, 1) for i > j and
+    A_ii = sqrt(chi^2_{r - i}) for i = 0 .. p - 1, counted from 0.  The
+    normals are drawn first, in row-major order over the strict lower
+    trapezoid, then the p chi-squares in order of i.  The colouring
+    overwrites A, a block of rows at a time from the bottom up: rows [lo, hi)
+    of L A read A[:hi] alone.
+    """
+    n = fs.m - 1
+    f = np.zeros((fs.m, min(n, realizations)))
+    a, chol = f[1:], fs.chol[1:, 1:]
+    low = np.tri(*a.shape, -1, dtype=bool)
+    a[low] = gen.standard_normal(np.count_nonzero(low))
+    np.fill_diagonal(a, np.sqrt(gen.chisquare(realizations - np.arange(f.shape[1]))))
+    for rows in reversed(row_blocks(n, f.shape[1])):
+        cols = min(rows.stop, f.shape[1])  # A[:hi] is zero right of column hi
+        a[rows, :cols] = chol[rows, :rows.stop] @ a[:rows.stop, :cols]
+    return f
 
 
 def _pair_blocks(m: int):
@@ -245,36 +233,40 @@ class VariogramRow(NamedTuple):
 
 def empirical_variogram(fs: FieldSample, realizations: int, rng: RngStream) -> Table:
     """Estimates of E|X_i - X_j|^2 with standard errors over ``realizations``
-    fresh draws of the field, one :class:`VariogramRow` per pair i < j in
+    draws of the field, one :class:`VariogramRow` per pair i < j in
     row-major order, held as the five columns ``pair_i``, ``pair_j``
     (int32), ``distance``, ``estimate`` and ``stderr``.  Needs >= 100
     realizations.
 
-    The realizations stream through one colouring block at a time, drawn as
-    :func:`sample_field` draws them, so no (m, realizations) array is held.
-    With S = V V^T of the values V, summed over column blocks of ``_BLOCK``,
-    the sum of (V_i - V_j)^2 over the realizations is S_ii + S_jj - 2 S_ij.
+    The estimates read the realizations V only through their Gram matrix
+    S = V V^T, whose law is Wishart(r, K).  S is drawn in that law, as
+    F F^T of Bartlett's F (see :func:`_bartlett_factor`), from
+    (m - 1) min(m - 1, r) variates, so no realization is drawn and neither
+    time nor memory grows with r beyond m - 1.  Every estimate and stderr
+    has the law of those of r realizations of :func:`sample_field`, but not
+    the values of its draws from the same stream.
+
+    The sum of (V_i - V_j)^2 over the realizations is S_ii + S_jj - 2 S_ij.
     It cancels when V_i is close to V_j; eps times the sum of the absolute
     terms bounds the rounding (Chan, Golub & LeVeque 1983), and a pair whose
-    bound exceeds ``_CANCELLATION_TOL`` of the value is recomputed directly:
-    the draws are replayed once from the generator state before the pass,
-    holding the value rows of the flagged pairs' points, and the end state
-    is restored.
+    bound exceeds ``_CANCELLATION_TOL`` of the value is recomputed directly
+    as |F_i - F_j|^2.
 
     Each increment V_i - V_j is a linear map of normal draws, so it is
     N(0, d_ij) and Var((V_i - V_j)^2) = 2 d_ij^2: ``stderr`` is the plug-in
-    sqrt(2 / r) * ``estimate`` on every row, a replayed one included.
+    sqrt(2 / r) * ``estimate`` on every row, a recomputed one included.
 
     The pair terms are formed in one pass, a block of upper-triangle rows at
     a time, so no per-pair vector but the columns is held whole: it writes
     ``estimate`` from S, flags the pairs, and writes ``distance`` and the
-    pair indices from K.  S is freed before the replay and ``stderr``.
+    pair indices from K.  S is freed before the recomputed pairs and
+    ``stderr``.
     """
     if realizations < 100:
         raise ValueError("need at least 100 realizations")
-    r, gen, m = realizations, rng.generator, fs.m
-    start = gen.bit_generator.state
-    s = _gram_moments(fs, r, gen)
+    r, m = realizations, fs.m
+    f = _bartlett_factor(fs, r, rng.generator)
+    s = f @ f.T
     ds = s.diagonal()
     eps = np.finfo(float).eps
     est, dist = np.empty(m * (m - 1) // 2), np.empty(m * (m - 1) // 2)
@@ -291,16 +283,6 @@ def empirical_variogram(fs: FieldSample, realizations: int, rng: RngStream) -> T
         dist[block] = dk[i] + dk[j] - 2.0 * k[i, j]
         pair_i[block], pair_j[block] = i, j
     del s, ds
-    unsafe = np.concatenate(flagged)
-    if unsafe.size:
-        rows, at = np.unique(np.concatenate((pair_i[unsafe], pair_j[unsafe])), return_inverse=True)
-        held = np.empty((len(rows), r))
-        end, gen.bit_generator.state = gen.bit_generator.state, start
-        try:
-            for a, v in _coloured_blocks(fs, r, gen):
-                held[:, a:a + v.shape[1]] = v[rows]
-        finally:
-            gen.bit_generator.state = end
-        for p, a, b in zip(unsafe, at[:unsafe.size], at[unsafe.size:]):
-            est[p] = ((held[a] - held[b]) ** 2).mean()
+    for p in np.concatenate(flagged):
+        est[p] = ((f[pair_i[p]] - f[pair_j[p]]) ** 2).sum() / r
     return Table(VariogramRow, pair_i, pair_j, dist, est, np.sqrt(2.0 / r) * est)

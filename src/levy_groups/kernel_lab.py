@@ -278,8 +278,8 @@ class WitnessCertificate:
         n, m, group, seed = doc["n"], doc["m"], doc["group"], doc["seed"]
         if not (_json_isinstance(n, int) and _json_isinstance(m, int)):
             raise ValueError("certificate n and m must be integers")
-        if m < 4:  # every metric on 3 or fewer points is of negative type
-            raise ValueError(f"certificate m must be >= 4, got {m}")
+        if m < 5:  # every metric on 4 or fewer points is of negative type
+            raise ValueError(f"certificate m must be >= 5, got {m}")
         if not (group == "so3" and n == 3 or group == "son" and n > 3):
             raise ValueError(f"certificate group {group!r} does not match n = {n} "
                              "(so3 needs n = 3, son needs n > 3)")
@@ -360,8 +360,8 @@ def find_witness(
     restricted negative definite, and its span (10 products of the 4
     coordinates) has rank 9.
     """
-    if m < 4:
-        raise ValueError("m must be >= 4")
+    if m < 5:  # every metric on 4 or fewer points is of negative type
+        raise ValueError("m must be >= 5")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sampled = SU2 if group is SU2 else SO3

@@ -3,8 +3,10 @@ and SO(3), which the tests use as oracles for ``levy_groups.harmonic`` and
 the Haar samplers, the covering map SU(2) -> SO(3), the binary icosahedral
 group, a singular positive semidefinite set of SU(2), the recursive
 adaptive Simpson rule that ``levy_groups.quadrature`` walks a level at a time,
-the matrix H K H that ``kernel_lab.gram_audit`` hands to its solver, and the
-four spectrum ends of that solver's tridiagonal reduction.
+the matrix H K H that ``kernel_lab.gram_audit`` hands to its solver, the
+four spectrum ends of that solver's tridiagonal reduction, the bordered
+sum-zero top of a distance matrix, and Bartlett's factor of the field's
+Gram matrix that ``field_sim.empirical_variogram`` draws.
 Each character, and each density and distribution function of the angle,
 takes the descriptor ``SU2`` or ``SO3``, as ``harmonic`` does.
 """
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from levy_groups import lapack
+from levy_groups import group_core, lapack
 from levy_groups.harmonic import _is_so3
 from levy_groups.kernel_lab import _householder, _reflect
 from levy_groups.quadrature import MAX_DEPTH, QuadratureError
@@ -201,3 +203,44 @@ def reduced_ends(a):
     ``lapack.factored_extremes``' tridiagonal reduction, the path it takes
     where the factor fails; it reads a's upper triangle and overwrites a."""
     return lapack._reduce(a, len(a))
+
+
+def bordered_top(group, x):
+    """The largest eigenvalue of D' on the sum-zero weights of the m + 1
+    points {e} and the rows of x, with D' their distance matrix, and D''s
+    largest |eigenvalue|: numpy's eigvalsh of Q^T D' Q, Q an orthonormal
+    basis of the sum-zero subspace from numpy's QR."""
+    pts = np.concatenate((group.identity[None], x))
+    d = group.pairwise(pts)
+    n = len(d)
+    q = np.linalg.qr(np.eye(n, n - 1) - np.eye(n, n - 1, -1))[0]  # from the e_i - e_{i+1}
+    return np.linalg.eigvalsh(q.T @ d @ q)[-1], np.abs(np.linalg.eigvalsh(d)).max()
+
+
+def bartlett_draw(n, r, gen):
+    """Bartlett's factor A of the Gram matrix of r draws of n normals, from
+    gen: an (n, p) lower-trapezoidal array, p = min(n, r), its strict lower
+    trapezoid's normals drawn first, in row-major order, then
+    sqrt(chi^2_{r - i}) on its diagonal, i = 0 .. p - 1."""
+    p = min(n, r)
+    a = np.zeros((n, p))
+    i, j = np.tril_indices(n, -1, p)
+    a[i, j] = gen.standard_normal(len(i))
+    a[np.arange(p), np.arange(p)] = np.sqrt(gen.chisquare(r - np.arange(p)))
+    return a
+
+
+def bartlett_factor(fs, r, gen):
+    """F = L A of the field fs for r realizations, A = bartlett_draw(m - 1,
+    r, gen): an (m, p) array, p = min(m - 1, r), with a zero first row.
+    L A is formed a block of group_core.row_blocks(m - 1, p) rows at a time,
+    rows [lo, hi) as L[lo:hi, :hi] @ A[:hi, :min(hi, p)], which OpenBLAS sums
+    bit for bit as the variogram does; one full L @ A agrees to rounding."""
+    n = fs.m - 1
+    a = bartlett_draw(n, r, gen)
+    chol = fs.chol[1:, 1:]
+    f = np.zeros((fs.m, a.shape[1]))
+    for rows in group_core.row_blocks(n, a.shape[1]):
+        cols = min(rows.stop, a.shape[1])
+        f[1:][rows, :cols] = chol[rows, :rows.stop] @ a[:rows.stop, :cols]
+    return f

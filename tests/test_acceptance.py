@@ -176,7 +176,8 @@ def test_criterion_7_field_law():
     rng = RngStream(7, 0)
     fs = build_field(SU2, SU2.sample(rng, 50))
     pinned = float(np.abs(sample_field(fs, 10_000, RngStream(7, 1)).values[0]).max()) == 0.0
-    rows = empirical_variogram(fs, 10_000, RngStream(7, 1))  # the same realizations
+    # drawn in the law of these realizations' Gram matrix, not from their values
+    rows = empirical_variogram(fs, 10_000, RngStream(7, 1))
     covered = sum(
         1 for r in rows if abs(r.estimate - r.distance) <= 3.0 * r.stderr
     )

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -435,6 +436,8 @@ def test_float_cells_have_17_significant_digits(tmp_path):
         (["witness", "--group", "so3", "--stream", "-1"], "--stream"),
         (["coeffs", "--group", "su2", "--stream", str(1 << 64)], "--stream"),
         (["densities", "--group", "su2"], "invalid choice: 'densities'"),  # retired
+        # every metric on 4 points has negative type: the search would run and exit 1
+        (["witness", "--group", "so3", "--points", "4", "--trials", "20"], "--points"),
     ],
 )
 def test_invalid_flag_combinations(args, needle, capsys):
@@ -623,12 +626,33 @@ def test_simulate_memory_does_not_grow_with_realizations():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_simulate_at_1500_points_holds_at_most_six_matrices():
-    # K, the factor, S and the product buffer, then one pass of pair terms a
-    # block of rows at a time: 5.42 (m + 1)^2 matrices grown, bounded here
-    # with 0.58 of a matrix to spare
+    # K, the factor, S and Bartlett's F of 100 columns, and one pass of pair
+    # terms a block of rows at a time: 5.32 (m + 1)^2 matrices grown, bounded
+    # here with 0.68 of a matrix to spare
     grown, charged = grown_and_charged(["simulate", "--points", "1500", "--realizations", "100"])
     assert grown <= charged
     assert grown <= 6 * 8 * 1501 ** 2
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_simulate_with_a_whole_bartlett_factor_grows_no_more_than_its_charge():
+    # r >= m: F is a whole (m + 1)^2 matrix, held through the pair pass
+    grown, charged = grown_and_charged(["simulate", "--points", "1500", "--realizations", "3000"])
+    assert grown <= charged
+
+
+def test_simulate_time_does_not_grow_with_realizations(tmp_path):
+    # ten million realizations: their Gram matrix is drawn from 20 x 20
+    # variates, and the rows pass the benchmark's 3-sigma coverage
+    argv = ["simulate", "--points", "20", "--realizations", "10000000", "--seed", "3"]
+    start = time.perf_counter()
+    code, text = run_cli(argv, tmp_path)
+    assert time.perf_counter() - start < 0.5
+    assert code == EXIT_OK
+    rows = validate("simulate", text)["rows"]
+    z = [(row["estimate"] - row["distance"]) / row["stderr"] for row in rows]
+    assert len(z) == 21 * 20 // 2
+    assert np.mean(np.abs(z) <= 3.0) >= 0.95
 
 
 def test_unknown_group_rejected_by_argparse(capsys):

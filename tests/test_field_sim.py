@@ -15,11 +15,13 @@ from levy_groups import (
     build_field,
     empirical_variogram,
     field_sim,
+    group_core,
     lapack,
     sample_field,
 )
 from levy_groups.cli import RunConfig, _emit
 from levy_groups.field_sim import VariogramRow
+from oracles import bartlett_draw, bartlett_factor
 
 
 def su2_points(seed, m, stream=0):
@@ -213,7 +215,7 @@ def test_each_colouring_block_is_the_full_product_and_no_wider_than_the_rule(n, 
     width = field_sim._colour_width(n)
     r = 2 * width + rest
     own = rest % 8 == 0 and rest >= 256 and n * n * rest >= 1024 ** 2
-    widths = [v.shape[1] for _, v in field_sim._coloured_blocks(fs, r, RngStream(85, 1).generator)]
+    widths = np.diff(field_sim._colour_cuts(n, r)).tolist()
     assert widths == ([width, width, rest] if own else [width, width + rest])
     z = RngStream(85, 1).generator.standard_normal((r, n)).T
     before = lapack.set_threads(1)
@@ -310,88 +312,145 @@ def test_variogram_matches_distances():
     assert covered / len(rows) >= 0.95
 
 
+@pytest.mark.parametrize("r", [3, 6, 15])
+def test_bartlett_gram_has_wisharts_mean_and_variance(r):
+    # S = F F^T of 6 points and x0, for r below, at and above m - 1 = 6, over
+    # 4,000 seeds: each entry of K's trailing block has Wishart(r, K)'s mean
+    # r K_ij and variance r (K_ii K_jj + K_ij^2), within 5 standard errors;
+    # x0's row is zero
+    fs = build_field(SU2, su2_points(87, 6))
+    seeds = 4000
+    s = np.empty((seeds, fs.m, fs.m))
+    for seed in range(seeds):
+        f = field_sim._bartlett_factor(fs, r, RngStream(seed, 1).generator)
+        s[seed] = f @ f.T
+    assert not s[:, 0].any()
+    k, dk = fs.K, fs.K.diagonal()
+    i, j = np.triu_indices(fs.m)
+    i, j = i[i > 0], j[i > 0]
+    mean, var = r * k[i, j], r * (dk[i] * dk[j] + k[i, j] ** 2)
+    x = s[:, i, j]
+    xm, xv = x.mean(axis=0), x.var(axis=0, ddof=1)
+    assert (np.abs(xm - mean) <= 5.0 * np.sqrt(var / seeds)).all()
+    m4 = ((x - xm) ** 4).mean(axis=0)
+    assert (np.abs(xv - var) <= 5.0 * np.sqrt((m4 - xv ** 2) / seeds)).all()
+
+
+def two_sample_z(a, b):
+    """z of the difference of the means of the samples a and b."""
+    return (a.mean() - b.mean()) / math.sqrt(a.var(ddof=1) / len(a) + b.var(ddof=1) / len(b))
+
+
+def variance_z(a, b):
+    """z of the difference of the variances of the samples a and b, each
+    variance's standard error from its sample's fourth central moment."""
+    def var_and_se2(x):
+        v = x.var(ddof=1)
+        return v, (((x - x.mean()) ** 4).mean() - v ** 2) / len(x)
+    (va, sa), (vb, sb) = var_and_se2(a), var_and_se2(b)
+    return (va - vb) / math.sqrt(sa + sb)
+
+
+# 100 realizations above m - 1 = 5, and below m - 1 = 104
+@pytest.mark.parametrize("points, seeds", [(5, 1000), (104, 400)])
+def test_variogram_has_the_law_of_sample_fields_variogram(points, seeds):
+    # per seed, the mean over pairs of estimate / d and of (estimate / d - 1)^2:
+    # the drawn Gram matrix's against those of sample_field's values on another
+    # stream, their means and variances over the seeds within 5 standard errors
+    fs = build_field(SU2, su2_points(88, points))
+    r = 100
+    i, j = np.triu_indices(fs.m, 1)
+    d = fs.K[i, i] + fs.K[j, j] - 2.0 * fs.K[i, j]
+    drawn, sampled = np.empty((2, seeds)), np.empty((2, seeds))
+    for seed in range(seeds):
+        ratio = empirical_variogram(fs, r, RngStream(seed, 1)).estimate / d
+        drawn[:, seed] = ratio.mean(), ((ratio - 1.0) ** 2).mean()
+        v = sample_field(fs, r, RngStream(seed, 2)).values
+        ratio = ((v[i] - v[j]) ** 2).mean(axis=1) / d
+        sampled[:, seed] = ratio.mean(), ((ratio - 1.0) ** 2).mean()
+    for a, b in zip(drawn, sampled):
+        assert abs(two_sample_z(a, b)) <= 5.0
+        assert abs(variance_z(a, b)) <= 5.0
+    # the law's own: E estimate / d = 1 and E (estimate / d - 1)^2 = 2 / r
+    for stat, law in zip(drawn, (1.0, 2.0 / r)):
+        assert abs(stat.mean() - law) <= 5.0 * stat.std(ddof=1) / math.sqrt(seeds)
+
+
 @pytest.mark.parametrize("m", [12, 200])
 def test_variogram_matches_the_direct_formula_on_every_pair(m):
-    # the Gram-product estimates against the per-pair differences, with points
-    # planted 1e-3, 1e-6 and 1e-9 from others, where the product cancels; the
-    # stderr is the Gaussian law's plug-in on every pair
+    # the Gram-product estimates against the per-pair differences of
+    # Bartlett's F, with points planted 1e-3, 1e-6 and 1e-9 from others, where
+    # the product cancels; the stderr is the Gaussian law's plug-in on every pair
     pts = su2_points(77, m)
     h = np.array([1e-3, 1e-6, 1e-9])
     pts = np.vstack([pts, qmul(pts[:3], np.stack([np.cos(h), np.sin(h), 0 * h, 0 * h], axis=-1))])
     fs = build_field(SU2, pts)
-    rows = empirical_variogram(fs, 10_000, RngStream(77, 1))
+    r = 10_000
+    rows = empirical_variogram(fs, r, RngStream(77, 1))
     assert len(rows) == (m + 4) * (m + 3) // 2
-    fs = sample_field(fs, 10_000, RngStream(77, 1))  # the same realizations
-    r = fs.values.shape[1]
+    f = bartlett_factor(fs, r, RngStream(77, 1).generator)  # the same draws
     for row in rows:
-        est = ((fs.values[row.pair_i] - fs.values[row.pair_j]) ** 2).mean()
+        est = ((f[row.pair_i] - f[row.pair_j]) ** 2).sum() / r
         assert abs(row.estimate - est) <= 1e-12 * est
     assert np.array_equal(rows.stderr, np.sqrt(2 / r) * rows.estimate)
 
 
-def moment_rows(v, tol):
-    """(estimate, stderr, flagged) of every pair from the whole value matrix
-    v: the Gram product V V^T over 1,024-column blocks, each pair whose
-    rounding bound exceeds tol of its value recomputed from its differences,
-    and the plug-in stderr sqrt(2 / r) * estimate; flagged holds those pairs'
-    indices."""
-    r = v.shape[1]
-    i, j = np.triu_indices(len(v), 1)
-    s = np.zeros((len(v), len(v)))
-    for c in range(0, r, 1024):
-        b = v[:, c:c + 1024]
-        s += b @ b.T
+def moment_rows(f, r, tol):
+    """(estimate, stderr, flagged) of every pair of r realizations from
+    Bartlett's F: the Gram product S = F F^T, each pair whose rounding bound
+    exceeds tol of its value recomputed as |F_i - F_j|^2 / r, and the plug-in
+    stderr sqrt(2 / r) * estimate; flagged holds those pairs' indices."""
+    i, j = np.triu_indices(len(f), 1)
+    s = f @ f.T
     sq = s[i, i] + s[j, j] - 2.0 * s[i, j]
     unsafe = np.finfo(float).eps * (s[i, i] + s[j, j] + 2.0 * np.abs(s[i, j])) > tol * sq
     est = sq / r
     for p in np.flatnonzero(unsafe):
-        est[p] = ((v[i[p]] - v[j[p]]) ** 2).mean()
+        est[p] = ((f[i[p]] - f[j[p]]) ** 2).sum() / r
     return est, np.sqrt(2 / r) * est, np.flatnonzero(unsafe)
 
 
-@pytest.fixture
-def passes(monkeypatch):
-    """One entry per pass of the realizations through their colouring blocks."""
-    calls, blocks = [], field_sim._coloured_blocks
-    monkeypatch.setattr(field_sim, "_coloured_blocks",
-                        lambda *a, **k: calls.append(1) or blocks(*a, **k))
-    return calls
+def bartlett_end_state(seed, stream, m, r):
+    """The generator state of (seed, stream) after the Bartlett draws of m
+    points and r realizations: the normals of the strict lower trapezoid,
+    then min(m - 1, r) chi-squares."""
+    gen = RngStream(seed, stream).generator
+    n, p = m - 1, min(m - 1, r)
+    gen.standard_normal(p * (p - 1) // 2 + (n - p) * p)
+    gen.chisquare(r - np.arange(p))
+    return gen.bit_generator.state
 
 
 # no pair flagged, the pairs planted 1e-6 and 1e-9 apart (not the one 1e-3
-# apart, whose rounding bound is well inside the tolerance), every pair; r spans
-# one colouring block, whole blocks and a wide last block
+# apart, whose rounding bound is well inside the tolerance), every pair; the
+# realizations drawn at 300, 4,096 and 5,003 columns, as Bartlett's F of 14 columns
 @pytest.mark.parametrize("planted, tol, flagged", [(False, field_sim._CANCELLATION_TOL, 0),
                                                    (True, field_sim._CANCELLATION_TOL, 2),
                                                    (True, 0.0, 15 * 14 // 2)],
                          ids=["none", "planted", "every"])
 @pytest.mark.parametrize("r", [300, 4096, 5003])
 def test_streamed_variogram_is_the_moment_formula_on_the_values(planted, tol, flagged, r,
-                                                                passes, monkeypatch):
+                                                                monkeypatch):
     pts = su2_points(81, 14 if planted else 11)
     if planted:
         h = np.array([1e-3, 1e-6, 1e-9])
         pts[11:] = qmul(pts[:3], np.stack([np.cos(h), np.sin(h), 0 * h, 0 * h], axis=-1))
     fs = build_field(SU2, pts)
-    est, se, unsafe = moment_rows(sample_field(fs, r, RngStream(81, 1)).values, tol)
+    est, se, unsafe = moment_rows(bartlett_factor(fs, r, RngStream(81, 1).generator), r, tol)
     assert len(unsafe) == flagged
-    passes.clear()  # sample_field's pass
     monkeypatch.setattr(field_sim, "_CANCELLATION_TOL", tol)
     rng = RngStream(81, 1)
     rows = empirical_variogram(fs, r, rng)
-    assert len(passes) == (2 if flagged else 1)  # a replay is one more pass
     assert np.array_equal([row.estimate for row in rows], est)
     assert np.array_equal([row.stderr for row in rows], se)
-    straight = RngStream(81, 1).generator
-    straight.standard_normal((r, fs.m - 1))
-    assert same_state(rng.generator.bit_generator.state, straight.bit_generator.state)
+    assert same_state(rng.generator.bit_generator.state, bartlett_end_state(81, 1, fs.m, r))
 
 
-def test_streamed_variogram_spans_blocks_of_pairs(passes):
+def test_streamed_variogram_spans_blocks_of_pairs():
     # 515 points and x0: the pair terms take three blocks of upper-triangle
     # rows, and near-copies planted in the last three rows pair with a point
-    # in each, so the flagged pairs' offsets and their replay cross the
-    # blocks' edges; 1,304 realizations colour as 1,024 and 280 columns
+    # in each, so the flagged pairs' offsets cross the blocks' edges; Bartlett's
+    # F of 515 columns is coloured in three blocks of rows too
     pts = su2_points(86, 515)
     h = np.array([1e-6, 1e-7, 1e-9])
     pts[512:] = qmul(pts[[0, 300, 511]], np.stack([np.cos(h), np.sin(h), 0 * h, 0 * h], axis=-1))
@@ -401,63 +460,60 @@ def test_streamed_variogram_spans_blocks_of_pairs(passes):
     assert len(blocks) == 3
     assert [next(b for b, (lo, hi) in enumerate(blocks) if lo <= a <= hi) for a, _ in planted] \
         == [0, 1, 2]
+    assert len(group_core.row_blocks(fs.m - 1, fs.m - 1)) == 3
     r = 1304
-    est, se, unsafe = moment_rows(sample_field(fs, r, RngStream(86, 1)).values,
-                                  field_sim._CANCELLATION_TOL)
+    f = bartlett_factor(fs, r, RngStream(86, 1).generator)
+    est, se, unsafe = moment_rows(f, r, field_sim._CANCELLATION_TOL)
     i, j = np.triu_indices(fs.m, 1)
     assert list(zip(i[unsafe], j[unsafe])) == planted
-    passes.clear()  # sample_field's pass
     rng = RngStream(86, 1)
     rows = empirical_variogram(fs, r, rng)
-    assert len(passes) == 2
     assert np.array_equal(rows.estimate, est) and np.array_equal(rows.stderr, se)
     assert np.array_equal(rows.pair_i, i) and np.array_equal(rows.pair_j, j)
     k = fs.K
     assert np.array_equal(rows.distance, k[i, i] + k[j, j] - 2.0 * k[i, j])
-    straight = RngStream(86, 1).generator
-    straight.standard_normal((r, fs.m - 1))
-    assert same_state(rng.generator.bit_generator.state, straight.bit_generator.state)
+    assert same_state(rng.generator.bit_generator.state, bartlett_end_state(86, 1, fs.m, r))
+    # its blocks of rows of L A are one full product's, to rounding
+    full = fs.chol[1:, 1:] @ bartlett_draw(fs.m - 1, r, RngStream(86, 1).generator)
+    assert np.abs(f[1:] - full).max() <= 1e-13 * np.abs(full).max()
 
 
-def test_haar_points_are_not_replayed(passes):
+def test_haar_points_flag_no_pair():
     # the simulate benchmark's size: 200 Haar points and 10,000 realizations
-    empirical_variogram(build_field(SU2, su2_points(82, 200)), 10_000, RngStream(82, 1))
-    assert len(passes) == 1
+    fs, r = build_field(SU2, su2_points(82, 200)), 10_000
+    rows = empirical_variogram(fs, r, RngStream(82, 1))
+    est, _, unsafe = moment_rows(bartlett_factor(fs, r, RngStream(82, 1).generator), r,
+                                 field_sim._CANCELLATION_TOL)
+    assert len(unsafe) == 0
+    assert np.array_equal(rows.estimate, est)
 
 
 def test_variogram_memory_does_not_grow_with_realizations():
     fs = build_field(SU2, su2_points(83, 50))
     peaks = []
-    for r in (2_047, 100_000):  # the widest last block, and many blocks
+    for r in (2_047, 100_000):
         tracemalloc.start()
         try:
             empirical_variogram(fs, r, RngStream(83, 1))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    # 100,000 realizations of values alone would be 40.8 MB; a pass holds
-    # S and the product's buffer, one colouring block of values and its
-    # normals, each of 1,024 columns: 240 bytes above those, bounded here
-    # with half a matrix to spare
+    # 100,000 realizations of values alone would be 40.8 MB; the pass holds S
+    # and Bartlett's F of 50 columns whatever r, the columns and a block of
+    # pair terms
     assert peaks[1] <= 1.1 * peaks[0]
     assert peaks[1] <= 8 * (2.5 * fs.m ** 2 + 2 * fs.m * field_sim._BLOCK)
 
 
-# 10,000 = 9 x 1,024 + a block of 784; 199,680 and 100 times as many realizations
-# leave 8,192 columns over 11,264-column blocks, 819,200 multiply-adds, which join
-# the last block
-@pytest.mark.parametrize("points, realizations, colour", [(200, 10_000, 1024),
-                                                           (10, 199_680, 19_456),
-                                                           (1, 5_000, 5_000)])
-def test_simulate_is_charged_its_widest_blocks_not_its_realizations(points, realizations, colour):
-    # the realizations stream through one colouring block of values at a
-    # time, ``colour`` columns wide at the widest, a column holding m + 1
-    # floats, and that block's normals, m a column
-    charge = field_sim.variogram_bytes(points, realizations)
-    floats = 2 * points + 1
-    assert charge - field_sim.variogram_bytes(points, colour - 1) == 8 * floats
-    if colour < realizations:  # wider than the widest block
-        assert field_sim.variogram_bytes(points, 100 * realizations) == charge
+@pytest.mark.parametrize("points", [1, 10, 200, 1500])
+def test_simulate_is_charged_its_factors_columns_not_its_realizations(points):
+    # Bartlett's F holds min(points, r) columns of points + 1 floats, and
+    # nothing else the variogram holds grows with r
+    charge = field_sim.variogram_bytes(points, points)
+    for r in (points + 1, 10 * points, 10_000, 10_000_000):
+        assert field_sim.variogram_bytes(points, r) == charge
+    for r in (1, points // 2, points - 1):
+        assert charge - field_sim.variogram_bytes(points, r) == 8 * (points + 1) * (points - r)
 
 
 def test_variogram_degenerate_and_antipodal_pairs():

@@ -23,7 +23,7 @@ from levy_groups import (
 import levy_groups
 from levy_groups import group_core, kernel_lab, lapack
 from levy_groups.kernel_lab import WitnessCertificate, _reflect, sum_zero_basis
-from oracles import audit_matrix, binary_icosahedral, reduced_ends
+from oracles import audit_matrix, binary_icosahedral, bordered_top, reduced_ends
 
 WITNESS_SCHEMA = json.loads(
     (resources.files("levy_groups") / "schemas" / "witness.schema.json").read_text())
@@ -763,8 +763,38 @@ def test_certificate_of_a_non_positive_form_fails_verification():
 def test_certificate_of_fewer_than_four_points_is_refused_naming_m():
     cert = _planted(2, 3)
     assert not cert.verify()
-    with pytest.raises(ValueError, match=re.escape("m must be >= 4, got 2")):
+    with pytest.raises(ValueError, match=re.escape("m must be >= 5, got 2")):
         WitnessCertificate.from_json(cert.to_json())
+
+
+# Haar SO(n) sets refute K's positivity only above about 2 d points, with
+# d = n(n + 1)/2 - 1 the dimension of Sym^2_0(R^n): measured at 300 seeds,
+# 1 set in 300 refuted at m = d on SO(3) and none on SO(4) (at m = 10), and
+# every set at 4 d.  Bounds from those rates and a binomial margin: at most
+# 5 of 100 seeds refute at m = d, at least 95 at m = 4 d
+@pytest.mark.parametrize("group, d", [(SO3, 5), (group_named("son", 4), 9)], ids=["so3", "so4"])
+def test_haar_son_refutes_at_four_times_d_points_and_not_at_d(group, d):
+    def refuted(m):
+        hits = 0
+        for seed in range(100):
+            top, scale = bordered_top(group, group.sample(RngStream(seed, 7), m))
+            hits += bool(top > 1e-8 * scale)
+        return hits
+    assert refuted(d) <= 5
+    assert refuted(4 * d) >= 95
+
+
+def test_four_points_witness_nothing_and_are_refused_naming_m():
+    # every metric on 4 points has negative type (Deza & Laurent 1997): on
+    # sets of 3 Haar SO(3) points and e the sum-zero top of their D' stays at
+    # or below zero, so neither the search nor a certificate takes 4 points
+    for seed in range(20):
+        top, scale = bordered_top(SO3, so3_points(seed, 3))
+        assert top <= 1e-12 * scale, seed
+    with pytest.raises(ValueError, match=re.escape("m must be >= 5")):
+        find_witness(SO3, m=4, trials=20, rng=RngStream(0, 0))
+    with pytest.raises(ValueError, match=re.escape("m must be >= 5, got 4")):
+        WitnessCertificate.from_json(_planted(4, 3).to_json())
 
 
 def _set(key, value):
