@@ -16,7 +16,9 @@ Points move as arrays: one descriptor per group (``SU2``, ``SO3``,
 ``group_named("son", n)``) samples stacked (m, 4) quadruples or (m, n, n)
 rotations and states its distance once, as a kernel ``_angles`` or as the
 data of the shared one.  The shared ``pairwise`` and ``distances`` run it on
-blocks and read exactly 0.0 between bitwise-equal points.
+blocks and read exactly 0.0 between bitwise-equal points; ``pairwise`` and
+the audit's packed build share one walk over the upper row blocks,
+``upper_blocks``.
 """
 
 from __future__ import annotations
@@ -164,21 +166,34 @@ class _Group:
     _pair_floats = 1
 
     def pairwise(self, x: np.ndarray) -> np.ndarray:
-        """(m, m) distances between the points of x: blocks of rows against
-        the columns from their first row on, each mirrored into the lower
-        triangle, so d is bitwise symmetric, with a zero diagonal."""
+        """(m, m) distances between the points of x: upper_blocks into d,
+        each mirrored into the lower triangle, so d is bitwise symmetric,
+        with a zero diagonal."""
         m = len(x)
         d = np.empty((m, m))
-        for s in row_blocks(m, m * self._pair_floats):
-            i, j = s.start, s.stop
-            block = d[i:j, i:]
-            self._angles(x[i:j], x[i:], block)
-            _zero_equal_points(block, x[i:j], x[i:])
+        for i, block in self.upper_blocks(x, d):
+            j = i + len(block)
             d[j:, i:j] = d[i:j, j:].T
             top = d[i:j, i:j]  # square; its lower triangle comes from its upper
             np.copyto(top, top.T, where=np.tri(len(top), k=-1, dtype=bool))
-        np.fill_diagonal(d, 0.0)
         return d
+
+    def upper_blocks(self, x: np.ndarray, d=None):
+        """(i, block) for blocks of rows i..j of the distances between the
+        points of x: block holds those of x[i:j] to x[i:], the diagonal and
+        lower triangle of its leading square 0.0, so each pair appears once.
+        Blocks are written into d[i:j, i:] of an (m, m) d where one is given,
+        else into one scratch buffer, which the next block reuses."""
+        m = len(x)
+        blocks = row_blocks(m, m * self._pair_floats)
+        scratch = np.empty(blocks[0].stop * m) if d is None else None  # the first is the largest
+        for s in blocks:
+            i, j = s.start, s.stop
+            block = d[i:j, i:] if d is not None else scratch[:(j - i) * (m - i)].reshape(j - i, -1)
+            self._angles(x[i:j], x[i:], block)
+            _zero_equal_points(block, x[i:j], x[i:])
+            np.copyto(block[:, :j - i], 0.0, where=np.tri(j - i, dtype=bool))
+            yield i, block
 
     def distances(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Distance from each point of x to the point y."""

@@ -16,7 +16,11 @@ and column, with no K formed.  One factorization decides both: where
 H K H is positive definite, one Cholesky factor of the block, bordered with
 the first column, gives both spectra's bottoms by Lanczos; elsewhere a
 tridiagonalization that fixes e1 turns H K H into T, whose ends are K's
-and whose block T[1:, 1:] is similar to H K H's.  A witness certificate
+and whose block T[1:, 1:] is similar to H K H's.  The factor reads one
+triangle, so the block is built straight from the distances into
+rectangular full packed storage (lapack's RFP array), half the matrix, with
+the first column beside it; where the factor fails, the whole H K H is
+built again in one (m, m) buffer for the reduction.  A witness certificate
 is a point set and sum-zero weight vector whose quadratic form is
 strictly positive, certifying that the distance is not restricted
 negative definite.
@@ -101,18 +105,22 @@ def _reflect(a: np.ndarray) -> np.ndarray:
     column 0, so a bitwise-symmetric a stays bitwise symmetric; nothing
     m x m is made.
     Raises ValueError where a row sum, and so an entry, is not finite."""
-    m = len(a)
-    u, tau = _householder(m)
-    sums = a @ np.ones(m)
-    if not np.isfinite(sums).all():
-        raise ValueError("non-finite distance encountered")
-    root = np.sqrt(m)
-    p = tau * (sums / root + a[:, 0])
-    w = -0.5 * (p - (0.5 * tau * (u @ p)) * u)
-    _outer_sum(a, -0.5, w / -root)
+    w = _shift(a @ np.ones(len(a)), a[:, 0])
+    _outer_sum(a, -0.5, w / -np.sqrt(len(a)))
     a[0] -= w
     a[:, 0] -= w
     return a
+
+
+def _shift(sums: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """-w/2 of _reflect, from the row sums and the first column of a; raises
+    ValueError where a sum is not finite."""
+    if not np.isfinite(sums).all():
+        raise ValueError("non-finite distance encountered")
+    m = len(sums)
+    u, tau = _householder(m)
+    p = tau * (sums / np.sqrt(m) + first)
+    return -0.5 * (p - (0.5 * tau * (u @ p)) * u)
 
 
 @dataclass(frozen=True)
@@ -147,22 +155,23 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
     """Eigenvalues of the kernel matrix of the rows of x and of their distance
     matrix on sum-zero weights, the decisive ones kept.
 
-    x0 defaults to the group identity.  One (m, m) buffer holds H K H
-    (_centered_kernel), whose one factorization gives both spectra's ends:
-    K's are those of H K H, and since v^T K v = -v^T D v / 2 for sum-zero v,
-    D's on sum-zero weights are -2 times those of its [1:, 1:] block.
-    lapack.factored_extremes (the buffer's row sums have checked it) reads
-    the bottoms from the Cholesky factor of H K H where it is positive
-    definite, with no tops and so no scales, and where the factor fails, as
-    on SO(n), all four ends from one tridiagonal reduction, which reads the
-    triangle the factor leaves as it was.  Raises ValueError on
-    non-finite distances.
+    x0 defaults to the group identity.  One factorization of H K H gives
+    both spectra's ends: K's are those of H K H, and since v^T K v =
+    -v^T D v / 2 for sum-zero v, D's on sum-zero weights are -2 times those
+    of its [1:, 1:] block.  lapack.factored_extremes reads the bottoms from
+    the Cholesky factor of H K H where it is positive definite, with no tops
+    and so no scales; there it holds H K H's block in packed storage
+    (_packed_kernel) and its first column beside it.  Where the factor
+    fails, as on SO(n), it drops that storage, and all four ends come from
+    one tridiagonal reduction of the whole H K H, built again in one (m, m)
+    buffer (_centered_kernel); so does the path without the library.
+    Raises ValueError on non-finite distances.
     """
     if len(x) < 2:
         raise ValueError("need at least 2 points")
     x0 = group.identity if x0 is None else x0
     (k_min, k_max, c_min, c_max), method = lapack.factored_extremes(
-        _centered_kernel(group, x, x0))
+        len(x), lambda r: _packed_kernel(group, x, x0, r), lambda: _centered_kernel(group, x, x0))
     return GramAudit(
         max_centered_eig=-2.0 * c_min,
         min_K_eig=k_min,
@@ -170,6 +179,19 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
         K_eig_scale=None if k_max is None else max(abs(k_min), abs(k_max)),
         method=method,
     )
+
+
+def _border(group, x: np.ndarray, x0) -> np.ndarray:
+    """(sqrt(m) / 2) H d0 for the distances d0 of the rows of x to x0, which
+    H K H subtracts from its row 0 and its column 0; raises ValueError on a
+    non-finite distance."""
+    m = len(x)
+    u, tau = _householder(m)
+    d0 = group.distances(x, x0)
+    border = 0.5 * np.sqrt(m) * (d0 - (tau * (u @ d0)) * u)
+    if not np.isfinite(border).all():
+        raise ValueError("non-finite distance encountered")
+    return border
 
 
 def _centered_kernel(group, x: np.ndarray, x0) -> np.ndarray:
@@ -181,29 +203,59 @@ def _centered_kernel(group, x: np.ndarray, x0) -> np.ndarray:
     (sqrt(m) / 2) h is subtracted from row 0 and from column 0, so the
     result is bitwise symmetric.  Raises ValueError on non-finite distances.
     """
-    m = len(x)
-    u, tau = _householder(m)
-    d0 = group.distances(x, x0)
-    border = 0.5 * np.sqrt(m) * (d0 - (tau * (u @ d0)) * u)
-    if not np.isfinite(border).all():
-        raise ValueError("non-finite distance encountered")
+    border = _border(group, x, x0)
     a = _reflect(pairwise_distance_matrix(group, x))
     a[0] -= border
     a[:, 0] -= border
     return a
 
 
+def _packed_kernel(group, x: np.ndarray, x0, r: np.ndarray) -> np.ndarray:
+    """Write the block (H K H)[1:, 1:] of _centered_kernel into the RFP
+    array r and return H K H's first column, by _centered_kernel's formulas
+    with no (m, m) array.  One walk over D's upper row blocks
+    (group.upper_blocks) places each point's row, from point 1 on, as the
+    row of r's block (lapack.packed_row), keeps point 0's row for the first
+    column, and adds each pair once to both row sums; then one pass of
+    -d/2 + (g_i + g_j) over r's runs (lapack.packed_runs).  The entries are
+    _centered_kernel's to rounding: the row sums are added in another order.
+    Raises ValueError on non-finite distances."""
+    m = len(x)
+    border = _border(group, x, x0)
+    sums = np.zeros(m)
+    for i, block in group.upper_blocks(x):
+        if i == 0:
+            first = block[0].copy()
+        for k in range(max(i, 1), i + len(block)):  # point k's row, from point 1 on
+            lapack.packed_row(r, k - 1)[...] = block[k - i, k - i:]
+        sums[i:i + len(block)] += block.sum(axis=1)
+        sums[i:] += block.sum(axis=0)
+    w = _shift(sums, first)
+    g = w / -np.sqrt(m)
+    for i, j, run in lapack.packed_runs(r):
+        run *= -0.5
+        run += g[1 + i] + g[1 + j:1 + j + len(run)]
+    column = first * -0.5 + (g + g[0])  # then the e1 terms and the border, as in _centered_kernel
+    column[0] -= w[0]
+    column -= w
+    column -= border
+    column[0] -= border[0]
+    return column
+
+
 def audit_bytes(group, m: int) -> int:
     """Bytes gram_audit holds at its peak on m points, their sample aside:
-    the (m, m) buffer, and without LAPACK the copy eigvalsh makes of it, then
-    of its [1:, 1:] block; two blocks of row_blocks, or two rows; the
-    workspace, lapack.KRYLOV_BYTES (1 kB) per point, which holds the
-    factor's Lanczos basis or the reduction's workspace (about 830 B); a row
-    of the distance kernel's scratch; lapack.SCRATCH_BYTES.  VmHWM of
-    `check` above the imports, their bytecode cached (numpy 2.4, SU(2),
-    where the factor runs, 2 cores) at m = 1,000, 2,000 and 3,000: 17.2,
-    40.9 and 79.3 MiB in place with BLAS on one thread, 17.9, 42.9 and 82.7
-    with BLAS threads free, 24.6, 70.8 and 147.5 with the copies."""
+    the (m, m) buffer of the reduction, which the factor's packed half never
+    exceeds, and without LAPACK the copy eigvalsh makes of it, then of its
+    [1:, 1:] block; two blocks of row_blocks, or two rows; the workspace,
+    lapack.KRYLOV_BYTES (1 kB) per point, which holds the factor's Lanczos
+    basis or the reduction's workspace (about 830 B); a row of the distance
+    kernel's scratch; lapack.SCRATCH_BYTES.  VmHWM of `check` above the
+    imports, their bytecode cached (numpy 2.4, 2 cores), at m = 1,000, 2,000
+    and 3,000: on SU(2), where the packed factor runs, 15.0, 28.5 and 49.2
+    MiB with BLAS on one thread and 17.1, 32.0 and 54.1 with BLAS threads
+    free; on SO(3), where it fails and the whole matrix is built again, 18.3,
+    42.1 and 82.4 in place; 24.7, 70.7 and 147.4 with the copies."""
     return (8 * m * m * (1 if lapack.available() else 2) + 16 * max(group_core.BLOCK_FLOATS, m)
             + lapack.KRYLOV_BYTES * m + group.pairwise_bytes(m) + lapack.SCRATCH_BYTES)
 

@@ -3,17 +3,22 @@
 numpy's wheels ship OpenBLAS as ``libscipy_openblas64_`` (64-bit integers,
 every symbol prefixed ``scipy_`` and suffixed ``64_``).  This module loads
 it once and declares each symbol it calls in one table, ``_SYMBOLS``.  It
-exports what the package calls: ``factored_extremes`` for the audit,
-``cholesky`` for the field, and the thread helpers ``set_threads``,
-``threads`` and ``core_name``; the witness search needs none of it.  Where
-numpy ships no such library, ``available()`` is false, the operations take
-numpy's ``eigvalsh`` and ``cholesky``, and the thread helpers change
-nothing.  ``cholesky`` checks the dtype, shape, contiguity and finiteness of
-its array before any pointer reaches LAPACK; ``factored_extremes`` takes a
-buffer its caller has checked.  Each raises ``LinAlgError`` naming the
-routine when LAPACK reports an error.  ``factored_extremes`` and
-``cholesky`` share one factor, ``_factor``, in place in panels, which
-agrees with numpy's to rounding, not bit for bit.
+exports what the package calls: ``factored_extremes`` for the audit, with
+``packed_row`` and ``packed_runs``, through which its caller writes the
+audit's block in rectangular full packed (RFP) storage, the format stated
+once here; ``cholesky`` for the field; and the thread helpers
+``set_threads``, ``threads`` and ``core_name``.  The witness search needs
+none of it.  Where numpy ships no such library, ``available()`` is false,
+the operations take numpy's ``eigvalsh`` and ``cholesky``, and the thread
+helpers change nothing.  ``cholesky`` checks the dtype, shape, contiguity
+and finiteness of its array before any pointer reaches LAPACK;
+``factored_extremes`` takes storage its caller has checked.  Each raises
+``LinAlgError`` naming the routine when LAPACK reports an error.  The audit
+factors its packed block with one dpftrf and solves with the factor's RFP
+pieces by dtrsv and dgemv; where that factor fails, its caller rebuilds the
+whole matrix for the tridiagonal reduction.  ``cholesky`` factors in place
+in panels, ``_factor``, which agrees with numpy's to rounding, not bit for
+bit.
 """
 
 from __future__ import annotations
@@ -32,7 +37,10 @@ from .rng import RngStream
 _INT, _DOUBLE, _PTR, _CHAR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_char
 _ABSTOL = 2.0 * np.finfo(float).tiny  # bisection to full accuracy
 # BLAS and LAPACK scratch, which every memory charge adds: 8.6 MiB of VmHWM for `check`
-# at m = 2,000 and 3,000 (numpy 2.4, BLAS threads free), 2.8 and 4.5 for the first cholesky
+# at m = 2,000 and 3,000 (numpy 2.4, BLAS threads free) on the whole matrix, 2.8 and 4.5
+# for the first cholesky; over the built RFP array, dpftrf and the solves grew it 3.7 and
+# 5.3 MiB, their Lanczos basis (2.0 and 2.9) included, on one BLAS thread, 7.4 and 10.2
+# with BLAS threads free
 SCRATCH_BYTES = 9 * 2 ** 20
 # Workspace bytes a point of the audit: _reduce takes about 830, and
 # factored_extremes' Lanczos basis, up to KRYLOV_BYTES / 8 vectors, stays within it
@@ -48,12 +56,14 @@ _SYMBOLS = {
     # CHARACTER's length.  _reduce:
     "scipy_dsytrd_2stage_64_": (None, (ctypes.c_char_p,) * 2 + (_PTR,) * 11
                                 + (ctypes.c_size_t,) * 2),
-    # _factor's panels (dpotrf, dtrsm, dsyrk) and factored_extremes' Lanczos steps, dtrtrs
-    # on the factor, the block's lower triangle, each column-major, so no copy is made
+    # _factor's panels, column-major on the block's lower triangle, so no copy is made
     "scipy_dpotrf_64_": (None, (ctypes.c_char_p,) + (_PTR,) * 4 + (ctypes.c_size_t,)),
     "scipy_dtrsm_64_": (None, (ctypes.c_char_p,) * 4 + (_PTR,) * 7 + (ctypes.c_size_t,) * 4),
     "scipy_dsyrk_64_": (None, (ctypes.c_char_p,) * 2 + (_PTR,) * 8 + (ctypes.c_size_t,) * 2),
-    "scipy_dtrtrs_64_": (None, (ctypes.c_char_p,) * 3 + (_PTR,) * 7 + (ctypes.c_size_t,) * 3),
+    # factored_extremes: the RFP factor, then _solve's steps on its pieces
+    "scipy_dpftrf_64_": (None, (ctypes.c_char_p,) * 2 + (_PTR,) * 3 + (ctypes.c_size_t,) * 2),
+    "scipy_dtrsv_64_": (None, (ctypes.c_char_p,) * 3 + (_PTR,) * 5 + (ctypes.c_size_t,) * 3),
+    "scipy_dgemv_64_": (None, (ctypes.c_char_p,) + (_PTR,) * 10 + (ctypes.c_size_t,)),
     "scipy_LAPACKE_dstebz64_": (_INT, (_CHAR, _CHAR, _INT, _DOUBLE, _DOUBLE, _INT, _INT,
                                        _DOUBLE) + (_PTR,) * 7),
     "scipy_openblas_set_num_threads64_": (None, (ctypes.c_int,)),
@@ -163,65 +173,111 @@ def _int(value: int):
     return ctypes.byref(ctypes.c_int64(value))
 
 
-def factored_extremes(a: np.ndarray) -> tuple[_Ends, str]:
-    """_reduce's four floats for the symmetric a, and the factorization that
-    gave them: "cholesky" where a is positive definite, its two tops then
-    None, else "reduction".  The caller owes a C-contiguous float64 (m, m)
-    buffer, m >= 2, whose entries it has checked finite (gram_audit's
-    _reflect does, by its row sums); nothing here scans it again.
+def _double(value: float):
+    """A Fortran DOUBLE PRECISION argument, by reference."""
+    return ctypes.byref(ctypes.c_double(value))
 
-    _factor factors the block B = a[1:, 1:] in place on its lower triangle
-    as B = L L^T, with no copy.  Bordering L with a's first column,
+
+# The RFP format, TRANSR 'N' and UPLO 'L' (Gustavson, Wasniewski, Dongarra and Langou,
+# "Rectangular Full Packed Format for Cholesky's Algorithm", ACM TOMS 37(2), 2010), of a
+# symmetric B of order n >= 1: with n2 = ceil(n / 2), n1 = n - n2, s = 1 for even n and
+# 0 for odd, and ld = n + s, the Fortran (ld, n2) array, read in C order as R of shape
+# (n2, ld), holds n (n + 1) / 2 floats:
+#   - for t < n2, row t of B's upper triangle is one run: R[t, t + s:] = B[t, t:];
+#   - for t = n2 + p, it runs down column p: R[p + 1 - s:n1 + 1 - s, p] = B[t, t:];
+# so row x of R is B[n2 + x + s - 1, n2:n2 + x + s], then B[x, x:].  dpftrf's factor
+# L = [[L11, 0], [L21, L22]] keeps L11 over L21 at Fortran (s, 0) and L22^T, upper,
+# at Fortran (0, 1 - s), each with leading dimension ld.
+
+def _packed(n: int) -> np.ndarray:
+    """An uninitialized RFP array R of order n."""
+    return np.empty(((n + 1) // 2, n + 1 - n % 2))
+
+
+def _rfp(r: np.ndarray) -> tuple[int, int, int]:
+    """n, n2 and s of the RFP array r."""
+    n2, ld = r.shape
+    s = int(ld > 2 * n2 - 1)
+    return ld - s, n2, s
+
+
+def packed_row(r: np.ndarray, t: int) -> np.ndarray:
+    """Row t of the upper triangle of the symmetric B in the RFP array r,
+    B[t, t:], as a view of r: a run of a row of r, or for t >= n2 a column."""
+    n, n2, s = _rfp(r)
+    if t < n2:
+        return r[t, t + s:]
+    return r[t - n2 + 1 - s:n - n2 + 1 - s, t - n2]
+
+
+def packed_runs(r: np.ndarray):
+    """(i, j, run) for each run of the RFP array r, a row of r in two:
+    run = B[i, j:j + len(run)] of the symmetric B that r holds."""
+    n, n2, s = _rfp(r)
+    for x in range(n2):
+        if x + s:
+            yield n2 + x + s - 1, n2, r[x, :x + s]
+        yield x, x, r[x, x + s:]
+
+
+def factored_extremes(m: int, pack, full) -> tuple[_Ends, str]:
+    """_reduce's four floats for a symmetric order-m a, m >= 2, and the
+    factorization that gave them: "cholesky" where a is positive definite,
+    its two tops then None, else "reduction".  The caller gives a in two
+    stores: pack(r) writes the block B = a[1:, 1:] into the RFP array r
+    through packed_row and packed_runs and returns a[:, 0]; full() returns
+    a as a C-contiguous float64 (m, m) buffer.  Each has checked its entries
+    finite (gram_audit's row sums do); nothing here scans them again.
+
+    With the library, pack fills an array of (m - 1) m / 2 floats, and
+    dpftrf factors B in it as B = L L^T.  Bordering L with a's first column,
     w = L^-1 a[1:, 0] and delta^2 = a[0, 0] - w^T w, gives a = M M^T for
     M = [[delta, w^T], [0, L]].  Lanczos (_lanczos) then reads the bottoms
-    from the inverses of M M^T and L L^T, two dtrtrs a step, each problem
-    alone with one right-hand side (a BLAS-2 path that packs nothing): the
-    first from a fixed start, the second from the tail of the first's Ritz
-    vector, as B's bottom eigenvector is nearly a's with its first entry
-    dropped.  The tops would only set tolerance scales, and with a positive
-    definite a both decisions hold whatever the scale, so none is computed.
-    On success a's lower triangle holds the factor, and its strict upper
-    triangle is as it was, bit for bit.
+    from the inverses of M M^T and L L^T, two _solve a step, each problem
+    alone with one right-hand side: the first from a fixed start, the second
+    from the tail of the first's Ritz vector, as B's bottom eigenvector is
+    nearly a's with its first entry dropped.  The tops would only set
+    tolerance scales, and with a positive definite a both decisions hold
+    whatever the scale, so none is computed.
 
-    _reduce runs where the factor fails, where delta^2 <= 0, where Lanczos
-    would need more than KRYLOV_BYTES a point of Krylov basis, and without
-    the library; a's diagonal is restored first, and its upper triangle,
-    which the reduction reads, is as it was."""
-    m = len(a)
+    _reduce runs on full() where the factor fails, where delta^2 <= 0,
+    where Lanczos would need more than KRYLOV_BYTES a point of Krylov
+    basis, the packed array dropped first; and without the library, where
+    pack is never called."""
     if available():
-        ends = _bordered_ends(a, m)
+        r = _packed(m - 1)
+        ends = _bordered_ends(r, pack(r))
+        del r  # before full() builds the whole matrix
         if ends is not None:
             return ends, "cholesky"
-    return _reduce(a, m), "reduction"
+    return _reduce(full(), m), "reduction"
 
 
-def _bordered_ends(a: np.ndarray, m: int) -> Optional[_Ends]:
-    """factored_extremes' floats from the factor M of a, which is left in
-    a's lower triangle; or None, a's diagonal then restored."""
-    diagonal = a.diagonal().copy()
-    ends = None if _factor(a, m) else _lanczos_ends(a, m)
-    if ends is None:
-        np.fill_diagonal(a, diagonal)
-    return ends
-
-
-def _lanczos_ends(a: np.ndarray, m: int) -> Optional[_Ends]:
-    """_bordered_ends on the factored a."""
-    w = a[1:, 0].copy()
-    _triangular(b"T", a, w)
-    square = a[0, 0] - w @ w
+def _bordered_ends(r: np.ndarray, column: np.ndarray) -> Optional[_Ends]:
+    """factored_extremes' floats from the factor of the block in the RFP
+    array r, which it overwrites, and the first column of a; or None."""
+    m, info = len(column), ctypes.c_int64(0)
+    _library()["scipy_dpftrf_64_"](b"N", b"L", _int(m - 1), r.ctypes.data, ctypes.byref(info),
+                                   1, 1)
+    if info.value < 0:
+        raise np.linalg.LinAlgError(f"Cholesky factorization failed: dpftrf info {info.value}")
+    if info.value:
+        return None
+    w = column[1:].copy()
+    _solve(r, w, False)
+    square = column[0] - w @ w
     if not square > 0.0:
         return None
 
     def inverse(x):  # x <- (M M^T)^-1 x: y = M^-1 x, then M^-T y
-        _triangular(b"T", a, x[1:])
+        _solve(r, x[1:], False)
         x[0] = (x[0] - w @ x[1:]) / square
         x[1:] -= x[0] * w
-        _triangular(b"N", a, x[1:])
+        _solve(r, x[1:], True)
 
     def block_inverse(x):  # x <- (L L^T)^-1 x
-        _triangular(b"T", a, x)
-        _triangular(b"N", a, x)
+        _solve(r, x, False)
+        _solve(r, x, True)
 
     start = RngStream(0, 0).generator.standard_normal(m)  # the first problem's, fixed
     steps = KRYLOV_BYTES // 8
@@ -233,6 +289,38 @@ def _lanczos_ends(a: np.ndarray, m: int) -> Optional[_Ends]:
         tail = start[1:]
     block = _lanczos(block_inverse, tail, steps)
     return None if block is None else (1.0 / whole[0], None, 1.0 / block[0], None)
+
+
+def _solve(r: np.ndarray, x: np.ndarray, transpose: bool) -> None:
+    """Overwrite the contiguous vector x of n floats with L^-1 x, or with
+    ``transpose`` L^-T x, for L the factor dpftrf leaves in the RFP array r:
+    dtrsv on L11, dgemv with L21, dtrsv on L22 through its stored transpose,
+    in that order for L and in reverse for L^T.  At n = 1 there is no L21
+    or L22, and only L11's solve runs."""
+    n, n2, s = _rfp(r)
+    n1, ld, one = n - n2, _int(n + s), _int(1)
+    head, tail = x[:n2].ctypes.data, x[n2:].ctypes.data
+
+    def at(i, j):  # the pointer of Fortran's (i, j) of r
+        return r.ctypes.data + 8 * (i + j * (n + s))
+
+    def trsv(uplo, trans, order, a, v):
+        _library()["scipy_dtrsv_64_"](uplo, trans, b"N", _int(order), a, ld, v, one, 1, 1, 1)
+
+    def gemv(trans, v, y):  # y -= L21 v, or L21^T v
+        _library()["scipy_dgemv_64_"](trans, _int(n1), _int(n2), _double(-1.0), at(s + n2, 0),
+                                      ld, v, one, _double(1.0), y, one, 1)
+
+    if not transpose:
+        trsv(b"L", b"N", n2, at(s, 0), head)
+        if n1:
+            gemv(b"N", head, tail)
+            trsv(b"U", b"T", n1, at(0, 1 - s), tail)
+    else:
+        if n1:
+            trsv(b"U", b"N", n1, at(0, 1 - s), tail)
+            gemv(b"T", tail, head)
+        trsv(b"L", b"T", n2, at(s, 0), head)
 
 
 def _factor(a: np.ndarray, m: int) -> int:
@@ -250,7 +338,7 @@ def _factor(a: np.ndarray, m: int) -> int:
         return a[1 + j:, 1 + i:].ctypes.data
 
     n, ld, info = m - 1, _int(m), ctypes.c_int64(0)
-    one, minus_one = (ctypes.byref(ctypes.c_double(v)) for v in (1.0, -1.0))
+    one, minus_one = _double(1.0), _double(-1.0)
     for k in range(0, n, _PANEL):
         width, rest = min(_PANEL, n - k), _int(max(n - k - _PANEL, 0))
         _library()["scipy_dpotrf_64_"](b"U", _int(width), at(k, k), ld, ctypes.byref(info), 1)
@@ -265,18 +353,6 @@ def _factor(a: np.ndarray, m: int) -> int:
                                           at(k, k + width), ld, one, at(k + width, k + width),
                                           ld, 1, 1)
     return 0
-
-
-def _triangular(trans: bytes, a: np.ndarray, x: np.ndarray) -> None:
-    """Overwrite the contiguous vector x of m - 1 floats with U^-1 x by
-    dtrtrs, for U the factor _factor leaves at a[1, 1] (Fortran's upper, so
-    L^T) or, with ``trans`` 'T', its transpose L."""
-    m = len(a)
-    n, info = _int(m - 1), ctypes.c_int64(0)
-    _library()["scipy_dtrtrs_64_"](b"U", trans, b"N", n, _int(1), a[1:, 1:].ctypes.data,
-                                   _int(m), x.ctypes.data, n, ctypes.byref(info), 1, 1, 1)
-    if info.value:
-        raise np.linalg.LinAlgError(f"triangular solve failed: dtrtrs info {info.value}")
 
 
 def _lanczos(apply, start: np.ndarray, steps: int) -> Optional[tuple[float, np.ndarray]]:

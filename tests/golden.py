@@ -28,6 +28,7 @@ LINES = (
     "coeffs --group so3 --lmax 4 --mc-n 0",
     "check --group su2 --points 40",
     "check --group su2 --points 300",
+    "check --group su2 --points 41",
     "check --group so3 --points 40 --format csv",
     "check --group so3 --points 10",
     "check --group son --n 4 --points 20",

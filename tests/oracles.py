@@ -3,7 +3,9 @@ and SO(3), which the tests use as oracles for ``levy_groups.harmonic`` and
 the Haar samplers, the covering map SU(2) -> SO(3), the binary icosahedral
 group, a singular positive semidefinite set of SU(2), the recursive
 adaptive Simpson rule that ``levy_groups.quadrature`` walks a level at a time,
-the matrix H K H that ``kernel_lab.gram_audit`` hands to its solver, the
+the matrix H K H that ``kernel_lab.gram_audit`` hands to its solver, whole
+or with the row sums of its packed build, the places of the rectangular
+full packed (RFP) array that holds its block, the
 four spectrum ends of that solver's tridiagonal reduction, the bordered
 sum-zero top of a distance matrix, and Bartlett's factor of the field's
 Gram matrix that ``field_sim.empirical_variogram`` draws.
@@ -18,7 +20,7 @@ import numpy as np
 
 from levy_groups import group_core, lapack
 from levy_groups.harmonic import _is_so3
-from levy_groups.kernel_lab import _householder, _reflect
+from levy_groups.kernel_lab import _householder, _outer_sum, _reflect, _shift
 from levy_groups.quadrature import MAX_DEPTH, QuadratureError
 
 # below this, sin(t) is treated as singular and the character limit is used
@@ -183,18 +185,65 @@ def binary_icosahedral():
     return np.array(sorted(units))
 
 
-def audit_matrix(group, x):
+def audit_matrix(group, x, pair_sums=False):
     """H K H of the rows of x for the base point e, by gram_audit's formulas on
     fresh arrays: -1/2 H D H, then (sqrt(m)/2) H d0 subtracted from row 0 and
-    from column 0, since H 1 = -sqrt(m) e1 carries K's d0 terms there."""
+    from column 0, since H 1 = -sqrt(m) e1 carries K's d0 terms there.  The
+    row sums of D are D's product with the ones, the whole matrix's; with
+    ``pair_sums``, they are added as the packed build adds them, each pair
+    once to both sums, a block of ``group.upper_blocks`` at a time, so the
+    lower triangle is that build's bit for bit."""
     m = len(x)
     u, tau = _householder(m)
     d0 = group.distances(x, group.identity)
     border = 0.5 * np.sqrt(m) * (d0 - (tau * (u @ d0)) * u)
-    a = _reflect(group.pairwise(x))
+    a = group.pairwise(x)
+    if pair_sums:
+        sums = np.zeros(m)
+        for i, block in group.upper_blocks(x):
+            sums[i:i + len(block)] += block.sum(axis=1)
+            sums[i:] += block.sum(axis=0)
+        w = _shift(sums, a[:, 0])
+        _outer_sum(a, -0.5, w / -np.sqrt(m))
+        a[0] -= w
+        a[:, 0] -= w
+    else:
+        _reflect(a)
     a[0] -= border
     a[:, 0] -= border
     return a
+
+
+def rfp_places(n):
+    """(i, j), i >= j, of the entry of the symmetric B of order n at each
+    place of its RFP array R (TRANSR 'N', UPLO 'L'), two int arrays of R's
+    shape (ceil(n/2), n + s), s = 1 for even n, else 0.  R[x, y] is
+    Fortran's (y, x): at y >= x + s, column x of the factor's first half,
+    L11 over L21, from Fortran's row s; above it, the transpose of the
+    trailing block of order n - ceil(n/2), upper, from Fortran's column
+    1 - s."""
+    n2, s = (n + 1) // 2, 1 - n % 2
+    x, y = np.indices((n2, n + s))
+    first = y >= x + s
+    return np.where(first, y - s, n2 + x - 1 + s), np.where(first, x, n2 + y)
+
+
+def unpacked(r, n):
+    """The lower triangle of the symmetric B of order n that the RFP array r
+    holds, zeros above it."""
+    b = np.zeros((n, n))
+    b[rfp_places(n)] = r
+    return b
+
+
+def packed_from(a):
+    """The pack function of ``lapack.factored_extremes`` for the symmetric
+    (m, m) a: it writes a[1:, 1:] into the RFP array r, from a's lower
+    triangle, and returns a copy of a[:, 0]."""
+    def pack(r):
+        r[...] = a[1:, 1:][rfp_places(len(a) - 1)]
+        return a[:, 0].copy()
+    return pack
 
 
 def reduced_ends(a):

@@ -12,7 +12,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from levy_groups import WitnessCertificate, __version__, canonical, cli, kernel_lab, lapack
+from levy_groups import WitnessCertificate, __version__, canonical, cli, kernel_lab, lapack, rng
 from levy_groups.cli import (COMMANDS, EXIT_NEGATIVE_FINDING, EXIT_OK, EXIT_USAGE, RunConfig,
                              build_parser, main, run)
 
@@ -533,6 +533,16 @@ def test_check_grows_no_more_than_its_charge(path):
                  ["check", "--group", "su2", "--points", "2000"]):
         grown, charged = grown_and_charged(argv, setup)
         assert grown <= charged, argv
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+@pytest.mark.skipif(not lapack.available(), reason="numpy bundles no LAPACK")
+def test_su2_check_grows_by_half_a_matrix():
+    # the factor path holds H K H's block in packed storage, m (m - 1) / 2
+    # floats, and never the whole (m, m) matrix
+    m = 2000
+    grown, _ = grown_and_charged(["check", "--group", "su2", "--points", str(m)])
+    assert grown < 0.6 * 8 * m * m + lapack.SCRATCH_BYTES + rng.IMPORT_BYTES
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")

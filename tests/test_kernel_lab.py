@@ -23,7 +23,8 @@ from levy_groups import (
 import levy_groups
 from levy_groups import group_core, kernel_lab, lapack
 from levy_groups.kernel_lab import WitnessCertificate, _reflect, sum_zero_basis
-from oracles import audit_matrix, binary_icosahedral, bordered_top, reduced_ends
+from oracles import (audit_matrix, binary_icosahedral, bordered_top, packed_from,
+                     reduced_ends, rfp_places, unpacked)
 
 WITNESS_SCHEMA = json.loads(
     (resources.files("levy_groups") / "schemas" / "witness.schema.json").read_text())
@@ -143,12 +144,12 @@ def test_reflect_keeps_a_symmetric_matrix_bit_for_bit(group, seed):
 
 @pytest.mark.parametrize("group", [SU2, SO3, group_named("son", 4)], ids=["su2", "so3", "so4"])
 def test_audit_matrix_is_minus_half_hdh_bordered_and_bitwise_symmetric(group, monkeypatch):
-    # gram_audit forms no K: H K H's [1:, 1:] block is -1/2 H D H's bit for
-    # bit, and the whole is H K H within rounding
+    # gram_audit forms no K: the whole H K H it builds where the factor fails
+    # has -1/2 H D H's [1:, 1:] block bit for bit, and is H K H within rounding
     x = group.sample(RngStream(59, 0), 150)
     seen = []
     monkeypatch.setattr(lapack, "factored_extremes",
-                        lambda a: seen.append(a.copy()) or ((1.0,) * 4, "reduction"))
+                        lambda m, pack, full: seen.append(full()) or ((1.0,) * 4, "reduction"))
     gram_audit(group, x)
     [a] = seen
     assert np.array_equal(a, a.T)
@@ -165,9 +166,12 @@ def serial_audit(group, x):
     """gram_audit's four floats by its formulas, on fresh arrays: H K H as
     -1/2 H D H and its border (oracles.audit_matrix), then the ends of its
     spectrum and of its [1:, 1:] block: from its factor where it is positive
-    definite, the bottoms only, so no scales, else from the reduction."""
+    definite, the bottoms only, so no scales, packed from H K H with the
+    packed build's row sums; else from the reduction of the whole H K H."""
     # the distance formulas work in blocks; D is taken as given
-    (k_min, k_max, c_min, c_max), method = lapack.factored_extremes(audit_matrix(group, x))
+    (k_min, k_max, c_min, c_max), method = lapack.factored_extremes(
+        len(x), packed_from(audit_matrix(group, x, pair_sums=True)),
+        lambda: audit_matrix(group, x))
     if method == "cholesky":
         return -2.0 * c_min, k_min, None, None
     return -2.0 * c_min, k_min, 2.0 * max(abs(c_min), abs(c_max)), max(abs(k_min), abs(k_max))
@@ -183,6 +187,25 @@ def eigvalsh_audit(group, x):
     s = 1.0 + m * float(np.abs(d).max())
     c_eigs = np.linalg.eigvalsh(d - np.add.outer(r, r) + (r.mean() - s / m))[1:]
     return c_eigs[-1], k_eigs[0], np.abs(c_eigs).max(), np.abs(k_eigs).max()
+
+
+@pytest.mark.parametrize("group", [SU2, SO3, group_named("son", 4)], ids=["su2", "so3", "so4"])
+@pytest.mark.parametrize("m", [*range(2, 10), 40, 41, 150])
+def test_packed_build_is_the_audit_matrix_to_rounding(group, m):
+    # the packed block is the whole H K H's lower triangle within 1e-15 of
+    # its largest entry, and bit for bit that of H K H with the row sums
+    # added a pair at a time; so is the first column.  Every place of the
+    # RFP array is written: none keeps its NaN
+    x = group.sample(RngStream(70, m), m)
+    r = np.full(rfp_places(m - 1)[0].shape, np.nan)
+    column = kernel_lab._packed_kernel(group, x, group.identity, r)
+    block = unpacked(r, m - 1)
+    whole, paired = audit_matrix(group, x), audit_matrix(group, x, pair_sums=True)
+    scale = np.abs(whole).max()
+    assert np.abs(block - np.tril(whole[1:, 1:])).max() <= 1e-15 * scale
+    assert np.abs(column - whole[:, 0]).max() <= 1e-15 * scale
+    assert np.array_equal(block, np.tril(paired[1:, 1:]))
+    assert np.array_equal(column, paired[:, 0])
 
 
 @GROUPS
@@ -279,8 +302,7 @@ def test_packed_solve_raises_on_a_lapacke_error(part, monkeypatch):
 
 @pytest.mark.skipif(not lapack.available(), reason="numpy bundles no LAPACK")
 @pytest.mark.parametrize("routine, info, message", [
-    ("dpotrf", 4, "Cholesky factorization failed: dpotrf info -4"),
-    ("dtrtrs", 9, "triangular solve failed: dtrtrs info -9")])
+    ("dpftrf", 4, "Cholesky factorization failed: dpftrf info -4")])
 def test_factor_raises_on_a_lapack_error(routine, info, message, monkeypatch):
     # SU(2): K is positive definite, so the factor runs; INFO < 0 (an
     # illegal argument) reaches gram_audit's caller, naming the routine
@@ -319,24 +341,61 @@ def test_audit_kernel_is_the_formula_and_bitwise_symmetric(group, m):
     assert np.array_equal(k, want)
 
 
+def held_at_solves(monkeypatch):
+    """Traced bytes at each Lanczos step of lapack, under "lanczos", and at
+    the reduction's entry, under "reduce"."""
+    held, lanczos, reduce = {}, lapack._lanczos, lapack._reduce
+
+    def problem(apply, start, steps):
+        def step(x):
+            held.setdefault("lanczos", []).append(tracemalloc.get_traced_memory()[0])
+            apply(x)
+        return lanczos(step, start, steps)
+
+    def reduction(a, m):
+        held.setdefault("reduce", []).append(tracemalloc.get_traced_memory()[0])
+        return reduce(a, m)
+
+    monkeypatch.setattr(lapack, "_lanczos", problem)
+    monkeypatch.setattr(lapack, "_reduce", reduction)
+    return held
+
+
 @GROUPS
 def test_audit_holds_one_packed_matrix_at_its_solves(group, monkeypatch):
+    # SU(2)'s Lanczos steps hold the packed factor, half the matrix, beside
+    # their basis; where the factor fails, the reduction holds the rebuilt
+    # (m, m) buffer, D, K and H K H in one, the packed array dropped first
     m = 300
     x = group.sample(RngStream(53, 0), m)
-    held = []
-    for name in ("factored_extremes", "_reduce"):
-        def spy(*args, solve=getattr(lapack, name)):
-            held.append(tracemalloc.get_traced_memory()[0])
-            return solve(*args)
-
-        monkeypatch.setattr(lapack, name, spy)
+    held = held_at_solves(monkeypatch)
     tracemalloc.start()
     try:
         gram_audit(group, x)
     finally:
         tracemalloc.stop()
-    assert held  # the factor's attempt, then the reduction where it fails
-    assert max(held) <= 1.02 * 8 * m * m  # D, K and H K H share one (m, m) buffer
+    if group is SU2 and lapack.available():
+        assert set(held) == {"lanczos"}
+        assert max(held["lanczos"]) <= 1.02 * 8 * m * m
+    else:
+        assert len(held["reduce"]) == 1
+        assert held["reduce"][0] <= 1.02 * 8 * m * m
+
+
+@pytest.mark.skipif(not lapack.available(), reason="numpy bundles no LAPACK")
+def test_su2_audit_holds_half_a_matrix_at_its_solves(monkeypatch):
+    # the RFP factor of H K H's block, m (m - 1) / 2 floats, and the Lanczos
+    # basis; the whole (m, m) buffer is never built
+    m = 1000
+    x = SU2.sample(RngStream(53, 2), m)
+    held = held_at_solves(monkeypatch)
+    tracemalloc.start()
+    try:
+        assert gram_audit(SU2, x).method == "cholesky"
+    finally:
+        tracemalloc.stop()
+    assert set(held) == {"lanczos"}
+    assert max(held["lanczos"]) <= 0.51 * 8 * m * m + workspace_bytes(m, SU2)
 
 
 @GROUPS
@@ -359,21 +418,28 @@ def test_audit_peaks_at_one_packed_matrix(group, monkeypatch):
 
 def test_so3_audit_with_real_blocks_peaks_no_higher_than_su2(monkeypatch):
     # SO(3)'s distance kernel holds one block of scratch beside its output, as
-    # its _pair_floats declares, so up to the solve its peak is the buffer's,
-    # as on SU(2); in the solve each holds the buffer and its solver's
-    # workspace: SU(2)'s Lanczos basis, SO(3)'s reduction
+    # its _pair_floats declares, so while it packs H K H's block its peak is
+    # the packed array's and two blocks, as on SU(2); in the solve SU(2) holds
+    # the packed factor and its Lanczos basis, SO(3), whose factor fails, the
+    # rebuilt (m, m) buffer and its reduction's workspace
     m = 1000
-    before, during = {}, {}
+    packing, during = {}, {}
     solve = lapack.factored_extremes
 
-    def spy(a):
-        before[group] = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        return solve(a)
+    def peak_of(build):  # the traced peak while build runs, the peak reset after it
+        def spy(*args):
+            tracemalloc.reset_peak()
+            built = build(*args)
+            packing.setdefault(group, tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            return built
+        return spy
 
-    monkeypatch.setattr(lapack, "factored_extremes", spy)
+    monkeypatch.setattr(lapack, "factored_extremes",
+                        lambda m, pack, full: solve(m, peak_of(pack), peak_of(full)))
     for group in (SU2, SO3):
         gram_audit(group, group.sample(RngStream(54, 0), 10))  # load the solver first
+        packing.pop(group, None)  # the warm-up's
         x = group.sample(RngStream(54, 1), m)
         tracemalloc.start()
         try:
@@ -381,9 +447,12 @@ def test_so3_audit_with_real_blocks_peaks_no_higher_than_su2(monkeypatch):
             during[group] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert before[SO3] <= before[SU2]
-    for group in (SU2, SO3):
-        assert during[group] - workspace_bytes(m, group) <= 1.02 * 8 * m * m
+    if lapack.available():
+        assert packing[SO3] <= packing[SU2] <= 0.52 * 8 * m * m + 16 * group_core.BLOCK_FLOATS
+        assert during[SU2] - workspace_bytes(m, SU2) <= 0.52 * 8 * m * m
+    else:
+        assert during[SU2] - workspace_bytes(m, SU2) <= 1.02 * 8 * m * m
+    assert during[SO3] - workspace_bytes(m, SO3) <= 1.02 * 8 * m * m
     assert workspace_bytes(m, SO3) <= 1024 * m  # the reduction's, within audit_bytes' 1 kB per point
 
 

@@ -1,11 +1,12 @@
 import ast
 import inspect
+import weakref
 
 import numpy as np
 import pytest
 
 from levy_groups import SO3, SU2, RngStream, lapack
-from oracles import audit_matrix, reduced_ends
+from oracles import audit_matrix, packed_from, reduced_ends, unpacked
 
 needs_lapack = pytest.mark.skipif(not lapack.available(), reason="numpy bundles no LAPACK")
 
@@ -98,27 +99,37 @@ def planted(values):
     return a + a.T
 
 
-def upper_sentinel(a):
-    """a with SENTINEL in its strict upper triangle, and that triangle's mask."""
-    upper = np.triu(np.ones(a.shape, dtype=bool), 1)
-    return np.where(upper, SENTINEL, a), upper
+def factored(a, full=None):
+    """lapack.factored_extremes of the symmetric (m, m) a, its block packed
+    from a's lower triangle (oracles.packed_from) and ``full`` giving the
+    whole, by default a itself; and the RFP array pack filled, which then
+    holds the factor, or None where pack was not called."""
+    seen, pack = [], packed_from(a)
+
+    def spy(r):
+        seen.append(r)
+        return pack(r)
+
+    got = lapack.factored_extremes(len(a), spy, full or (lambda: a))
+    return got, (seen[0] if seen else None)
+
+
+def whole_never_built():
+    raise AssertionError("factored_extremes asked for the whole matrix")
 
 
 def reads_as_the_reduction(a):
     """factored_extremes gives the reduction's bottoms within 1e-14 of the scale
-    and no tops, leaves a's strict upper triangle as it was, bit for bit,
-    and leaves in its lower triangle the factor of the block B = a[1:, 1:],
-    which reproduces B within 4 m eps of its scale."""
+    and no tops, never asks for the whole matrix, and leaves in its RFP
+    array the factor of the block B = a[1:, 1:], which reproduces B within
+    4 m eps of its scale."""
     want = reduced_ends(a.copy())
-    buf = a.copy()
-    got, method = lapack.factored_extremes(buf)
+    (got, method), r = factored(a, whole_never_built)
     assert method == "cholesky"
     assert got[1] is None and got[3] is None
     bottoms = np.subtract(got[::2], want[::2])
     assert np.abs(bottoms).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
-    upper = np.triu(np.ones(a.shape, dtype=bool), 1)
-    assert np.array_equal(buf[upper].view(np.uint64), a[upper].view(np.uint64))
-    block, factor = a[1:, 1:], np.tril(buf[1:, 1:])
+    block, factor = a[1:, 1:], unpacked(r, len(a) - 1)
     eps = np.finfo(float).eps
     assert np.abs(factor @ factor.T - block).max() <= 4 * len(block) * eps * np.abs(block).max()
 
@@ -163,10 +174,10 @@ def spy_on_problems(monkeypatch):
 
 
 @needs_lapack
-def test_factored_extremes_spend_two_dtrtrs_a_bottom_step_and_no_dsymv(monkeypatch):
-    # the factor's panels and the border's one solve, then the two bottom
-    # Lanczos problems, each step two triangular solves on the factor; no
-    # product with the matrix or the factor anywhere
+def test_factored_extremes_spend_two_solves_a_bottom_step_and_no_dsymv(monkeypatch):
+    # the packed factor and the border's one solve, then the two bottom
+    # Lanczos problems, each step a solve with L and one with L^T on the
+    # factor's RFP pieces; no product with the matrix or the factor anywhere
     calls = []
     library = lapack._library()
     for name, routine in list(library.items()):
@@ -184,18 +195,62 @@ def test_factored_extremes_spend_two_dtrtrs_a_bottom_step_and_no_dsymv(monkeypat
 
     monkeypatch.setattr(lapack, "_lanczos", problem)
     a = audit_matrix(SU2, SU2.sample(RngStream(66, 300), 300))
-    assert lapack.factored_extremes(a)[1] == "cholesky"
+    assert factored(a, whole_never_built)[0][1] == "cholesky"
     setup, *problems = " ".join(calls).split("problem")
-    assert set(setup.split()) == {"dpotrf", "dtrsm", "dsyrk", "dtrtrs"}
-    assert setup.split().count("dtrtrs") == 1
+    solve = ["dtrsv", "dgemv", "dtrsv"]
+    assert setup.split() == ["dpftrf"] + solve
     kinds = []
     for steps in problems:
         before, *each = steps.split("step")
         assert before.split() == [] and len(each) >= 2
         assert len({s.strip() for s in each}) == 1  # every step of a problem alike
         kinds.append(each[0].split())
-    assert kinds == [["dtrtrs", "dtrtrs"]] * 2
+    assert kinds == [solve * 2] * 2
     assert "dsymv" not in calls and "dtrmv" not in calls
+
+
+@needs_lapack
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 40, 41])
+def test_solves_pass_blas_only_pointers_inside_their_arrays(m, monkeypatch):
+    # at m = 2 the factor has no L21 or L22 and at m = 3 each piece is one
+    # float: every matrix and vector BLAS reads lies inside the RFP array
+    # or the solve's vector
+    spans, library, solve = {}, lapack._library(), lapack._solve
+
+    def inside(name, pointer, floats):
+        start, stop = spans[name]
+        assert start <= pointer and pointer + 8 * floats <= stop, name
+
+    def dtrsv(*args):  # UPLO, TRANS, DIAG, N, A, LDA, X, INCX
+        n, lda = args[3]._obj.value, args[5]._obj.value
+        assert n >= 1
+        inside("r", args[4], (n - 1) * (lda + 1) + 1)
+        inside("x", args[6], n)
+        return trsv(*args)
+
+    def dgemv(*args):  # TRANS, M, N, ALPHA, A, LDA, X, INCX, BETA, Y, INCY
+        rows, cols, lda = args[1]._obj.value, args[2]._obj.value, args[5]._obj.value
+        assert rows >= 1 and cols >= 1
+        inside("r", args[4], (rows - 1) + (cols - 1) * lda + 1)
+        read, written = (rows, cols) if args[0] == b"T" else (cols, rows)
+        inside("x", args[6], read)
+        inside("x", args[9], written)
+        return gemv(*args)
+
+    def spied_solve(r, x, transpose):
+        spans["r"] = (r.ctypes.data, r.ctypes.data + r.nbytes)
+        spans["x"] = (x.ctypes.data, x.ctypes.data + x.nbytes)
+        solve(r, x, transpose)
+
+    trsv, gemv = library["scipy_dtrsv_64_"], library["scipy_dgemv_64_"]
+    monkeypatch.setitem(library, "scipy_dtrsv_64_", dtrsv)
+    monkeypatch.setitem(library, "scipy_dgemv_64_", dgemv)
+    monkeypatch.setattr(lapack, "_solve", spied_solve)
+    a = audit_matrix(SU2, SU2.sample(RngStream(69, m), m))
+    want = reduced_ends(a.copy())
+    (got, method), _ = factored(a, whole_never_built)
+    assert method == "cholesky"
+    assert np.abs(np.subtract(got[::2], want[::2])).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
 
 
 @needs_lapack
@@ -207,7 +262,7 @@ def test_second_bottom_starts_from_the_first_ritz_vector_and_takes_fewer_steps(s
     m = 400
     problems = spy_on_problems(monkeypatch)
     a = audit_matrix(SU2, SU2.sample(RngStream(seed, 0), m))
-    (k_min, _, c_min, _), method = lapack.factored_extremes(a)
+    ((k_min, _, c_min, _), method), _ = factored(a)
     assert method == "cholesky"
     whole, block = problems
     fixed = RngStream(0, 0).generator.standard_normal(m)
@@ -240,7 +295,7 @@ def test_second_bottom_starts_from_the_fixed_tail_where_the_ritz_tail_is_unusabl
     monkeypatch.setattr(lapack, "_lanczos", problem)
     a = audit_matrix(SU2, SU2.sample(RngStream(67, 0), m))
     want = reduced_ends(a.copy())
-    got, method = lapack.factored_extremes(a)
+    (got, method), _ = factored(a)
     assert method == "cholesky"
     fixed = RngStream(0, 0).generator.standard_normal(m)
     assert len(problems) == 2 and np.array_equal(problems[1], fixed[1:])
@@ -258,22 +313,30 @@ def so3_item_1_set():
 @needs_lapack
 @pytest.mark.parametrize("case", ["indefinite", "so3 seed 5", "identical points"])
 def test_factored_extremes_reduce_a_restored_matrix_where_the_factor_fails(case, monkeypatch):
-    # the reduction sees the diagonal restored and the strict upper triangle
-    # bit for bit
+    # the reduction sees the whole matrix as its caller builds it, bit for
+    # bit, asked for only once the RFP array the factor spoiled is freed
     if case == "indefinite":
         a = symmetric(64, 30)
     elif case == "so3 seed 5":
         a = so3_item_1_set()
     else:  # K = d(g, e) 1 1^T, of rank one
         a = audit_matrix(SU2, np.stack([SU2.sample(RngStream(64, 0), 1)[0]] * 5))
-    seen = []
-    monkeypatch.setattr(lapack, "_reduce", lambda b, m: seen.append((b.copy(), m)) or (1.0,) * 4)
-    buf, upper = upper_sentinel(a)
-    assert lapack.factored_extremes(buf) == ((1.0,) * 4, "reduction")
-    [(b, m)] = seen
-    assert m == len(a)
-    assert np.array_equal(b.diagonal(), a.diagonal())
-    assert (b[upper].view(np.uint64) == SENTINEL.view(np.uint64)).all()
+    seen, packed, pack = [], [], packed_from(a)
+    monkeypatch.setattr(lapack, "_reduce", lambda b, m: seen.append((b, b.copy(), m)) or (1.0,) * 4)
+
+    def spy(r):
+        packed.append(weakref.ref(r))
+        return pack(r)
+
+    def full():
+        assert len(packed) == 1 and packed[0]() is None
+        return buf
+
+    buf = a.copy()
+    assert lapack.factored_extremes(len(a), spy, full) == ((1.0,) * 4, "reduction")
+    [(b, copy, m)] = seen
+    assert b is buf and m == len(a)
+    assert np.array_equal(copy.view(np.uint64), a.view(np.uint64))
 
 
 @needs_lapack
@@ -286,7 +349,7 @@ def test_factored_extremes_where_the_factor_fails_are_the_reductions_bit_for_bit
         raise AssertionError("factored_extremes checks the matrix")
 
     monkeypatch.setattr(lapack, "_square", scan)
-    assert lapack.factored_extremes(a) == (want, "reduction")
+    assert factored(a)[0] == (want, "reduction")
 
 
 def test_factored_extremes_without_the_library_are_eigvalshs(monkeypatch):
@@ -296,7 +359,7 @@ def test_factored_extremes_without_the_library_are_eigvalshs(monkeypatch):
     # numpy's own spectra, from the upper triangle the reduction would read
     whole, part = (np.linalg.eigvalsh(b, UPLO="U") for b in (before, before[1:, 1:]))
     want = (whole[0], whole[-1], part[0], part[-1])
-    assert lapack.factored_extremes(a) == (want, "reduction")
+    assert factored(a) == ((want, "reduction"), None)  # nothing packed
     assert np.array_equal(a, before)
 
 
