@@ -19,8 +19,11 @@ tridiagonalization that fixes e1 turns H K H into T, whose ends are K's
 and whose block T[1:, 1:] is similar to H K H's.  The factor reads one
 triangle, so the block is built straight from the distances into
 rectangular full packed storage (lapack's RFP array), half the matrix, with
-the first column beside it; where the factor fails, the whole H K H is
-built again in one (m, m) buffer for the reduction.  A witness certificate
+the first column beside it, and factored there in panels that ask for no
+workspace.  K's leading minor on a few points is factored first: where it
+fails, as on SO(n), nothing is packed, and the whole H K H is built once in
+one (m, m) buffer for the reduction; where the packed factor fails, it is
+built there again.  A witness certificate
 is a point set and sum-zero weight vector whose quadratic form is
 strictly positive, certifying that the distance is not restricted
 negative definite.
@@ -40,6 +43,7 @@ from .group_core import (SO3, SU2, SOnGroup, check_rotations, embed_so3, group_n
 from .rng import KEY_LIMIT, RngStream
 
 RELATIVE_EIG_TOL = 1e-8
+_PROBE_POINTS = 64  # points of K's leading minor that gram_audit factors before it packs
 DEFAULT_MARGIN = 1e-6
 CERTIFICATE_SCHEMA_VERSION = "2"
 # the document's keys in order (schemas/witness.schema.json's "required"); "meta" may follow
@@ -65,8 +69,10 @@ def sum_zero_basis(m: int) -> np.ndarray:
 def brownian_kernel(group, x: np.ndarray, x0=None) -> np.ndarray:
     """The kernel matrix 0.5 (d0_i + d0_j - d_ij) of the rows of x for the
     base point x0, formed in their distance matrix as -d_ij/2 + (d0_i/2 +
-    d0_j/2) by _outer_sum (halving is exact), for build_field.  x0 defaults
-    to x[0], whose row and column then come out exactly 0.0."""
+    d0_j/2) by _outer_sum (halving is exact), for build_field and
+    gram_audit's probe.  x0 defaults to x[0], whose row and column then come
+    out exactly 0.0; gram_audit and build_field default it to the group
+    identity instead, and each passes x0 here as x's first row."""
     d = pairwise_distance_matrix(group, x)
     d0 = d[0].copy() if x0 is None else group.distances(x, x0)
     return _outer_sum(d, -0.5, 0.5 * d0)
@@ -161,17 +167,24 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
     of its [1:, 1:] block.  lapack.factored_extremes reads the bottoms from
     the Cholesky factor of H K H where it is positive definite, with no tops
     and so no scales; there it holds H K H's block in packed storage
-    (_packed_kernel) and its first column beside it.  Where the factor
-    fails, as on SO(n), it drops that storage, and all four ends come from
-    one tridiagonal reduction of the whole H K H, built again in one (m, m)
-    buffer (_centered_kernel); so does the path without the library.
+    (_packed_kernel) and its first column beside it.  Before it packs, K's
+    leading minor on the first _PROBE_POINTS points is factored
+    (_minor_is_definite): where that fails, as on SO(n) at all but a few
+    points, neither K nor H K H is positive definite, and nothing is
+    packed.  There, or where the packed factor fails, all four ends come
+    from one tridiagonal reduction of the whole H K H, built in one (m, m)
+    buffer (_centered_kernel); so do they on the path without the library.
     Raises ValueError on non-finite distances.
     """
     if len(x) < 2:
         raise ValueError("need at least 2 points")
     x0 = group.identity if x0 is None else x0
+
+    def pack(r):  # r stays unwritten where K's leading minor shows the factor must fail
+        return _packed_kernel(group, x, x0, r) if _minor_is_definite(group, x, x0) else None
+
     (k_min, k_max, c_min, c_max), method = lapack.factored_extremes(
-        len(x), lambda r: _packed_kernel(group, x, x0, r), lambda: _centered_kernel(group, x, x0))
+        len(x), pack, lambda: _centered_kernel(group, x, x0))
     return GramAudit(
         max_centered_eig=-2.0 * c_min,
         min_K_eig=k_min,
@@ -179,6 +192,20 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
         K_eig_scale=None if k_max is None else max(abs(k_min), abs(k_max)),
         method=method,
     )
+
+
+def _minor_is_definite(group, x: np.ndarray, x0) -> bool:
+    """Whether K's leading minor on the first _PROBE_POINTS rows of x, all of
+    them if fewer, is positive definite: lapack.cholesky of brownian_kernel
+    of x0 followed by those rows, whose block [1:, 1:] is that minor.  Where
+    it is not, neither is K, nor H K H, whose spectrum is K's.  On SU(2) at
+    64 points it took 0.2 ms; at seeds 1-5 it failed at pivots 10-15 on
+    SO(3), 18-22 on SO(4) and 36-45 on SO(6).  Raises ValueError on a
+    non-finite distance."""
+    k = brownian_kernel(group, np.concatenate(([x0], x[:_PROBE_POINTS])))
+    if not np.isfinite(k).all():
+        raise ValueError("non-finite distance encountered")
+    return lapack.cholesky(k) == 0
 
 
 def _border(group, x: np.ndarray, x0) -> np.ndarray:
@@ -251,11 +278,11 @@ def audit_bytes(group, m: int) -> int:
     lapack.KRYLOV_BYTES (1 kB) per point, which holds the factor's Lanczos
     basis or the reduction's workspace (about 830 B); a row of the distance
     kernel's scratch; lapack.SCRATCH_BYTES.  VmHWM of `check` above the
-    imports, their bytecode cached (numpy 2.4, 2 cores), at m = 1,000, 2,000
-    and 3,000: on SU(2), where the packed factor runs, 15.0, 28.5 and 49.2
-    MiB with BLAS on one thread and 17.1, 32.0 and 54.1 with BLAS threads
-    free; on SO(3), where it fails and the whole matrix is built again, 18.3,
-    42.1 and 82.4 in place; 24.7, 70.7 and 147.4 with the copies."""
+    imports, their bytecode cached (numpy 2.4, 2 cores, BLAS on the one
+    thread `check` pins), at m = 1,000, 2,000 and 3,000: on SU(2), where the
+    packed factor runs, 12.4, 24.6 and 43.8 MiB; on SO(3), where K's leading
+    minor fails and the whole matrix is built once, 17.3, 41.0 and 81.2 in
+    place; 23.9, 70.2 and 146.9 with the copies."""
     return (8 * m * m * (1 if lapack.available() else 2) + 16 * max(group_core.BLOCK_FLOATS, m)
             + lapack.KRYLOV_BYTES * m + group.pairwise_bytes(m) + lapack.SCRATCH_BYTES)
 

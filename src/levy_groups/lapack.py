@@ -13,12 +13,14 @@ the operations take numpy's ``eigvalsh`` and ``cholesky``, and the thread
 helpers change nothing.  ``cholesky`` checks the dtype, shape, contiguity
 and finiteness of its array before any pointer reaches LAPACK;
 ``factored_extremes`` takes storage its caller has checked.  Each raises
-``LinAlgError`` naming the routine when LAPACK reports an error.  The audit
-factors its packed block with one dpftrf and solves with the factor's RFP
-pieces by dtrsv and dgemv; where that factor fails, its caller rebuilds the
-whole matrix for the tridiagonal reduction.  ``cholesky`` factors in place
-in panels, ``_factor``, which agrees with numpy's to rounding, not bit for
-bit.
+``LinAlgError`` naming the routine when LAPACK reports an error.  One
+panel loop, ``_factor``, serves both factors: ``cholesky``'s block in place,
+and the second half of the audit's packed block once ``_factor_packed`` has
+walked its first half in panels of the same width.  Neither asks LAPACK for
+a workspace, and each agrees with numpy's factor to rounding, not bit for
+bit.  The audit solves with the packed factor's pieces by dtrsv and dgemv;
+where that factor fails, its caller builds the whole matrix for the
+tridiagonal reduction.
 """
 
 from __future__ import annotations
@@ -38,9 +40,10 @@ _INT, _DOUBLE, _PTR, _CHAR = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, c
 _ABSTOL = 2.0 * np.finfo(float).tiny  # bisection to full accuracy
 # BLAS and LAPACK scratch, which every memory charge adds: 8.6 MiB of VmHWM for `check`
 # at m = 2,000 and 3,000 (numpy 2.4, BLAS threads free) on the whole matrix, 2.8 and 4.5
-# for the first cholesky; over the built RFP array, dpftrf and the solves grew it 3.7 and
-# 5.3 MiB, their Lanczos basis (2.0 and 2.9) included, on one BLAS thread, 7.4 and 10.2
-# with BLAS threads free
+# for the first cholesky; over the built RFP array (one BLAS thread, as `check` runs), the
+# packed factor grew it by nothing and the solves by 0.6 MiB at both, their Lanczos basis
+# (2.0 and 2.9 MiB) mostly inside the build's transient peak; LAPACK's dpftrf grew it by
+# 2.8 and 4.3 MiB
 SCRATCH_BYTES = 9 * 2 ** 20
 # Workspace bytes a point of the audit: _reduce takes about 830, and
 # factored_extremes' Lanczos basis, up to KRYLOV_BYTES / 8 vectors, stays within it
@@ -56,12 +59,12 @@ _SYMBOLS = {
     # CHARACTER's length.  _reduce:
     "scipy_dsytrd_2stage_64_": (None, (ctypes.c_char_p,) * 2 + (_PTR,) * 11
                                 + (ctypes.c_size_t,) * 2),
-    # _factor's panels, column-major on the block's lower triangle, so no copy is made
+    # the panels of _factor and _factor_packed, column-major in place, so no copy is made
     "scipy_dpotrf_64_": (None, (ctypes.c_char_p,) + (_PTR,) * 4 + (ctypes.c_size_t,)),
     "scipy_dtrsm_64_": (None, (ctypes.c_char_p,) * 4 + (_PTR,) * 7 + (ctypes.c_size_t,) * 4),
     "scipy_dsyrk_64_": (None, (ctypes.c_char_p,) * 2 + (_PTR,) * 8 + (ctypes.c_size_t,) * 2),
-    # factored_extremes: the RFP factor, then _solve's steps on its pieces
-    "scipy_dpftrf_64_": (None, (ctypes.c_char_p,) * 2 + (_PTR,) * 3 + (ctypes.c_size_t,) * 2),
+    "scipy_dgemm_64_": (None, (ctypes.c_char_p,) * 2 + (_PTR,) * 11 + (ctypes.c_size_t,) * 2),
+    # _solve's steps on the RFP factor's pieces
     "scipy_dtrsv_64_": (None, (ctypes.c_char_p,) * 3 + (_PTR,) * 5 + (ctypes.c_size_t,) * 3),
     "scipy_dgemv_64_": (None, (ctypes.c_char_p,) + (_PTR,) * 10 + (ctypes.c_size_t,)),
     "scipy_LAPACKE_dstebz64_": (_INT, (_CHAR, _CHAR, _INT, _DOUBLE, _DOUBLE, _INT, _INT,
@@ -178,6 +181,12 @@ def _double(value: float):
     return ctypes.byref(ctypes.c_double(value))
 
 
+def _fortran(base: int, ld: int):
+    """at(i, j), the pointer of Fortran's (i, j) of the column-major doubles
+    from the pointer base with leading dimension ld."""
+    return lambda i, j: base + 8 * (i + j * ld)
+
+
 # The RFP format, TRANSR 'N' and UPLO 'L' (Gustavson, Wasniewski, Dongarra and Langou,
 # "Rectangular Full Packed Format for Cholesky's Algorithm", ACM TOMS 37(2), 2010), of a
 # symmetric B of order n >= 1: with n2 = ceil(n / 2), n1 = n - n2, s = 1 for even n and
@@ -185,9 +194,10 @@ def _double(value: float):
 # (n2, ld), holds n (n + 1) / 2 floats:
 #   - for t < n2, row t of B's upper triangle is one run: R[t, t + s:] = B[t, t:];
 #   - for t = n2 + p, it runs down column p: R[p + 1 - s:n1 + 1 - s, p] = B[t, t:];
-# so row x of R is B[n2 + x + s - 1, n2:n2 + x + s], then B[x, x:].  dpftrf's factor
-# L = [[L11, 0], [L21, L22]] keeps L11 over L21 at Fortran (s, 0) and L22^T, upper,
-# at Fortran (0, 1 - s), each with leading dimension ld.
+# so row x of R is B[n2 + x + s - 1, n2:n2 + x + s], then B[x, x:].  In Fortran's terms
+# B11 over B21, lower, is the trapezoid at (s, 0) and B22, upper, is at (0, 1 - s), each
+# with leading dimension ld; the factor L = [[L11, 0], [L21, L22]] (_factor_packed, as
+# LAPACK's dpftrf leaves it) keeps L11 over L21 and L22^T in their places.
 
 def _packed(n: int) -> np.ndarray:
     """An uninitialized RFP array R of order n."""
@@ -230,8 +240,10 @@ def factored_extremes(m: int, pack, full) -> tuple[_Ends, str]:
     finite (gram_audit's row sums do); nothing here scans them again.
 
     With the library, pack fills an array of (m - 1) m / 2 floats, and
-    dpftrf factors B in it as B = L L^T.  Bordering L with a's first column,
-    w = L^-1 a[1:, 0] and delta^2 = a[0, 0] - w^T w, gives a = M M^T for
+    _factor_packed factors B in it as B = L L^T; pack may instead return
+    None, the array unwritten, where its caller has found a not positive
+    definite.  Bordering L with a's first column, w = L^-1 a[1:, 0] and
+    delta^2 = a[0, 0] - w^T w, gives a = M M^T for
     M = [[delta, w^T], [0, L]].  Lanczos (_lanczos) then reads the bottoms
     from the inverses of M M^T and L L^T, two _solve a step, each problem
     alone with one right-hand side: the first from a fixed start, the second
@@ -240,13 +252,14 @@ def factored_extremes(m: int, pack, full) -> tuple[_Ends, str]:
     tolerance scales, and with a positive definite a both decisions hold
     whatever the scale, so none is computed.
 
-    _reduce runs on full() where the factor fails, where delta^2 <= 0,
-    where Lanczos would need more than KRYLOV_BYTES a point of Krylov
-    basis, the packed array dropped first; and without the library, where
-    pack is never called."""
+    _reduce runs on full() where pack returns None, where the factor
+    fails, where delta^2 <= 0, where Lanczos would need more than
+    KRYLOV_BYTES a point of Krylov basis, the packed array dropped first;
+    and without the library, where pack is never called."""
     if available():
         r = _packed(m - 1)
-        ends = _bordered_ends(r, pack(r))
+        column = pack(r)
+        ends = None if column is None else _bordered_ends(r, column)
         del r  # before full() builds the whole matrix
         if ends is not None:
             return ends, "cholesky"
@@ -256,12 +269,8 @@ def factored_extremes(m: int, pack, full) -> tuple[_Ends, str]:
 def _bordered_ends(r: np.ndarray, column: np.ndarray) -> Optional[_Ends]:
     """factored_extremes' floats from the factor of the block in the RFP
     array r, which it overwrites, and the first column of a; or None."""
-    m, info = len(column), ctypes.c_int64(0)
-    _library()["scipy_dpftrf_64_"](b"N", b"L", _int(m - 1), r.ctypes.data, ctypes.byref(info),
-                                   1, 1)
-    if info.value < 0:
-        raise np.linalg.LinAlgError(f"Cholesky factorization failed: dpftrf info {info.value}")
-    if info.value:
+    m = len(column)
+    if _factor_packed(r):
         return None
     w = column[1:].copy()
     _solve(r, w, False)
@@ -293,16 +302,13 @@ def _bordered_ends(r: np.ndarray, column: np.ndarray) -> Optional[_Ends]:
 
 def _solve(r: np.ndarray, x: np.ndarray, transpose: bool) -> None:
     """Overwrite the contiguous vector x of n floats with L^-1 x, or with
-    ``transpose`` L^-T x, for L the factor dpftrf leaves in the RFP array r:
-    dtrsv on L11, dgemv with L21, dtrsv on L22 through its stored transpose,
-    in that order for L and in reverse for L^T.  At n = 1 there is no L21
+    ``transpose`` L^-T x, for L the factor _factor_packed leaves in the RFP
+    array r: dtrsv on L11, dgemv with L21, dtrsv on L22 through its stored
+    transpose, in that order for L and in reverse for L^T.  At n = 1 there is no L21
     or L22, and only L11's solve runs."""
     n, n2, s = _rfp(r)
-    n1, ld, one = n - n2, _int(n + s), _int(1)
+    n1, ld, one, at = n - n2, _int(n + s), _int(1), _fortran(r.ctypes.data, n + s)
     head, tail = x[:n2].ctypes.data, x[n2:].ctypes.data
-
-    def at(i, j):  # the pointer of Fortran's (i, j) of r
-        return r.ctypes.data + 8 * (i + j * (n + s))
 
     def trsv(uplo, trans, order, a, v):
         _library()["scipy_dtrsv_64_"](uplo, trans, b"N", _int(order), a, ld, v, one, 1, 1, 1)
@@ -323,36 +329,77 @@ def _solve(r: np.ndarray, x: np.ndarray, transpose: bool) -> None:
         trsv(b"L", b"T", n2, at(s, 0), head)
 
 
-def _factor(a: np.ndarray, m: int) -> int:
-    """Factor the block a[1:, 1:] in place on its lower triangle as L L^T
-    and return 0, or return k + INFO, the order of the first leading minor
-    that is not positive definite, for the panel at row k.  Column-major
-    from the pointer of a[1, 1] with leading dimension m, that triangle is
-    Fortran's upper, U = L^T.  _PANEL rows of U at a time: dpotrf('U') of
-    the panel's diagonal block, dtrsm of the rest of the panel, a dsyrk
-    update of the trailing block.  OpenBLAS's own dpotrf packs an (m, 384)
-    panel: at m = 2,000 it took 6.0 MiB of VmHWM against 0.6 for these
-    panels, and no less time (numpy 2.4, SkylakeX, one thread: 69 against
-    60 ms)."""
-    def at(i, j):  # the pointer of Fortran's (i, j) of the block
-        return a[1 + j:, 1 + i:].ctypes.data
+def _potrf(uplo: bytes, order: int, a: int, ld) -> int:
+    """INFO of dpotrf(uplo) on the block of the given order at the pointer
+    a: 0, or the order of the block's first leading minor that is not
+    positive definite.  Raises LinAlgError where INFO < 0."""
+    info = ctypes.c_int64(0)
+    _library()["scipy_dpotrf_64_"](uplo, _int(order), a, ld, ctypes.byref(info), 1)
+    if info.value < 0:
+        raise np.linalg.LinAlgError(f"Cholesky factorization failed: dpotrf info {info.value}")
+    return info.value
 
-    n, ld, info = m - 1, _int(m), ctypes.c_int64(0)
-    one, minus_one = _double(1.0), _double(-1.0)
+
+def _factor(base: int, n: int, ld: int) -> int:
+    """Factor in place the symmetric matrix of order n whose upper triangle
+    is Fortran's from the pointer base with leading dimension ld as U^T U,
+    U upper, and return 0; or return the order of its first leading minor
+    that is not positive definite.  _PANEL rows of U at a time:
+    dpotrf('U') of the panel's diagonal block, dtrsm of the rest of the
+    panel, a dsyrk update of the trailing block.  OpenBLAS's own dpotrf
+    packs an (m, 384) panel: at m = 2,000 it took 6.0 MiB of VmHWM against
+    0.6 for these panels, and no less time (numpy 2.4, SkylakeX, one
+    thread: 69 against 60 ms)."""
+    at, lda, one, minus_one = _fortran(base, ld), _int(ld), _double(1.0), _double(-1.0)
     for k in range(0, n, _PANEL):
         width, rest = min(_PANEL, n - k), _int(max(n - k - _PANEL, 0))
-        _library()["scipy_dpotrf_64_"](b"U", _int(width), at(k, k), ld, ctypes.byref(info), 1)
-        if info.value < 0:
-            raise np.linalg.LinAlgError(f"Cholesky factorization failed: dpotrf info {info.value}")
-        if info.value > 0:
-            return k + info.value
+        info = _potrf(b"U", width, at(k, k), lda)
+        if info:
+            return k + info
         if k + width < n:
             _library()["scipy_dtrsm_64_"](b"L", b"U", b"T", b"N", _int(width), rest, one,
-                                          at(k, k), ld, at(k, k + width), ld, 1, 1, 1, 1)
+                                          at(k, k), lda, at(k, k + width), lda, 1, 1, 1, 1)
             _library()["scipy_dsyrk_64_"](b"U", b"T", rest, _int(width), minus_one,
-                                          at(k, k + width), ld, one, at(k + width, k + width),
-                                          ld, 1, 1)
+                                          at(k, k + width), lda, one, at(k + width, k + width),
+                                          lda, 1, 1)
     return 0
+
+
+def _factor_packed(r: np.ndarray) -> int:
+    """Factor in place the symmetric B of order n that the RFP array r holds
+    as L L^T, L as the format states, and return 0; or return the order of
+    B's first leading minor that is not positive definite.  First _PANEL
+    columns at a time down the trapezoid B11 over B21: dpotrf('L') of the
+    panel's diagonal block, one dtrsm of every row below it, dsyrk and dgemm
+    updates of the trapezoid's trailing columns, and a dsyrk update of B22
+    by the panel's rows of B21; then _factor on B22.  LAPACK's dpftrf, which
+    makes each step once on the whole halves, grew VmHWM over the RFP array
+    by 2.8 MiB at n = 1,999, and these panels by nothing (numpy 2.4,
+    SkylakeX, one thread); they took 72 against its 81 ms there, and 15
+    against 17 at n = 999 (medians of 5 processes)."""
+    n, n2, s = _rfp(r)
+    n1, ld = n - n2, n + s
+    at, lda, one, minus_one = _fortran(r.ctypes.data, ld), _int(ld), _double(1.0), _double(-1.0)
+    for k in range(0, n2, _PANEL):
+        width = min(_PANEL, n2 - k)
+        trailing, row = n2 - k - width, s + k + width  # columns after the panel, its next row
+        info = _potrf(b"L", width, at(s + k, k), lda)
+        if info:
+            return k + info
+        if not n1:  # n = 1: no row below, no B22
+            break
+        _library()["scipy_dtrsm_64_"](b"R", b"L", b"T", b"N", _int(n - k - width), _int(width),
+                                      one, at(s + k, k), lda, at(row, k), lda, 1, 1, 1, 1)
+        if trailing:
+            _library()["scipy_dsyrk_64_"](b"L", b"N", _int(trailing), _int(width), minus_one,
+                                          at(row, k), lda, one, at(row, k + width), lda, 1, 1)
+            _library()["scipy_dgemm_64_"](b"N", b"T", _int(n1), _int(trailing), _int(width),
+                                          minus_one, at(s + n2, k), lda, at(row, k), lda, one,
+                                          at(s + n2, k + width), lda, 1, 1)
+        _library()["scipy_dsyrk_64_"](b"U", b"N", _int(n1), _int(width), minus_one,
+                                      at(s + n2, k), lda, one, at(0, 1 - s), lda, 1, 1)
+    info = _factor(at(0, 1 - s), n1, ld)
+    return n2 + info if info else 0
 
 
 def _lanczos(apply, start: np.ndarray, steps: int) -> Optional[tuple[float, np.ndarray]]:
@@ -388,9 +435,10 @@ def cholesky(a: np.ndarray) -> int:
     with the Cholesky factor of its lower triangle, its strict upper
     triangle zeroed, and return 0; or return the order (from 1) of the first
     leading minor that is not positive definite, the block then unspecified.
-    _factor factors the triangle in place, in panels; without the library,
-    np.linalg.cholesky of a copy, and on failure a bisection over the
-    leading minors.  Raises ValueError on a non-finite entry, before LAPACK
+    _factor factors the triangle in place, in panels: column-major from
+    a[1, 1] with leading dimension m, it is Fortran's upper.  Without the
+    library, np.linalg.cholesky of a copy, and on failure a bisection over
+    the leading minors.  Raises ValueError on a non-finite entry, before LAPACK
     runs."""
     m, block = _square(a), a[1:, 1:]
     if not available():
@@ -399,7 +447,7 @@ def cholesky(a: np.ndarray) -> int:
         except np.linalg.LinAlgError:
             return _first_failed_minor(block)
         return 0
-    pivot = _factor(a, m)
+    pivot = _factor(block.ctypes.data, m - 1, m)
     if not pivot:
         for i in range(m - 2):  # a row at a time: no (m, m) mask or index arrays
             block[i, i + 1:] = 0.0

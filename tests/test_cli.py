@@ -494,29 +494,38 @@ def test_sizes_beyond_physical_memory_name_their_flags(args, sizes, capsys):
     assert f"error: {sizes} needs about " in err and "GB" in err
 
 
+# VmHWM in bytes, as a fresh interpreter reads it
+READ_HWM = """def hwm():
+    with open("/proc/self/status") as f:
+        return next(int(l.split()[1]) * 1024 for l in f if l.startswith("VmHWM:"))
+"""
+
+
+def fresh(code):
+    """The stdout of READ_HWM then ``code`` in a fresh interpreter, which must exit 0."""
+    import levy_groups
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(levy_groups.__file__)))
+    done = subprocess.run([sys.executable, "-c", READ_HWM + code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
 def grown_and_charged(argv, setup="", error=None):
     """VmHWM growth of one CLI run in a fresh interpreter, after ``setup``
     (one line of Python), and the run's charge, in bytes.  With ``error``
     the run must exit 2 with that text on stderr."""
-    import levy_groups
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(levy_groups.__file__)))
     argv = argv + ["--out", os.devnull]
-    code = f"""if True:
+    done = fresh(f"""if True:
         from levy_groups import cli
         {setup}
-        def hwm():
-            with open("/proc/self/status") as f:
-                return next(int(l.split()[1]) * 1024 for l in f if l.startswith("VmHWM:"))
         argv = {argv!r}
         before = hwm()
         code = cli.main(argv)
         cfg = cli.config_from_args(cli.build_parser().parse_args(argv), argv)
         print(hwm() - before, cli.charge(cfg, cli._validate(cfg)), code)
-    """
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
-    assert done.returncode == 0, done.stderr
+    """)
     grown, charged, code = map(int, done.stdout.split())
     assert error is None or (code == EXIT_USAGE and error in done.stderr), done.stderr
     return grown, charged
@@ -543,6 +552,29 @@ def test_su2_check_grows_by_half_a_matrix():
     m = 2000
     grown, _ = grown_and_charged(["check", "--group", "su2", "--points", str(m)])
     assert grown < 0.6 * 8 * m * m + lapack.SCRATCH_BYTES + rng.IMPORT_BYTES
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+@pytest.mark.skipif(not lapack.available(), reason="numpy bundles no LAPACK")
+def test_su2_packed_factor_grows_nothing_over_its_rfp_array():
+    # VmHWM once the packed build is done, and after the factor's panels:
+    # LAPACK's dpftrf grew it by 2.8 MiB here; the panels grew it by 0 bytes
+    # in each of 8 readings at m = 2,000, and at 1,000, 1,500 and 3,000
+    done = fresh("""if True:
+        import os
+        from levy_groups import cli, lapack
+        factor, grown = lapack._factor_packed, []
+        def spied(r):
+            before = hwm()
+            pivot = factor(r)
+            grown.append(hwm() - before)
+            return pivot
+        lapack._factor_packed = spied
+        cli.main(["check", "--group", "su2", "--points", "2000", "--out", os.devnull])
+        print(*grown)
+    """)
+    [grown] = map(int, done.stdout.split())
+    assert grown <= 2 ** 18  # 0.25 MiB
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")

@@ -302,16 +302,18 @@ def test_packed_solve_raises_on_a_lapacke_error(part, monkeypatch):
 
 @pytest.mark.skipif(not lapack.available(), reason="numpy bundles no LAPACK")
 @pytest.mark.parametrize("routine, info, message", [
-    ("dpftrf", 4, "Cholesky factorization failed: dpftrf info -4")])
+    ("dpotrf", 4, "Cholesky factorization failed: dpotrf info -4")])
 def test_factor_raises_on_a_lapack_error(routine, info, message, monkeypatch):
-    # SU(2): K is positive definite, so the factor runs; INFO < 0 (an
-    # illegal argument) reaches gram_audit's caller, naming the routine
+    # SU(2): K is positive definite, so the packed factor runs; INFO < 0 (an
+    # illegal argument) of its first dpotrf('L') reaches gram_audit's caller,
+    # naming the routine
     name = f"scipy_{routine}_64_"
     real = lapack._library()[name]
 
     def failing(*args):
         real(*args)
-        args[info]._obj.value = -info  # INFO, by reference
+        if args[0] == b"L":  # the packed factor's, not the probe's dpotrf('U')
+            args[info]._obj.value = -info  # INFO, by reference
 
     monkeypatch.setitem(lapack._library(), name, failing)
     with pytest.raises(np.linalg.LinAlgError, match=message):
@@ -454,6 +456,48 @@ def test_so3_audit_with_real_blocks_peaks_no_higher_than_su2(monkeypatch):
         assert during[SU2] - workspace_bytes(m, SU2) <= 1.02 * 8 * m * m
     assert during[SO3] - workspace_bytes(m, SO3) <= 1.02 * 8 * m * m
     assert workspace_bytes(m, SO3) <= 1024 * m  # the reduction's, within audit_bytes' 1 kB per point
+
+
+def test_so3_packed_build_peaks_at_the_packed_array_and_two_blocks():
+    # gram_audit packs no SO(3) set this large, as K's leading minor fails
+    # first; the build itself holds one block of the distance kernel's
+    # scratch beside its output, as on SU(2)
+    m = 1000
+    x = SO3.sample(RngStream(54, 1), m)
+    kernel_lab._packed_kernel(SO3, x[:10], SO3.identity, lapack._packed(9))  # warm-up
+    tracemalloc.start()
+    try:
+        kernel_lab._packed_kernel(SO3, x, SO3.identity, lapack._packed(m - 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.52 * 8 * m * m + 16 * group_core.BLOCK_FLOATS
+
+
+@pytest.mark.parametrize("group, m", [(SU2, 20), (SU2, 300), (SO3, 300),
+                                      (group_named("son", 4), 300), (group_named("son", 6), 100)])
+def test_probe_reads_whether_ks_leading_minor_is_positive_definite(group, m):
+    # K on the first _PROBE_POINTS points, all of them if fewer, for the base
+    # point e: positive definite on SU(2), not on SO(n)
+    x = group.sample(RngStream(72, m), m)
+    minor = kernel_lab.brownian_kernel(group, x[:kernel_lab._PROBE_POINTS], group.identity)
+    definite = np.linalg.eigvalsh(minor)[0] > 0.0
+    assert kernel_lab._minor_is_definite(group, x, group.identity) == definite == (group is SU2)
+
+
+@pytest.mark.parametrize("group", [SO3, group_named("son", 4)])
+def test_audit_packs_nothing_where_the_probe_fails(group, monkeypatch):
+    # the distances are walked once, for the reduction's whole matrix, and the
+    # floats are those of the reduction of H K H
+    def never(*args):
+        raise AssertionError("gram_audit packed the block")
+
+    monkeypatch.setattr(kernel_lab, "_packed_kernel", never)
+    x = group.sample(RngStream(73, 0), 200)
+    audit = gram_audit(group, x)
+    assert audit.method == "reduction"
+    k_min, k_max, c_min, c_max = reduced_ends(audit_matrix(group, x))
+    assert (audit.min_K_eig, audit.max_centered_eig) == (k_min, -2.0 * c_min)
 
 
 @pytest.mark.parametrize("reduce, points", [(True, 1000), (True, 2000), (False, 1000),

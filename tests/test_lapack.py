@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from levy_groups import SO3, SU2, RngStream, lapack
-from oracles import audit_matrix, packed_from, reduced_ends, unpacked
+from oracles import audit_matrix, packed_from, reduced_ends, rfp_places, unpacked
 
 needs_lapack = pytest.mark.skipif(not lapack.available(), reason="numpy bundles no LAPACK")
 
@@ -175,9 +175,9 @@ def spy_on_problems(monkeypatch):
 
 @needs_lapack
 def test_factored_extremes_spend_two_solves_a_bottom_step_and_no_dsymv(monkeypatch):
-    # the packed factor and the border's one solve, then the two bottom
-    # Lanczos problems, each step a solve with L and one with L^T on the
-    # factor's RFP pieces; no product with the matrix or the factor anywhere
+    # the packed factor's panels and the border's one solve, then the two
+    # bottom Lanczos problems, each step a solve with L and one with L^T on
+    # the factor's RFP pieces; no product with the matrix or the factor anywhere
     calls = []
     library = lapack._library()
     for name, routine in list(library.items()):
@@ -198,7 +198,11 @@ def test_factored_extremes_spend_two_solves_a_bottom_step_and_no_dsymv(monkeypat
     assert factored(a, whole_never_built)[0][1] == "cholesky"
     setup, *problems = " ".join(calls).split("problem")
     solve = ["dtrsv", "dgemv", "dtrsv"]
-    assert setup.split() == ["dpftrf"] + solve
+    # n = 299: five panels down B11 over B21 (150 columns), the last with no
+    # trailing columns, then five of _factor on B22 (order 149)
+    walk = ["dpotrf", "dtrsm", "dsyrk", "dgemm", "dsyrk"] * 4 + ["dpotrf", "dtrsm", "dsyrk"]
+    upper = ["dpotrf", "dtrsm", "dsyrk"] * 4 + ["dpotrf"]
+    assert setup.split() == walk + upper + solve
     kinds = []
     for steps in problems:
         before, *each = steps.split("step")
@@ -397,6 +401,36 @@ def test_cholesky_without_the_library_is_numpys_from_the_lower_triangle(m, monke
     factors_the_block_as_numpy_does(m, bits=True)
 
 
+def packed(block):
+    """The RFP array of the symmetric block, from its lower triangle."""
+    return block[rfp_places(len(block))]
+
+
+@needs_lapack
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 32, 33, 63, 64, 65, 66, 200, 201])
+def test_packed_factor_is_numpys_to_rounding(n):
+    # both parities, and the edges of the panels and of the halves: the factor
+    # left in the RFP array, read as a lower triangle, is np.linalg.cholesky's
+    # within n eps of its scale
+    g = RngStream(71, n).generator.standard_normal((n, n))
+    block = g @ g.T + n * np.eye(n)
+    r = packed(block)
+    assert lapack._factor_packed(r) == 0
+    want = np.linalg.cholesky(block)
+    assert np.abs(unpacked(r, n) - want).max() <= n * np.finfo(float).eps * np.abs(want).max()
+
+
+@needs_lapack
+@pytest.mark.parametrize("m, seed", [(20, 0), (20, 1), (20, 2), (50, 0), (100, 1), (300, 2)])
+def test_packed_factor_returns_the_failed_minor_on_so3(m, seed):
+    # H K H's block on SO(3) points: the order of its first leading minor that
+    # is not positive definite, in B11 at m = 50 to 300, in B22 at m = 20
+    block = audit_matrix(SO3, SO3.sample(RngStream(seed, m), m))[1:, 1:]
+    pivot = lapack._factor_packed(packed(block))
+    assert pivot == lapack._first_failed_minor(block.copy()) > 0
+    assert (pivot > m // 2) == (m == 20)  # B11's order is ceil((m - 1) / 2)
+
+
 # the last four at m = 100: at the edges of _factor's panels and past the first
 FAILED_PIVOTS = [([1.0, 4.0, -1.0, 1.0], 3), ([-1.0, 1.0], 1), ([1.0] * 6 + [0.0], 7)] + [
     ([1.0] * (p - 1) + [-1.0] * (101 - p), p) for p in (32, 33, 64, 97)]
@@ -409,6 +443,8 @@ def test_potrf_returns_the_failed_pivot():
         assert lapack.cholesky(a) == pivot
         # the columns before the pivot are factored
         assert np.array_equal(a.diagonal()[1:pivot], np.sqrt(diagonal[:pivot - 1]))
+        # and the packed factor stops at the same pivot, in B11 or in B22
+        assert lapack._factor_packed(packed(np.diag(diagonal))) == pivot
 
 
 @pytest.mark.parametrize("diagonal, pivot", FAILED_PIVOTS)
