@@ -23,7 +23,7 @@ import numpy as np
 
 from . import lapack
 from .canonical import Table
-from .group_core import BLOCK_FLOATS, row_blocks
+from .group_core import BLOCK_FLOATS, mirror_upper, row_blocks
 from .kernel_lab import brownian_kernel
 from .rng import RngStream
 
@@ -42,15 +42,18 @@ class KernelNotPSDError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)  # array fields: identity equality and hash
 class FieldSample:
-    """Kernel matrix, factorization and (optionally) sampled values.
+    """The points, their kernel's factor and (optionally) sampled values.
 
-    ``points`` stacks the group's point rows, the base point first; its
-    kernel row/column and every sampled value there are exactly zero.
-    ``values`` holds one column per realization.
+    ``points`` stacks the group's point rows, the base point first; the
+    factor's row/column there and every sampled value there are exactly
+    zero.  ``chol`` holds the Cholesky factor of the kernel's trailing block,
+    lower triangular, in the one matrix the kernel was formed in; the kernel
+    itself is not kept, and the variogram reads each distance from
+    ``group`` and the points.  ``values`` holds one column per realization.
     """
 
+    group: object
     points: np.ndarray
-    K: np.ndarray
     chol: np.ndarray
     jitter_used: float
     values: Optional[np.ndarray] = None
@@ -71,9 +74,12 @@ def build_field(
     x0 defaults to the group identity; the first row of x within
     ``_COINCIDENCE_TOL`` of it is moved to the front, or else x0 is
     prepended.  The kernel is formed in the distance matrix, its x0
-    row/column exactly zero, and the trailing block Cholesky-factored with
-    additive jitter escalating by decades; exhausting the ladder raises
-    :class:`KernelNotPSDError`.
+    row/column exactly zero, and its trailing block Cholesky-factored in
+    place with additive jitter escalating by decades; exhausting the ladder
+    raises :class:`KernelNotPSDError`.  A failed rung leaves the block's
+    strict upper triangle as it was (see :func:`lapack.cholesky`), so the
+    next rung restores the lower triangle from it, and the diagonal from a
+    copy, instead of holding a second matrix.
     """
     if jitter <= 0.0:
         raise ValueError("jitter must be positive")
@@ -86,79 +92,48 @@ def build_field(
     pts = np.concatenate((x0[None], x))
     k = brownian_kernel(group, pts)
 
-    chol = np.zeros_like(k)
     jit = 0.0
     if len(k) > 1:
-        block, diag = chol[1:, 1:], k[1:, 1:].diagonal()
+        block = k[1:, 1:]
+        diag = block.diagonal().copy()
         max_diag = float(diag.max())
         ladder = [jitter * 10.0 ** e for e in range(_JITTER_DECADES + 1)]
-        for jit in ladder:
-            block[...] = k[1:, 1:]  # each rung factors K's block plus the jitter afresh
+        for rung, jit in enumerate(ladder):
+            if rung:  # K's block again, from the triangle the failed factor left
+                for rows in row_blocks(len(block), len(block)):
+                    mirror_upper(block, rows)
             np.fill_diagonal(block, diag + jit * max_diag)
-            if not lapack.cholesky(chol):
+            if not lapack.cholesky(k):
                 break
         else:
             raise KernelNotPSDError(
                 f"kernel not PSD: Cholesky failed up to jitter {ladder[-1]:g}"
             )
-    return FieldSample(points=pts, K=k, chol=chol, jitter_used=jit)
+    return FieldSample(group=group, points=pts, chol=k, jitter_used=jit)
 
 
 def variogram_bytes(m: int, realizations: int) -> int:
     """Bytes build_field and empirical_variogram hold at their peak for m
     points besides x0, the returned columns included.  No realization is
     drawn or held: S is drawn in the law of their Gram matrix (see
-    :func:`empirical_variogram`).  The one pair pass holds four (m + 1)^2
-    matrices at most: K, the factor, S and Bartlett's F, which is
+    :func:`empirical_variogram`).  The one pair pass holds three (m + 1)^2
+    matrices at most: the factor, S and Bartlett's F, which is
     (m + 1) x min(m, r), so the charge is the same for every r >= m; besides
     them the estimate, distance and int32 pair-index columns (one and a half
-    matrices) and the terms of one block of pairs, which read 5.9 float64 a
-    pair at m = 1,500 and are charged 7; the stderr column comes after S is
-    freed.  Drawing and colouring F hold less: its normals, and one block of
-    rows of the colouring.  Besides: lapack.SCRATCH_BYTES.  VmHWM growth
-    above the interpreter, with one BLAS thread, as `simulate` runs
-    (numpy.random's import and the writer's pass included, as in
-    cli.charge): 12.0 MiB at --points 200 --realizations 10000, charged
-    22.8; 35.8 and 91.4 MiB, 7.31 and 5.32 matrices, at 800 and 1,500 points
-    and 100 realizations, charged 49.6 and 105.5; 112.3 MiB, 6.53 matrices,
-    at 1,500 points and 3,000 realizations, where F is whole, charged
-    121.5."""
+    matrices) and one block of pairs, its distances and their terms, which
+    read 6.9 float64 a pair at m = 1,500 and are charged 8; the stderr
+    column comes after S is freed.  Drawing and colouring F hold less: its
+    normals, and one block of rows of the colouring.  Besides:
+    lapack.SCRATCH_BYTES.  VmHWM growth above the interpreter, with one BLAS
+    thread, as `simulate` runs (numpy.random's import and the writer's pass
+    included, as in cli.charge): 11.6 MiB at --points 200 --realizations
+    10000, charged 22.6; 32.0 and 74.6 MiB, 6.53 and 4.34 matrices, at 800
+    and 1,500 points and 100 realizations, charged 45.7 and 89.3; 96.9 MiB,
+    5.63 matrices, at 1,500 points and 3,000 realizations, where F is whole,
+    charged 105.3."""
     pairs = (m + 1) * m // 2
-    return (3 * 8 * (m + 1) ** 2 + 8 * (m + 1) * min(m, realizations) + 24 * pairs
-            + 7 * 8 * min(BLOCK_FLOATS, pairs) + lapack.SCRATCH_BYTES)
-
-
-def _colour_width(n: int) -> int:
-    """Columns per block when an n x n factor colours the normals.
-
-    Each block takes the full product's BLAS kernel, so the values equal one
-    full L @ Z bit for bit: a multiple of _BLOCK keeps it on the kernel's tile
-    grid, and _BLOCK**2 multiply-adds or more keep it above OpenBLAS's
-    small-matrix kernels (10**6).  Narrower blocks take other kernels (a
-    one-column one gemv) whose sums differ; :func:`_colour_cuts` says when a
-    last block narrower than this may stand on its own.
-    """
-    return _BLOCK * -(-_BLOCK // max(n, 1) ** 2)
-
-
-def _colour_cuts(n: int, realizations: int) -> list[int]:
-    """Column cuts of the colouring blocks of an n x n factor: blocks of
-    _colour_width(n) columns, then the remainder of the realizations.
-
-    The remainder is a block of its own when it is a multiple of 8 columns,
-    at least _BLOCK // 4 of them and at least _BLOCK**2 multiply-adds (n^2
-    per column); else it joins the last whole block, which is then up to
-    twice as wide.  These keep a short block on the full product's kernels.
-    With OpenBLAS on SkylakeX and one BLAS thread, remainders of 100-188
-    columns changed the sums at n = 100-400, and none of 192 or more did at
-    n = 32-700.  On two BLAS threads, remainders of 256-692 columns that are
-    not multiples of 8 changed the sums at n = 64-700, and no multiple of 8
-    did, on two or four threads.
-    """
-    width = _colour_width(n)
-    whole, rest = divmod(realizations, width)
-    own = rest % 8 == 0 and 4 * rest >= _BLOCK and n * n * rest >= _BLOCK ** 2
-    return [*range(0, max(whole + own, 1) * width, width), realizations]
+    return (2 * 8 * (m + 1) ** 2 + 8 * (m + 1) * min(m, realizations) + 24 * pairs
+            + 8 * 8 * min(BLOCK_FLOATS, pairs) + lapack.SCRATCH_BYTES)
 
 
 def sample_field(fs: FieldSample, realizations: int, rng: RngStream) -> FieldSample:
@@ -166,21 +141,19 @@ def sample_field(fs: FieldSample, realizations: int, rng: RngStream) -> FieldSam
     ``values`` of shape (m, realizations), one column per realization.
 
     The normals are drawn realization-major (each realization's m - 1 normals
-    consecutive in the stream), a block of realizations at a time (see
-    :func:`_colour_cuts`), into one buffer sized for the widest block, and
-    coloured by the Cholesky factor straight into the value matrix's rows
-    below the base point, which stay zero.  The values equal one full
-    L @ Z.T of Z drawn at once as (realizations, m - 1), bit for bit, where
-    BLAS runs on one thread or two, as the CLI pins it to one; at more
-    threads OpenBLAS may split the two products' sums differently.
+    consecutive in the stream), ``_BLOCK`` realizations at a time, into one
+    buffer, and each block is coloured by the Cholesky factor straight into
+    the value matrix's rows below the base point, which stay zero.  The
+    values are L @ Z.T of Z drawn at once as (realizations, m - 1), to
+    rounding: each block of columns is its own product.
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
     vals = np.zeros((fs.m, realizations))
     chol = fs.chol[1:, 1:]
-    cuts = _colour_cuts(len(chol), realizations)
-    z = np.empty((np.diff(cuts).max(), len(chol)))
-    for a, b in zip(cuts, cuts[1:]):
+    z = np.empty((min(_BLOCK, realizations), len(chol)))
+    for a in range(0, realizations, _BLOCK):
+        b = min(a + _BLOCK, realizations)
         np.matmul(chol, rng.generator.standard_normal(out=z[:b - a]).T, out=vals[1:, a:b])
     return replace(fs, values=vals)
 
@@ -209,18 +182,6 @@ def _bartlett_factor(fs: FieldSample, realizations: int, gen: np.random.Generato
         cols = min(rows.stop, f.shape[1])  # A[:hi] is zero right of column hi
         a[rows, :cols] = chol[rows, :rows.stop] @ a[:rows.stop, :cols]
     return f
-
-
-def _pair_blocks(m: int):
-    """Yield (first pair, i, j) over blocks of upper-triangle rows of an
-    (m, m) matrix, about BLOCK_FLOATS entries of the rows each: the rows'
-    pairs i < j in row-major order, from the pair's index among all pairs."""
-    first = 0
-    for rows in row_blocks(m - 1, m):
-        i, j = np.nonzero(np.arange(m) > np.arange(rows.start, rows.stop)[:, None])
-        i += rows.start
-        yield first, i, j
-        first += len(i)
 
 
 class VariogramRow(NamedTuple):
@@ -256,11 +217,12 @@ def empirical_variogram(fs: FieldSample, realizations: int, rng: RngStream) -> T
     N(0, d_ij) and Var((V_i - V_j)^2) = 2 d_ij^2: ``stderr`` is the plug-in
     sqrt(2 / r) * ``estimate`` on every row, a recomputed one included.
 
-    The pair terms are formed in one pass, a block of upper-triangle rows at
-    a time, so no per-pair vector but the columns is held whole: it writes
-    ``estimate`` from S, flags the pairs, and writes ``distance`` and the
-    pair indices from K.  S is freed before the recomputed pairs and
-    ``stderr``.
+    The pair terms are formed in one pass over the blocks of upper-triangle
+    rows of the points' distances (``group.upper_blocks``), so no per-pair
+    vector but the columns is held whole: it writes ``estimate`` from S,
+    flags the pairs, and writes ``distance``, the group's distance of the
+    pair itself, and the pair indices.  S is freed before the recomputed
+    pairs and ``stderr``.
     """
     if realizations < 100:
         raise ValueError("need at least 100 realizations")
@@ -271,17 +233,21 @@ def empirical_variogram(fs: FieldSample, realizations: int, rng: RngStream) -> T
     eps = np.finfo(float).eps
     est, dist = np.empty(m * (m - 1) // 2), np.empty(m * (m - 1) // 2)
     pair_i, pair_j = np.empty(len(est), dtype=np.int32), np.empty(len(est), dtype=np.int32)
-    k, dk = fs.K, fs.K.diagonal()  # d_ij = K_ii + K_jj - 2 K_ij, exact from the kernel definition
     flagged = [np.empty(0, dtype=np.intp)]  # one array to concatenate when x0 alone has no pairs
-    for first, i, j in _pair_blocks(m):
+    first = 0
+    for lo, d in fs.group.upper_blocks(fs.points):
+        i, j = np.nonzero(np.arange(d.shape[1]) > np.arange(len(d))[:, None])
         block = slice(first, first + len(i))
+        dist[block] = d[i, j]
+        i += lo
+        j += lo
         s_ij = s[i, j]
         sq = ds[i] + ds[j] - 2.0 * s_ij
         est[block] = sq / r
         unsafe = eps * (ds[i] + ds[j] + 2.0 * np.abs(s_ij)) > _CANCELLATION_TOL * sq
         flagged.append(first + np.flatnonzero(unsafe))
-        dist[block] = dk[i] + dk[j] - 2.0 * k[i, j]
         pair_i[block], pair_j[block] = i, j
+        first += len(i)
     del s, ds
     for p in np.concatenate(flagged):
         est[p] = ((f[pair_i[p]] - f[pair_j[p]]) ** 2).sum() / r

@@ -66,6 +66,16 @@ def row_blocks(rows: int, floats_per_row: int) -> list[slice]:
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
+def mirror_upper(a: np.ndarray, rows: slice) -> None:
+    """Copy the rows ``rows`` of the square a's upper triangle into the
+    matching columns of its strict lower triangle, which leaves a bitwise
+    symmetric once every row has been copied."""
+    i, j = rows.start, rows.stop
+    a[j:, i:j] = a[i:j, j:].T
+    top = a[i:j, i:j]  # square; its lower triangle comes from its upper
+    np.copyto(top, top.T, where=np.tri(len(top), k=-1, dtype=bool))
+
+
 # ---------------------------------------------------------------------------
 # Haar sampling
 # ---------------------------------------------------------------------------
@@ -172,10 +182,7 @@ class _Group:
         m = len(x)
         d = np.empty((m, m))
         for i, block in self.upper_blocks(x, d):
-            j = i + len(block)
-            d[j:, i:j] = d[i:j, j:].T
-            top = d[i:j, i:j]  # square; its lower triangle comes from its upper
-            np.copyto(top, top.T, where=np.tri(len(top), k=-1, dtype=bool))
+            mirror_upper(d, slice(i, i + len(block)))
         return d
 
     def upper_blocks(self, x: np.ndarray, d=None):

@@ -66,16 +66,14 @@ def sum_zero_basis(m: int) -> np.ndarray:
     return b
 
 
-def brownian_kernel(group, x: np.ndarray, x0=None) -> np.ndarray:
+def brownian_kernel(group, x: np.ndarray) -> np.ndarray:
     """The kernel matrix 0.5 (d0_i + d0_j - d_ij) of the rows of x for the
-    base point x0, formed in their distance matrix as -d_ij/2 + (d0_i/2 +
+    base point x[0], formed in their distance matrix as -d_ij/2 + (d0_i/2 +
     d0_j/2) by _outer_sum (halving is exact), for build_field and
-    gram_audit's probe.  x0 defaults to x[0], whose row and column then come
-    out exactly 0.0; gram_audit and build_field default it to the group
-    identity instead, and each passes x0 here as x's first row."""
+    gram_audit's probe, which each pass their x0 as x's first row.  The row
+    and column of x[0] come out exactly 0.0."""
     d = pairwise_distance_matrix(group, x)
-    d0 = d[0].copy() if x0 is None else group.distances(x, x0)
-    return _outer_sum(d, -0.5, 0.5 * d0)
+    return _outer_sum(d, -0.5, 0.5 * d[0])
 
 
 def _householder(m: int) -> tuple[np.ndarray, float]:

@@ -434,12 +434,16 @@ def cholesky(a: np.ndarray) -> int:
     """Overwrite the block a[1:, 1:] of the C-contiguous float64 (m, m) a
     with the Cholesky factor of its lower triangle, its strict upper
     triangle zeroed, and return 0; or return the order (from 1) of the first
-    leading minor that is not positive definite, the block then unspecified.
+    leading minor that is not positive definite.  On failure the block's
+    lower triangle, its diagonal included, is unspecified, and its strict
+    upper triangle and a's row 0 and column 0 are left as given, on both
+    paths: build_field's jitter ladder restores the block from them.
     _factor factors the triangle in place, in panels: column-major from
-    a[1, 1] with leading dimension m, it is Fortran's upper.  Without the
-    library, np.linalg.cholesky of a copy, and on failure a bisection over
-    the leading minors.  Raises ValueError on a non-finite entry, before LAPACK
-    runs."""
+    a[1, 1] with leading dimension m, it is Fortran's upper, and no routine
+    it calls writes Fortran's strict lower triangle.  Without the library,
+    np.linalg.cholesky of a copy, written back only where it succeeds, and
+    on failure a bisection over the leading minors.  Raises ValueError on a
+    non-finite entry, before LAPACK runs."""
     m, block = _square(a), a[1:, 1:]
     if not available():
         try:

@@ -7,7 +7,8 @@ the matrix H K H that ``kernel_lab.gram_audit`` hands to its solver, whole
 or with the row sums of its packed build, the places of the rectangular
 full packed (RFP) array that holds its block, the
 four spectrum ends of that solver's tridiagonal reduction, the bordered
-sum-zero top of a distance matrix, and Bartlett's factor of the field's
+sum-zero top of a distance matrix, the field's values that
+``field_sim.sample_field`` colours, and Bartlett's factor of the field's
 Gram matrix that ``field_sim.empirical_variogram`` draws.
 Each character, and each density and distribution function of the angle,
 takes the descriptor ``SU2`` or ``SO3``, as ``harmonic`` does.
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 
-from levy_groups import group_core, lapack
+from levy_groups import field_sim, group_core, lapack
 from levy_groups.harmonic import _is_so3
 from levy_groups.kernel_lab import _householder, _outer_sum, _reflect, _shift
 from levy_groups.quadrature import MAX_DEPTH, QuadratureError
@@ -264,6 +265,21 @@ def bordered_top(group, x):
     n = len(d)
     q = np.linalg.qr(np.eye(n, n - 1) - np.eye(n, n - 1, -1))[0]  # from the e_i - e_{i+1}
     return np.linalg.eigvalsh(q.T @ d @ q)[-1], np.abs(np.linalg.eigvalsh(d)).max()
+
+
+def coloured_values(fs, r, gen):
+    """The (m, r) values of r realizations of the field fs: Z =
+    gen.standard_normal((r, m - 1)) drawn at once, realization-major, and
+    the rows below the base point formed a block of field_sim._BLOCK
+    realizations at a time, columns [a, b) as L @ Z[a:b].T, which OpenBLAS
+    sums bit for bit as sample_field does; one full L @ Z.T agrees to
+    rounding."""
+    z = gen.standard_normal((r, fs.m - 1))
+    vals = np.zeros((fs.m, r))
+    for a in range(0, r, field_sim._BLOCK):
+        b = min(a + field_sim._BLOCK, r)
+        vals[1:, a:b] = fs.chol[1:, 1:] @ z[a:b].T
+    return vals
 
 
 def bartlett_draw(n, r, gen):

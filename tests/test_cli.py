@@ -668,9 +668,9 @@ def test_simulate_memory_does_not_grow_with_realizations():
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_simulate_at_1500_points_holds_at_most_six_matrices():
-    # K, the factor, S and Bartlett's F of 100 columns, and one pass of pair
-    # terms a block of rows at a time: 5.32 (m + 1)^2 matrices grown, bounded
-    # here with 0.68 of a matrix to spare
+    # the factor, S and Bartlett's F of 100 columns, and one pass of pair
+    # terms a block of rows at a time: 4.34 (m + 1)^2 matrices grown, bounded
+    # here with 1.66 of a matrix to spare
     grown, charged = grown_and_charged(["simulate", "--points", "1500", "--realizations", "100"])
     assert grown <= charged
     assert grown <= 6 * 8 * 1501 ** 2

@@ -21,7 +21,8 @@ from levy_groups import (
 )
 from levy_groups.cli import RunConfig, _emit
 from levy_groups.field_sim import VariogramRow
-from oracles import bartlett_draw, bartlett_factor
+from levy_groups.kernel_lab import brownian_kernel
+from oracles import bartlett_draw, bartlett_factor, coloured_values
 
 
 def su2_points(seed, m, stream=0):
@@ -51,9 +52,9 @@ def qmul(p, q):
 def test_single_point_field_is_trivial():
     fs = build_field(SU2, SU2.identity[None])
     assert fs.m == 1
-    assert fs.K.shape == (1, 1)
-    assert fs.K[0, 0] == 0.0
+    assert fs.chol.shape == (1, 1)
     assert fs.chol[0, 0] == 0.0
+    assert brownian_kernel(SU2, fs.points)[0, 0] == 0.0
 
 
 def test_build_field_prepends_base_point():
@@ -62,8 +63,10 @@ def test_build_field_prepends_base_point():
     assert fs.m == 11
     assert np.array_equal(fs.points[0], SU2.identity)
     assert np.array_equal(fs.points[1:], pts)
-    assert np.abs(fs.K[0, :]).max() == 0.0
-    assert np.abs(fs.K[:, 0]).max() == 0.0
+    k = brownian_kernel(SU2, fs.points)
+    assert np.abs(k[0, :]).max() == 0.0
+    assert np.abs(k[:, 0]).max() == 0.0
+    assert not fs.chol[0].any() and not fs.chol[:, 0].any()
 
 
 def test_build_field_moves_existing_base_point_to_front():
@@ -88,7 +91,7 @@ def test_factorization_reproduces_kernel():
     pts = su2_points(62, 50)
     fs = build_field(SU2, pts)
     assert fs.jitter_used <= 1e-9
-    resid = np.abs(fs.chol @ fs.chol.T - fs.K).max()
+    resid = np.abs(fs.chol @ fs.chol.T - brownian_kernel(SU2, fs.points)).max()
     assert resid < 1e-8
 
 
@@ -133,7 +136,7 @@ def test_jitter_ladder_factor_is_the_per_rung_formulas_bit_for_bit(seed, m, jitt
     x = su2_points(seed, m)
     x = np.concatenate([x, x[:m // 2]]) if rung else x
     fs = build_field(SU2, x, jitter=jitter)
-    factor, jit = factored_per_rung(fs.K, jitter)
+    factor, jit = factored_per_rung(brownian_kernel(SU2, fs.points), jitter)
     assert fs.jitter_used == jit == jitter * 10.0 ** rung
     assert np.array_equal(fs.chol[1:, 1:], factor)
     assert np.array_equal(fs.chol[0], np.zeros(fs.m)) and np.array_equal(fs.chol[:, 0], fs.chol[0])
@@ -141,9 +144,10 @@ def test_jitter_ladder_factor_is_the_per_rung_formulas_bit_for_bit(seed, m, jitt
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
 def test_build_field_factors_without_a_copy_of_the_block():
-    # K and the factor are two (m + 1)^2 matrices; a transposed copy of the
-    # block for the factor would be a third.  A fresh interpreter on one BLAS
-    # thread, as the CLI runs, so no earlier test's peak hides the growth
+    # K is factored in the one (m + 1)^2 matrix it is formed in; a copy of
+    # the block for the factor, or K kept beside it, would be a second.  A
+    # fresh interpreter on one BLAS thread, as the CLI runs, so no earlier
+    # test's peak hides the growth
     code = """if True:
         from levy_groups import SU2, RngStream, build_field, lapack
         def hwm():
@@ -160,7 +164,7 @@ def test_build_field_factors_without_a_copy_of_the_block():
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert done.returncode == 0, done.stderr
     grown, m = map(int, done.stdout.split())
-    assert m == 2001 and grown <= 2.4 * 8 * m ** 2
+    assert m == 2001 and grown <= 1.4 * 8 * m ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -183,66 +187,18 @@ def test_sampling_is_reproducible():
     assert not np.array_equal(a, c)
 
 
-# Narrow last column blocks take other BLAS kernels than the full product: a
-# one-column one (5, 1025) gemv, (200, 1026) and (31, 2050) OpenBLAS's
-# small-matrix kernels, (100, 1100) its kernels for a short block; (20, 5003)
-# needs blocks wider than 1024 to stay off the small-matrix kernels.
+# a remainder of one column, of short and of nearly whole blocks, and whole blocks
 @pytest.mark.parametrize("m, r", [(30, 400), (5, 1025), (300, 2500), (200, 1026),
-                                  (31, 2050), (100, 1100), (20, 5003)])
+                                  (31, 2050), (100, 1100), (20, 5003), (45, 3072)])
 def test_values_are_the_cholesky_factor_times_the_normals(m, r):
-    # the promise holds on one BLAS thread and on two, not at every count
+    # each block of 1,024 realizations is its own product, bit for bit, and
+    # the values are one full L @ Z.T to rounding
     fs = build_field(SU2, su2_points(76, m))
-    z = RngStream(76, 1).generator.standard_normal((r, m)).T  # realization-major
-    before = lapack.set_threads(1)
-    try:
-        for threads in (1, 2):
-            lapack.set_threads(threads)
-            vals = sample_field(fs, r, RngStream(76, 1)).values
-            assert np.array_equal(vals[1:], fs.chol[1:, 1:] @ z), threads
-    finally:
-        if before is not None:
-            lapack.set_threads(before)
-
-
-@pytest.mark.parametrize("rest", [1, 100, 150, 255, 256, 300, 784, 1023])
-@pytest.mark.parametrize("n", [5, 20, 31, 45, 200, 333])
-def test_each_colouring_block_is_the_full_product_and_no_wider_than_the_rule(n, rest):
-    # two whole blocks and a remainder: the remainder is a block of its own
-    # when it is a multiple of 8, >= 256 columns and >= 1024^2 multiply-adds,
-    # else it joins the last whole block; either way the values are one full
-    # product's, on one BLAS thread and on two
-    fs = build_field(SU2, su2_points(85, n))
-    width = field_sim._colour_width(n)
-    r = 2 * width + rest
-    own = rest % 8 == 0 and rest >= 256 and n * n * rest >= 1024 ** 2
-    widths = np.diff(field_sim._colour_cuts(n, r)).tolist()
-    assert widths == ([width, width, rest] if own else [width, width + rest])
-    z = RngStream(85, 1).generator.standard_normal((r, n)).T
-    before = lapack.set_threads(1)
-    try:
-        for threads in (1, 2):
-            lapack.set_threads(threads)
-            vals = sample_field(fs, r, RngStream(85, 1)).values
-            assert np.array_equal(vals[1:], fs.chol[1:, 1:] @ z), threads
-    finally:
-        if before is not None:
-            lapack.set_threads(before)
-
-
-@pytest.mark.parametrize("n, r, cuts", [
-    (200, 1023, [0, 1023]),  # less than one block
-    (200, 3072, [0, 1024, 2048, 3072]),  # whole blocks
-    (200, 2048 + 248, [0, 1024, 2296]),  # 8 columns short of _BLOCK // 4
-    (200, 2048 + 256, [0, 1024, 2048, 2304]),
-    (200, 2048 + 260, [0, 1024, 2308]),  # not a multiple of 8
-    (200, 2048 + 264, [0, 1024, 2048, 2312]),
-    (45, 2048 + 512, [0, 1024, 2560]),  # 512 x 45^2 multiply-adds, short of _BLOCK^2
-    (45, 2048 + 520, [0, 1024, 2048, 2568]),
-    (64, 1024 + 256, [0, 1024, 1280]),  # exactly _BLOCK^2 multiply-adds
-    (31, 2048 + 1016, [0, 3064]),  # 2,048-column blocks at n = 31
-])
-def test_colour_cuts_split_the_remainder_at_the_rule_and_no_column_off(n, r, cuts):
-    assert field_sim._colour_cuts(n, r) == cuts
+    vals = sample_field(fs, r, RngStream(76, 1)).values
+    assert np.array_equal(vals, coloured_values(fs, r, RngStream(76, 1).generator))
+    full = fs.chol[1:, 1:] @ RngStream(76, 1).generator.standard_normal((r, m)).T
+    assert np.abs(vals[1:] - full).max() <= 1e-13 * np.abs(full).max()
+    assert not vals[0].any()
 
 
 def test_sampling_holds_one_value_matrix_and_one_block():
@@ -255,7 +211,7 @@ def test_sampling_holds_one_value_matrix_and_one_block():
     finally:
         tracemalloc.stop()
     # the values are coloured in place from one block of normals, of 1,024
-    # columns: the 784-column remainder is a block of its own
+    # columns
     assert peak <= 1.1 * 8 * fs.m * r + 8 * fs.m * field_sim._BLOCK
 
 
@@ -273,8 +229,9 @@ def test_field_moments_match_kernel():
     r = 20_000
     fs = sample_field(fs, r, RngStream(67, 2))
     d0 = SU2.distances(fs.points, SU2.identity)
+    k = brownian_kernel(SU2, fs.points)
     for i in [1, 4, 9]:
-        d_i = fs.K[i, i]
+        d_i = k[i, i]
         mean = fs.values[i].mean()
         assert abs(mean) < 3.0 * math.sqrt(d_i / r)
         var = fs.values[i].var(ddof=1)
@@ -289,7 +246,8 @@ def test_increments_follow_the_gaussian_law_the_stderr_assumes():
     fs = build_field(SU2, SU2.sample(RngStream(7, 0), 50))
     r = 10_000
     v = sample_field(fs, r, RngStream(7, 1)).values
-    k, dk = fs.K, fs.K.diagonal()
+    k = brownian_kernel(SU2, fs.points)
+    dk = k.diagonal()
     ratios = []
     for a in range(fs.m - 1):
         d = dk[a] + dk[a + 1:] - 2.0 * k[a, a + 1:]  # d_aj from K, as the rows' distance
@@ -325,7 +283,8 @@ def test_bartlett_gram_has_wisharts_mean_and_variance(r):
         f = field_sim._bartlett_factor(fs, r, RngStream(seed, 1).generator)
         s[seed] = f @ f.T
     assert not s[:, 0].any()
-    k, dk = fs.K, fs.K.diagonal()
+    k = brownian_kernel(SU2, fs.points)
+    dk = k.diagonal()
     i, j = np.triu_indices(fs.m)
     i, j = i[i > 0], j[i > 0]
     mean, var = r * k[i, j], r * (dk[i] * dk[j] + k[i, j] ** 2)
@@ -360,7 +319,8 @@ def test_variogram_has_the_law_of_sample_fields_variogram(points, seeds):
     fs = build_field(SU2, su2_points(88, points))
     r = 100
     i, j = np.triu_indices(fs.m, 1)
-    d = fs.K[i, i] + fs.K[j, j] - 2.0 * fs.K[i, j]
+    k = brownian_kernel(SU2, fs.points)
+    d = k[i, i] + k[j, j] - 2.0 * k[i, j]
     drawn, sampled = np.empty((2, seeds)), np.empty((2, seeds))
     for seed in range(seeds):
         ratio = empirical_variogram(fs, r, RngStream(seed, 1)).estimate / d
@@ -456,7 +416,7 @@ def test_streamed_variogram_spans_blocks_of_pairs():
     pts[512:] = qmul(pts[[0, 300, 511]], np.stack([np.cos(h), np.sin(h), 0 * h, 0 * h], axis=-1))
     fs = build_field(SU2, pts)
     planted = [(1, 513), (301, 514), (512, 515)]
-    blocks = [(i[0], i[-1]) for _, i, _ in field_sim._pair_blocks(fs.m)]
+    blocks = [(i, i + len(d) - 1) for i, d in SU2.upper_blocks(fs.points)]
     assert len(blocks) == 3
     assert [next(b for b, (lo, hi) in enumerate(blocks) if lo <= a <= hi) for a, _ in planted] \
         == [0, 1, 2]
@@ -470,12 +430,31 @@ def test_streamed_variogram_spans_blocks_of_pairs():
     rows = empirical_variogram(fs, r, rng)
     assert np.array_equal(rows.estimate, est) and np.array_equal(rows.stderr, se)
     assert np.array_equal(rows.pair_i, i) and np.array_equal(rows.pair_j, j)
-    k = fs.K
-    assert np.array_equal(rows.distance, k[i, i] + k[j, j] - 2.0 * k[i, j])
+    assert np.array_equal(rows.distance, SU2.pairwise(fs.points)[i, j])
     assert same_state(rng.generator.bit_generator.state, bartlett_end_state(86, 1, fs.m, r))
     # its blocks of rows of L A are one full product's, to rounding
     full = fs.chol[1:, 1:] @ bartlett_draw(fs.m - 1, r, RngStream(86, 1).generator)
     assert np.abs(f[1:] - full).max() <= 1e-13 * np.abs(full).max()
+
+
+@pytest.mark.parametrize("m", [12, 515])
+def test_variogram_distance_is_the_groups_distance_bit_for_bit(m):
+    # points planted 1e-6, 1e-7 and 1e-9 from others and far from x0, and -e
+    # antipodal to it, at m = 515 in three blocks of upper-triangle rows: each
+    # pair's distance is the group's own, where the kernel's
+    # K_ii + K_jj - 2 K_ij reads the pair 1e-9 apart about 1e-7 relative off
+    pts = su2_points(86, m)
+    h = np.array([1e-6, 1e-7, 1e-9])
+    pts[-3:] = qmul(pts[[0, m // 2, m - 4]], np.stack([np.cos(h), np.sin(h), 0 * h, 0 * h],
+                                                      axis=-1))
+    pts[1] = -SU2.identity
+    fs = build_field(SU2, pts)
+    rows = empirical_variogram(fs, 100, RngStream(86, 1))
+    i, j = np.triu_indices(fs.m, 1)
+    d = SU2.pairwise(fs.points)
+    assert np.array_equal(rows.distance, d[i, j])
+    assert rows.distance[1] == math.pi  # the pair (0, 2): x0 and -e
+    assert d[m - 3, m] < 1.1e-9
 
 
 def test_haar_points_flag_no_pair():

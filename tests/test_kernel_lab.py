@@ -43,6 +43,12 @@ def su2_dist(x, y):
     return float(SU2.distances(x[None], y)[0])
 
 
+def kernel_for(group, x, x0):
+    """brownian_kernel of the rows of x for the base point x0: x0 put first,
+    its row and column taken off."""
+    return kernel_lab.brownian_kernel(group, np.concatenate(([x0], x)))[1:, 1:]
+
+
 def lemma_equivalence(group, x):
     """The kernel-PSD test and the restricted-negativity test agree (they
     must, by the kernel identity)."""
@@ -57,7 +63,7 @@ def lemma_equivalence(group, x):
 def test_kernel_vanishes_at_base_point():
     e = SU2.identity
     pts = np.vstack([e, SU2.sample(RngStream(40, 0), 5)])
-    k = kernel_lab.brownian_kernel(SU2, pts, e)
+    k = kernel_lab.brownian_kernel(SU2, pts)
     assert np.abs(k[0]).max() == pytest.approx(0.0, abs=1e-15)
 
 
@@ -67,7 +73,7 @@ def test_kernel_diagonal_is_distance_to_base():
     rng = RngStream(41, 0)
     x0 = SU2.sample(rng, 1)[0]
     x = SU2.sample(rng, 5)
-    k = kernel_lab.brownian_kernel(SU2, x, x0)
+    k = kernel_for(SU2, x, x0)
     for i in range(5):
         assert k[i, i] == pytest.approx(su2_dist(x[i], x0), abs=1e-7)
 
@@ -79,14 +85,14 @@ def test_kernel_antipodal_equatorial_configuration():
     y = np.array([0.0, 1.0, 0.0, 0.0])
     assert su2_dist(y, e) == pytest.approx(math.pi / 2)
     assert su2_dist(x, y) == pytest.approx(math.pi / 2)
-    k = kernel_lab.brownian_kernel(SU2, np.stack([x, y]), e)
+    k = kernel_for(SU2, np.stack([x, y]), e)
     assert k[0, 1] == pytest.approx(math.pi / 2, abs=1e-12)
 
 
 def test_kernel_symmetry():
     rng = RngStream(42, 0)
     x, y, x0 = SU2.sample(rng, 3)
-    k = kernel_lab.brownian_kernel(SU2, np.stack([x, y]), x0)
+    k = kernel_for(SU2, np.stack([x, y]), x0)
     assert np.array_equal(k, k.T)
     want = 0.5 * (su2_dist(x, x0) + su2_dist(y, x0) - su2_dist(x, y))
     assert k[0, 1] == pytest.approx(want, abs=1e-12)
@@ -136,7 +142,7 @@ def test_centered_spectrum_is_the_helmert_compression(group, m):
 def test_reflect_keeps_a_symmetric_matrix_bit_for_bit(group, seed):
     # gram_audit's H K H is reduced from one triangle and factored from the other
     x = group.sample(RngStream(seed, 0), 100)
-    for a in (group.pairwise(x), kernel_lab.brownian_kernel(group, x, group.identity)):
+    for a in (group.pairwise(x), kernel_for(group, x, group.identity)):
         assert np.array_equal(a, a.T)
         _reflect(a)
         assert np.array_equal(a, a.T)
@@ -154,7 +160,7 @@ def test_audit_matrix_is_minus_half_hdh_bordered_and_bitwise_symmetric(group, mo
     [a] = seen
     assert np.array_equal(a, a.T)
     assert np.array_equal(a[1:, 1:], _reflect(group.pairwise(x))[1:, 1:])
-    want = _reflect(-2.0 * kernel_lab.brownian_kernel(group, x, group.identity))
+    want = _reflect(-2.0 * kernel_for(group, x, group.identity))
     assert np.abs(a - want).max() <= 1e-15 * np.abs(want).max()
 
 
@@ -335,12 +341,14 @@ def workspace_bytes(m, group=SO3):
 @GROUPS
 @pytest.mark.parametrize("m", [129, 300])
 def test_audit_kernel_is_the_formula_and_bitwise_symmetric(group, m):
-    x = group.sample(RngStream(52, m), m)
-    k = kernel_lab.brownian_kernel(group, x, group.identity)
-    d0 = group.distances(x, group.identity)
-    want = 0.5 * (d0[:, None] + d0[None, :] - pairwise_distance_matrix(group, x))
+    # for the base point x[0], here e, whose row and column are exactly 0.0
+    x = np.concatenate(([group.identity], group.sample(RngStream(52, m), m)))
+    k = kernel_lab.brownian_kernel(group, x)
+    d = pairwise_distance_matrix(group, x)
+    want = 0.5 * (d[0][:, None] + d[0][None, :] - d)
     assert np.array_equal(k, k.T)
     assert np.array_equal(k, want)
+    assert not k[0].any()
 
 
 def held_at_solves(monkeypatch):
@@ -419,29 +427,31 @@ def test_audit_peaks_at_one_packed_matrix(group, monkeypatch):
 
 
 def test_so3_audit_with_real_blocks_peaks_no_higher_than_su2(monkeypatch):
-    # SO(3)'s distance kernel holds one block of scratch beside its output, as
-    # its _pair_floats declares, so while it packs H K H's block its peak is
-    # the packed array's and two blocks, as on SU(2); in the solve SU(2) holds
-    # the packed factor and its Lanczos basis, SO(3), whose factor fails, the
-    # rebuilt (m, m) buffer and its reduction's workspace
+    # each build with real blocks holds its output and two blocks of the
+    # distance kernel's scratch, as its _pair_floats declares: SU(2) packs
+    # H K H's block, SO(3), whose leading minor fails, packs nothing and
+    # builds the whole (m, m) buffer in full(); in the solve SU(2) holds the
+    # packed factor and its Lanczos basis, SO(3) that buffer and its
+    # reduction's workspace
     m = 1000
-    packing, during = {}, {}
+    built, during = {}, {}
     solve = lapack.factored_extremes
 
-    def peak_of(build):  # the traced peak while build runs, the peak reset after it
+    def peak_of(name, build):  # the traced peak while build runs, the peak reset after it
         def spy(*args):
             tracemalloc.reset_peak()
-            built = build(*args)
-            packing.setdefault(group, tracemalloc.get_traced_memory()[1])
+            out = build(*args)
+            built[group, name] = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            return built
+            return out
         return spy
 
-    monkeypatch.setattr(lapack, "factored_extremes",
-                        lambda m, pack, full: solve(m, peak_of(pack), peak_of(full)))
+    monkeypatch.setattr(lapack, "factored_extremes", lambda m, pack, full: solve(
+        m, peak_of("pack", pack), peak_of("full", full)))
+    for group in (SU2, SO3):  # load the solver first
+        gram_audit(group, group.sample(RngStream(54, 0), 10))
+    built.clear()  # the warm-ups'
     for group in (SU2, SO3):
-        gram_audit(group, group.sample(RngStream(54, 0), 10))  # load the solver first
-        packing.pop(group, None)  # the warm-up's
         x = group.sample(RngStream(54, 1), m)
         tracemalloc.start()
         try:
@@ -449,8 +459,10 @@ def test_so3_audit_with_real_blocks_peaks_no_higher_than_su2(monkeypatch):
             during[group] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+    blocks = 16 * group_core.BLOCK_FLOATS
+    assert built[SO3, "full"] <= 1.02 * 8 * m * m + blocks
     if lapack.available():
-        assert packing[SO3] <= packing[SU2] <= 0.52 * 8 * m * m + 16 * group_core.BLOCK_FLOATS
+        assert built[SU2, "pack"] <= 0.52 * 8 * m * m + blocks
         assert during[SU2] - workspace_bytes(m, SU2) <= 0.52 * 8 * m * m
     else:
         assert during[SU2] - workspace_bytes(m, SU2) <= 1.02 * 8 * m * m
@@ -480,7 +492,7 @@ def test_probe_reads_whether_ks_leading_minor_is_positive_definite(group, m):
     # K on the first _PROBE_POINTS points, all of them if fewer, for the base
     # point e: positive definite on SU(2), not on SO(n)
     x = group.sample(RngStream(72, m), m)
-    minor = kernel_lab.brownian_kernel(group, x[:kernel_lab._PROBE_POINTS], group.identity)
+    minor = kernel_for(group, x[:kernel_lab._PROBE_POINTS], group.identity)
     definite = np.linalg.eigvalsh(minor)[0] > 0.0
     assert kernel_lab._minor_is_definite(group, x, group.identity) == definite == (group is SU2)
 
@@ -579,7 +591,7 @@ def test_su2_kernel_is_positive_definite_at_scale():
 def test_audit_base_point_row_vanishes_when_x0_included():
     e = SU2.identity
     pts = np.vstack([e, su2_points(45, 5)])
-    k = kernel_lab.brownian_kernel(SU2, pts, e)
+    k = kernel_lab.brownian_kernel(SU2, pts)
     assert np.abs(k[0, :]).max() < 1e-12
     assert np.abs(k[:, 0]).max() < 1e-12
     # the zero row makes the audited K singular

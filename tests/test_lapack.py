@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from levy_groups import SO3, SU2, RngStream, lapack
+from levy_groups import SO3, SU2, RngStream, kernel_lab, lapack
 from oracles import audit_matrix, packed_from, reduced_ends, rfp_places, unpacked
 
 needs_lapack = pytest.mark.skipif(not lapack.available(), reason="numpy bundles no LAPACK")
@@ -452,6 +452,25 @@ def test_cholesky_without_the_library_returns_the_failed_pivot(diagonal, pivot, 
     # the first leading minor that is not positive definite, by bisection
     monkeypatch.setattr(lapack, "available", lambda: False)
     assert lapack.cholesky(bordered(np.diag(diagonal), 0.0)) == pivot
+
+
+@pytest.mark.parametrize("library", [True, False], ids=["library", "numpy"])
+def test_failed_cholesky_leaves_the_upper_triangle_and_the_border_as_given(library, monkeypatch):
+    # build_field's jitter ladder restores K's block from these parts: on
+    # SO(3)'s K at 1,500 points the factor fails at pivot 12, after writing
+    # into the lower triangle, and they stay bit for bit
+    if library and not lapack.available():
+        pytest.skip("numpy bundles no LAPACK")
+    if not library:
+        monkeypatch.setattr(lapack, "available", lambda: False)
+    x = SO3.sample(RngStream(1, 0), 1500)
+    k = kernel_lab.brownian_kernel(SO3, np.concatenate(([SO3.identity], x)))
+    given = k.copy()
+    assert lapack.cholesky(k) == 12
+    kept = np.triu(np.ones(k.shape, dtype=bool), 1)
+    kept[:, 0] = True
+    assert np.array_equal(k[kept].view(np.uint64), given[kept].view(np.uint64))
+    assert not library or not np.array_equal(k, given)
 
 
 def symbols_never_called(source: str, table: dict) -> list[str]:
