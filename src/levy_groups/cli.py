@@ -57,7 +57,9 @@ class RunConfig:
 
     def __post_init__(self):  # an unknown command gets no defaults; _validate refuses it
         spec = COMMANDS.get(self.command)
-        self.points = getattr(spec, "points", None) if self.points is None else self.points
+        if self.points is None:
+            points = getattr(spec, "points", None)
+            self.points = points(self) if callable(points) else points
         self.tol = getattr(spec, "tol", None) if self.tol is None else self.tol
 
 
@@ -70,7 +72,7 @@ class Command(NamedTuple):
     least: dict                         # field -> least value (--n only with --group son)
     charge: Callable[..., int]          # (cfg, group) -> estimated peak bytes
     handler: Callable[..., None]        # (cfg, group, rng); raises what run reports
-    points: int = 100                   # default --points
+    points: int | Callable[..., int] = 100  # default --points, or cfg -> it, doc for help
     tol: float = harmonic.QUADRATURE_TOL  # default --tol
     group_required: bool = True
     formats: tuple[str, ...] = FORMATS
@@ -169,6 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
         for dest in spec.flags:
             option, kind, text = _FLAGS[dest]
             default = getattr(defaults, dest)
+            if callable(getattr(spec, dest, None)):  # a default that the other flags set
+                default = getattr(spec, dest).__doc__
             p.add_argument(option, type=kind, dest=dest,
                            help=text if default is None else f"{text} (default {default})")
     return parser
@@ -354,6 +358,13 @@ def _run_haar(cfg: RunConfig, group, rng: RngStream) -> None:
     }, group.columns, samples)
 
 
+def _check_points(cfg: RunConfig) -> int:
+    """100; max(100, 4 d) with --group son, d = n(n+1)/2 - 1"""
+    # Haar SO(n) sets refute K only above about 2 d points (README's `check` paragraph)
+    n = cfg.n if cfg.group == "son" and cfg.n is not None else 0
+    return max(100, 2 * n * (n + 1) - 4)
+
+
 # each subcommand's groups, flags, least values, --points and --tol defaults, memory
 # charge and handler; a flag only one command takes has its default in RunConfig, and a
 # charge too large for memory names the command's own --points, --n and --lmax.
@@ -369,7 +380,7 @@ COMMANDS = {
                      ("su2", "so3", "son"), ("n", "points", "tol"), {"n": 2, "points": 2},
                      lambda cfg, group: (group.sample_bytes(cfg.points)
                                          + kernel_lab.audit_bytes(group, cfg.points)),
-                     _run_check, tol=kernel_lab.RELATIVE_EIG_TOL),
+                     _run_check, points=_check_points, tol=kernel_lab.RELATIVE_EIG_TOL),
     "witness": Command("search for a restricted-negative-definiteness counterexample",
                        ("su2", "so3", "son"), ("n", "points", "trials", "margin"),
                        {"n": 4, "points": 5, "trials": 1},

@@ -17,7 +17,7 @@ Points move as arrays: one descriptor per group (``SU2``, ``SO3``,
 rotations and states its distance once, as a kernel ``_angles`` or as the
 data of the shared one.  The shared ``pairwise`` and ``distances`` run it on
 blocks and read exactly 0.0 between bitwise-equal points; ``pairwise`` and
-the audit's packed build share one walk over the upper row blocks,
+the audit's build of H K H share one walk over the upper row blocks,
 ``upper_blocks``.
 """
 

@@ -16,14 +16,15 @@ and column, with no K formed.  One factorization decides both: where
 H K H is positive definite, one Cholesky factor of the block, bordered with
 the first column, gives both spectra's bottoms by Lanczos; elsewhere a
 tridiagonalization that fixes e1 turns H K H into T, whose ends are K's
-and whose block T[1:, 1:] is similar to H K H's.  The factor reads one
-triangle, so the block is built straight from the distances into
-rectangular full packed storage (lapack's RFP array), half the matrix, with
-the first column beside it, and factored there in panels that ask for no
-workspace.  K's leading minor on a few points is factored first: where it
-fails, as on SO(n), nothing is packed, and the whole H K H is built once in
-one (m, m) buffer for the reduction; where the packed factor fails, it is
-built there again.  A witness certificate
+and whose block T[1:, 1:] is similar to H K H's.  Each reads one triangle,
+so one builder writes H K H's upper triangle a row at a time, straight
+from the distances, into whichever storage lapack hands it: for the factor,
+the block in rectangular full packed storage (lapack's RFP array), half the
+matrix, with the first column beside it; for the reduction, one (m, m)
+buffer whose first row is that column.  K's leading minor on a few points
+is factored first: where it fails, as on SO(n), nothing is packed, and the
+buffer is built once; where the packed factor fails, it is built after the
+packed array is freed, the same floats again.  A witness certificate
 is a point set and sum-zero weight vector whose quadratic form is
 strictly positive, certifying that the distance is not restricted
 negative definite.
@@ -97,36 +98,6 @@ def _outer_sum(a: np.ndarray, scale: float, g: np.ndarray) -> np.ndarray:
     return a
 
 
-def _reflect(a: np.ndarray) -> np.ndarray:
-    """Overwrite the symmetric (m, m) a with H (-a/2) H (see _householder)
-    and return it: a[1:, 1:] is then -a/2 compressed onto the sum-zero
-    subspace.
-
-    H a H = a - (u w^T + w u^T) for p = tau a u and w = p - (tau / 2) (u^T p) u.
-    Since u = 1/sqrt(m) + e1, p comes from a's row sums and first column, and
-    the update splits in two: one _outer_sum pass a_ij <- -a_ij / 2 + (g_i + g_j)
-    for g = w / (2 sqrt(m)), then the e1 terms, w / 2, in row 0 and in
-    column 0, so a bitwise-symmetric a stays bitwise symmetric; nothing
-    m x m is made.
-    Raises ValueError where a row sum, and so an entry, is not finite."""
-    w = _shift(a @ np.ones(len(a)), a[:, 0])
-    _outer_sum(a, -0.5, w / -np.sqrt(len(a)))
-    a[0] -= w
-    a[:, 0] -= w
-    return a
-
-
-def _shift(sums: np.ndarray, first: np.ndarray) -> np.ndarray:
-    """-w/2 of _reflect, from the row sums and the first column of a; raises
-    ValueError where a sum is not finite."""
-    if not np.isfinite(sums).all():
-        raise ValueError("non-finite distance encountered")
-    m = len(sums)
-    u, tau = _householder(m)
-    p = tau * (sums / np.sqrt(m) + first)
-    return -0.5 * (p - (0.5 * tau * (u @ p)) * u)
-
-
 @dataclass(frozen=True)
 class GramAudit:
     """Eigenvalue evidence for one point configuration.
@@ -162,27 +133,23 @@ def gram_audit(group, x: np.ndarray, x0=None) -> GramAudit:
     x0 defaults to the group identity.  One factorization of H K H gives
     both spectra's ends: K's are those of H K H, and since v^T K v =
     -v^T D v / 2 for sum-zero v, D's on sum-zero weights are -2 times those
-    of its [1:, 1:] block.  lapack.factored_extremes reads the bottoms from
-    the Cholesky factor of H K H where it is positive definite, with no tops
-    and so no scales; there it holds H K H's block in packed storage
-    (_packed_kernel) and its first column beside it.  Before it packs, K's
-    leading minor on the first _PROBE_POINTS points is factored
+    of its [1:, 1:] block.  _centered_kernel builds H K H's upper triangle
+    into the storage lapack.factored_extremes gives it: where H K H is
+    positive definite, the block in packed storage, half the matrix, whose
+    Cholesky factor gives the bottoms, with no tops and so no scales.  Before
+    it packs, K's leading minor on the first _PROBE_POINTS points is factored
     (_minor_is_definite): where that fails, as on SO(n) at all but a few
-    points, neither K nor H K H is positive definite, and nothing is
-    packed.  There, or where the packed factor fails, all four ends come
-    from one tridiagonal reduction of the whole H K H, built in one (m, m)
-    buffer (_centered_kernel); so do they on the path without the library.
-    Raises ValueError on non-finite distances.
+    points, neither K nor H K H is positive definite, and nothing is packed.
+    There, where the packed factor fails, and without the library, all four
+    ends come from one tridiagonal reduction of an (m, m) buffer that the
+    same build fills.  Raises ValueError on non-finite distances.
     """
     if len(x) < 2:
         raise ValueError("need at least 2 points")
     x0 = group.identity if x0 is None else x0
-
-    def pack(r):  # r stays unwritten where K's leading minor shows the factor must fail
-        return _packed_kernel(group, x, x0, r) if _minor_is_definite(group, x, x0) else None
-
     (k_min, k_max, c_min, c_max), method = lapack.factored_extremes(
-        len(x), pack, lambda: _centered_kernel(group, x, x0))
+        len(x), lambda row: _centered_kernel(group, x, x0, row),
+        lambda: _minor_is_definite(group, x, x0))
     return GramAudit(
         max_centered_eig=-2.0 * c_min,
         min_K_eig=k_min,
@@ -206,61 +173,44 @@ def _minor_is_definite(group, x: np.ndarray, x0) -> bool:
     return lapack.cholesky(k) == 0
 
 
-def _border(group, x: np.ndarray, x0) -> np.ndarray:
-    """(sqrt(m) / 2) H d0 for the distances d0 of the rows of x to x0, which
-    H K H subtracts from its row 0 and its column 0; raises ValueError on a
-    non-finite distance."""
+def _centered_kernel(group, x: np.ndarray, x0, row) -> np.ndarray:
+    """Write H K H for the kernel K of the rows of x and base point x0 into
+    the views row(t), t >= 1, of its upper triangle's rows (H K H)[t, t:],
+    and return its first column; K is never formed.  H 1 = -sqrt(m) e1, so
+    K's d0 terms reach only row 0 and column 0:
+    H K H = -1/2 H D H - (sqrt(m) / 2) (h e1^T + e1 h^T) for h = H d0.  And
+    H D H = D - (u w^T + w u^T) for p = tau D u and w = p - (tau / 2) (u^T p) u
+    (_householder), where p comes from D's row sums and first row, so
+    -1/2 H D H is -d_ij / 2 + (g_i + g_j) for g = w / (2 sqrt(m)), with the
+    e1 terms w / 2 in row 0 and column 0.  One walk over D's upper row blocks
+    (group.upper_blocks) places each point's row, from point 1 on, keeps
+    point 0's for the first column and adds each pair once to both row sums;
+    then one pass of -d/2 + (g_i + g_j) over the rows.  Raises ValueError on
+    non-finite distances."""
     m = len(x)
     u, tau = _householder(m)
     d0 = group.distances(x, x0)
-    border = 0.5 * np.sqrt(m) * (d0 - (tau * (u @ d0)) * u)
+    border = 0.5 * np.sqrt(m) * (d0 - (tau * (u @ d0)) * u)  # (sqrt(m) / 2) h
     if not np.isfinite(border).all():
         raise ValueError("non-finite distance encountered")
-    return border
-
-
-def _centered_kernel(group, x: np.ndarray, x0) -> np.ndarray:
-    """H K H for the kernel K of the rows of x and base point x0, built in
-    their distance matrix D and never forming K: H 1 = -sqrt(m) e1, so K's
-    d0 terms reach only row 0 and column 0, and
-    H K H = -1/2 H D H - (sqrt(m) / 2) (h e1^T + e1 h^T) for h = H d0.
-    _reflect turns D into -1/2 H D H in one pass, and the border
-    (sqrt(m) / 2) h is subtracted from row 0 and from column 0, so the
-    result is bitwise symmetric.  Raises ValueError on non-finite distances.
-    """
-    border = _border(group, x, x0)
-    a = _reflect(pairwise_distance_matrix(group, x))
-    a[0] -= border
-    a[:, 0] -= border
-    return a
-
-
-def _packed_kernel(group, x: np.ndarray, x0, r: np.ndarray) -> np.ndarray:
-    """Write the block (H K H)[1:, 1:] of _centered_kernel into the RFP
-    array r and return H K H's first column, by _centered_kernel's formulas
-    with no (m, m) array.  One walk over D's upper row blocks
-    (group.upper_blocks) places each point's row, from point 1 on, as the
-    row of r's block (lapack.packed_row), keeps point 0's row for the first
-    column, and adds each pair once to both row sums; then one pass of
-    -d/2 + (g_i + g_j) over r's runs (lapack.packed_runs).  The entries are
-    _centered_kernel's to rounding: the row sums are added in another order.
-    Raises ValueError on non-finite distances."""
-    m = len(x)
-    border = _border(group, x, x0)
     sums = np.zeros(m)
     for i, block in group.upper_blocks(x):
         if i == 0:
             first = block[0].copy()
         for k in range(max(i, 1), i + len(block)):  # point k's row, from point 1 on
-            lapack.packed_row(r, k - 1)[...] = block[k - i, k - i:]
+            row(k)[...] = block[k - i, k - i:]
         sums[i:i + len(block)] += block.sum(axis=1)
         sums[i:] += block.sum(axis=0)
-    w = _shift(sums, first)
+    if not np.isfinite(sums).all():
+        raise ValueError("non-finite distance encountered")
+    p = tau * (sums / np.sqrt(m) + first)
+    w = -0.5 * (p - (0.5 * tau * (u @ p)) * u)  # -w / 2
     g = w / -np.sqrt(m)
-    for i, j, run in lapack.packed_runs(r):
+    for t in range(1, m):
+        run = row(t)
         run *= -0.5
-        run += g[1 + i] + g[1 + j:1 + j + len(run)]
-    column = first * -0.5 + (g + g[0])  # then the e1 terms and the border, as in _centered_kernel
+        run += g[t] + g[t:]
+    column = first * -0.5 + (g + g[0])
     column[0] -= w[0]
     column -= w
     column -= border
@@ -272,15 +222,16 @@ def audit_bytes(group, m: int) -> int:
     """Bytes gram_audit holds at its peak on m points, their sample aside:
     the (m, m) buffer of the reduction, which the factor's packed half never
     exceeds, and without LAPACK the copy eigvalsh makes of it, then of its
-    [1:, 1:] block; two blocks of row_blocks, or two rows; the workspace,
-    lapack.KRYLOV_BYTES (1 kB) per point, which holds the factor's Lanczos
-    basis or the reduction's workspace (about 830 B); a row of the distance
-    kernel's scratch; lapack.SCRATCH_BYTES.  VmHWM of `check` above the
-    imports, their bytecode cached (numpy 2.4, 2 cores, BLAS on the one
-    thread `check` pins), at m = 1,000, 2,000 and 3,000: on SU(2), where the
-    packed factor runs, 12.4, 24.6 and 43.8 MiB; on SO(3), where K's leading
-    minor fails and the whole matrix is built once, 17.3, 41.0 and 81.2 in
-    place; 23.9, 70.2 and 146.9 with the copies."""
+    [1:, 1:] block; two blocks of row_blocks, or two rows: the build's walk
+    and the distance kernel's scratch; the workspace, lapack.KRYLOV_BYTES
+    (1 kB) per point, which holds the factor's Lanczos basis or the
+    reduction's workspace (about 830 B); a row of the distance kernel's
+    scratch; lapack.SCRATCH_BYTES.  VmHWM of `check` above the imports, their
+    bytecode cached (numpy 2.4, 2 cores, BLAS on the one thread `check`
+    pins), at m = 1,000, 2,000 and 3,000: on SU(2), where the packed factor
+    runs, 12.4, 24.5 and 43.8 MiB; on SO(3), where K's leading minor fails
+    and the build fills the buffer once, 17.2, 41.8 and 81.1 in place; 23.8,
+    70.3 and 146.9 with the copies."""
     return (8 * m * m * (1 if lapack.available() else 2) + 16 * max(group_core.BLOCK_FLOATS, m)
             + lapack.KRYLOV_BYTES * m + group.pairwise_bytes(m) + lapack.SCRATCH_BYTES)
 

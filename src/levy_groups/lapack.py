@@ -3,24 +3,25 @@
 numpy's wheels ship OpenBLAS as ``libscipy_openblas64_`` (64-bit integers,
 every symbol prefixed ``scipy_`` and suffixed ``64_``).  This module loads
 it once and declares each symbol it calls in one table, ``_SYMBOLS``.  It
-exports what the package calls: ``factored_extremes`` for the audit, with
-``packed_row`` and ``packed_runs``, through which its caller writes the
-audit's block in rectangular full packed (RFP) storage, the format stated
-once here; ``cholesky`` for the field; and the thread helpers
-``set_threads``, ``threads`` and ``core_name``.  The witness search needs
-none of it.  Where numpy ships no such library, ``available()`` is false,
-the operations take numpy's ``eigvalsh`` and ``cholesky``, and the thread
-helpers change nothing.  ``cholesky`` checks the dtype, shape, contiguity
-and finiteness of its array before any pointer reaches LAPACK;
-``factored_extremes`` takes storage its caller has checked.  Each raises
-``LinAlgError`` naming the routine when LAPACK reports an error.  One
-panel loop, ``_factor``, serves both factors: ``cholesky``'s block in place,
-and the second half of the audit's packed block once ``_factor_packed`` has
-walked its first half in panels of the same width.  Neither asks LAPACK for
-a workspace, and each agrees with numpy's factor to rounding, not bit for
-bit.  The audit solves with the packed factor's pieces by dtrsv and dgemv;
-where that factor fails, its caller builds the whole matrix for the
-tridiagonal reduction.
+exports what the package calls: ``factored_extremes`` for the audit, which
+hands its caller's one builder a row view of either storage, the audit's
+block in rectangular full packed (RFP) storage, the format stated once
+here, or the upper triangle of the whole matrix; ``cholesky`` for the
+field; and the thread helpers ``set_threads``, ``threads`` and
+``core_name``.  The witness search needs none of it.  Where numpy ships no
+such library, ``available()`` is false, the operations take numpy's
+``eigvalsh`` and ``cholesky``, and the thread helpers change nothing.
+``cholesky`` checks the dtype, shape, contiguity and finiteness of its
+array before any pointer reaches LAPACK; ``factored_extremes`` takes
+entries its caller has checked.  Each raises ``LinAlgError`` naming the
+routine when LAPACK reports an error.  One panel loop, ``_factor``, serves
+both factors: ``cholesky``'s block in place, and the second half of the
+audit's packed block once ``_factor_packed`` has walked its first half in
+panels of the same width.  Neither asks LAPACK for a workspace, and each
+agrees with numpy's factor to rounding, not bit for bit.  The audit solves
+with the packed factor's pieces by dtrsv and dgemv; where that factor
+fails, its caller's builder writes the whole matrix's upper triangle for
+the tridiagonal reduction.
 """
 
 from __future__ import annotations
@@ -211,7 +212,7 @@ def _rfp(r: np.ndarray) -> tuple[int, int, int]:
     return ld - s, n2, s
 
 
-def packed_row(r: np.ndarray, t: int) -> np.ndarray:
+def _packed_row(r: np.ndarray, t: int) -> np.ndarray:
     """Row t of the upper triangle of the symmetric B in the RFP array r,
     B[t, t:], as a view of r: a run of a row of r, or for t >= n2 a column."""
     n, n2, s = _rfp(r)
@@ -220,29 +221,19 @@ def packed_row(r: np.ndarray, t: int) -> np.ndarray:
     return r[t - n2 + 1 - s:n - n2 + 1 - s, t - n2]
 
 
-def packed_runs(r: np.ndarray):
-    """(i, j, run) for each run of the RFP array r, a row of r in two:
-    run = B[i, j:j + len(run)] of the symmetric B that r holds."""
-    n, n2, s = _rfp(r)
-    for x in range(n2):
-        if x + s:
-            yield n2 + x + s - 1, n2, r[x, :x + s]
-        yield x, x, r[x, x + s:]
-
-
-def factored_extremes(m: int, pack, full) -> tuple[_Ends, str]:
+def factored_extremes(m: int, build, definite) -> tuple[_Ends, str]:
     """_reduce's four floats for a symmetric order-m a, m >= 2, and the
     factorization that gave them: "cholesky" where a is positive definite,
-    its two tops then None, else "reduction".  The caller gives a in two
-    stores: pack(r) writes the block B = a[1:, 1:] into the RFP array r
-    through packed_row and packed_runs and returns a[:, 0]; full() returns
-    a as a C-contiguous float64 (m, m) buffer.  Each has checked its entries
-    finite (gram_audit's row sums do); nothing here scans them again.
+    its two tops then None, else "reduction".  The caller's build(row)
+    writes a[t, t:] into the view row(t) for t >= 1 and returns a[:, 0],
+    its entries checked finite (gram_audit's row sums do); nothing here
+    scans them again.  definite() is false where the caller has found a not
+    positive definite.
 
-    With the library, pack fills an array of (m - 1) m / 2 floats, and
-    _factor_packed factors B in it as B = L L^T; pack may instead return
-    None, the array unwritten, where its caller has found a not positive
-    definite.  Bordering L with a's first column, w = L^-1 a[1:, 0] and
+    With the library, and where definite() holds, build fills an RFP array
+    of (m - 1) m / 2 floats with the block B = a[1:, 1:], a's row t as B's
+    row t - 1 (_packed_row), and _factor_packed factors B in it as
+    B = L L^T.  Bordering L with a's first column, w = L^-1 a[1:, 0] and
     delta^2 = a[0, 0] - w^T w, gives a = M M^T for
     M = [[delta, w^T], [0, L]].  Lanczos (_lanczos) then reads the bottoms
     from the inverses of M M^T and L L^T, two _solve a step, each problem
@@ -252,18 +243,20 @@ def factored_extremes(m: int, pack, full) -> tuple[_Ends, str]:
     tolerance scales, and with a positive definite a both decisions hold
     whatever the scale, so none is computed.
 
-    _reduce runs on full() where pack returns None, where the factor
-    fails, where delta^2 <= 0, where Lanczos would need more than
-    KRYLOV_BYTES a point of Krylov basis, the packed array dropped first;
-    and without the library, where pack is never called."""
-    if available():
+    Elsewhere build fills the upper triangle of an (m, m) square, its row 0
+    the returned column, all _reduce reads: where definite() is false, where
+    the factor fails, where delta^2 <= 0, where Lanczos would need more than
+    KRYLOV_BYTES a point of Krylov basis, the packed array dropped first; and
+    without the library, where definite is never called."""
+    if available() and definite():
         r = _packed(m - 1)
-        column = pack(r)
-        ends = None if column is None else _bordered_ends(r, column)
-        del r  # before full() builds the whole matrix
+        ends = _bordered_ends(r, build(lambda t: _packed_row(r, t - 1)))
+        del r  # before the square is built
         if ends is not None:
             return ends, "cholesky"
-    return _reduce(full(), m), "reduction"
+    a = np.zeros((m, m))
+    a[0] = build(lambda t: a[t, t:])
+    return _reduce(a, m), "reduction"
 
 
 def _bordered_ends(r: np.ndarray, column: np.ndarray) -> Optional[_Ends]:

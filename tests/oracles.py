@@ -3,13 +3,13 @@ and SO(3), which the tests use as oracles for ``levy_groups.harmonic`` and
 the Haar samplers, the covering map SU(2) -> SO(3), the binary icosahedral
 group, a singular positive semidefinite set of SU(2), the recursive
 adaptive Simpson rule that ``levy_groups.quadrature`` walks a level at a time,
-the matrix H K H that ``kernel_lab.gram_audit`` hands to its solver, whole
-or with the row sums of its packed build, the places of the rectangular
-full packed (RFP) array that holds its block, the
-four spectrum ends of that solver's tridiagonal reduction, the bordered
-sum-zero top of a distance matrix, the field's values that
-``field_sim.sample_field`` colours, and Bartlett's factor of the field's
-Gram matrix that ``field_sim.empirical_variogram`` draws.
+the matrix H K H that ``kernel_lab.gram_audit`` hands to its solver, by
+numpy's products or by its build's formulas, the places of the rectangular
+full packed (RFP) array that holds its block, the four spectrum ends of
+that solver's tridiagonal reduction, the bordered sum-zero top of a
+distance matrix, the field's values that ``field_sim.sample_field``
+colours, and Bartlett's factor of the field's Gram matrix that
+``field_sim.empirical_variogram`` draws.
 Each character, and each density and distribution function of the angle,
 takes the descriptor ``SU2`` or ``SO3``, as ``harmonic`` does.
 """
@@ -21,7 +21,7 @@ import numpy as np
 
 from levy_groups import field_sim, group_core, lapack
 from levy_groups.harmonic import _is_so3
-from levy_groups.kernel_lab import _householder, _outer_sum, _reflect, _shift
+from levy_groups.kernel_lab import _householder, _outer_sum
 from levy_groups.quadrature import MAX_DEPTH, QuadratureError
 
 # below this, sin(t) is treated as singular and the character limit is used
@@ -186,30 +186,42 @@ def binary_icosahedral():
     return np.array(sorted(units))
 
 
+def reflected(a):
+    """H a H for the symmetric (m, m) a and gram_audit's reflector H (its
+    first column constant, the rest a basis of the sum-zero subspace), by
+    numpy's products, averaged with its transpose so that it is bitwise
+    symmetric."""
+    u, tau = _householder(len(a))
+    h = np.eye(len(a)) - tau * np.outer(u, u)
+    a = h @ a @ h
+    return 0.5 * (a + a.T)
+
+
 def audit_matrix(group, x, pair_sums=False):
-    """H K H of the rows of x for the base point e, by gram_audit's formulas on
-    fresh arrays: -1/2 H D H, then (sqrt(m)/2) H d0 subtracted from row 0 and
-    from column 0, since H 1 = -sqrt(m) e1 carries K's d0 terms there.  The
-    row sums of D are D's product with the ones, the whole matrix's; with
-    ``pair_sums``, they are added as the packed build adds them, each pair
-    once to both sums, a block of ``group.upper_blocks`` at a time, so the
-    lower triangle is that build's bit for bit."""
+    """H K H of the rows of x for the base point e, bitwise symmetric.  By
+    default reflected(K), numpy's products, which agree with gram_audit's
+    to rounding.  With ``pair_sums``, by gram_audit's formulas on fresh
+    arrays, which give its build's floats bit for bit: -1/2 H D H from D's
+    row sums, each pair added once to both sums, a block of
+    ``group.upper_blocks`` at a time, then (sqrt(m)/2) H d0 subtracted from
+    row 0 and from column 0, since H 1 = -sqrt(m) e1 carries K's d0 terms
+    there."""
     m = len(x)
-    u, tau = _householder(m)
     d0 = group.distances(x, group.identity)
-    border = 0.5 * np.sqrt(m) * (d0 - (tau * (u @ d0)) * u)
     a = group.pairwise(x)
-    if pair_sums:
-        sums = np.zeros(m)
-        for i, block in group.upper_blocks(x):
-            sums[i:i + len(block)] += block.sum(axis=1)
-            sums[i:] += block.sum(axis=0)
-        w = _shift(sums, a[:, 0])
-        _outer_sum(a, -0.5, w / -np.sqrt(m))
-        a[0] -= w
-        a[:, 0] -= w
-    else:
-        _reflect(a)
+    if not pair_sums:
+        return reflected(0.5 * (d0[:, None] + d0[None, :] - a))
+    u, tau = _householder(m)
+    border = 0.5 * np.sqrt(m) * (d0 - (tau * (u @ d0)) * u)
+    sums = np.zeros(m)
+    for i, block in group.upper_blocks(x):
+        sums[i:i + len(block)] += block.sum(axis=1)
+        sums[i:] += block.sum(axis=0)
+    p = tau * (sums / np.sqrt(m) + a[:, 0])
+    w = -0.5 * (p - (0.5 * tau * (u @ p)) * u)
+    _outer_sum(a, -0.5, w / -np.sqrt(m))
+    a[0] -= w
+    a[:, 0] -= w
     a[0] -= border
     a[:, 0] -= border
     return a
@@ -237,14 +249,15 @@ def unpacked(r, n):
     return b
 
 
-def packed_from(a):
-    """The pack function of ``lapack.factored_extremes`` for the symmetric
-    (m, m) a: it writes a[1:, 1:] into the RFP array r, from a's lower
-    triangle, and returns a copy of a[:, 0]."""
-    def pack(r):
-        r[...] = a[1:, 1:][rfp_places(len(a) - 1)]
+def built_from(a):
+    """The build function of ``lapack.factored_extremes`` for the symmetric
+    (m, m) a: it writes a[t, t:] into row(t) for t >= 1 and returns a copy
+    of a's first column."""
+    def build(row):
+        for t in range(1, len(a)):
+            row(t)[...] = a[t, t:]
         return a[:, 0].copy()
-    return pack
+    return build
 
 
 def reduced_ends(a):

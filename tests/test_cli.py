@@ -112,6 +112,20 @@ def test_check_son_direct(tmp_path):
     assert code in (EXIT_OK, EXIT_NEGATIVE_FINDING)
 
 
+def test_check_son_defaults_to_four_d_points_and_refutes_so10(tmp_path):
+    # d = n(n+1)/2 - 1 = 54 at n = 10: this Haar set of the old default 100
+    # points does not refute K, and one of 4 d = 216 points, the default, does
+    assert [RunConfig("check", group="son", n=n).points for n in (4, 6, 7, 10, 16)] == \
+        [100, 100, 108, 216, 540]
+    assert RunConfig("check", group="so3").points == RunConfig("check").points == 100
+    argv = ["check", "--group", "son", "--n", "10", "--seed", "0"]
+    code, text = run_cli(argv, tmp_path)
+    doc = validate("check", text)
+    assert (code, doc["points"], doc["kernel_psd"]) == (EXIT_NEGATIVE_FINDING, 216, False)
+    code, text = run_cli(argv + ["--points", "100"], tmp_path)
+    assert (code, validate("check", text)["kernel_psd"]) == (EXIT_OK, True)
+
+
 def test_check_haar_and_witness_state_the_same_n_for_so3(tmp_path):
     # n is the descriptor's, as the certificate states it: SO(3) is SO(n) at n = 3
     for argv in (["check"], ["haar"], ["witness", "--trials", "1"]):
@@ -667,13 +681,13 @@ def test_simulate_memory_does_not_grow_with_realizations():
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
-def test_simulate_at_1500_points_holds_at_most_six_matrices():
+def test_simulate_at_1500_points_holds_at_most_five_matrices():
     # the factor, S and Bartlett's F of 100 columns, and one pass of pair
     # terms a block of rows at a time: 4.34 (m + 1)^2 matrices grown, bounded
-    # here with 1.66 of a matrix to spare
+    # here with 0.66 of a matrix to spare, less than a matrix held again
     grown, charged = grown_and_charged(["simulate", "--points", "1500", "--realizations", "100"])
     assert grown <= charged
-    assert grown <= 6 * 8 * 1501 ** 2
+    assert grown <= 5 * 8 * 1501 ** 2
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")

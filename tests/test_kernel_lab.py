@@ -22,9 +22,9 @@ from levy_groups import (
 )
 import levy_groups
 from levy_groups import group_core, kernel_lab, lapack
-from levy_groups.kernel_lab import WitnessCertificate, _reflect, sum_zero_basis
-from oracles import (audit_matrix, binary_icosahedral, bordered_top, packed_from,
-                     reduced_ends, rfp_places, unpacked)
+from levy_groups.kernel_lab import WitnessCertificate, sum_zero_basis
+from oracles import (audit_matrix, binary_icosahedral, bordered_top, built_from, reduced_ends,
+                     reflected, unpacked)
 
 WITNESS_SCHEMA = json.loads(
     (resources.files("levy_groups") / "schemas" / "witness.schema.json").read_text())
@@ -47,6 +47,25 @@ def kernel_for(group, x, x0):
     """brownian_kernel of the rows of x for the base point x0: x0 put first,
     its row and column taken off."""
     return kernel_lab.brownian_kernel(group, np.concatenate(([x0], x)))[1:, 1:]
+
+
+def built_square(group, x):
+    """The (m, m) square gram_audit's reduction gets for the rows of x and
+    the base point e: H K H's upper triangle as _centered_kernel writes it,
+    its first row the returned column, zeros below."""
+    a = np.zeros((len(x), len(x)))
+    a[0] = kernel_lab._centered_kernel(group, x, group.identity, lambda t: a[t, t:])
+    return a
+
+
+def built_packed(group, x):
+    """The RFP array of H K H's block that gram_audit's factor gets for the
+    rows of x and the base point e, from _centered_kernel, NaN where it
+    writes nothing, and the returned first column."""
+    r = lapack._packed(len(x) - 1)
+    r[...] = np.nan
+    return r, kernel_lab._centered_kernel(group, x, group.identity,
+                                          lambda t: lapack._packed_row(r, t - 1))
 
 
 def lemma_equivalence(group, x):
@@ -128,39 +147,35 @@ def test_centered_spectrum_is_the_helmert_compression(group, m):
     d = group.pairwise(x)
     b = sum_zero_basis(len(d))
     want = np.linalg.eigvalsh(b.T @ d @ b)
-    for scale in (1.0, -0.5):  # H D H, and gram_audit's -1/2 H D H
-        # scaling by a power of two is exact: _reflect(-2 scale d) is H (scale d) H
-        got = np.linalg.eigvalsh(_reflect(-2.0 * scale * d)[1:, 1:])
-        assert np.abs(got - np.sort(scale * want)).max() <= 1e-12 * max(1.0, np.linalg.norm(d, 2))
-        ones = _reflect(-2.0 * scale * np.ones_like(d))  # H sends the constants to e1
-        ones[0, 0] -= scale * len(d)
-        assert np.abs(ones).max() <= 1e-14 * len(d)
-
-
-@pytest.mark.parametrize("group", [SU2, SO3], ids=["su2", "so3"])
-@pytest.mark.parametrize("seed", range(5))
-def test_reflect_keeps_a_symmetric_matrix_bit_for_bit(group, seed):
-    # gram_audit's H K H is reduced from one triangle and factored from the other
-    x = group.sample(RngStream(seed, 0), 100)
-    for a in (group.pairwise(x), kernel_for(group, x, group.identity)):
-        assert np.array_equal(a, a.T)
-        _reflect(a)
-        assert np.array_equal(a, a.T)
+    # the block of the built H K H is -1/2 H D H's: D compressed, times -1/2
+    got = np.linalg.eigvalsh(built_square(group, x)[1:, 1:], UPLO="U")
+    assert np.abs(got - np.sort(-0.5 * want)).max() <= 1e-12 * max(1.0, np.linalg.norm(d, 2))
+    u, tau = kernel_lab._householder(len(d))  # H sends the constants to -sqrt(m) e1
+    ones = np.ones(len(d)) - tau * (u @ np.ones(len(d))) * u
+    ones[0] += np.sqrt(len(d))
+    assert np.abs(ones).max() <= 1e-14 * len(d)
 
 
 @pytest.mark.parametrize("group", [SU2, SO3, group_named("son", 4)], ids=["su2", "so3", "so4"])
-def test_audit_matrix_is_minus_half_hdh_bordered_and_bitwise_symmetric(group, monkeypatch):
-    # gram_audit forms no K: the whole H K H it builds where the factor fails
-    # has -1/2 H D H's [1:, 1:] block bit for bit, and is H K H within rounding
+def test_audit_matrix_is_h_k_h_in_its_upper_triangle(group, monkeypatch):
+    # gram_audit forms no K: the square it builds where the factor fails
+    # holds, in its upper triangle, H K H by its formulas bit for bit, and
+    # numpy's H K H within rounding; nothing is written below it
     x = group.sample(RngStream(59, 0), 150)
     seen = []
-    monkeypatch.setattr(lapack, "factored_extremes",
-                        lambda m, pack, full: seen.append(full()) or ((1.0,) * 4, "reduction"))
+
+    def solve(m, build, definite):
+        a = np.zeros((m, m))
+        a[0] = build(lambda t: a[t, t:])
+        seen.append(a)
+        return (1.0,) * 4, "reduction"
+
+    monkeypatch.setattr(lapack, "factored_extremes", solve)
     gram_audit(group, x)
     [a] = seen
-    assert np.array_equal(a, a.T)
-    assert np.array_equal(a[1:, 1:], _reflect(group.pairwise(x))[1:, 1:])
-    want = _reflect(-2.0 * kernel_for(group, x, group.identity))
+    assert np.array_equal(a, np.triu(a))
+    assert np.array_equal(a, np.triu(audit_matrix(group, x, pair_sums=True)))
+    want = np.triu(audit_matrix(group, x))
     assert np.abs(a - want).max() <= 1e-15 * np.abs(want).max()
 
 
@@ -172,12 +187,12 @@ def serial_audit(group, x):
     """gram_audit's four floats by its formulas, on fresh arrays: H K H as
     -1/2 H D H and its border (oracles.audit_matrix), then the ends of its
     spectrum and of its [1:, 1:] block: from its factor where it is positive
-    definite, the bottoms only, so no scales, packed from H K H with the
-    packed build's row sums; else from the reduction of the whole H K H."""
+    definite, the bottoms only, so no scales; else from the reduction of its
+    upper triangle.  Either storage is written from H K H with the build's
+    row sums."""
     # the distance formulas work in blocks; D is taken as given
     (k_min, k_max, c_min, c_max), method = lapack.factored_extremes(
-        len(x), packed_from(audit_matrix(group, x, pair_sums=True)),
-        lambda: audit_matrix(group, x))
+        len(x), built_from(audit_matrix(group, x, pair_sums=True)), lambda: True)
     if method == "cholesky":
         return -2.0 * c_min, k_min, None, None
     return -2.0 * c_min, k_min, 2.0 * max(abs(c_min), abs(c_max)), max(abs(k_min), abs(k_max))
@@ -198,20 +213,44 @@ def eigvalsh_audit(group, x):
 @pytest.mark.parametrize("group", [SU2, SO3, group_named("son", 4)], ids=["su2", "so3", "so4"])
 @pytest.mark.parametrize("m", [*range(2, 10), 40, 41, 150])
 def test_packed_build_is_the_audit_matrix_to_rounding(group, m):
-    # the packed block is the whole H K H's lower triangle within 1e-15 of
+    # the packed block is numpy's H K H's lower triangle within 1e-15 of
     # its largest entry, and bit for bit that of H K H with the row sums
-    # added a pair at a time; so is the first column.  Every place of the
-    # RFP array is written: none keeps its NaN
+    # added a pair at a time; so is the first column, within 2e-15: its
+    # entry (0, 0), the largest, sums the e1 terms and the border twice, and
+    # is up to 5.4 eps of it off a long-double H K H (SO(4), m = 5).  Every
+    # place of the RFP array is written: none keeps its NaN
     x = group.sample(RngStream(70, m), m)
-    r = np.full(rfp_places(m - 1)[0].shape, np.nan)
-    column = kernel_lab._packed_kernel(group, x, group.identity, r)
+    r, column = built_packed(group, x)
     block = unpacked(r, m - 1)
     whole, paired = audit_matrix(group, x), audit_matrix(group, x, pair_sums=True)
     scale = np.abs(whole).max()
     assert np.abs(block - np.tril(whole[1:, 1:])).max() <= 1e-15 * scale
-    assert np.abs(column - whole[:, 0]).max() <= 1e-15 * scale
+    assert np.abs(column - whole[:, 0]).max() <= 2e-15 * scale
     assert np.array_equal(block, np.tril(paired[1:, 1:]))
     assert np.array_equal(column, paired[:, 0])
+
+
+@pytest.mark.parametrize("group", [SU2, SO3, group_named("son", 4)], ids=["su2", "so3", "so4"])
+@pytest.mark.parametrize("m", [*range(2, 10), 40, 41, 150])
+def test_reductions_square_is_the_packed_block_bit_for_bit(group, m, monkeypatch):
+    # gram_audit made to pack, and its factor to fail before it reads the
+    # RFP array: the square the reduction then gets holds, in its upper
+    # triangle, the packed block and, in its first row, the packed column,
+    # bit for bit
+    packed, squares = [], []
+
+    def failed_factor(r, column):
+        packed.append((r.copy(), column.copy()))
+        return None
+
+    monkeypatch.setattr(kernel_lab, "_minor_is_definite", lambda *args: True)
+    monkeypatch.setattr(lapack, "available", lambda: True)
+    monkeypatch.setattr(lapack, "_bordered_ends", failed_factor)
+    monkeypatch.setattr(lapack, "_reduce", lambda a, m: squares.append(a.copy()) or (1.0,) * 4)
+    gram_audit(group, group.sample(RngStream(70, m), m))
+    [(r, column)], [a] = packed, squares
+    assert np.array_equal(a[0], column)
+    assert np.array_equal(np.triu(a[1:, 1:]), unpacked(r, m - 1).T)
 
 
 @GROUPS
@@ -265,7 +304,7 @@ def test_spectral_ends_are_those_of_a_and_of_its_helmert_compression(m, path, mo
         pytest.skip("numpy bundles no LAPACK")
     b = sum_zero_basis(len(a))
     whole, part = np.linalg.eigvalsh(a), np.linalg.eigvalsh(b.T @ a @ b)
-    got = reduced_ends(kernel_lab._reflect(-2.0 * a))
+    got = reduced_ends(reflected(a))
     want = (whole[0], whole[-1], part[0], part[-1])
     assert np.abs(np.subtract(got, want)).max() <= 1e-14 * max(1.0, np.linalg.norm(a, 2))
 
@@ -426,64 +465,26 @@ def test_audit_peaks_at_one_packed_matrix(group, monkeypatch):
     assert workspace_bytes(m) <= 1024 * m  # the reduction's, within audit_bytes' 1 kB per point
 
 
-def test_so3_audit_with_real_blocks_peaks_no_higher_than_su2(monkeypatch):
-    # each build with real blocks holds its output and two blocks of the
-    # distance kernel's scratch, as its _pair_floats declares: SU(2) packs
-    # H K H's block, SO(3), whose leading minor fails, packs nothing and
-    # builds the whole (m, m) buffer in full(); in the solve SU(2) holds the
-    # packed factor and its Lanczos basis, SO(3) that buffer and its
-    # reduction's workspace
+@pytest.mark.parametrize("storage", ["packed", "square"])
+@pytest.mark.parametrize("group", [SU2, SO3], ids=["su2", "so3"])
+def test_build_peaks_at_its_storage_and_two_blocks(group, storage):
+    # the one build, with real blocks, into either storage gram_audit gives
+    # it: the RFP array of the block, half the matrix, or the reduction's
+    # (m, m) square, each made here as lapack makes it; beside it the build
+    # holds the walk's block and one block of the distance kernel's scratch,
+    # as its _pair_floats declares, whichever group's points it walks
     m = 1000
-    built, during = {}, {}
-    solve = lapack.factored_extremes
-
-    def peak_of(name, build):  # the traced peak while build runs, the peak reset after it
-        def spy(*args):
-            tracemalloc.reset_peak()
-            out = build(*args)
-            built[group, name] = tracemalloc.get_traced_memory()[1]
-            tracemalloc.reset_peak()
-            return out
-        return spy
-
-    monkeypatch.setattr(lapack, "factored_extremes", lambda m, pack, full: solve(
-        m, peak_of("pack", pack), peak_of("full", full)))
-    for group in (SU2, SO3):  # load the solver first
-        gram_audit(group, group.sample(RngStream(54, 0), 10))
-    built.clear()  # the warm-ups'
-    for group in (SU2, SO3):
-        x = group.sample(RngStream(54, 1), m)
-        tracemalloc.start()
-        try:
-            gram_audit(group, x)
-            during[group] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    blocks = 16 * group_core.BLOCK_FLOATS
-    assert built[SO3, "full"] <= 1.02 * 8 * m * m + blocks
-    if lapack.available():
-        assert built[SU2, "pack"] <= 0.52 * 8 * m * m + blocks
-        assert during[SU2] - workspace_bytes(m, SU2) <= 0.52 * 8 * m * m
-    else:
-        assert during[SU2] - workspace_bytes(m, SU2) <= 1.02 * 8 * m * m
-    assert during[SO3] - workspace_bytes(m, SO3) <= 1.02 * 8 * m * m
-    assert workspace_bytes(m, SO3) <= 1024 * m  # the reduction's, within audit_bytes' 1 kB per point
-
-
-def test_so3_packed_build_peaks_at_the_packed_array_and_two_blocks():
-    # gram_audit packs no SO(3) set this large, as K's leading minor fails
-    # first; the build itself holds one block of the distance kernel's
-    # scratch beside its output, as on SU(2)
-    m = 1000
-    x = SO3.sample(RngStream(54, 1), m)
-    kernel_lab._packed_kernel(SO3, x[:10], SO3.identity, lapack._packed(9))  # warm-up
+    x = group.sample(RngStream(54, 1), m)
+    share = {"packed": 0.52, "square": 1.02}[storage]
+    build = built_packed if storage == "packed" else built_square
+    build(group, x[:10])  # warm-up
     tracemalloc.start()
     try:
-        kernel_lab._packed_kernel(SO3, x, SO3.identity, lapack._packed(m - 1))
+        build(group, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 0.52 * 8 * m * m + 16 * group_core.BLOCK_FLOATS
+    assert peak <= share * 8 * m * m + 16 * group_core.BLOCK_FLOATS
 
 
 @pytest.mark.parametrize("group, m", [(SU2, 20), (SU2, 300), (SO3, 300),
@@ -504,11 +505,11 @@ def test_audit_packs_nothing_where_the_probe_fails(group, monkeypatch):
     def never(*args):
         raise AssertionError("gram_audit packed the block")
 
-    monkeypatch.setattr(kernel_lab, "_packed_kernel", never)
+    monkeypatch.setattr(lapack, "_packed", never)
     x = group.sample(RngStream(73, 0), 200)
     audit = gram_audit(group, x)
     assert audit.method == "reduction"
-    k_min, k_max, c_min, c_max = reduced_ends(audit_matrix(group, x))
+    k_min, k_max, c_min, c_max = reduced_ends(audit_matrix(group, x, pair_sums=True))
     assert (audit.min_K_eig, audit.max_centered_eig) == (k_min, -2.0 * c_min)
 
 
@@ -546,7 +547,7 @@ def test_audit_decisions_are_those_with_the_reductions_scales(m):
     # reduction's scales give, at every tolerance >= 0
     x = binary_icosahedral() if m == "icosahedral" else SU2.sample(RngStream(68, m), m)
     audit = gram_audit(SU2, x)
-    k_min, k_max, c_min, c_max = reduced_ends(audit_matrix(SU2, x))
+    k_min, k_max, c_min, c_max = reduced_ends(audit_matrix(SU2, x, pair_sums=True))
     scaled = dataclasses.replace(audit, centered_eig_scale=2.0 * max(abs(c_min), abs(c_max)),
                                  K_eig_scale=max(abs(k_min), abs(k_max)))
     if audit.method == "cholesky":
@@ -608,11 +609,24 @@ def test_audit_rejects_bad_input():
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_reflect_rejects_a_non_finite_entry(bad):
-    a = np.ones((5, 5))
-    a[3, 1] = a[1, 3] = bad
-    with pytest.raises(ValueError, match="non-finite distance"):
-        _reflect(a)
+def test_centered_kernel_rejects_a_non_finite_entry(bad, monkeypatch):
+    # in either storage: a point with a non-finite coordinate, and a
+    # non-finite distance between two points whose distances to x0 are finite
+    x = su2_points(60, 5)
+    for build in (built_square, built_packed):
+        with pytest.raises(ValueError, match="non-finite distance"), np.errstate(invalid="ignore"):
+            build(SU2, np.concatenate((x[:3], [[bad, 0.0, 0.0, 0.0]], x[3:])))
+    blocks = type(SU2).upper_blocks
+
+    def spoilt(self, points):
+        for i, block in blocks(self, points):
+            block[-1, -1] = bad
+            yield i, block
+
+    monkeypatch.setattr(type(SU2), "upper_blocks", spoilt)
+    for build in (built_square, built_packed):
+        with pytest.raises(ValueError, match="non-finite distance"):
+            build(SU2, x)
 
 
 def test_quadratic_form_bounded_by_top_eigenvalue():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from levy_groups import SO3, SU2, RngStream, kernel_lab, lapack
-from oracles import audit_matrix, packed_from, reduced_ends, rfp_places, unpacked
+from oracles import audit_matrix, built_from, reduced_ends, rfp_places, unpacked
 
 needs_lapack = pytest.mark.skipif(not lapack.available(), reason="numpy bundles no LAPACK")
 
@@ -99,23 +99,25 @@ def planted(values):
     return a + a.T
 
 
-def factored(a, full=None):
-    """lapack.factored_extremes of the symmetric (m, m) a, its block packed
-    from a's lower triangle (oracles.packed_from) and ``full`` giving the
-    whole, by default a itself; and the RFP array pack filled, which then
-    holds the factor, or None where pack was not called."""
-    seen, pack = [], packed_from(a)
+def factored(a, definite=lambda: True):
+    """lapack.factored_extremes of the symmetric (m, m) a, built from its
+    upper triangle (oracles.built_from), and the storage each build wrote:
+    the RFP array, which then holds the factor, or the reduction's square."""
+    seen, build = [], built_from(a)
 
-    def spy(r):
-        seen.append(r)
-        return pack(r)
+    def spy(row):
+        seen.append(row(1).base)
+        return build(row)
 
-    got = lapack.factored_extremes(len(a), spy, full or (lambda: a))
-    return got, (seen[0] if seen else None)
+    return lapack.factored_extremes(len(a), spy, definite), seen
 
 
-def whole_never_built():
-    raise AssertionError("factored_extremes asked for the whole matrix")
+def packed_once(seen, m):
+    """The one storage of seen, which must be an RFP array of order m - 1:
+    the whole matrix was never built."""
+    [r] = seen
+    assert r.shape == rfp_places(m - 1)[0].shape, "the whole matrix was built"
+    return r
 
 
 def reads_as_the_reduction(a):
@@ -124,12 +126,12 @@ def reads_as_the_reduction(a):
     array the factor of the block B = a[1:, 1:], which reproduces B within
     4 m eps of its scale."""
     want = reduced_ends(a.copy())
-    (got, method), r = factored(a, whole_never_built)
+    (got, method), seen = factored(a)
     assert method == "cholesky"
     assert got[1] is None and got[3] is None
     bottoms = np.subtract(got[::2], want[::2])
     assert np.abs(bottoms).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
-    block, factor = a[1:, 1:], unpacked(r, len(a) - 1)
+    block, factor = a[1:, 1:], unpacked(packed_once(seen, len(a)), len(a) - 1)
     eps = np.finfo(float).eps
     assert np.abs(factor @ factor.T - block).max() <= 4 * len(block) * eps * np.abs(block).max()
 
@@ -195,7 +197,9 @@ def test_factored_extremes_spend_two_solves_a_bottom_step_and_no_dsymv(monkeypat
 
     monkeypatch.setattr(lapack, "_lanczos", problem)
     a = audit_matrix(SU2, SU2.sample(RngStream(66, 300), 300))
-    assert factored(a, whole_never_built)[0][1] == "cholesky"
+    (_, method), seen = factored(a)
+    assert method == "cholesky"
+    packed_once(seen, len(a))
     setup, *problems = " ".join(calls).split("problem")
     solve = ["dtrsv", "dgemv", "dtrsv"]
     # n = 299: five panels down B11 over B21 (150 columns), the last with no
@@ -252,8 +256,9 @@ def test_solves_pass_blas_only_pointers_inside_their_arrays(m, monkeypatch):
     monkeypatch.setattr(lapack, "_solve", spied_solve)
     a = audit_matrix(SU2, SU2.sample(RngStream(69, m), m))
     want = reduced_ends(a.copy())
-    (got, method), _ = factored(a, whole_never_built)
+    (got, method), seen = factored(a)
     assert method == "cholesky"
+    packed_once(seen, m)
     assert np.abs(np.subtract(got[::2], want[::2])).max() <= 1e-14 * max(np.abs(want).max(), 1.0)
 
 
@@ -317,30 +322,27 @@ def so3_item_1_set():
 @needs_lapack
 @pytest.mark.parametrize("case", ["indefinite", "so3 seed 5", "identical points"])
 def test_factored_extremes_reduce_a_restored_matrix_where_the_factor_fails(case, monkeypatch):
-    # the reduction sees the whole matrix as its caller builds it, bit for
-    # bit, asked for only once the RFP array the factor spoiled is freed
+    # the reduction sees the whole matrix's upper triangle as its caller
+    # builds it, bit for bit, with zeros below, built only once the RFP
+    # array the factor spoiled is freed
     if case == "indefinite":
         a = symmetric(64, 30)
     elif case == "so3 seed 5":
         a = so3_item_1_set()
     else:  # K = d(g, e) 1 1^T, of rank one
         a = audit_matrix(SU2, np.stack([SU2.sample(RngStream(64, 0), 1)[0]] * 5))
-    seen, packed, pack = [], [], packed_from(a)
+    seen, built, build = [], [], built_from(a)
     monkeypatch.setattr(lapack, "_reduce", lambda b, m: seen.append((b, b.copy(), m)) or (1.0,) * 4)
 
-    def spy(r):
-        packed.append(weakref.ref(r))
-        return pack(r)
+    def spy(row):
+        assert all(storage() is None for storage in built)
+        built.append(weakref.ref(row(1).base))
+        return build(row)
 
-    def full():
-        assert len(packed) == 1 and packed[0]() is None
-        return buf
-
-    buf = a.copy()
-    assert lapack.factored_extremes(len(a), spy, full) == ((1.0,) * 4, "reduction")
+    assert lapack.factored_extremes(len(a), spy, lambda: True) == ((1.0,) * 4, "reduction")
     [(b, copy, m)] = seen
-    assert b is buf and m == len(a)
-    assert np.array_equal(copy.view(np.uint64), a.view(np.uint64))
+    assert len(built) == 2 and b is built[1]() and m == len(a)
+    assert np.array_equal(copy.view(np.uint64), np.triu(a).view(np.uint64))
 
 
 @needs_lapack
@@ -356,6 +358,16 @@ def test_factored_extremes_where_the_factor_fails_are_the_reductions_bit_for_bit
     assert factored(a)[0] == (want, "reduction")
 
 
+@needs_lapack
+def test_factored_extremes_pack_nothing_where_the_caller_finds_no_definite_matrix():
+    # one build, into the reduction's square, and the reduction's floats bit for bit
+    a = audit_matrix(SU2, SU2.sample(RngStream(65, 1), 20))
+    want = reduced_ends(a.copy())
+    got, seen = factored(a, lambda: False)
+    assert got == (want, "reduction")
+    assert [s.shape for s in seen] == [a.shape]
+
+
 def test_factored_extremes_without_the_library_are_eigvalshs(monkeypatch):
     monkeypatch.setattr(lapack, "available", lambda: False)
     a = audit_matrix(SU2, SU2.sample(RngStream(65, 0), 20))
@@ -363,7 +375,13 @@ def test_factored_extremes_without_the_library_are_eigvalshs(monkeypatch):
     # numpy's own spectra, from the upper triangle the reduction would read
     whole, part = (np.linalg.eigvalsh(b, UPLO="U") for b in (before, before[1:, 1:]))
     want = (whole[0], whole[-1], part[0], part[-1])
-    assert factored(a) == ((want, "reduction"), None)  # nothing packed
+
+    def never():
+        raise AssertionError("factored_extremes asked whether the matrix is definite")
+
+    got, seen = factored(a, never)
+    assert got == (want, "reduction")
+    assert [s.shape for s in seen] == [a.shape]  # nothing packed
     assert np.array_equal(a, before)
 
 
